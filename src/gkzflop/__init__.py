@@ -10,6 +10,7 @@ from .errors import (
     InfeasibleArgs,
     InputError,
     MissingRay,
+    NonFiniteValue,
     NonInteriorPoint,
     NonUnitDegree,
     NotACone,

@@ -17,6 +17,8 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BranchCut, InfeasibleArgs, NotInvertible, UncancelledPole
 from . import kernels
 from .rings import AlgebraElement, algebra_exp, algebra_inverse
@@ -231,6 +233,8 @@ def series_exp(x):
 def _as_exact(z):
     if isinstance(z, (int, Fraction)):
         return Fraction(z)
+    if isinstance(z, np.ndarray):
+        return z
     return complex(z)
 
 
@@ -241,17 +245,23 @@ def _scalar_like(d, value):
 
 
 def _taylor_recip(z, d):
-    """1/Gamma(1 + z + d) by Taylor composition around the scalar center."""
+    """1/Gamma(1 + z + d) by Taylor composition around the scalar center.
+
+    In numeric mode z may be an array, which gives a batch of elements.
+    """
     if isinstance(d, AlgebraElement):
         s = d.scalar_part
         n = d.nilpotent_part()
         mmax = d.algebra.zero_degree - 1
-        c = kernels.recip_gamma_series(complex(1 + z) + s, mmax)
-        acc = d.algebra.scalar(c[mmax])
+        center = (1 + z if isinstance(z, np.ndarray) else complex(1 + z)) + s
+        c = kernels.recip_gamma_series(center, mmax)
+        acc = d.algebra.scalar(c[..., mmax])
         for m in range(mmax - 1, -1, -1):
-            acc = acc * n + c[m]
+            acc = acc * n + c[..., m]
         return acc
     assert isinstance(d, EpsSeries)
+    if isinstance(z, np.ndarray):
+        raise InfeasibleArgs("series-mode shifts take one scalar z at a time")
     assert d.val >= 0
     lead = d.coeff(0) if d.order > 0 else d.algebra.zero()
     assert abs(lead.scalar_part) <= 1e-9 * max(1.0, d.norm()), \
@@ -271,7 +281,9 @@ def _one_like(d):
 
 
 def reciprocal_gamma_shifted(z, d):
-    """1/Gamma(1 + z + d) for scalar z and a nilpotent or deformed shift d.
+    """1/Gamma(1 + z + d) for z and a nilpotent or deformed shift d.
+
+    z is a scalar, or in numeric mode an array of scalars (a batch).
 
     At integer z <= -1 the functional equation is applied first, which
     exposes the leading factor d explicitly: 1/Gamma(1 - m + d) =

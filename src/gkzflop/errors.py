@@ -73,6 +73,10 @@ class TailBoundViolated(GkzflopError):
     """Contour truncation tail estimate exceeds the requested budget."""
 
 
+class NonFiniteValue(GkzflopError):
+    """A numeric evaluation produced NaN or infinity."""
+
+
 class UncancelledPole(GkzflopError):
     """An eps-principal part survives a sum that should be regular."""
 

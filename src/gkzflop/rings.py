@@ -13,6 +13,7 @@ structure constants are rational and stored both exactly and as complex
 arrays for numeric work.
 """
 
+import cmath
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -173,8 +174,9 @@ class SectorAlgebra:
         return (self.t_label, self.sector.key())
 
     def element(self, coords):
+        """Element with the given coordinates; shape (..., dim) is a batch."""
         arr = np.asarray(coords, dtype=complex)
-        assert arr.shape == (self.dim,)
+        assert arr.shape[-1:] == (self.dim,)
         return AlgebraElement(self, arr)
 
     def zero(self):
@@ -186,8 +188,9 @@ class SectorAlgebra:
         return AlgebraElement(self, coords)
 
     def scalar(self, value):
-        coords = np.zeros(self.dim, dtype=complex)
-        coords[self.basis_index[()]] = value
+        """value times 1; an array of values gives a batch."""
+        coords = np.zeros(np.shape(value) + (self.dim,), dtype=complex)
+        coords[..., self.basis_index[()]] = value
         return AlgebraElement(self, coords)
 
     def divisor(self, j):
@@ -240,9 +243,18 @@ class SectorAlgebra:
 
 
 class AlgebraElement:
-    """Element of a SectorAlgebra: complex coordinates over its basis."""
+    """Element of a SectorAlgebra: complex coordinates over its basis.
+
+    coords has shape (..., dim).  Leading axes, when present, index a
+    batch of elements of the same algebra (one per quadrature node, say);
+    arithmetic acts row by row and broadcasts a single element against a
+    batch.  Scalars may be numbers or arrays of the batch shape.
+    """
 
     __slots__ = ("algebra", "coords")
+    # numpy defers to the operators below instead of broadcasting over
+    # the element as an object, so that array * element is a batch
+    __array_ufunc__ = None
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
@@ -253,19 +265,30 @@ class AlgebraElement:
 
     @property
     def scalar_part(self):
-        return complex(self.coords[self.algebra.basis_index[()]])
+        """Coefficient of 1: a complex number, or an array for a batch."""
+        v = self.coords[..., self.algebra.basis_index[()]]
+        return complex(v) if np.ndim(v) == 0 else v
 
     def nilpotent_part(self):
         out = self.coords.copy()
-        out[self.algebra.basis_index[()]] = 0.0
+        out[..., self.algebra.basis_index[()]] = 0.0
         return AlgebraElement(self.algebra, out)
 
     def is_zero(self, tol=0.0):
+        """True when every coordinate of every batch row is within tol."""
         return bool(np.max(np.abs(self.coords)) <= tol) if self.coords.size \
             else True
 
     def norm(self):
-        return float(np.max(np.abs(self.coords)))
+        """Largest coordinate modulus; one per row for a batch."""
+        out = np.max(np.abs(self.coords), axis=-1)
+        return float(out) if out.ndim == 0 else out
+
+    def sum(self):
+        """Sum of a batch over its leading axis, in row order."""
+        if self.coords.ndim < 2:
+            raise ValueError("sum() needs a batch of elements")
+        return AlgebraElement(self.algebra, self.coords.sum(axis=0))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -285,23 +308,25 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return AlgebraElement(self.algebra, self.coords * other)
+        if isinstance(other, np.ndarray):
+            return AlgebraElement(self.algebra, self.coords * other[..., None])
         if isinstance(other, AlgebraElement):
             assert other.algebra is self.algebra, "mixed-algebra product"
-            out = np.einsum("a,b,abc->c", self.coords, other.coords,
+            out = np.einsum("...a,...b,abc->...c", self.coords, other.coords,
                             self.algebra.mult_table)
             return AlgebraElement(self.algebra, out)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return AlgebraElement(self.algebra, self.coords * other)
+        if isinstance(other, (int, float, complex, np.ndarray)):
+            return self * other
         return NotImplemented
 
     def _coerce(self, other):
         if isinstance(other, AlgebraElement):
             assert other.algebra is self.algebra
             return other
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, (int, float, complex, np.ndarray)):
             return self.algebra.scalar(other)
         raise TypeError(f"cannot combine AlgebraElement with {type(other)!r}")
 
@@ -319,7 +344,6 @@ def build_sector_algebra(data, t, sector):
 
 def algebra_exp(element):
     """exp of an element: exact scalar exp times a finite nilpotent series."""
-    import cmath
     alg = element.algebra
     s = element.scalar_part
     n = element.nilpotent_part()
@@ -330,13 +354,13 @@ def algebra_exp(element):
         if term.is_zero():
             break
         acc = acc + term
-    return acc * cmath.exp(s)
+    return acc * (cmath.exp(s) if isinstance(s, complex) else np.exp(s))
 
 
 def algebra_inverse(element, tol=0.0):
     """Inverse via the terminating geometric series; NotInvertible at s=0."""
     s = element.scalar_part
-    if abs(s) <= tol:
+    if np.any(np.abs(s) <= tol):
         raise NotInvertible("zero scalar part")
     n = element.nilpotent_part() * (-1.0 / s)
     acc = element.algebra.one()

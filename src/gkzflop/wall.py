@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfeasibleArgs, PoleOnContour, PoleProximity, \
-    TailBoundViolated, VerificationFailed
+from .errors import InfeasibleArgs, NonFiniteValue, PoleOnContour, \
+    PoleProximity, TailBoundViolated
 from . import kernels
 from .toric import compute_box, canonical_lift, adjacent_sector, \
     essential_sectors, sector_label
@@ -150,16 +150,24 @@ def _min_pole_distance(s0, lprime, circuit):
 
 
 def make_integrand(x, lprime, circuit, ring, form=2, guard=1e-7):
-    """Closure evaluating I(s) with the s-independent parts hoisted out."""
+    """Closure evaluating I(s) with the s-independent parts hoisted out.
+
+    The closure takes one node s or an array of nodes and returns one
+    element, or a batch with one row per node.  The ring must be in
+    numeric mode (a concrete eps): series-mode values are not batched.
+    """
+    if ring.laurent:
+        raise InfeasibleArgs("the line integrand needs a sampled eps")
     x = tuple(complex(v) for v in x)
     n = len(x)
     iminus = sorted(circuit.I_minus)
     h = circuit.h
+    lp = [complex(v) for v in lprime]
     d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
     div = [ring.divisor(j) for j in range(n)]
+    one = ring.one()
     exp_neg = {j: ring.exp(div[j] * (-1.0)) for j in iminus}
-    nums = {j: ring.one() - exp_neg[j] * unit_phase(-lprime[j])
-            for j in iminus}
+    nums = {j: one - exp_neg[j] * unit_phase(-lprime[j]) for j in iminus}
     bp = [ring.branched_power(x[j], d[j]) for j in range(n)]
     logx = [principal_log(x[j]) for j in range(n)]
     const = ring.one()
@@ -171,43 +179,44 @@ def make_integrand(x, lprime, circuit, ring, form=2, guard=1e-7):
     hm_sum = sum(h[j] for j in iminus)
 
     def guard_distance(s):
-        dist = abs(s - complex(round(s.real)))
+        # integer points and the two ratio-factor zeros of each family
+        # that straddle Re s
+        dist = np.abs(s - np.round(s.real))
         for k in iminus:
-            w_near = lprime[k] + s.real * circuit.h[k]
-            for w in (math.floor(w_near), math.ceil(w_near)):
-                loc = complex(Fraction(lprime[k] - w) / (-circuit.h[k]))
-                dist = min(dist, abs(s - loc))
+            w_near = lp[k].real + s.real * h[k]
+            for w in (np.floor(w_near), np.ceil(w_near)):
+                dist = np.minimum(dist, np.abs(s - (lp[k].real - w) / (-h[k])))
         return dist
 
     def eval2(s):
-        acc = const * (TWO_PI_I / (1.0 - cmath.exp(-TWO_PI_I * s)))
+        acc = const * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
         for j in iminus:
-            den = ring.one() - exp_neg[j] * cmath.exp(
-                -TWO_PI_I * (complex(lprime[j]) + s * h[j]))
+            den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lp[j] + s * h[j]))
             acc = acc * nums[j] * ring.inv(den)
         for j in range(n):
-            e = complex(lprime[j]) + s * h[j]
+            e = lp[j] + s * h[j]
             if h[j]:
-                acc = acc * cmath.exp(e * logx[j] - complex(lprime[j]) * logx[j])
+                acc = acc * np.exp(e * logx[j] - lp[j] * logx[j])
             acc = acc * ring.recip_gamma(e, d[j])
         return acc
 
     def eval1(s):
-        pref = -cmath.exp(kernels.log_gamma(-s) + kernels.log_gamma(1.0 + s))
-        grow = cmath.exp(s * complex(logy, ay + math.pi * (1 - hm_sum)))
+        pref = -np.exp(kernels.log_gamma(-s) + kernels.log_gamma(1.0 + s))
+        grow = np.exp(s * complex(logy, ay + math.pi * (1 - hm_sum)))
         acc = const * (pref * grow)
         for j in iminus:
-            den = ring.one() - exp_neg[j] * cmath.exp(
-                -TWO_PI_I * (complex(lprime[j]) + s * h[j]))
+            den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lp[j] + s * h[j]))
             acc = acc * nums[j] * ring.inv(den)
         for j in range(n):
-            acc = acc * ring.recip_gamma(complex(lprime[j]) + s * h[j], d[j])
+            acc = acc * ring.recip_gamma(lp[j] + s * h[j], d[j])
         return acc
 
     def f(s):
-        s = complex(s)
-        if guard_distance(s) < guard:
-            raise PoleProximity(f"s = {s} too close to a pole")
+        s = np.asarray(s, dtype=complex)
+        near = guard_distance(s) < guard
+        if near.any():
+            raise PoleProximity(f"s = {complex(s[near].flat[0])} too close "
+                                f"to a pole")
         return eval2(s) if form == 2 else eval1(s)
 
     f.decay = (2.0 * math.pi + ay, -ay)   # rates for t -> +inf / -inf
@@ -215,9 +224,9 @@ def make_integrand(x, lprime, circuit, ring, form=2, guard=1e-7):
     return f
 
 
-def mb_integrand(x, lprime, circuit, ring, s, form=2):
-    """Single evaluation of the line integrand; see make_integrand."""
-    return make_integrand(x, lprime, circuit, ring, form=form)(s)
+def _require_finite(values, what):
+    if not np.isfinite(values.coords).all():
+        raise NonFiniteValue(f"integrand is not finite on the {what}")
 
 
 # -- quadrature ---------------------------------------------------------
@@ -233,15 +242,18 @@ class ContourSpec:
 
 
 def _line_quadrature(f, s0, height, panels, order):
+    """Composite Gauss-Legendre pass with all nodes in one integrand call.
+
+    Returns the integral and the integrand values at the nodes.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    acc = None
     edges = np.linspace(-height, height, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        for t, w in zip(nodes, weights):
-            val = f(complex(s0, mid + half * t)) * (w * half)
-            acc = val if acc is None else acc + val
-    return acc * (-1.0 / (2.0 * math.pi))
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    t = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (weights * half[:, None]).ravel()
+    vals = f(s0 + 1j * t)
+    return (vals * w).sum() * (-1.0 / (2.0 * math.pi)), vals
 
 
 def mb_contour_oracle(x, lprime, circuit, ring, spec=None, form=2):
@@ -265,18 +277,23 @@ def mb_contour_oracle(x, lprime, circuit, ring, spec=None, form=2):
         else:
             raise PoleOnContour(f"no clear line near Re s = {s0}")
     f = make_integrand(x, lprime, circuit, ring, form=form)
-    coarse = _line_quadrature(f, s0, spec.height, spec.panels, spec.order)
-    fine = _line_quadrature(f, s0, spec.height, 2 * spec.panels, spec.order)
+    coarse, coarse_vals = _line_quadrature(f, s0, spec.height, spec.panels,
+                                           spec.order)
+    fine, fine_vals = _line_quadrature(f, s0, spec.height, 2 * spec.panels,
+                                       spec.order)
     est = (fine - coarse).norm()
     rate_up, rate_dn = f.decay
     if min(rate_up, rate_dn) <= 0:
         raise TailBoundViolated("arg y outside (-2 pi, 0): no decay")
-    tail_up = f(complex(s0, spec.height)).norm() / rate_up
-    tail_dn = f(complex(s0, -spec.height)).norm() / rate_dn
+    ends = f(np.array([complex(s0, spec.height), complex(s0, -spec.height)]))
+    tail_up, tail_dn = (float(v) for v in ends.norm() / (rate_up, rate_dn))
     if tail_up + tail_dn > spec.tail_tol:
         raise TailBoundViolated(
             f"measured tails {tail_up:.2e}+{tail_dn:.2e} "
             f"exceed {spec.tail_tol:.2e}")
+    _require_finite(coarse_vals, "coarse pass")
+    _require_finite(fine_vals, "fine pass")
+    _require_finite(ends, "tail probes")
     diag = {"s0": s0, "shift": shift, "height": spec.height,
             "panels": 2 * spec.panels, "order": spec.order,
             "est_error": est, "tail": tail_up + tail_dn}
@@ -285,14 +302,12 @@ def mb_contour_oracle(x, lprime, circuit, ring, spec=None, form=2):
 
 def residue_at(x, lprime, circuit, ring, center, radius=0.25, nodes=64,
                form=2):
-    """Residue by a small positively oriented circle."""
+    """Residue by a small positively oriented circle, in one batched call."""
     f = make_integrand(x, lprime, circuit, ring, form=form)
-    acc = None
-    for k in range(nodes):
-        z = cmath.exp(TWO_PI_I * k / nodes) * radius
-        val = f(complex(center) + z) * z
-        acc = val if acc is None else acc + val
-    return acc * (1.0 / nodes)
+    z = np.exp(TWO_PI_I * np.arange(nodes) / nodes) * radius
+    vals = f(complex(center) + z)
+    _require_finite(vals, "residue circle")
+    return (vals * z).sum() * (1.0 / nodes)
 
 
 def orbit_sum(x, lprime, circuit, ring, m_from, m_to):
@@ -763,6 +778,11 @@ def gamma_vector(wall, side, c, x, policy=None):
     return stack(wall, per)
 
 
+def _nan_max(a, b):
+    """max that carries NaN through (Python's max(0.0, nan) is 0.0)."""
+    return float(np.maximum(a, b))
+
+
 def continued_vector(wall, c, x, policy=None, spec=None):
     """Far-side values of the near-side solution, by the contour oracle.
 
@@ -782,9 +802,8 @@ def continued_vector(wall, c, x, policy=None, spec=None):
                 val, diag = orbit_continued(x, term.l, wall.circuit, ring,
                                             spec)
                 acc = acc + val
-                worst["est_error"] = max(worst["est_error"],
-                                         diag["est_error"])
-                worst["tail"] = max(worst["tail"], diag["tail"])
+                for key in worst:
+                    worst[key] = _nan_max(worst[key], diag[key])
             elif not term.essential:
                 acc = acc + term_value(x, term.l, ring)
         per[g.key()] = acc
@@ -895,7 +914,7 @@ def verify_fm_equals_ac(data, circuit, t_plus, t_minus,
                                          policy)
         scale = max(np.abs(lhs).max(), 1.0)
         dev = float(np.abs(lhs - rhs).max() / scale)
-        worst_dev = max(worst_dev, dev)
+        worst_dev = _nan_max(worst_dev, dev)
         rows.append({"c": list(c), "dev": dev,
                      "quad_error": diag["est_error"]})
     report["end_to_end"] = {"battery": rows, "max_dev": worst_dev,
@@ -911,7 +930,8 @@ def verify_fm_equals_ac(data, circuit, t_plus, t_minus,
         tgt = evaluate_class(wall0, "plus", poly)
         got = fm0.entries @ src
         scale = max(np.abs(tgt).max(), 1.0)
-        worst_inv = max(worst_inv, float(np.abs(got - tgt).max() / scale))
+        worst_inv = _nan_max(worst_inv,
+                             float(np.abs(got - tgt).max() / scale))
     report["invariance"] = {"classes": n_classes,
                             "J": [j + 1 for j in (j_used or ())],
                             "max_dev": worst_inv,

@@ -1,10 +1,12 @@
 """Command-line front end: reports, exit codes, determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from gkzflop import cli
+from gkzflop import cli, kernels
 from gkzflop import report as reporting
 
 
@@ -89,6 +91,32 @@ def test_tail_bound_violation_is_runtime_failure(tmp_path):
                            "--eps", "1e-2"], tmp_path)
     assert status == 1
     assert rep["body"]["error"] == "TailBoundViolated"
+
+
+@pytest.mark.parametrize("batched", [False, True],
+                         ids=["series-value", "quadrature-node"])
+def test_nan_kernel_value_never_passes(tmp_path, monkeypatch, batched):
+    # one NaN coefficient, in the first scalar (series) call or in the
+    # first node of the first batched (quadrature) call
+    real = kernels.recip_gamma_series
+    hit = []
+
+    def poisoned(z, kmax):
+        out = real(z, kmax)
+        if (np.ndim(z) > 0) == batched and not hit:
+            hit.append(z)
+            out.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(kernels, "recip_gamma_series", poisoned)
+    status, rep = run_cli(["verify", "--fixture", "a1"], tmp_path)
+    assert hit
+    assert status == 1
+    assert rep["body"]["pass"] is False
+    if batched:
+        assert rep["body"]["error"] == "NonFiniteValue"
+    else:
+        assert math.isnan(rep["body"]["end_to_end"]["max_dev"])
 
 
 def test_dual_status(tmp_path):

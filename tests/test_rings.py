@@ -140,6 +140,31 @@ def test_random_inverses(algebra_map):
                 assert close(a * algebra_inverse(a), one, 1e-12)
 
 
+def test_batched_arithmetic_matches_rows(algebra_map):
+    rng = np.random.default_rng(17)
+    for algs in algebra_map.values():
+        for alg in algs.values():
+            shape = (5, alg.dim)
+            ca = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            cb = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            ca[:, alg.basis_index[()]] += 3.0
+            a, b = alg.element(ca), alg.element(cb)
+            prod, inv, ex = a * b, algebra_inverse(a), algebra_exp(a)
+            assert prod.coords.shape == inv.coords.shape == shape
+            for i in range(5):
+                ai, bi = alg.element(ca[i]), alg.element(cb[i])
+                for batch, single in ((prod, ai * bi),
+                                      (inv, algebra_inverse(ai)),
+                                      (ex, algebra_exp(ai)),
+                                      (a * bi, ai * bi)):
+                    row = alg.element(batch.coords[i])
+                    assert close(row, single, 1e-13 * max(1.0, single.norm()))
+            assert np.array_equal(a.scalar_part, ca[:, alg.basis_index[()]])
+            assert np.allclose(a.norm(), np.abs(ca).max(axis=1))
+            total = (a * np.arange(5.0)).sum()
+            assert close(total, alg.element(np.arange(5.0) @ ca), 1e-12)
+
+
 def test_inverse_requires_scalar_part(algebra_map):
     alg = next(iter(algebra_map[("a1", "plus")].values()))
     with pytest.raises(NotInvertible):

@@ -12,6 +12,7 @@ from gkzflop import (
     InfeasibleArgs,
     Lift,
     PoleOnContour,
+    PoleProximity,
     canonical_lift,
     select_endpoints,
 )
@@ -125,6 +126,46 @@ def test_integrand_forms_agree(pack):
     for s in (0.3 + 2.0j, -0.7 - 1.4j, 1.2 + 0.15j):
         a, b = f1(s), f2(s)
         assert (a - b).norm() <= 1e-11 * max(1.0, b.norm()), s
+
+
+@pytest.mark.parametrize("form", [1, 2])
+def test_batched_integrand_matches_node_by_node(pack, form):
+    wc = wall_context(pack, 1e-2)
+    g0 = trivial_sector(wc)
+    ring = wc.ring_plus[g0.key()]
+    lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
+    f = wall.make_integrand(pack.path().x_plus, lp, pack.circuit, ring,
+                            form=form)
+    rng = np.random.default_rng(4)
+    s = rng.uniform(-1.5, 2.5, 24) + 1j * rng.uniform(-6.0, 6.0, 24)
+    batch = f(s)
+    assert batch.coords.shape == (24, ring.algebra.dim)
+    for row, node in zip(batch.coords, s):
+        want = f(node).coords
+        assert want.shape == (ring.algebra.dim,)
+        assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max(), node
+
+
+def test_batched_integrand_guards_every_node(a1):
+    wc = wall_context(a1, 0.0)
+    g0 = trivial_sector(wc)
+    ring = wc.ring_plus[g0.key()]
+    lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
+    f = wall.make_integrand(a1.path().x_plus, lp, a1.circuit, ring)
+    s = 0.5 + 1j * np.linspace(-3.0, 3.0, 24)
+    f(s)
+    s[17] = 2.0 + 1e-9
+    with pytest.raises(PoleProximity):
+        f(s)
+
+
+def test_integrand_needs_a_sampled_eps(a1):
+    wc = wall_context(a1, None)
+    g0 = trivial_sector(wc)
+    lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
+    with pytest.raises(InfeasibleArgs):
+        wall.make_integrand(a1.path().x_plus, lp, a1.circuit,
+                            wc.ring_plus[g0.key()])
 
 
 def test_moving_the_line_one_step_picks_up_one_residue(a1):
