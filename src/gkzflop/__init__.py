@@ -9,7 +9,8 @@ from .errors import (
     Infeasible,
     InfeasibleArgs,
     InputError,
-    MissingRay,
+    MonomialUnreduced,
+    NilpotencyUnconfirmed,
     NonFiniteValue,
     NonInteriorPoint,
     NonUnitDegree,
@@ -23,7 +24,6 @@ from .errors import (
     TailBoundViolated,
     UncancelledPole,
     UnimplementedPairing,
-    VerificationFailed,
 )
 from .toric import (
     Circuit,
@@ -44,10 +44,10 @@ from .toric import (
 from .fixtures import load_fixture, parse_fixture, write_fixture
 from .rings import (
     AlgebraElement,
+    Chamber,
     SectorAlgebra,
     algebra_exp,
     algebra_inverse,
-    build_sector_algebra,
 )
 from .deform import DeformationRing, EpsSeries
 from .series import (

@@ -17,7 +17,7 @@ from .toric import (check_triangulation, compute_box, essential_cones,
                     essential_sectors, find_circuit, interior_cones,
                     is_interior_point, sector_label,
                     validate_toric_data)
-from .rings import build_sector_algebra
+from .rings import Chamber
 from .series import TruncationPolicy, evaluate_gamma, evaluate_gamma_dual
 from .dual import (PairingStub, build_compact_module, dual_pde_check,
                    dual_transform_status)
@@ -142,8 +142,8 @@ def cmd_inspect(args):
     circuit = find_circuit(data, t_plus, t_minus)
     dims = {}
     for t in (t_plus, t_minus):
-        per = {sector_label(g.key()): build_sector_algebra(data, t, g).dim
-               for g in compute_box(data, t)}
+        per = {sector_label(k): alg.dim
+               for k, alg in Chamber(data, t).algebras.items()}
         dims[t.label] = {"sectors": per, "total": sum(per.values())}
     return {
         "points": [list(p) for p in data.points],
@@ -177,8 +177,9 @@ def cmd_essential(args):
     for t in (t_plus, t_minus):
         body[t.label] = {
             "essential_cones": _cone_list(essential_cones(data, t, circuit)),
-            "essential_sectors": [sector_label(g.key()) for g in
-                                  essential_sectors(data, t, circuit)],
+            "essential_sectors": [
+                sector_label(g.key()) for g in
+                essential_sectors(data, t, circuit, compute_box(data, t))],
         }
     body["pass"] = True
     return body
@@ -199,8 +200,9 @@ def cmd_gamma_eval(args):
             "evaluations": []}
     for side, t, x in (("plus", t_plus, path.x_plus),
                        ("minus", t_minus, path.x_minus)):
+        chamber = Chamber(data, t)
         for c in battery:
-            val = evaluate_gamma(data, t, c, x, policy, circuit)
+            val = evaluate_gamma(chamber, c, x, policy, circuit)
             body["evaluations"].append({
                 "side": side, "c": list(c),
                 "components": {sector_label(k): _element_out(v)
@@ -235,10 +237,11 @@ def cmd_dual_eval(args):
     body = {"x": [{"re": v.real, "im": v.imag} for v in x],
             "evaluations": []}
     for t in (t_plus, t_minus):
-        module = build_compact_module(data, t)
+        chamber = Chamber(data, t)
+        module = build_compact_module(chamber)
         assert all(is_interior_point(data, t, c) for c in battery)
         for c in battery:
-            val = evaluate_gamma_dual(data, t, c, x, policy, module=module)
+            val = evaluate_gamma_dual(chamber, c, x, policy, module=module)
             body["evaluations"].append({
                 "side": t.label, "c": list(c),
                 "generators": [[i + 1 for i in I]
@@ -271,15 +274,16 @@ def _transform_body(args, route):
     circuit = find_circuit(data, t_plus, t_minus)
     eps_list = args.eps if args.eps else [1e-2]
     builder = fm_transform if route == "fm" else ac_transform
+    plus, minus = Chamber(data, t_plus), Chamber(data, t_minus)
     samples = []
     ok = True
     for eps in eps_list:
-        wall = WallContext(data, circuit, t_plus, t_minus, eps=eps)
+        wall = WallContext(circuit, plus, minus, eps=eps)
         m = builder(wall)
         det = abs(np.linalg.det(m.entries))
         ok = ok and det > 1e-6
         samples.append({"eps": eps, "det": det, **_matrix_out(m)})
-    lwall = WallContext(data, circuit, t_plus, t_minus, eps=None)
+    lwall = WallContext(circuit, plus, minus, eps=None)
     m0 = builder(lwall)
     return {"route": route, "samples": samples,
             "undeformed_limit": _matrix_out(m0),
@@ -298,9 +302,10 @@ def cmd_oracle(args):
     data, t_plus, t_minus = _load(args)
     circuit = find_circuit(data, t_plus, t_minus)
     eps_values = tuple(args.eps) if args.eps else (1e-2, 1e-3)
-    return oracle_report(data, circuit, t_plus, t_minus,
-                         eps_values=eps_values, y_abs=args.y_abs,
-                         amplitude=args.amp, spec=_contour_spec(args))
+    return oracle_report(circuit, Chamber(data, t_plus),
+                         Chamber(data, t_minus), eps_values=eps_values,
+                         y_abs=args.y_abs, amplitude=args.amp,
+                         spec=_contour_spec(args))
 
 
 def cmd_verify(args):
@@ -308,7 +313,8 @@ def cmd_verify(args):
     circuit = find_circuit(data, t_plus, t_minus)
     eps_samples = tuple(args.eps) if args.eps else (1e-2, 5e-3, 2e-3)
     policy = _policy(args, default=25)
-    return verify_fm_equals_ac(data, circuit, t_plus, t_minus,
+    return verify_fm_equals_ac(circuit, Chamber(data, t_plus),
+                               Chamber(data, t_minus),
                                eps_samples=eps_samples, depth=args.depth,
                                y_abs=args.y_abs, amplitude=args.amp,
                                policy=policy, spec=_contour_spec(args))
@@ -319,7 +325,7 @@ def cmd_dual_status(args):
     body = dual_transform_status()
     body["modules"] = {}
     for t in (t_plus, t_minus):
-        module = build_compact_module(data, t)
+        module = build_compact_module(Chamber(data, t))
         body["modules"][t.label] = {
             "generators": [[i + 1 for i in I] for I in module.generators],
             "dim": module.dim,

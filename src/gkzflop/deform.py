@@ -418,11 +418,14 @@ class DeformationRing:
         return x.principal_norm() / scale
 
     def eps_zero(self, x, rtol=1e-9):
-        """Value at eps^0 after checking the pole part cancelled."""
+        """Value at eps^0 after checking the pole part cancelled.
+
+        A NaN ratio is not a cancelled pole part: it raises too.
+        """
         if not isinstance(x, EpsSeries):
             return x
         ratio = self.principal_ratio(x)
-        if ratio > rtol:
+        if not ratio <= rtol:
             raise UncancelledPole(
                 f"principal part at relative size {ratio:.3e}")
         return x.coeff(0)

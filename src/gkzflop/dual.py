@@ -19,8 +19,8 @@ space and share the reduction.
 import numpy as np
 
 from .errors import UnimplementedPairing
-from .toric import compute_box, interior_cones
-from .rings import build_sector_algebra, algebra_exp, algebra_inverse
+from .toric import interior_cones
+from .rings import algebra_exp, algebra_inverse
 from .deform import unit_phase
 from . import series as gamma_series
 
@@ -53,18 +53,21 @@ def _rref(mat, tol=1e-9):
 
 
 class CompactKModule:
-    """Quotient of the free module on interior-cone generators."""
+    """Quotient of the free module on interior-cone generators.
 
-    def __init__(self, data, t):
+    Built over the sectors and algebras of one Chamber.
+    """
+
+    def __init__(self, chamber):
+        data, t = chamber.data, chamber.t
         self.data = data
         self.t = t
         self.generators = tuple(sorted(tuple(sorted(c))
                                        for c in interior_cones(data, t)))
         if not self.generators:
             raise AssertionError("no cone meets the open support cone")
-        self.sectors = compute_box(data, t)
-        self.algebras = {g.key(): build_sector_algebra(data, t, g)
-                         for g in self.sectors}
+        self.sectors = chamber.box
+        self.algebras = chamber.algebras
         self.relation_rows = {}
         self.rref = {}
         self.pivots = {}
@@ -148,15 +151,15 @@ class CompactKModule:
         return np.concatenate([red[g.key()] for g in self.sectors])
 
 
-def build_compact_module(data, t):
-    return CompactKModule(data, t)
+def build_compact_module(chamber):
+    return CompactKModule(chamber)
 
 
-def dual_pde_check(data, t, c_list, x, policy=None):
+def dual_pde_check(chamber, c_list, x, policy=None):
     """Interior-system recursion and Euler checks plus module dimensions."""
     policy = policy or gamma_series.TruncationPolicy()
-    module = build_compact_module(data, t)
-    report = gamma_series.pde_residuals(data, t, c_list, x, policy,
+    module = build_compact_module(chamber)
+    report = gamma_series.pde_residuals(chamber, c_list, x, policy,
                                         which="dual")
     report["module_dim"] = module.dim
     report["module_dims"] = {str(k): v for k, v in module.dims.items()}

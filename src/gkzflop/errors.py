@@ -21,10 +21,6 @@ class RankDeficient(InputError):
     """The points do not span the ambient lattice over Q."""
 
 
-class MissingRay(InputError):
-    """A declared cone uses a ray that is not among the points."""
-
-
 class NotACone(InputError):
     """An index set is not a cone of the triangulation at hand."""
 
@@ -81,12 +77,12 @@ class UncancelledPole(GkzflopError):
     """An eps-principal part survives a sum that should be regular."""
 
 
-class VerificationFailed(GkzflopError):
-    """A cross-check (dual-construction or oracle comparison) failed."""
+class NilpotencyUnconfirmed(GkzflopError):
+    """A sector algebra or divisor class did not vanish by its degree cap."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+
+class MonomialUnreduced(GkzflopError):
+    """A monomial of a sector algebra is missing from its reduction table."""
 
 
 class UnimplementedPairing(GkzflopError):

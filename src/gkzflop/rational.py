@@ -1,8 +1,12 @@
-"""Exact linear algebra over Q and Z on small dense matrices.
+"""Exact linear algebra over Q and Z.
 
-Everything here works on lists of lists of fractions.Fraction (or ints for
-the lattice routines).  Sizes are tiny (rank <= 4, a handful of columns),
-so clarity wins over asymptotics.
+Matrices go in and come out as lists of lists of fractions.Fraction (or
+ints for the lattice routines).  Row reduction over Q works on sparse
+rows, {column: Fraction} dicts, and touches only nonzero entries: the
+relation matrices of the sector algebras are 96% zero (200 nonzero
+entries in 90 x 55 for the conifold, 244 in 102 x 65 for local P^2).
+The lattice routines stay dense; their matrices have rank <= 4 and a
+handful of columns.
 """
 
 from fractions import Fraction
@@ -12,33 +16,50 @@ def rref(rows):
     """Reduced row echelon form over Q.
 
     Returns (reduced_rows, pivot_columns).  Input rows are not modified.
+    Elimination runs on sparse rows; the reduced form of a matrix is
+    unique, so the pivot choice only affects the work, not the result.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
+    ncols = len(rows[0])
+    pending = [r for r in ({c: Fraction(x) for c, x in enumerate(row) if x}
+                           for row in rows) if r]
+    done = {}
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+        if not pending:
             break
-    return m[:r], pivots
+        hits = [i for i, row in enumerate(pending) if c in row]
+        if not hits:
+            continue
+        # the shortest candidate keeps fill-in low
+        prow = pending.pop(min(hits, key=lambda i: len(pending[i])))
+        inv = prow[c]
+        prow = {k: v / inv for k, v in prow.items()}
+        for row in (*pending, *done.values()):
+            f = row.get(c)
+            if f:
+                _subtract_multiple(row, f, prow)
+        pending = [r for r in pending if r]
+        done[c] = prow
+    # columns were visited in order, so done is keyed in pivot order
+    pivots = list(done)
+    reduced = []
+    for c in pivots:
+        dense = [Fraction(0)] * ncols
+        for k, v in done[c].items():
+            dense[k] = v
+        reduced.append(dense)
+    return reduced, pivots
+
+
+def _subtract_multiple(row, f, prow):
+    """row -= f * prow on sparse rows, dropping entries that cancel."""
+    for k, v in prow.items():
+        x = row.get(k, 0) - f * v
+        if x:
+            row[k] = x
+        else:
+            row.pop(k, None)
 
 
 def rank(rows):
@@ -88,43 +109,8 @@ def hnf(rows):
     Zero rows of h are trimmed.  Pivots are positive and entries above a
     pivot are reduced into [0, pivot).
     """
-    m = [list(map(int, row)) for row in rows]
-    n = len(m)
-    ncols = len(m[0]) if m else 0
-    t = [[int(i == j) for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(ncols):
-        # gcd sweep on column c below row r
-        while True:
-            nz = [i for i in range(r, n) if m[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(m[i][c]))
-            m[r], m[i0] = m[i0], m[r]
-            t[r], t[i0] = t[i0], t[r]
-            done = True
-            for i in range(r + 1, n):
-                if m[i][c] != 0:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    t[i] = [a - q * b for a, b in zip(t[i], t[r])]
-                    if m[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < n and m[r][c] != 0:
-            if m[r][c] < 0:
-                m[r] = [-a for a in m[r]]
-                t[r] = [-a for a in t[r]]
-            for i in range(r):
-                q = m[i][c] // m[r][c]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    t[i] = [a - q * b for a, b in zip(t[i], t[r])]
-            r += 1
-            if r == n:
-                break
-    return m[:r], t[:r]
+    h, t = _hnf_full([list(map(int, row)) for row in rows])
+    return h, t[:len(h)]
 
 
 def integer_kernel(rows):
@@ -135,7 +121,7 @@ def integer_kernel(rows):
 
 
 def _hnf_full(m):
-    """Like hnf() but returns the full transform including kernel rows."""
+    """hnf() of the int rows m, with the full transform: kernel rows last."""
     n = len(m)
     ncols = len(m[0]) if m else 0
     work = [list(row) for row in m]

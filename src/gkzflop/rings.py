@@ -19,9 +19,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import NotInvertible
+from .errors import MonomialUnreduced, NilpotencyUnconfirmed, NotInvertible
 from . import rational
-from .toric import star_rays
+from .toric import compute_box, sector_label, star_rays
 
 
 def _monomials(num_gens, max_degree):
@@ -55,7 +55,10 @@ class SectorAlgebra:
         for cap in range(cap0, 2 * data.rank + 2):
             if self._try_build(data, t, support, gens, cap):
                 return
-        raise AssertionError("nilpotency degree not confirmed within degree cap")
+        raise NilpotencyUnconfirmed(
+            f"sector {sector_label(self.sector.key())} of {t.label}: "
+            f"nilpotency degree not confirmed within degree cap "
+            f"{2 * data.rank + 1}")
 
     def _try_build(self, data, t, support, gens, cap):
         def sr_zero(mono):
@@ -165,7 +168,8 @@ class SectorAlgebra:
         if len(mono) >= self.zero_degree:
             return [Fraction(0)] * self.dim
         vec = self._reduce_exact.get(mono)
-        assert vec is not None, f"monomial {mono} outside reduction table"
+        if vec is None:
+            raise MonomialUnreduced(f"monomial {mono} outside reduction table")
         return vec
 
     # -- public API -----------------------------------------------------
@@ -239,7 +243,25 @@ class SectorAlgebra:
             acc = acc * el
             if acc.is_zero():
                 return k
-        raise AssertionError("divisor class fails to be nilpotent")
+        raise NilpotencyUnconfirmed(f"divisor class D_{j + 1} fails to be "
+                                    f"nilpotent")
+
+
+class Chamber:
+    """The sector algebras of one triangulation, built once and shared.
+
+    This is the eps-independent half of every computation on one side of
+    a wall: the twisted sectors (`box`) and one SectorAlgebra per sector
+    (`algebras`, keyed by sector key).  A command builds one chamber per
+    triangulation it uses and passes it down, so every deformation
+    sample and every series evaluation reads the same algebras.
+    """
+
+    def __init__(self, data, t):
+        self.data = data
+        self.t = t
+        self.box = compute_box(data, t)
+        self.algebras = {g.key(): SectorAlgebra(data, t, g) for g in self.box}
 
 
 class AlgebraElement:
@@ -335,11 +357,6 @@ class AlgebraElement:
         for _ in range(k):
             acc = acc * self
         return acc
-
-
-def build_sector_algebra(data, t, sector):
-    """Convenience constructor; see SectorAlgebra."""
-    return SectorAlgebra(data, t, sector)
 
 
 def algebra_exp(element):

@@ -16,6 +16,7 @@ truncation-boundary terms carry a numeric bound.
 """
 
 import cmath
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,9 +24,8 @@ from fractions import Fraction
 from .errors import BranchCut, DivergenceSuspected, InfeasibleArgs, \
     NonInteriorPoint
 from . import rational
-from .toric import compute_box, essential_cones, interior_cones, \
-    is_interior_point, canonical_lift
-from .rings import build_sector_algebra
+from .toric import essential_cones, interior_cones, is_interior_point, \
+    canonical_lift
 from .deform import DeformationRing, TWO_PI_I, principal_log, \
     reciprocal_gamma_stripped
 
@@ -240,26 +240,40 @@ def _point(x, n):
     return pt.x
 
 
+def nan_max(*values):
+    """Largest value, or NaN when any value is NaN.
+
+    Python's max(0.0, nan) is 0.0 and max(nan, 0.0) is nan, so a worst
+    case taken with it can drop a NaN; every gate reduces with this.
+    """
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return float(max(values))
+
+
 def _tail_scan(shell_norms):
-    """Geometric-decay fit on the last shells; ratio >= 1 is suspicious."""
+    """Geometric-decay fit on the last shells; ratio >= 1 is suspicious.
+
+    A NaN shell norm gives a NaN ratio, which the caller's guard rejects.
+    """
     degs = sorted(shell_norms)
-    vals = [shell_norms[d] for d in degs if shell_norms[d] > 0]
+    vals = [shell_norms[d] for d in degs if shell_norms[d] != 0]
     if len(vals) < 3:
         return {"ratio": 0.0, "checked": False}
     window = vals[-5:]
-    ratios = [b / a for a, b in zip(window, window[1:]) if a > 0]
-    ratio = max(ratios) if ratios else 0.0
-    return {"ratio": ratio, "checked": True}
+    ratios = [b / a for a, b in zip(window, window[1:])]
+    return {"ratio": nan_max(*ratios), "checked": True}
 
 
-def evaluate_gamma(data, t, c, x, policy, circuit=None):
+def evaluate_gamma(chamber, c, x, policy, circuit=None):
     """Sum the series for lattice point c at x, per twisted sector."""
+    data, t = chamber.data, chamber.t
     xs = _point(x, data.n)
     total, ess, ness, algebras = {}, {}, {}, {}
     counts = {}
     shells = defaultdict(float)
-    for gamma in compute_box(data, t):
-        alg = build_sector_algebra(data, t, gamma)
+    for gamma in chamber.box:
+        alg = chamber.algebras[gamma.key()]
         ring = DeformationRing(alg, eps=0.0)
         acc = alg.zero()
         acc_e = alg.zero()
@@ -280,7 +294,7 @@ def evaluate_gamma(data, t, c, x, policy, circuit=None):
         ness[key] = acc_n
         counts[key] = len(terms)
     tail = _tail_scan(shells)
-    if policy.tail_check and tail["checked"] and tail["ratio"] >= 1.0:
+    if policy.tail_check and tail["checked"] and not tail["ratio"] < 1.0:
         raise DivergenceSuspected(
             f"shell norms grow with ratio {tail['ratio']:.3f}")
     return GammaValue(value=OrbifoldSum(total), essential=OrbifoldSum(ess),
@@ -288,8 +302,9 @@ def evaluate_gamma(data, t, c, x, policy, circuit=None):
                       term_counts=counts, tail=tail)
 
 
-def evaluate_gamma_dual(data, t, c, x, policy, module=None):
+def evaluate_gamma_dual(chamber, c, x, policy, module=None):
     """Dual series: coefficients on the interior-cone generators."""
+    data, t = chamber.data, chamber.t
     if not is_interior_point(data, t, c):
         raise NonInteriorPoint(f"{tuple(c)} is not interior")
     xs = _point(x, data.n)
@@ -297,8 +312,8 @@ def evaluate_gamma_dual(data, t, c, x, policy, module=None):
     components = {}
     algebras = {}
     counts = {}
-    for gamma in compute_box(data, t):
-        alg = build_sector_algebra(data, t, gamma)
+    for gamma in chamber.box:
+        alg = chamber.algebras[gamma.key()]
         ring = DeformationRing(alg, eps=0.0)
         terms = enumerate_terms(data, t, c, gamma, policy)
         key = gamma.key()
@@ -370,7 +385,7 @@ def _factor_identity_dev(alg, lj):
     return worst
 
 
-def pde_residuals(data, t, c_list, x, policy, which="primal", circuit=None):
+def pde_residuals(chamber, c_list, x, policy, which="primal", circuit=None):
     """Exact recursion/Euler residual report over a battery of points.
 
     The derivative in x_i sends the term at l to the term at l - e_i of
@@ -381,10 +396,10 @@ def pde_residuals(data, t, c_list, x, policy, which="primal", circuit=None):
     pair is absorbed by the module relation D_i F_I = F_{I + i}.
     """
     assert which in ("primal", "dual")
+    data, t = chamber.data, chamber.t
     xs = _point(x, data.n)
     c_set = {tuple(int(v) for v in c) for c in c_list}
-    box = compute_box(data, t)
-    algebras = {g.key(): build_sector_algebra(data, t, g) for g in box}
+    box, algebras = chamber.box, chamber.algebras
     rings = {k: DeformationRing(a, eps=0.0) for k, a in algebras.items()}
     value_fn = term_value if which == "primal" else dual_term_value
 

@@ -15,7 +15,6 @@ from itertools import combinations
 
 from .errors import (
     Infeasible,
-    MissingRay,
     NonUnitDegree,
     NotACone,
     NotAdjacent,
@@ -251,11 +250,6 @@ def check_triangulation(data, t):
                 messages.append(f"facet {_fmt(facet)} has no hyperplane")
                 continue
             on_boundary = all(_apply(mu, v) >= 0 for v in data.points)
-            sharing = [
-                s for s in t.maximal
-                if frozenset(facet) <= s and all(_apply(mu, data.points[j]) == 0
-                                                 for j in facet)
-            ]
             count = len([s for s in t.maximal if frozenset(facet) <= s])
             if on_boundary:
                 if count != 1:
@@ -265,7 +259,6 @@ def check_triangulation(data, t):
                 if count != 2:
                     messages.append(
                         f"interior wall {_fmt(facet)} shared by {count} cones")
-            del sharing
     return (not messages), messages
 
 
@@ -399,20 +392,14 @@ def essential_cones(data, t, circuit):
     raise NotAdjacent(f"{t.label} does not match either side of the circuit")
 
 
-def essential_sectors(data, t, circuit, mode="containment"):
-    """Sectors whose support cone sits inside (or equals) an essential cone."""
+def essential_sectors(data, t, circuit, box):
+    """Sectors in box whose support cone sits inside an essential cone.
+
+    box is the list of sectors of t, as compute_box returns it.
+    """
     essential = essential_cones(data, t, circuit)
-    out = []
-    for sector in compute_box(data, t):
-        if mode == "containment":
-            hit = any(sector.support <= s for s in essential)
-        elif mode == "equality":
-            hit = any(sector.support == s for s in essential)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        if hit:
-            out.append(sector)
-    return out
+    return [sector for sector in box
+            if any(sector.support <= s for s in essential)]
 
 
 def canonical_lift(data, sector, c):

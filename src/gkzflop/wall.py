@@ -27,12 +27,11 @@ import numpy as np
 from .errors import InfeasibleArgs, NonFiniteValue, PoleOnContour, \
     PoleProximity, TailBoundViolated
 from . import kernels
-from .toric import compute_box, canonical_lift, adjacent_sector, \
-    essential_sectors, sector_label
-from .rings import build_sector_algebra
+from .toric import canonical_lift, adjacent_sector, essential_sectors, \
+    sector_label
 from .deform import DeformationRing, TWO_PI_I, unit_phase, principal_log
 from .series import TruncationPolicy, enumerate_terms, term_value, \
-    scalar_power
+    scalar_power, nan_max
 
 
 # -- path and endpoints -------------------------------------------------
@@ -445,22 +444,26 @@ class TransformMatrix:
 
 
 class WallContext:
-    """Shared sector algebras and rings for one wall crossing."""
+    """The rings of one eps over the two chambers of a wall crossing.
 
-    def __init__(self, data, circuit, t_plus, t_minus, offsets=None,
-                 eps=None, window=8):
-        self.data = data
+    The chambers (rings.Chamber) carry the eps-independent sectors and
+    sector algebras; a context adds only the thin DeformationRing of each
+    sector at its eps, so all contexts of one command share one build of
+    every algebra.
+    """
+
+    def __init__(self, circuit, plus, minus, offsets=None, eps=None,
+                 window=8):
+        self.data = data = plus.data
         self.circuit = circuit
-        self.t_plus = t_plus
-        self.t_minus = t_minus
+        self.t_plus = plus.t
+        self.t_minus = minus.t
         self.eps = eps
         self.window = window
-        self.box_plus = compute_box(data, t_plus)
-        self.box_minus = compute_box(data, t_minus)
-        self.alg_plus = {g.key(): build_sector_algebra(data, t_plus, g)
-                         for g in self.box_plus}
-        self.alg_minus = {g.key(): build_sector_algebra(data, t_minus, g)
-                          for g in self.box_minus}
+        self.box_plus = plus.box
+        self.box_minus = minus.box
+        self.alg_plus = plus.algebras
+        self.alg_minus = minus.algebras
         probe = DeformationRing(next(iter(self.alg_plus.values())), offsets,
                                 eps=eps, window=window)
         self.offsets = probe.offsets
@@ -480,7 +483,7 @@ class WallContext:
         self.ring_minus = {k: DeformationRing(a, self.offsets, eps=eps,
                                               window=window)
                           for k, a in self.alg_minus.items()}
-        ess = essential_sectors(data, t_plus, circuit)
+        ess = essential_sectors(data, plus.t, circuit, plus.box)
         self.essential_plus = {g.key() for g in ess}
         self.rows = tuple((g.key(), i) for g in self.box_plus
                           for i in range(self.alg_plus[g.key()].dim))
@@ -585,7 +588,7 @@ def _column_entries(wall, values, rtol=1e-9):
         v = values[g.key()]
         if wall.laurent:
             ring = wall.ring_plus[g.key()]
-            worst = max(worst, ring.principal_ratio(v))
+            worst = nan_max(worst, ring.principal_ratio(v))
             v = ring.eps_zero(v, rtol=rtol)
         flat.extend(np.asarray(v.coords))
     return np.array(flat, dtype=complex), worst
@@ -644,7 +647,7 @@ def _transform(wall, route):
                     acc = contrib if acc is None else acc + contrib
             values[key] = acc * (-1.0)
         col, worst = _column_entries(wall, values)
-        principal = max(principal, worst)
+        principal = nan_max(principal, worst)
         raw_cols.append(col)
     loc = np.zeros((len(wall.cols), len(mons)), dtype=complex)
     for ci, col in enumerate(loc_cols):
@@ -778,11 +781,6 @@ def gamma_vector(wall, side, c, x, policy=None):
     return stack(wall, per)
 
 
-def _nan_max(a, b):
-    """max that carries NaN through (Python's max(0.0, nan) is 0.0)."""
-    return float(np.maximum(a, b))
-
-
 def continued_vector(wall, c, x, policy=None, spec=None):
     """Far-side values of the near-side solution, by the contour oracle.
 
@@ -803,17 +801,20 @@ def continued_vector(wall, c, x, policy=None, spec=None):
                                             spec)
                 acc = acc + val
                 for key in worst:
-                    worst[key] = _nan_max(worst[key], diag[key])
+                    worst[key] = nan_max(worst[key], diag[key])
             elif not term.essential:
                 acc = acc + term_value(x, term.l, ring)
         per[g.key()] = acc
     return _stack_plus(wall, per), worst
 
 
-def oracle_report(data, circuit, t_plus, t_minus, eps_values=(1e-2, 1e-3),
-                  y_abs=0.1, amplitude=None, c_set=None, spec=None,
-                  m_max=30):
-    """Quadrature vs pole sums on both sides, per generator and eps."""
+def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
+                  amplitude=None, c_set=None, spec=None, m_max=30):
+    """Quadrature vs pole sums on both sides, per generator and eps.
+
+    plus and minus are the Chambers of the two triangulations.
+    """
+    data, t_plus = plus.data, plus.t
     h2 = sum(v * v for v in circuit.h)
     if amplitude is None:
         amplitude = math.log(1.0 / y_abs ** 2) / h2
@@ -823,7 +824,7 @@ def oracle_report(data, circuit, t_plus, t_minus, eps_values=(1e-2, 1e-3),
     policy = TruncationPolicy()
     checks = []
     for eps in eps_values:
-        wall = WallContext(data, circuit, t_plus, t_minus, eps=eps)
+        wall = WallContext(circuit, plus, minus, eps=eps)
         for g in wall.box_plus:
             if g.key() not in wall.essential_plus:
                 continue
@@ -860,15 +861,18 @@ def oracle_report(data, circuit, t_plus, t_minus, eps_values=(1e-2, 1e-3),
             "checks": checks, "pass": ok}
 
 
-def verify_fm_equals_ac(data, circuit, t_plus, t_minus,
+def verify_fm_equals_ac(circuit, plus, minus,
                         eps_samples=(1e-2, 5e-3, 2e-3), depth=2,
                         y_abs=0.1, amplitude=None, policy=None,
                         spec=None, seed=7, n_classes=20):
     """The full crossing battery: matrices, cancellation, end to end.
 
-    Returns a report dict; raises nothing on mere check failure (the
-    caller decides), but propagates structural errors.
+    plus and minus are the Chambers of the two triangulations; every
+    wall context below shares their sector algebras.  Returns a report
+    dict; raises nothing on mere check failure (the caller decides), but
+    propagates structural errors.
     """
+    data, t_plus, t_minus = plus.data, plus.t, minus.t
     policy = policy or TruncationPolicy(degree_bound=25)
     h2 = sum(v * v for v in circuit.h)
     if amplitude is None:
@@ -880,7 +884,7 @@ def verify_fm_equals_ac(data, circuit, t_plus, t_minus,
 
     samples = []
     for eps in eps_samples:
-        wall = WallContext(data, circuit, t_plus, t_minus, eps=eps)
+        wall = WallContext(circuit, plus, minus, eps=eps)
         ac = ac_transform(wall)
         fm = fm_transform(wall)
         scale = max(np.abs(fm.entries).max(), 1.0)
@@ -891,20 +895,20 @@ def verify_fm_equals_ac(data, circuit, t_plus, t_minus,
     report["matrix"] = {"samples": samples,
                         "pass": all(s["pass"] for s in samples)}
 
-    lwall = WallContext(data, circuit, t_plus, t_minus, eps=None)
+    lwall = WallContext(circuit, plus, minus, eps=None)
     ac0 = ac_transform(lwall)
     fm0 = fm_transform(lwall)
     scale = max(np.abs(fm0.entries).max(), 1.0)
     dev0 = float(np.abs(ac0.entries - fm0.entries).max() / scale)
+    principal = nan_max(ac0.principal_ratio, fm0.principal_ratio)
     report["laurent"] = {
-        "principal_ratio": float(max(ac0.principal_ratio,
-                                     fm0.principal_ratio)),
+        "principal_ratio": principal,
         "matrix_dev": dev0,
         "entries": [[[v.real, v.imag] for v in row]
                     for row in fm0.entries],
-        "pass": max(ac0.principal_ratio, fm0.principal_ratio) < 1e-9}
+        "pass": principal < 1e-9}
 
-    wall0 = WallContext(data, circuit, t_plus, t_minus, eps=0.0)
+    wall0 = WallContext(circuit, plus, minus, eps=0.0)
     battery = c_battery(data, depth)
     worst_dev = 0.0
     rows = []
@@ -914,7 +918,7 @@ def verify_fm_equals_ac(data, circuit, t_plus, t_minus,
                                          policy)
         scale = max(np.abs(lhs).max(), 1.0)
         dev = float(np.abs(lhs - rhs).max() / scale)
-        worst_dev = _nan_max(worst_dev, dev)
+        worst_dev = nan_max(worst_dev, dev)
         rows.append({"c": list(c), "dev": dev,
                      "quad_error": diag["est_error"]})
     report["end_to_end"] = {"battery": rows, "max_dev": worst_dev,
@@ -930,7 +934,7 @@ def verify_fm_equals_ac(data, circuit, t_plus, t_minus,
         tgt = evaluate_class(wall0, "plus", poly)
         got = fm0.entries @ src
         scale = max(np.abs(tgt).max(), 1.0)
-        worst_inv = _nan_max(worst_inv,
+        worst_inv = nan_max(worst_inv,
                              float(np.abs(got - tgt).max() / scale))
     report["invariance"] = {"classes": n_classes,
                             "J": [j + 1 for j in (j_used or ())],

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 from gkzflop.fixtures import load_fixture
+from gkzflop.rings import Chamber
 from gkzflop.toric import find_circuit
 from gkzflop import wall
 
@@ -23,6 +24,13 @@ class Pack:
         self.t_plus = self.tris["plus"]
         self.t_minus = self.tris["minus"]
         self.circuit = find_circuit(self.data, self.t_plus, self.t_minus)
+        self._chambers = {}
+
+    def chamber(self, t):
+        """The Chamber of triangulation t, built once per session."""
+        if t.label not in self._chambers:
+            self._chambers[t.label] = Chamber(self.data, t)
+        return self._chambers[t.label]
 
     def path(self, y_abs=0.1):
         h2 = sum(v * v for v in self.circuit.h)
@@ -55,8 +63,8 @@ def verify_reports(packs):
     """Full crossing battery, computed once per fixture."""
     out = {}
     for name, p in packs.items():
-        out[name] = wall.verify_fm_equals_ac(p.data, p.circuit, p.t_plus,
-                                             p.t_minus)
+        out[name] = wall.verify_fm_equals_ac(p.circuit, p.chamber(p.t_plus),
+                                             p.chamber(p.t_minus))
     return out
 
 
@@ -65,6 +73,7 @@ def oracle_reports(packs):
     """Contour-vs-pole-sum battery, computed once per fixture."""
     out = {}
     for name, p in packs.items():
-        out[name] = wall.oracle_report(p.data, p.circuit, p.t_plus,
-                                       p.t_minus, eps_values=(1e-2, 1e-3))
+        out[name] = wall.oracle_report(p.circuit, p.chamber(p.t_plus),
+                                       p.chamber(p.t_minus),
+                                       eps_values=(1e-2, 1e-3))
     return out

@@ -12,9 +12,7 @@ from gkzflop import (
     TruncationPolicy,
     UnimplementedPairing,
     build_compact_module,
-    build_sector_algebra,
     canonical_lift,
-    compute_box,
     pde_residuals,
 )
 from gkzflop import wall
@@ -49,7 +47,7 @@ def test_pde_suite_exact_residuals(packs):
         for side, t in both_sides(pack):
             for which, battery in (("primal", primal_battery),
                                    ("dual", dual_battery)):
-                rep = pde_residuals(pack.data, t, battery, x, policy,
+                rep = pde_residuals(pack.chamber(t), battery, x, policy,
                                     which=which)
                 ok = ok and rep["euler_max"] == 0.0
                 ok = ok and rep["interior_residual"] == 0.0
@@ -130,10 +128,10 @@ def test_structural_dimensions_and_invertibility(packs, verify_reports):
     det_min = float("inf")
     for name, pack in packs.items():
         for side, t in both_sides(pack):
-            total = sum(build_sector_algebra(pack.data, t, g).dim
-                        for g in compute_box(pack.data, t))
+            total = sum(alg.dim
+                        for alg in pack.chamber(t).algebras.values())
             ok = ok and total == 2
-            ok = ok and build_compact_module(pack.data, t).dim == 2
+            ok = ok and build_compact_module(pack.chamber(t)).dim == 2
         for s in verify_reports[name]["matrix"]["samples"]:
             det_min = min(det_min, s["det"])
     ok = ok and det_min > 1e-6
@@ -153,10 +151,10 @@ def test_residues_vanish_left_and_match_terms_right(packs):
     ok = True
     for name, pack in packs.items():
         path = pack.path()
-        w0 = wall.WallContext(pack.data, pack.circuit, pack.t_plus,
-                              pack.t_minus, eps=0.0)
-        we = wall.WallContext(pack.data, pack.circuit, pack.t_plus,
-                              pack.t_minus, eps=1e-2)
+        w0 = wall.WallContext(pack.circuit, pack.chamber(pack.t_plus),
+                              pack.chamber(pack.t_minus), eps=0.0)
+        we = wall.WallContext(pack.circuit, pack.chamber(pack.t_plus),
+                              pack.chamber(pack.t_minus), eps=1e-2)
         g0 = next(g for g in w0.box_plus if all(v == 0 for v in g.coords))
         ring0 = w0.ring_plus[g0.key()]
         ringe = we.ring_plus[g0.key()]
@@ -194,8 +192,8 @@ def test_residue_coefficients_blind_to_lift(packs):
     n_pairs = 0
     for name, pack in packs.items():
         for mode, eps in (("laurent", None), ("numeric", 1e-2)):
-            wc = wall.WallContext(pack.data, pack.circuit, pack.t_plus,
-                                  pack.t_minus, eps=eps)
+            wc = wall.WallContext(pack.circuit, pack.chamber(pack.t_plus),
+                                  pack.chamber(pack.t_minus), eps=eps)
             for g in wc.box_plus:
                 if g.key() not in wc.essential_plus:
                     continue
@@ -236,7 +234,7 @@ def test_interior_side_scope_is_declared(packs):
             ok = False
     for name, pack in packs.items():
         for side, t in both_sides(pack):
-            ok = ok and build_compact_module(pack.data, t).dim == 2
+            ok = ok and build_compact_module(pack.chamber(t)).dim == 2
     emit("interior-side scope", ok,
          "checklist reports 3 implemented ingredients and 1 open slot; "
          "both pairing slots raise UnimplementedPairing")

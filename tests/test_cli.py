@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from gkzflop import cli, kernels
+from gkzflop import cli, kernels, rings
 from gkzflop import report as reporting
+from gkzflop.deform import DeformationRing, EpsSeries
+from gkzflop.fixtures import load_fixture
+from gkzflop.toric import compute_box
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -164,3 +167,76 @@ def test_gamma_eval_smoke(tmp_path):
     minus = next(ev for ev in rep["body"]["evaluations"]
                  if ev["side"] == "minus")
     assert "(1/2,0,1/2)" in minus["components"]
+
+
+def test_nan_pole_part_never_passes(tmp_path, monkeypatch):
+    # every Laurent value reports a NaN pole part: the undeformed limit
+    # must not be read off as if the pole part had cancelled
+    real = DeformationRing.principal_ratio
+    hit = []
+
+    def nan_ratio(self, x):
+        if isinstance(x, EpsSeries):
+            hit.append(x)
+            return math.nan
+        return real(self, x)
+
+    monkeypatch.setattr(DeformationRing, "principal_ratio", nan_ratio)
+    status, rep = run_cli(["verify", "--fixture", "a1"], tmp_path)
+    assert hit
+    assert status == 1
+    assert rep["body"]["pass"] is False
+
+
+def test_degree_cap_failure_is_a_report(tmp_path, monkeypatch):
+    monkeypatch.setattr(rings.SectorAlgebra, "_try_build",
+                        lambda self, *args: False)
+    status, rep = run_cli(["inspect", "--fixture", "a1"], tmp_path)
+    assert status == 1
+    assert rep["body"]["error"] == "NilpotencyUnconfirmed"
+    assert rep["body"]["pass"] is False
+
+
+def record_builds(monkeypatch):
+    """(triangulation, sector) key of every SectorAlgebra construction."""
+    keys = []
+    real = rings.SectorAlgebra.__init__
+
+    def counted(self, data, t, sector):
+        keys.append((t.label, sector.key()))
+        real(self, data, t, sector)
+
+    monkeypatch.setattr(rings.SectorAlgebra, "__init__", counted)
+    return keys
+
+
+def all_sector_keys(fixture):
+    data, tris = load_fixture(fixture)
+    return {(t.label, g.key()) for t in tris.values()
+            for g in compute_box(data, t)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--fixture", "conifold", "--depth", "0"],
+    ["gamma-eval", "--fixture", "conifold", "--trunc", "8"],
+    ["dual-eval", "--fixture", "conifold", "--trunc", "8"],
+], ids=lambda argv: argv[0])
+def test_each_sector_algebra_built_once_per_command(monkeypatch, argv):
+    keys = record_builds(monkeypatch)
+    args = cli.build_parser().parse_args(argv)
+    status, _ = cli.run(argv[0], args)
+    assert status == 0
+    assert sorted(keys) == sorted(all_sector_keys("conifold"))
+
+
+def test_no_sector_algebra_outlives_a_run(monkeypatch):
+    keys = record_builds(monkeypatch)
+    argv = ["fm", "--fixture", "a1", "--eps", "1e-2", "--eps", "2e-3"]
+    args = cli.build_parser().parse_args(argv)
+    runs = []
+    for _ in range(2):
+        del keys[:]
+        status, _ = cli.run("fm", args)
+        assert status == 0
+        runs.append(sorted(keys))
+    assert runs[0] == runs[1] == sorted(all_sector_keys("a1"))

@@ -13,8 +13,8 @@ from gkzflop import (
     EpsSeries,
     InfeasibleArgs,
     NotInvertible,
+    SectorAlgebra,
     UncancelledPole,
-    build_sector_algebra,
     compute_box,
 )
 from gkzflop.deform import (
@@ -32,7 +32,7 @@ from gkzflop.deform import (
 def alg(a1):
     t = a1.t_plus
     gamma = compute_box(a1.data, t)[0]
-    return build_sector_algebra(a1.data, t, gamma)
+    return SectorAlgebra(a1.data, t, gamma)
 
 
 def eval_series(s, eps):
@@ -174,6 +174,14 @@ def test_eps_zero_and_principal(alg):
     val = ring.eps_zero(ring.one())
     assert (val - alg.one()).is_zero()
     assert ring.principal_ratio(alg.one()) == 0.0  # numeric values pass through
+
+
+def test_eps_zero_rejects_a_nan_pole_part(alg):
+    ring = DeformationRing(alg, eps=None, window=6)
+    nan_pole = EpsSeries(alg, -1, [alg.one() * math.nan, alg.one()])
+    assert math.isnan(ring.principal_ratio(nan_pole))
+    with pytest.raises(UncancelledPole):
+        ring.eps_zero(nan_pole)
 
 
 def test_principal_log_branch():

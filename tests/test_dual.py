@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from gkzflop import (
+    SectorAlgebra,
     TruncationPolicy,
     UnimplementedPairing,
     build_compact_module,
     compute_box,
-    build_sector_algebra,
     evaluate_gamma_dual,
 )
 from gkzflop.dual import PairingStub, _rref, dual_pde_check, \
@@ -23,7 +23,8 @@ def modules(packs):
     for name, pack in packs.items():
         for side in ("plus", "minus"):
             t = pack.t_plus if side == "plus" else pack.t_minus
-            out[(name, side)] = (pack, t, build_compact_module(pack.data, t))
+            out[(name, side)] = (pack, t,
+                                 build_compact_module(pack.chamber(t)))
     return out
 
 
@@ -103,7 +104,7 @@ def test_series_values_reduce_to_rank_two(modules, name, side, c):
     pack, t, mod = modules[(name, side)]
     policy = TruncationPolicy(degree_bound=12, tail_check=False)
     x = [0.08 + 0.01j] * pack.data.n
-    val = evaluate_gamma_dual(pack.data, t, c, x, policy, module=mod)
+    val = evaluate_gamma_dual(pack.chamber(t), c, x, policy, module=mod)
     flat = mod.reduce_flat(val.components)
     assert flat.size == 2
     assert np.max(np.abs(flat)) > 0
@@ -118,7 +119,7 @@ def test_unit_coefficient_recursion(a1):
     x = [0.07, 0.11, 0.05]
     checked = 0
     for gamma in compute_box(a1.data, t):
-        alg = build_sector_algebra(a1.data, t, gamma)
+        alg = SectorAlgebra(a1.data, t, gamma)
         ring = DeformationRing(alg, eps=0.0)
         for term in enumerate_terms(a1.data, t, (1, 1), gamma, policy)[:40]:
             for i in range(a1.data.n):
@@ -146,7 +147,7 @@ def test_component_vector_rejects_stray_cone(modules):
 def test_dual_pde_check_report(a1):
     policy = TruncationPolicy(degree_bound=12, tail_check=False)
     x = [0.07, 0.11, 0.05]
-    rep = dual_pde_check(a1.data, a1.t_plus, [(2, 2), (3, 3)], x, policy)
+    rep = dual_pde_check(a1.chamber(a1.t_plus), [(2, 2), (3, 3)], x, policy)
     assert rep["system"] == "dual"
     assert rep["euler_max"] == 0.0
     assert rep["interior_residual"] == 0.0

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gkzflop.rational import (hnf, integer_kernel, nullspace, rank,
                               reduce_mod_lattice, rref, solve, solve_integer)
@@ -38,6 +38,70 @@ def det(m):
             f = m[i][c] / m[c][c]
             m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return sign * d
+
+
+def dense_rref(rows):
+    """Dense Gauss-Jordan elimination, the reference for the sparse rref."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+rational_entry = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4))
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """Rational matrices, often with zero rows, zero columns, repeats."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(rational_entry, min_size=ncols,
+                                  max_size=ncols), max_size=6))
+    if rows and draw(st.booleans()):
+        dup = list(draw(st.sampled_from(rows)))
+        rows.insert(draw(st.integers(0, len(rows))), dup)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    if draw(st.booleans()):
+        c = draw(st.integers(0, ncols))
+        rows = [row[:c] + [Fraction(0)] + row[c:] for row in rows]
+    return rows
+
+
+@given(sparse_rational_matrices())
+@example([])
+@example([[Fraction(0)] * 3, [Fraction(0)] * 3])
+@example([[1, 2, 0], [0, 0, 0], [1, 2, 0], [0, 0, 0]])
+def test_rref_equals_dense_elimination(m):
+    red, pivots = rref(m)
+    want_red, want_pivots = dense_rref(m)
+    assert pivots == want_pivots
+    assert red == want_red
+    assert all(type(v) is Fraction for row in red for v in row)
 
 
 @given(mat_strategy())

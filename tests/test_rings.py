@@ -11,10 +11,12 @@ from hypothesis import given, strategies as st
 
 from gkzflop import (
     BranchCut,
+    MonomialUnreduced,
+    NilpotencyUnconfirmed,
     NotInvertible,
+    SectorAlgebra,
     algebra_exp,
     algebra_inverse,
-    build_sector_algebra,
     compute_box,
 )
 from gkzflop.deform import (
@@ -31,7 +33,7 @@ def close(a, b, tol=1e-13):
 
 def sector_algebras(pack, side):
     t = pack.t_plus if side == "plus" else pack.t_minus
-    return {g.key(): build_sector_algebra(pack.data, t, g)
+    return {g.key(): SectorAlgebra(pack.data, t, g)
             for g in compute_box(pack.data, t)}
 
 
@@ -125,6 +127,18 @@ def test_nilpotency_orders(algebra_map):
             for j in alg.generators:
                 order = alg.nilpotency_order(j)
                 assert 1 <= order <= rank + 1, (name, side, j, order)
+
+
+def test_algebra_failures_are_typed_errors(a1):
+    t = a1.t_plus
+    alg = SectorAlgebra(a1.data, t, compute_box(a1.data, t)[0])
+    mono = max(alg.basis, key=len)
+    del alg._reduce_exact[mono]
+    with pytest.raises(MonomialUnreduced):
+        alg._reduce_monomial(mono)
+    alg.zero_degree = 0
+    with pytest.raises(NilpotencyUnconfirmed):
+        alg.nilpotency_order(alg.generators[0])
 
 
 def test_random_inverses(algebra_map):

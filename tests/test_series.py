@@ -19,7 +19,8 @@ from gkzflop import (
     evaluate_gamma_dual,
     pde_residuals,
 )
-from gkzflop.series import enumerate_terms
+from gkzflop import series
+from gkzflop.series import enumerate_terms, nan_max
 from gkzflop.wall import c_battery
 
 mpmath.mp.dps = 30
@@ -75,7 +76,8 @@ def test_enumerate_deep_point_empty(a1):
 def test_leading_term_is_unit_scalar(conifold):
     x = (0.3, 0.7, 0.8, 0.2)
     policy = TruncationPolicy(degree_bound=1, tail_check=False)
-    val = evaluate_gamma(conifold.data, conifold.t_plus, (0, 0, 0), x, policy)
+    val = evaluate_gamma(conifold.chamber(conifold.t_plus), (0, 0, 0), x,
+                         policy)
     comp = val.value.components[G0_CONE]
     assert abs(comp.scalar_part - 1.0) < 1e-12
     assert comp.nilpotent_part().norm() > 0
@@ -109,7 +111,7 @@ def reference_orbit_sum(x, h, w, mmax):
 def test_component_matches_reference_a1(a1):
     x = (0.2, 0.8, 0.3)
     policy = TruncationPolicy(degree_bound=48, tail_check=False)
-    val = evaluate_gamma(a1.data, a1.t_plus, (0, 0), x, policy)
+    val = evaluate_gamma(a1.chamber(a1.t_plus), (0, 0), x, policy)
     comp = val.value.components[G0_A1]
     alg = val.algebras[G0_A1]
     t_el = alg.divisor(0)
@@ -122,7 +124,8 @@ def test_component_matches_reference_a1(a1):
 def test_component_matches_reference_conifold(conifold):
     x = (0.3, 0.7, 0.8, 0.2)
     policy = TruncationPolicy(degree_bound=40, tail_check=False)
-    val = evaluate_gamma(conifold.data, conifold.t_plus, (0, 0, 0), x, policy)
+    val = evaluate_gamma(conifold.chamber(conifold.t_plus), (0, 0, 0), x,
+                         policy)
     comp = val.value.components[G0_CONE]
     alg = val.algebras[G0_CONE]
     t_el = alg.divisor(3)
@@ -135,7 +138,7 @@ def test_component_matches_reference_conifold(conifold):
 def test_twisted_leading_value(a1):
     x = (0.25, 0.5, 0.16)
     policy = TruncationPolicy(degree_bound=2, tail_check=False)
-    val = evaluate_gamma(a1.data, a1.t_minus, (1, 1), x, policy)
+    val = evaluate_gamma(a1.chamber(a1.t_minus), (1, 1), x, policy)
     comp = val.value.components[TW_A1]
     expected = x[0] ** -0.5 * x[2] ** -0.5 / math.pi  # (1/Gamma(1/2))^2 = 1/pi
     assert abs(comp.scalar_part - expected) < 1e-13 * abs(expected)
@@ -145,7 +148,28 @@ def test_divergence_guard(a1):
     x = (2.0, 0.5, 2.0)
     policy = TruncationPolicy(degree_bound=40, tail_check=True)
     with pytest.raises(DivergenceSuspected):
-        evaluate_gamma(a1.data, a1.t_plus, (0, 0), x, policy)
+        evaluate_gamma(a1.chamber(a1.t_plus), (0, 0), x, policy)
+
+
+def test_nan_shell_norm_trips_divergence_guard(a1, monkeypatch):
+    # a convergent point whose terms of degree > 4 read NaN
+    real = series.term_value
+
+    def poisoned(x, l, ring):
+        value = real(x, l, ring)
+        return value * math.nan if sum(abs(v) for v in l) > 4 else value
+
+    monkeypatch.setattr(series, "term_value", poisoned)
+    x = (0.2, 0.8, 0.3)
+    policy = TruncationPolicy(degree_bound=12, tail_check=True)
+    with pytest.raises(DivergenceSuspected):
+        evaluate_gamma(a1.chamber(a1.t_plus), (0, 0), x, policy)
+
+
+def test_nan_max_keeps_nan_in_any_position():
+    assert math.isnan(nan_max(0.0, math.nan))
+    assert math.isnan(nan_max(math.nan, 0.0))
+    assert nan_max(0.5, 2.0, 1.0) == 2.0
 
 
 def test_point_validation():
@@ -159,9 +183,9 @@ def test_point_validation():
 def test_dual_attachments_a1(a1):
     x = (0.08 + 0.01j,) * 3
     policy = TruncationPolicy(degree_bound=4, tail_check=False)
-    plus = evaluate_gamma_dual(a1.data, a1.t_plus, (1, 1), x, policy)
+    plus = evaluate_gamma_dual(a1.chamber(a1.t_plus), (1, 1), x, policy)
     assert set(plus.components) == {(G0_A1, (1,))}
-    minus = evaluate_gamma_dual(a1.data, a1.t_minus, (1, 1), x, policy)
+    minus = evaluate_gamma_dual(a1.chamber(a1.t_minus), (1, 1), x, policy)
     assert set(minus.components) == {(G0_A1, (0, 2)), (TW_A1, (0, 2))}
     for (key, cone), v in minus.components.items():
         assert cone, "dual coefficients must sit on a nonempty cone"
@@ -172,9 +196,9 @@ def test_dual_requires_interior_point(a1):
     x = (0.1, 0.1, 0.1)
     policy = TruncationPolicy(degree_bound=4, tail_check=False)
     with pytest.raises(NonInteriorPoint):
-        evaluate_gamma_dual(a1.data, a1.t_plus, (0, 0), x, policy)
+        evaluate_gamma_dual(a1.chamber(a1.t_plus), (0, 0), x, policy)
     with pytest.raises(NonInteriorPoint):
-        evaluate_gamma_dual(a1.data, a1.t_plus, (0, 1), x, policy)
+        evaluate_gamma_dual(a1.chamber(a1.t_plus), (0, 1), x, policy)
 
 
 def interior_battery(pack):
@@ -190,8 +214,8 @@ def test_pde_residuals_primal(pack, side):
     t = pack.t_plus if side == "plus" else pack.t_minus
     x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(pack.data.n))
     policy = TruncationPolicy(degree_bound=12, tail_check=False)
-    report = pde_residuals(pack.data, t, c_battery(pack.data, 1), x, policy,
-                           which="primal")
+    report = pde_residuals(pack.chamber(t), c_battery(pack.data, 1), x,
+                           policy, which="primal")
     assert report["system"] == "primal"
     assert report["euler_max"] == 0.0
     assert report["interior_residual"] == 0.0
@@ -208,7 +232,7 @@ def test_pde_residuals_dual(pack, side):
     t = pack.t_plus if side == "plus" else pack.t_minus
     x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(pack.data.n))
     policy = TruncationPolicy(degree_bound=12, tail_check=False)
-    report = pde_residuals(pack.data, t, interior_battery(pack), x, policy,
+    report = pde_residuals(pack.chamber(t), interior_battery(pack), x, policy,
                            which="dual")
     assert report["system"] == "dual"
     assert report["euler_max"] == 0.0

@@ -91,9 +91,10 @@ def test_essential_cones(a1, conifold):
 
 def test_essential_sectors_all_sectors_on_fixtures(pack):
     for t in (pack.t_plus, pack.t_minus):
+        box = compute_box(pack.data, t)
         ess = {g.coords for g in essential_sectors(pack.data, t,
-                                                   pack.circuit)}
-        assert ess == {g.coords for g in compute_box(pack.data, t)}
+                                                   pack.circuit, box)}
+        assert ess == {g.coords for g in box}
 
 
 def test_canonical_lift_properties(a1):

@@ -25,8 +25,8 @@ def trivial_sector(wc):
 
 
 def wall_context(pack, eps):
-    return wall.WallContext(pack.data, pack.circuit, pack.t_plus,
-                            pack.t_minus, eps=eps)
+    return wall.WallContext(pack.circuit, pack.chamber(pack.t_plus),
+                            pack.chamber(pack.t_minus), eps=eps)
 
 
 def test_select_endpoints_geometry(pack):
