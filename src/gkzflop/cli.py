@@ -6,7 +6,6 @@ configuration).
 """
 
 import argparse
-import math
 import sys
 import time
 
@@ -14,13 +13,11 @@ from . import report as reporting
 from .errors import GkzflopError, InputError, UnimplementedPairing
 from .fixtures import load_fixture
 from .toric import (check_triangulation, compute_box, essential_cones,
-                    essential_sectors, find_circuit, interior_cones,
-                    is_interior_point, sector_label,
-                    validate_toric_data)
+                    essential_sectors, find_circuit, is_interior_point,
+                    sector_label, validate_toric_data)
 from .rings import Chamber
 from .series import TruncationPolicy, evaluate_gamma, evaluate_gamma_dual
-from .dual import (PairingStub, build_compact_module, dual_pde_check,
-                   dual_transform_status)
+from .dual import PairingStub, build_compact_module, dual_transform_status
 from .wall import (ContourSpec, WallContext, ac_transform, c_battery,
                    fm_transform, oracle_report, select_endpoints,
                    verify_fm_equals_ac)
@@ -122,14 +119,6 @@ def _contour_spec(args):
     return ContourSpec(s0=args.contour_re, height=args.contour_t)
 
 
-def _path(args, circuit):
-    amplitude = args.amp
-    if amplitude is None:
-        h2 = sum(v * v for v in circuit.h)
-        amplitude = math.log(1.0 / args.y_abs ** 2) / h2
-    return select_endpoints(circuit, amplitude, args.y_abs)
-
-
 def _cone_list(cones):
     return sorted(sorted(i + 1 for i in c) for c in cones)
 
@@ -192,7 +181,7 @@ def _element_out(el):
 def cmd_gamma_eval(args):
     data, t_plus, t_minus = _load(args)
     circuit = find_circuit(data, t_plus, t_minus)
-    path = _path(args, circuit)
+    path = select_endpoints(circuit, args.amp, args.y_abs)
     policy = _policy(args)
     battery = c_battery(data, args.depth)
     body = {"x_plus": [{"re": v.real, "im": v.imag} for v in path.x_plus],
@@ -275,16 +264,15 @@ def _transform_body(args, route):
     eps_list = args.eps if args.eps else [1e-2]
     builder = fm_transform if route == "fm" else ac_transform
     plus, minus = Chamber(data, t_plus), Chamber(data, t_minus)
+    wall = WallContext(circuit, plus, minus)
     samples = []
     ok = True
     for eps in eps_list:
-        wall = WallContext(circuit, plus, minus, eps=eps)
-        m = builder(wall)
+        m = builder(wall, eps)
         det = abs(np.linalg.det(m.entries))
         ok = ok and det > 1e-6
         samples.append({"eps": eps, "det": det, **_matrix_out(m)})
-    lwall = WallContext(circuit, plus, minus, eps=None)
-    m0 = builder(lwall)
+    m0 = builder(wall, None)
     return {"route": route, "samples": samples,
             "undeformed_limit": _matrix_out(m0),
             "pass": ok and m0.principal_ratio < 1e-9}

@@ -404,11 +404,6 @@ class DeformationRing:
     def recip_gamma(self, z, d):
         return reciprocal_gamma_shifted(z, d)
 
-    def localization_point(self):
-        gam = self.algebra.sector.coords
-        return [self.exp(self.divisor(j)) * unit_phase(gam[j])
-                for j in range(self.algebra.data.n)]
-
     # -- reading off values ---------------------------------------------
 
     def principal_ratio(self, x):

@@ -381,7 +381,7 @@ def _factor_identity_dev(alg, lj):
         lhs = ring.recip_gamma(lj - 1, d)
         rhs = (d + complex(lj)) * ring.recip_gamma(lj, d)
         scale = max(lhs.norm(), rhs.norm(), 1.0)
-        worst = max(worst, (lhs - rhs).norm() / scale)
+        worst = nan_max(worst, (lhs - rhs).norm() / scale)
     return worst
 
 
@@ -442,7 +442,7 @@ def pde_residuals(chamber, c_list, x, policy, which="primal", circuit=None):
                         skey = (lj, key)
                         if skey not in sampled and len(sampled) < 24:
                             sampled.add(skey)
-                            factor_dev = max(
+                            factor_dev = nan_max(
                                 factor_dev, _factor_identity_dev(alg, lj))
                         continue
                     if _image_vanishes(alg, img):
@@ -457,7 +457,7 @@ def pde_residuals(chamber, c_list, x, policy, which="primal", circuit=None):
                         boundary += 1
                         if in_cone:
                             mag = value_fn(xs, img, rings[key]).norm()
-                            boundary_max = max(boundary_max, mag)
+                            boundary_max = nan_max(boundary_max, mag)
                         continue
                     mismatches += 1
             pairs.append({

@@ -18,9 +18,11 @@ eps^0 is read off.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -62,14 +64,17 @@ def select_endpoints(circuit, amplitude, y_abs):
 
     Moduli follow the circuit direction, arguments are a common small
     tilt that parks arg y at -pi, the midpoint of its allowed window
-    (and the fastest two-sided decay for the line integral).
+    (and the fastest two-sided decay for the line integral).  An
+    amplitude of None puts the far endpoint at |y| = 1 / y_abs.
     """
     if not 0.0 < y_abs < 1.0:
         raise InfeasibleArgs("target |y| must lie strictly inside (0, 1)")
-    if amplitude <= 0.0:
-        raise InfeasibleArgs("amplitude must be positive")
     h = circuit.h
     h2 = sum(v * v for v in h)
+    if amplitude is None:
+        amplitude = math.log(1.0 / y_abs ** 2) / h2
+    if amplitude <= 0.0:
+        raise InfeasibleArgs("amplitude must be positive")
     hm = sum(-h[j] for j in circuit.I_minus)
     delta = math.pi * (hm - 1) / h2
     args = [delta * v for v in h]
@@ -89,34 +94,6 @@ def select_endpoints(circuit, amplitude, y_abs):
 
 
 # -- pole bookkeeping ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PoleFamily:
-    """One pole of the integrand: an integer point or a ratio-factor zero."""
-
-    kind: str                # "integer" | "gamma"
-    location: complex        # scalar part of the position
-    k: int = -1              # ray index for the gamma family
-    w: int = -1              # nonnegative index inside the family
-    w0: int = 0              # w = w0 * (-h_k) + r
-    r: int = 0
-
-
-def pole_families(lprime, circuit, offsets=None, eps=0.0, w_max=12):
-    """Scalar pole positions near the real axis, both families."""
-    out = []
-    for m in range(-w_max, w_max + 1):
-        out.append(PoleFamily(kind="integer", location=complex(m)))
-    eps = complex(eps)
-    for k in sorted(circuit.I_minus):
-        hk = circuit.h[k]
-        shift = 0j if offsets is None else complex(offsets[k]) * eps / TWO_PI_I
-        for w in range(w_max + 1):
-            loc = (complex(lprime[k] - w) + shift) / (-hk)
-            out.append(PoleFamily(kind="gamma", location=loc, k=k, w=w,
-                                  w0=w // (-hk), r=w % (-hk)))
-    return out
 
 
 def default_contour_re(lprime, circuit):
@@ -374,10 +351,8 @@ def left_residue_sum(x, lprime, circuit, ring, spec=None, stop=1e-13,
 # -- residue coefficients ------------------------------------------------
 
 
-def adjacent_data_transport(data, circuit, t_minus, gamma, k, r, lift=None):
+def adjacent_data_transport(data, circuit, t_minus, gamma, k, r, lift):
     """theta and the reached sector, via the stored lift moved along h."""
-    if lift is None:
-        lift = canonical_lift(data, gamma, (0,) * data.rank)
     q = (lift.values[k] - r) / (-circuit.h[k])
     theta = q % 1
     sector, _ = adjacent_sector(data, circuit, t_minus, gamma, k, r, lift)
@@ -392,24 +367,18 @@ def adjacent_data_pole(circuit, gamma, k, m):
     return theta, coords
 
 
-def coefficient_C(data, circuit, t_minus, gamma, k, r, ring, lift=None,
-                  route="transport"):
-    """Residue coefficient attached to the (k, r) pole of sector gamma.
+def coefficient_C(circuit, gamma, k, angles, ring):
+    """Residue coefficient attached to a pole (k, r) of sector gamma.
 
-    route "transport" derives the angular data from lifts, route "pole"
-    from the residue location; they must produce identical elements and
-    are kept as separate code paths on purpose.
+    angles is the pair (theta, coords2) of that pole, from
+    adjacent_data_transport (lifts) or adjacent_data_pole (the residue
+    location); the two routes must produce identical elements and are
+    kept as separate code paths on purpose.
     """
     h = circuit.h
     hk = h[k]
-    assert k in circuit.I_minus and 0 <= r < -hk
-    if route == "transport":
-        theta, coords2 = adjacent_data_transport(
-            data, circuit, t_minus, gamma, k, r, lift)
-    elif route == "pole":
-        theta, coords2 = adjacent_data_pole(circuit, gamma, k, r)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    assert k in circuit.I_minus
+    theta, coords2 = angles
     dk = ring.divisor(k)
     num = ring.one() - ring.exp(dk * (-1.0)) * unit_phase(-gamma.coords[k])
     den = (ring.one() - ring.exp(dk * (1.0 / hk)) * unit_phase(-theta)) * hk
@@ -444,55 +413,63 @@ class TransformMatrix:
 
 
 class WallContext:
-    """The rings of one eps over the two chambers of a wall crossing.
+    """Everything about one wall crossing that does not depend on eps.
 
-    The chambers (rings.Chamber) carry the eps-independent sectors and
-    sector algebras; a context adds only the thin DeformationRing of each
-    sector at its eps, so all contexts of one command share one build of
-    every algebra.
+    A command builds one context per crossing and drops it when it
+    returns.  The context holds the two chambers `plus` and `minus`
+    (rings.Chamber: the box and the sector algebras of each
+    triangulation), the deformation offsets checked against the circuit,
+    the essential sectors of the plus side, the row and column index of
+    the transform, and for each essential plus sector the angular data
+    (theta, coords2) of its poles (k, r) by both residue routes.  The
+    monomial basis is found on first use, so a command that assembles
+    no transform never searches for it.  Everything that depends on eps
+    is built by the functions that take eps, from `rings`.
     """
 
-    def __init__(self, circuit, plus, minus, offsets=None, eps=None,
-                 window=8):
-        self.data = data = plus.data
+    def __init__(self, circuit, plus, minus):
+        data = plus.data
         self.circuit = circuit
-        self.t_plus = plus.t
-        self.t_minus = minus.t
-        self.eps = eps
-        self.window = window
-        self.box_plus = plus.box
-        self.box_minus = minus.box
-        self.alg_plus = plus.algebras
-        self.alg_minus = minus.algebras
-        probe = DeformationRing(next(iter(self.alg_plus.values())), offsets,
-                                eps=eps, window=window)
-        self.offsets = probe.offsets
+        self.plus = plus
+        self.minus = minus
+        # the offsets 0, ..., n-1 that every DeformationRing takes
+        self.offsets = tuple(Fraction(j) for j in range(data.n))
         for k in circuit.I_minus:
             if self.offsets[k] == 0:
                 raise InfeasibleArgs(
-                    f"offset {k + 1} must be nonzero on the negative side")
+                    f"the fixed deformation offsets 0, ..., {data.n - 1} "
+                    f"cannot separate the poles of this crossing: index "
+                    f"{k + 1} on the negative side has offset 0")
             for j in circuit.I_minus:
                 if j != k and self.offsets[j] * circuit.h[k] \
                         == self.offsets[k] * circuit.h[j]:
                     raise InfeasibleArgs(
-                        "offsets proportional to the circuit on the "
-                        "negative side merge the deformed poles")
-        self.ring_plus = {k: DeformationRing(a, self.offsets, eps=eps,
-                                             window=window)
-                          for k, a in self.alg_plus.items()}
-        self.ring_minus = {k: DeformationRing(a, self.offsets, eps=eps,
-                                              window=window)
-                          for k, a in self.alg_minus.items()}
-        ess = essential_sectors(data, plus.t, circuit, plus.box)
-        self.essential_plus = {g.key() for g in ess}
-        self.rows = tuple((g.key(), i) for g in self.box_plus
-                          for i in range(self.alg_plus[g.key()].dim))
-        self.cols = tuple((g.key(), i) for g in self.box_minus
-                          for i in range(self.alg_minus[g.key()].dim))
+                        "the fixed deformation offsets cannot separate the "
+                        "poles of this crossing: on the negative side they "
+                        "are proportional to the circuit")
+        self.poles = {}
+        for g in essential_sectors(data, plus.t, circuit, plus.box):
+            lift = canonical_lift(data, g, (0,) * data.rank)
+            self.poles[g.key()] = [
+                (k, r, {"transport": adjacent_data_transport(
+                            data, circuit, minus.t, g, k, r, lift),
+                        "pole": adjacent_data_pole(circuit, g, k, r)})
+                for k in sorted(circuit.I_minus) for r in range(-circuit.h[k])]
+        self.essential_plus = frozenset(self.poles)
+        self.rows = tuple((g.key(), i) for g in plus.box
+                          for i in range(plus.algebras[g.key()].dim))
+        self.cols = tuple((g.key(), i) for g in minus.box
+                          for i in range(minus.algebras[g.key()].dim))
 
-    @property
-    def laurent(self):
-        return self.eps is None
+    @functools.cached_property
+    def monomials(self):
+        """The Laurent exponents that index the transform's columns."""
+        return monomial_basis(self)
+
+    def rings(self, chamber, eps):
+        """The DeformationRing of every sector of chamber at eps."""
+        return {key: DeformationRing(alg, self.offsets, eps=eps)
+                for key, alg in chamber.algebras.items()}
 
 
 def _phi_at_localization(ring, coords, b):
@@ -511,18 +488,12 @@ def _phi_at_localization(ring, coords, b):
 
 def monomial_basis(wall):
     """Laurent exponents picked greedily to a full-rank localization image."""
+    minus = wall.minus
     target = len(wall.cols)
-    n = wall.data.n
+    n = minus.data.n
+    rings0 = wall.rings(minus, 0.0)
     chosen = []
     rows = []
-
-    def undeformed_column(b):
-        col = []
-        for g in wall.box_minus:
-            ring0 = DeformationRing(wall.alg_minus[g.key()], wall.offsets,
-                                    eps=0.0)
-            col.extend(_phi_at_localization(ring0, g.coords, b).coords)
-        return np.array(col, dtype=complex)
 
     def candidates():
         yield (0,) * n
@@ -543,7 +514,7 @@ def monomial_basis(wall):
             deg += 1
 
     for b in candidates():
-        col = undeformed_column(b)
+        col = evaluate_class(minus, rings0, {b: 1})
         trial = rows + [col]
         if np.linalg.matrix_rank(np.array(trial), tol=1e-9) > len(rows):
             chosen.append(b)
@@ -553,129 +524,101 @@ def monomial_basis(wall):
     raise AssertionError("localization image never reached full rank")
 
 
-def localization_matrix(wall, mons):
-    """Columns phi_b at the source-side localization points (deformed)."""
-    cols = []
-    for b in mons:
-        col = []
-        for g in wall.box_minus:
-            ring = wall.ring_minus[g.key()]
-            val = _phi_at_localization(ring, g.coords, b)
-            col.append((g.key(), val))
-        cols.append(col)
-    return cols
-
-
-def _stack_minus(wall, per_sector):
+def _stack(chamber, per_sector):
+    """Per-sector values as one flat vector, in the chamber's box order."""
     out = []
-    for g in wall.box_minus:
+    for g in chamber.box:
         out.extend(np.asarray(per_sector[g.key()].coords))
     return np.array(out, dtype=complex)
 
 
-def _stack_plus(wall, per_sector):
-    out = []
-    for g in wall.box_plus:
-        out.extend(np.asarray(per_sector[g.key()].coords))
-    return np.array(out, dtype=complex)
-
-
-def _column_entries(wall, values, rtol=1e-9):
-    """Flatten per-sector ring values to complex coords; eps^0 if Laurent."""
-    flat = []
+def _column_entries(chamber, rings, values):
+    """Stacked ring values; if Laurent, at eps^0, with the worst pole part."""
     worst = 0.0
-    for g in wall.box_plus:
-        v = values[g.key()]
-        if wall.laurent:
-            ring = wall.ring_plus[g.key()]
+    for key, v in values.items():
+        ring = rings[key]
+        if ring.laurent:
             worst = nan_max(worst, ring.principal_ratio(v))
-            v = ring.eps_zero(v, rtol=rtol)
-        flat.extend(np.asarray(v.coords))
-    return np.array(flat, dtype=complex), worst
+            values[key] = ring.eps_zero(v)
+    return _stack(chamber, values), worst
 
 
-def _transform(wall, route):
-    """Shared assembly for both residue routes."""
-    data, circuit = wall.data, wall.circuit
+def _transform(wall, eps, route):
+    """Shared assembly for both residue routes at one eps (None: Laurent)."""
+    circuit, plus, minus = wall.circuit, wall.plus, wall.minus
     h = circuit.h
-    mons = monomial_basis(wall)
-    loc_cols = localization_matrix(wall, mons)
+    mons = wall.monomials
+    rings_plus = wall.rings(plus, eps)
+    rings_minus = wall.rings(minus, eps)
+    residues = {}
+    for g in plus.box:
+        if g.key() in wall.poles:
+            ring = rings_plus[g.key()]
+            residues[g.key()] = [
+                (k, r, angles[route][1],
+                 coefficient_C(circuit, g, k, angles[route], ring))
+                for k, r, angles in wall.poles[g.key()]]
     raw_cols = []
     principal = 0.0
     for b in mons:
         values = {}
-        for g in wall.box_plus:
+        for g in plus.box:
             key = g.key()
-            ring = wall.ring_plus[key]
-            if key not in wall.essential_plus:
+            ring = rings_plus[key]
+            if key not in residues:
                 values[key] = _phi_at_localization(ring, g.coords, b)
                 continue
-            lift = canonical_lift(data, g, (0,) * data.rank)
             acc = None
-            for k in sorted(circuit.I_minus):
-                for r in range(-h[k]):
-                    c_kr = coefficient_C(data, circuit, wall.t_minus, g, k,
-                                         r, ring, lift=lift, route=route)
-                    if route == "transport":
-                        _, coords2 = adjacent_data_transport(
-                            data, circuit, wall.t_minus, g, k, r, lift)
-                        phase = unit_phase(sum(Fraction(bj) * c2 for bj, c2
-                                               in zip(b, coords2)))
-                        combo = None
-                        for j, bj in enumerate(b):
-                            if bj == 0:
-                                continue
-                            piece = (ring.divisor(j)
-                                     - ring.divisor(k) * (h[j] / h[k])) \
-                                * float(bj)
-                            combo = piece if combo is None else combo + piece
-                        val = ring.one() * phase if combo is None \
-                            else ring.exp(combo) * phase
-                    else:
-                        pk = ring.exp(ring.divisor(k) * (1.0 / (-h[k]))) \
-                            * unit_phase(Fraction(g.coords[k] + r, -h[k]))
-                        val = ring.one()
-                        for j, bj in enumerate(b):
-                            if bj == 0:
-                                continue
-                            rj = ring.exp(ring.divisor(j)) \
-                                * unit_phase(g.coords[j])
-                            factor = rj * ring.power(pk, h[j]) if h[j] \
-                                else rj
-                            val = val * ring.power(factor, bj)
-                    contrib = c_kr * val
-                    acc = contrib if acc is None else acc + contrib
+            for k, r, coords2, c_kr in residues[key]:
+                if route == "transport":
+                    phase = unit_phase(sum(Fraction(bj) * c2 for bj, c2
+                                           in zip(b, coords2)))
+                    combo = None
+                    for j, bj in enumerate(b):
+                        if bj == 0:
+                            continue
+                        piece = (ring.divisor(j)
+                                 - ring.divisor(k) * (h[j] / h[k])) \
+                            * float(bj)
+                        combo = piece if combo is None else combo + piece
+                    val = ring.one() * phase if combo is None \
+                        else ring.exp(combo) * phase
+                else:
+                    pk = ring.exp(ring.divisor(k) * (1.0 / (-h[k]))) \
+                        * unit_phase(Fraction(g.coords[k] + r, -h[k]))
+                    val = ring.one()
+                    for j, bj in enumerate(b):
+                        if bj == 0:
+                            continue
+                        rj = ring.exp(ring.divisor(j)) \
+                            * unit_phase(g.coords[j])
+                        factor = rj * ring.power(pk, h[j]) if h[j] else rj
+                        val = val * ring.power(factor, bj)
+                contrib = c_kr * val
+                acc = contrib if acc is None else acc + contrib
             values[key] = acc * (-1.0)
-        col, worst = _column_entries(wall, values)
+        col, worst = _column_entries(plus, rings_plus, values)
         principal = nan_max(principal, worst)
         raw_cols.append(col)
-    loc = np.zeros((len(wall.cols), len(mons)), dtype=complex)
-    for ci, col in enumerate(loc_cols):
-        flat = []
-        for key, val in col:
-            if wall.laurent:
-                ring = wall.ring_minus[key]
-                val = ring.eps_zero(val)
-            flat.extend(np.asarray(val.coords))
-        loc[:, ci] = flat
+    loc = np.array([evaluate_class(minus, rings_minus, {b: 1}) for b in mons],
+                   dtype=complex).T
     colmat = np.array(raw_cols, dtype=complex).T
     entries = colmat @ np.linalg.inv(loc)
     prov = "ac-residue" if route == "transport" else "fm-residue"
-    return TransformMatrix(source=wall.t_minus.label,
-                           target=wall.t_plus.label,
+    return TransformMatrix(source=minus.t.label, target=plus.t.label,
                            row_index=wall.rows, col_index=wall.cols,
-                           entries=entries, eps=wall.eps, provenance=prov,
+                           entries=entries, eps=eps, provenance=prov,
                            principal_ratio=principal)
 
 
-def ac_transform(wall):
+def ac_transform(wall, eps):
     """Transform assembled from lift-transported residue data."""
-    return _transform(wall, "transport")
+    return _transform(wall, eps, "transport")
 
 
-def fm_transform(wall):
+def fm_transform(wall, eps):
     """Transform assembled from residue-location (kernel) data."""
-    return _transform(wall, "pole")
+    return _transform(wall, eps, "pole")
 
 
 # -- verification -------------------------------------------------------
@@ -703,7 +646,7 @@ def nonessential_index_sets(data, circuit, t_plus, t_minus):
     ess |= {frozenset(s) for s in essential_cones(data, t_minus, circuit)}
     n = data.n
     for size in range(1, n + 1):
-        found = [J for J in _subsets(range(n), size)
+        found = [J for J in combinations(range(n), size)
                  if not any(frozenset(J) <= e for e in ess)]
         if found:
             return found
@@ -741,47 +684,37 @@ def random_nonessential_class(rng, data, circuit, t_plus, t_minus):
     return out, best
 
 
-def _subsets(items, size):
-    from itertools import combinations
-    return combinations(items, size)
+def evaluate_class(chamber, rings, poly):
+    """Localization values of a Laurent combination, one flat vector.
 
-
-def evaluate_class(wall, side, poly):
-    """Localization values of a Laurent combination, one flat vector."""
-    box = wall.box_plus if side == "plus" else wall.box_minus
-    rings = wall.ring_plus if side == "plus" else wall.ring_minus
+    rings are the chamber's DeformationRings at one eps; a Laurent value
+    is read off at eps^0.
+    """
     per = {}
-    for g in box:
+    for g in chamber.box:
         ring = rings[g.key()]
         acc = None
         for b, cf in sorted(poly.items()):
             val = _phi_at_localization(ring, g.coords, b) * cf
             acc = val if acc is None else acc + val
-        if wall.laurent:
-            acc = ring.eps_zero(acc)
-        per[g.key()] = acc
-    stack = _stack_plus if side == "plus" else _stack_minus
-    return stack(wall, per)
+        per[g.key()] = ring.eps_zero(acc)
+    return _stack(chamber, per)
 
 
-def gamma_vector(wall, side, c, x, policy=None):
+def gamma_vector(chamber, rings, c, x, policy=None):
     """Stacked sector coordinates of the series value on one side."""
     policy = policy or TruncationPolicy()
-    box = wall.box_plus if side == "plus" else wall.box_minus
-    rings = wall.ring_plus if side == "plus" else wall.ring_minus
-    t = wall.t_plus if side == "plus" else wall.t_minus
     per = {}
-    for g in box:
+    for g in chamber.box:
         ring = rings[g.key()]
         acc = ring.zero()
-        for term in enumerate_terms(wall.data, t, c, g, policy):
+        for term in enumerate_terms(chamber.data, chamber.t, c, g, policy):
             acc = acc + term_value(x, term.l, ring)
         per[g.key()] = acc
-    stack = _stack_plus if side == "plus" else _stack_minus
-    return stack(wall, per)
+    return _stack(chamber, per)
 
 
-def continued_vector(wall, c, x, policy=None, spec=None):
+def continued_vector(wall, eps, c, x, policy=None, spec=None):
     """Far-side values of the near-side solution, by the contour oracle.
 
     Essential families are continued orbit-by-orbit from their
@@ -789,12 +722,14 @@ def continued_vector(wall, c, x, policy=None, spec=None):
     are summed directly.
     """
     policy = policy or TruncationPolicy()
+    plus = wall.plus
+    rings = wall.rings(plus, eps)
     per = {}
     worst = {"est_error": 0.0, "tail": 0.0}
-    for g in wall.box_plus:
-        ring = wall.ring_plus[g.key()]
+    for g in plus.box:
+        ring = rings[g.key()]
         acc = ring.zero()
-        for term in enumerate_terms(wall.data, wall.t_plus, c, g, policy,
+        for term in enumerate_terms(plus.data, plus.t, c, g, policy,
                                     wall.circuit):
             if term.generator:
                 val, diag = orbit_continued(x, term.l, wall.circuit, ring,
@@ -805,7 +740,7 @@ def continued_vector(wall, c, x, policy=None, spec=None):
             elif not term.essential:
                 acc = acc + term_value(x, term.l, ring)
         per[g.key()] = acc
-    return _stack_plus(wall, per), worst
+    return _stack(plus, per), worst
 
 
 def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
@@ -815,20 +750,18 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
     plus and minus are the Chambers of the two triangulations.
     """
     data, t_plus = plus.data, plus.t
-    h2 = sum(v * v for v in circuit.h)
-    if amplitude is None:
-        amplitude = math.log(1.0 / y_abs ** 2) / h2
     path = select_endpoints(circuit, amplitude, y_abs)
     if c_set is None:
         c_set = [(0,) * data.rank]
     policy = TruncationPolicy()
+    wall = WallContext(circuit, plus, minus)
     checks = []
     for eps in eps_values:
-        wall = WallContext(circuit, plus, minus, eps=eps)
-        for g in wall.box_plus:
+        rings = wall.rings(plus, eps)
+        for g in plus.box:
             if g.key() not in wall.essential_plus:
                 continue
-            ring = wall.ring_plus[g.key()]
+            ring = rings[g.key()]
             for c in c_set:
                 gens = [t.l for t in enumerate_terms(data, t_plus, c, g,
                                                      policy, circuit)
@@ -853,8 +786,8 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
                         "lprime": [str(v) for v in lp],
                         "right_dev": dev_r, "left_dev": dev_l,
                         "right_pass": dev_r < 1e-7, "left_pass": dev_l < 1e-6,
-                        "est_error": max(dg_p["est_error"],
-                                         dg_m["est_error"])})
+                        "est_error": nan_max(dg_p["est_error"],
+                                             dg_m["est_error"])})
     ok = all(c["right_pass"] and c["left_pass"] for c in checks)
     return {"kind": "contour-oracle", "y_abs": [path.y_abs_plus,
                                                 path.y_abs_minus],
@@ -867,26 +800,23 @@ def verify_fm_equals_ac(circuit, plus, minus,
                         spec=None, seed=7, n_classes=20):
     """The full crossing battery: matrices, cancellation, end to end.
 
-    plus and minus are the Chambers of the two triangulations; every
-    wall context below shares their sector algebras.  Returns a report
-    dict; raises nothing on mere check failure (the caller decides), but
+    plus and minus are the Chambers of the two triangulations; one wall
+    context over them serves every eps below.  Returns a report dict;
+    raises nothing on mere check failure (the caller decides), but
     propagates structural errors.
     """
     data, t_plus, t_minus = plus.data, plus.t, minus.t
     policy = policy or TruncationPolicy(degree_bound=25)
-    h2 = sum(v * v for v in circuit.h)
-    if amplitude is None:
-        amplitude = math.log(1.0 / y_abs ** 2) / h2
     path = select_endpoints(circuit, amplitude, y_abs)
     report = {"kind": "fm-vs-ac", "fixture": {"plus": t_plus.label,
                                               "minus": t_minus.label},
               "eps_samples": list(eps_samples)}
+    wall = WallContext(circuit, plus, minus)
 
     samples = []
     for eps in eps_samples:
-        wall = WallContext(circuit, plus, minus, eps=eps)
-        ac = ac_transform(wall)
-        fm = fm_transform(wall)
+        ac = ac_transform(wall, eps)
+        fm = fm_transform(wall, eps)
         scale = max(np.abs(fm.entries).max(), 1.0)
         dev = float(np.abs(ac.entries - fm.entries).max() / scale)
         det = float(abs(np.linalg.det(fm.entries)))
@@ -895,9 +825,8 @@ def verify_fm_equals_ac(circuit, plus, minus,
     report["matrix"] = {"samples": samples,
                         "pass": all(s["pass"] for s in samples)}
 
-    lwall = WallContext(circuit, plus, minus, eps=None)
-    ac0 = ac_transform(lwall)
-    fm0 = fm_transform(lwall)
+    ac0 = ac_transform(wall, None)
+    fm0 = fm_transform(wall, None)
     scale = max(np.abs(fm0.entries).max(), 1.0)
     dev0 = float(np.abs(ac0.entries - fm0.entries).max() / scale)
     principal = nan_max(ac0.principal_ratio, fm0.principal_ratio)
@@ -908,13 +837,13 @@ def verify_fm_equals_ac(circuit, plus, minus,
                     for row in fm0.entries],
         "pass": principal < 1e-9}
 
-    wall0 = WallContext(circuit, plus, minus, eps=0.0)
+    rings_plus, rings_minus = wall.rings(plus, 0.0), wall.rings(minus, 0.0)
     battery = c_battery(data, depth)
     worst_dev = 0.0
     rows = []
     for c in battery:
-        lhs, diag = continued_vector(wall0, c, path.x_minus, policy, spec)
-        rhs = fm0.entries @ gamma_vector(wall0, "minus", c, path.x_minus,
+        lhs, diag = continued_vector(wall, 0.0, c, path.x_minus, policy, spec)
+        rhs = fm0.entries @ gamma_vector(minus, rings_minus, c, path.x_minus,
                                          policy)
         scale = max(np.abs(lhs).max(), 1.0)
         dev = float(np.abs(lhs - rhs).max() / scale)
@@ -930,8 +859,8 @@ def verify_fm_equals_ac(circuit, plus, minus,
     for _ in range(n_classes):
         poly, j_used = random_nonessential_class(rng, data, circuit,
                                                  t_plus, t_minus)
-        src = evaluate_class(wall0, "minus", poly)
-        tgt = evaluate_class(wall0, "plus", poly)
+        src = evaluate_class(minus, rings_minus, poly)
+        tgt = evaluate_class(plus, rings_plus, poly)
         got = fm0.entries @ src
         scale = max(np.abs(tgt).max(), 1.0)
         worst_inv = nan_max(worst_inv,

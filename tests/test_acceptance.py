@@ -151,13 +151,11 @@ def test_residues_vanish_left_and_match_terms_right(packs):
     ok = True
     for name, pack in packs.items():
         path = pack.path()
-        w0 = wall.WallContext(pack.circuit, pack.chamber(pack.t_plus),
-                              pack.chamber(pack.t_minus), eps=0.0)
-        we = wall.WallContext(pack.circuit, pack.chamber(pack.t_plus),
-                              pack.chamber(pack.t_minus), eps=1e-2)
-        g0 = next(g for g in w0.box_plus if all(v == 0 for v in g.coords))
-        ring0 = w0.ring_plus[g0.key()]
-        ringe = we.ring_plus[g0.key()]
+        wc = wall.WallContext(pack.circuit, pack.chamber(pack.t_plus),
+                              pack.chamber(pack.t_minus))
+        g0 = next(g for g in wc.plus.box if all(v == 0 for v in g.coords))
+        ring0 = wc.rings(wc.plus, 0.0)[g0.key()]
+        ringe = wc.rings(wc.plus, 1e-2)[g0.key()]
         lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
         for m in (-1, -2):
             res = wall.residue_at(path.x_plus, lp, pack.circuit, ring0,
@@ -191,13 +189,14 @@ def test_residue_coefficients_blind_to_lift(packs):
     ok = True
     n_pairs = 0
     for name, pack in packs.items():
+        wc = wall.WallContext(pack.circuit, pack.chamber(pack.t_plus),
+                              pack.chamber(pack.t_minus))
         for mode, eps in (("laurent", None), ("numeric", 1e-2)):
-            wc = wall.WallContext(pack.circuit, pack.chamber(pack.t_plus),
-                                  pack.chamber(pack.t_minus), eps=eps)
-            for g in wc.box_plus:
+            rings = wc.rings(wc.plus, eps)
+            for g in wc.plus.box:
                 if g.key() not in wc.essential_plus:
                     continue
-                ring = wc.ring_plus[g.key()]
+                ring = rings[g.key()]
                 base = canonical_lift(pack.data, g, (0,) * pack.data.rank)
                 for m in (1, 2):
                     vals = tuple(v + m * hv for v, hv in
@@ -205,12 +204,12 @@ def test_residue_coefficients_blind_to_lift(packs):
                     other = Lift(sector=base.sector, c=base.c, values=vals)
                     for k in sorted(pack.circuit.I_minus):
                         for r in range(-pack.circuit.h[k]):
-                            c1 = wall.coefficient_C(
-                                pack.data, pack.circuit, pack.t_minus,
-                                g, k, r, ring, lift=base)
-                            c2 = wall.coefficient_C(
-                                pack.data, pack.circuit, pack.t_minus,
-                                g, k, r, ring, lift=other)
+                            c1, c2 = (wall.coefficient_C(
+                                pack.circuit, g, k,
+                                wall.adjacent_data_transport(
+                                    pack.data, pack.circuit, pack.t_minus,
+                                    g, k, r, lift), ring)
+                                for lift in (base, other))
                             dev = (c1 - c2).norm() / max(1.0, c1.norm())
                             worst[mode] = max(worst[mode], dev)
                             ok = ok and dev < 1e-12

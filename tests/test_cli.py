@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gkzflop import cli, kernels, rings
+from gkzflop import cli, kernels, rings, wall
 from gkzflop import report as reporting
 from gkzflop.deform import DeformationRing, EpsSeries
 from gkzflop.fixtures import load_fixture
@@ -87,6 +87,18 @@ def test_bad_trunc_rejected(tmp_path):
     status, rep = run_cli(["gamma-eval", "--fixture", "a1", "--trunc", "0"],
                           tmp_path)
     assert status == 2
+
+
+@pytest.mark.parametrize("command", ["fm", "ac", "verify", "oracle"])
+def test_swapped_crossing_names_the_fixed_offsets(tmp_path, command):
+    # with the sides swapped, index 1 of a1 is on the negative side and
+    # the fixed offsets 0, 1, 2 give it offset 0
+    status, rep = run_cli([command, "--fixture", "a1", "--plus", "minus",
+                           "--minus", "plus"], tmp_path)
+    assert status == 2
+    assert rep["body"]["error"] == "InfeasibleArgs"
+    assert "fixed deformation offsets" in rep["body"]["message"]
+    assert "cannot separate the poles" in rep["body"]["message"]
 
 
 def test_tail_bound_violation_is_runtime_failure(tmp_path):
@@ -240,3 +252,29 @@ def test_no_sector_algebra_outlives_a_run(monkeypatch):
         assert status == 0
         runs.append(sorted(keys))
     assert runs[0] == runs[1] == sorted(all_sector_keys("a1"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--fixture", "a1", "--depth", "0"],
+    ["fm", "--fixture", "a1", "--eps", "1e-2", "--eps", "2e-3"],
+    ["ac", "--fixture", "a1", "--eps", "1e-2", "--eps", "2e-3"],
+    ["oracle", "--fixture", "a1"],
+], ids=lambda argv: argv[0])
+def test_one_wall_context_per_command(monkeypatch, argv):
+    counts = {"contexts": 0, "bases": 0}
+    real_init, real_basis = wall.WallContext.__init__, wall.monomial_basis
+
+    def counted_init(self, *args, **kwargs):
+        counts["contexts"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counted_basis(wc):
+        counts["bases"] += 1
+        return real_basis(wc)
+
+    monkeypatch.setattr(wall.WallContext, "__init__", counted_init)
+    monkeypatch.setattr(wall, "monomial_basis", counted_basis)
+    status, _ = cli.run(argv[0], cli.build_parser().parse_args(argv))
+    assert status == 0
+    assert counts["contexts"] == 1
+    assert counts["bases"] == (0 if argv[0] == "oracle" else 1)

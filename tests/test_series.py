@@ -20,6 +20,7 @@ from gkzflop import (
     pde_residuals,
 )
 from gkzflop import series
+from gkzflop.deform import DeformationRing
 from gkzflop.series import enumerate_terms, nan_max
 from gkzflop.wall import c_battery
 
@@ -225,6 +226,21 @@ def test_pde_residuals_primal(pack, side):
         assert pair["matched"]
         assert not pair["mismatches"]
         assert pair["boundary_max"] >= 0.0  # truncation-edge magnitude, reported only
+
+
+def test_nan_recip_gamma_reaches_the_pde_report(a1, monkeypatch):
+    # a NaN 1/Gamma value must surface as a NaN worst case, never as 0.0
+    real = DeformationRing.recip_gamma
+    monkeypatch.setattr(DeformationRing, "recip_gamma",
+                        lambda self, z, d: real(self, z, d) * math.nan)
+    x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(a1.data.n))
+    policy = TruncationPolicy(degree_bound=12, tail_check=False)
+    report = pde_residuals(a1.chamber(a1.t_plus), c_battery(a1.data, 1), x,
+                           policy, which="primal")
+    assert math.isnan(report["factor_identity_max"])
+    edges = [p["boundary_max"] for p in report["pairs"]
+             if p["boundary_count"]]
+    assert edges and all(math.isnan(v) for v in edges)
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])

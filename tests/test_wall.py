@@ -21,27 +21,45 @@ from gkzflop.series import term_value
 
 
 def trivial_sector(wc):
-    return next(g for g in wc.box_plus if all(v == 0 for v in g.coords))
+    return next(g for g in wc.plus.box if all(v == 0 for v in g.coords))
 
 
-def wall_context(pack, eps):
+def wall_context(pack):
     return wall.WallContext(pack.circuit, pack.chamber(pack.t_plus),
-                            pack.chamber(pack.t_minus), eps=eps)
+                            pack.chamber(pack.t_minus))
+
+
+def plus_ring(wc, g, eps):
+    return wc.rings(wc.plus, eps)[g.key()]
+
+
+def pole_angles(wc, g):
+    """{(k, r): {route: (theta, coords2)}} of an essential plus sector."""
+    return {(k, r): angles for k, r, angles in wc.poles[g.key()]}
+
+
+def transported_C(pack, g, k, r, ring, lift):
+    angles = wall.adjacent_data_transport(pack.data, pack.circuit,
+                                          pack.t_minus, g, k, r, lift)
+    return wall.coefficient_C(pack.circuit, g, k, angles, ring)
 
 
 def test_select_endpoints_geometry(pack):
     circ = pack.circuit
     h2 = sum(v * v for v in circ.h)
     amp = math.log(100.0) / h2
-    path = select_endpoints(circ, amp, 0.1)
-    assert path.arg_y == -math.pi
-    assert abs(path.y_abs_plus - 0.1) < 1e-15
-    assert abs(path.y_abs_minus - 0.1 * math.exp(amp * h2)) < 1e-12
-    mod_p, arg_p = wall.y_value(circ, path.x_plus)
-    assert abs(mod_p - 0.1) < 1e-12 and abs(arg_p + math.pi) < 1e-12
-    mod_m, arg_m = wall.y_value(circ, path.x_minus)
-    assert abs(mod_m - path.y_abs_minus) < 1e-9 * path.y_abs_minus
-    assert abs(arg_m + math.pi) < 1e-12
+    for amplitude in (amp, None):   # None: the default, |y| = 1 / y_abs
+        path = select_endpoints(circ, amplitude, 0.1)
+        assert path.arg_y == -math.pi
+        assert abs(path.y_abs_plus - 0.1) < 1e-15
+        assert abs(path.y_abs_minus - 0.1 * math.exp(amp * h2)) < 1e-12
+        if amplitude is None:
+            assert path.y_abs_minus == pytest.approx(1 / 0.1, rel=1e-12)
+        mod_p, arg_p = wall.y_value(circ, path.x_plus)
+        assert abs(mod_p - 0.1) < 1e-12 and abs(arg_p + math.pi) < 1e-12
+        mod_m, arg_m = wall.y_value(circ, path.x_minus)
+        assert abs(mod_m - path.y_abs_minus) < 1e-9 * path.y_abs_minus
+        assert abs(arg_m + math.pi) < 1e-12
 
 
 def test_select_endpoints_rejects_bad_args(pack):
@@ -57,16 +75,17 @@ def test_select_endpoints_rejects_bad_args(pack):
 
 
 def test_residue_coefficients_a1(a1):
-    wc = wall_context(a1, None)
+    wc = wall_context(a1)
     g0 = trivial_sector(wc)
-    ring = wc.ring_plus[g0.key()]
-    alg = wc.alg_plus[g0.key()]
+    ring = plus_ring(wc, g0, None)
+    alg = wc.plus.algebras[g0.key()]
+    angles = pole_angles(wc, g0)
     t = alg.divisor(0)
     want = {0: alg.scalar(-1.0) - t * 0.5, 1: t * 0.5}
     for route in ("transport", "pole"):
         for r, target in want.items():
-            c = wall.coefficient_C(a1.data, a1.circuit, a1.t_minus, g0,
-                                   1, r, ring, route=route)
+            c = wall.coefficient_C(a1.circuit, g0, 1, angles[1, r][route],
+                                   ring)
             got = ring.eps_zero(c)
             assert (got - target).norm() < 1e-12, (route, r)
             assert ring.principal_ratio(c) < 1e-12
@@ -75,14 +94,15 @@ def test_residue_coefficients_a1(a1):
 def test_residue_coefficients_conifold_pair(conifold):
     # the two simple-pole coefficients each blow up like 1/eps but the
     # poles cancel exactly in their sum, leaving -1
-    wc = wall_context(conifold, None)
+    wc = wall_context(conifold)
     g0 = trivial_sector(wc)
-    ring = wc.ring_plus[g0.key()]
-    alg = wc.alg_plus[g0.key()]
+    ring = plus_ring(wc, g0, None)
+    alg = wc.plus.algebras[g0.key()]
+    angles = pole_angles(wc, g0)
     total = None
     for k in (1, 2):
-        c = wall.coefficient_C(conifold.data, conifold.circuit,
-                               conifold.t_minus, g0, k, 0, ring)
+        c = wall.coefficient_C(conifold.circuit, g0, k,
+                               angles[k, 0]["transport"], ring)
         assert c.val == -1
         assert c.principal_norm() > 0.5
         total = c if total is None else total + c
@@ -92,9 +112,9 @@ def test_residue_coefficients_conifold_pair(conifold):
 
 
 def test_frozen_transform_matrices(pack):
-    wc = wall_context(pack, None)
-    ac = wall.ac_transform(wc)
-    fm = wall.fm_transform(wc)
+    wc = wall_context(pack)
+    ac = wall.ac_transform(wc, None)
+    fm = wall.fm_transform(wc, None)
     assert np.abs(ac.entries - fm.entries).max() < 1e-12
     assert max(ac.principal_ratio, fm.principal_ratio) < 1e-9
     frozen = {
@@ -107,18 +127,18 @@ def test_frozen_transform_matrices(pack):
 
 
 def test_transforms_at_generic_eps(pack):
-    wc = wall_context(pack, 1e-2)
-    ac = wall.ac_transform(wc)
-    fm = wall.fm_transform(wc)
+    wc = wall_context(pack)
+    ac = wall.ac_transform(wc, 1e-2)
+    fm = wall.fm_transform(wc, 1e-2)
     scale = max(np.abs(fm.entries).max(), 1.0)
     assert np.abs(ac.entries - fm.entries).max() / scale < 1e-10
     assert abs(np.linalg.det(fm.entries)) > 1e-6
 
 
 def test_integrand_forms_agree(pack):
-    wc = wall_context(pack, 1e-2)
+    wc = wall_context(pack)
     g0 = trivial_sector(wc)
-    ring = wc.ring_plus[g0.key()]
+    ring = plus_ring(wc, g0, 1e-2)
     lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
     x = pack.path().x_plus
     f1 = wall.make_integrand(x, lp, pack.circuit, ring, form=1)
@@ -130,9 +150,9 @@ def test_integrand_forms_agree(pack):
 
 @pytest.mark.parametrize("form", [1, 2])
 def test_batched_integrand_matches_node_by_node(pack, form):
-    wc = wall_context(pack, 1e-2)
+    wc = wall_context(pack)
     g0 = trivial_sector(wc)
-    ring = wc.ring_plus[g0.key()]
+    ring = plus_ring(wc, g0, 1e-2)
     lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
     f = wall.make_integrand(pack.path().x_plus, lp, pack.circuit, ring,
                             form=form)
@@ -147,9 +167,9 @@ def test_batched_integrand_matches_node_by_node(pack, form):
 
 
 def test_batched_integrand_guards_every_node(a1):
-    wc = wall_context(a1, 0.0)
+    wc = wall_context(a1)
     g0 = trivial_sector(wc)
-    ring = wc.ring_plus[g0.key()]
+    ring = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
     f = wall.make_integrand(a1.path().x_plus, lp, a1.circuit, ring)
     s = 0.5 + 1j * np.linspace(-3.0, 3.0, 24)
@@ -160,18 +180,18 @@ def test_batched_integrand_guards_every_node(a1):
 
 
 def test_integrand_needs_a_sampled_eps(a1):
-    wc = wall_context(a1, None)
+    wc = wall_context(a1)
     g0 = trivial_sector(wc)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
     with pytest.raises(InfeasibleArgs):
         wall.make_integrand(a1.path().x_plus, lp, a1.circuit,
-                            wc.ring_plus[g0.key()])
+                            plus_ring(wc, g0, None))
 
 
 def test_moving_the_line_one_step_picks_up_one_residue(a1):
-    wc = wall_context(a1, 0.0)
+    wc = wall_context(a1)
     g0 = trivial_sector(wc)
-    ring = wc.ring_plus[g0.key()]
+    ring = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
     x = a1.path().x_plus
     near = wall.mb_contour_oracle(x, lp, a1.circuit, ring,
@@ -183,9 +203,9 @@ def test_moving_the_line_one_step_picks_up_one_residue(a1):
 
 
 def test_contour_autoperturbs_off_a_pole(a1):
-    wc = wall_context(a1, 0.0)
+    wc = wall_context(a1)
     g0 = trivial_sector(wc)
-    ring = wc.ring_plus[g0.key()]
+    ring = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
     x = a1.path().x_plus
     moved, diag = wall.mb_contour_oracle(x, lp, a1.circuit, ring,
@@ -199,9 +219,9 @@ def test_contour_autoperturbs_off_a_pole(a1):
 def test_pole_on_contour_when_no_clear_line(a1):
     # a synthetic steep circuit packs ratio-factor poles 0.2 apart, so the
     # requested line and both fallback candidates all sit on poles
-    wc = wall_context(a1, 0.0)
+    wc = wall_context(a1)
     g0 = trivial_sector(wc)
-    ring = wc.ring_plus[g0.key()]
+    ring = plus_ring(wc, g0, 0.0)
     steep = Circuit(h=(1, -5, 1), plus_label="p", minus_label="m")
     with pytest.raises(PoleOnContour):
         wall.mb_contour_oracle((0.5,) * 3, (0, -1, 0), steep, ring,
@@ -215,16 +235,15 @@ def gamma_family_hit(lp, circuit, m):
 
 def test_restored_residues_match_series_terms(pack):
     path = pack.path()
-    w0 = wall_context(pack, 0.0)
-    g0 = trivial_sector(w0)
-    ring0 = w0.ring_plus[g0.key()]
+    wc = wall_context(pack)
+    g0 = trivial_sector(wc)
+    ring0 = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
     for m in (-1, -2):
         res = wall.residue_at(path.x_plus, lp, pack.circuit, ring0,
                               complex(m))
         assert res.norm() < 1e-10, m
-    we = wall_context(pack, 1e-2)
-    ringe = we.ring_plus[g0.key()]
+    ringe = plus_ring(wc, g0, 1e-2)
     checked_nonzero = 0
     for m in (0, 1, 2):
         if gamma_family_hit(lp, pack.circuit, m):
@@ -255,21 +274,19 @@ def shifted_lift(lift, h, m):
 
 @pytest.mark.parametrize("eps", [None, 1e-2])
 def test_coefficients_independent_of_lift(pack, eps):
-    wc = wall_context(pack, eps)
+    wc = wall_context(pack)
     circ = pack.circuit
-    for g in wc.box_plus:
+    for g in wc.plus.box:
         if g.key() not in wc.essential_plus:
             continue
-        ring = wc.ring_plus[g.key()]
+        ring = plus_ring(wc, g, eps)
         base = canonical_lift(pack.data, g, (0,) * pack.data.rank)
         for m in (1, 2, -1):
             other = shifted_lift(base, circ.h, m)
             for k in sorted(circ.I_minus):
                 for r in range(-circ.h[k]):
-                    c1 = wall.coefficient_C(pack.data, circ, pack.t_minus,
-                                            g, k, r, ring, lift=base)
-                    c2 = wall.coefficient_C(pack.data, circ, pack.t_minus,
-                                            g, k, r, ring, lift=other)
+                    c1 = transported_C(pack, g, k, r, ring, base)
+                    c2 = transported_C(pack, g, k, r, ring, other)
                     diff = c1 - c2
                     assert diff.norm() < 1e-12 * max(1.0, c1.norm()), \
                         (g.key(), k, r, m)
