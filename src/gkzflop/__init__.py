@@ -15,12 +15,15 @@ from .errors import (
     NonInteriorPoint,
     NonUnitDegree,
     NotACone,
+    NotATriangulation,
     NotAdjacent,
     NotInvertible,
     ParseError,
     PoleOnContour,
     PoleProximity,
+    PoleRightOfLine,
     RankDeficient,
+    SublatticeIndex,
     TailBoundViolated,
     UncancelledPole,
     UnimplementedPairing,

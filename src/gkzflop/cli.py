@@ -6,11 +6,13 @@ configuration).
 """
 
 import argparse
+import math
 import sys
 import time
 
 from . import report as reporting
-from .errors import GkzflopError, InputError, UnimplementedPairing
+from .errors import (GkzflopError, InputError, NotATriangulation,
+                     UnimplementedPairing)
 from .fixtures import load_fixture
 from .toric import (check_triangulation, compute_box, essential_cones,
                     essential_sectors, find_circuit, is_interior_point,
@@ -52,7 +54,9 @@ def _add_common(sp):
     sp.add_argument("--contour-t", dest="contour_t", type=float,
                     default=14.0, help="contour half-height T")
     sp.add_argument("--contour-re", dest="contour_re", type=float,
-                    default=None, help="override the contour real part s0")
+                    default=None,
+                    help="real part of the integration line (default: "
+                         "placed per orbit generator)")
     sp.add_argument("--amp", type=float, default=None,
                     help="endpoint separation amplitude A")
     sp.add_argument("--y-abs", dest="y_abs", type=float, default=0.1,
@@ -79,6 +83,8 @@ def _validate(args):
         raise InputError("--trunc must be >= 1")
     if args.contour_t <= 0:
         raise InputError("--contour-t must be positive")
+    if args.contour_re is not None and not math.isfinite(args.contour_re):
+        raise InputError("--contour-re must be finite")
     if args.depth < 0:
         raise InputError("--depth must be >= 0")
     if not 0 < args.y_abs:
@@ -101,12 +107,17 @@ def _config_dict(args):
 
 
 def _load(args):
+    """The fixture's data and its plus and minus triangulations, validated."""
     data, ts = load_fixture(args.fixture)
+    validate_toric_data(data)
     for label in (args.plus, args.minus):
         if label not in ts:
             raise InputError(
                 f"no triangulation labeled {label!r}; fixture has "
                 f"{sorted(ts)}")
+        ok, messages = check_triangulation(data, ts[label])
+        if not ok:
+            raise NotATriangulation(f"{label}: {'; '.join(messages)}")
     return data, ts[args.plus], ts[args.minus]
 
 
@@ -125,9 +136,6 @@ def _cone_list(cones):
 
 def cmd_inspect(args):
     data, t_plus, t_minus = _load(args)
-    validate_toric_data(data)
-    for t in (t_plus, t_minus):
-        check_triangulation(data, t)
     circuit = find_circuit(data, t_plus, t_minus)
     dims = {}
     for t in (t_plus, t_minus):
@@ -228,7 +236,8 @@ def cmd_dual_eval(args):
     for t in (t_plus, t_minus):
         chamber = Chamber(data, t)
         module = build_compact_module(chamber)
-        assert all(is_interior_point(data, t, c) for c in battery)
+        assert all(is_interior_point(data, t, c, chamber.facets)
+                   for c in battery)
         for c in battery:
             val = evaluate_gamma_dual(chamber, c, x, policy, module=module)
             body["evaluations"].append({

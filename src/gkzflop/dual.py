@@ -62,8 +62,8 @@ class CompactKModule:
         data, t = chamber.data, chamber.t
         self.data = data
         self.t = t
-        self.generators = tuple(sorted(tuple(sorted(c))
-                                       for c in interior_cones(data, t)))
+        cones = interior_cones(data, t, chamber.facets)
+        self.generators = tuple(sorted(tuple(sorted(c)) for c in cones))
         if not self.generators:
             raise AssertionError("no cone meets the open support cone")
         self.sectors = chamber.box

@@ -41,6 +41,18 @@ class NonInteriorPoint(InputError):
     """A parameter c that must lie in the open cone does not."""
 
 
+class PoleRightOfLine(InputError):
+    """A ratio-factor pole lies right of the line that splits an orbit."""
+
+
+class NotATriangulation(InputError):
+    """The cones given for a triangulation do not form one."""
+
+
+class SublatticeIndex(InputError):
+    """The points span a proper sublattice of the ambient lattice."""
+
+
 class ParseError(InputError):
     """Malformed fixture or configuration file."""
 

@@ -14,6 +14,7 @@ arrays for numeric work.
 """
 
 import cmath
+import functools
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import MonomialUnreduced, NilpotencyUnconfirmed, NotInvertible
 from . import rational
-from .toric import compute_box, sector_label, star_rays
+from .toric import boundary_facets, compute_box, sector_label, star_rays
 
 
 def _monomials(num_gens, max_degree):
@@ -254,7 +255,9 @@ class Chamber:
     a wall: the twisted sectors (`box`) and one SectorAlgebra per sector
     (`algebras`, keyed by sector key).  A command builds one chamber per
     triangulation it uses and passes it down, so every deformation
-    sample and every series evaluation reads the same algebras.
+    sample and every series evaluation reads the same algebras.  The
+    boundary facets of the support cone (`facets`) are found on first
+    use.
     """
 
     def __init__(self, data, t):
@@ -262,6 +265,10 @@ class Chamber:
         self.t = t
         self.box = compute_box(data, t)
         self.algebras = {g.key(): SectorAlgebra(data, t, g) for g in self.box}
+
+    @functools.cached_property
+    def facets(self):
+        return boundary_facets(self.data, self.t)
 
 
 class AlgebraElement:

@@ -305,10 +305,10 @@ def evaluate_gamma(chamber, c, x, policy, circuit=None):
 def evaluate_gamma_dual(chamber, c, x, policy, module=None):
     """Dual series: coefficients on the interior-cone generators."""
     data, t = chamber.data, chamber.t
-    if not is_interior_point(data, t, c):
+    if not is_interior_point(data, t, c, chamber.facets):
         raise NonInteriorPoint(f"{tuple(c)} is not interior")
     xs = _point(x, data.n)
-    interior = set(map(frozenset, interior_cones(data, t)))
+    interior = set(map(frozenset, interior_cones(data, t, chamber.facets)))
     components = {}
     algebras = {}
     counts = {}
@@ -405,7 +405,7 @@ def pde_residuals(chamber, c_list, x, policy, which="primal", circuit=None):
 
     if which == "dual":
         for c in c_set:
-            if not is_interior_point(data, t, c):
+            if not is_interior_point(data, t, c, chamber.facets):
                 raise NonInteriorPoint(f"{c} is not interior")
 
     terms = {}

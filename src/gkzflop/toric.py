@@ -19,6 +19,7 @@ from .errors import (
     NotACone,
     NotAdjacent,
     RankDeficient,
+    SublatticeIndex,
 )
 from . import rational
 
@@ -121,14 +122,21 @@ class Lift:
 
 
 def validate_toric_data(data):
-    """Degree-one and full-rank checks; raises on violation."""
+    """Degree-one, full-rank and Z-span checks; raises on violation."""
     for i, v in enumerate(data.points):
         if len(v) != data.rank:
             raise RankDeficient(f"point {i + 1} has wrong dimension")
         if data.degree(v) != 1:
             raise NonUnitDegree(f"point {i + 1} has degree {data.degree(v)}")
-    if rational.rank([list(v) for v in data.points]) != data.rank:
+    rows = [list(v) for v in data.points]
+    if rational.rank(rows) != data.rank:
         raise RankDeficient("points do not span the lattice over Q")
+    index = 1
+    for row in rational.hnf(rows)[0]:
+        index *= next(x for x in row if x)
+    if index != 1:
+        raise SublatticeIndex(
+            f"points span a sublattice of index {index} in Z^{data.rank}")
     return True
 
 
@@ -449,13 +457,13 @@ def _floor(x):
     return x.numerator // x.denominator
 
 
-def interior_cones(data, t):
+def interior_cones(data, t, facets):
     """Faces of t whose relative interior lies inside the open support cone.
 
     A nonempty face qualifies iff the sum of its rays is an interior
-    point of the support; the empty face never does.
+    point of the support; the empty face never does.  facets are
+    boundary_facets(data, t).
     """
-    facets = boundary_facets(data, t)
     out = []
     for sigma in sorted(t.cones(), key=lambda s: (len(s), sorted(s))):
         if not sigma:
@@ -468,9 +476,11 @@ def interior_cones(data, t):
     return out
 
 
-def is_interior_point(data, t, c):
-    """True when c lies in the open cone spanned by the points."""
-    facets = boundary_facets(data, t)
+def is_interior_point(data, t, c, facets):
+    """True when c lies in the open cone spanned by the points.
+
+    facets are boundary_facets(data, t).
+    """
     if not _in_cone(data, t, c):
         return False
     return all(_apply(mu, c) > 0 for mu in facets)

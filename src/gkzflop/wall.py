@@ -27,13 +27,25 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InfeasibleArgs, NonFiniteValue, PoleOnContour, \
-    PoleProximity, TailBoundViolated
+    PoleProximity, PoleRightOfLine, TailBoundViolated
 from . import kernels
 from .toric import canonical_lift, adjacent_sector, essential_sectors, \
     sector_label
 from .deform import DeformationRing, TWO_PI_I, unit_phase, principal_log
 from .series import TruncationPolicy, enumerate_terms, term_value, \
     scalar_power, nan_max
+
+
+# Line passes of PANELS Gauss-Legendre panels (twice as many when fine) of
+# ORDER nodes, with tails under TAIL_TOL.  A line keeps CLEARANCE from the
+# poles, a node GUARD from every model point.  Left residues reach MAX_DEPTH
+# below the line and stop after three in a row under STOP of their sum.
+# Orbit terms are restored from -M_BACK; the right pole sum ends at M_MAX.
+PANELS, ORDER, TAIL_TOL = 48, 12, 1e-9
+CLEARANCE, GUARD = 0.15, 1e-7
+MAX_DEPTH, STOP = 40, 1e-13
+M_BACK, M_MAX = 25, 30
+INVARIANCE_SEED, INVARIANCE_CLASSES = 7, 20   # random classes, invariance
 
 
 # -- path and endpoints -------------------------------------------------
@@ -93,44 +105,80 @@ def select_endpoints(circuit, amplitude, y_abs):
                     y_abs_plus=y_abs, y_abs_minus=y_minus, arg_y=-math.pi)
 
 
-# -- pole bookkeeping ---------------------------------------------------
+# -- pole model ---------------------------------------------------------
 
 
-def default_contour_re(lprime, circuit):
-    """Vertical-line abscissa with every ratio-factor pole strictly left.
+def pole_model(lprime, circuit, lo, hi):
+    """Exact real points in [lo, hi] where the line integrand is singular.
 
-    The line sits at shift - 1/2 where shift exceeds the largest real
-    part in the gamma families by at least half a unit; integer points
-    below shift fall on the left and their residues are restored in
-    closed form by the caller.
+    Returns sorted (location, kind) pairs, each location a Fraction: the
+    integer points ("integer") and, for k in I_minus, the ratio-factor
+    points (l'_k - w) / (-h_k), w an integer.  For w >= 0 these are poles
+    ("ratio", also where they meet an integer); for w < 0 a zero of
+    1/Gamma(l'_k + s h_k) cancels the pole ("removable": no residue, but
+    at eps = 0 the formula cannot be evaluated there).  Every ratio pole
+    lies at or below max_k |l'_k|.
     """
-    rho = max(Fraction(lprime[k]) / (-circuit.h[k])
-              for k in circuit.I_minus)
-    shift = 1 + max(0, math.floor(rho + Fraction(1, 2)))
-    return shift - 0.5, shift
-
-
-def _min_pole_distance(s0, lprime, circuit):
-    dist = abs(s0 - round(s0))
+    lo, hi = Fraction(lo), Fraction(hi)
+    kinds = {Fraction(m): "integer"
+             for m in range(math.ceil(lo), math.floor(hi) + 1)}
     for k in sorted(circuit.I_minus):
-        hk = circuit.h[k]
-        for w in range(0, 64):
-            re = float(Fraction(lprime[k] - w) / (-hk))
-            dist = min(dist, abs(s0 - re))
-            if re < s0 - 2:
-                break
-    return dist
+        hk, lk = -circuit.h[k], Fraction(lprime[k])
+        for w in range(math.ceil(lk - hk * hi), math.floor(lk - hk * lo) + 1):
+            loc = (lk - w) / hk
+            kinds[loc] = "ratio" if w >= 0 else kinds.get(loc, "removable")
+    return sorted(kinds.items())
+
+
+def _ratio_poles_above(lprime, circuit, lo):
+    top = max(abs(Fraction(v)) for v in lprime)
+    return [p for p, kind in pole_model(lprime, circuit, lo, top)
+            if kind == "ratio"]
+
+
+def place_line(lprime, circuit, s0):
+    """Abscissa of the integration line for one generator.
+
+    s0 None asks for the smallest half-integer >= 1/2 right of every
+    ratio-factor pole.  A line closer than CLEARANCE to a pole (removable
+    points do not count) moves by +0.25, else by -0.25, else fails.
+    """
+    if s0 is None:
+        poles = _ratio_poles_above(lprime, circuit, 0)
+        s0 = math.floor(poles[-1] + Fraction(1, 2)) + 0.5 if poles else 0.5
+    s0 = float(s0)
+    for cand in (s0, s0 + 0.25, s0 - 0.25):
+        near = pole_model(lprime, circuit, cand - 1, cand + 1)
+        if all(kind == "removable" or abs(cand - float(loc)) >= CLEARANCE
+               for loc, kind in near):
+            return cand
+    raise PoleOnContour(f"no clear line near Re s = {s0}")
+
+
+def first_right(lprime, circuit, s0):
+    """First orbit index right of the line Re s = s0.
+
+    The orbit splits there into restored terms and the line integral,
+    which holds only with every ratio-factor pole left of the line.
+    """
+    poles = _ratio_poles_above(lprime, circuit, s0)
+    if poles:
+        raise PoleRightOfLine(f"the line Re s = {s0} has ratio-factor poles "
+                              f"on its right, the largest at s = {poles[-1]}")
+    return math.floor(s0) + 1
 
 
 # -- the integrand ------------------------------------------------------
 
 
-def make_integrand(x, lprime, circuit, ring, form=2, guard=1e-7):
+def make_integrand(x, lprime, circuit, ring, form=2):
     """Closure evaluating I(s) with the s-independent parts hoisted out.
 
     The closure takes one node s or an array of nodes and returns one
     element, or a batch with one row per node.  The ring must be in
     numeric mode (a concrete eps): series-mode values are not batched.
+    A node closer than GUARD to any point of the pole model, removable
+    points included, raises PoleProximity.
     """
     if ring.laurent:
         raise InfeasibleArgs("the line integrand needs a sampled eps")
@@ -153,16 +201,6 @@ def make_integrand(x, lprime, circuit, ring, form=2, guard=1e-7):
     ay = sum(hv * lg.imag for hv, lg in zip(h, logx)) \
         + math.pi * sum(h[j] for j in iminus)
     hm_sum = sum(h[j] for j in iminus)
-
-    def guard_distance(s):
-        # integer points and the two ratio-factor zeros of each family
-        # that straddle Re s
-        dist = np.abs(s - np.round(s.real))
-        for k in iminus:
-            w_near = lp[k].real + s.real * h[k]
-            for w in (np.floor(w_near), np.ceil(w_near)):
-                dist = np.minimum(dist, np.abs(s - (lp[k].real - w) / (-h[k])))
-        return dist
 
     def eval2(s):
         acc = const * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
@@ -189,10 +227,13 @@ def make_integrand(x, lprime, circuit, ring, form=2, guard=1e-7):
 
     def f(s):
         s = np.asarray(s, dtype=complex)
-        near = guard_distance(s) < guard
-        if near.any():
-            raise PoleProximity(f"s = {complex(s[near].flat[0])} too close "
-                                f"to a pole")
+        # only points within GUARD of Re s can lie within GUARD of s
+        near = pole_model(lprime, circuit, s.real.min() - GUARD,
+                          s.real.max() + GUARD)
+        hit = np.abs(s[..., None] - [float(p) for p, _ in near]) < GUARD
+        if hit.any():
+            raise PoleProximity(f"s = {complex(s[hit.any(-1)].flat[0])} too "
+                                f"close to a pole")
         return eval2(s) if form == 2 else eval1(s)
 
     f.decay = (2.0 * math.pi + ay, -ay)   # rates for t -> +inf / -inf
@@ -212,17 +253,14 @@ def _require_finite(values, what):
 class ContourSpec:
     s0: float = None         # None: automatic placement
     height: float = 14.0
-    panels: int = 48
-    order: int = 12
-    tail_tol: float = 1e-9
 
 
-def _line_quadrature(f, s0, height, panels, order):
+def _line_quadrature(f, s0, height, panels):
     """Composite Gauss-Legendre pass with all nodes in one integrand call.
 
     Returns the integral and the integrand values at the nodes.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(ORDER)
     edges = np.linspace(-height, height, panels + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
@@ -232,54 +270,38 @@ def _line_quadrature(f, s0, height, panels, order):
     return (vals * w).sum() * (-1.0 / (2.0 * math.pi)), vals
 
 
-def mb_contour_oracle(x, lprime, circuit, ring, spec=None, form=2):
+def mb_contour_oracle(x, lprime, circuit, ring, spec=None):
     """Numeric value of the line integral, downward orientation.
 
     With this orientation the result equals the right-hand pole sum when
     |y| < 1 and minus the left-hand pole sum when |y| > 1.  Returns the
-    value and a diagnostics dict (automatic abscissa, error estimate
+    value and a diagnostics dict (the placed abscissa s0, error estimate
     from a refined pass, measured tail bounds).
     """
     spec = spec or ContourSpec()
-    if spec.s0 is None:
-        s0, shift = default_contour_re(lprime, circuit)
-    else:
-        s0, shift = float(spec.s0), None
-    if _min_pole_distance(s0, lprime, circuit) < 0.15:
-        for cand in (s0 + 0.25, s0 - 0.25):
-            if _min_pole_distance(cand, lprime, circuit) >= 0.15:
-                s0 = cand
-                break
-        else:
-            raise PoleOnContour(f"no clear line near Re s = {s0}")
-    f = make_integrand(x, lprime, circuit, ring, form=form)
-    coarse, coarse_vals = _line_quadrature(f, s0, spec.height, spec.panels,
-                                           spec.order)
-    fine, fine_vals = _line_quadrature(f, s0, spec.height, 2 * spec.panels,
-                                       spec.order)
-    est = (fine - coarse).norm()
+    s0 = place_line(lprime, circuit, spec.s0)
+    f = make_integrand(x, lprime, circuit, ring)
+    coarse, coarse_vals = _line_quadrature(f, s0, spec.height, PANELS)
+    fine, fine_vals = _line_quadrature(f, s0, spec.height, 2 * PANELS)
     rate_up, rate_dn = f.decay
     if min(rate_up, rate_dn) <= 0:
         raise TailBoundViolated("arg y outside (-2 pi, 0): no decay")
     ends = f(np.array([complex(s0, spec.height), complex(s0, -spec.height)]))
     tail_up, tail_dn = (float(v) for v in ends.norm() / (rate_up, rate_dn))
-    if tail_up + tail_dn > spec.tail_tol:
+    if tail_up + tail_dn > TAIL_TOL:
         raise TailBoundViolated(
             f"measured tails {tail_up:.2e}+{tail_dn:.2e} "
-            f"exceed {spec.tail_tol:.2e}")
+            f"exceed {TAIL_TOL:.2e}")
     _require_finite(coarse_vals, "coarse pass")
     _require_finite(fine_vals, "fine pass")
     _require_finite(ends, "tail probes")
-    diag = {"s0": s0, "shift": shift, "height": spec.height,
-            "panels": 2 * spec.panels, "order": spec.order,
-            "est_error": est, "tail": tail_up + tail_dn}
-    return fine, diag
+    return fine, {"s0": s0, "est_error": (fine - coarse).norm(),
+                  "tail": tail_up + tail_dn}
 
 
-def residue_at(x, lprime, circuit, ring, center, radius=0.25, nodes=64,
-               form=2):
+def residue_at(x, lprime, circuit, ring, center, radius=0.25, nodes=64):
     """Residue by a small positively oriented circle, in one batched call."""
-    f = make_integrand(x, lprime, circuit, ring, form=form)
+    f = make_integrand(x, lprime, circuit, ring)
     z = np.exp(TWO_PI_I * np.arange(nodes) / nodes) * radius
     vals = f(complex(center) + z)
     _require_finite(vals, "residue circle")
@@ -295,56 +317,38 @@ def orbit_sum(x, lprime, circuit, ring, m_from, m_to):
     return acc
 
 
-def orbit_continued(x, lprime, circuit, ring, spec=None, m_back=25):
+def orbit_continued(x, lprime, circuit, ring, spec=None):
     """Continuation of the h-orbit sum of one generator across the wall.
 
-    Equals the closed-form restored residues at the integer points left
-    of the line plus the line integral; on the far side this is the
-    analytic continuation of the near-side orbit sum.
+    The orbit terms left of the integrated line plus the line integral:
+    on the far side, the analytic continuation of the near-side sum.
     """
     q, diag = mb_contour_oracle(x, lprime, circuit, ring, spec)
-    _, shift = default_contour_re(lprime, circuit)
-    back = orbit_sum(x, lprime, circuit, ring, -m_back, shift - 1)
-    return back + q, diag
+    first = first_right(lprime, circuit, diag["s0"])
+    return orbit_sum(x, lprime, circuit, ring, -M_BACK, first - 1) + q, diag
 
 
-def left_residue_sum(x, lprime, circuit, ring, spec=None, stop=1e-13,
-                     max_groups=40):
-    """Sum of all residues left of the line, by grouped circles.
+def left_residue_sum(x, lprime, circuit, ring, s0):
+    """Sum of all residues left of the line Re s = s0, by circles.
 
-    Poles sharing a real location (merged families, integer points hit
-    by a family) are enclosed together, so nearly coinciding poles never
-    force a tiny radius.
+    One circle encloses each pole location of the pole model, so poles
+    sharing it (merged families, integer points hit by a family) never
+    force a tiny radius; the radius, at most 0.2, keeps it off the
+    neighbouring locations.
     """
-    spec = spec or ContourSpec()
-    if spec.s0 is None:
-        s0, _ = default_contour_re(lprime, circuit)
-    else:
-        s0 = float(spec.s0)
-    locations = set()
-    for m in range(math.floor(s0), math.floor(s0) - max_groups, -1):
-        locations.add(Fraction(m))
-    for k in sorted(circuit.I_minus):
-        hk = circuit.h[k]
-        for w in range(0, max_groups * (-hk)):
-            re = Fraction(lprime[k] - w) / (-hk)
-            if re < s0 - max_groups:
-                break
-            if re < s0:
-                locations.add(re)
-    acc = None
-    small = 0
-    for re in sorted(locations, reverse=True):
+    points = pole_model(lprime, circuit, s0 - MAX_DEPTH - 1, s0 + 1)
+    acc, small = None, 0
+    for i in reversed(range(1, len(points) - 1)):
+        re, kind = points[i]
+        if kind == "removable" or not s0 - MAX_DEPTH <= re < s0:
+            continue
+        gap = min(points[i + 1][0] - re, re - points[i - 1][0])
         val = residue_at(x, lprime, circuit, ring, complex(float(re)),
-                         radius=0.2)
+                         radius=min(0.2, 0.4 * float(gap)))
         acc = val if acc is None else acc + val
-        scale = max(acc.norm(), 1.0)
-        if val.norm() < stop * scale:
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
+        small = small + 1 if val.norm() < STOP * max(acc.norm(), 1.0) else 0
+        if small == 3:
+            break
     return acc
 
 
@@ -744,15 +748,14 @@ def continued_vector(wall, eps, c, x, policy=None, spec=None):
 
 
 def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
-                  amplitude=None, c_set=None, spec=None, m_max=30):
-    """Quadrature vs pole sums on both sides, per generator and eps.
+                  amplitude=None, spec=None):
+    """Quadrature vs pole sums on both sides, per generator and eps, at c = 0.
 
     plus and minus are the Chambers of the two triangulations.
     """
     data, t_plus = plus.data, plus.t
     path = select_endpoints(circuit, amplitude, y_abs)
-    if c_set is None:
-        c_set = [(0,) * data.rank]
+    c = (0,) * data.rank
     policy = TruncationPolicy()
     wall = WallContext(circuit, plus, minus)
     checks = []
@@ -762,32 +765,28 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
             if g.key() not in wall.essential_plus:
                 continue
             ring = rings[g.key()]
-            for c in c_set:
-                gens = [t.l for t in enumerate_terms(data, t_plus, c, g,
-                                                     policy, circuit)
-                        if t.generator]
-                for lp in gens:
-                    _, shift = default_contour_re(lp, circuit)
-                    q_p, dg_p = mb_contour_oracle(path.x_plus, lp, circuit,
-                                                  ring, spec)
-                    right = orbit_sum(path.x_plus, lp, circuit, ring,
-                                      shift, m_max)
-                    scale = max(right.norm(), 1.0)
-                    dev_r = (q_p - right).norm() / scale
-                    q_m, dg_m = mb_contour_oracle(path.x_minus, lp, circuit,
-                                                  ring, spec)
-                    left = left_residue_sum(path.x_minus, lp, circuit, ring,
-                                            spec)
-                    scale = max(left.norm(), 1.0)
-                    dev_l = (q_m + left).norm() / scale
-                    checks.append({
-                        "eps": eps, "sector": sector_label(g.key()),
-                        "c": list(c),
-                        "lprime": [str(v) for v in lp],
-                        "right_dev": dev_r, "left_dev": dev_l,
-                        "right_pass": dev_r < 1e-7, "left_pass": dev_l < 1e-6,
-                        "est_error": nan_max(dg_p["est_error"],
-                                             dg_m["est_error"])})
+            for term in enumerate_terms(data, t_plus, c, g, policy, circuit):
+                if not term.generator:
+                    continue
+                lp = term.l
+                q_p, dg_p = mb_contour_oracle(path.x_plus, lp, circuit, ring,
+                                              spec)
+                right = orbit_sum(path.x_plus, lp, circuit, ring,
+                                  first_right(lp, circuit, dg_p["s0"]), M_MAX)
+                dev_r = (q_p - right).norm() / max(right.norm(), 1.0)
+                q_m, dg_m = mb_contour_oracle(path.x_minus, lp, circuit,
+                                              ring, spec)
+                left = left_residue_sum(path.x_minus, lp, circuit, ring,
+                                        dg_m["s0"])
+                dev_l = (q_m + left).norm() / max(left.norm(), 1.0)
+                checks.append({
+                    "eps": eps, "sector": sector_label(g.key()),
+                    "c": list(c),
+                    "lprime": [str(v) for v in lp],
+                    "right_dev": dev_r, "left_dev": dev_l,
+                    "right_pass": dev_r < 1e-7, "left_pass": dev_l < 1e-6,
+                    "est_error": nan_max(dg_p["est_error"],
+                                         dg_m["est_error"])})
     ok = all(c["right_pass"] and c["left_pass"] for c in checks)
     return {"kind": "contour-oracle", "y_abs": [path.y_abs_plus,
                                                 path.y_abs_minus],
@@ -797,7 +796,7 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
 def verify_fm_equals_ac(circuit, plus, minus,
                         eps_samples=(1e-2, 5e-3, 2e-3), depth=2,
                         y_abs=0.1, amplitude=None, policy=None,
-                        spec=None, seed=7, n_classes=20):
+                        spec=None):
     """The full crossing battery: matrices, cancellation, end to end.
 
     plus and minus are the Chambers of the two triangulations; one wall
@@ -853,10 +852,10 @@ def verify_fm_equals_ac(circuit, plus, minus,
     report["end_to_end"] = {"battery": rows, "max_dev": worst_dev,
                             "pass": worst_dev < 1e-6}
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(INVARIANCE_SEED)
     worst_inv = 0.0
     j_used = None
-    for _ in range(n_classes):
+    for _ in range(INVARIANCE_CLASSES):
         poly, j_used = random_nonessential_class(rng, data, circuit,
                                                  t_plus, t_minus)
         src = evaluate_class(minus, rings_minus, poly)
@@ -865,7 +864,7 @@ def verify_fm_equals_ac(circuit, plus, minus,
         scale = max(np.abs(tgt).max(), 1.0)
         worst_inv = nan_max(worst_inv,
                              float(np.abs(got - tgt).max() / scale))
-    report["invariance"] = {"classes": n_classes,
+    report["invariance"] = {"classes": INVARIANCE_CLASSES,
                             "J": [j + 1 for j in (j_used or ())],
                             "max_dev": worst_inv,
                             "pass": worst_inv < 1e-10}

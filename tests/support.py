@@ -3,7 +3,8 @@
 from fractions import Fraction
 from itertools import product
 
-from gkzflop.toric import cone_index
+from gkzflop import rational
+from gkzflop.toric import ToricData, Triangulation, cone_index
 
 
 def brute_force_box_classes(data, t, c, coord_bound=3):
@@ -43,3 +44,28 @@ def run_box_bijection(data, t, c_values=None, coord_bound=3):
         results[c] = (classes, box)
         assert classes == box, (c, classes, box)
     return results
+
+
+def circuit_fixture(h):
+    """(ToricData, {"plus", "minus"}) of the circuit flop with relation h.
+
+    The points are the columns of the Hermite basis of the saturated
+    lattice h^perp, so they span Z^(n-1) and satisfy sum h_j v_j = 0.
+    The degree functional solves deg . v_j = 1, which (1, ..., 1) in
+    h^perp allows.  The two triangulations are
+    T+- = {supp h - {j} : j in I+-}.
+    """
+    basis, _ = rational.hnf(rational.integer_kernel([[v] for v in h]))
+    points = [tuple(row[j] for row in basis) for j in range(len(h))]
+    deg = rational.solve([list(v) for v in points], [1] * len(h))
+    assert deg is not None and all(x.denominator == 1 for x in deg)
+    support = frozenset(j for j, v in enumerate(h) if v)
+
+    def side(sign):
+        return tuple(support - {j} for j in sorted(support)
+                     if sign * h[j] > 0)
+
+    data = ToricData(rank=len(basis), points=tuple(points),
+                     deg=tuple(int(x) for x in deg))
+    return data, {"plus": Triangulation("plus", side(1)),
+                  "minus": Triangulation("minus", side(-1))}

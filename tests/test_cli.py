@@ -9,8 +9,9 @@ import pytest
 from gkzflop import cli, kernels, rings, wall
 from gkzflop import report as reporting
 from gkzflop.deform import DeformationRing, EpsSeries
-from gkzflop.fixtures import load_fixture
+from gkzflop.fixtures import load_fixture, write_fixture
 from gkzflop.toric import compute_box
+from support import circuit_fixture
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -83,6 +84,13 @@ def test_duplicate_eps_rejected(tmp_path):
     assert "distinct" in rep["body"]["message"]
 
 
+def test_nonfinite_contour_re_rejected(tmp_path):
+    status, rep = run_cli(["oracle", "--fixture", "a1", "--contour-re", "inf"],
+                          tmp_path)
+    assert status == 2
+    assert "--contour-re" in rep["body"]["message"]
+
+
 def test_bad_trunc_rejected(tmp_path):
     status, rep = run_cli(["gamma-eval", "--fixture", "a1", "--trunc", "0"],
                           tmp_path)
@@ -99,6 +107,64 @@ def test_swapped_crossing_names_the_fixed_offsets(tmp_path, command):
     assert rep["body"]["error"] == "InfeasibleArgs"
     assert "fixed deformation offsets" in rep["body"]["message"]
     assert "cannot separate the poles" in rep["body"]["message"]
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+def test_moved_line_splits_the_orbit_where_it_integrates(tmp_path, command):
+    # Re s = 1.5 is clear, one step right of the default line: the term
+    # at m = 1 must be restored, not left to the line integral
+    for fixture in ("a1", "conifold"):
+        status, rep = run_cli([command, "--fixture", fixture, "--depth", "0",
+                               "--contour-re", "1.5"], tmp_path)
+        assert status == 0, (fixture, rep["body"])
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+def test_line_left_of_a_ratio_pole_is_input_error(tmp_path, command):
+    for fixture in ("a1", "conifold"):
+        status, rep = run_cli([command, "--fixture", fixture, "--depth", "0",
+                               "--contour-re", "-0.5"], tmp_path)
+        assert status == 2, (fixture, rep["body"])
+        assert rep["body"]["error"] == "PoleRightOfLine"
+        assert "the largest at s = 0" in rep["body"]["message"]
+
+
+@pytest.mark.parametrize("h, flags", [
+    ((2, 3, -3, -2), []),                 # poles 1/6 apart
+    ((1, 4, -5), ["--y-abs", "0.02"]),    # poles 1/5 apart
+], ids=["h=2,3,-3,-2", "h=1,4,-5"])
+def test_residue_circles_fit_between_close_poles(tmp_path, h, flags):
+    path = tmp_path / "circuit.txt"
+    path.write_text(write_fixture(*circuit_fixture(h)))
+    status, rep = run_cli(["oracle", "--fixture", str(path), "--eps", "1e-2",
+                           *flags], tmp_path)
+    assert status == 0, rep["body"]
+
+
+INVALID_FIXTURES = {
+    # point 2 has degree 2
+    "NonUnitDegree": "rank 2\n0 1\n1 2\n2 1\ndeg 0 1\n"
+                     "triangulation plus\n1 2\n2 3\n"
+                     "triangulation minus\n1 3\n",
+    # the one plus cone {1,2} does not cover the cone of the points
+    "NotATriangulation": "rank 2\n0 1\n1 1\n2 1\ndeg 0 1\n"
+                         "triangulation plus\n1 2\n"
+                         "triangulation minus\n1 3\n",
+    # the points span a sublattice of index 3
+    "SublatticeIndex": "rank 3\n0 0 1\n3 0 1\n0 3 1\n1 1 1\ndeg 0 0 1\n"
+                       "triangulation plus\n1 2 4\n2 3 4\n1 3 4\n"
+                       "triangulation minus\n1 2 3\n",
+}
+
+
+@pytest.mark.parametrize("error", sorted(INVALID_FIXTURES))
+def test_every_command_validates_the_fixture(tmp_path, error):
+    path = tmp_path / "bad.txt"
+    path.write_text(INVALID_FIXTURES[error])
+    for command in cli.DISPATCH:
+        status, rep = run_cli([command, "--fixture", str(path)], tmp_path)
+        assert status == 2, (command, rep["body"])
+        assert rep["body"]["error"] == error, command
 
 
 def test_tail_bound_violation_is_runtime_failure(tmp_path):

@@ -129,15 +129,21 @@ def test_adjacent_sector_walk(a1):
 
 
 def test_interior_cones_and_points(a1, conifold):
-    gens = {frozenset(s) for s in interior_cones(a1.data, a1.t_plus)}
+    plus, minus = a1.chamber(a1.t_plus), a1.chamber(a1.t_minus)
+    gens = {frozenset(s) for s in interior_cones(a1.data, a1.t_plus,
+                                                 plus.facets)}
     assert gens == {frozenset({1}), frozenset({0, 1}), frozenset({1, 2})}
-    assert {frozenset(s) for s in interior_cones(a1.data, a1.t_minus)} \
+    assert {frozenset(s) for s in interior_cones(a1.data, a1.t_minus,
+                                                 minus.facets)} \
         == {frozenset({0, 2})}
-    assert is_interior_point(a1.data, a1.t_plus, (1, 1))
-    assert not is_interior_point(a1.data, a1.t_plus, (0, 1))
-    assert not is_interior_point(a1.data, a1.t_plus, (2, 1))
-    assert is_interior_point(conifold.data, conifold.t_plus, (1, 1, 2))
-    assert not is_interior_point(conifold.data, conifold.t_plus, (1, 1, 1))
+    assert is_interior_point(a1.data, a1.t_plus, (1, 1), plus.facets)
+    assert not is_interior_point(a1.data, a1.t_plus, (0, 1), plus.facets)
+    assert not is_interior_point(a1.data, a1.t_plus, (2, 1), plus.facets)
+    cplus = conifold.chamber(conifold.t_plus)
+    assert is_interior_point(conifold.data, conifold.t_plus, (1, 1, 2),
+                             cplus.facets)
+    assert not is_interior_point(conifold.data, conifold.t_plus, (1, 1, 1),
+                                 cplus.facets)
 
 
 def test_degenerate_triangulation_is_rejected(a1):

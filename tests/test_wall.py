@@ -174,9 +174,12 @@ def test_batched_integrand_guards_every_node(a1):
     f = wall.make_integrand(a1.path().x_plus, lp, a1.circuit, ring)
     s = 0.5 + 1j * np.linspace(-3.0, 3.0, 24)
     f(s)
-    s[17] = 2.0 + 1e-9
-    with pytest.raises(PoleProximity):
-        f(s)
+    # an integer point, and a removable point: 1/Gamma(-2) cancels the
+    # ratio-factor pole at s = 1/2, yet the formula gives 0 there
+    for bad in (2.0 + 1e-9, 0.5):
+        s[17] = bad
+        with pytest.raises(PoleProximity):
+            f(s)
 
 
 def test_integrand_needs_a_sampled_eps(a1):
@@ -186,6 +189,14 @@ def test_integrand_needs_a_sampled_eps(a1):
     with pytest.raises(InfeasibleArgs):
         wall.make_integrand(a1.path().x_plus, lp, a1.circuit,
                             plus_ring(wc, g0, None))
+
+
+def test_pole_model_kinds_on_a1(a1):
+    # l' = (0, -1, 0), h = (1, -2, 1): ratio-factor points (-1 - w) / 2
+    got = wall.pole_model((0, -1, 0), a1.circuit, -1, 1)
+    assert got == [(-1, "ratio"), (Fraction(-1, 2), "ratio"), (0, "integer"),
+                   (Fraction(1, 2), "removable"), (1, "integer")]
+    assert wall.pole_model((0, -1, 0), a1.circuit, 0.1, 0.4) == []
 
 
 def test_moving_the_line_one_step_picks_up_one_residue(a1):
