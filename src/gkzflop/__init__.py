@@ -9,6 +9,7 @@ from .errors import (
     Infeasible,
     InfeasibleArgs,
     InputError,
+    LocalizationRankDeficient,
     MonomialUnreduced,
     NilpotencyUnconfirmed,
     NonFiniteValue,

@@ -21,8 +21,8 @@ from .rings import Chamber
 from .series import TruncationPolicy, evaluate_gamma, evaluate_gamma_dual
 from .dual import PairingStub, build_compact_module, dual_transform_status
 from .wall import (ContourSpec, WallContext, ac_transform, c_battery,
-                   fm_transform, oracle_report, select_endpoints,
-                   verify_fm_equals_ac)
+                   fm_transform, invertibility, oracle_report,
+                   select_endpoints, verify_fm_equals_ac)
 
 SUBCOMMANDS = (
     ("inspect", "fixture combinatorics: points, triangulations, circuit"),
@@ -267,7 +267,6 @@ def _matrix_out(m):
 
 
 def _transform_body(args, route):
-    import numpy as np
     data, t_plus, t_minus = _load(args)
     circuit = find_circuit(data, t_plus, t_minus)
     eps_list = args.eps if args.eps else [1e-2]
@@ -278,9 +277,9 @@ def _transform_body(args, route):
     ok = True
     for eps in eps_list:
         m = builder(wall, eps)
-        det = abs(np.linalg.det(m.entries))
-        ok = ok and det > 1e-6
-        samples.append({"eps": eps, "det": det, **_matrix_out(m)})
+        sizes, invertible = invertibility(m.entries)
+        ok = ok and invertible
+        samples.append({"eps": eps, **sizes, **_matrix_out(m)})
     m0 = builder(wall, None)
     return {"route": route, "samples": samples,
             "undeformed_limit": _matrix_out(m0),

@@ -253,7 +253,10 @@ def _taylor_recip(z, d):
         s = d.scalar_part
         n = d.nilpotent_part()
         mmax = d.algebra.zero_degree - 1
-        center = (1 + z if isinstance(z, np.ndarray) else complex(1 + z)) + s
+        # exact z (Fractions, alone or in an object array) meets the
+        # float center only after 1 + z is formed exactly
+        center = np.asarray(1 + z + s, dtype=complex) \
+            if isinstance(z, np.ndarray) else complex(1 + z) + s
         c = kernels.recip_gamma_series(center, mmax)
         acc = d.algebra.scalar(c[..., mmax])
         for m in range(mmax - 1, -1, -1):
@@ -280,6 +283,22 @@ def _one_like(d):
     return constant_series(d.algebra, d.algebra.one(), max(d.order, 1))
 
 
+def falling_products(d, m_max, start=0):
+    """Running products prod_{start <= i < m} (d - i) for m = 1, ..., m_max.
+
+    Each product extends the previous one by one factor; an empty
+    product is one.  These are the functional-equation factors of
+    1/Gamma(1 - m + d).
+    """
+    acc = _one_like(d)
+    out = []
+    for i in range(m_max):
+        if i >= start:
+            acc = acc * (d - i)
+        out.append(acc)
+    return out
+
+
 def reciprocal_gamma_shifted(z, d):
     """1/Gamma(1 + z + d) for z and a nilpotent or deformed shift d.
 
@@ -291,11 +310,7 @@ def reciprocal_gamma_shifted(z, d):
     """
     zq = _as_exact(z)
     if isinstance(zq, Fraction) and zq.denominator == 1 and zq <= -1:
-        m = -int(zq)
-        acc = _one_like(d)
-        for j in range(m):
-            acc = acc * (d - j)
-        return acc * _taylor_recip(0, d)
+        return falling_products(d, -int(zq))[-1] * _taylor_recip(0, d)
     return _taylor_recip(zq, d)
 
 
@@ -308,11 +323,7 @@ def reciprocal_gamma_stripped(z, d):
     zq = _as_exact(z)
     assert isinstance(zq, Fraction) and zq.denominator == 1 and zq <= -1, \
         "stripping requires a negative integer scalar part"
-    m = -int(zq)
-    acc = _one_like(d)
-    for j in range(1, m):
-        acc = acc * (d - j)
-    return acc * _taylor_recip(0, d)
+    return falling_products(d, -int(zq), start=1)[-1] * _taylor_recip(0, d)
 
 
 def localization_point(algebra):

@@ -97,5 +97,9 @@ class MonomialUnreduced(GkzflopError):
     """A monomial of a sector algebra is missing from its reduction table."""
 
 
+class LocalizationRankDeficient(GkzflopError):
+    """No Laurent monomials found whose localization values span the side."""
+
+
 class UnimplementedPairing(GkzflopError):
     """The bilinear pairing slots are declared but intentionally absent."""

@@ -13,6 +13,11 @@ families by exact term pairing: the derivative recursion maps the term
 at l to the term at l - e_i through the Gamma functional equation, so
 matched descriptor pairs contribute a residual of exactly zero and only
 truncation-boundary terms carry a numeric bound.
+
+Terms are evaluated in batches (term_values): a list of exponent tuples
+becomes one element batch, with one Gamma-kernel call per coordinate
+for all its distinct values, and sums over the batch add its rows in
+term order.
 """
 
 import cmath
@@ -21,13 +26,15 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BranchCut, DivergenceSuspected, InfeasibleArgs, \
     NonInteriorPoint
 from . import rational
 from .toric import essential_cones, interior_cones, is_interior_point, \
     canonical_lift
-from .deform import DeformationRing, TWO_PI_I, principal_log, \
-    reciprocal_gamma_stripped
+from .deform import DeformationRing, TWO_PI_I, falling_products, \
+    principal_log
 
 
 @dataclass(frozen=True)
@@ -107,9 +114,12 @@ def _term_support(l):
                      if not (v.denominator == 1 and v >= 0))
 
 
+def _negative_integer(v):
+    return v.denominator == 1 and v < 0
+
+
 def _negative_support(l):
-    return frozenset(i for i, v in enumerate(l)
-                     if v.denominator == 1 and v < 0)
+    return frozenset(i for i, v in enumerate(l) if _negative_integer(v))
 
 
 def scalar_power(x, e):
@@ -202,33 +212,89 @@ def enumerate_terms(data, t, c, gamma, policy, circuit=None):
     return out
 
 
-def term_value(x, l, ring):
-    """prod_j x_j^{l_j + D~_j/2pi i} / Gamma(1 + l_j + D~_j/2pi i)."""
-    acc = ring.one()
-    for j, lj in enumerate(l):
+def _recip_gamma_rows(values, d, ring, dual):
+    """Coordinates of 1/Gamma(1 + v + d), one row per sorted distinct v.
+
+    Every v that is not a negative integer, and 0 when some v is, goes
+    through one batched ring.recip_gamma call.  A negative integer v = -m
+    takes the functional-equation product prod_{i<m} (d - i) times the
+    value at 0; the products for successive m extend each other.  dual
+    strips the leading factor d: the product starts at i = 1.
+    """
+    neg = [v for v in values if _negative_integer(v)]
+    zs = set(values).difference(neg)
+    if neg:
+        zs.add(Fraction(0))
+    zs = sorted(zs)
+    batch = ring.recip_gamma(np.array(zs, dtype=object), d)
+    rows = dict(zip(zs, batch.coords))
+    if neg:
+        at_zero = d.algebra.element(rows[Fraction(0)])
+        products = falling_products(d, -int(neg[0]), start=int(dual))
+        for v in neg:
+            rows[v] = (products[-int(v) - 1] * at_zero).coords
+    return np.array([rows[v] for v in values])
+
+
+def term_values(x, ls, ring, dual=False):
+    """prod_j x_j^{l_j + D~_j/2pi i} / Gamma(1 + l_j + D~_j/2pi i), batched.
+
+    One row per exponent tuple of ls: an element batch of shape
+    (len(ls), dim).  Per coordinate j the branched power is formed once
+    and each distinct exact l_j is evaluated once (_recip_gamma_rows),
+    then gathered back to its rows; the factors are multiplied in
+    coordinate order, as one term at a time would.  dual=True gives the
+    dual-series coefficients: for l_j < 0 integral the reciprocal-Gamma
+    factor is divisible by D_j/2pi i, and that leading factor is removed
+    (the 1/2pi i kept), realizing the divided coefficient that
+    multiplies the generator of the support cone.
+
+    The ring must be in numeric mode (a concrete eps).
+    """
+    if ring.laurent:
+        raise InfeasibleArgs("series terms need a sampled eps")
+    ls = list(ls)
+    acc = ring.algebra.scalar(np.ones(len(ls)))
+    if not ls:
+        return acc
+    for j, xj in enumerate(x):
         d = ring.divisor(j) * (1.0 / TWO_PI_I)
-        acc = acc * ring.branched_power(x[j], d) * scalar_power(x[j], lj)
-        acc = acc * ring.recip_gamma(lj, d)
+        column = [l[j] for l in ls]
+        values = sorted(set(column))
+        index = {v: i for i, v in enumerate(values)}
+        take = np.array([index[v] for v in column], dtype=int)
+        powers = np.array([scalar_power(xj, v) for v in values])
+        rows = _recip_gamma_rows(values, d, ring, dual)
+        acc = acc * ring.branched_power(xj, d) * powers[take]
+        acc = acc * d.algebra.element(rows[take])
+        if dual:
+            stripped = np.array([_negative_integer(v) for v in column])
+            acc.coords[stripped] *= 1.0 / TWO_PI_I
     return acc
+
+
+def term_value(x, l, ring):
+    """The term at one exponent tuple: the one row of term_values."""
+    return ring.algebra.element(term_values(x, [l], ring).coords[0])
 
 
 def dual_term_value(x, l, ring):
-    """Dual-series coefficient: negative-integer factors are stripped.
+    """The dual-series coefficient at one tuple (term_values, dual=True)."""
+    return ring.algebra.element(
+        term_values(x, [l], ring, dual=True).coords[0])
 
-    For i with l_i < 0 integral the reciprocal-Gamma factor is divisible
-    by D_i/2pi i; that leading factor is removed (and the 1/2pi i kept),
-    realizing the divided coefficient that multiplies the generator of
-    the support cone.
+
+def sum_rows(batch, rows=None):
+    """Sum of the batch's rows (all, or those that rows selects).
+
+    The rows are added in order, starting from zero, as a loop over
+    terms adds them; numpy's own sum over the batch axis pairs rows up
+    when the algebra has dimension 1.
     """
-    acc = ring.one()
-    for j, lj in enumerate(l):
-        d = ring.divisor(j) * (1.0 / TWO_PI_I)
-        acc = acc * ring.branched_power(x[j], d) * scalar_power(x[j], lj)
-        if lj.denominator == 1 and lj < 0:
-            acc = acc * reciprocal_gamma_stripped(lj, d) * (1.0 / TWO_PI_I)
-        else:
-            acc = acc * ring.recip_gamma(lj, d)
-    return acc
+    coords = batch.coords if rows is None else batch.coords[rows]
+    if not len(coords):
+        return batch.algebra.zero()
+    return batch.algebra.element(np.cumsum(coords, axis=0)[-1] + 0.0)
 
 
 def _point(x, n):
@@ -275,23 +341,16 @@ def evaluate_gamma(chamber, c, x, policy, circuit=None):
     for gamma in chamber.box:
         alg = chamber.algebras[gamma.key()]
         ring = DeformationRing(alg, eps=0.0)
-        acc = alg.zero()
-        acc_e = alg.zero()
-        acc_n = alg.zero()
         terms = enumerate_terms(data, t, c, gamma, policy, circuit)
-        for term in terms:
-            v = term_value(xs, term.l, ring)
-            acc = acc + v
-            if term.essential:
-                acc_e = acc_e + v
-            else:
-                acc_n = acc_n + v
-            shells[term.degree] += v.norm()
+        values = term_values(xs, [term.l for term in terms], ring)
+        essential = np.array([term.essential for term in terms], dtype=bool)
+        for term, norm in zip(terms, values.norm()):
+            shells[term.degree] += float(norm)
         key = gamma.key()
         algebras[key] = alg
-        total[key] = acc
-        ess[key] = acc_e
-        ness[key] = acc_n
+        total[key] = sum_rows(values)
+        ess[key] = sum_rows(values, essential)
+        ness[key] = sum_rows(values, ~essential)
         counts[key] = len(terms)
     tail = _tail_scan(shells)
     if policy.tail_check and tail["checked"] and not tail["ratio"] < 1.0:
@@ -319,15 +378,14 @@ def evaluate_gamma_dual(chamber, c, x, policy, module=None):
         key = gamma.key()
         algebras[key] = alg
         counts[key] = len(terms)
-        for term in terms:
+        values = term_values(xs, [term.l for term in terms], ring, dual=True)
+        groups = {}
+        for i, term in enumerate(terms):
             assert term.support in interior, \
                 "support of an interior-point term must be an interior cone"
-            v = dual_term_value(xs, term.l, ring)
-            ckey = (key, tuple(sorted(term.support)))
-            if ckey in components:
-                components[ckey] = components[ckey] + v
-            else:
-                components[ckey] = v
+            groups.setdefault((key, tuple(sorted(term.support))), []).append(i)
+        for ckey, rows in groups.items():
+            components[ckey] = sum_rows(values, rows)
     reduced = module.reduce_components(components) if module is not None \
         else None
     return DualGammaValue(components=components, algebras=algebras,
@@ -401,7 +459,6 @@ def pde_residuals(chamber, c_list, x, policy, which="primal", circuit=None):
     c_set = {tuple(int(v) for v in c) for c in c_list}
     box, algebras = chamber.box, chamber.algebras
     rings = {k: DeformationRing(a, eps=0.0) for k, a in algebras.items()}
-    value_fn = term_value if which == "primal" else dual_term_value
 
     if which == "dual":
         for c in c_set:
@@ -427,7 +484,7 @@ def pde_residuals(chamber, c_list, x, policy, which="primal", circuit=None):
             if cn not in c_set:
                 continue
             matched = zero_images = boundary = mismatches = 0
-            boundary_max = 0.0
+            edges = defaultdict(list)     # sector key -> boundary images
             for gamma in box:
                 key = gamma.key()
                 alg = algebras[key]
@@ -456,10 +513,13 @@ def pde_residuals(chamber, c_list, x, policy, which="primal", circuit=None):
                     if sum(abs(v) for v in img) > policy.degree_bound:
                         boundary += 1
                         if in_cone:
-                            mag = value_fn(xs, img, rings[key]).norm()
-                            boundary_max = nan_max(boundary_max, mag)
+                            edges[key].append(img)
                         continue
                     mismatches += 1
+            boundary_max = nan_max(0.0, *(
+                norm for key, imgs in edges.items()
+                for norm in term_values(xs, imgs, rings[key],
+                                        dual=which == "dual").norm()))
             pairs.append({
                 "c": list(c), "i": i + 1, "matched": matched,
                 "zero_images": zero_images, "boundary_count": boundary,

@@ -26,14 +26,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InfeasibleArgs, NonFiniteValue, PoleOnContour, \
-    PoleProximity, PoleRightOfLine, TailBoundViolated
-from . import kernels
+from .errors import InfeasibleArgs, LocalizationRankDeficient, \
+    NonFiniteValue, PoleOnContour, PoleProximity, PoleRightOfLine, \
+    TailBoundViolated
 from .toric import canonical_lift, adjacent_sector, essential_sectors, \
     sector_label
 from .deform import DeformationRing, TWO_PI_I, unit_phase, principal_log
-from .series import TruncationPolicy, enumerate_terms, term_value, \
-    scalar_power, nan_max
+from .rings import algebra_exp
+from .series import TruncationPolicy, enumerate_terms, term_values, \
+    sum_rows, scalar_power, nan_max
 
 
 # Line passes of PANELS Gauss-Legendre panels (twice as many when fine) of
@@ -46,6 +47,7 @@ CLEARANCE, GUARD = 0.15, 1e-7
 MAX_DEPTH, STOP = 40, 1e-13
 M_BACK, M_MAX = 25, 30
 INVARIANCE_SEED, INVARIANCE_CLASSES = 7, 20   # random classes, invariance
+RCOND_MIN = 1e-8     # smallest sigma_min / sigma_max of a sampled transform
 
 
 # -- path and endpoints -------------------------------------------------
@@ -171,7 +173,7 @@ def first_right(lprime, circuit, s0):
 # -- the integrand ------------------------------------------------------
 
 
-def make_integrand(x, lprime, circuit, ring, form=2):
+def make_integrand(x, lprime, circuit, ring):
     """Closure evaluating I(s) with the s-independent parts hoisted out.
 
     The closure takes one node s or an array of nodes and returns one
@@ -197,33 +199,8 @@ def make_integrand(x, lprime, circuit, ring, form=2):
     const = ring.one()
     for j in range(n):
         const = const * bp[j] * scalar_power(x[j], lprime[j])
-    logy = sum(hv * lg.real for hv, lg in zip(h, logx))
     ay = sum(hv * lg.imag for hv, lg in zip(h, logx)) \
         + math.pi * sum(h[j] for j in iminus)
-    hm_sum = sum(h[j] for j in iminus)
-
-    def eval2(s):
-        acc = const * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
-        for j in iminus:
-            den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lp[j] + s * h[j]))
-            acc = acc * nums[j] * ring.inv(den)
-        for j in range(n):
-            e = lp[j] + s * h[j]
-            if h[j]:
-                acc = acc * np.exp(e * logx[j] - lp[j] * logx[j])
-            acc = acc * ring.recip_gamma(e, d[j])
-        return acc
-
-    def eval1(s):
-        pref = -np.exp(kernels.log_gamma(-s) + kernels.log_gamma(1.0 + s))
-        grow = np.exp(s * complex(logy, ay + math.pi * (1 - hm_sum)))
-        acc = const * (pref * grow)
-        for j in iminus:
-            den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lp[j] + s * h[j]))
-            acc = acc * nums[j] * ring.inv(den)
-        for j in range(n):
-            acc = acc * ring.recip_gamma(lp[j] + s * h[j], d[j])
-        return acc
 
     def f(s):
         s = np.asarray(s, dtype=complex)
@@ -234,7 +211,16 @@ def make_integrand(x, lprime, circuit, ring, form=2):
         if hit.any():
             raise PoleProximity(f"s = {complex(s[hit.any(-1)].flat[0])} too "
                                 f"close to a pole")
-        return eval2(s) if form == 2 else eval1(s)
+        acc = const * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
+        for j in iminus:
+            den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lp[j] + s * h[j]))
+            acc = acc * nums[j] * ring.inv(den)
+        for j in range(n):
+            e = lp[j] + s * h[j]
+            if h[j]:
+                acc = acc * np.exp(e * logx[j] - lp[j] * logx[j])
+            acc = acc * ring.recip_gamma(e, d[j])
+        return acc
 
     f.decay = (2.0 * math.pi + ay, -ay)   # rates for t -> +inf / -inf
     f.arg_y = ay
@@ -309,12 +295,10 @@ def residue_at(x, lprime, circuit, ring, center, radius=0.25, nodes=64):
 
 
 def orbit_sum(x, lprime, circuit, ring, m_from, m_to):
-    """Plain sum of the h-orbit terms m_from <= m <= m_to."""
-    acc = ring.zero()
-    for m in range(m_from, m_to + 1):
-        l = tuple(v + m * hv for v, hv in zip(lprime, circuit.h))
-        acc = acc + term_value(x, l, ring)
-    return acc
+    """Plain sum of the h-orbit terms m_from <= m <= m_to, one batch."""
+    ls = [tuple(v + m * hv for v, hv in zip(lprime, circuit.h))
+          for m in range(m_from, m_to + 1)]
+    return sum_rows(term_values(x, ls, ring))
 
 
 def orbit_continued(x, lprime, circuit, ring, spec=None):
@@ -476,22 +460,42 @@ class WallContext:
                 for key, alg in chamber.algebras.items()}
 
 
-def _phi_at_localization(ring, coords, b):
-    """Value of the Laurent monomial R^b at r_j = e^{D~_j + 2 pi i g_j}."""
-    phase = unit_phase(sum(Fraction(bj) * g for bj, g in zip(b, coords)))
-    combo = None
-    for j, bj in enumerate(b):
-        if bj == 0:
-            continue
-        piece = ring.divisor(j) * float(bj)
-        combo = piece if combo is None else combo + piece
-    if combo is None:
-        return ring.one() * phase
-    return ring.exp(combo) * phase
+def _localization_values(ring, coords, mons):
+    """Values of the Laurent monomials R^b at r_j = e^{D~_j + 2 pi i g_j}.
+
+    One batch row per exponent b of mons: one batched algebra_exp of the
+    combinations sum_j b_j D~_j, times the exact phase e^{2 pi i b.g} of
+    each b.  A Laurent ring gives the eps^0 coefficients: R^b has no
+    pole in eps, and every caller reads eps^0 alone.
+    """
+    alg = ring.algebra
+    b = np.array(mons, dtype=float).reshape(len(mons), alg.data.n)
+    combo = np.zeros((len(mons), alg.dim), dtype=complex)
+    for j in range(alg.data.n):
+        div = alg.divisor(j) if ring.laurent else ring.divisor(j)
+        combo = combo + b[:, j, None] * div.coords
+    # b.g exactly, over the common denominator of the sector coordinates
+    den = math.lcm(*(g.denominator for g in coords))
+    nums = [int(g * den) for g in coords]
+    phases = np.array([unit_phase(Fraction(sum(bj * nj for bj, nj
+                                               in zip(bb, nums)), den))
+                       for bb in mons], dtype=complex)
+    return algebra_exp(alg.element(combo)) * phases
+
+
+def localization_matrix(chamber, rings, mons):
+    """Localization values of the monomials R^b, one stacked row per b."""
+    return np.concatenate([_localization_values(rings[g.key()], g.coords,
+                                                mons).coords
+                           for g in chamber.box], axis=1)
 
 
 def monomial_basis(wall):
-    """Laurent exponents picked greedily to a full-rank localization image."""
+    """Laurent exponents picked greedily to a full-rank localization image.
+
+    Candidates go by total degree sum |b_j|, sorted within a degree; the
+    localization values of one degree are evaluated as one batch.
+    """
     minus = wall.minus
     target = len(wall.cols)
     n = minus.data.n
@@ -499,33 +503,31 @@ def monomial_basis(wall):
     chosen = []
     rows = []
 
-    def candidates():
-        yield (0,) * n
-        deg = 1
-        while deg <= 3 * target:
-            opts = []
+    def of_degree(deg):
+        opts = []
 
-            def grow(prefix, rem):
-                if len(prefix) == n:
-                    if rem == 0:
-                        opts.append(tuple(prefix))
-                    return
-                for v in range(-rem, rem + 1):
-                    grow(prefix + [v], rem - abs(v))
-            grow([], deg)
-            for b in sorted(opts):
-                yield b
-            deg += 1
+        def grow(prefix, rem):
+            if len(prefix) == n:
+                if rem == 0:
+                    opts.append(tuple(prefix))
+                return
+            for v in range(-rem, rem + 1):
+                grow(prefix + [v], rem - abs(v))
+        grow([], deg)
+        return sorted(opts)
 
-    for b in candidates():
-        col = evaluate_class(minus, rings0, {b: 1})
-        trial = rows + [col]
-        if np.linalg.matrix_rank(np.array(trial), tol=1e-9) > len(rows):
-            chosen.append(b)
-            rows.append(col)
-            if len(chosen) == target:
-                return tuple(chosen)
-    raise AssertionError("localization image never reached full rank")
+    for deg in range(3 * target + 1):
+        cands = of_degree(deg)
+        for b, col in zip(cands, localization_matrix(minus, rings0, cands)):
+            trial = rows + [col]
+            if np.linalg.matrix_rank(np.array(trial), tol=1e-9) > len(rows):
+                chosen.append(b)
+                rows.append(col)
+                if len(chosen) == target:
+                    return tuple(chosen)
+    raise LocalizationRankDeficient(
+        f"the localization values of the Laurent monomials up to degree "
+        f"{3 * target} span {len(chosen)} of {target} dimensions")
 
 
 def _stack(chamber, per_sector):
@@ -562,15 +564,18 @@ def _transform(wall, eps, route):
                 (k, r, angles[route][1],
                  coefficient_C(circuit, g, k, angles[route], ring))
                 for k, r, angles in wall.poles[g.key()]]
+    local = {g.key(): _localization_values(rings_plus[g.key()], g.coords,
+                                           mons).coords
+             for g in plus.box if g.key() not in residues}
     raw_cols = []
     principal = 0.0
-    for b in mons:
+    for i, b in enumerate(mons):
         values = {}
         for g in plus.box:
             key = g.key()
             ring = rings_plus[key]
             if key not in residues:
-                values[key] = _phi_at_localization(ring, g.coords, b)
+                values[key] = ring.algebra.element(local[key][i])
                 continue
             acc = None
             for k, r, coords2, c_kr in residues[key]:
@@ -604,8 +609,7 @@ def _transform(wall, eps, route):
         col, worst = _column_entries(plus, rings_plus, values)
         principal = nan_max(principal, worst)
         raw_cols.append(col)
-    loc = np.array([evaluate_class(minus, rings_minus, {b: 1}) for b in mons],
-                   dtype=complex).T
+    loc = localization_matrix(minus, rings_minus, mons).T
     colmat = np.array(raw_cols, dtype=complex).T
     entries = colmat @ np.linalg.inv(loc)
     prov = "ac-residue" if route == "transport" else "fm-residue"
@@ -613,6 +617,22 @@ def _transform(wall, eps, route):
                            row_index=wall.rows, col_index=wall.cols,
                            entries=entries, eps=eps, provenance=prov,
                            principal_ratio=principal)
+
+
+def invertibility(entries):
+    """|det| and rcond = sigma_min / sigma_max of a transform, and the gate.
+
+    The gate reads rcond > RCOND_MIN, which does not depend on the scale
+    of the monomial basis that |det| carries.  Non-finite entries give
+    rcond NaN, which fails.
+    """
+    det = float(abs(np.linalg.det(entries)))
+    if np.isfinite(entries).all():
+        sv = np.linalg.svd(entries, compute_uv=False)
+        rcond = float(sv[-1] / sv[0]) if sv[0] else 0.0
+    else:
+        rcond = math.nan
+    return {"det": det, "rcond": rcond}, rcond > RCOND_MIN
 
 
 def ac_transform(wall, eps):
@@ -691,18 +711,13 @@ def random_nonessential_class(rng, data, circuit, t_plus, t_minus):
 def evaluate_class(chamber, rings, poly):
     """Localization values of a Laurent combination, one flat vector.
 
-    rings are the chamber's DeformationRings at one eps; a Laurent value
-    is read off at eps^0.
+    rings are the chamber's DeformationRings at one eps (at eps^0 for a
+    Laurent ring).  The monomials are added in sorted order.
     """
-    per = {}
-    for g in chamber.box:
-        ring = rings[g.key()]
-        acc = None
-        for b, cf in sorted(poly.items()):
-            val = _phi_at_localization(ring, g.coords, b) * cf
-            acc = val if acc is None else acc + val
-        per[g.key()] = ring.eps_zero(acc)
-    return _stack(chamber, per)
+    mons = sorted(poly)
+    cfs = np.array([poly[b] for b in mons], dtype=complex)
+    rows = localization_matrix(chamber, rings, mons) * cfs[:, None]
+    return np.cumsum(rows, axis=0)[-1]
 
 
 def gamma_vector(chamber, rings, c, x, policy=None):
@@ -710,11 +725,9 @@ def gamma_vector(chamber, rings, c, x, policy=None):
     policy = policy or TruncationPolicy()
     per = {}
     for g in chamber.box:
-        ring = rings[g.key()]
-        acc = ring.zero()
-        for term in enumerate_terms(chamber.data, chamber.t, c, g, policy):
-            acc = acc + term_value(x, term.l, ring)
-        per[g.key()] = acc
+        terms = enumerate_terms(chamber.data, chamber.t, c, g, policy)
+        per[g.key()] = sum_rows(term_values(x, [term.l for term in terms],
+                                            rings[g.key()]))
     return _stack(chamber, per)
 
 
@@ -733,8 +746,10 @@ def continued_vector(wall, eps, c, x, policy=None, spec=None):
     for g in plus.box:
         ring = rings[g.key()]
         acc = ring.zero()
-        for term in enumerate_terms(plus.data, plus.t, c, g, policy,
-                                    wall.circuit):
+        terms = enumerate_terms(plus.data, plus.t, c, g, policy, wall.circuit)
+        leftovers = iter(term_values(
+            x, [term.l for term in terms if not term.essential], ring).coords)
+        for term in terms:
             if term.generator:
                 val, diag = orbit_continued(x, term.l, wall.circuit, ring,
                                             spec)
@@ -742,7 +757,7 @@ def continued_vector(wall, eps, c, x, policy=None, spec=None):
                 for key in worst:
                     worst[key] = nan_max(worst[key], diag[key])
             elif not term.essential:
-                acc = acc + term_value(x, term.l, ring)
+                acc = acc + ring.algebra.element(next(leftovers))
         per[g.key()] = acc
     return _stack(plus, per), worst
 
@@ -818,9 +833,9 @@ def verify_fm_equals_ac(circuit, plus, minus,
         fm = fm_transform(wall, eps)
         scale = max(np.abs(fm.entries).max(), 1.0)
         dev = float(np.abs(ac.entries - fm.entries).max() / scale)
-        det = float(abs(np.linalg.det(fm.entries)))
-        samples.append({"eps": eps, "matrix_dev": dev, "det": det,
-                        "pass": dev < 1e-10 and det > 1e-6})
+        sizes, invertible = invertibility(fm.entries)
+        samples.append({"eps": eps, "matrix_dev": dev, **sizes,
+                        "pass": dev < 1e-10 and invertible})
     report["matrix"] = {"samples": samples,
                         "pass": all(s["pass"] for s in samples)}
 

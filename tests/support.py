@@ -1,9 +1,14 @@
 """Shared helpers for the test suite."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
-from gkzflop import rational
+import numpy as np
+
+from gkzflop import kernels, rational
+from gkzflop.deform import TWO_PI_I, principal_log, unit_phase
+from gkzflop.series import scalar_power
 from gkzflop.toric import ToricData, Triangulation, cone_index
 
 
@@ -69,3 +74,44 @@ def circuit_fixture(h):
                      deg=tuple(int(x) for x in deg))
     return data, {"plus": Triangulation("plus", side(1)),
                   "minus": Triangulation("minus", side(-1))}
+
+
+def reference_integrand(x, lprime, circuit, ring):
+    """The line integrand in its Gamma-ratio form, node by node or batched.
+
+    Independent of wall.make_integrand's form: pi/sin(pi s) is written
+    -Gamma(-s) Gamma(1 + s) and the x-dependence of the s-shift is the
+    single power y^s, in place of 2 pi i/(1 - e^{-2 pi i s}) and one
+    power of x_j per coordinate.  It has no node guard.
+    """
+    x = tuple(complex(v) for v in x)
+    n = len(x)
+    iminus = sorted(circuit.I_minus)
+    h = circuit.h
+    lp = [complex(v) for v in lprime]
+    d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
+    one = ring.one()
+    exp_neg = {j: ring.exp(ring.divisor(j) * (-1.0)) for j in iminus}
+    nums = {j: one - exp_neg[j] * unit_phase(-lprime[j]) for j in iminus}
+    logx = [principal_log(v) for v in x]
+    const = ring.one()
+    for j in range(n):
+        const = const * ring.branched_power(x[j], d[j]) \
+            * scalar_power(x[j], lprime[j])
+    logy = sum(hv * lg.real for hv, lg in zip(h, logx))
+    ay = sum(hv * lg.imag for hv, lg in zip(h, logx)) \
+        + math.pi * sum(h[j] for j in iminus)
+    hm_sum = sum(h[j] for j in iminus)
+
+    def f(s):
+        s = np.asarray(s, dtype=complex)
+        pref = -np.exp(kernels.log_gamma(-s) + kernels.log_gamma(1.0 + s))
+        grow = np.exp(s * complex(logy, ay + math.pi * (1 - hm_sum)))
+        acc = const * (pref * grow)
+        for j in iminus:
+            den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lp[j] + s * h[j]))
+            acc = acc * nums[j] * ring.inv(den)
+        for j in range(n):
+            acc = acc * ring.recip_gamma(lp[j] + s * h[j], d[j])
+        return acc
+    return f

@@ -177,14 +177,15 @@ def test_tail_bound_violation_is_runtime_failure(tmp_path):
 @pytest.mark.parametrize("batched", [False, True],
                          ids=["series-value", "quadrature-node"])
 def test_nan_kernel_value_never_passes(tmp_path, monkeypatch, batched):
-    # one NaN coefficient, in the first scalar (series) call or in the
-    # first node of the first batched (quadrature) call
+    # one NaN coefficient, in the first series call (verify evaluates its
+    # series at eps = 0, on the real axis) or in the first node of the
+    # first quadrature call (nodes off the real axis)
     real = kernels.recip_gamma_series
     hit = []
 
     def poisoned(z, kmax):
         out = real(z, kmax)
-        if (np.ndim(z) > 0) == batched and not hit:
+        if bool(np.any(np.imag(z))) == batched and not hit:
             hit.append(z)
             out.flat[0] = np.nan
         return out
@@ -344,3 +345,46 @@ def test_one_wall_context_per_command(monkeypatch, argv):
     assert status == 0
     assert counts["contexts"] == 1
     assert counts["bases"] == (0 if argv[0] == "oracle" else 1)
+
+
+def test_invertibility_gate_ignores_the_basis_scale(tmp_path):
+    # det 1.7e-9 here comes from the scale of the monomial basis; the
+    # transform is well conditioned (sigma_min / sigma_max 7.4e-5)
+    path = tmp_path / "circuit.txt"
+    path.write_text(write_fixture(*circuit_fixture((1, 1, 1, 1, 1, -5))))
+    status, rep = run_cli(["fm", "--fixture", str(path), "--eps", "1e-2"],
+                          tmp_path)
+    assert status == 0, rep["body"]
+    (sample,) = rep["body"]["samples"]
+    assert sample["det"] < 1e-6
+    assert 1e-8 < sample["rcond"] <= 1.0
+
+
+def test_localization_rank_failure_is_a_report(tmp_path, monkeypatch):
+    def flat(chamber, rings, mons):
+        width = sum(a.dim for a in chamber.algebras.values())
+        return np.zeros((len(mons), width), dtype=complex)
+
+    monkeypatch.setattr(wall, "localization_matrix", flat)
+    status, rep = run_cli(["fm", "--fixture", "a1", "--eps", "1e-2"],
+                          tmp_path)
+    assert status == 1
+    assert rep["body"]["error"] == "LocalizationRankDeficient"
+    assert rep["body"]["pass"] is False
+
+
+def test_series_terms_share_kernel_calls(monkeypatch):
+    # each batch of series terms makes one Gamma-kernel call per
+    # coordinate, not one per term and coordinate
+    real = kernels.recip_gamma_series
+    calls = []
+
+    def counted(z, kmax):
+        calls.append(1)
+        return real(z, kmax)
+
+    monkeypatch.setattr(kernels, "recip_gamma_series", counted)
+    argv = ["verify", "--fixture", "conifold", "--depth", "0"]
+    status, _ = cli.run(argv[0], cli.build_parser().parse_args(argv))
+    assert status == 0
+    assert 0 < len(calls) <= 40

@@ -20,7 +20,7 @@ from gkzflop import (
     pde_residuals,
 )
 from gkzflop import series
-from gkzflop.deform import DeformationRing
+from gkzflop.deform import DeformationRing, TWO_PI_I, _taylor_recip
 from gkzflop.series import enumerate_terms, nan_max
 from gkzflop.wall import c_battery
 
@@ -154,13 +154,14 @@ def test_divergence_guard(a1):
 
 def test_nan_shell_norm_trips_divergence_guard(a1, monkeypatch):
     # a convergent point whose terms of degree > 4 read NaN
-    real = series.term_value
+    real = series.term_values
 
-    def poisoned(x, l, ring):
-        value = real(x, l, ring)
-        return value * math.nan if sum(abs(v) for v in l) > 4 else value
+    def poisoned(x, ls, ring, dual=False):
+        values = real(x, ls, ring, dual)
+        high = np.array([sum(abs(v) for v in l) > 4 for l in ls], dtype=bool)
+        return values * np.where(high, math.nan, 1.0)
 
-    monkeypatch.setattr(series, "term_value", poisoned)
+    monkeypatch.setattr(series, "term_values", poisoned)
     x = (0.2, 0.8, 0.3)
     policy = TruncationPolicy(degree_bound=12, tail_check=True)
     with pytest.raises(DivergenceSuspected):
@@ -255,3 +256,88 @@ def test_pde_residuals_dual(pack, side):
     assert report["interior_residual"] == 0.0
     for pair in report["pairs"]:
         assert pair["matched"] and not pair["mismatches"]
+
+
+# -- the batched term evaluator -------------------------------------------
+
+
+def batch_setup(pack, eps=0.0):
+    """Terms of every plus and minus sector at c = 0, with their rings."""
+    x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(pack.data.n))
+    policy = TruncationPolicy(degree_bound=8, tail_check=False)
+    out = []
+    for t in (pack.t_plus, pack.t_minus):
+        chamber = pack.chamber(t)
+        for g in chamber.box:
+            ring = DeformationRing(chamber.algebras[g.key()], eps=eps)
+            ls = [term.l for term in enumerate_terms(
+                pack.data, t, (0,) * pack.data.rank, g, policy)]
+            out.append((ring, ls))
+    return x, out
+
+
+def negative_integers(l):
+    return [j for j, v in enumerate(l) if v.denominator == 1 and v < 0]
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_term_rows_do_not_depend_on_the_batch(pack, dual):
+    x, sectors = batch_setup(pack, eps=3e-3)
+    for ring, ls in sectors:
+        full = series.term_values(x, ls, ring, dual=dual).coords
+        assert full.shape == (len(ls), ring.algebra.dim)
+        odd = series.term_values(x, ls[1::2], ring, dual=dual).coords
+        assert np.array_equal(odd, full[1::2])
+        for i, l in enumerate(ls):
+            one = series.term_values(x, [l], ring, dual=dual).coords
+            assert np.array_equal(one[0], full[i]), l
+
+
+def test_negative_integer_rows_are_the_functional_equation_product(pack):
+    # the one-term loop, with the product written out where l_j = -m
+    x, sectors = batch_setup(pack)
+    checked = 0
+    for ring, ls in sectors:
+        rows = series.term_values(x, ls, ring).coords
+        for l, row in zip(ls, rows):
+            acc = ring.one()
+            for j, lj in enumerate(l):
+                d = ring.divisor(j) * (1.0 / TWO_PI_I)
+                acc = acc * ring.branched_power(x[j], d) \
+                    * series.scalar_power(x[j], lj)
+                if j in negative_integers(l):
+                    factor = ring.one()
+                    for i in range(-int(lj)):
+                        factor = factor * (d - i)
+                    acc = acc * (factor * _taylor_recip(0, d))
+                else:
+                    acc = acc * _taylor_recip(lj, d)
+            assert np.array_equal(row, acc.coords), l
+            checked += bool(negative_integers(l))
+    assert checked
+
+
+def test_dual_rows_carry_the_stripped_factor(pack):
+    # d_j * (stripped factor) = 1/Gamma(1 + l_j + d_j), d_j = D~_j/2pi i,
+    # and the dual row keeps 1/2pi i per stripped coordinate
+    x, sectors = batch_setup(pack)
+    checked = 0
+    for ring, ls in sectors:
+        primal = series.term_values(x, ls, ring)
+        dual = series.term_values(x, ls, ring, dual=True)
+        for i, l in enumerate(ls):
+            back = ring.algebra.element(dual.coords[i])
+            for j in negative_integers(l):
+                back = back * ring.divisor(j)
+            want = primal.coords[i]
+            assert np.abs(back.coords - want).max() \
+                <= 1e-13 * max(np.abs(want).max(), 1e-300), l
+            checked += bool(negative_integers(l))
+    assert checked
+
+
+def test_term_values_need_a_sampled_eps(a1):
+    chamber = a1.chamber(a1.t_plus)
+    ring = DeformationRing(chamber.algebras[chamber.box[0].key()], eps=None)
+    with pytest.raises(InfeasibleArgs):
+        series.term_values((0.2, 0.8, 0.3), [(Fraction(0),) * 3], ring)
