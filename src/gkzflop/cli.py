@@ -81,8 +81,8 @@ def build_parser():
 def _validate(args):
     if args.trunc is not None and args.trunc < 1:
         raise InputError("--trunc must be >= 1")
-    if args.contour_t <= 0:
-        raise InputError("--contour-t must be positive")
+    if not 0 < args.contour_t < math.inf:
+        raise InputError("--contour-t must be positive and finite")
     if args.contour_re is not None and not math.isfinite(args.contour_re):
         raise InputError("--contour-re must be finite")
     if args.depth < 0:

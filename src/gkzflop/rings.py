@@ -314,7 +314,13 @@ class AlgebraElement:
         return float(out) if out.ndim == 0 else out
 
     def sum(self):
-        """Sum of a batch over its leading axis, in row order."""
+        """Sum of a batch over its leading axis, as numpy reduces it.
+
+        With two or more coordinates numpy adds the rows in order.  With
+        one coordinate the column is contiguous, and numpy sums it like
+        any 1-d array, pairwise in unrolled blocks; the result may then
+        differ from the row-order sum in the last bits.
+        """
         if self.coords.ndim < 2:
             raise ValueError("sum() needs a batch of elements")
         return AlgebraElement(self.algebra, self.coords.sum(axis=0))

@@ -91,6 +91,18 @@ def test_nonfinite_contour_re_rejected(tmp_path):
     assert "--contour-re" in rep["body"]["message"]
 
 
+@pytest.mark.parametrize("height,error", [
+    ("nan", "InputError"), ("inf", "InputError"), ("-1", "InputError"),
+    # finite, but the trapezoid step would need 458,368 nodes on a line
+    ("1e4", "InfeasibleArgs"),
+])
+def test_contour_t_out_of_range_rejected(tmp_path, height, error):
+    status, rep = run_cli(["oracle", "--fixture", "a1", "--contour-t",
+                           height], tmp_path)
+    assert status == 2
+    assert rep["body"]["error"] == error
+
+
 def test_bad_trunc_rejected(tmp_path):
     status, rep = run_cli(["gamma-eval", "--fixture", "a1", "--trunc", "0"],
                           tmp_path)

@@ -1,7 +1,9 @@
 """Sector algebras: dimensions, relations, inverses, special values."""
 
 import cmath
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -177,6 +179,21 @@ def test_batched_arithmetic_matches_rows(algebra_map):
             assert np.allclose(a.norm(), np.abs(ca).max(axis=1))
             total = (a * np.arange(5.0)).sum()
             assert close(total, alg.element(np.arange(5.0) @ ca), 1e-12)
+
+
+def test_batch_sum_reduces_as_numpy_does(algebra_map):
+    # one row of 1, then 16 rows of 1e-16: in row order each small row
+    # rounds away against the running 1, summed pairwise they do not
+    col = np.array([1.0] + [1e-16] * 16, dtype=complex)
+    alg1 = next(iter(algebra_map[("a1", "minus")].values()))
+    alg2 = next(iter(algebra_map[("a1", "plus")].values()))
+    assert (alg1.dim, alg2.dim) == (1, 2)
+    in_order = functools.reduce(operator.add, col)
+    assert in_order == 1.0
+    one = alg1.element(col[:, None]).sum()       # (17, 1): the 1-d sum
+    assert one.coords[0] == col.sum() != in_order
+    two = alg2.element(np.stack([col, col], axis=1)).sum()   # (17, 2)
+    assert np.array_equal(two.coords, [in_order, in_order])
 
 
 def test_inverse_requires_scalar_part(algebra_map):

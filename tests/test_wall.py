@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -302,3 +303,121 @@ def test_coefficients_independent_of_lift(pack, eps):
                     diff = c1 - c2
                     assert diff.norm() < 1e-12 * max(1.0, c1.norm()), \
                         (g.key(), k, r, m)
+
+
+# -- the trapezoid line rule --------------------------------------------
+
+
+def a1_line(a1, eps=0.0):
+    """(x, l', ring) of a1's generator l' = 0, whose line is Re s = 1/2."""
+    wc = wall_context(a1)
+    g0 = trivial_sector(wc)
+    return a1.path().x_plus, (0, 0, 0), plus_ring(wc, g0, eps)
+
+
+def recording(f, calls):
+    """f with every array of nodes it is called on appended to calls."""
+    def g(s):
+        calls.append(np.array(s, dtype=complex))
+        return f(s)
+    g.decay, g.arg_y = f.decay, f.arg_y
+    return g
+
+
+def test_line_nodes_miss_the_removable_point(a1, monkeypatch):
+    x, lp, ring = a1_line(a1)
+    assert (Fraction(1, 2), "removable") in wall.pole_model(lp, a1.circuit,
+                                                            0, 1)
+    calls = []
+    build = wall.make_integrand
+    monkeypatch.setattr(wall, "make_integrand",
+                        lambda *a: recording(build(*a), calls))
+    _, diag = wall.mb_contour_oracle(x, lp, a1.circuit, ring)   # no guard hit
+    assert diag["s0"] == 0.5
+    line = calls[0]
+    assert len(line) == diag["nodes"] and np.all(line.real == 0.5)
+    for level in (line, line[::2]):    # fine, and coarse
+        assert np.abs(level.imag).min() == pytest.approx(diag["step"] / 2)
+
+
+def test_one_integrand_call_gives_both_levels(a1, monkeypatch):
+    x, lp, ring = a1_line(a1, 1e-2)
+    calls = []
+    f = recording(wall.make_integrand(x, lp, a1.circuit, ring), calls)
+    fine, coarse, vals, step = wall._line_quadrature(f, 0.5, 14.0, 0.5)
+    assert len(calls) == 1 and len(calls[0]) == len(vals.coords) == 642
+    assert step == pytest.approx(28.0 / 642)
+    w = -step / (2 * math.pi)
+    assert np.allclose(fine.coords, vals.coords.sum(axis=0) * w,
+                       rtol=0, atol=1e-15)
+    assert np.allclose(coarse.coords, vals.coords[::2].sum(axis=0) * 2 * w,
+                       rtol=0, atol=1e-15)
+    # the oracle adds only the tail probes to the line pass
+    count = []
+    build = wall.make_integrand
+    monkeypatch.setattr(wall, "make_integrand",
+                        lambda *a: recording(build(*a), count))
+    wall.mb_contour_oracle(x, lp, a1.circuit, ring)
+    assert [len(c) for c in count] == [642, 2]
+
+
+def test_a1_line_integral_matches_mpmath(a1):
+    # at eps = 0 the sector algebra is spanned by 1 and t, with D_j = c_j t
+    # and t^2 = 0.  The ratio factor's numerator 1 - e^{-D_1} = c_1 t, so
+    # the integrand is c_1 t G(s), with G its D = 0 form without that
+    # numerator: 2 pi i / ((1 - e^{-2 pi i s}) (1 - e^{-2 pi i s h_1}))
+    # times prod_j x_j^{s h_j} / Gamma(1 + s h_j).
+    x, lp, ring = a1_line(a1)
+    got, _ = wall.mb_contour_oracle(x, lp, a1.circuit, ring)
+    h = a1.circuit.h
+    c1 = ring.divisor(1).coords
+    assert c1[0] == 0
+    with mpmath.workdps(30):
+        tpi = 2j * mpmath.pi
+        logx = [mpmath.log(mpmath.mpc(v)) for v in x]
+
+        def g(t):
+            s = mpmath.mpf(1) / 2 + 1j * t
+            acc = tpi / ((1 - mpmath.exp(-tpi * s))
+                         * (1 - mpmath.exp(-tpi * s * h[1])))
+            for hj, lg in zip(h, logx):
+                acc *= mpmath.exp(s * hj * lg) * mpmath.rgamma(1 + s * hj)
+            return acc
+
+        line = complex(-mpmath.quad(g, [-14, -6, -2, 0, 2, 6, 14])
+                       / (2 * mpmath.pi))
+    want = c1 * line
+    assert np.abs(got.coords - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_underresolved_step_fails_the_checks(a1, monkeypatch):
+    # e^-12 on the coarse level: both levels still land near the pole sums,
+    # but |fine - coarse| is far above every tolerance
+    monkeypatch.setattr(wall, "LINE_EXPONENT", 12)
+    plus, minus = a1.chamber(a1.t_plus), a1.chamber(a1.t_minus)
+    rep = wall.oracle_report(a1.circuit, plus, minus, eps_values=(1e-2,))
+    for chk in rep["checks"]:
+        assert chk["right_dev"] < 1e-7 and chk["left_dev"] < 1e-6
+        assert not chk["right_pass"] and not chk["left_pass"]
+        assert chk["nodes"] == [214, 214]
+    assert rep["pass"] is False
+    rep = wall.verify_fm_equals_ac(a1.circuit, plus, minus, depth=0)
+    e2e = rep["end_to_end"]
+    assert e2e["max_dev"] < 1e-6
+    assert not any(row["pass"] for row in e2e["battery"])
+    assert e2e["pass"] is False and rep["pass"] is False
+
+
+def test_nan_quadrature_error_fails_the_row(a1, monkeypatch):
+    line = wall._line_quadrature
+
+    def poisoned(*args):
+        fine, coarse, vals, step = line(*args)
+        return fine, coarse * math.nan, vals, step
+    monkeypatch.setattr(wall, "_line_quadrature", poisoned)
+    plus, minus = a1.chamber(a1.t_plus), a1.chamber(a1.t_minus)
+    rep = wall.oracle_report(a1.circuit, plus, minus, eps_values=(1e-2,))
+    assert all(math.isnan(c["est_error"]) for c in rep["checks"])
+    assert not any(c["right_pass"] or c["left_pass"] for c in rep["checks"])
+    rep = wall.verify_fm_equals_ac(a1.circuit, plus, minus, depth=0)
+    assert not rep["end_to_end"]["pass"]
