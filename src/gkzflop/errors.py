@@ -90,7 +90,7 @@ class UncancelledPole(GkzflopError):
 
 
 class NilpotencyUnconfirmed(GkzflopError):
-    """A sector algebra or divisor class did not vanish by its degree cap."""
+    """A sector algebra or divisor class is not confirmed nilpotent."""
 
 
 class MonomialUnreduced(GkzflopError):

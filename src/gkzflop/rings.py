@@ -8,28 +8,24 @@ classes D_i for i in Star(sigma(gamma)) \\ sigma(gamma), modulo
   * linear relations sum_i mu(v_i) D_i = 0 for functionals mu vanishing
     on the rays of sigma(gamma).
 
-The quotient is computed by exact row reduction on the monomial span, so
-structure constants are rational and stored both exactly and as complex
-arrays for numeric work.
+Both kinds of relation are homogeneous, so the quotient is graded (Borisov,
+Chen & Smith, "The orbifold Chow ring of toric Deligne-Mumford stacks",
+J. AMS 18, 2005).  It is built one degree at a time, by exact row reduction
+of the degree-d relations over the degree-d monomials that survive the
+Stanley-Reisner relations, until a degree reduces to zero.  Structure
+constants are rational and stored both exactly and as complex arrays for
+numeric work.
 """
 
 import cmath
 import functools
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import MonomialUnreduced, NilpotencyUnconfirmed, NotInvertible
 from . import rational
 from .toric import boundary_facets, compute_box, sector_label, star_rays
-
-
-def _monomials(num_gens, max_degree):
-    out = [()]
-    for d in range(1, max_degree + 1):
-        out.extend(combinations_with_replacement(range(num_gens), d))
-    return out
 
 
 def _mono_mul(a, b):
@@ -51,93 +47,72 @@ class SectorAlgebra:
     # -- construction ---------------------------------------------------
 
     def _build(self, data, t, support):
-        gens = self.generators
-        cap0 = data.rank + 1
-        for cap in range(cap0, 2 * data.rank + 2):
-            if self._try_build(data, t, support, gens, cap):
-                return
-        raise NilpotencyUnconfirmed(
-            f"sector {sector_label(self.sector.key())} of {t.label}: "
-            f"nilpotency degree not confirmed within degree cap "
-            f"{2 * data.rank + 1}")
+        """Reduce the relations degree by degree, up to the first zero degree.
 
-    def _try_build(self, data, t, support, gens, cap):
+        A relation row (linear form) * m is homogeneous of degree deg m + 1,
+        so the relations of degree d are the annihilator forms times the
+        degree-(d - 1) monomials, and each degree reduces on its own.  The
+        non-pivot columns of the reduced form are the degree-d basis; a
+        pivot row, fully reduced, already writes its pivot monomial over
+        them.  The first degree with an empty basis is zero_degree: every
+        monomial of that degree or above reduces to zero.
+        """
+        gens = self.generators
+
         def sr_zero(mono):
             J = frozenset(gens[g] for g in mono)
             return not t.is_cone(support | J)
-
-        universe = [m for m in _monomials(len(gens), cap) if not sr_zero(m)]
-        index = {m: i for i, m in enumerate(universe)}
 
         sig_rows = [list(data.points[j]) for j in sorted(support)]
         ann = rational.nullspace(sig_rows) if sig_rows else \
             [[Fraction(i == j) for j in range(data.rank)]
              for i in range(data.rank)]
-        rows = []
+        forms = []
         for mu in ann:
-            coeff = {g: sum(Fraction(a) * b for a, b in zip(mu, data.points[j]))
-                     for g, j in enumerate(gens)}
-            for m in universe:
-                if len(m) >= cap:
-                    continue
-                row = [Fraction(0)] * len(universe)
-                nonzero = False
-                for g, cg in coeff.items():
-                    if cg == 0:
-                        continue
-                    mm = _mono_mul(m, (g,))
-                    if mm in index:
-                        row[index[mm]] += cg
-                        nonzero = True
-                if nonzero:
+            coeff = [sum(Fraction(a) * b for a, b in zip(mu, data.points[j]))
+                     for j in gens]
+            forms.append([(g, c) for g, c in enumerate(coeff) if c])
+        basis = [()]
+        reductions = {(): {0: Fraction(1)}}   # sparse over basis positions
+        prev = [()]                           # SR survivors of degree d - 1
+        for d in range(1, 2 * data.rank + 2):
+            products = {_mono_mul(p, (g,)) for p in prev
+                        for g in range(len(gens))}
+            monos = sorted(m for m in products if not sr_zero(m))
+            index = {m: i for i, m in enumerate(monos)}
+            rows = []
+            for form in forms:
+                for p in prev:
+                    row = [Fraction(0)] * len(monos)
+                    for g, c in form:
+                        i = index.get(_mono_mul(p, (g,)))
+                        if i is not None:
+                            row[i] = c
                     rows.append(row)
-        reduced, pivots = rational.rref(rows)
-        basis = [m for i, m in enumerate(universe) if i not in set(pivots)]
-        basis_pos = {m: i for i, m in enumerate(basis)}
-        reduce_map = self._full_reduction(universe, basis_pos, reduced, pivots)
-        # smallest degree at which every monomial reduces to zero; beyond the
-        # cap everything either contains an SR non-face or exceeds this degree
-        zero_degree = None
-        for d in range(cap + 1):
-            monos = [m for m in universe if len(m) == d]
-            if monos and all(not any(reduce_map[m]) for m in monos):
-                zero_degree = d
+            reduced, pivots = rational.rref(rows)
+            free = sorted(set(range(len(monos))) - set(pivots))
+            if not free:
+                self.zero_degree = d
                 break
-        if zero_degree is None:
-            if any(len(m) == cap for m in universe):
-                return False  # retry with a larger cap
-            zero_degree = cap + 1
-        self.degree_cap = cap
-        self.zero_degree = zero_degree
+            pos = {i: len(basis) + k for k, i in enumerate(free)}
+            basis.extend(monos[i] for i in free)
+            for i in free:
+                reductions[monos[i]] = {pos[i]: Fraction(1)}
+            for row, c in zip(reduced, pivots):
+                reductions[monos[c]] = {pos[i]: -row[i] for i in free
+                                        if row[i]}
+            prev = monos
+        else:
+            raise NilpotencyUnconfirmed(
+                f"sector {sector_label(self.sector.key())} of {t.label}: "
+                f"nilpotency degree not confirmed within degree "
+                f"{2 * data.rank + 1}")
         self.basis = tuple(basis)
         self.dim = len(basis)
-        self._reduce_exact = reduce_map
+        self._reduce_exact = {
+            m: [sparse.get(b, Fraction(0)) for b in range(self.dim)]
+            for m, sparse in reductions.items()}
         self._sr_zero = sr_zero
-        return True
-
-    def _full_reduction(self, universe, basis_pos, reduced, pivots):
-        """Express each universe monomial over the basis by back-substitution."""
-        n = len(universe)
-        table = {}
-        # process pivots from the last one backwards so substitutions cascade
-        order = sorted(range(len(pivots)), key=lambda r: pivots[r], reverse=True)
-        for m in universe:
-            if m in basis_pos:
-                vec = [Fraction(0)] * len(basis_pos)
-                vec[basis_pos[m]] = Fraction(1)
-                table[m] = vec
-        for r in order:
-            piv_col = pivots[r]
-            row = reduced[r]
-            vec = [Fraction(0)] * len(basis_pos)
-            for c in range(n):
-                if c == piv_col or row[c] == 0:
-                    continue
-                sub = table[universe[c]]
-                for b, x in enumerate(sub):
-                    vec[b] -= row[c] * x
-            table[universe[piv_col]] = vec
-        return table
 
     def _finish_numeric(self):
         self.basis_index = {m: i for i, m in enumerate(self.basis)}

@@ -11,6 +11,22 @@ from gkzflop.deform import TWO_PI_I, principal_log, unit_phase
 from gkzflop.series import scalar_power
 from gkzflop.toric import ToricData, Triangulation, cone_index
 
+# Local P^2: the nontrivial 3-fold flop of Borisov & Horja, "Mellin-Barnes
+# integrals as Fourier-Mukai transforms" (Adv. Math. 207, 2006).
+LOCAL_P2 = """rank 3
+1 0 1
+0 1 1
+-1 -1 1
+0 0 1
+deg 0 0 1
+triangulation plus
+2 3 4
+1 3 4
+1 2 4
+triangulation minus
+1 2 3
+"""
+
 
 def brute_force_box_classes(data, t, c, coord_bound=3):
     """Fractional-part classes of the bounded rational solution set.

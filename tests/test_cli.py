@@ -2,11 +2,12 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gkzflop import cli, kernels, rings, wall
+from gkzflop import cli, kernels, rational, rings, wall
 from gkzflop import report as reporting
 from gkzflop.deform import DeformationRing, EpsSeries
 from gkzflop.fixtures import load_fixture, write_fixture
@@ -153,6 +154,39 @@ def test_residue_circles_fit_between_close_poles(tmp_path, h, flags):
     assert status == 0, rep["body"]
 
 
+def ladder_case(h, y_abs=None, defect=None):
+    """One circuit of the ladder; a known defect is a strict xfail."""
+    flags = ["--y-abs", y_abs] if y_abs else []
+    marks = [pytest.mark.xfail(strict=True, reason=defect)] if defect else []
+    name = "h=" + ",".join(map(str, h)) + (f"-y={y_abs}" if y_abs else "")
+    return pytest.param(h, flags, marks=marks, id=name)
+
+
+@pytest.mark.parametrize("h, flags", [
+    ladder_case((1, 1, -2)),
+    ladder_case((1, 1, 1, -3)),
+    ladder_case((1, 2, -3)),
+    ladder_case((1, 1, 1, -1, -2)),
+    ladder_case((2, 3, -3, -2)),
+    ladder_case((1, 1, 1, -1, -1, -1)),
+    # the discriminant sits at |y| = 1/256
+    ladder_case((1, 1, 1, 1, -4), "0.002"),
+    ladder_case((1, 1, 1, 1, -2, -2), "0.01",
+                "ROADMAP item 1: end_to_end max_dev 0.21"),
+    ladder_case((2, 2, -1, -3), "0.005",
+                "ROADMAP item 1: end_to_end max_dev 0.60"),
+    ladder_case((1, 2, -1, -2), None,
+                "ROADMAP item 2: vacuous, end_to_end max_dev 0.0"),
+])
+def test_circuit_ladder_crossing(tmp_path, h, flags):
+    path = tmp_path / "circuit.txt"
+    path.write_text(write_fixture(*circuit_fixture(h)))
+    status, rep = run_cli(["verify", "--fixture", str(path), "--depth", "0",
+                           *flags], tmp_path)
+    assert status == 0, rep["body"]
+    assert rep["body"]["end_to_end"]["max_dev"] > 0
+
+
 INVALID_FIXTURES = {
     # point 2 has degree 2
     "NonUnitDegree": "rank 2\n0 1\n1 2\n2 1\ndeg 0 1\n"
@@ -280,8 +314,10 @@ def test_nan_pole_part_never_passes(tmp_path, monkeypatch):
 
 
 def test_degree_cap_failure_is_a_report(tmp_path, monkeypatch):
-    monkeypatch.setattr(rings.SectorAlgebra, "_try_build",
-                        lambda self, *args: False)
+    # a reduction that finds no pivot leaves every power of a generator in
+    # the basis, so the degree-by-degree build runs into its safety stop
+    monkeypatch.setattr(rings, "rational", SimpleNamespace(
+        nullspace=rational.nullspace, rref=lambda rows: ([], [])))
     status, rep = run_cli(["inspect", "--fixture", "a1"], tmp_path)
     assert status == 1
     assert rep["body"]["error"] == "NilpotencyUnconfirmed"

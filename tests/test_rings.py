@@ -2,9 +2,12 @@
 
 import cmath
 import functools
+import json
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -27,6 +30,13 @@ from gkzflop.deform import (
     reciprocal_gamma_shifted,
     unit_phase,
 )
+from gkzflop.fixtures import load_fixture, parse_fixture
+from gkzflop.rings import Chamber
+from gkzflop.toric import sector_label, star_of
+from support import LOCAL_P2, circuit_fixture
+
+STRUCTURE_FILE = Path(__file__).parent / "data" / "sector_structure.json"
+STRUCTURE_CIRCUITS = ((2, 3, -3, -2), (1, 1, 1, 1, -4), (1, 1, 1, -1, -1, -1))
 
 
 def close(a, b, tol=1e-13):
@@ -141,6 +151,62 @@ def test_algebra_failures_are_typed_errors(a1):
     alg.zero_degree = 0
     with pytest.raises(NilpotencyUnconfirmed):
         alg.nilpotency_order(alg.generators[0])
+
+
+def structure_fixtures():
+    """(name, data, triangulations) of every fixture in STRUCTURE_FILE."""
+    out = [(name, *load_fixture(name)) for name in ("a1", "conifold")]
+    out.append(("local_p2", *parse_fixture(LOCAL_P2)))
+    out += [(",".join(map(str, h)), *circuit_fixture(h))
+            for h in STRUCTURE_CIRCUITS]
+    return out
+
+
+def structure_constants(data, tris):
+    """Exact basis, divisor classes and basis products of every sector.
+
+    Keyed by side and sector label; the rationals are written as text,
+    so the comparison with the recorded file is exact.
+    """
+    out = {}
+    for side in ("plus", "minus"):
+        for key, alg in Chamber(data, tris[side]).algebras.items():
+            out[f"{side} {sector_label(key)}"] = {
+                "basis": [list(m) for m in alg.basis],
+                "divisor": [[str(x) for x in alg._divisor_exact[j]]
+                            for j in range(data.n)],
+                "mult": [[str(x) for x in alg._mult_exact[(a, b)]]
+                         for a in range(alg.dim) for b in range(alg.dim)],
+            }
+    return out
+
+
+def test_structure_constants_match_the_recorded_values():
+    # recorded from the one-shot build over the whole monomial span up to
+    # degree rank + 1, which the degree-by-degree build replaced
+    recorded = json.loads(STRUCTURE_FILE.read_text())
+    fixtures = structure_fixtures()
+    assert sorted(recorded) == sorted(name for name, _, _ in fixtures)
+    for name, data, tris in fixtures:
+        assert structure_constants(data, tris) == recorded[name], name
+
+
+def test_rank_seven_circuit_builds_small():
+    # the one-shot build ran out of memory on this chamber
+    data, tris = circuit_fixture((1, 1, 1, 1, -1, -1, -1, -1))
+    assert data.rank == 7
+    for t in tris.values():
+        tracemalloc.start()
+        try:
+            chamber = Chamber(data, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**26, peak
+        for alg in chamber.algebras.values():
+            assert alg.dim == len(star_of(t, alg.sector.support))
+            for j in alg.generators:
+                assert alg.nilpotency_order(j) <= data.rank + 1
 
 
 def test_random_inverses(algebra_map):
