@@ -14,10 +14,14 @@ at l to the term at l - e_i through the Gamma functional equation, so
 matched descriptor pairs contribute a residual of exactly zero and only
 truncation-boundary terms carry a numeric bound.
 
-Terms are evaluated in batches (term_values): a list of exponent tuples
-becomes one element batch, with one Gamma-kernel call per coordinate
-for all its distinct values, and sums over the batch add its rows in
-term order.
+The exponent tuples are enumerated in integers (_solutions), scaled by
+the common denominator of the lift; only the tuples kept become
+Fractions.  Terms are evaluated in batches (term_values): a list of
+exponent tuples becomes one element batch, with one Gamma-kernel call
+per coordinate for all its distinct values, and sums over the batch add
+its rows in term order.  A batch may hold the terms of several series
+(several c of a battery): a row does not depend on the other rows, so
+each series sums its own rows to the same value it would get alone.
 """
 
 import cmath
@@ -150,29 +154,34 @@ def _pivot(row):
 def _solutions(l0, basis, bound):
     """All l = l0 + Z-combinations of basis with sum |l_i| <= bound.
 
-    The basis rows are in echelon form, so each coefficient is confined
-    to an exact interval read off at its pivot column.
+    The walk runs in integers: l0 and the bound are scaled by the common
+    denominator of l0, and only an emitted tuple becomes Fractions.  The
+    basis rows are in echelon form, so the columns left of a row's pivot
+    are final once the rows above it are chosen; its coefficient is
+    confined to the interval where the pivot entry fits in the budget
+    those columns leave.  Tuples come in the order of the coefficients.
     """
+    den = math.lcm(*(Fraction(v).denominator for v in l0))
+    start = [int(Fraction(v) * den) for v in l0]
+    top = bound * den
+    rows = [(_pivot(row), [r * den for r in row]) for row in basis]
     out = []
 
     def descend(cur, idx):
-        if idx == len(basis):
-            if sum(abs(v) for v in cur) <= bound:
-                out.append(tuple(cur))
+        if idx == len(rows):
+            if sum(map(abs, cur)) <= top:
+                out.append(tuple(Fraction(v, den) for v in cur))
             return
-        row = basis[idx]
-        p = _pivot(row)
-        k = Fraction(row[p])
-        lo = (-bound - cur[p]) / k
-        hi = (bound - cur[p]) / k
+        p, row = rows[idx]
+        k = row[p]
+        budget = top - sum(map(abs, cur[:p]))
+        lo, hi = -budget - cur[p], budget - cur[p]
         if k < 0:
             lo, hi = hi, lo
-        m0 = -((-lo.numerator) // lo.denominator)   # ceil
-        m1 = hi.numerator // hi.denominator          # floor
-        for m in range(m0, m1 + 1):
+        for m in range(-(-lo // k), hi // k + 1):
             descend([c + m * r for c, r in zip(cur, row)], idx + 1)
 
-    descend(list(l0), 0)
+    descend(start, 0)
     return out
 
 

@@ -15,6 +15,13 @@ Everything runs over a DeformationRing so that coinciding divisor
 classes stay separated; matrices are sampled at generic eps or built as
 eps-Laurent data whose principal parts must cancel before the value at
 eps^0 is read off.
+
+The end-to-end check of verify_fm_equals_ac runs over a battery of
+lattice points c at eps = 0 and evaluates it as a whole: one set of
+rings per side, one line integral per orbit generator, and one series
+batch (series.term_values) per sector and side for every c at once
+(continued_vector, gamma_vector).  Each c sums only its own rows, in
+term order, so its values do not depend on the rest of the battery.
 """
 
 import cmath
@@ -319,20 +326,14 @@ def residue_at(x, lprime, circuit, ring, center, radius=0.25, nodes=64):
 
 def orbit_sum(x, lprime, circuit, ring, m_from, m_to):
     """Plain sum of the h-orbit terms m_from <= m <= m_to, one batch."""
-    ls = [tuple(v + m * hv for v, hv in zip(lprime, circuit.h))
-          for m in range(m_from, m_to + 1)]
-    return sum_rows(term_values(x, ls, ring))
+    return sum_rows(term_values(x, orbit(lprime, circuit, m_from, m_to),
+                                ring))
 
 
-def orbit_continued(x, lprime, circuit, ring, spec=None):
-    """Continuation of the h-orbit sum of one generator across the wall.
-
-    The orbit terms left of the integrated line plus the line integral:
-    on the far side, the analytic continuation of the near-side sum.
-    """
-    q, diag = mb_contour_oracle(x, lprime, circuit, ring, spec)
-    first = first_right(lprime, circuit, diag["s0"])
-    return orbit_sum(x, lprime, circuit, ring, -M_BACK, first - 1) + q, diag
+def orbit(lprime, circuit, m_from, m_to):
+    """The exponent tuples l' + m h, m_from <= m <= m_to."""
+    return [tuple(v + m * hv for v, hv in zip(lprime, circuit.h))
+            for m in range(m_from, m_to + 1)]
 
 
 def left_residue_sum(x, lprime, circuit, ring, s0):
@@ -743,48 +744,76 @@ def evaluate_class(chamber, rings, poly):
     return np.cumsum(rows, axis=0)[-1]
 
 
-def gamma_vector(chamber, rings, c, x, policy=None):
-    """Stacked sector coordinates of the series value on one side."""
-    policy = policy or TruncationPolicy()
-    per = {}
+def gamma_vector(chamber, rings, battery, x, policy):
+    """Stacked sector coordinates of the series values, one per c.
+
+    Per sector the terms of every c of the battery are one term_values
+    batch, and each c adds its own rows in term order.
+    """
+    per = [{} for _ in battery]
     for g in chamber.box:
-        terms = enumerate_terms(chamber.data, chamber.t, c, g, policy)
-        per[g.key()] = sum_rows(term_values(x, [term.l for term in terms],
-                                            rings[g.key()]))
-    return _stack(chamber, per)
+        ls = [[term.l for term in enumerate_terms(chamber.data, chamber.t,
+                                                  c, g, policy)]
+              for c in battery]
+        batch = term_values(x, [l for part in ls for l in part],
+                            rings[g.key()])
+        start = 0
+        for out, part in zip(per, ls):
+            out[g.key()] = sum_rows(batch, slice(start, start + len(part)))
+            start += len(part)
+    return [_stack(chamber, p) for p in per]
 
 
-def continued_vector(wall, eps, c, x, policy=None, spec=None):
-    """Far-side values of the near-side solution, by the contour oracle.
+def continued_vector(wall, rings, battery, x, policy, spec=None):
+    """Far-side values of the near-side solutions, one per c.
 
     Essential families are continued orbit-by-orbit from their
-    generators; any non-essential leftovers (none in the bundled data)
-    are summed directly.
+    generators: the line integral of the generator plus its orbit terms
+    left of the line, the analytic continuation of the near-side orbit
+    sum.  Any non-essential leftovers (none in the bundled data) are
+    summed directly.  Each generator gets its own line; per plus sector,
+    the orbit terms and leftovers of every c are one term_values batch,
+    and each c adds its own rows in term order.  Returns, per c, the
+    stacked vector and the worst est_error and total nodes of its lines.
     """
-    policy = policy or TruncationPolicy()
-    plus = wall.plus
-    rings = wall.rings(plus, eps)
-    per = {}
-    worst = {"est_error": 0.0, "tail": 0.0}
-    nodes = 0
-    for g in plus.box:
-        ring = rings[g.key()]
-        acc = ring.zero()
-        terms = enumerate_terms(plus.data, plus.t, c, g, policy, wall.circuit)
-        leftovers = iter(term_values(
-            x, [term.l for term in terms if not term.essential], ring).coords)
-        for term in terms:
-            if term.generator:
-                val, diag = orbit_continued(x, term.l, wall.circuit, ring,
-                                            spec)
-                acc = acc + val
-                for key in worst:
-                    worst[key] = nan_max(worst[key], diag[key])
-                nodes += diag["nodes"]
-            elif not term.essential:
-                acc = acc + ring.algebra.element(next(leftovers))
-        per[g.key()] = acc
-    return _stack(plus, per), {**worst, "nodes": nodes}
+    circuit, plus = wall.circuit, wall.plus
+    ls = {g.key(): [] for g in plus.box}
+    plans = []
+    for c in battery:
+        plan, diag = {}, {"est_error": 0.0, "nodes": 0}
+        for g in plus.box:
+            rows = ls[g.key()]
+            parts = plan[g.key()] = []
+            for term in enumerate_terms(plus.data, plus.t, c, g, policy,
+                                        circuit):
+                if term.generator:
+                    q, dg = mb_contour_oracle(x, term.l, circuit,
+                                              rings[g.key()], spec)
+                    first = first_right(term.l, circuit, dg["s0"])
+                    terms = orbit(term.l, circuit, -M_BACK, first - 1)
+                    diag["est_error"] = nan_max(diag["est_error"],
+                                                dg["est_error"])
+                    diag["nodes"] += dg["nodes"]
+                elif term.essential:
+                    continue
+                else:
+                    q, terms = None, [term.l]
+                parts.append((q, slice(len(rows), len(rows) + len(terms))))
+                rows.extend(terms)
+        plans.append((plan, diag))
+    batches = {key: term_values(x, rows, rings[key])
+               for key, rows in ls.items()}
+    out = []
+    for plan, diag in plans:
+        per = {}
+        for key, parts in plan.items():
+            acc = rings[key].zero()
+            for q, rows in parts:
+                val = sum_rows(batches[key], rows)
+                acc = acc + (val if q is None else val + q)
+            per[key] = acc
+        out.append((_stack(plus, per), diag))
+    return out
 
 
 def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
@@ -798,17 +827,17 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
     c = (0,) * data.rank
     policy = TruncationPolicy()
     wall = WallContext(circuit, plus, minus)
+    generators = {}      # they do not depend on eps: found once
+    for g in plus.box:
+        if g.key() in wall.essential_plus:
+            generators[g.key()] = [term.l for term in enumerate_terms(
+                data, t_plus, c, g, policy, circuit) if term.generator]
     checks = []
     for eps in eps_values:
         rings = wall.rings(plus, eps)
-        for g in plus.box:
-            if g.key() not in wall.essential_plus:
-                continue
-            ring = rings[g.key()]
-            for term in enumerate_terms(data, t_plus, c, g, policy, circuit):
-                if not term.generator:
-                    continue
-                lp = term.l
+        for key, lps in generators.items():
+            ring = rings[key]
+            for lp in lps:
                 q_p, dg_p = mb_contour_oracle(path.x_plus, lp, circuit, ring,
                                               spec)
                 right = orbit_sum(path.x_plus, lp, circuit, ring,
@@ -824,7 +853,7 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
                 err_r = dg_p["est_error"] / max(q_p.norm(), 1.0)
                 err_l = dg_m["est_error"] / max(q_m.norm(), 1.0)
                 checks.append({
-                    "eps": eps, "sector": sector_label(g.key()),
+                    "eps": eps, "sector": sector_label(key),
                     "c": list(c),
                     "lprime": [str(v) for v in lp],
                     "right_dev": dev_r, "left_dev": dev_l,
@@ -884,12 +913,13 @@ def verify_fm_equals_ac(circuit, plus, minus,
 
     rings_plus, rings_minus = wall.rings(plus, 0.0), wall.rings(minus, 0.0)
     battery = c_battery(data, depth)
+    continued = continued_vector(wall, rings_plus, battery, path.x_minus,
+                                 policy, spec)
+    values = gamma_vector(minus, rings_minus, battery, path.x_minus, policy)
     worst_dev = 0.0
     rows = []
-    for c in battery:
-        lhs, diag = continued_vector(wall, 0.0, c, path.x_minus, policy, spec)
-        rhs = fm0.entries @ gamma_vector(minus, rings_minus, c, path.x_minus,
-                                         policy)
+    for c, (lhs, diag), value in zip(battery, continued, values):
+        rhs = fm0.entries @ value
         scale = max(np.abs(lhs).max(), 1.0)
         dev = float(np.abs(lhs - rhs).max() / scale)
         worst_dev = nan_max(worst_dev, dev)

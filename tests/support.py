@@ -131,3 +131,27 @@ def reference_integrand(x, lprime, circuit, ring):
             acc = acc * ring.recip_gamma(lp[j] + s * h[j], d[j])
         return acc
     return f
+
+
+def reference_solutions(l0, basis, bound):
+    """series._solutions walked in Fractions, one coefficient at a time.
+
+    Each coefficient runs over the exact interval where its pivot entry
+    stays within the bound; a tuple is kept when sum |l_i| <= bound.
+    """
+    out = []
+
+    def descend(cur, idx):
+        if idx == len(basis):
+            if sum(abs(v) for v in cur) <= bound:
+                out.append(tuple(cur))
+            return
+        row = basis[idx]
+        p = next(i for i, v in enumerate(row) if v)
+        k = Fraction(row[p])
+        lo, hi = sorted(((-bound - cur[p]) / k, (bound - cur[p]) / k))
+        for m in range(math.ceil(lo), math.floor(hi) + 1):
+            descend([c + m * r for c, r in zip(cur, row)], idx + 1)
+
+    descend([Fraction(v) for v in l0], 0)
+    return out

@@ -436,3 +436,31 @@ def test_series_terms_share_kernel_calls(monkeypatch):
     status, _ = cli.run(argv[0], cli.build_parser().parse_args(argv))
     assert status == 0
     assert 0 < len(calls) <= 40
+
+
+@pytest.mark.parametrize("fixture", ["a1", "conifold"])
+def test_battery_is_one_series_batch_per_sector(monkeypatch, fixture):
+    # the depth-2 end-to-end battery evaluates its series terms as one
+    # term_values batch per sector and side, whatever the number of c
+    real_kernel, real_values = kernels.recip_gamma_series, wall.term_values
+    kernel_calls, batches = [], []
+
+    def counted_kernel(z, kmax):
+        kernel_calls.append(1)
+        return real_kernel(z, kmax)
+
+    def counted_values(*args, **kwargs):
+        batches.append(1)
+        return real_values(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
+    monkeypatch.setattr(wall, "term_values", counted_values)
+    argv = ["verify", "--fixture", fixture]
+    status, rep = cli.run(argv[0], cli.build_parser().parse_args(argv))
+    assert status == 0
+    assert len(rep["body"]["end_to_end"]["battery"]) > 1
+    data, tris = load_fixture(fixture)
+    assert len(batches) == sum(len(compute_box(data, t))
+                               for t in tris.values())
+    if fixture == "conifold":
+        assert len(kernel_calls) <= 130

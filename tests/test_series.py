@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from gkzflop import (
     BranchCut,
@@ -22,7 +23,9 @@ from gkzflop import (
 from gkzflop import series
 from gkzflop.deform import DeformationRing, TWO_PI_I, _taylor_recip
 from gkzflop.series import enumerate_terms, nan_max
+from gkzflop.toric import canonical_lift, compute_box
 from gkzflop.wall import c_battery
+from support import circuit_fixture, reference_solutions
 
 mpmath.mp.dps = 30
 
@@ -72,6 +75,57 @@ def test_enumerate_deep_point_empty(a1):
     g0 = sector_of(a1, a1.t_plus, G0_A1)
     policy = TruncationPolicy(degree_bound=1)
     assert enumerate_terms(a1.data, a1.t_plus, (3, 3), g0, policy) == []
+
+
+@st.composite
+def small_circuits(draw):
+    """Relations h of circuit flops: n <= 5, 1 <= |h_j| <= 3, sum h = 0."""
+    n = draw(st.integers(3, 5))
+    h = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=n - 1,
+                      max_size=n - 1))
+    h.append(-sum(h))
+    assume(0 < abs(h[-1]) <= 3 and math.gcd(*h) == 1)
+    return tuple(h)
+
+
+def compare_walks(h, bounds=(3, 25)):
+    """Check _solutions against the Fraction walk on every sector and c.
+
+    Every sector of both sides, every c of the depth-1 battery; returns
+    how many plus sectors have a lift that is not integral.
+    """
+    data, tris = circuit_fixture(h)
+    basis = series._kernel_basis(data)
+    fractional = 0
+    for side, t in tris.items():
+        for g in compute_box(data, t):
+            lifts = [canonical_lift(data, g, c).values
+                     for c in c_battery(data, 1)]
+            for l0 in lifts:
+                for bound in bounds:
+                    got = series._solutions(l0, basis, bound)
+                    assert got == reference_solutions(l0, basis, bound)
+                    assert all(isinstance(v, Fraction)
+                               for l in got for v in l)
+            if side == "plus" and any(v.denominator > 1
+                                      for l0 in lifts for v in l0):
+                fractional += 1
+    return fractional
+
+
+@given(small_circuits())
+@example((1, 2, -3))
+@example((2, 3, -3, -2))
+def test_integer_walk_matches_the_fraction_walk(h):
+    compare_walks(h)
+
+
+@pytest.mark.parametrize("h, sectors", [((1, 2, -3), 2),
+                                        ((2, 3, -3, -2), 4)])
+def test_integer_walk_covers_fractional_lifts(h, sectors):
+    data, tris = circuit_fixture(h)
+    assert len(compute_box(data, tris["plus"])) == sectors
+    assert compare_walks(h) > 0
 
 
 def test_leading_term_is_unit_scalar(conifold):

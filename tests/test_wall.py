@@ -1,5 +1,6 @@
 """Crossing machinery: endpoints, residue coefficients, transforms, contours."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,18 +9,21 @@ import numpy as np
 import pytest
 
 from gkzflop import (
+    Chamber,
     Circuit,
     ContourSpec,
     InfeasibleArgs,
     Lift,
     PoleOnContour,
     PoleProximity,
+    TruncationPolicy,
     canonical_lift,
+    find_circuit,
     select_endpoints,
 )
 from gkzflop import wall
-from gkzflop.series import term_value
-from support import reference_integrand
+from gkzflop.series import sum_rows, term_value, term_values
+from support import circuit_fixture, reference_integrand
 
 
 def trivial_sector(wc):
@@ -421,3 +425,61 @@ def test_nan_quadrature_error_fails_the_row(a1, monkeypatch):
     assert not any(c["right_pass"] or c["left_pass"] for c in rep["checks"])
     rep = wall.verify_fm_equals_ac(a1.circuit, plus, minus, depth=0)
     assert not rep["end_to_end"]["pass"]
+
+
+@pytest.mark.parametrize("name", ["a1", "conifold", (1, 2, -3),
+                                  (2, 3, -3, -2)],
+                         ids=["a1", "conifold", "h=1,2,-3", "h=2,3,-3,-2"])
+def test_battery_vectors_do_not_depend_on_the_battery(packs, name):
+    # each c of a battery gets, to the last bit, the vectors of a battery
+    # of that c alone, on both sides of the wall
+    if name in packs:
+        data, tris = packs[name].data, packs[name].tris
+    else:
+        data, tris = circuit_fixture(name)
+    plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
+    circuit = find_circuit(data, plus.t, minus.t)
+    wc = wall.WallContext(circuit, plus, minus)
+    rings_plus, rings_minus = wc.rings(plus, 0.0), wc.rings(minus, 0.0)
+    x = select_endpoints(circuit, None, 0.1).x_minus
+    policy = TruncationPolicy(degree_bound=25)
+    battery = wall.c_battery(data, 1)
+    continued = wall.continued_vector(wc, rings_plus, battery, x, policy)
+    values = wall.gamma_vector(minus, rings_minus, battery, x, policy)
+    assert len(continued) == len(values) == len(battery) > 1
+    assert any(np.abs(vec).max() > 0 for vec, _ in continued)
+    assert any(np.abs(vec).max() > 0 for vec in values)
+    for c, (vec, diag), value in zip(battery, continued, values):
+        [(alone, alone_diag)] = wall.continued_vector(wc, rings_plus, [c], x,
+                                                      policy)
+        assert (vec == alone).all() and diag == alone_diag, c
+        [alone] = wall.gamma_vector(minus, rings_minus, [c], x, policy)
+        assert (value == alone).all(), c
+
+
+def test_nonessential_leftovers_are_summed_directly(a1, monkeypatch):
+    # no shipped crossing has non-essential terms; mark every term
+    # non-essential and the continued vector of each c is its plain
+    # near-side series sum, with no line integrated
+    real = wall.enumerate_terms
+
+    def nonessential(*args):
+        return [dataclasses.replace(term, essential=False, generator=False)
+                for term in real(*args)]
+    monkeypatch.setattr(wall, "enumerate_terms", nonessential)
+    wc = wall_context(a1)
+    plus = wc.plus
+    rings = wc.rings(plus, 0.0)
+    x = a1.path().x_minus
+    policy = TruncationPolicy(degree_bound=12)
+    battery = wall.c_battery(a1.data, 1)
+    continued = wall.continued_vector(wc, rings, battery, x, policy)
+    for c, (vec, diag) in zip(battery, continued):
+        want = {}
+        for g in plus.box:
+            ls = [t.l for t in real(plus.data, plus.t, c, g, policy,
+                                    a1.circuit)]
+            want[g.key()] = sum_rows(term_values(x, ls, rings[g.key()]))
+        assert (vec == wall._stack(plus, want)).all(), c
+        assert diag == {"est_error": 0.0, "nodes": 0}
+    assert any(np.abs(vec).max() > 0 for vec, _ in continued)
