@@ -11,6 +11,7 @@ from .errors import (
     InputError,
     LocalizationRankDeficient,
     MonomialUnreduced,
+    NegativeValuation,
     NilpotencyUnconfirmed,
     NonFiniteValue,
     NonInteriorPoint,
@@ -24,6 +25,8 @@ from .errors import (
     PoleProximity,
     PoleRightOfLine,
     RankDeficient,
+    SeriesWindowExceeded,
+    ShiftNotNilpotent,
     SublatticeIndex,
     TailBoundViolated,
     UncancelledPole,

@@ -9,8 +9,11 @@ separates them again.  Two evaluation modes share one formula path:
   * numeric mode: eps is a concrete number and the shift is folded into
     the scalar part of an AlgebraElement;
   * series mode: eps stays formal and every value is a truncated Laurent
-    series in eps with AlgebraElement coefficients, so pole cancellation
-    is checked explicitly before the eps^0 coefficient is read off.
+    series in eps (EpsSeries): one complex array of shape (width, dim)
+    per value, row i the algebra coordinates of the coefficient of
+    eps^(val + i).  Products, sums and exponentials act on the whole
+    window at once, and pole cancellation is checked explicitly before
+    the eps^0 coefficient is read off.
 """
 
 import cmath
@@ -19,7 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BranchCut, InfeasibleArgs, NotInvertible, UncancelledPole
+from .errors import (BranchCut, InfeasibleArgs, NegativeValuation,
+                     NonFiniteValue, NotInvertible, SeriesWindowExceeded,
+                     ShiftNotNilpotent, UncancelledPole)
 from . import kernels
 from .rings import AlgebraElement, algebra_exp, algebra_inverse
 
@@ -57,56 +62,76 @@ def constant_series(algebra, element, order):
     """EpsSeries equal to a single eps-free coefficient, known below order."""
     if isinstance(element, (int, float, complex)):
         element = algebra.scalar(element)
-    pad = [algebra.zero() for _ in range(order - 1)]
-    return EpsSeries(algebra, 0, [element] + pad)
+    coords = np.zeros((max(order, 1), algebra.dim), dtype=complex)
+    coords[0] = element.coords
+    return EpsSeries(algebra, 0, coords)
 
 
 class EpsSeries:
     """Truncated Laurent series in eps over one sector algebra.
 
-    coeffs[i] is the coefficient of eps**(val+i).  Exponents below val
-    are exactly zero; exponents at or beyond val+len(coeffs) are unknown
-    (truncated away).  Exact leading zeros are trimmed on construction.
+    coords is one read-only complex array of shape (width, dim): row i
+    holds the coordinates of the coefficient of eps**(val+i).  Exponents
+    below val are exactly zero; exponents at or beyond val+width are
+    unknown (truncated away).  Exact leading zero rows are trimmed on
+    construction.  Every operation acts on the whole window at once.
     """
 
-    __slots__ = ("algebra", "val", "coeffs")
+    __slots__ = ("algebra", "val", "coords")
 
-    def __init__(self, algebra, val, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            val += 1
+    def __init__(self, algebra, val, coords):
+        coords = np.asarray(coords, dtype=complex).reshape(-1, algebra.dim)
+        lead = 0
+        while lead < len(coords) and not np.count_nonzero(coords[lead]):
+            lead += 1
+        coords = coords[lead:]
+        coords.flags.writeable = False
         self.algebra = algebra
-        self.val = val
-        self.coeffs = coeffs
+        self.val = val + lead
+        self.coords = coords
 
     @property
     def order(self):
         """First unknown exponent."""
-        return self.val + len(self.coeffs)
+        return self.val + len(self.coords)
+
+    @property
+    def coeffs(self):
+        """The coefficients of the window, as read-only elements."""
+        return tuple(AlgebraElement(self.algebra, row) for row in self.coords)
 
     def coeff(self, e):
         if e < self.val:
             return self.algebra.zero()
-        assert e < self.order, f"coefficient of eps^{e} beyond window"
-        return self.coeffs[e - self.val]
+        if e >= self.order:
+            raise SeriesWindowExceeded(
+                f"coefficient of eps^{e} lies beyond the series window, "
+                f"which ends before eps^{self.order}")
+        return AlgebraElement(self.algebra, self.coords[e - self.val])
 
     def shift(self, d):
-        return EpsSeries(self.algebra, self.val + d, list(self.coeffs))
+        return EpsSeries(self.algebra, self.val + d, self.coords)
 
     def norm(self):
-        return max((c.norm() for c in self.coeffs), default=0.0)
+        """Largest coordinate modulus in the window; NaN if any is NaN."""
+        return float(np.abs(self.coords).max()) if self.coords.size else 0.0
 
     def is_zero(self, tol=0.0):
-        return all(c.is_zero(tol) for c in self.coeffs)
+        return not self.coords.size or bool(np.abs(self.coords).max() <= tol)
 
     def principal_norm(self):
-        """Largest coefficient norm at strictly negative exponents."""
-        out = 0.0
-        for i, c in enumerate(self.coeffs):
-            if self.val + i >= 0:
-                break
-            out = max(out, c.norm())
+        """Largest coordinate modulus at strictly negative exponents."""
+        pole = self.coords[:max(-self.val, 0)]
+        return float(np.abs(pole).max()) if pole.size else 0.0
+
+    def _padded(self, lo, hi):
+        """Rows of the exponents lo, ..., hi - 1, exact zeros below val.
+
+        lo <= val and hi <= order, so every row is known.
+        """
+        out = np.zeros((hi - lo, self.algebra.dim), dtype=complex)
+        k = max(hi - self.val, 0)
+        out[self.val - lo:self.val - lo + k] = self.coords[:k]
         return out
 
     def _coerce(self, other):
@@ -120,16 +145,16 @@ class EpsSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # each window starts at its val, so order >= val: they always meet
         val = min(self.val, o.val)
         order = min(self.order, o.order)
-        assert order >= val, "series windows do not overlap"
-        coeffs = [self.coeff(e) + o.coeff(e) for e in range(val, order)]
-        return EpsSeries(self.algebra, val, coeffs)
+        return EpsSeries(self.algebra, val, self._padded(val, order)
+                         + o._padded(val, order))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EpsSeries(self.algebra, self.val, [-c for c in self.coeffs])
+        return EpsSeries(self.algebra, self.val, -self.coords)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -141,25 +166,26 @@ class EpsSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product on the window both factors know.
+
+        One ring product per pair of rows, as a single contraction with
+        the multiplication table; each nonzero row of the left factor
+        then adds its products into the output in ascending row order.
+        """
         if isinstance(other, (int, float, complex)):
-            return EpsSeries(self.algebra, self.val,
-                             [c * other for c in self.coeffs])
+            return EpsSeries(self.algebra, self.val, self.coords * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        val = self.val + o.val
-        order = min(self.order + o.val, o.order + self.val)
-        out = [self.algebra.zero() for _ in range(order - val)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            base = self.val + i + o.val - val
-            for j, b in enumerate(o.coeffs):
-                e = base + j
-                if e >= len(out):
-                    break
-                out[e] = out[e] + a * b
-        return EpsSeries(self.algebra, val, out)
+        width = min(len(self.coords), len(o.coords))
+        left, right = self.coords[:width], o.coords[:width]
+        rows = left.any(axis=1).nonzero()[0]
+        prods = np.einsum("ia,jb,abc->ijc", left[rows], right,
+                          self.algebra.mult_table)
+        out = np.zeros((width, self.algebra.dim), dtype=complex)
+        for i, p in zip(rows.tolist(), prods):
+            out[i:] += p[:width - i]
+        return EpsSeries(self.algebra, self.val + o.val, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex, AlgebraElement)):
@@ -167,7 +193,7 @@ class EpsSeries:
         return NotImplemented
 
     def power(self, k):
-        assert k >= 0
+        assert k >= 0   # internal: DeformationRing.power inverts first
         acc = constant_series(self.algebra, self.algebra.one(),
                               max(self.order, 1))
         for _ in range(k):
@@ -184,11 +210,14 @@ def series_inverse(x, rtol=1e-9):
     when N sits at a lower eps-order than S.
     """
     alg = x.algebra
-    scal = [c.scalar_part for c in x.coeffs]
+    unit = alg.basis_index[()]
+    scal = [complex(v) for v in x.coords[:, unit]]
     mags = [abs(s) for s in scal]
     top = max(mags, default=0.0)
     if top == 0.0:
         raise NotInvertible("series scalar part vanishes on its window")
+    if not math.isfinite(top):
+        raise NonFiniteValue("series scalar part is not finite")
     lead = next(i for i, m in enumerate(mags) if m > rtol * top)
     s = scal[lead:]
     sinv = [0j] * len(s)
@@ -198,9 +227,12 @@ def series_inverse(x, rtol=1e-9):
         for i in range(1, m + 1):
             acc += s[i] * sinv[m - i]
         sinv[m] = -acc / s[0]
-    s_inv = EpsSeries(alg, -(x.val + lead), [alg.scalar(c) for c in sinv])
-    nilp = EpsSeries(alg, x.val, [c.nilpotent_part() for c in x.coeffs])
-    t = s_inv * nilp
+    inv_coords = np.zeros((len(s), alg.dim), dtype=complex)
+    inv_coords[:, unit] = sinv
+    s_inv = EpsSeries(alg, -(x.val + lead), inv_coords)
+    nilp_coords = x.coords.copy()
+    nilp_coords[:, unit] = 0.0
+    t = s_inv * EpsSeries(alg, x.val, nilp_coords)
     acc = s_inv
     term = s_inv
     for _ in range(1, alg.zero_degree):
@@ -214,9 +246,11 @@ def series_inverse(x, rtol=1e-9):
 def series_exp(x):
     """exp of an EpsSeries with nonnegative valuation."""
     alg = x.algebra
-    assert x.val >= 0, "exp needs a nonnegative eps-valuation"
+    if x.val < 0:
+        raise NegativeValuation(f"exp of a series with a pole of order "
+                                f"{-x.val} in eps")
     width = max(x.order, 1)
-    if not x.coeffs:
+    if not len(x.coords):
         return constant_series(alg, alg.one(), width)
     head = algebra_exp(x.coeff(0))
     rest = x - constant_series(alg, x.coeff(0), width)
@@ -262,25 +296,23 @@ def _taylor_recip(z, d):
         for m in range(mmax - 1, -1, -1):
             acc = acc * n + c[..., m]
         return acc
-    assert isinstance(d, EpsSeries)
+    assert isinstance(d, EpsSeries)   # internal: the two ring modes
     if isinstance(z, np.ndarray):
         raise InfeasibleArgs("series-mode shifts take one scalar z at a time")
-    assert d.val >= 0
+    if d.val < 0:
+        raise NegativeValuation(f"Gamma shift with a pole of order {-d.val} "
+                                f"in eps")
     lead = d.coeff(0) if d.order > 0 else d.algebra.zero()
-    assert abs(lead.scalar_part) <= 1e-9 * max(1.0, d.norm()), \
-        "eps^0 coefficient of the shift must be nilpotent"
+    if not abs(lead.scalar_part) <= 1e-9 * max(1.0, d.norm()):
+        raise ShiftNotNilpotent(
+            f"the eps^0 coefficient of the Gamma shift has scalar part "
+            f"{lead.scalar_part:.3e}; it must be nilpotent")
     mmax = d.algebra.zero_degree - 1 + max(d.order - 1, 0)
     c = kernels.recip_gamma_series(complex(1 + z), mmax)
     acc = _scalar_like(d, c[mmax])
     for m in range(mmax - 1, -1, -1):
         acc = acc * d + _scalar_like(d, c[m])
     return acc
-
-
-def _one_like(d):
-    if isinstance(d, AlgebraElement):
-        return d.algebra.one()
-    return constant_series(d.algebra, d.algebra.one(), max(d.order, 1))
 
 
 def falling_products(d, m_max, start=0):
@@ -290,7 +322,7 @@ def falling_products(d, m_max, start=0):
     product is one.  These are the functional-equation factors of
     1/Gamma(1 - m + d).
     """
-    acc = _one_like(d)
+    acc = _scalar_like(d, 1.0)
     out = []
     for i in range(m_max):
         if i >= start:
@@ -321,6 +353,7 @@ def reciprocal_gamma_stripped(z, d):
     removed, so the divisibility by d is realized without ring division.
     """
     zq = _as_exact(z)
+    # internal: callers strip only at the integers where the factor d shows
     assert isinstance(zq, Fraction) and zq.denominator == 1 and zq <= -1, \
         "stripping requires a negative integer scalar part"
     return falling_products(d, -int(zq), start=1)[-1] * _taylor_recip(0, d)
@@ -335,15 +368,43 @@ def localization_point(algebra):
     return out
 
 
+MIN_WINDOW = 8
+
+
+def laurent_window(data):
+    """Coefficients that series mode keeps: max(MIN_WINDOW, n + 1).
+
+    A value knows its coefficients up to its order, and a product knows
+    min(o1 + v2, o2 + v1): a factor with a pole of order p costs p
+    known coefficients, whether or not the pole cancels later.  The
+    transform's poles come from the residue coefficient C of a plus
+    sector, which inverts one denominator 1 - e^{D_k/h_k} phase for
+    every k in I_-.  Where such a denominator vanishes at eps = 0, its
+    scalar part vanishes to first order, and the pole of its inverse
+    has order at most the nilpotency degree of the sector algebra,
+    which is at most |I_+|: the classes D_j for j in I_+ span no cone of
+    the plus side, so their product is zero.  Traced on circuits of
+    rank 2 to 7, the first such inversion costs |I_+| + 1 coefficients
+    and every further one costs 1, so eps^0 stays known with
+    |I_+| + |I_-| + 1 <= n + 1 of them, and n + 1 is the smallest window
+    that works on each.  A narrower window raises SeriesWindowExceeded
+    where eps^0 is read.  Below MIN_WINDOW the principal ratios, which
+    are read against the largest coefficient of the window, would
+    change.
+    """
+    return max(MIN_WINDOW, data.n + 1)
+
+
 class DeformationRing:
     """Shared arithmetic context for the deformed classes D_j + a_j eps.
 
-    eps=None selects series mode (values are EpsSeries truncated at
-    eps^window); a concrete eps folds the shift into scalar parts and
-    every operation stays plain AlgebraElement arithmetic.
+    eps=None selects series mode (values are EpsSeries of
+    laurent_window(data) coefficients); a concrete eps folds the shift
+    into scalar parts and every operation stays plain AlgebraElement
+    arithmetic.
     """
 
-    def __init__(self, algebra, offsets=None, eps=None, window=8):
+    def __init__(self, algebra, offsets=None, eps=None):
         n = algebra.data.n
         if offsets is None:
             offsets = tuple(Fraction(j) for j in range(n))
@@ -356,7 +417,8 @@ class DeformationRing:
         self.algebra = algebra
         self.offsets = offsets
         self.eps = None if eps is None else complex(eps)
-        self.window = int(window)
+        self.window = laurent_window(algebra.data)
+        self._memo = {}
 
     @property
     def laurent(self):
@@ -368,9 +430,10 @@ class DeformationRing:
         base = self.algebra.divisor(j)
         a = complex(self.offsets[j])
         if self.laurent:
-            pad = [self.algebra.zero() for _ in range(self.window - 2)]
-            return EpsSeries(self.algebra, 0,
-                             [base, self.algebra.scalar(a)] + pad)
+            coords = np.zeros((self.window, self.algebra.dim), dtype=complex)
+            coords[0] = base.coords
+            coords[1, self.algebra.basis_index[()]] = a
+            return EpsSeries(self.algebra, 0, coords)
         return base + self.algebra.scalar(a * self.eps)
 
     def constant(self, a):
@@ -385,7 +448,7 @@ class DeformationRing:
 
     def zero(self):
         if self.laurent:
-            return EpsSeries(self.algebra, self.window, [])
+            return EpsSeries(self.algebra, self.window, ())
         return self.algebra.zero()
 
     def scalar(self, z):
@@ -393,20 +456,36 @@ class DeformationRing:
 
     # -- operations -----------------------------------------------------
 
+    def _once(self, op, x, *args):
+        """op(x, *args) for a series x, computed once per distinct x.
+
+        The residue coefficients and monomial values of a transform
+        exponentiate, invert and raise the same series for every pole
+        and monomial; a series-mode ring keeps each result, keyed by
+        the exact window of its argument.  Series are read-only, so the
+        callers can share one result.
+        """
+        key = (op, x.val, x.coords.tobytes(), args)
+        if key not in self._memo:
+            self._memo[key] = op(x, *args)
+        return self._memo[key]
+
     def exp(self, x):
         if isinstance(x, EpsSeries):
-            return series_exp(x)
+            return self._once(series_exp, x)
         return algebra_exp(x)
 
     def inv(self, x, rtol=1e-9):
         if isinstance(x, EpsSeries):
-            return series_inverse(x, rtol=rtol)
+            return self._once(series_inverse, x, rtol)
         return algebra_inverse(x)
 
     def power(self, x, k):
         k = int(k)
         if k < 0:
-            return self.inv(x).power(-k)
+            x, k = self.inv(x), -k
+        if isinstance(x, EpsSeries):
+            return self._once(EpsSeries.power, x, k)
         return x.power(k)
 
     def branched_power(self, x, a):
@@ -426,12 +505,14 @@ class DeformationRing:
     def eps_zero(self, x, rtol=1e-9):
         """Value at eps^0 after checking the pole part cancelled.
 
-        A NaN ratio is not a cancelled pole part: it raises too.
+        A window that ends before eps^0 raises SeriesWindowExceeded.  A
+        NaN ratio is not a cancelled pole part: it raises too.
         """
         if not isinstance(x, EpsSeries):
             return x
+        value = x.coeff(0)
         ratio = self.principal_ratio(x)
         if not ratio <= rtol:
             raise UncancelledPole(
                 f"principal part at relative size {ratio:.3e}")
-        return x.coeff(0)
+        return value

@@ -103,3 +103,15 @@ class LocalizationRankDeficient(GkzflopError):
 
 class UnimplementedPairing(GkzflopError):
     """The bilinear pairing slots are declared but intentionally absent."""
+
+
+class SeriesWindowExceeded(GkzflopError):
+    """An eps-series coefficient beyond its truncated window was needed."""
+
+
+class NegativeValuation(GkzflopError):
+    """A series-mode exp or Gamma shift received a pole in eps."""
+
+
+class ShiftNotNilpotent(GkzflopError):
+    """A series-mode Gamma shift has a non-nilpotent eps^0 coefficient."""

@@ -732,16 +732,23 @@ def random_nonessential_class(rng, data, circuit, t_plus, t_minus):
     return out, best
 
 
-def evaluate_class(chamber, rings, poly):
-    """Localization values of a Laurent combination, one flat vector.
+def evaluate_classes(chamber, rings, polys):
+    """Localization values of Laurent combinations, one flat vector each.
 
     rings are the chamber's DeformationRings at one eps (at eps^0 for a
-    Laurent ring).  The monomials are added in sorted order.
+    Laurent ring).  The monomials of all combinations are evaluated as
+    one batch; each combination adds its own rows in sorted order.
     """
-    mons = sorted(poly)
-    cfs = np.array([poly[b] for b in mons], dtype=complex)
-    rows = localization_matrix(chamber, rings, mons) * cfs[:, None]
-    return np.cumsum(rows, axis=0)[-1]
+    union = sorted(set().union(*polys))
+    pos = {b: i for i, b in enumerate(union)}
+    table = localization_matrix(chamber, rings, union)
+    out = []
+    for poly in polys:
+        mons = sorted(poly)
+        cfs = np.array([poly[b] for b in mons], dtype=complex)
+        rows = table[[pos[b] for b in mons]] * cfs[:, None]
+        out.append(np.cumsum(rows, axis=0)[-1])
+    return out
 
 
 def gamma_vector(chamber, rings, battery, x, policy):
@@ -931,19 +938,19 @@ def verify_fm_equals_ac(circuit, plus, minus,
                             "pass": all(r["pass"] for r in rows)}
 
     rng = np.random.default_rng(INVARIANCE_SEED)
+    drawn = [random_nonessential_class(rng, data, circuit, t_plus, t_minus)
+             for _ in range(INVARIANCE_CLASSES)]
+    polys = [poly for poly, _ in drawn]
+    j_used = drawn[-1][1]
     worst_inv = 0.0
-    j_used = None
-    for _ in range(INVARIANCE_CLASSES):
-        poly, j_used = random_nonessential_class(rng, data, circuit,
-                                                 t_plus, t_minus)
-        src = evaluate_class(minus, rings_minus, poly)
-        tgt = evaluate_class(plus, rings_plus, poly)
+    for src, tgt in zip(evaluate_classes(minus, rings_minus, polys),
+                        evaluate_classes(plus, rings_plus, polys)):
         got = fm0.entries @ src
         scale = max(np.abs(tgt).max(), 1.0)
         worst_inv = nan_max(worst_inv,
                              float(np.abs(got - tgt).max() / scale))
     report["invariance"] = {"classes": INVARIANCE_CLASSES,
-                            "J": [j + 1 for j in (j_used or ())],
+                            "J": [j + 1 for j in j_used],
                             "max_dev": worst_inv,
                             "pass": worst_inv < 1e-10}
 

@@ -7,6 +7,8 @@ from itertools import product
 import numpy as np
 
 from gkzflop import kernels, rational
+from gkzflop.errors import NotInvertible
+from gkzflop.rings import algebra_exp
 from gkzflop.deform import TWO_PI_I, principal_log, unit_phase
 from gkzflop.series import scalar_power
 from gkzflop.toric import ToricData, Triangulation, cone_index
@@ -155,3 +157,144 @@ def reference_solutions(l0, basis, bound):
 
     descend([Fraction(v) for v in l0], 0)
     return out
+
+
+class ListSeries:
+    """Reference eps-Laurent series: a list of AlgebraElement coefficients.
+
+    gkzflop.deform.EpsSeries's arithmetic written one coefficient at a
+    time, against which its whole-window array form must give the same
+    floating-point values: coeffs[i] is the coefficient of
+    eps**(val+i), exact leading zeros are trimmed, and a product adds
+    a * b into each output exponent one coefficient pair at a time, in
+    ascending order of the left factor's rows, skipping its zero rows.
+    """
+
+    def __init__(self, algebra, val, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[0].is_zero():
+            coeffs.pop(0)
+            val += 1
+        self.algebra = algebra
+        self.val = val
+        self.coeffs = coeffs
+
+    @classmethod
+    def of(cls, series):
+        """The reference twin of an EpsSeries."""
+        return cls(series.algebra, series.val,
+                   [series.algebra.element(row.copy())
+                    for row in series.coords])
+
+    @property
+    def order(self):
+        return self.val + len(self.coeffs)
+
+    def coeff(self, e):
+        if e < self.val:
+            return self.algebra.zero()
+        assert e < self.order, f"coefficient of eps^{e} beyond window"
+        return self.coeffs[e - self.val]
+
+    def is_zero(self):
+        return all(c.is_zero() for c in self.coeffs)
+
+    def _coerce(self, other):
+        if isinstance(other, ListSeries):
+            return other
+        return list_constant(self.algebra, other, max(self.order, 1))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        val = min(self.val, o.val)
+        order = min(self.order, o.order)
+        coeffs = [self.coeff(e) + o.coeff(e) for e in range(val, order)]
+        return ListSeries(self.algebra, val, coeffs)
+
+    def __neg__(self):
+        return ListSeries(self.algebra, self.val, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return ListSeries(self.algebra, self.val,
+                              [c * other for c in self.coeffs])
+        o = self._coerce(other)
+        val = self.val + o.val
+        order = min(self.order + o.val, o.order + self.val)
+        out = [self.algebra.zero() for _ in range(order - val)]
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero():
+                continue
+            base = self.val + i + o.val - val
+            for j, b in enumerate(o.coeffs):
+                e = base + j
+                if e >= len(out):
+                    break
+                out[e] = out[e] + a * b
+        return ListSeries(self.algebra, val, out)
+
+    def power(self, k):
+        acc = list_constant(self.algebra, self.algebra.one(),
+                            max(self.order, 1))
+        for _ in range(k):
+            acc = acc * self
+        return acc
+
+
+def list_constant(algebra, element, order):
+    if isinstance(element, (int, float, complex)):
+        element = algebra.scalar(element)
+    pad = [algebra.zero() for _ in range(order - 1)]
+    return ListSeries(algebra, 0, [element] + pad)
+
+
+def list_series_inverse(x, rtol=1e-9):
+    """series_inverse on the reference form."""
+    alg = x.algebra
+    scal = [c.scalar_part for c in x.coeffs]
+    mags = [abs(s) for s in scal]
+    top = max(mags, default=0.0)
+    if top == 0.0:
+        raise NotInvertible("series scalar part vanishes on its window")
+    lead = next(i for i, m in enumerate(mags) if m > rtol * top)
+    s = scal[lead:]
+    sinv = [0j] * len(s)
+    sinv[0] = 1.0 / s[0]
+    for m in range(1, len(s)):
+        acc = 0j
+        for i in range(1, m + 1):
+            acc += s[i] * sinv[m - i]
+        sinv[m] = -acc / s[0]
+    s_inv = ListSeries(alg, -(x.val + lead), [alg.scalar(c) for c in sinv])
+    nilp = ListSeries(alg, x.val, [c.nilpotent_part() for c in x.coeffs])
+    t = s_inv * nilp
+    acc = s_inv
+    term = s_inv
+    for _ in range(1, alg.zero_degree):
+        term = (term * t) * (-1.0)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc
+
+
+def list_series_exp(x):
+    """series_exp on the reference form, for nonnegative valuation."""
+    alg = x.algebra
+    assert x.val >= 0, "exp needs a nonnegative eps-valuation"
+    width = max(x.order, 1)
+    if not x.coeffs:
+        return list_constant(alg, alg.one(), width)
+    head = algebra_exp(x.coeff(0))
+    rest = x - list_constant(alg, x.coeff(0), width)
+    acc = list_constant(alg, alg.one(), width)
+    term = acc
+    for m in range(1, width):
+        term = term * rest * (1.0 / m)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc * head

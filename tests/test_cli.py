@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +14,7 @@ from gkzflop import cli, kernels, rational, rings, wall
 from gkzflop import report as reporting
 from gkzflop.deform import DeformationRing, EpsSeries
 from gkzflop.fixtures import load_fixture, write_fixture
-from gkzflop.toric import compute_box
+from gkzflop.toric import compute_box, find_circuit
 from support import circuit_fixture
 
 
@@ -464,3 +467,57 @@ def test_battery_is_one_series_batch_per_sector(monkeypatch, fixture):
                                for t in tris.values())
     if fixture == "conifold":
         assert len(kernel_calls) <= 130
+
+
+@pytest.mark.parametrize("command", ["fm", "ac"])
+def test_laurent_window_grows_with_the_circuit(tmp_path, command):
+    # eight points: the eps^0 coefficient needs a window of n + 1 = 9,
+    # one more than the floor that the smaller fixtures use
+    path = tmp_path / "circuit.txt"
+    path.write_text(write_fixture(*circuit_fixture(
+        (1, 1, 1, 1, -1, -1, -1, -1))))
+    status, rep = run_cli([command, "--fixture", str(path), "--eps", "1e-2"],
+                          tmp_path)
+    assert status == 0, rep["body"]
+    assert rep["body"]["undeformed_limit"]["principal_ratio"] < 1e-9
+
+
+def test_laurent_transform_is_window_batched(monkeypatch):
+    # a product of two eps-series is one contraction with the
+    # multiplication table over the whole window; one contraction per
+    # pair of coefficients would make 1,416 here
+    data, tris = load_fixture("conifold")
+    plus, minus = rings.Chamber(data, tris["plus"]), \
+        rings.Chamber(data, tris["minus"])
+    ctx = wall.WallContext(find_circuit(data, plus.t, minus.t), plus, minus)
+    assert ctx.monomials
+    real = np.einsum
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    m = wall.fm_transform(ctx, None)
+    assert m.principal_ratio < 1e-9
+    assert 0 < len(calls) <= 150
+
+
+def test_series_window_error_survives_optimized_mode(tmp_path):
+    # python -O drops asserts; a window too narrow for eps^0 must still
+    # end in a report with exit 1, not a traceback or a wrong value.
+    # sitecustomize runs at interpreter start and narrows the window.
+    (tmp_path / "sitecustomize.py").write_text(
+        "from gkzflop import deform\n"
+        "deform.laurent_window = lambda data: 3\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "gkzflop", "fm", "--fixture",
+         "conifold"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["body"]["error"] == "SeriesWindowExceeded"
+    assert "eps^0" in rep["body"]["message"]
