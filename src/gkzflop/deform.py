@@ -281,21 +281,29 @@ def _scalar_like(d, value):
 def _taylor_recip(z, d):
     """1/Gamma(1 + z + d) by Taylor composition around the scalar center.
 
-    In numeric mode z may be an array, which gives a batch of elements.
+    In numeric mode z may be an array, which gives a batch of elements,
+    and d may be a list of shifts: z then stacks one batch per shift
+    along its leading axis, one kernel call serves every shift, and the
+    result is the list of their batches.
     """
-    if isinstance(d, AlgebraElement):
-        s = d.scalar_part
-        n = d.nilpotent_part()
-        mmax = d.algebra.zero_degree - 1
+    if isinstance(d, (AlgebraElement, list)):
+        many = isinstance(d, list)
+        shifts = d if many else [d]
+        rows = z if many else np.asarray(z)[None]
+        s = np.array([x.scalar_part for x in shifts])
         # exact z (Fractions, alone or in an object array) meets the
         # float center only after 1 + z is formed exactly
-        center = np.asarray(1 + z + s, dtype=complex) \
-            if isinstance(z, np.ndarray) else complex(1 + z) + s
-        c = kernels.recip_gamma_series(center, mmax)
-        acc = d.algebra.scalar(c[..., mmax])
-        for m in range(mmax - 1, -1, -1):
-            acc = acc * n + c[..., m]
-        return acc
+        center = 1 + rows + s.reshape((-1,) + (1,) * (rows.ndim - 1))
+        mmax = shifts[0].algebra.zero_degree - 1
+        c = kernels.recip_gamma_series(np.asarray(center, dtype=complex), mmax)
+        out = []
+        for row, x in zip(c, shifts):
+            n = x.nilpotent_part()
+            acc = x.algebra.scalar(row[..., mmax])
+            for m in range(mmax - 1, -1, -1):
+                acc = acc * n + row[..., m]
+            out.append(acc)
+        return out if many else out[0]
     assert isinstance(d, EpsSeries)   # internal: the two ring modes
     if isinstance(z, np.ndarray):
         raise InfeasibleArgs("series-mode shifts take one scalar z at a time")
@@ -334,7 +342,10 @@ def falling_products(d, m_max, start=0):
 def reciprocal_gamma_shifted(z, d):
     """1/Gamma(1 + z + d) for z and a nilpotent or deformed shift d.
 
-    z is a scalar, or in numeric mode an array of scalars (a batch).
+    z is a scalar, or in numeric mode an array of scalars (a batch).  In
+    numeric mode d may also be a list of shifts, with one row of the
+    array z per shift; the result is then the list of their batches,
+    from one kernel call (_taylor_recip).
 
     At integer z <= -1 the functional equation is applied first, which
     exposes the leading factor d explicitly: 1/Gamma(1 - m + d) =
@@ -492,6 +503,7 @@ class DeformationRing:
         return self.exp(a * principal_log(x))
 
     def recip_gamma(self, z, d):
+        """1/Gamma(1 + z + d); see reciprocal_gamma_shifted."""
         return reciprocal_gamma_shifted(z, d)
 
     # -- reading off values ---------------------------------------------

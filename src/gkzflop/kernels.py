@@ -5,51 +5,71 @@ elementwise; the contour integrand evaluates a whole vector of
 quadrature nodes in one call.  A scalar argument gives the scalar-shaped
 result (a complex number, or a 1-d coefficient array).
 
-Method: the recurrence pushes each argument z to w = z + K with real
-part >= 12 (>= 7 + order for high derivative orders), the K shift terms
-taken together as one masked 2-d array; then the standard asymptotic
-series in 1/w^2 with Bernoulli numbers through B_30.  Series terms and shift terms are multiplied and
-added left to right (cumprod / cumsum), in the order of the one-point
-recurrence, so an element's value does not depend on the batch it is
-evaluated in.
+Method.  One core (_stirling) serves all four kernels; recip_gamma
+reads it through recip_gamma_series.
+
+* Where Re z < 1/2, 1/Gamma(z+u) = (z+u)(z+1+u)...(z+K-1+u)/Gamma(w+u)
+  with w = z + K and Re w >= 1/2.  This product stays an exact
+  polynomial in u, and it stops at Re w >= 1/2: its factors vanish
+  exactly at the poles, so 1/Gamma is exactly zero there, and what
+  follows never meets a pole or the cancellation left of the poles.
+* From w on only values are needed, so the recurrence goes on as a
+  product: W = w + K' with Re W >= R = 7 (K' <= 7).  The factors w,
+  w+1, ... form one masked table; its product replaces a sum of logs,
+  and the psi^(k) corrections are power sums of its reciprocals.
+* At W, Stirling's series for log Gamma and psi^(k) runs through B_26
+  (13 terms in 1/W^2), all series in one Horner pass.  At |W| >= 7 the
+  first omitted log Gamma term is below 1e-18 (Spira, Math. Comp. 25,
+  1971).  The Taylor coefficients of 1/Gamma(w+u) then follow from the
+  psi^(k) by the exp recursion.
+
+Every step works elementwise or adds rows in a fixed order, so a value
+does not depend on the batch it is evaluated in.
 """
 
 import functools
 import math
+import operator
 
 import numpy as np
 
 # Name of the kernel implementation, carried into benchmark records.
 BACKEND = "numpy"
 
-_BERNOULLI = np.array([
+_R = 7.0        # Stirling's series is summed at Re W >= _R
+_STEPS = np.arange(_R)[:, None]     # from Re w >= 1/2, K <= 7 steps
+_BERNOULLI = [
     1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730,
     7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330,
     854513.0 / 138, -236364091.0 / 2730, 8553103.0 / 6,
-    -23749461029.0 / 870, 8615841276005.0 / 14322,
-])
-
+]   # B_2, ..., B_26
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-_TWO_N = 2 * np.arange(1, _BERNOULLI.size + 1)
-# complex copies: numpy multiplies complex by complex without a cast step
-_BERNOULLI_C = _BERNOULLI.astype(complex)
-_TWO_N_C = _TWO_N.astype(complex)
-_LOG_GAMMA_DEN_C = (_TWO_N * (_TWO_N - 1)).astype(complex)
-
-_BLOCK = 256    # elements per kernel call on long arrays; see _blockwise
+_BLOCK = 512   # elements per core call on long arrays; see _blockwise
 
 
 @functools.lru_cache(maxsize=None)
-def _polygamma_ratios(k):
-    """Factors (2n+k)(2n+k+1)/((2n+1)(2n+2)) between the psi^(k) terms."""
-    return np.array([(tn + k) * (tn + k + 1) / ((tn + 1) * (tn + 2))
-                     for tn in _TWO_N.tolist()], dtype=complex)
+def _horner(orders):
+    """Stirling coefficients of log Gamma and psi^(k), k < max(orders, 1).
 
-
-def _flat(z):
-    z = np.asarray(z, dtype=complex)
-    return z.shape, z.reshape(-1)
+    The coefficients of x^n, x = 1/W^2, n = 1..13: B_2n / (2n (2n-1)) for
+    log Gamma, B_2n / 2n for psi, B_2n (2n+k-1)! / (2n)! for psi^(k).
+    For Horner's rule in y = x^2, row i holds those of y^(6-i): first of
+    the odd powers of x, then of the even ones.  psi's series stays at
+    orders = 0: numpy may round a complex product over a (1, n) array
+    differently from the same row of a taller one.
+    """
+    cols = [[b / (2 * n * (2 * n - 1)) for n, b in enumerate(_BERNOULLI, 1)]]
+    for k in range(max(orders, 1)):
+        cols.append([b * (math.factorial(2 * n + k - 1)
+                          / math.factorial(2 * n) if k else 1.0 / (2 * n))
+                     for n, b in enumerate(_BERNOULLI, 1)])
+    by_power = np.array(cols, dtype=complex).T     # row n - 1: x^n
+    out = np.zeros((7, 2, len(cols), 1), dtype=complex)
+    out[:, 0, :, 0] = by_power[0::2][::-1]
+    out[1:, 1, :, 0] = by_power[1::2][::-1]
+    out.flags.writeable = False
+    return out
 
 
 def _shift_count(z, target):
@@ -57,113 +77,92 @@ def _shift_count(z, target):
     return np.maximum(np.ceil(target - z.real), 0.0)
 
 
-def _chain(first, factors, size):
-    """Running products first, first*f0, first*f0*f1, ... in `size` columns.
+def _to_half(z):
+    """K to Re >= 1/2, and z + j, j < K, masked as in _stirling (two rows
+    at least, for the reason given in _horner)."""
+    count = _shift_count(z, 0.5)
+    steps = np.arange(max(count.max(initial=0.0), 2.0))[:, None]
+    live = steps < count
+    return count, live, np.where(live, z + steps, 1.0)
 
-    factors broadcasts against the (len(first), size - 1) factor columns.
+
+def _subtract_power_sums(psi, recip):
+    """psi^(k) -= (-1)^k k! sum_i recip[i]^(k+1) for each row k of psi.
+
+    The rows of recip are summed through a float view: its last axis has
+    length >= 2, so numpy adds the rows in order, whatever the batch.
     """
-    table = np.empty((first.size, size), dtype=complex)
-    table[:, 0] = first
-    table[:, 1:] = factors
-    return np.cumprod(table, axis=1)
+    powers = np.empty((len(recip),) + psi.shape, dtype=complex)
+    p = recip
+    for k in range(len(psi)):
+        powers[:, k] = p
+        p = p * recip
+    sums = np.add.reduce(powers.view(float), axis=0).view(complex)
+    for k, s in enumerate(sums):
+        psi[k] = psi[k] - (-1) ** k * math.factorial(k) * s
 
 
-def _ordered_sum(terms, start=None):
-    """start + terms[:, 0] + terms[:, 1] + ..., added left to right.
+def _stirling(w, orders):
+    """P, log Gamma(W) and psi^(k)(w) for k < orders, for Re w >= 1/2.
 
-    terms is a temporary of the caller; it is overwritten.
+    W = w + K with the least K that puts Re W >= _R, and P = w (w+1) ...
+    (w+K-1): Gamma(w) = Gamma(W) / P.  w is 1-d; psi stacks along axis 0.
     """
-    if not terms.shape[1]:
-        return np.zeros(terms.shape[0], dtype=complex) if start is None \
-            else start
-    if start is not None:
-        terms[:, 0] += start
-    return np.cumsum(terms, axis=1)[:, -1]
-
-
-def _log_gamma_psi(z, orders):
-    """log Gamma(z) and psi^(k)(z) for k < orders, for a 1-d array z.
-
-    Both come from one recurrence shift z -> w = z + K, with Re w >= 12
-    and >= 7 + orders, and from the asymptotic series at w.
-    """
-    count = _shift_count(z, max(12.0, 7.0 + orders))
-    steps = np.arange(count.max(initial=0.0))
-    nodes = z[:, None] + steps
-    live = steps < count[:, None]
-    w = z + count
-    w2 = 1.0 / (w * w)
-    log_w = np.log(w)
-    n_terms = _BERNOULLI.size
-    # log Gamma(z) = log Gamma(w) - sum_i log(z + i)
-    shift = _ordered_sum(np.log(np.where(live, nodes, 1.0)))
-    terms = _chain(1.0 / w, w2[:, None], n_terms)
-    log_gamma = _ordered_sum(_BERNOULLI_C * terms / _LOG_GAMMA_DEN_C,
-                             (w - 0.5) * log_w - w + _HALF_LOG_TWO_PI) - shift
-    psi = np.empty((z.size, orders), dtype=complex)
-    if not orders:
-        return log_gamma, psi
-    # psi^(k)(z) = psi^(k)(w) - (-1)^k k! sum_i (z+i)^-(k+1)
-    inv = np.where(live, 1.0 / nodes, 0.0)
-    p = inv
+    count = _shift_count(w, _R)
+    live = _STEPS < count
+    table = np.where(live, w + _STEPS, 1.0)     # 1 past each K
+    W = w + count
+    inv_w = 1.0 / W
+    x = inv_w * inv_w
+    y = x * x
+    horner = _horner(orders)
+    tails = horner[0]
+    for c in horner[1:]:
+        tails = tails * y + c
+    tails = tails[0] * x + tails[1] * y         # sum_n c_n x^n per series
+    log_w = np.log(W)
+    log_gamma = (W - 0.5) * log_w - W + _HALF_LOG_TWO_PI + tails[0] * W
+    # psi^(k)(W) = (-1)^(k-1) W^-k ((k-1)! + k!/(2W) + tail), + log W at
+    # k = 0; then psi^(k)(w) = psi^(k)(W) - (-1)^k k! sum_i (w+i)^-(k+1)
+    psi = np.empty((orders, w.size), dtype=complex)
+    sign_power = -1.0                           # (-1)^(k-1) W^-k
     for k in range(orders):
-        psi[:, k] = _ordered_sum(
-            -(float((-1) ** k * math.factorial(k)) * p))
-        p = p * inv
-    # k = 0: log w - 1/(2w) - sum B_2n / (2n w^2n)
-    powers = _chain(w2, w2[:, None], n_terms)
-    psi[:, 0] += _ordered_sum(-(_BERNOULLI_C * powers / _TWO_N_C),
-                              log_w - 0.5 / w)
-    # k >= 1: (-1)^(k-1) [ (k-1)!/w^k + k!/(2 w^(k+1))
-    #                      + sum_n B_2n (2n+k-1)!/(2n)! w^(-2n-k) ]
-    if orders > 1:
-        factors = np.empty((z.size, 2 * n_terms - 2), dtype=complex)
-        factors[:, 1::2] = w2[:, None]
-    for k in range(1, orders):
-        fk = float(math.factorial(k - 1))
-        s = fk / w ** k + fk * k / (2.0 * w ** (k + 1))
-        factors[:, 0::2] = _polygamma_ratios(k)[:-1]
-        base = math.factorial(k + 1) / 2.0   # (2n+k-1)!/(2n)! at n = 1
-        terms = _chain(base * w ** (-(2 + k)), factors,
-                       2 * n_terms - 1)[:, 0::2]
-        s = _ordered_sum(_BERNOULLI_C * terms, s)
-        psi[:, k] += -s if (k - 1) % 2 == 1 else s
-    return log_gamma, psi
+        bracket = (math.factorial(k - 1) if k else 0.0) \
+            + (0.5 * math.factorial(k)) * inv_w + tails[k + 1]
+        psi[k] = bracket * sign_power if k else log_w - bracket
+        sign_power = sign_power * -inv_w
+    if orders:
+        _subtract_power_sums(psi, live / table)
+    return functools.reduce(operator.mul, table), log_gamma, psi
 
 
 def _log_gamma_flat(z):
-    return _log_gamma_psi(z, 0)[0]
+    """log Gamma(z) = log Gamma(W) - log(P (z)(z+1)...(z+K-1))."""
+    count, _, table = _to_half(z)
+    scale, log_gamma, _ = _stirling(z + count, 0)
+    return log_gamma - np.log(scale * functools.reduce(operator.mul, table))
 
 
 def _polygamma_flat(z, kmax):
-    return _log_gamma_psi(z, kmax + 1)[1]
-
-
-def _recip_gamma_flat(z):
-    """1/Gamma(z) = z (z+1) ... (z+K-1) / Gamma(z+K) for a 1-d array z."""
-    count = _shift_count(z, 0.5)
-    steps = np.arange(count.max(initial=0.0))
-    fac = np.where(steps < count[:, None], z[:, None] + steps, 1.0)
-    return fac.prod(axis=1) * np.exp(-_log_gamma_flat(z + count))
+    """psi^(k)(z) for k <= kmax: the core at w = z + K with Re w >= 1/2,
+    then psi^(k)(z) = psi^(k)(w) - (-1)^k k! sum_{j<K} (z+j)^-(k+1)."""
+    count, live, table = _to_half(z)
+    psi = _stirling(z + count, kmax + 1)[2]
+    _subtract_power_sums(psi, live / table)
+    return psi.T
 
 
 def _recip_gamma_series_flat(z, kmax):
-    """Taylor coefficients of 1/Gamma(z + u), shape (len(z), kmax + 1).
-
-    Where Re z < 1/2 the argument is shifted right through the functional
-    equation, 1/Gamma(z+u) = (z+u)...(z+K-1+u)/Gamma(z+K+u); the product
-    is an exact polynomial in u, which keeps the log-derivative route away
-    from the poles and from the cancellation region left of them.
-    """
+    """Taylor coefficients of 1/Gamma(z + u), shape (len(z), kmax + 1)."""
     count = _shift_count(z, 0.5)
-    log_gamma, psi = _log_gamma_psi(z + count, kmax)
+    scale, log_gamma, psi = _stirling(z + count, kmax)
     out = np.empty((z.size, kmax + 1), dtype=complex)
-    out[:, 0] = np.exp(-log_gamma)
+    out[:, 0] = scale * np.exp(-log_gamma)
     # f = exp(g), g' = -psi: f^(m) = sum_j C(m-1,j) g^(m-j) f^(j)
     g = -psi
     f = [out[:, 0]]
     for m in range(1, kmax + 1):
-        f.append(sum(math.comb(m - 1, j) * g[:, m - j - 1] * f[j]
+        f.append(sum(math.comb(m - 1, j) * g[m - j - 1] * f[j]
                      for j in range(m)))
         out[:, m] = f[m] / math.factorial(m)
     # multiply the polynomial (z+u)(z+1+u)... back in, factor by factor
@@ -177,17 +176,17 @@ def _recip_gamma_series_flat(z, kmax):
 def _blockwise(kernel, z, *args):
     """kernel over z flattened, in blocks of _BLOCK elements.
 
-    The kernels' 2-d temporaries grow with the batch (one column per
-    shift step or series term); blocks cap them at about 100 kB each.
-    Values do not depend on the block an element falls in.
+    Blocks cap the core's temporaries (a row per shift step or series)
+    at about 60 kB each.  Values do not depend on the block.
     """
-    shape, flat = _flat(z)
+    z = np.asarray(z, dtype=complex)
+    flat = z.reshape(-1)
     if flat.size <= _BLOCK:
         out = kernel(flat, *args)
     else:
         out = np.concatenate([kernel(flat[i:i + _BLOCK], *args)
                               for i in range(0, flat.size, _BLOCK)])
-    return out.reshape(shape + out.shape[1:])
+    return out.reshape(z.shape + out.shape[1:])
 
 
 def polygamma_stack(z, kmax):
@@ -196,14 +195,14 @@ def polygamma_stack(z, kmax):
 
 
 def log_gamma(z):
-    """log Gamma(z), branch chosen so exp(log_gamma(z)) == Gamma(z)."""
+    """log Gamma(z) on some branch: exp(log_gamma(z)) == Gamma(z)."""
     out = _blockwise(_log_gamma_flat, z)
     return complex(out) if out.ndim == 0 else out
 
 
 def recip_gamma(z):
     """1/Gamma(z), elementwise; exactly zero at the poles of Gamma."""
-    out = _blockwise(_recip_gamma_flat, z)
+    out = recip_gamma_series(z, 0)[..., 0]
     return complex(out) if out.ndim == 0 else out
 
 

@@ -217,7 +217,14 @@ def enumerate_terms(data, t, c, gamma, policy, circuit=None):
         out.append(LatticeTerm(l=l, sector=gamma, support=sup,
                                owning_cones=owning, essential=is_ess,
                                generator=gen))
-    out.sort(key=lambda term: (term.degree, term.l))
+    # sorted by degree, then l, compared as the integer tuples den * l:
+    # with one denominator they order as the Fractions do
+    den = math.lcm(*(Fraction(v).denominator for v in lift.values))
+
+    def key(term):
+        scaled = tuple(v.numerator * (den // v.denominator) for v in term.l)
+        return sum(map(abs, scaled)), scaled
+    out.sort(key=key)
     return out
 
 

@@ -226,11 +226,12 @@ def make_integrand(x, lprime, circuit, ring):
         for j in iminus:
             den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lp[j] + s * h[j]))
             acc = acc * nums[j] * ring.inv(den)
+        e = np.stack([lp[j] + s * h[j] for j in range(n)])
+        gammas = ring.recip_gamma(e, d)    # one kernel call for every j
         for j in range(n):
-            e = lp[j] + s * h[j]
             if h[j]:
-                acc = acc * np.exp(e * logx[j] - lp[j] * logx[j])
-            acc = acc * ring.recip_gamma(e, d[j])
+                acc = acc * np.exp(e[j] * logx[j] - lp[j] * logx[j])
+            acc = acc * gammas[j]
         return acc
 
     f.decay = (2.0 * math.pi + ay, -ay)   # rates for t -> +inf / -inf
@@ -263,15 +264,16 @@ def pole_distance(lprime, circuit, s0):
                      if kind != "removable"))
 
 
-def _line_quadrature(f, s0, height, a):
+def _line_quadrature(f, s0, height, a, probes=()):
     """Nested trapezoid levels on the line, all nodes in one integrand call.
 
     The fine level has an even number n of nodes t_k = -H + (k + 1/2) h,
     so no node lies at t = 0 (a removable point may sit on the line
     there); the coarse level is its even nodes at step 2h.  On a strip
     of half-width a both levels converge geometrically (Trefethen &
-    Weideman, SIAM Review 56, 2014).  Returns the fine and coarse values,
-    the integrand values at the nodes and the fine step.
+    Weideman, SIAM Review 56, 2014).  The points of probes are evaluated
+    in the same call.  Returns the fine and coarse values, the integrand
+    values (the n nodes, then the probes) and the fine step.
     """
     n = 2 * math.ceil(height * LINE_EXPONENT / (math.pi * a))
     if n > MAX_LINE_NODES:
@@ -279,10 +281,12 @@ def _line_quadrature(f, s0, height, a):
                              f"{a} from its nearest pole needs {n} nodes, "
                              f"more than {MAX_LINE_NODES}")
     step = 2.0 * height / n
-    vals = f(s0 + 1j * (-height + (np.arange(n) + 0.5) * step))
+    vals = f(np.concatenate([s0 + 1j * (-height + (np.arange(n) + 0.5)
+                                         * step), probes]))
+    line = vals.algebra.element(vals.coords[:n])
     scale = step * (-1.0 / (2.0 * math.pi))
-    coarse = vals.algebra.element(vals.coords[::2]).sum() * (2.0 * scale)
-    return vals.sum() * scale, coarse, vals, step
+    coarse = vals.algebra.element(line.coords[::2]).sum() * (2.0 * scale)
+    return line.sum() * scale, coarse, vals, step
 
 
 def mb_contour_oracle(x, lprime, circuit, ring, spec=None):
@@ -292,25 +296,30 @@ def mb_contour_oracle(x, lprime, circuit, ring, spec=None):
     |y| < 1 and minus the left-hand pole sum when |y| > 1.  Returns the
     value and a diagnostics dict: the placed abscissa s0, the line nodes
     and the fine step, the error estimate |fine - coarse| of the two
-    trapezoid levels, and the measured tail bounds.
+    trapezoid levels, and the measured tail bounds.  The two tail probes
+    at the ends of the line share the line's one integrand call.
     """
     spec = spec or ContourSpec()
     s0 = place_line(lprime, circuit, spec.s0)
     f = make_integrand(x, lprime, circuit, ring)
     a = pole_distance(lprime, circuit, s0)
-    fine, coarse, vals, step = _line_quadrature(f, s0, spec.height, a)
+    probes = np.array([complex(s0, spec.height), complex(s0, -spec.height)])
+    fine, coarse, vals, step = _line_quadrature(f, s0, spec.height, a,
+                                                probes)
+    nodes = len(vals.coords) - len(probes)
+    line = vals.algebra.element(vals.coords[:nodes])
+    ends = vals.algebra.element(vals.coords[nodes:])
     rate_up, rate_dn = f.decay
     if min(rate_up, rate_dn) <= 0:
         raise TailBoundViolated("arg y outside (-2 pi, 0): no decay")
-    ends = f(np.array([complex(s0, spec.height), complex(s0, -spec.height)]))
     tail_up, tail_dn = (float(v) for v in ends.norm() / (rate_up, rate_dn))
     if tail_up + tail_dn > TAIL_TOL:
         raise TailBoundViolated(
             f"measured tails {tail_up:.2e}+{tail_dn:.2e} "
             f"exceed {TAIL_TOL:.2e}")
-    _require_finite(vals, "line")
+    _require_finite(line, "line")
     _require_finite(ends, "tail probes")
-    return fine, {"s0": s0, "nodes": len(vals.coords), "step": step,
+    return fine, {"s0": s0, "nodes": nodes, "step": step,
                   "est_error": (fine - coarse).norm(),
                   "tail": tail_up + tail_dn}
 

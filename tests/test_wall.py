@@ -21,7 +21,7 @@ from gkzflop import (
     find_circuit,
     select_endpoints,
 )
-from gkzflop import wall
+from gkzflop import kernels, wall
 from gkzflop.series import sum_rows, term_value, term_values
 from support import circuit_fixture, reference_integrand
 
@@ -338,7 +338,8 @@ def test_line_nodes_miss_the_removable_point(a1, monkeypatch):
                         lambda *a: recording(build(*a), calls))
     _, diag = wall.mb_contour_oracle(x, lp, a1.circuit, ring)   # no guard hit
     assert diag["s0"] == 0.5
-    line = calls[0]
+    assert len(calls) == 1 and len(calls[0]) == diag["nodes"] + 2
+    line = calls[0][:diag["nodes"]]
     assert len(line) == diag["nodes"] and np.all(line.real == 0.5)
     for level in (line, line[::2]):    # fine, and coarse
         assert np.abs(level.imag).min() == pytest.approx(diag["step"] / 2)
@@ -362,7 +363,40 @@ def test_one_integrand_call_gives_both_levels(a1, monkeypatch):
     monkeypatch.setattr(wall, "make_integrand",
                         lambda *a: recording(build(*a), count))
     wall.mb_contour_oracle(x, lp, a1.circuit, ring)
-    assert [len(c) for c in count] == [642, 2]
+    assert [len(c) for c in count] == [644]
+
+
+def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
+    # the integrand evaluates its n Gamma factors in one kernel call, and
+    # a line's two tail probes share the line's integrand call
+    wc = wall_context(pack)
+    g0 = trivial_sector(wc)
+    ring = plus_ring(wc, g0, 1e-2)
+    lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
+    x = pack.path().x_plus
+    integrand, kernel, circles = [], [], []
+    build = wall.make_integrand
+    real_kernel, real_circle = kernels.recip_gamma_series, wall.residue_at
+
+    def counted_kernel(z, kmax):
+        kernel.append(np.shape(z))
+        return real_kernel(z, kmax)
+
+    def counted_circle(*args, **kwargs):
+        circles.append(1)
+        return real_circle(*args, **kwargs)
+
+    monkeypatch.setattr(wall, "make_integrand",
+                        lambda *a: recording(build(*a), integrand))
+    monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
+    monkeypatch.setattr(wall, "residue_at", counted_circle)
+    _, diag = wall.mb_contour_oracle(x, lp, pack.circuit, ring)
+    assert len(integrand) == 1
+    assert kernel == [(pack.data.n, diag["nodes"] + 2)]
+    del integrand[:], kernel[:]
+    wall.left_residue_sum(x, lp, pack.circuit, ring, diag["s0"])
+    assert circles and len(integrand) == len(circles)
+    assert kernel == [(pack.data.n, 64)] * len(circles)
 
 
 def test_a1_line_integral_matches_mpmath(a1):
