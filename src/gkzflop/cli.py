@@ -15,8 +15,8 @@ from .errors import (GkzflopError, InputError, NotATriangulation,
                      UnimplementedPairing)
 from .fixtures import load_fixture
 from .toric import (check_triangulation, compute_box, essential_cones,
-                    essential_sectors, find_circuit, is_interior_point,
-                    sector_label, validate_toric_data)
+                    essential_sectors, find_circuit, sector_label,
+                    validate_toric_data)
 from .rings import Chamber
 from .series import TruncationPolicy, evaluate_gamma, evaluate_gamma_dual
 from .dual import PairingStub, build_compact_module, dual_transform_status
@@ -197,9 +197,8 @@ def cmd_gamma_eval(args):
             "evaluations": []}
     for side, t, x in (("plus", t_plus, path.x_plus),
                        ("minus", t_minus, path.x_minus)):
-        chamber = Chamber(data, t)
-        for c in battery:
-            val = evaluate_gamma(chamber, c, x, policy, circuit)
+        values = evaluate_gamma(Chamber(data, t), battery, x, policy, circuit)
+        for c, val in zip(battery, values):
             body["evaluations"].append({
                 "side": side, "c": list(c),
                 "components": {sector_label(k): _element_out(v)
@@ -236,10 +235,9 @@ def cmd_dual_eval(args):
     for t in (t_plus, t_minus):
         chamber = Chamber(data, t)
         module = build_compact_module(chamber)
-        assert all(is_interior_point(data, t, c, chamber.facets)
-                   for c in battery)
-        for c in battery:
-            val = evaluate_gamma_dual(chamber, c, x, policy, module=module)
+        values = evaluate_gamma_dual(chamber, battery, x, policy,
+                                     module=module)
+        for c, val in zip(battery, values):
             body["evaluations"].append({
                 "side": t.label, "c": list(c),
                 "generators": [[i + 1 for i in I]

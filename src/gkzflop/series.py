@@ -22,6 +22,9 @@ per coordinate for all its distinct values, and sums over the batch add
 its rows in term order.  A batch may hold the terms of several series
 (several c of a battery): a row does not depend on the other rows, so
 each series sums its own rows to the same value it would get alone.
+evaluate_gamma and evaluate_gamma_dual take a whole battery of c and
+make one batch per sector for the whole battery; a single c is a
+battery of one.
 """
 
 import cmath
@@ -29,11 +32,12 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import BranchCut, DivergenceSuspected, InfeasibleArgs, \
-    NonInteriorPoint
+    NonFiniteValue, NonInteriorPoint
 from . import rational
 from .toric import essential_cones, interior_cones, is_interior_point, \
     canonical_lift
@@ -347,65 +351,109 @@ def _tail_scan(shell_norms):
     return {"ratio": nan_max(*ratios), "checked": True}
 
 
-def evaluate_gamma(chamber, c, x, policy, circuit=None):
-    """Sum the series for lattice point c at x, per twisted sector."""
-    data, t = chamber.data, chamber.t
-    xs = _point(x, data.n)
-    total, ess, ness, algebras = {}, {}, {}, {}
-    counts = {}
-    shells = defaultdict(float)
+def _sector_batches(chamber, battery, x, policy, circuit=None, dual=False):
+    """One term_values batch per sector for the whole battery.
+
+    Yields, per twisted sector of the chamber in box order, its key, the
+    terms of each c of the battery, the slice of the batch that holds
+    each c's rows (in term order), and the batch itself.
+    """
     for gamma in chamber.box:
-        alg = chamber.algebras[gamma.key()]
-        ring = DeformationRing(alg, eps=0.0)
-        terms = enumerate_terms(data, t, c, gamma, policy, circuit)
-        values = term_values(xs, [term.l for term in terms], ring)
-        essential = np.array([term.essential for term in terms], dtype=bool)
-        for term, norm in zip(terms, values.norm()):
-            shells[term.degree] += float(norm)
         key = gamma.key()
-        algebras[key] = alg
-        total[key] = sum_rows(values)
-        ess[key] = sum_rows(values, essential)
-        ness[key] = sum_rows(values, ~essential)
-        counts[key] = len(terms)
-    tail = _tail_scan(shells)
-    if policy.tail_check and tail["checked"] and not tail["ratio"] < 1.0:
-        raise DivergenceSuspected(
-            f"shell norms grow with ratio {tail['ratio']:.3f}")
-    return GammaValue(value=OrbifoldSum(total), essential=OrbifoldSum(ess),
-                      nonessential=OrbifoldSum(ness), algebras=algebras,
-                      term_counts=counts, tail=tail)
+        ring = DeformationRing(chamber.algebras[key], eps=0.0)
+        terms = [enumerate_terms(chamber.data, chamber.t, c, gamma, policy,
+                                 circuit) for c in battery]
+        ends = list(accumulate(map(len, terms)))
+        rows = [slice(end - len(part), end) for part, end in zip(terms, ends)]
+        batch = term_values(x, [term.l for part in terms for term in part],
+                            ring, dual)
+        yield key, terms, rows, batch
 
 
-def evaluate_gamma_dual(chamber, c, x, policy, module=None):
-    """Dual series: coefficients on the interior-cone generators."""
+def _require_finite(finite, c):
+    if not finite:
+        raise NonFiniteValue(f"a series term at c = {tuple(c)} is not finite")
+
+
+def evaluate_gamma(chamber, battery, x, policy, circuit=None):
+    """Sum the series of every lattice point c of the battery at x.
+
+    One batch per sector for the whole battery: each c adds its own rows
+    in term order.  Returns one GammaValue per c, in battery order.  The
+    checks run per c in battery order, as for that c alone: the tail fit
+    of its shell norms (DivergenceSuspected), then its terms' finiteness
+    (NonFiniteValue).
+    """
+    battery = list(battery)
+    xs = _point(x, chamber.data.n)
+    algebras = dict(chamber.algebras)
+    out = [GammaValue(OrbifoldSum(), OrbifoldSum(), OrbifoldSum(), algebras,
+                      term_counts={}, tail=None) for _ in battery]
+    shells = [defaultdict(float) for _ in battery]
+    finite = [True] * len(battery)
+    for key, terms, rows, batch in _sector_batches(chamber, battery, xs,
+                                                   policy, circuit):
+        norms = batch.norm()
+        for i, (val, part, sel) in enumerate(zip(out, terms, rows)):
+            for term, norm in zip(part, norms[sel]):
+                shells[i][term.degree] += float(norm)
+            values = batch.algebra.element(batch.coords[sel])
+            finite[i] &= bool(np.isfinite(values.coords).all())
+            essential = np.array([term.essential for term in part],
+                                 dtype=bool)
+            val.value.components[key] = sum_rows(values)
+            val.essential.components[key] = sum_rows(values, essential)
+            val.nonessential.components[key] = sum_rows(values, ~essential)
+            val.term_counts[key] = len(part)
+    for c, val, shell, ok in zip(battery, out, shells, finite):
+        val.tail = _tail_scan(shell)
+        if policy.tail_check and val.tail["checked"] \
+                and not val.tail["ratio"] < 1.0:
+            raise DivergenceSuspected(
+                f"shell norms grow with ratio {val.tail['ratio']:.3f}")
+        _require_finite(ok, c)
+    return out
+
+
+def evaluate_gamma_dual(chamber, battery, x, policy, module=None):
+    """Dual series of every c of the battery: coefficients on the
+    interior-cone generators.
+
+    Every c must be an interior point (NonInteriorPoint otherwise).  One
+    batch per sector for the whole battery, as in evaluate_gamma; returns
+    one DualGammaValue per c, in battery order, after checking each c's
+    terms for finiteness (NonFiniteValue) in that order.
+    """
     data, t = chamber.data, chamber.t
-    if not is_interior_point(data, t, c, chamber.facets):
-        raise NonInteriorPoint(f"{tuple(c)} is not interior")
+    battery = list(battery)
+    for c in battery:
+        if not is_interior_point(data, t, c, chamber.facets):
+            raise NonInteriorPoint(f"{tuple(c)} is not interior")
     xs = _point(x, data.n)
     interior = set(map(frozenset, interior_cones(data, t, chamber.facets)))
-    components = {}
-    algebras = {}
-    counts = {}
-    for gamma in chamber.box:
-        alg = chamber.algebras[gamma.key()]
-        ring = DeformationRing(alg, eps=0.0)
-        terms = enumerate_terms(data, t, c, gamma, policy)
-        key = gamma.key()
-        algebras[key] = alg
-        counts[key] = len(terms)
-        values = term_values(xs, [term.l for term in terms], ring, dual=True)
-        groups = {}
-        for i, term in enumerate(terms):
-            assert term.support in interior, \
-                "support of an interior-point term must be an interior cone"
-            groups.setdefault((key, tuple(sorted(term.support))), []).append(i)
-        for ckey, rows in groups.items():
-            components[ckey] = sum_rows(values, rows)
-    reduced = module.reduce_components(components) if module is not None \
-        else None
-    return DualGammaValue(components=components, algebras=algebras,
-                          term_counts=counts, reduced=reduced)
+    algebras = dict(chamber.algebras)
+    out = [DualGammaValue(components={}, algebras=algebras, term_counts={})
+           for _ in battery]
+    finite = [True] * len(battery)
+    for key, terms, rows, batch in _sector_batches(chamber, battery, xs,
+                                                   policy, dual=True):
+        for i, (val, part, sel) in enumerate(zip(out, terms, rows)):
+            finite[i] &= bool(np.isfinite(batch.coords[sel]).all())
+            val.term_counts[key] = len(part)
+            groups = {}
+            for row, term in enumerate(part, sel.start):
+                # internal: c is interior, so every facet functional is
+                # positive on some point of the support of a term
+                assert term.support in interior
+                groups.setdefault((key, tuple(sorted(term.support))),
+                                  []).append(row)
+            for ckey, idx in groups.items():
+                val.components[ckey] = sum_rows(batch, idx)
+    for c, val, ok in zip(battery, out, finite):
+        _require_finite(ok, c)
+        if module is not None:
+            val.reduced = module.reduce_components(val.components)
+    return out
 
 
 # -- PDE residuals ------------------------------------------------------

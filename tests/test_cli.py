@@ -250,6 +250,57 @@ def test_nan_kernel_value_never_passes(tmp_path, monkeypatch, batched):
         assert math.isnan(rep["body"]["end_to_end"]["max_dev"])
 
 
+@pytest.mark.parametrize("command", ["gamma-eval", "dual-eval"])
+def test_nan_series_term_never_passes(tmp_path, monkeypatch, command):
+    # one NaN coefficient in the first kernel call: the series commands
+    # refuse the battery instead of reporting NaN components
+    real = kernels.recip_gamma_series
+    hit = []
+
+    def poisoned(z, kmax):
+        out = real(z, kmax)
+        if not hit:
+            hit.append(z)
+            out.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(kernels, "recip_gamma_series", poisoned)
+    status, rep = run_cli([command, "--fixture", "a1", "--depth", "0"],
+                          tmp_path)
+    assert hit
+    assert status == 1
+    assert rep["body"]["pass"] is False
+    assert rep["body"]["error"] == "NonFiniteValue"
+
+
+@pytest.mark.parametrize("fixture, command, calls", [
+    ("a1", "gamma-eval", 9), ("a1", "dual-eval", 9),
+    ("conifold", "gamma-eval", 8), ("conifold", "dual-eval", 8),
+    ("p2", "dual-eval", 16)], ids=str)
+def test_one_kernel_call_per_sector_and_coordinate(tmp_path, monkeypatch,
+                                                   fixture, command, calls):
+    # the battery is one term_values batch per sector and side: one
+    # kernel call per (side, sector, coordinate), whatever the depth
+    if fixture == "p2":
+        path = tmp_path / "p2.txt"
+        path.write_text(write_fixture(*circuit_fixture((1, 1, 1, -3))))
+        fixture = str(path)
+    real = kernels.recip_gamma_series
+    count = []
+
+    def counted(z, kmax):
+        count.append(1)
+        return real(z, kmax)
+
+    monkeypatch.setattr(kernels, "recip_gamma_series", counted)
+    for depth in ("0", "2"):
+        del count[:]
+        argv = [command, "--fixture", fixture, "--depth", depth]
+        status, _ = cli.run(argv[0], cli.build_parser().parse_args(argv))
+        assert status == 0
+        assert len(count) == calls, depth
+
+
 def test_dual_status(tmp_path):
     status, rep = run_cli(["dual-status", "--fixture", "conifold"], tmp_path)
     assert status == 0

@@ -104,7 +104,7 @@ def test_series_values_reduce_to_rank_two(modules, name, side, c):
     pack, t, mod = modules[(name, side)]
     policy = TruncationPolicy(degree_bound=12, tail_check=False)
     x = [0.08 + 0.01j] * pack.data.n
-    val = evaluate_gamma_dual(pack.chamber(t), c, x, policy, module=mod)
+    [val] = evaluate_gamma_dual(pack.chamber(t), [c], x, policy, module=mod)
     flat = mod.reduce_flat(val.components)
     assert flat.size == 2
     assert np.max(np.abs(flat)) > 0

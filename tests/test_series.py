@@ -20,11 +20,14 @@ from gkzflop import (
     evaluate_gamma_dual,
     pde_residuals,
 )
-from gkzflop import series
+from gkzflop import cli, series
 from gkzflop.deform import DeformationRing, TWO_PI_I, _taylor_recip
+from gkzflop.dual import build_compact_module
+from gkzflop.fixtures import load_fixture
+from gkzflop.rings import Chamber
 from gkzflop.series import enumerate_terms, nan_max
-from gkzflop.toric import canonical_lift, compute_box
-from gkzflop.wall import c_battery
+from gkzflop.toric import canonical_lift, compute_box, find_circuit
+from gkzflop.wall import c_battery, select_endpoints
 from support import circuit_fixture, reference_solutions
 
 mpmath.mp.dps = 30
@@ -131,8 +134,8 @@ def test_integer_walk_covers_fractional_lifts(h, sectors):
 def test_leading_term_is_unit_scalar(conifold):
     x = (0.3, 0.7, 0.8, 0.2)
     policy = TruncationPolicy(degree_bound=1, tail_check=False)
-    val = evaluate_gamma(conifold.chamber(conifold.t_plus), (0, 0, 0), x,
-                         policy)
+    [val] = evaluate_gamma(conifold.chamber(conifold.t_plus), [(0, 0, 0)], x,
+                           policy)
     comp = val.value.components[G0_CONE]
     assert abs(comp.scalar_part - 1.0) < 1e-12
     assert comp.nilpotent_part().norm() > 0
@@ -166,7 +169,7 @@ def reference_orbit_sum(x, h, w, mmax):
 def test_component_matches_reference_a1(a1):
     x = (0.2, 0.8, 0.3)
     policy = TruncationPolicy(degree_bound=48, tail_check=False)
-    val = evaluate_gamma(a1.chamber(a1.t_plus), (0, 0), x, policy)
+    [val] = evaluate_gamma(a1.chamber(a1.t_plus), [(0, 0)], x, policy)
     comp = val.value.components[G0_A1]
     alg = val.algebras[G0_A1]
     t_el = alg.divisor(0)
@@ -179,8 +182,8 @@ def test_component_matches_reference_a1(a1):
 def test_component_matches_reference_conifold(conifold):
     x = (0.3, 0.7, 0.8, 0.2)
     policy = TruncationPolicy(degree_bound=40, tail_check=False)
-    val = evaluate_gamma(conifold.chamber(conifold.t_plus), (0, 0, 0), x,
-                         policy)
+    [val] = evaluate_gamma(conifold.chamber(conifold.t_plus), [(0, 0, 0)], x,
+                           policy)
     comp = val.value.components[G0_CONE]
     alg = val.algebras[G0_CONE]
     t_el = alg.divisor(3)
@@ -193,7 +196,7 @@ def test_component_matches_reference_conifold(conifold):
 def test_twisted_leading_value(a1):
     x = (0.25, 0.5, 0.16)
     policy = TruncationPolicy(degree_bound=2, tail_check=False)
-    val = evaluate_gamma(a1.chamber(a1.t_minus), (1, 1), x, policy)
+    [val] = evaluate_gamma(a1.chamber(a1.t_minus), [(1, 1)], x, policy)
     comp = val.value.components[TW_A1]
     expected = x[0] ** -0.5 * x[2] ** -0.5 / math.pi  # (1/Gamma(1/2))^2 = 1/pi
     assert abs(comp.scalar_part - expected) < 1e-13 * abs(expected)
@@ -203,7 +206,7 @@ def test_divergence_guard(a1):
     x = (2.0, 0.5, 2.0)
     policy = TruncationPolicy(degree_bound=40, tail_check=True)
     with pytest.raises(DivergenceSuspected):
-        evaluate_gamma(a1.chamber(a1.t_plus), (0, 0), x, policy)
+        evaluate_gamma(a1.chamber(a1.t_plus), [(0, 0)], x, policy)
 
 
 def test_nan_shell_norm_trips_divergence_guard(a1, monkeypatch):
@@ -219,7 +222,7 @@ def test_nan_shell_norm_trips_divergence_guard(a1, monkeypatch):
     x = (0.2, 0.8, 0.3)
     policy = TruncationPolicy(degree_bound=12, tail_check=True)
     with pytest.raises(DivergenceSuspected):
-        evaluate_gamma(a1.chamber(a1.t_plus), (0, 0), x, policy)
+        evaluate_gamma(a1.chamber(a1.t_plus), [(0, 0)], x, policy)
 
 
 def test_nan_max_keeps_nan_in_any_position():
@@ -239,9 +242,10 @@ def test_point_validation():
 def test_dual_attachments_a1(a1):
     x = (0.08 + 0.01j,) * 3
     policy = TruncationPolicy(degree_bound=4, tail_check=False)
-    plus = evaluate_gamma_dual(a1.chamber(a1.t_plus), (1, 1), x, policy)
+    [plus] = evaluate_gamma_dual(a1.chamber(a1.t_plus), [(1, 1)], x, policy)
     assert set(plus.components) == {(G0_A1, (1,))}
-    minus = evaluate_gamma_dual(a1.chamber(a1.t_minus), (1, 1), x, policy)
+    [minus] = evaluate_gamma_dual(a1.chamber(a1.t_minus), [(1, 1)], x,
+                                  policy)
     assert set(minus.components) == {(G0_A1, (0, 2)), (TW_A1, (0, 2))}
     for (key, cone), v in minus.components.items():
         assert cone, "dual coefficients must sit on a nonempty cone"
@@ -252,9 +256,103 @@ def test_dual_requires_interior_point(a1):
     x = (0.1, 0.1, 0.1)
     policy = TruncationPolicy(degree_bound=4, tail_check=False)
     with pytest.raises(NonInteriorPoint):
-        evaluate_gamma_dual(a1.chamber(a1.t_plus), (0, 0), x, policy)
+        evaluate_gamma_dual(a1.chamber(a1.t_plus), [(0, 0)], x, policy)
     with pytest.raises(NonInteriorPoint):
-        evaluate_gamma_dual(a1.chamber(a1.t_plus), (0, 1), x, policy)
+        evaluate_gamma_dual(a1.chamber(a1.t_plus), [(0, 1)], x, policy)
+
+
+def battery_case(name):
+    """Both chambers, the circuit and the gamma-eval endpoints of a case."""
+    if isinstance(name, str):
+        data, tris = load_fixture(name)
+    else:
+        data, tris = circuit_fixture(name)
+    circuit = find_circuit(data, tris["plus"], tris["minus"])
+    path = select_endpoints(circuit, None, 0.1)
+    sides = ((Chamber(data, tris["plus"]), path.x_plus),
+             (Chamber(data, tris["minus"]), path.x_minus))
+    return data, circuit, sides
+
+
+def same_elements(a, b):
+    return list(a) == list(b) and all((a[k].coords == b[k].coords).all()
+                                      for k in a)
+
+
+BATTERY_CASES = ["a1", "conifold", (1, 1, 1, -3)]
+BATTERY_IDS = ["a1", "conifold", "p2"]
+
+
+@pytest.mark.parametrize("name", BATTERY_CASES, ids=BATTERY_IDS)
+def test_battery_equals_its_single_c_batteries(name):
+    # the whole battery is one batch per sector; each c's values are
+    # those of the c alone.  Local P^2 (1,1,1,-3) diverges at these
+    # endpoints, so the tail fit is reported but does not raise.
+    data, circuit, sides = battery_case(name)
+    policy = TruncationPolicy(degree_bound=20, tail_check=False)
+    battery = c_battery(data, 2)
+    for chamber, x in sides:
+        values = evaluate_gamma(chamber, battery, x, policy, circuit)
+        assert len(values) == len(battery) > 1
+        for c, val in zip(battery, values):
+            [alone] = evaluate_gamma(chamber, [c], x, policy, circuit)
+            for part in ("value", "essential", "nonessential"):
+                assert same_elements(getattr(val, part).components,
+                                     getattr(alone, part).components), c
+            assert val.term_counts == alone.term_counts, c
+            assert val.tail == alone.tail, c
+
+
+@pytest.mark.parametrize("name", BATTERY_CASES, ids=BATTERY_IDS)
+def test_dual_battery_equals_its_single_c_batteries(name):
+    data, _, sides = battery_case(name)
+    policy = TruncationPolicy(degree_bound=20)
+    battery = cli._interior_battery(data, 2)
+    x = [0.08 + 0.01j] * data.n
+    for chamber, _ in sides:
+        module = build_compact_module(chamber)
+        values = evaluate_gamma_dual(chamber, battery, x, policy, module)
+        assert len(values) == len(battery) > 1
+        for c, val in zip(battery, values):
+            [alone] = evaluate_gamma_dual(chamber, [c], x, policy, module)
+            assert same_elements(val.components, alone.components), c
+            assert val.term_counts == alone.term_counts, c
+            assert list(val.reduced) == list(alone.reduced), c
+            for key, vec in val.reduced.items():
+                assert (vec == alone.reduced[key]).all(), c
+
+
+def test_battery_raises_what_its_first_failing_c_raises():
+    # a1 at depth 3 diverges at three c of the plus side, with two
+    # different ratios; the battery names the first in battery order
+    data, circuit, sides = battery_case("a1")
+    policy = TruncationPolicy(degree_bound=20)
+    battery = c_battery(data, 3)
+    failing = 0
+    for chamber, x in sides:
+        messages = []
+        for c in battery:
+            try:
+                evaluate_gamma(chamber, [c], x, policy, circuit)
+            except DivergenceSuspected as exc:
+                messages.append(str(exc))
+        if not messages:
+            evaluate_gamma(chamber, battery, x, policy, circuit)
+            continue
+        failing += 1
+        assert len(set(messages)) > 1
+        with pytest.raises(DivergenceSuspected) as info:
+            evaluate_gamma(chamber, battery, x, policy, circuit)
+        assert str(info.value) == messages[0]
+    assert failing == 1
+
+
+def test_dual_battery_checks_every_c_up_front(a1):
+    x = (0.1, 0.1, 0.1)
+    policy = TruncationPolicy(degree_bound=4, tail_check=False)
+    with pytest.raises(NonInteriorPoint, match=r"\(0, 1\)"):
+        evaluate_gamma_dual(a1.chamber(a1.t_plus), [(1, 1), (0, 1)], x,
+                            policy)
 
 
 def interior_battery(pack):
