@@ -197,7 +197,7 @@ def cmd_gamma_eval(args):
             "evaluations": []}
     for side, t, x in (("plus", t_plus, path.x_plus),
                        ("minus", t_minus, path.x_minus)):
-        values = evaluate_gamma(Chamber(data, t), battery, x, policy, circuit)
+        values = evaluate_gamma(Chamber(data, t), battery, x, policy)
         for c, val in zip(battery, values):
             body["evaluations"].append({
                 "side": side, "c": list(c),

@@ -138,6 +138,22 @@ class SectorAlgebra:
             for j, v in self._divisor_exact.items()
         }
 
+    @property
+    def mult_table(self):
+        """Structure constants: e_a e_b = sum_c mult_table[a, b, c] e_c."""
+        return self._mult_table
+
+    @mult_table.setter
+    def mult_table(self, table):
+        # the nonzero constants (a, b, t) of each output coordinate c, in
+        # (a, b) order: a batch product sums only these column products
+        self._mult_table = table
+        self.product_terms = tuple(
+            tuple((a, b, complex(table[a, b, c]))
+                  for a, b in zip(*(i.tolist() for i in
+                                    np.nonzero(table[:, :, c]))))
+            for c in range(table.shape[2]))
+
     def _reduce_monomial(self, mono):
         if self._sr_zero(mono):
             return [Fraction(0)] * self.dim
@@ -253,6 +269,15 @@ class AlgebraElement:
     batch of elements of the same algebra (one per quadrature node, say);
     arithmetic acts row by row and broadcasts a single element against a
     batch.  Scalars may be numbers or arrays of the batch shape.
+
+    The product of two single elements is one einsum contraction with the
+    multiplication table.  A product with a batch broadcasts both
+    operands to the full shape, flattens them to rows, and forms each
+    output coordinate as a short sum of column products over the
+    algebra's nonzero structure constants (`product_terms`).  A row's
+    product is the same bits whatever batch it sits in: every row goes
+    through the same numpy array loops, and no step does arithmetic on
+    numpy complex scalars, which round differently from those loops.
     """
 
     __slots__ = ("algebra", "coords")
@@ -321,9 +346,14 @@ class AlgebraElement:
         if isinstance(other, np.ndarray):
             return AlgebraElement(self.algebra, self.coords * other[..., None])
         if isinstance(other, AlgebraElement):
+            # internal: elements meet only inside one DeformationRing or
+            # one sector's series, which hold a single algebra
             assert other.algebra is self.algebra, "mixed-algebra product"
-            out = np.einsum("...a,...b,abc->...c", self.coords, other.coords,
-                            self.algebra.mult_table)
+            if self.coords.ndim == other.coords.ndim == 1:
+                out = np.einsum("...a,...b,abc->...c", self.coords,
+                                other.coords, self.algebra.mult_table)
+            else:
+                out = _batch_product(self.algebra, self.coords, other.coords)
             return AlgebraElement(self.algebra, out)
         return NotImplemented
 
@@ -334,6 +364,7 @@ class AlgebraElement:
 
     def _coerce(self, other):
         if isinstance(other, AlgebraElement):
+            # internal: as for products, sums never mix sector algebras
             assert other.algebra is self.algebra
             return other
         if isinstance(other, (int, float, complex, np.ndarray)):
@@ -345,6 +376,40 @@ class AlgebraElement:
         for _ in range(k):
             acc = acc * self
         return acc
+
+
+def _batch_product(algebra, x, y):
+    """Row-wise product of coordinate batches x and y (see AlgebraElement).
+
+    An operand short of the full shape is copied out to it, so both are
+    plain (rows, dim) arrays.  Column c of the result is the sum over the
+    nonzero constants (a, b, t) of t x[:, a] y[:, b], added in the order
+    of product_terms.
+    """
+    shape = np.broadcast(x, y).shape
+    rows = []
+    for z in (x, y):
+        if z.shape != shape:
+            full = np.empty(shape, dtype=complex)
+            full[...] = z
+            z = full
+        rows.append(z.reshape(-1, algebra.dim))
+    x, y = rows
+    out = np.zeros(shape, dtype=complex)
+    flat = out.reshape(-1, algebra.dim)
+    for c, terms in enumerate(algebra.product_terms):
+        col = None
+        for a, b, t in terms:
+            p = x[:, a] * y[:, b]
+            if t != 1:
+                p = p * t    # in place, numpy rounds a 1-row p differently
+            if col is None:
+                col = p
+            else:
+                col += p
+        if col is not None:
+            flat[:, c] = col
+    return out
 
 
 def algebra_exp(element):

@@ -100,8 +100,6 @@ class OrbifoldSum:
 @dataclass
 class GammaValue:
     value: OrbifoldSum
-    essential: OrbifoldSum
-    nonessential: OrbifoldSum
     algebras: dict
     term_counts: dict
     tail: dict
@@ -351,7 +349,7 @@ def _tail_scan(shell_norms):
     return {"ratio": nan_max(*ratios), "checked": True}
 
 
-def _sector_batches(chamber, battery, x, policy, circuit=None, dual=False):
+def _sector_batches(chamber, battery, x, policy, dual=False):
     """One term_values batch per sector for the whole battery.
 
     Yields, per twisted sector of the chamber in box order, its key, the
@@ -361,8 +359,8 @@ def _sector_batches(chamber, battery, x, policy, circuit=None, dual=False):
     for gamma in chamber.box:
         key = gamma.key()
         ring = DeformationRing(chamber.algebras[key], eps=0.0)
-        terms = [enumerate_terms(chamber.data, chamber.t, c, gamma, policy,
-                                 circuit) for c in battery]
+        terms = [enumerate_terms(chamber.data, chamber.t, c, gamma, policy)
+                 for c in battery]
         ends = list(accumulate(map(len, terms)))
         rows = [slice(end - len(part), end) for part, end in zip(terms, ends)]
         batch = term_values(x, [term.l for part in terms for term in part],
@@ -375,7 +373,7 @@ def _require_finite(finite, c):
         raise NonFiniteValue(f"a series term at c = {tuple(c)} is not finite")
 
 
-def evaluate_gamma(chamber, battery, x, policy, circuit=None):
+def evaluate_gamma(chamber, battery, x, policy):
     """Sum the series of every lattice point c of the battery at x.
 
     One batch per sector for the whole battery: each c adds its own rows
@@ -387,23 +385,19 @@ def evaluate_gamma(chamber, battery, x, policy, circuit=None):
     battery = list(battery)
     xs = _point(x, chamber.data.n)
     algebras = dict(chamber.algebras)
-    out = [GammaValue(OrbifoldSum(), OrbifoldSum(), OrbifoldSum(), algebras,
-                      term_counts={}, tail=None) for _ in battery]
+    out = [GammaValue(OrbifoldSum(), algebras, term_counts={}, tail=None)
+           for _ in battery]
     shells = [defaultdict(float) for _ in battery]
     finite = [True] * len(battery)
     for key, terms, rows, batch in _sector_batches(chamber, battery, xs,
-                                                   policy, circuit):
+                                                   policy):
         norms = batch.norm()
         for i, (val, part, sel) in enumerate(zip(out, terms, rows)):
             for term, norm in zip(part, norms[sel]):
                 shells[i][term.degree] += float(norm)
             values = batch.algebra.element(batch.coords[sel])
             finite[i] &= bool(np.isfinite(values.coords).all())
-            essential = np.array([term.essential for term in part],
-                                 dtype=bool)
             val.value.components[key] = sum_rows(values)
-            val.essential.components[key] = sum_rows(values, essential)
-            val.nonessential.components[key] = sum_rows(values, ~essential)
             val.term_counts[key] = len(part)
     for c, val, shell, ok in zip(battery, out, shells, finite):
         val.tail = _tail_scan(shell)

@@ -324,9 +324,15 @@ def mb_contour_oracle(x, lprime, circuit, ring, spec=None):
                   "tail": tail_up + tail_dn}
 
 
-def residue_at(x, lprime, circuit, ring, center, radius=0.25, nodes=64):
-    """Residue by a small positively oriented circle, in one batched call."""
-    f = make_integrand(x, lprime, circuit, ring)
+def residue_at(x, lprime, circuit, ring, center, radius=0.25, nodes=64,
+               f=None):
+    """Residue by a small positively oriented circle, in one batched call.
+
+    f is the integrand of (x, lprime, circuit, ring) when the caller has
+    built it already; otherwise it is built here.
+    """
+    if f is None:
+        f = make_integrand(x, lprime, circuit, ring)
     z = np.exp(TWO_PI_I * np.arange(nodes) / nodes) * radius
     vals = f(complex(center) + z)
     _require_finite(vals, "residue circle")
@@ -351,8 +357,10 @@ def left_residue_sum(x, lprime, circuit, ring, s0):
     One circle encloses each pole location of the pole model, so poles
     sharing it (merged families, integer points hit by a family) never
     force a tiny radius; the radius, at most 0.2, keeps it off the
-    neighbouring locations.
+    neighbouring locations.  Every circle evaluates the one integrand
+    built here.
     """
+    f = make_integrand(x, lprime, circuit, ring)
     points = pole_model(lprime, circuit, s0 - MAX_DEPTH - 1, s0 + 1)
     acc, small = None, 0
     for i in reversed(range(1, len(points) - 1)):
@@ -361,7 +369,7 @@ def left_residue_sum(x, lprime, circuit, ring, s0):
             continue
         gap = min(points[i + 1][0] - re, re - points[i - 1][0])
         val = residue_at(x, lprime, circuit, ring, complex(float(re)),
-                         radius=min(0.2, 0.4 * float(gap)))
+                         radius=min(0.2, 0.4 * float(gap)), f=f)
         acc = val if acc is None else acc + val
         small = small + 1 if val.norm() < STOP * max(acc.norm(), 1.0) else 0
         if small == 3:

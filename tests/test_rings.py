@@ -1,6 +1,7 @@
 """Sector algebras: dimensions, relations, inverses, special values."""
 
 import cmath
+import copy
 import functools
 import json
 import math
@@ -360,3 +361,84 @@ def test_unit_phase_exact_values():
     assert unit_phase(Fraction(5, 2)) == -1.0 + 0.0j
     got = unit_phase(Fraction(1, 3))
     assert abs(got - cmath.exp(2j * math.pi / 3)) < 1e-15
+
+
+def batch_product_algebras(packs):
+    """Every sector algebra of a1, conifold and local P^2, and dense twins.
+
+    A twin is the same algebra with random structure constants in every
+    entry, so each output coordinate sums dim^2 products.
+    """
+    chambers = [packs[name].chamber(t) for name in ("a1", "conifold")
+                for t in (packs[name].t_plus, packs[name].t_minus)]
+    data, tris = parse_fixture(LOCAL_P2)
+    chambers += [Chamber(data, t) for t in tris.values()]
+    rng = np.random.default_rng(13)
+    out = []
+    for chamber in chambers:
+        for alg in chamber.algebras.values():
+            dense = copy.copy(alg)
+            shape = alg.mult_table.shape
+            dense.mult_table = 0.5 * (rng.standard_normal(shape)
+                                      + 1j * rng.standard_normal(shape))
+            out += [alg, dense]
+    assert {alg.dim for alg in out} == {1, 2, 3}
+    return out
+
+
+def batch_rows(rng, shape, dim):
+    """Complex rows over six decades of size; some hold NaN or inf."""
+    coords = (rng.standard_normal(shape + (dim,))
+              + 1j * rng.standard_normal(shape + (dim,))) \
+        * 10.0 ** rng.uniform(-3, 3, shape + (1,))
+    flat = coords.reshape(-1, dim)
+    for k, bad in enumerate((math.nan, math.inf, complex(-math.inf, 1.0))):
+        if len(flat) > 3 * k + 1:
+            flat[3 * k + 1, rng.integers(dim)] = bad
+    return coords
+
+
+def one_row(z, idx):
+    """The operand z restricted to batch row idx, as a batch of one."""
+    lead = z.shape[:-1]
+    idx = idx[len(idx) - len(lead):]
+    return z[tuple(slice(i, i + 1) if n > 1 else slice(None)
+                   for i, n in zip(idx, lead))]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_batch_products_are_batch_independent(packs):
+    # a row's product is the same bits in every batch it can sit in, and
+    # the sparse column sums agree with the dense einsum contraction
+    rng = np.random.default_rng(5)
+    for alg in batch_product_algebras(packs):
+        dim, table = alg.dim, alg.mult_table
+
+        def product(x, y):
+            return (alg.element(x) * alg.element(y)).coords
+
+        def dense(x, y):
+            return np.einsum("...a,...b,abc->...c", x, y, table)
+
+        x, y = batch_rows(rng, (), dim), batch_rows(rng, (), dim)
+        np.testing.assert_array_equal(product(x, y), dense(x, y))
+        cases = [(batch_rows(rng, (1,), dim), batch_rows(rng, (1,), dim)),
+                 (batch_rows(rng, (5, 1), dim), batch_rows(rng, (1, 7), dim))]
+        for n in (2, 17, 644):
+            cases += [(batch_rows(rng, (n,), dim), batch_rows(rng, (n,), dim)),
+                      (batch_rows(rng, (n,), dim), batch_rows(rng, (), dim)),
+                      (batch_rows(rng, (), dim), batch_rows(rng, (n,), dim))]
+        for x, y in cases:
+            got = product(x, y)
+            shape = np.broadcast_shapes(x.shape, y.shape)
+            assert got.shape == shape
+            for idx in np.ndindex(shape[:-1]):
+                alone = product(one_row(x, idx), one_row(y, idx))
+                np.testing.assert_array_equal(got[idx], alone.reshape(dim))
+            xb, yb = np.broadcast_arrays(x, y)
+            finite = np.isfinite(xb).all(-1) & np.isfinite(yb).all(-1)
+            assert not np.isfinite(got[~finite]).all(-1).any()
+            scale = np.einsum("...a,...b,abc->...c", np.abs(xb), np.abs(yb),
+                              np.abs(table)).max(-1)
+            err = np.abs(got - dense(xb, yb)).max(-1)
+            assert (err[finite] <= 1e-15 * scale[finite]).all()
