@@ -168,9 +168,9 @@ class EpsSeries:
     def __mul__(self, other):
         """Product on the window both factors know.
 
-        One ring product per pair of rows, as a single contraction with
-        the multiplication table; each nonzero row of the left factor
-        then adds its products into the output in ascending row order.
+        One SectorAlgebra.multiply over the grid of the left factor's
+        nonzero rows against every right row; each left row then adds
+        its products into the output in ascending row order.
         """
         if isinstance(other, (int, float, complex)):
             return EpsSeries(self.algebra, self.val, self.coords * other)
@@ -180,8 +180,7 @@ class EpsSeries:
         width = min(len(self.coords), len(o.coords))
         left, right = self.coords[:width], o.coords[:width]
         rows = left.any(axis=1).nonzero()[0]
-        prods = np.einsum("ia,jb,abc->ijc", left[rows], right,
-                          self.algebra.mult_table)
+        prods = self.algebra.multiply(left[rows][:, None], right[None])
         out = np.zeros((width, self.algebra.dim), dtype=complex)
         for i, p in zip(rows.tolist(), prods):
             out[i:] += p[:width - i]
@@ -461,9 +460,6 @@ class DeformationRing:
         if self.laurent:
             return EpsSeries(self.algebra, self.window, ())
         return self.algebra.zero()
-
-    def scalar(self, z):
-        return self.constant(z)
 
     # -- operations -----------------------------------------------------
 

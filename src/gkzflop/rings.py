@@ -19,6 +19,7 @@ numeric work.
 
 import cmath
 import functools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -145,14 +146,18 @@ class SectorAlgebra:
 
     @mult_table.setter
     def mult_table(self, table):
-        # the nonzero constants (a, b, t) of each output coordinate c, in
-        # (a, b) order: a batch product sums only these column products
+        # the product plan, which is all that multiply reads: each nonzero
+        # constant t = table[a, b, c] is a term (a, b, t), in (c, a, b)
+        # order, and output coordinate c sums the terms lo:hi of its span
         self._mult_table = table
-        self.product_terms = tuple(
-            tuple((a, b, complex(table[a, b, c]))
-                  for a, b in zip(*(i.tolist() for i in
-                                    np.nonzero(table[:, :, c]))))
-            for c in range(table.shape[2]))
+        c, a, b = np.nonzero(table.transpose(2, 0, 1))
+        t = table[a, b, c]
+        self._terms = tuple(zip(a.tolist(), b.tolist(), t.tolist()))
+        self._gather = (a, b)
+        self._scaled = (np.flatnonzero(t != 1), t[t != 1])
+        c = c.tolist()
+        self._spans = tuple((k, c.index(k), c.index(k) + c.count(k))
+                            for k in sorted(set(c)))
 
     def _reduce_monomial(self, mono):
         if self._sr_zero(mono):
@@ -172,6 +177,7 @@ class SectorAlgebra:
     def element(self, coords):
         """Element with the given coordinates; shape (..., dim) is a batch."""
         arr = np.asarray(coords, dtype=complex)
+        # internal: coordinates come from this algebra's own arrays
         assert arr.shape[-1:] == (self.dim,)
         return AlgebraElement(self, arr)
 
@@ -208,6 +214,51 @@ class SectorAlgebra:
                 for k, coeff in enumerate(self._mult_exact[(i, j)]):
                     if coeff:
                         out[k] += x * y * coeff
+        return out
+
+    def multiply(self, x, y):
+        """Row-wise product of coordinate arrays x and y of shape (..., dim).
+
+        Coordinate c sums t x_a y_b over the terms of its span in (a, b)
+        order, each product numpy's complex multiply out of place (in
+        place, it rounds a 1-element array differently).  Two single
+        elements add their gathered products left to right (builtin sum
+        compensates on newer Pythons), batches sum whole columns, and a
+        row gets the same bits either way.
+        """
+        if x.ndim == y.ndim == 1:
+            a, b = self._gather
+            p = x[a] * y[b]
+            k, t = self._scaled
+            if len(k):
+                p[k] = p[k] * t
+            p = p.tolist()
+            out = np.zeros(self.dim, dtype=complex)
+            for c, lo, hi in self._spans:
+                out[c] = functools.reduce(operator.add, p[lo:hi])
+            return out
+        shape = np.broadcast(x, y).shape
+        rows = []
+        for z in (x, y):
+            if z.shape != shape:
+                full = np.empty(shape, dtype=complex)
+                full[...] = z
+                z = full
+            rows.append(z.reshape(-1, self.dim))
+        x, y = rows
+        out = np.zeros(shape, dtype=complex)
+        flat = out.reshape(-1, self.dim)
+        for c, lo, hi in self._spans:
+            col = None
+            for a, b, t in self._terms[lo:hi]:
+                p = x[:, a] * y[:, b]
+                if t != 1:
+                    p = p * t
+                if col is None:
+                    col = p
+                else:
+                    col += p
+            flat[:, c] = col
         return out
 
     def linear_relation_defects(self):
@@ -270,14 +321,12 @@ class AlgebraElement:
     arithmetic acts row by row and broadcasts a single element against a
     batch.  Scalars may be numbers or arrays of the batch shape.
 
-    The product of two single elements is one einsum contraction with the
-    multiplication table.  A product with a batch broadcasts both
-    operands to the full shape, flattens them to rows, and forms each
-    output coordinate as a short sum of column products over the
-    algebra's nonzero structure constants (`product_terms`).  A row's
-    product is the same bits whatever batch it sits in: every row goes
-    through the same numpy array loops, and no step does arithmetic on
-    numpy complex scalars, which round differently from those loops.
+    Every product goes through SectorAlgebra.multiply: each output
+    coordinate is a short sum over the algebra's nonzero structure
+    constants, one formula for two single elements and for batches.  A
+    row's product is the same bits whatever batch it sits in: every
+    multiply is one of numpy's out-of-place array loops, and no step
+    multiplies numpy complex scalars, which round differently from them.
     """
 
     __slots__ = ("algebra", "coords")
@@ -349,12 +398,8 @@ class AlgebraElement:
             # internal: elements meet only inside one DeformationRing or
             # one sector's series, which hold a single algebra
             assert other.algebra is self.algebra, "mixed-algebra product"
-            if self.coords.ndim == other.coords.ndim == 1:
-                out = np.einsum("...a,...b,abc->...c", self.coords,
-                                other.coords, self.algebra.mult_table)
-            else:
-                out = _batch_product(self.algebra, self.coords, other.coords)
-            return AlgebraElement(self.algebra, out)
+            return AlgebraElement(self.algebra, self.algebra.multiply(
+                self.coords, other.coords))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -372,44 +417,10 @@ class AlgebraElement:
         raise TypeError(f"cannot combine AlgebraElement with {type(other)!r}")
 
     def power(self, k):
-        acc = self.algebra.one()
-        for _ in range(k):
+        acc = self if k > 0 else self.algebra.one()
+        for _ in range(k - 1):
             acc = acc * self
         return acc
-
-
-def _batch_product(algebra, x, y):
-    """Row-wise product of coordinate batches x and y (see AlgebraElement).
-
-    An operand short of the full shape is copied out to it, so both are
-    plain (rows, dim) arrays.  Column c of the result is the sum over the
-    nonzero constants (a, b, t) of t x[:, a] y[:, b], added in the order
-    of product_terms.
-    """
-    shape = np.broadcast(x, y).shape
-    rows = []
-    for z in (x, y):
-        if z.shape != shape:
-            full = np.empty(shape, dtype=complex)
-            full[...] = z
-            z = full
-        rows.append(z.reshape(-1, algebra.dim))
-    x, y = rows
-    out = np.zeros(shape, dtype=complex)
-    flat = out.reshape(-1, algebra.dim)
-    for c, terms in enumerate(algebra.product_terms):
-        col = None
-        for a, b, t in terms:
-            p = x[:, a] * y[:, b]
-            if t != 1:
-                p = p * t    # in place, numpy rounds a 1-row p differently
-            if col is None:
-                col = p
-            else:
-                col += p
-        if col is not None:
-            flat[:, c] = col
-    return out
 
 
 def algebra_exp(element):
@@ -417,9 +428,9 @@ def algebra_exp(element):
     alg = element.algebra
     s = element.scalar_part
     n = element.nilpotent_part()
-    acc = alg.one()
-    term = alg.one()
-    for k in range(1, alg.zero_degree + 1):
+    acc = alg.one() + n
+    term = n
+    for k in range(2, alg.zero_degree + 1):
         term = term * n * (1.0 / k)
         if term.is_zero():
             break
@@ -433,9 +444,9 @@ def algebra_inverse(element, tol=0.0):
     if np.any(np.abs(s) <= tol):
         raise NotInvertible("zero scalar part")
     n = element.nilpotent_part() * (-1.0 / s)
-    acc = element.algebra.one()
-    term = element.algebra.one()
-    for _ in range(element.algebra.zero_degree + 1):
+    acc = element.algebra.one() + n
+    term = n
+    for _ in range(element.algebra.zero_degree):
         term = term * n
         if term.is_zero():
             break

@@ -113,6 +113,7 @@ def select_endpoints(circuit, amplitude, y_abs):
     if y_minus <= 1.0:
         raise InfeasibleArgs("amplitude too small to cross |y| = 1")
     _, ay = y_value(circuit, x_plus)
+    # internal: every |arg x_j| < pi was checked, so arg y = -pi
     assert abs(ay + math.pi) < 1e-9
     return PathSpec(x_plus=x_plus, x_minus=x_minus, amplitude=amplitude,
                     y_abs_plus=y_abs, y_abs_minus=y_minus, arg_y=-math.pi)
@@ -406,7 +407,7 @@ def coefficient_C(circuit, gamma, k, angles, ring):
     """
     h = circuit.h
     hk = h[k]
-    assert k in circuit.I_minus
+    assert k in circuit.I_minus   # internal: poles are built over I_minus
     theta, coords2 = angles
     dk = ring.divisor(k)
     num = ring.one() - ring.exp(dk * (-1.0)) * unit_phase(-gamma.coords[k])
@@ -725,6 +726,7 @@ def random_nonessential_class(rng, data, circuit, t_plus, t_minus):
     class is blind to the wall and must be fixed by the transform.
     """
     sets = nonessential_index_sets(data, circuit, t_plus, t_minus)
+    # internal: no essential cone holds all indices, so sets is nonempty
     assert sets, "every index set meets an essential cone"
     best = sets[0]
     n = data.n

@@ -534,25 +534,38 @@ def test_laurent_window_grows_with_the_circuit(tmp_path, command):
 
 
 def test_laurent_transform_is_window_batched(monkeypatch):
-    # a product of two eps-series is one contraction with the
-    # multiplication table over the whole window; one contraction per
-    # pair of coefficients would make 1,416 here
+    # a product of two eps-series is one ring multiply over the whole
+    # window; one multiply per pair of coefficients would make 1,416 here
     data, tris = load_fixture("conifold")
     plus, minus = rings.Chamber(data, tris["plus"]), \
         rings.Chamber(data, tris["minus"])
     ctx = wall.WallContext(find_circuit(data, plus.t, minus.t), plus, minus)
     assert ctx.monomials
-    real = np.einsum
+    real = rings.SectorAlgebra.multiply
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "einsum", counted)
+    monkeypatch.setattr(rings.SectorAlgebra, "multiply", counted)
     m = wall.fm_transform(ctx, None)
     assert m.principal_ratio < 1e-9
     assert 0 < len(calls) <= 150
+
+
+def test_no_command_calls_einsum(monkeypatch):
+    # every sector-algebra product, of elements, batches and eps-series,
+    # goes through SectorAlgebra.multiply
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    for argv in (["fm"], ["ac"], ["verify", "--depth", "0"], ["oracle"],
+                 ["gamma-eval"], ["dual-eval"]):
+        argv += ["--fixture", "conifold"]
+        status, _ = cli.run(argv[0], cli.build_parser().parse_args(argv))
+        assert status == 0, argv
 
 
 def test_series_window_error_survives_optimized_mode(tmp_path):

@@ -165,7 +165,7 @@ def test_modes_agree_at_small_eps(alg):
     numeric = DeformationRing(alg, eps=eps)
 
     def probe(ring):
-        inv = ring.inv(ring.scalar(2.0) - ring.exp(ring.divisor(1) * (-1.0)))
+        inv = ring.inv(ring.constant(2.0) - ring.exp(ring.divisor(1) * (-1.0)))
         rg = ring.recip_gamma(-1, ring.divisor(1) * (1.0 / TWO_PI_I))
         bp = ring.branched_power(0.4 + 0.2j, ring.divisor(2) * (1.0 / TWO_PI_I))
         return inv * bp + rg
