@@ -87,10 +87,10 @@ def _validate(args):
         raise InputError("--contour-re must be finite")
     if args.depth < 0:
         raise InputError("--depth must be >= 0")
-    if not 0 < args.y_abs:
-        raise InputError("--y-abs must be positive")
-    if args.amp is not None and args.amp <= 0:
-        raise InputError("--amp must be positive")
+    if not 0 < args.y_abs < math.inf:
+        raise InputError("--y-abs must be positive and finite")
+    if args.amp is not None and not 0 < args.amp < math.inf:
+        raise InputError("--amp must be positive and finite")
     if args.eps is not None:
         if len(set(args.eps)) != len(args.eps):
             raise InputError("--eps samples must be distinct")

@@ -27,6 +27,7 @@ term order, so its values do not depend on the rest of the battery.
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -51,11 +52,14 @@ from .series import TruncationPolicy, enumerate_terms, term_values, \
 # than MAX_LINE_NODES nodes (a half-height in the hundreds) is refused.
 # Tails stay under TAIL_TOL.  A line keeps CLEARANCE from the poles, a node
 # GUARD from every model point.  Left residues reach MAX_DEPTH below the
-# line and stop after three in a row under STOP of their sum.  Orbit terms
-# are restored from -M_BACK; the right pole sum ends at M_MAX.
+# line and stop after three in a row under STOP of their sum; their
+# circles are evaluated in rounds of _ROUND, 2 _ROUND, 4 _ROUND, ...
+# circles, one integrand call each.  Orbit terms are restored from
+# -M_BACK; the right pole sum ends at M_MAX.
 LINE_EXPONENT, MAX_LINE_NODES, TAIL_TOL = 36, 2 ** 16, 1e-9
 CLEARANCE, GUARD = 0.15, 1e-7
 MAX_DEPTH, STOP = 40, 1e-13
+_ROUND = 4
 M_BACK, M_MAX = 25, 30
 INVARIANCE_SEED, INVARIANCE_CLASSES = 7, 20   # random classes, invariance
 RCOND_MIN = 1e-8     # smallest sigma_min / sigma_max of a sampled transform
@@ -90,16 +94,28 @@ def select_endpoints(circuit, amplitude, y_abs):
     Moduli follow the circuit direction, arguments are a common small
     tilt that parks arg y at -pi, the midpoint of its allowed window
     (and the fastest two-sided decay for the line integral).  An
-    amplitude of None puts the far endpoint at |y| = 1 / y_abs.
+    amplitude of None puts the far endpoint at |y| = 1 / y_abs.  A y_abs
+    whose square underflows, or an amplitude whose far |y| is no finite
+    float, is refused.
     """
     if not 0.0 < y_abs < 1.0:
         raise InfeasibleArgs("target |y| must lie strictly inside (0, 1)")
     h = circuit.h
     h2 = sum(v * v for v in h)
     if amplitude is None:
+        if y_abs ** 2 < 1.0 / sys.float_info.max:     # 1 / y_abs^2 overflows
+            raise InfeasibleArgs(f"target |y| = {y_abs:g} underflows when "
+                                 f"squared")
         amplitude = math.log(1.0 / y_abs ** 2) / h2
     if amplitude <= 0.0:
         raise InfeasibleArgs("amplitude must be positive")
+    try:
+        y_minus = y_abs * math.exp(amplitude * h2)
+    except OverflowError:
+        y_minus = math.inf
+    if not math.isfinite(y_minus):
+        raise InfeasibleArgs(f"amplitude {amplitude:g} puts the far |y| "
+                             f"beyond the float range")
     hm = sum(-h[j] for j in circuit.I_minus)
     delta = math.pi * (hm - 1) / h2
     args = [delta * v for v in h]
@@ -109,7 +125,6 @@ def select_endpoints(circuit, amplitude, y_abs):
     x_plus = tuple(cmath.exp(base * v + 1j * a) for v, a in zip(h, args))
     x_minus = tuple(v * math.exp(amplitude * hj)
                     for v, hj in zip(x_plus, h))
-    y_minus = y_abs * math.exp(amplitude * h2)
     if y_minus <= 1.0:
         raise InfeasibleArgs("amplitude too small to cross |y| = 1")
     _, ay = y_value(circuit, x_plus)
@@ -192,7 +207,10 @@ def make_integrand(x, lprime, circuit, ring):
     element, or a batch with one row per node.  The ring must be in
     numeric mode (a concrete eps): series-mode values are not batched.
     A node closer than GUARD to any point of the pole model, removable
-    points included, raises PoleProximity.
+    points included, raises PoleProximity.  The guard runs in floats:
+    per node it measures the nearest integer and, for each k in
+    I_minus, the nearest (l'_k - w) / (-h_k) over every integer w,
+    rounded as the model's Fraction rounds.
     """
     if ring.laurent:
         raise InfeasibleArgs("the line integrand needs a sampled eps")
@@ -201,6 +219,11 @@ def make_integrand(x, lprime, circuit, ring):
     iminus = sorted(circuit.I_minus)
     h = circuit.h
     lp = [complex(v) for v in lprime]
+    # l'_k = a / b: the point of w is (a - w b) / (b (-h_k)), one rounding
+    families = []
+    for k in iminus:
+        lk = Fraction(lprime[k])
+        families.append((float(lk), -h[k], lk.numerator, lk.denominator))
     d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
     div = [ring.divisor(j) for j in range(n)]
     one = ring.one()
@@ -216,12 +239,14 @@ def make_integrand(x, lprime, circuit, ring):
 
     def f(s):
         s = np.asarray(s, dtype=complex)
-        # only points within GUARD of Re s can lie within GUARD of s
-        near = pole_model(lprime, circuit, s.real.min() - GUARD,
-                          s.real.max() + GUARD)
-        hit = np.abs(s[..., None] - [float(p) for p, _ in near]) < GUARD
+        # the model's points lie on the real line, so the nearest of a
+        # family to s is the nearest to Re s
+        hit = np.abs(s - np.rint(s.real)) < GUARD
+        for lk, hk, a, b in families:
+            w = np.rint(lk - hk * s.real)
+            hit |= np.abs(s - (a - w * b) / (b * hk)) < GUARD
         if hit.any():
-            raise PoleProximity(f"s = {complex(s[hit.any(-1)].flat[0])} too "
+            raise PoleProximity(f"s = {complex(s[hit].flat[0])} too "
                                 f"close to a pole")
         acc = const * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
         for j in iminus:
@@ -327,17 +352,32 @@ def mb_contour_oracle(x, lprime, circuit, ring, spec=None):
 
 def residue_at(x, lprime, circuit, ring, center, radius=0.25, nodes=64,
                f=None):
-    """Residue by a small positively oriented circle, in one batched call.
+    """Residues by small positively oriented circles, in one batched call.
 
+    center and radius are scalars, or 1-d arrays of one length: every
+    circle's nodes go to one integrand call, so to one kernel call.  A
+    scalar centre returns one element; an array returns a batch, one row
+    per circle.  Each circle sums its own nodes, as one circle alone would.
+    A non-finite node makes its circle's residue non-finite; a scalar
+    centre raises NonFiniteValue for that here, while the rows of an
+    array are checked by the caller, which may use only some of them.
     f is the integrand of (x, lprime, circuit, ring) when the caller has
     built it already; otherwise it is built here.
     """
     if f is None:
         f = make_integrand(x, lprime, circuit, ring)
-    z = np.exp(TWO_PI_I * np.arange(nodes) / nodes) * radius
-    vals = f(complex(center) + z)
-    _require_finite(vals, "residue circle")
-    return (vals * z).sum() * (1.0 / nodes)
+    center = np.asarray(center, dtype=complex)
+    z = np.exp(TWO_PI_I * np.arange(nodes) / nodes) \
+        * np.asarray(radius, dtype=float)[..., None]
+    vals = f((center[..., None] + z).reshape(-1))
+    alg = vals.algebra
+    blocks = vals.coords.reshape(-1, nodes, alg.dim)
+    rows = [(alg.element(block) * zi).sum() * (1.0 / nodes)
+            for block, zi in zip(blocks, z.reshape(-1, nodes))]
+    if center.ndim:
+        return alg.element(np.array([row.coords for row in rows]))
+    _require_finite(rows[0], "residue circle")
+    return rows[0]
 
 
 def orbit_sum(x, lprime, circuit, ring, m_from, m_to):
@@ -358,23 +398,39 @@ def left_residue_sum(x, lprime, circuit, ring, s0):
     One circle encloses each pole location of the pole model, so poles
     sharing it (merged families, integer points hit by a family) never
     force a tiny radius; the radius, at most 0.2, keeps it off the
-    neighbouring locations.  Every circle evaluates the one integrand
-    built here.
+    neighbouring locations.  The circles go right to left in rounds of
+    _ROUND, 2 _ROUND, 4 _ROUND, ..., one residue_at call each, on the
+    one integrand built here.  Residues are added one circle at a time,
+    and the sum stops after three in a row under STOP of it; the rest of
+    that round is dropped unchecked.
     """
     f = make_integrand(x, lprime, circuit, ring)
     points = pole_model(lprime, circuit, s0 - MAX_DEPTH - 1, s0 + 1)
-    acc, small = None, 0
+    # Fraction bounds compare as the floats did, without converting them
+    # once per point
+    lo, hi = Fraction(s0 - MAX_DEPTH), Fraction(s0)
+    centers, radii = [], []
     for i in reversed(range(1, len(points) - 1)):
         re, kind = points[i]
-        if kind == "removable" or not s0 - MAX_DEPTH <= re < s0:
+        if kind == "removable" or not lo <= re < hi:
             continue
         gap = min(points[i + 1][0] - re, re - points[i - 1][0])
-        val = residue_at(x, lprime, circuit, ring, complex(float(re)),
-                         radius=min(0.2, 0.4 * float(gap)), f=f)
-        acc = val if acc is None else acc + val
-        small = small + 1 if val.norm() < STOP * max(acc.norm(), 1.0) else 0
-        if small == 3:
-            break
+        centers.append(float(re))
+        radii.append(min(0.2, 0.4 * float(gap)))
+    acc, small, start, size = None, 0, 0, _ROUND
+    while start < len(centers):
+        stop = start + size
+        batch = residue_at(x, lprime, circuit, ring, centers[start:stop],
+                           radii[start:stop], f=f)
+        for row in batch.coords:
+            val = batch.algebra.element(row)
+            _require_finite(val, "residue circle")
+            acc = val if acc is None else acc + val
+            small = small + 1 if val.norm() < STOP * max(acc.norm(), 1.0) \
+                else 0
+            if small == 3:
+                return acc
+        start, size = stop, 2 * size
     return acc
 
 

@@ -6,8 +6,8 @@ from itertools import product
 
 import numpy as np
 
-from gkzflop import kernels, rational
-from gkzflop.errors import NotInvertible
+from gkzflop import kernels, rational, wall
+from gkzflop.errors import NonFiniteValue, NotInvertible
 from gkzflop.rings import algebra_exp
 from gkzflop.deform import TWO_PI_I, principal_log, unit_phase
 from gkzflop.series import scalar_power
@@ -133,6 +133,39 @@ def reference_integrand(x, lprime, circuit, ring):
             acc = acc * ring.recip_gamma(lp[j] + s * h[j], d[j])
         return acc
     return f
+
+
+def reference_left_residue_sum(x, lprime, circuit, ring, s0, nodes=64):
+    """wall.left_residue_sum with one integrand call per circle.
+
+    The same circles from the same pole model, right to left, each
+    evaluated on its own: its nodes checked finite, its residue
+    (values * z).sum() / nodes, then the add-and-stop rule.  Returns the
+    sum, the number of circles summed and every (centre, radius).
+    """
+    f = wall.make_integrand(x, lprime, circuit, ring)
+    points = wall.pole_model(lprime, circuit, s0 - wall.MAX_DEPTH - 1, s0 + 1)
+    circles = []
+    for i in reversed(range(1, len(points) - 1)):
+        re, kind = points[i]
+        if kind == "removable" or not s0 - wall.MAX_DEPTH <= re < s0:
+            continue
+        gap = min(points[i + 1][0] - re, re - points[i - 1][0])
+        circles.append((float(re), min(0.2, 0.4 * float(gap))))
+    acc, small, summed = None, 0, 0
+    for center, radius in circles:
+        z = np.exp(TWO_PI_I * np.arange(nodes) / nodes) * radius
+        vals = f(complex(center) + z)
+        if not np.isfinite(vals.coords).all():
+            raise NonFiniteValue("integrand is not finite on the circle")
+        val = (vals * z).sum() * (1.0 / nodes)
+        acc = val if acc is None else acc + val
+        summed += 1
+        small = small + 1 if val.norm() < wall.STOP * max(acc.norm(), 1.0) \
+            else 0
+        if small == 3:
+            break
+    return acc, summed, circles
 
 
 def reference_solutions(l0, basis, bound):

@@ -107,6 +107,33 @@ def test_contour_t_out_of_range_rejected(tmp_path, height, error):
     assert rep["body"]["error"] == error
 
 
+@pytest.mark.parametrize("command", ["oracle", "verify", "gamma-eval",
+                                     "dual-eval"])
+@pytest.mark.parametrize("flag,value", [
+    ("--amp", "nan"), ("--amp", "inf"), ("--y-abs", "nan"),
+    ("--y-abs", "inf")])
+def test_nonfinite_endpoint_flags_rejected(tmp_path, command, flag, value):
+    status, rep = run_cli([command, "--fixture", "conifold", "--depth", "0",
+                           flag, value], tmp_path)
+    assert status == 2
+    assert rep["body"]["error"] == "InputError"
+    assert flag in rep["body"]["message"]
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify", "gamma-eval"])
+@pytest.mark.parametrize("flag,value", [
+    # y_abs^2 is 0.0, then subnormal with an infinite reciprocal
+    ("--y-abs", "1e-300"), ("--y-abs", "1e-160"),
+    # exp(amplitude * |h|^2) = exp(800) overflows
+    ("--amp", "200")])
+def test_endpoints_outside_the_float_range_rejected(tmp_path, command, flag,
+                                                    value):
+    status, rep = run_cli([command, "--fixture", "conifold", "--depth", "0",
+                           flag, value], tmp_path)
+    assert status == 2
+    assert rep["body"]["error"] == "InfeasibleArgs"
+
+
 def test_bad_trunc_rejected(tmp_path):
     status, rep = run_cli(["gamma-eval", "--fixture", "a1", "--trunc", "0"],
                           tmp_path)

@@ -1,0 +1,82 @@
+"""Pinned `oracle` reports: the integrand and residue paths may not move.
+
+tests/data/oracle_reports.json holds, per fixture, the exit status and
+the report without its timings of
+
+    gkzflop oracle --fixture NAME --eps 1e-2 --eps 1e-3
+
+Every field that is not a float must match exactly, and every float
+within 1e-14 max(|v|, 1).  A change that moves a value on purpose
+rewrites the file on a checkout it has checked by other means:
+
+    PYTHONPATH=src python tests/test_pinned_reports.py
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from gkzflop import cli
+from gkzflop.report import strip_timings
+
+PIN_FILE = Path(__file__).parent / "data" / "oracle_reports.json"
+FIXTURES = ("a1", "conifold")
+ARGV = ["--eps", "1e-2", "--eps", "1e-3"]
+RTOL = 1e-14
+
+
+def pinned_run(fixture):
+    """Exit status and stripped report of the pinned oracle job."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        status = cli.main(["oracle", "--fixture", fixture, *ARGV,
+                           "--out", str(out)])
+        report = json.loads(out.read_text())
+    return {"status": status, "report": strip_timings(report)}
+
+
+def mismatches(got, want, path="$"):
+    """Paths where got departs from want beyond the pin's tolerance."""
+    if isinstance(want, float) and not isinstance(want, bool):
+        ok = isinstance(got, float) \
+            and abs(got - want) <= RTOL * max(abs(want), 1.0)
+        return [] if ok else [f"{path}: {got!r} != {want!r}"]
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or sorted(got) != sorted(want):
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in mismatches(got[k], want[k],
+                                                    f"{path}.{k}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{path}: {got!r} != {want!r}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in mismatches(g, w, f"{path}[{i}]")]
+    return [] if type(got) is type(want) and got == want \
+        else [f"{path}: {got!r} != {want!r}"]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_oracle_report_matches_its_pin(fixture):
+    pinned = json.loads(PIN_FILE.read_text())[fixture]
+    assert pinned["status"] == 0 and pinned["report"]["body"]["pass"]
+    assert mismatches(pinned_run(fixture), pinned) == []
+
+
+def test_pin_comparison_is_strict():
+    want = {"a": [1.0, 1e-3, "x", 2, True], "b": {"c": 1e20}}
+    assert mismatches(json.loads(json.dumps(want)), want) == []
+    for path, bad in (
+            ("$.a[0]", {"a": [1.0 + 2e-14, 1e-3, "x", 2, True]}),
+            ("$.a[1]", {"a": [1.0, 1e-3 + 2e-14, "x", 2, True]}),
+            ("$.a[3]", {"a": [1.0, 1e-3, "x", 2.0, True]}),
+            ("$.a[4]", {"a": [1.0, 1e-3, "x", 2, 1]}),
+            ("$.b.c", {"b": {"c": 1e20 * (1 + 2e-14)}})):
+        got = {**want, **bad}
+        assert [m.split(":")[0] for m in mismatches(got, want)] == [path]
+
+
+if __name__ == "__main__":
+    PIN_FILE.write_text(json.dumps({f: pinned_run(f) for f in FIXTURES},
+                                   sort_keys=True, indent=1) + "\n")

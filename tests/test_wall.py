@@ -14,6 +14,7 @@ from gkzflop import (
     ContourSpec,
     InfeasibleArgs,
     Lift,
+    NonFiniteValue,
     PoleOnContour,
     PoleProximity,
     TruncationPolicy,
@@ -22,8 +23,10 @@ from gkzflop import (
     select_endpoints,
 )
 from gkzflop import kernels, wall
-from gkzflop.series import sum_rows, term_value, term_values
-from support import circuit_fixture, reference_integrand
+from gkzflop.series import enumerate_terms, sum_rows, term_value, \
+    term_values
+from support import circuit_fixture, reference_integrand, \
+    reference_left_residue_sum
 
 
 def trivial_sector(wc):
@@ -186,6 +189,35 @@ def test_batched_integrand_guards_every_node(a1):
         s[17] = bad
         with pytest.raises(PoleProximity):
             f(s)
+
+
+def test_guard_hits_every_model_point_across_a_wide_batch(packs):
+    # a twisted generator of (2,3,-3,-2): l'_3 = -3/2 with h_3 = -3 puts
+    # ratio poles (w >= 0) at fractional s = -1/2 - w/3; one batch spans
+    # more than 10 units of Re s, as a round of residue circles does
+    [(x, lp, circuit, ring)] = [
+        case for case in oracle_generators(packs, (2, 3, -3, -2), 1e-2)
+        if case[1][2] == Fraction(-3, 2)]
+    f = wall.make_integrand(x, lp, circuit, ring)
+    lo, hi = -11.0, 0.4
+    model = wall.pole_model(lp, circuit, lo, hi)
+    kinds = dict(model)
+    assert kinds[Fraction(-5, 6)] == "ratio"
+    assert {"integer", "ratio", "removable"} <= set(kinds.values())
+    base = np.linspace(lo, hi, 40) + 0.3j
+    f(base)
+    # -1/3 is no model point: 1/3 off the integers, 1/6 off the family
+    # of l'_3 and not a half-integer of the family of l'_4
+    f(np.concatenate([base, [-1.0 / 3]]))
+    guard = wall.GUARD
+    with np.errstate(all="ignore"):
+        for p, kind in model:
+            p = float(p)
+            for off in (2 * guard, -2 * guard, 2j * guard):
+                f(np.concatenate([base, [p + off]]))
+            for off in (0.0, guard / 2, -guard / 2, 0.5j * guard):
+                with pytest.raises(PoleProximity):
+                    f(np.concatenate([base, [p + off]]))
 
 
 def test_integrand_needs_a_sampled_eps(a1):
@@ -367,8 +399,9 @@ def test_one_integrand_call_gives_both_levels(a1, monkeypatch):
 
 
 def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
-    # the integrand evaluates its n Gamma factors in one kernel call, and
-    # a line's two tail probes share the line's integrand call
+    # the integrand evaluates its n Gamma factors in one kernel call, a
+    # line's two tail probes share the line's integrand call, and the
+    # circles of one round of a left residue sum share one integrand call
     wc = wall_context(pack)
     g0 = trivial_sector(wc)
     ring = plus_ring(wc, g0, 1e-2)
@@ -383,7 +416,7 @@ def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
         return real_kernel(z, kmax)
 
     def counted_circle(*args, **kwargs):
-        circles.append(1)
+        circles.append(np.size(args[4]))      # the centres of one round
         return real_circle(*args, **kwargs)
 
     monkeypatch.setattr(wall, "make_integrand",
@@ -396,7 +429,95 @@ def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
     del integrand[:], kernel[:]
     wall.left_residue_sum(x, lp, pack.circuit, ring, diag["s0"])
     assert circles and len(integrand) == len(circles)
-    assert kernel == [(pack.data.n, 64)] * len(circles)
+    assert kernel == [(pack.data.n, 64 * c) for c in circles]
+    full = [wall._ROUND * 2 ** i for i in range(len(circles))]
+    assert circles[:-1] == full[:-1] and 0 < circles[-1] <= full[-1]
+
+
+# -- left residue sums in rounds ----------------------------------------
+
+
+ROUND_CASES = ["a1", "conifold", (1, 2, -3), (2, 3, -3, -2), (1, 1, 1, -3)]
+
+
+def oracle_generators(packs, name, eps):
+    """(x, l', circuit, ring) of every generator oracle sums left, at eps.
+
+    The generators of c = 0 in the essential plus sectors, at the far
+    endpoint of oracle's default path.
+    """
+    if name in packs:
+        data, tris = packs[name].data, packs[name].tris
+    else:
+        data, tris = circuit_fixture(name)
+    plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
+    circuit = find_circuit(data, plus.t, minus.t)
+    wc = wall.WallContext(circuit, plus, minus)
+    x = select_endpoints(circuit, None, 0.1).x_minus
+    rings = wc.rings(plus, eps)
+    out = []
+    for g in plus.box:
+        if g.key() in wc.essential_plus:
+            out += [(x, term.l, circuit, rings[g.key()])
+                    for term in enumerate_terms(data, plus.t, (0,) * data.rank,
+                                                g, TruncationPolicy(), circuit)
+                    if term.generator]
+    return out
+
+
+def poisoned(f, center, radius):
+    """f with NaN values at the nodes of the circle (center, radius)."""
+    def g(s):
+        vals = f(s)
+        vals.coords[np.abs(np.asarray(s) - center) < 1.2 * radius] = np.nan
+        return vals
+    g.decay, g.arg_y = f.decay, f.arg_y
+    return g
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("name", ROUND_CASES,
+                         ids=["a1", "conifold", "h=1,2,-3", "h=2,3,-3,-2",
+                              "h=1,1,1,-3"])
+def test_residue_rounds_match_the_one_circle_loop(packs, name, eps,
+                                                 monkeypatch):
+    # the rounds sum the same circles, bit for bit, as one integrand call
+    # per circle, stop at the same circle, and take at most
+    # ceil(log2(c / 4 + 1)) integrand calls for c circles summed
+    build = wall.make_integrand
+    cases = oracle_generators(packs, name, eps)
+    assert cases
+    for x, lp, circuit, ring in cases:
+        s0 = wall.place_line(lp, circuit, None)
+        want, summed, circles = reference_left_residue_sum(x, lp, circuit,
+                                                           ring, s0)
+        assert 0 < summed < len(circles), lp
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(wall, "make_integrand",
+                      lambda *a: recording(build(*a), calls))
+            got = wall.left_residue_sum(x, lp, circuit, ring, s0)
+        assert np.array_equal(got.coords, want.coords), lp
+        assert len(calls) <= math.ceil(math.log2(summed / 4 + 1)), lp
+        # the stop falls in the last round, which is evaluated whole
+        covered = wall._ROUND * (2 ** len(calls) - 1)
+        assert covered - wall._ROUND * 2 ** (len(calls) - 1) < summed, lp
+        assert sum(map(len, calls)) == 64 * min(covered, len(circles)), lp
+        # NaN on the first circle past the stop: dropped unchecked if its
+        # round evaluated it; NaN on the last circle summed: raised
+        for index in (summed, summed - 1):
+            with monkeypatch.context() as m:
+                m.setattr(wall, "make_integrand",
+                          lambda *a: poisoned(build(*a), *circles[index]))
+                if index < summed:
+                    with pytest.raises(NonFiniteValue):
+                        wall.left_residue_sum(x, lp, circuit, ring, s0)
+                else:
+                    got = wall.left_residue_sum(x, lp, circuit, ring, s0)
+                    assert np.array_equal(got.coords, want.coords), lp
+    if name == (2, 3, -3, -2):
+        assert any(Fraction(lp[k]).denominator > 1
+                   for _, lp, circuit, _ in cases for k in circuit.I_minus)
 
 
 def test_a1_line_integral_matches_mpmath(a1):
