@@ -26,7 +26,6 @@ from .errors import (
     PoleRightOfLine,
     RankDeficient,
     SeriesWindowExceeded,
-    ShiftNotNilpotent,
     SublatticeIndex,
     TailBoundViolated,
     UncancelledPole,
@@ -79,7 +78,5 @@ from .wall import (
 from .dual import (
     CompactKModule,
     PairingStub,
-    build_compact_module,
-    dual_pde_check,
     dual_transform_status,
 )

@@ -19,7 +19,7 @@ from .toric import (check_triangulation, compute_box, essential_cones,
                     validate_toric_data)
 from .rings import Chamber
 from .series import TruncationPolicy, evaluate_gamma, evaluate_gamma_dual
-from .dual import PairingStub, build_compact_module, dual_transform_status
+from .dual import CompactKModule, PairingStub, dual_transform_status
 from .wall import (ContourSpec, WallContext, ac_transform, c_battery,
                    fm_transform, invertibility, oracle_report,
                    select_endpoints, verify_fm_equals_ac)
@@ -92,6 +92,8 @@ def _validate(args):
     if args.amp is not None and not 0 < args.amp < math.inf:
         raise InputError("--amp must be positive and finite")
     if args.eps is not None:
+        if not all(map(math.isfinite, args.eps)):
+            raise InputError("--eps samples must be finite")
         if len(set(args.eps)) != len(args.eps):
             raise InputError("--eps samples must be distinct")
         if any(e == 0 for e in args.eps):
@@ -234,7 +236,7 @@ def cmd_dual_eval(args):
             "evaluations": []}
     for t in (t_plus, t_minus):
         chamber = Chamber(data, t)
-        module = build_compact_module(chamber)
+        module = CompactKModule(chamber)
         values = evaluate_gamma_dual(chamber, battery, x, policy,
                                      module=module)
         for c, val in zip(battery, values):
@@ -319,7 +321,7 @@ def cmd_dual_status(args):
     body = dual_transform_status()
     body["modules"] = {}
     for t in (t_plus, t_minus):
-        module = build_compact_module(Chamber(data, t))
+        module = CompactKModule(Chamber(data, t))
         body["modules"][t.label] = {
             "generators": [[i + 1 for i in I] for I in module.generators],
             "dim": module.dim,

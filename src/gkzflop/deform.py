@@ -4,16 +4,21 @@ Residue formulas across the wall need the localization values attached to
 the circuit indices to stay distinct; fixtures where divisor classes
 coincide in a sector algebra (the conifold) merge those poles.  Shifting
 each class by a distinct rational multiple a_j of a small parameter eps
-separates them again.  Two evaluation modes share one formula path:
+separates them again.  A DeformationRing works in one of two modes:
 
   * numeric mode: eps is a concrete number and the shift is folded into
-    the scalar part of an AlgebraElement;
-  * series mode: eps stays formal and every value is a truncated Laurent
-    series in eps (EpsSeries): one complex array of shape (width, dim)
-    per value, row i the algebra coordinates of the coefficient of
-    eps^(val + i).  Products, sums and exponentials act on the whole
-    window at once, and pole cancellation is checked explicitly before
-    the eps^0 coefficient is read off.
+    the scalar part of an AlgebraElement.  Every operation works here,
+    1/Gamma (recip_gamma) included, so the Gamma-series terms are
+    evaluated in this mode;
+  * series mode: eps stays formal and every value is a truncated
+    Laurent series in eps (EpsSeries): one complex array of shape
+    (width, dim) per value, row i the algebra coordinates of the
+    coefficient of eps^(val + i).  This mode does sums, products, exp,
+    inverse and powers only, which is all the residue coefficients and
+    monomial values of a transform need; 1/Gamma and the Gamma-series
+    terms need a sampled eps and raise InfeasibleArgs here.  Each
+    operation acts on the whole window at once, and pole cancellation is
+    checked explicitly before the eps^0 coefficient is read off.
 """
 
 import cmath
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import (BranchCut, InfeasibleArgs, NegativeValuation,
                      NonFiniteValue, NotInvertible, SeriesWindowExceeded,
-                     ShiftNotNilpotent, UncancelledPole)
+                     UncancelledPole)
 from . import kernels
 from .rings import AlgebraElement, algebra_exp, algebra_inverse
 
@@ -263,121 +268,6 @@ def series_exp(x):
     return acc * head
 
 
-def _as_exact(z):
-    if isinstance(z, (int, Fraction)):
-        return Fraction(z)
-    if isinstance(z, np.ndarray):
-        return z
-    return complex(z)
-
-
-def _scalar_like(d, value):
-    if isinstance(d, AlgebraElement):
-        return d.algebra.scalar(value)
-    return constant_series(d.algebra, value, max(d.order, 1))
-
-
-def _taylor_recip(z, d):
-    """1/Gamma(1 + z + d) by Taylor composition around the scalar center.
-
-    In numeric mode z may be an array, which gives a batch of elements,
-    and d may be a list of shifts: z then stacks one batch per shift
-    along its leading axis, one kernel call serves every shift, and the
-    result is the list of their batches.
-    """
-    if isinstance(d, (AlgebraElement, list)):
-        many = isinstance(d, list)
-        shifts = d if many else [d]
-        rows = z if many else np.asarray(z)[None]
-        s = np.array([x.scalar_part for x in shifts])
-        # exact z (Fractions, alone or in an object array) meets the
-        # float center only after 1 + z is formed exactly
-        center = 1 + rows + s.reshape((-1,) + (1,) * (rows.ndim - 1))
-        mmax = shifts[0].algebra.zero_degree - 1
-        c = kernels.recip_gamma_series(np.asarray(center, dtype=complex), mmax)
-        out = []
-        for row, x in zip(c, shifts):
-            n = x.nilpotent_part()
-            acc = x.algebra.scalar(row[..., mmax])
-            for m in range(mmax - 1, -1, -1):
-                acc = acc * n + row[..., m]
-            out.append(acc)
-        return out if many else out[0]
-    assert isinstance(d, EpsSeries)   # internal: the two ring modes
-    if isinstance(z, np.ndarray):
-        raise InfeasibleArgs("series-mode shifts take one scalar z at a time")
-    if d.val < 0:
-        raise NegativeValuation(f"Gamma shift with a pole of order {-d.val} "
-                                f"in eps")
-    lead = d.coeff(0) if d.order > 0 else d.algebra.zero()
-    if not abs(lead.scalar_part) <= 1e-9 * max(1.0, d.norm()):
-        raise ShiftNotNilpotent(
-            f"the eps^0 coefficient of the Gamma shift has scalar part "
-            f"{lead.scalar_part:.3e}; it must be nilpotent")
-    mmax = d.algebra.zero_degree - 1 + max(d.order - 1, 0)
-    c = kernels.recip_gamma_series(complex(1 + z), mmax)
-    acc = _scalar_like(d, c[mmax])
-    for m in range(mmax - 1, -1, -1):
-        acc = acc * d + _scalar_like(d, c[m])
-    return acc
-
-
-def falling_products(d, m_max, start=0):
-    """Running products prod_{start <= i < m} (d - i) for m = 1, ..., m_max.
-
-    Each product extends the previous one by one factor; an empty
-    product is one.  These are the functional-equation factors of
-    1/Gamma(1 - m + d).
-    """
-    acc = _scalar_like(d, 1.0)
-    out = []
-    for i in range(m_max):
-        if i >= start:
-            acc = acc * (d - i)
-        out.append(acc)
-    return out
-
-
-def reciprocal_gamma_shifted(z, d):
-    """1/Gamma(1 + z + d) for z and a nilpotent or deformed shift d.
-
-    z is a scalar, or in numeric mode an array of scalars (a batch).  In
-    numeric mode d may also be a list of shifts, with one row of the
-    array z per shift; the result is then the list of their batches,
-    from one kernel call (_taylor_recip).
-
-    At integer z <= -1 the functional equation is applied first, which
-    exposes the leading factor d explicitly: 1/Gamma(1 - m + d) =
-    d (d-1) ... (d-m+1) / Gamma(1 + d).
-    """
-    zq = _as_exact(z)
-    if isinstance(zq, Fraction) and zq.denominator == 1 and zq <= -1:
-        return falling_products(d, -int(zq))[-1] * _taylor_recip(0, d)
-    return _taylor_recip(zq, d)
-
-
-def reciprocal_gamma_stripped(z, d):
-    """g with d * g = 1/Gamma(1 + z + d), defined for integer z <= -1.
-
-    This is the functional-equation product with its leading factor d
-    removed, so the divisibility by d is realized without ring division.
-    """
-    zq = _as_exact(z)
-    # internal: callers strip only at the integers where the factor d shows
-    assert isinstance(zq, Fraction) and zq.denominator == 1 and zq <= -1, \
-        "stripping requires a negative integer scalar part"
-    return falling_products(d, -int(zq), start=1)[-1] * _taylor_recip(0, d)
-
-
-def localization_point(algebra):
-    """r_j = e^{D_j + 2 pi i gamma_j} for the algebra's own sector."""
-    out = []
-    for j in range(algebra.data.n):
-        phase = unit_phase(algebra.sector.coords[j])
-        out.append(algebra_exp(algebra.divisor(j)) * phase)
-    return out
-
-
 MIN_WINDOW = 8
 
 
@@ -499,8 +389,34 @@ class DeformationRing:
         return self.exp(a * principal_log(x))
 
     def recip_gamma(self, z, d):
-        """1/Gamma(1 + z + d); see reciprocal_gamma_shifted."""
-        return reciprocal_gamma_shifted(z, d)
+        """1/Gamma(1 + z + d) by Taylor composition around the scalar center.
+
+        z may be an array, which gives a batch of elements, and d may be
+        a list of shifts: z then stacks one batch per shift along its
+        leading axis, one kernel call serves every shift, and the result
+        is the list of their batches.  The kernel is exact at the poles
+        of Gamma, so a negative integer z needs no functional equation.
+        A Laurent ring raises InfeasibleArgs: it never meets 1/Gamma.
+        """
+        if self.laurent:
+            raise InfeasibleArgs("1/Gamma needs a sampled eps")
+        many = isinstance(d, list)
+        shifts = d if many else [d]
+        rows = z if many else np.asarray(z)[None]
+        s = np.array([x.scalar_part for x in shifts])
+        # exact z (Fractions, alone or in an object array) meets the
+        # float center only after 1 + z is formed exactly
+        center = 1 + rows + s.reshape((-1,) + (1,) * (rows.ndim - 1))
+        mmax = self.algebra.zero_degree - 1
+        c = kernels.recip_gamma_series(np.asarray(center, dtype=complex), mmax)
+        out = []
+        for row, x in zip(c, shifts):
+            n = x.nilpotent_part()
+            acc = self.algebra.scalar(row[..., mmax])
+            for m in range(mmax - 1, -1, -1):
+                acc = acc * n + row[..., m]
+            out.append(acc)
+        return out if many else out[0]
 
     # -- reading off values ---------------------------------------------
 

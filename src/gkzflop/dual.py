@@ -22,7 +22,6 @@ from .errors import UnimplementedPairing
 from .toric import interior_cones
 from .rings import algebra_exp, algebra_inverse
 from .deform import unit_phase
-from . import series as gamma_series
 
 
 def _rref(mat, tol=1e-9):
@@ -65,6 +64,8 @@ class CompactKModule:
         cones = interior_cones(data, t, chamber.facets)
         self.generators = tuple(sorted(tuple(sorted(c)) for c in cones))
         if not self.generators:
+            # internal: a maximal cone of a triangulation is full-dimensional,
+            # so its interior lies in the open support cone
             raise AssertionError("no cone meets the open support cone")
         self.sectors = chamber.box
         self.algebras = chamber.algebras
@@ -127,6 +128,7 @@ class CompactKModule:
                     vec[i * block:(i + 1) * block] += np.asarray(el.coords)
             out[key] = vec
         for (key, I) in components:
+            # internal: evaluate_gamma_dual attaches terms to interior cones
             assert I in set(self.generators), \
                 f"component attached to non-generator cone {I}"
         return out
@@ -145,26 +147,6 @@ class CompactKModule:
         stacked = self.component_vector(components)
         return {key: self.reduce_vector(key, vec)
                 for key, vec in stacked.items()}
-
-    def reduce_flat(self, components):
-        red = self.reduce_components(components)
-        return np.concatenate([red[g.key()] for g in self.sectors])
-
-
-def build_compact_module(chamber):
-    return CompactKModule(chamber)
-
-
-def dual_pde_check(chamber, c_list, x, policy=None):
-    """Interior-system recursion and Euler checks plus module dimensions."""
-    policy = policy or gamma_series.TruncationPolicy()
-    module = build_compact_module(chamber)
-    report = gamma_series.pde_residuals(chamber, c_list, x, policy,
-                                        which="dual")
-    report["module_dim"] = module.dim
-    report["module_dims"] = {str(k): v for k, v in module.dims.items()}
-    report["generators"] = [[i + 1 for i in I] for I in module.generators]
-    return report
 
 
 class PairingStub:

@@ -110,8 +110,4 @@ class SeriesWindowExceeded(GkzflopError):
 
 
 class NegativeValuation(GkzflopError):
-    """A series-mode exp or Gamma shift received a pole in eps."""
-
-
-class ShiftNotNilpotent(GkzflopError):
-    """A series-mode Gamma shift has a non-nilpotent eps^0 coefficient."""
+    """A series-mode exp received a pole in eps."""

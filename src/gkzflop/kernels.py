@@ -1,12 +1,12 @@
-"""Special-function kernels: polygamma stacks, log Gamma and 1/Gamma.
+"""Special-function kernels: log Gamma, 1/Gamma and its Taylor series.
 
 Every kernel takes a complex scalar or a complex array and works
 elementwise; the contour integrand evaluates a whole vector of
 quadrature nodes in one call.  A scalar argument gives the scalar-shaped
 result (a complex number, or a 1-d coefficient array).
 
-Method.  One core (_stirling) serves all four kernels; recip_gamma
-reads it through recip_gamma_series.
+Method.  One core (_stirling) serves every kernel; recip_gamma reads it
+through recip_gamma_series.
 
 * Where Re z < 1/2, 1/Gamma(z+u) = (z+u)(z+1+u)...(z+K-1+u)/Gamma(w+u)
   with w = z + K and Re w >= 1/2.  This product stays an exact
@@ -77,15 +77,6 @@ def _shift_count(z, target):
     return np.maximum(np.ceil(target - z.real), 0.0)
 
 
-def _to_half(z):
-    """K to Re >= 1/2, and z + j, j < K, masked as in _stirling (two rows
-    at least, for the reason given in _horner)."""
-    count = _shift_count(z, 0.5)
-    steps = np.arange(max(count.max(initial=0.0), 2.0))[:, None]
-    live = steps < count
-    return count, live, np.where(live, z + steps, 1.0)
-
-
 def _subtract_power_sums(psi, recip):
     """psi^(k) -= (-1)^k k! sum_i recip[i]^(k+1) for each row k of psi.
 
@@ -137,19 +128,16 @@ def _stirling(w, orders):
 
 
 def _log_gamma_flat(z):
-    """log Gamma(z) = log Gamma(W) - log(P (z)(z+1)...(z+K-1))."""
-    count, _, table = _to_half(z)
+    """log Gamma(z) = log Gamma(W) - log(P (z)(z+1)...(z+K-1)).
+
+    K puts Re(z + K) >= 1/2; the factors z + j, j < K, are masked as in
+    _stirling, in two rows at least for the reason given in _horner.
+    """
+    count = _shift_count(z, 0.5)
+    steps = np.arange(max(count.max(initial=0.0), 2.0))[:, None]
+    table = np.where(steps < count, z + steps, 1.0)
     scale, log_gamma, _ = _stirling(z + count, 0)
     return log_gamma - np.log(scale * functools.reduce(operator.mul, table))
-
-
-def _polygamma_flat(z, kmax):
-    """psi^(k)(z) for k <= kmax: the core at w = z + K with Re w >= 1/2,
-    then psi^(k)(z) = psi^(k)(w) - (-1)^k k! sum_{j<K} (z+j)^-(k+1)."""
-    count, live, table = _to_half(z)
-    psi = _stirling(z + count, kmax + 1)[2]
-    _subtract_power_sums(psi, live / table)
-    return psi.T
 
 
 def _recip_gamma_series_flat(z, kmax):
@@ -187,11 +175,6 @@ def _blockwise(kernel, z, *args):
         out = np.concatenate([kernel(flat[i:i + _BLOCK], *args)
                               for i in range(0, flat.size, _BLOCK)])
     return out.reshape(z.shape + out.shape[1:])
-
-
-def polygamma_stack(z, kmax):
-    """psi^(k)(z) for k = 0..kmax, stacked along a new last axis."""
-    return _blockwise(_polygamma_flat, z, int(kmax))
 
 
 def log_gamma(z):

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MonomialUnreduced, NilpotencyUnconfirmed, NotInvertible
+from .errors import MonomialUnreduced, NilpotencyUnconfirmed, NonFiniteValue, \
+    NotInvertible
 from . import rational
 from .toric import boundary_facets, compute_box, sector_label, star_rays
 
@@ -435,7 +436,11 @@ def algebra_exp(element):
         if term.is_zero():
             break
         acc = acc + term
-    return acc * (cmath.exp(s) if isinstance(s, complex) else np.exp(s))
+    try:
+        return acc * (cmath.exp(s) if isinstance(s, complex) else np.exp(s))
+    except OverflowError:
+        raise NonFiniteValue(f"exp of the scalar part {s:.3e} overflows") \
+            from None
 
 
 def algebra_inverse(element, tol=0.0):

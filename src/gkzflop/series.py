@@ -41,8 +41,7 @@ from .errors import BranchCut, DivergenceSuspected, InfeasibleArgs, \
 from . import rational
 from .toric import essential_cones, interior_cones, is_interior_point, \
     canonical_lift
-from .deform import DeformationRing, TWO_PI_I, falling_products, \
-    principal_log
+from .deform import DeformationRing, TWO_PI_I, principal_log
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class TruncationPolicy:
     tail_check: bool = True
 
     def __post_init__(self):
-        assert self.degree_bound >= 1
+        assert self.degree_bound >= 1   # internal: cli rejects --trunc < 1
 
 
 @dataclass(frozen=True)
@@ -150,6 +149,7 @@ def _pivot(row):
     for i, v in enumerate(row):
         if v:
             return i
+    # internal: _kernel_basis keeps only the nonzero rows
     raise AssertionError("zero kernel row")
 
 
@@ -248,7 +248,11 @@ def _recip_gamma_rows(values, d, ring, dual):
     rows = dict(zip(zs, batch.coords))
     if neg:
         at_zero = d.algebra.element(rows[Fraction(0)])
-        products = falling_products(d, -int(neg[0]), start=int(dual))
+        products, acc = [], d.algebra.one()
+        for i in range(-int(neg[0])):
+            if i >= dual:
+                acc = acc * (d - i)
+            products.append(acc)
         for v in neg:
             rows[v] = (products[-int(v) - 1] * at_zero).coords
     return np.array([rows[v] for v in values])
@@ -291,17 +295,6 @@ def term_values(x, ls, ring, dual=False):
     return acc
 
 
-def term_value(x, l, ring):
-    """The term at one exponent tuple: the one row of term_values."""
-    return ring.algebra.element(term_values(x, [l], ring).coords[0])
-
-
-def dual_term_value(x, l, ring):
-    """The dual-series coefficient at one tuple (term_values, dual=True)."""
-    return ring.algebra.element(
-        term_values(x, [l], ring, dual=True).coords[0])
-
-
 def sum_rows(batch, rows=None):
     """Sum of the batch's rows (all, or those that rows selects).
 
@@ -320,6 +313,7 @@ def _point(x, n):
         pt = x
     else:
         pt = EvaluationPoint(tuple(x))
+    # internal: callers build x with one coordinate per point
     assert len(pt.x) == n, f"need {n} coordinates"
     return pt.x
 
@@ -511,7 +505,7 @@ def pde_residuals(chamber, c_list, x, policy, which="primal", circuit=None):
     exact zeros.  For the dual system a support-set change of a matched
     pair is absorbed by the module relation D_i F_I = F_{I + i}.
     """
-    assert which in ("primal", "dual")
+    assert which in ("primal", "dual")   # internal: the two systems
     data, t = chamber.data, chamber.t
     xs = _point(x, data.n)
     c_set = {tuple(int(v) for v in c) for c in c_list}

@@ -168,7 +168,7 @@ def _det_int(m):
             f = work[i][c] / work[c][c]
             if f:
                 work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    assert det.denominator == 1
+    assert det.denominator == 1   # internal: the rows are integral
     return int(det)
 
 
@@ -444,6 +444,7 @@ def adjacent_sector(data, circuit, t_minus, sector, k, r, lift=None):
     shifted = [lv + q * hj for lv, hj in zip(lift.values, circuit.h)]
     coords = [x - _floor(x) for x in shifted]
     point = data.combine(coords)
+    # internal: sum_j l''_j v_j = -c and the floors of l'' are integers
     assert all(p.denominator == 1 for p in point)
     gamma = TwistedSector(coords=tuple(coords),
                           point=tuple(int(p) for p in point))

@@ -1,10 +1,12 @@
 """Command-line front end: reports, exit codes, determinism."""
 
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -132,6 +134,27 @@ def test_endpoints_outside_the_float_range_rejected(tmp_path, command, flag,
                            flag, value], tmp_path)
     assert status == 2
     assert rep["body"]["error"] == "InfeasibleArgs"
+
+
+@pytest.mark.parametrize("command", ["oracle", "fm"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_eps_rejected(tmp_path, command, value):
+    status, rep = run_cli([command, "--fixture", "a1", "--eps", value],
+                          tmp_path)
+    assert status == 2
+    assert rep["body"]["error"] == "InputError"
+    assert "--eps" in rep["body"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fm", "--fixture", "conifold", "--eps", "1e10"],
+    ["oracle", "--fixture", "a1", "--eps", "1e300"],
+    ["verify", "--fixture", "a1", "--eps", "1e300", "--depth", "0"]])
+def test_eps_whose_exp_overflows_is_a_report(tmp_path, argv):
+    # finite, but e^(a_j eps) leaves the float range in a sector algebra
+    status, rep = run_cli(argv, tmp_path)
+    assert status == 1
+    assert rep["body"]["error"] == "NonFiniteValue"
 
 
 def test_bad_trunc_rejected(tmp_path):
@@ -612,3 +635,44 @@ def test_series_window_error_survives_optimized_mode(tmp_path):
     rep = json.loads(proc.stdout)
     assert rep["body"]["error"] == "SeriesWindowExceeded"
     assert "eps^0" in rep["body"]["message"]
+
+
+def unmarked_assertions(source):
+    """Lines of the asserts and AssertionError raises without a reason.
+
+    A reason is "# internal:" on the statement's lines or in the comment
+    block directly above it.
+    """
+    lines = source.splitlines()
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = getattr(node.exc, "func", node.exc)
+            if not (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
+                continue
+        elif not isinstance(node, ast.Assert):
+            continue
+        top = node.lineno - 1
+        while top and lines[top - 1].lstrip().startswith("#"):
+            top -= 1
+        if not any("# internal:" in line
+                   for line in lines[top:node.end_lineno]):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_every_assertion_in_the_package_is_internal():
+    # an assert guards an invariant that no input can break: a condition
+    # the CLI can reach raises a GkzflopError instead, and python -O
+    # would drop the assert
+    checked = 0
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        assert unmarked_assertions(source) == [], path.name
+        checked += sum(isinstance(node, ast.Assert)
+                       for node in ast.walk(ast.parse(source)))
+    assert checked > 10
+    snippet = ("# internal: a\n# b\nassert x\nassert y, \\\n"
+               "    'm'  # internal: c\n\nassert z\n"
+               "raise AssertionError('no')\nraise ValueError('v')\nraise\n")
+    assert unmarked_assertions(snippet) == [7, 8]

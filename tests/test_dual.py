@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from gkzflop import (
+    CompactKModule,
     SectorAlgebra,
     TruncationPolicy,
     UnimplementedPairing,
-    build_compact_module,
     compute_box,
     evaluate_gamma_dual,
+    pde_residuals,
 )
-from gkzflop.dual import PairingStub, _rref, dual_pde_check, \
-    dual_transform_status
+from gkzflop.dual import PairingStub, _rref, dual_transform_status
 from gkzflop.deform import DeformationRing, TWO_PI_I
-from gkzflop.series import dual_term_value, enumerate_terms
+from gkzflop.series import enumerate_terms, term_values
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +23,7 @@ def modules(packs):
     for name, pack in packs.items():
         for side in ("plus", "minus"):
             t = pack.t_plus if side == "plus" else pack.t_minus
-            out[(name, side)] = (pack, t,
-                                 build_compact_module(pack.chamber(t)))
+            out[(name, side)] = (pack, t, CompactKModule(pack.chamber(t)))
     return out
 
 
@@ -105,10 +104,10 @@ def test_series_values_reduce_to_rank_two(modules, name, side, c):
     policy = TruncationPolicy(degree_bound=12, tail_check=False)
     x = [0.08 + 0.01j] * pack.data.n
     [val] = evaluate_gamma_dual(pack.chamber(t), [c], x, policy, module=mod)
-    flat = mod.reduce_flat(val.components)
+    assert val.reduced is not None
+    flat = np.concatenate([val.reduced[g.key()] for g in mod.sectors])
     assert flat.size == 2
     assert np.max(np.abs(flat)) > 0
-    assert val.reduced is not None
 
 
 def test_unit_coefficient_recursion(a1):
@@ -125,11 +124,12 @@ def test_unit_coefficient_recursion(a1):
             for i in range(a1.data.n):
                 if term.l[i] != 0:
                     continue
-                deriv = dual_term_value(x, term.l, ring) \
-                    * ring.divisor(i) * (1.0 / (TWO_PI_I * x[i]))
                 l_img = tuple(lv - (1 if j == i else 0)
                               for j, lv in enumerate(term.l))
-                rhs = ring.divisor(i) * dual_term_value(x, l_img, ring)
+                dual = term_values(x, [term.l, l_img], ring, dual=True)
+                here, there = (alg.element(row) for row in dual.coords)
+                deriv = here * ring.divisor(i) * (1.0 / (TWO_PI_I * x[i]))
+                rhs = ring.divisor(i) * there
                 assert (deriv - rhs).norm() < 1e-12 * max(1.0, rhs.norm()), \
                     (term.l, i)
                 checked += 1
@@ -147,12 +147,14 @@ def test_component_vector_rejects_stray_cone(modules):
 def test_dual_pde_check_report(a1):
     policy = TruncationPolicy(degree_bound=12, tail_check=False)
     x = [0.07, 0.11, 0.05]
-    rep = dual_pde_check(a1.chamber(a1.t_plus), [(2, 2), (3, 3)], x, policy)
+    chamber = a1.chamber(a1.t_plus)
+    rep = pde_residuals(chamber, [(2, 2), (3, 3)], x, policy, which="dual")
     assert rep["system"] == "dual"
     assert rep["euler_max"] == 0.0
     assert rep["interior_residual"] == 0.0
-    assert rep["module_dim"] == 2
-    assert rep["generators"] == [[1, 2], [2], [2, 3]]
+    module = CompactKModule(chamber)
+    assert module.dim == 2
+    assert module.generators == ((0, 1), (1,), (1, 2))
 
 
 def test_status_checklist_and_stub():

@@ -32,14 +32,6 @@ def each_way(kernel, pts):
         yield z, row
 
 
-def test_polygamma_stack():
-    for z, got in each_way(lambda v: kernels.polygamma_stack(v, 6),
-                           reference_points()):
-        for k in range(7):
-            want = complex(mpmath.polygamma(k, mpmath.mpc(z)))
-            assert abs(got[k] - want) <= 1e-12 * max(1.0, abs(want)), (z, k)
-
-
 def test_log_gamma_exponentiates_to_gamma():
     for z, got in each_way(kernels.log_gamma, reference_points(seed=5)):
         want = complex(mpmath.gamma(mpmath.mpc(z)))
@@ -87,12 +79,10 @@ def test_result_shapes():
     z = 1.3 + 0.7j
     assert isinstance(kernels.log_gamma(z), complex)
     assert isinstance(kernels.recip_gamma(z), complex)
-    assert kernels.polygamma_stack(z, 5).shape == (6,)
     assert kernels.recip_gamma_series(z, 6).shape == (7,)
     grid = np.full((5, 8), z)
     assert kernels.log_gamma(grid).shape == (5, 8)
     assert kernels.recip_gamma(grid).shape == (5, 8)
-    assert kernels.polygamma_stack(grid, 5).shape == (5, 8, 6)
     assert kernels.recip_gamma_series(grid, 6).shape == (5, 8, 7)
 
 
@@ -101,7 +91,6 @@ def test_batches_match_one_point_calls():
     # that its point falls in
     pts = np.array(reference_points(seed=13, count=600, avoid_poles=False))
     for kernel in (kernels.log_gamma, kernels.recip_gamma,
-                   lambda z: kernels.polygamma_stack(z, 4),
                    lambda z: kernels.recip_gamma_series(z, 4)):
         batch = kernel(pts)
         single = np.array([kernel(z) for z in pts])

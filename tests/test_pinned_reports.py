@@ -1,13 +1,17 @@
-"""Pinned `oracle` reports: the integrand and residue paths may not move.
+"""Pinned reports: the transform, series and oracle paths may not move.
 
 tests/data/oracle_reports.json holds, per fixture, the exit status and
 the report without its timings of
 
     gkzflop oracle --fixture NAME --eps 1e-2 --eps 1e-3
 
+and tests/data/command_reports.json holds the same, keyed
+"COMMAND NAME", for the other jobs of JOBS: fm and ac at the same eps,
+gamma-eval and dual-eval at their defaults, and verify at depth 0.
+
 Every field that is not a float must match exactly, and every float
 within 1e-14 max(|v|, 1).  A change that moves a value on purpose
-rewrites the file on a checkout it has checked by other means:
+rewrites both files on a checkout it has checked by other means:
 
     PYTHONPATH=src python tests/test_pinned_reports.py
 """
@@ -21,17 +25,21 @@ import pytest
 from gkzflop import cli
 from gkzflop.report import strip_timings
 
-PIN_FILE = Path(__file__).parent / "data" / "oracle_reports.json"
+ORACLE_PINS = Path(__file__).parent / "data" / "oracle_reports.json"
+COMMAND_PINS = Path(__file__).parent / "data" / "command_reports.json"
 FIXTURES = ("a1", "conifold")
-ARGV = ["--eps", "1e-2", "--eps", "1e-3"]
+EPS = ["--eps", "1e-2", "--eps", "1e-3"]
+JOBS = {"oracle": EPS, "fm": EPS, "ac": EPS, "gamma-eval": [],
+        "dual-eval": [], "verify": ["--depth", "0"]}
+COMMANDS = tuple(c for c in JOBS if c != "oracle")
 RTOL = 1e-14
 
 
-def pinned_run(fixture):
-    """Exit status and stripped report of the pinned oracle job."""
+def pinned_run(command, fixture):
+    """Exit status and stripped report of one pinned job."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
-        status = cli.main(["oracle", "--fixture", fixture, *ARGV,
+        status = cli.main([command, "--fixture", fixture, *JOBS[command],
                            "--out", str(out)])
         report = json.loads(out.read_text())
     return {"status": status, "report": strip_timings(report)}
@@ -59,9 +67,17 @@ def mismatches(got, want, path="$"):
 
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_oracle_report_matches_its_pin(fixture):
-    pinned = json.loads(PIN_FILE.read_text())[fixture]
+    pinned = json.loads(ORACLE_PINS.read_text())[fixture]
     assert pinned["status"] == 0 and pinned["report"]["body"]["pass"]
-    assert mismatches(pinned_run(fixture), pinned) == []
+    assert mismatches(pinned_run("oracle", fixture), pinned) == []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_report_matches_its_pin(command, fixture):
+    pinned = json.loads(COMMAND_PINS.read_text())[f"{command} {fixture}"]
+    assert pinned["status"] == 0 and pinned["report"]["body"]["pass"]
+    assert mismatches(pinned_run(command, fixture), pinned) == []
 
 
 def test_pin_comparison_is_strict():
@@ -78,5 +94,9 @@ def test_pin_comparison_is_strict():
 
 
 if __name__ == "__main__":
-    PIN_FILE.write_text(json.dumps({f: pinned_run(f) for f in FIXTURES},
-                                   sort_keys=True, indent=1) + "\n")
+    ORACLE_PINS.write_text(json.dumps(
+        {f: pinned_run("oracle", f) for f in FIXTURES},
+        sort_keys=True, indent=1) + "\n")
+    COMMAND_PINS.write_text(json.dumps(
+        {f"{c} {f}": pinned_run(c, f) for c in COMMANDS for f in FIXTURES},
+        sort_keys=True, indent=1) + "\n")

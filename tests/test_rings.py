@@ -25,15 +25,11 @@ from gkzflop import (
     algebra_inverse,
     compute_box,
 )
-from gkzflop.deform import (
-    branched_power,
-    localization_point,
-    reciprocal_gamma_shifted,
-    unit_phase,
-)
+from gkzflop.deform import DeformationRing, branched_power, unit_phase
 from gkzflop.fixtures import load_fixture, parse_fixture
 from gkzflop.rings import Chamber
 from gkzflop.toric import sector_label, star_of
+from gkzflop.wall import _localization_values
 from support import LOCAL_P2, circuit_fixture
 
 STRUCTURE_FILE = Path(__file__).parent / "data" / "sector_structure.json"
@@ -312,18 +308,20 @@ def test_branched_power_additivity(algebra_map, vals):
 
 def test_reciprocal_gamma_values(algebra_map):
     alg = next(iter(algebra_map[("conifold", "plus")].values()))
+    recip = DeformationRing(alg, eps=0.0).recip_gamma
     t = alg.divisor(3)
     zero = alg.zero()
-    assert close(reciprocal_gamma_shifted(0, zero), alg.one(), 1e-15)
-    assert close(reciprocal_gamma_shifted(-1, t), t, 1e-13)
-    assert close(reciprocal_gamma_shifted(-2, t), -t, 1e-13)
-    half = reciprocal_gamma_shifted(Fraction(1, 2), zero)
+    assert close(recip(0, zero), alg.one(), 1e-15)
+    assert close(recip(-1, t), t, 1e-13)
+    assert close(recip(-2, t), -t, 1e-13)
+    half = recip(Fraction(1, 2), zero)
     assert abs(half.scalar_part - 2.0 / math.sqrt(math.pi)) < 1e-13
     assert half.nilpotent_part().is_zero(1e-15)
 
 
 def test_reciprocal_gamma_against_reference(algebra_map):
     alg = next(iter(algebra_map[("a1", "plus")].values()))
+    recip = DeformationRing(alg, eps=0.0).recip_gamma
     zero = alg.zero()
     mpmath.mp.dps = 30
     rng = np.random.default_rng(11)
@@ -333,22 +331,30 @@ def test_reciprocal_gamma_against_reference(algebra_map):
         near = min(abs(1 + z - m) for m in range(-12, 1))
         if near < 0.1:
             continue
-        got = reciprocal_gamma_shifted(z, zero).scalar_part
+        got = recip(z, zero).scalar_part
         want = complex(mpmath.rgamma(mpmath.mpc(1 + z)))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), z
         done += 1
 
 
+def r_values(alg):
+    """r_j = e^{D_j + 2 pi i gamma_j}, j = 1..n, in the algebra's sector."""
+    n = alg.data.n
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    r = _localization_values(DeformationRing(alg), alg.sector.coords, units)
+    return [alg.element(row) for row in r.coords]
+
+
 def test_localization_points(algebra_map):
     a1m = algebra_map[("a1", "minus")]
     twisted = a1m[(Fraction(1, 2), Fraction(0), Fraction(1, 2))]
-    r = localization_point(twisted)
+    r = r_values(twisted)
     assert [v.scalar_part for v in r] == [(-1 + 0j), (1 + 0j), (-1 + 0j)]
     trivial = a1m[(Fraction(0), Fraction(0), Fraction(0))]
-    assert [v.scalar_part for v in localization_point(trivial)] == [1, 1, 1]
+    assert [v.scalar_part for v in r_values(trivial)] == [1, 1, 1]
     cp = next(iter(algebra_map[("conifold", "plus")].values()))
     t = cp.divisor(3)
-    r = localization_point(cp)
+    r = r_values(cp)
     for j, sign in enumerate((1.0, -1.0, -1.0, 1.0)):
         assert close(r[j], algebra_exp(t * sign), 1e-14)
 
