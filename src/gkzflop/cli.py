@@ -1,4 +1,8 @@
-"""Batch front-end: fixture loading, job configuration, subcommand dispatch.
+"""Batch front-end: fixture loading, job configuration, command dispatch.
+
+Every command takes the same flags, so one parser reads them all: the
+command is its first positional argument, and the flags may come before
+or after it.
 
 Exit codes: 0 all checks pass, 1 verification failure or runtime error
 in a module, 2 input error (bad flags, malformed fixture, infeasible
@@ -7,6 +11,7 @@ configuration).
 
 import argparse
 import math
+import re
 import sys
 import time
 
@@ -38,6 +43,11 @@ SUBCOMMANDS = (
 )
 
 _TRUNC_DEFAULT = 20
+
+# Tokens that read as a negative number, so as a flag's value and not as
+# a flag.  argparse's own rule (Python 3.11) takes only -5 and -0.5
+# forms: it refuses "--eps -1e-3" while it takes "--eps=-1e-3".
+_NEGATIVE_NUMBER = r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
 
 
 def _add_common(sp):
@@ -71,10 +81,15 @@ def _add_common(sp):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gkzflop",
-        description="wall-crossing solution series and transform checks")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in SUBCOMMANDS:
-        _add_common(sub.add_parser(name, help=help_text))
+        description="wall-crossing solution series and transform checks",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<12} {help_text}" for name, help_text in SUBCOMMANDS),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser._negative_number_matcher = re.compile(_NEGATIVE_NUMBER)
+    parser.add_argument("command", metavar="COMMAND",
+                        choices=[name for name, _ in SUBCOMMANDS],
+                        help="one of the commands listed below")
+    _add_common(parser)
     return parser
 
 

@@ -145,19 +145,23 @@ def _recip_gamma_series_flat(z, kmax):
     count = _shift_count(z, 0.5)
     scale, log_gamma, psi = _stirling(z + count, kmax)
     out = np.empty((z.size, kmax + 1), dtype=complex)
-    out[:, 0] = scale * np.exp(-log_gamma)
-    # f = exp(g), g' = -psi: f^(m) = sum_j C(m-1,j) g^(m-j) f^(j)
-    g = -psi
-    f = [out[:, 0]]
-    for m in range(1, kmax + 1):
-        f.append(sum(math.comb(m - 1, j) * g[m - j - 1] * f[j]
-                     for j in range(m)))
-        out[:, m] = f[m] / math.factorial(m)
-    # multiply the polynomial (z+u)(z+1+u)... back in, factor by factor
-    for j in range(int(count.max(initial=0.0)) - 1, -1, -1):
-        times = (z + j)[:, None] * out
-        times[:, 1:] += out[:, :-1]
-        out = np.where((count > j)[:, None], times, out)
+    # a z far out on the left overflows exp to inf, and the recurrence
+    # turns that into NaN: the values say so, and the callers' finiteness
+    # gates raise NonFiniteValue, so numpy need not warn as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:, 0] = scale * np.exp(-log_gamma)
+        # f = exp(g), g' = -psi: f^(m) = sum_j C(m-1,j) g^(m-j) f^(j)
+        g = -psi
+        f = [out[:, 0]]
+        for m in range(1, kmax + 1):
+            f.append(sum(math.comb(m - 1, j) * g[m - j - 1] * f[j]
+                         for j in range(m)))
+            out[:, m] = f[m] / math.factorial(m)
+        # multiply the polynomial (z+u)(z+1+u)... back in, factor by factor
+        for j in range(int(count.max(initial=0.0)) - 1, -1, -1):
+            times = (z + j)[:, None] * out
+            times[:, 1:] += out[:, :-1]
+            out = np.where((count > j)[:, None], times, out)
     return out
 
 

@@ -6,7 +6,10 @@ rows, {column: Fraction} dicts, and touches only nonzero entries: the
 sector algebras reduce one small relation block per degree, mostly zero
 (the largest, on local P^2, is 30 x 19 with 73 nonzero entries).
 The lattice routines stay dense; their matrices have rank <= 4 and a
-handful of columns.
+handful of columns.  solve_integer and reduce_mod_lattice take a Hermite
+normal form computed beforehand: a fixture's points have one lattice,
+computed once (toric.ToricData.lattice) and read by validate_toric_data,
+canonical_lift and enumerate_terms.
 """
 
 from fractions import Fraction
@@ -160,12 +163,12 @@ def _hnf_full(m):
     return work[:r], t
 
 
-def solve_integer(rows, rhs):
+def solve_integer(h, transform, rhs):
     """One integer solution x of x * rows == rhs (row-vector convention).
 
-    Returns None when no integer solution exists.
+    (h, transform) is _hnf_full(rows): the HNF rows and the full square
+    unimodular transform.  Returns None when no integer solution exists.
     """
-    h, t = _hnf_full([list(map(int, r)) for r in rows])
     # express rhs in terms of the HNF rows by forward substitution
     target = list(map(int, rhs))
     coeffs = [0] * len(h)
@@ -181,22 +184,19 @@ def solve_integer(rows, rhs):
         target = [a - q * b for a, b in zip(target, row)]
     if any(target):
         return None
-    n = len(rows)
-    x = [0] * n
-    for q, trow in zip(coeffs, t[: len(h)]):
+    x = [0] * len(transform)
+    for q, trow in zip(coeffs, transform[: len(h)]):
         x = [a + q * b for a, b in zip(x, trow)]
     return x
 
 
-def reduce_mod_lattice(vec, basis):
-    """Canonical representative of vec modulo the integer row lattice `basis`.
+def reduce_mod_lattice(vec, h):
+    """Canonical representative of vec modulo the integer row lattice of h.
 
-    The basis is brought to HNF; pivot coordinates of the result are reduced
-    into [0, pivot).  Deterministic, so usable as a tie-break.
+    h is the lattice's basis in HNF (hnf(basis)[0]); pivot coordinates of
+    the result are reduced into [0, pivot).  Deterministic, so usable as
+    a tie-break.
     """
-    if not basis:
-        return list(vec)
-    h, _ = hnf(basis)
     v = list(map(int, vec))
     ncols = len(v)
     for row in h:

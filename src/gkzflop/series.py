@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import BranchCut, DivergenceSuspected, InfeasibleArgs, \
     NonFiniteValue, NonInteriorPoint
-from . import rational
 from .toric import essential_cones, interior_cones, is_interior_point, \
     canonical_lift
 from .deform import DeformationRing, TWO_PI_I, principal_log
@@ -135,21 +134,11 @@ def scalar_power(x, e):
     return cmath.exp(float(e) * principal_log(x))
 
 
-def _kernel_basis(data):
-    rows = [list(v) for v in data.points]
-    kernel = rational.integer_kernel(rows)
-    if not kernel:
-        return []
-    h, _ = rational.hnf([list(k) for k in kernel])
-    basis = [row for row in h if any(row)]
-    return basis
-
-
 def _pivot(row):
     for i, v in enumerate(row):
         if v:
             return i
-    # internal: _kernel_basis keeps only the nonzero rows
+    # internal: the rows of an HNF basis are nonzero
     raise AssertionError("zero kernel row")
 
 
@@ -195,7 +184,7 @@ def enumerate_terms(data, t, c, gamma, policy, circuit=None):
     a relation of every sector algebra.
     """
     lift = canonical_lift(data, gamma, c)
-    basis = _kernel_basis(data)
+    basis = data.lattice.kernel_basis
     maximal = sorted(t.maximal, key=sorted)
     ess = set(map(frozenset, essential_cones(data, t, circuit))) \
         if circuit is not None else set()

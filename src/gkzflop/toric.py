@@ -5,12 +5,19 @@ a fixed grading functional, and the cone C spanned by all the points.  A
 triangulation is given by its maximal cones (index sets into the points).
 Everything in this module is exact: integer and Fraction arithmetic only.
 
+The points have one integer lattice, ToricData.lattice: their Hermite
+normal form with its unimodular transform, the integer kernel and the
+kernel's HNF basis, computed on first use and kept with the data.
+validate_toric_data reads its index, find_circuit and canonical_lift its
+kernel, and series.enumerate_terms walks the kernel basis.
+
 Index convention: points are 0-based internally; fixture files and reports
 use 1-based indices.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -24,6 +31,26 @@ from .errors import (
 from . import rational
 
 
+class PointLattice:
+    """Integer lattice data of the points v_1..v_n, as int row tuples.
+
+    One HNF of the points and one of their kernel: transform * points
+    == hnf on the first len(hnf) rows; the remaining rows of the
+    unimodular transform are the kernel, a basis of the integer
+    relations {z : sum z_j v_j = 0}, and kernel_basis is that kernel in
+    HNF.
+    """
+
+    __slots__ = ("hnf", "transform", "kernel", "kernel_basis")
+
+    def __init__(self, points):
+        h, t = rational._hnf_full([list(map(int, v)) for v in points])
+        kernel = t[len(h):]
+        self.hnf, self.transform, self.kernel, self.kernel_basis = (
+            tuple(map(tuple, m))
+            for m in (h, t, kernel, rational.hnf(kernel)[0]))
+
+
 @dataclass(frozen=True)
 class ToricData:
     """Points with a degree-one grading in a rank-d lattice."""
@@ -35,6 +62,11 @@ class ToricData:
     @property
     def n(self):
         return len(self.points)
+
+    @cached_property
+    def lattice(self):
+        """The points' PointLattice, built on first use."""
+        return PointLattice(self.points)
 
     def degree(self, v):
         return sum(a * b for a, b in zip(self.deg, v))
@@ -128,11 +160,11 @@ def validate_toric_data(data):
             raise RankDeficient(f"point {i + 1} has wrong dimension")
         if data.degree(v) != 1:
             raise NonUnitDegree(f"point {i + 1} has degree {data.degree(v)}")
-    rows = [list(v) for v in data.points]
-    if rational.rank(rows) != data.rank:
+    h = data.lattice.hnf
+    if len(h) != data.rank:
         raise RankDeficient("points do not span the lattice over Q")
     index = 1
-    for row in rational.hnf(rows)[0]:
+    for row in h:
         index *= next(x for x in row if x)
     if index != 1:
         raise SublatticeIndex(
@@ -292,7 +324,13 @@ def find_circuit(data, t_plus, t_minus):
     # local patch: every modified cone is the patch minus one circuit index
     patch = frozenset().union(*changed_plus, *changed_minus)
     rays = sorted(patch)
-    kernel = rational.integer_kernel([list(data.points[j]) for j in rays])
+    # relations among the patch's points: the combinations of the points'
+    # kernel basis that vanish off the patch
+    basis = data.lattice.kernel_basis
+    outside = [j for j in range(data.n) if j not in patch]
+    kernel = [[sum(a * row[j] for a, row in zip(z, basis)) for j in rays]
+              for z in rational.integer_kernel(
+                  [[row[j] for j in outside] for row in basis])]
     if len(kernel) != 1:
         raise NotAdjacent("modified patch does not carry a unique relation")
     local = kernel[0]
@@ -417,12 +455,11 @@ def canonical_lift(data, sector, c):
     kernel lattice of the points, so equal inputs give equal outputs.
     """
     target = [-int(ci) - gp for ci, gp in zip(c, sector.point)]
-    rows = [list(v) for v in data.points]
-    z = rational.solve_integer(rows, target)
+    lattice = data.lattice
+    z = rational.solve_integer(lattice.hnf, lattice.transform, target)
     if z is None:
         raise Infeasible("no integer lift with the prescribed fractional parts")
-    kernel = rational.integer_kernel(rows)
-    z = rational.reduce_mod_lattice(z, kernel)
+    z = rational.reduce_mod_lattice(z, lattice.kernel_basis)
     values = tuple(Fraction(zi) + gi for zi, gi in zip(z, sector.coords))
     return Lift(sector=sector, c=tuple(int(ci) for ci in c), values=values)
 

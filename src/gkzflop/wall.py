@@ -248,16 +248,20 @@ def make_integrand(x, lprime, circuit, ring):
         if hit.any():
             raise PoleProximity(f"s = {complex(s[hit].flat[0])} too "
                                 f"close to a pole")
-        acc = const * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
-        for j in iminus:
-            den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lp[j] + s * h[j]))
-            acc = acc * nums[j] * ring.inv(den)
-        e = np.stack([lp[j] + s * h[j] for j in range(n)])
-        gammas = ring.recip_gamma(e, d)    # one kernel call for every j
-        for j in range(n):
-            if h[j]:
-                acc = acc * np.exp(e[j] * logx[j] - lp[j] * logx[j])
-            acc = acc * gammas[j]
+        # a value that overflows stays inf or NaN without a numpy warning:
+        # the quadratures gate the values for finiteness
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = const * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
+            for j in iminus:
+                den = one - exp_neg[j] * np.exp(-TWO_PI_I
+                                                * (lp[j] + s * h[j]))
+                acc = acc * nums[j] * ring.inv(den)
+            e = np.stack([lp[j] + s * h[j] for j in range(n)])
+            gammas = ring.recip_gamma(e, d)    # one kernel call for every j
+            for j in range(n):
+                if h[j]:
+                    acc = acc * np.exp(e[j] * logx[j] - lp[j] * logx[j])
+                acc = acc * gammas[j]
         return acc
 
     f.decay = (2.0 * math.pi + ay, -ay)   # rates for t -> +inf / -inf
@@ -299,7 +303,8 @@ def _line_quadrature(f, s0, height, a, probes=()):
     of half-width a both levels converge geometrically (Trefethen &
     Weideman, SIAM Review 56, 2014).  The points of probes are evaluated
     in the same call.  Returns the fine and coarse values, the integrand
-    values (the n nodes, then the probes) and the fine step.
+    values (the n nodes, then the probes) and the fine step; a line node
+    that is not finite raises NonFiniteValue before anything is summed.
     """
     n = 2 * math.ceil(height * LINE_EXPONENT / (math.pi * a))
     if n > MAX_LINE_NODES:
@@ -310,6 +315,7 @@ def _line_quadrature(f, s0, height, a, probes=()):
     vals = f(np.concatenate([s0 + 1j * (-height + (np.arange(n) + 0.5)
                                          * step), probes]))
     line = vals.algebra.element(vals.coords[:n])
+    _require_finite(line, "line")
     scale = step * (-1.0 / (2.0 * math.pi))
     coarse = vals.algebra.element(line.coords[::2]).sum() * (2.0 * scale)
     return line.sum() * scale, coarse, vals, step
@@ -333,8 +339,8 @@ def mb_contour_oracle(x, lprime, circuit, ring, spec=None):
     fine, coarse, vals, step = _line_quadrature(f, s0, spec.height, a,
                                                 probes)
     nodes = len(vals.coords) - len(probes)
-    line = vals.algebra.element(vals.coords[:nodes])
     ends = vals.algebra.element(vals.coords[nodes:])
+    _require_finite(ends, "tail probes")
     rate_up, rate_dn = f.decay
     if min(rate_up, rate_dn) <= 0:
         raise TailBoundViolated("arg y outside (-2 pi, 0): no decay")
@@ -343,8 +349,6 @@ def mb_contour_oracle(x, lprime, circuit, ring, spec=None):
         raise TailBoundViolated(
             f"measured tails {tail_up:.2e}+{tail_dn:.2e} "
             f"exceed {TAIL_TOL:.2e}")
-    _require_finite(line, "line")
-    _require_finite(ends, "tail probes")
     return fine, {"s0": s0, "nodes": nodes, "step": step,
                   "est_error": (fine - coarse).norm(),
                   "tail": tail_up + tail_dn}

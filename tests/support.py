@@ -1,12 +1,13 @@
 """Shared helpers for the test suite."""
 
+import argparse
 import math
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from gkzflop import kernels, rational, wall
+from gkzflop import cli, kernels, rational, wall
 from gkzflop.errors import NonFiniteValue, NotInvertible
 from gkzflop.rings import algebra_exp
 from gkzflop.deform import TWO_PI_I, principal_log, unit_phase
@@ -92,6 +93,39 @@ def circuit_fixture(h):
                      deg=tuple(int(x) for x in deg))
     return data, {"plus": Triangulation("plus", side(1)),
                   "minus": Triangulation("minus", side(-1))}
+
+
+def reference_canonical_lift(data, sector, c):
+    """toric.canonical_lift's values, with the lattice derived per call.
+
+    The points' HNF, their integer kernel and the kernel's HNF are
+    computed afresh for this one lift, without ToricData.lattice.  None
+    when no integer lift exists.
+    """
+    rows = [list(v) for v in data.points]
+    target = [-int(ci) - gp for ci, gp in zip(c, sector.point)]
+    z = rational.solve_integer(*rational._hnf_full(rows), target)
+    if z is None:
+        return None
+    kernel = rational.integer_kernel(rows)
+    z = rational.reduce_mod_lattice(z, rational.hnf(kernel)[0])
+    return tuple(Fraction(zi) + gi for zi, gi in zip(z, sector.coords))
+
+
+def subparser_reference():
+    """The command-line parser as one subparser per command.
+
+    Every subparser carries the same flags (cli._add_common); the
+    command-line front end reads them with one flat parser, which must
+    give the same Namespace for every command line this one accepts.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gkzflop",
+        description="wall-crossing solution series and transform checks")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in cli.SUBCOMMANDS:
+        cli._add_common(sub.add_parser(name, help=help_text))
+    return parser
 
 
 def reference_integrand(x, lprime, circuit, ring):

@@ -17,7 +17,7 @@ from gkzflop import report as reporting
 from gkzflop.deform import DeformationRing, EpsSeries
 from gkzflop.fixtures import load_fixture, write_fixture
 from gkzflop.toric import compute_box, find_circuit
-from support import circuit_fixture
+from support import circuit_fixture, subparser_reference
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -155,6 +155,89 @@ def test_eps_whose_exp_overflows_is_a_report(tmp_path, argv):
     status, rep = run_cli(argv, tmp_path)
     assert status == 1
     assert rep["body"]["error"] == "NonFiniteValue"
+
+
+@pytest.mark.parametrize("fixture", ["a1", "conifold"])
+def test_overflowing_integrand_fails_without_warnings(fixture):
+    # at eps = 1e3 the line integrand overflows: a NonFiniteValue report,
+    # and no numpy warning on stderr from the kernel or the products
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkzflop", "oracle", "--fixture", fixture,
+         "--eps", "1e3"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["body"]["error"] == "NonFiniteValue"
+
+
+# a value other than the default for every flag that takes one
+FLAG_VALUES = {"--fixture": "conifold", "--plus": "minus", "--minus": "plus",
+               "--trunc": "7", "--eps": "3e-3", "--contour-t": "9.5",
+               "--contour-re": "0.75", "--amp": "2.0", "--y-abs": "0.05",
+               "--depth": "1", "--out": "r.json", "--format": "text"}
+
+
+@pytest.mark.parametrize("command", [name for name, _ in cli.SUBCOMMANDS])
+def test_flat_parser_reads_what_the_subparsers_read(command, capsys):
+    flat, reference = cli.build_parser(), subparser_reference()
+    every = [token for pair in FLAG_VALUES.items() for token in pair]
+    for flags in ([], *map(list, FLAG_VALUES.items()),
+                  every + ["--eps", "4e-3"]):
+        want = vars(reference.parse_args([command, *flags]))
+        assert vars(flat.parse_args([command, *flags])) == want
+        # the flags may also come before the command
+        assert vars(flat.parse_args([*flags, command])) == want
+    for parser in (flat, reference):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "-h"])
+        assert exc.value.code == 0
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, help_text in cli.SUBCOMMANDS:
+        assert [name, help_text] in [line.split(None, 1) for line in lines]
+
+
+def test_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["nope", "--fixture", "a1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "-1e-3"), ("--eps", "-2.5E-3"), ("--contour-re", "-1e0")])
+def test_negative_value_with_an_exponent_parses(flag, value):
+    parser = cli.build_parser()
+    assert vars(parser.parse_args(["fm", flag, value])) \
+        == vars(parser.parse_args(["fm", f"{flag}={value}"]))
+
+
+def test_flag_as_eps_value_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["fm", "--eps", "-x"])
+    assert exc.value.code == 2
+    assert "--eps: expected one argument" in capsys.readouterr().err
+
+
+def test_one_hnf_of_the_points_per_job(tmp_path, monkeypatch):
+    # the points' lattice is built once and read by every later step
+    points = [list(v) for v in load_fixture("conifold")[0].points]
+    seen = []
+    real = rational._hnf_full
+
+    def spy(m):
+        seen.append(m == points)
+        return real(m)
+    monkeypatch.setattr(rational, "_hnf_full", spy)
+    status, _ = run_cli(["fm", "--fixture", "conifold"], tmp_path)
+    assert status == 0
+    assert seen.count(True) == 1
 
 
 def test_bad_trunc_rejected(tmp_path):

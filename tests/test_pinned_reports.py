@@ -7,7 +7,11 @@ the report without its timings of
 
 and tests/data/command_reports.json holds the same, keyed
 "COMMAND NAME", for the other jobs of JOBS: fm and ac at the same eps,
-gamma-eval and dual-eval at their defaults, and verify at depth 0.
+gamma-eval, dual-eval, inspect, box, essential and dual-status at their
+defaults, and verify at depth 0.  fm, ac and dual-eval are also pinned
+on the circuit fixture of CIRCUIT (sectors of dimension 3), written to
+a temporary file; its report's config names it CIRCUIT_NAME, not the
+file's path.
 
 Every field that is not a float must match exactly, and every float
 within 1e-14 max(|v|, 1).  A change that moves a value on purpose
@@ -23,26 +27,37 @@ from pathlib import Path
 import pytest
 
 from gkzflop import cli
+from gkzflop.fixtures import write_fixture
 from gkzflop.report import strip_timings
+from support import circuit_fixture
 
 ORACLE_PINS = Path(__file__).parent / "data" / "oracle_reports.json"
 COMMAND_PINS = Path(__file__).parent / "data" / "command_reports.json"
 FIXTURES = ("a1", "conifold")
 EPS = ["--eps", "1e-2", "--eps", "1e-3"]
 JOBS = {"oracle": EPS, "fm": EPS, "ac": EPS, "gamma-eval": [],
-        "dual-eval": [], "verify": ["--depth", "0"]}
+        "dual-eval": [], "verify": ["--depth", "0"], "inspect": [],
+        "box": [], "essential": [], "dual-status": []}
 COMMANDS = tuple(c for c in JOBS if c != "oracle")
+CIRCUIT = (1, 1, 1, -3)
+CIRCUIT_NAME = "circuit(1,1,1,-3)"
+CIRCUIT_COMMANDS = ("fm", "ac", "dual-eval")
 RTOL = 1e-14
 
 
 def pinned_run(command, fixture):
     """Exit status and stripped report of one pinned job."""
     with tempfile.TemporaryDirectory() as tmp:
+        path = fixture
+        if fixture == CIRCUIT_NAME:
+            path = Path(tmp) / "circuit.txt"
+            path.write_text(write_fixture(*circuit_fixture(CIRCUIT)))
         out = Path(tmp) / "report.json"
-        status = cli.main([command, "--fixture", fixture, *JOBS[command],
+        status = cli.main([command, "--fixture", str(path), *JOBS[command],
                            "--out", str(out)])
-        report = json.loads(out.read_text())
-    return {"status": status, "report": strip_timings(report)}
+        report = strip_timings(json.loads(out.read_text()))
+    report["config"]["fixture"] = fixture
+    return {"status": status, "report": report}
 
 
 def mismatches(got, want, path="$"):
@@ -80,6 +95,14 @@ def test_report_matches_its_pin(command, fixture):
     assert mismatches(pinned_run(command, fixture), pinned) == []
 
 
+@pytest.mark.parametrize("command", CIRCUIT_COMMANDS)
+def test_circuit_report_matches_its_pin(command):
+    pinned = json.loads(COMMAND_PINS.read_text())[f"{command} {CIRCUIT_NAME}"]
+    assert pinned["status"] == 0 and pinned["report"]["body"]["pass"]
+    assert pinned["report"]["config"]["fixture"] == CIRCUIT_NAME
+    assert mismatches(pinned_run(command, CIRCUIT_NAME), pinned) == []
+
+
 def test_pin_comparison_is_strict():
     want = {"a": [1.0, 1e-3, "x", 2, True], "b": {"c": 1e20}}
     assert mismatches(json.loads(json.dumps(want)), want) == []
@@ -97,6 +120,8 @@ if __name__ == "__main__":
     ORACLE_PINS.write_text(json.dumps(
         {f: pinned_run("oracle", f) for f in FIXTURES},
         sort_keys=True, indent=1) + "\n")
+    jobs = [(c, f) for c in COMMANDS for f in FIXTURES] \
+        + [(c, CIRCUIT_NAME) for c in CIRCUIT_COMMANDS]
     COMMAND_PINS.write_text(json.dumps(
-        {f"{c} {f}": pinned_run(c, f) for c in COMMANDS for f in FIXTURES},
+        {f"{c} {f}": pinned_run(c, f) for c, f in jobs},
         sort_keys=True, indent=1) + "\n")

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 from hypothesis import example, given, strategies as st
 
-from gkzflop.rational import (hnf, integer_kernel, nullspace, rank,
-                              reduce_mod_lattice, rref, solve, solve_integer)
+from gkzflop.rational import (_hnf_full, hnf, integer_kernel, nullspace,
+                              rank, reduce_mod_lattice, rref, solve,
+                              solve_integer)
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -179,21 +180,23 @@ def test_integer_kernel_of_fixture_points_is_the_circuit(a1, conifold):
 
 def test_solve_integer_row_convention():
     rows = [[0, 1], [1, 1], [2, 1]]
-    x = solve_integer(rows, [1, 1])   # v2 as a Z-combination of the rows
+    # v2 as a Z-combination of the rows
+    x = solve_integer(*_hnf_full(rows), [1, 1])
     assert x is not None
     got = [sum(x[i] * rows[i][j] for i in range(3)) for j in range(2)]
     assert got == [1, 1]
-    assert solve_integer([[2, 0], [0, 2]], [1, 0]) is None
+    assert solve_integer(*_hnf_full([[2, 0], [0, 2]]), [1, 0]) is None
 
 
 def test_reduce_mod_lattice_is_canonical_and_sound():
     basis = [[1, -2, 1]]
+    h = hnf(basis)[0]
     v = [5, -10, 5]
-    red = reduce_mod_lattice(v, basis)
+    red = reduce_mod_lattice(v, h)
     # the difference must be a lattice vector
     diff = [a - b for a, b in zip(v, red)]
     assert diff == [diff[0] * b for b in basis[0]]
-    assert reduce_mod_lattice(red, basis) == red
+    assert reduce_mod_lattice(red, h) == red
     # translates of the same vector reduce identically
     v2 = [a + 3 * b for a, b in zip(v, basis[0])]
-    assert reduce_mod_lattice(v2, basis) == red
+    assert reduce_mod_lattice(v2, h) == red

@@ -98,7 +98,7 @@ def compare_walks(h, bounds=(3, 25)):
     how many plus sectors have a lift that is not integral.
     """
     data, tris = circuit_fixture(h)
-    basis = series._kernel_basis(data)
+    basis = data.lattice.kernel_basis
     fractional = 0
     for side, t in tris.items():
         for g in compute_box(data, t):

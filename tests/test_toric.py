@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkzflop import rational
 from gkzflop.errors import Infeasible, NonUnitDegree, NotAdjacent, \
     RankDeficient
 from gkzflop.toric import (ToricData, Triangulation, adjacent_sector,
@@ -9,7 +10,9 @@ from gkzflop.toric import (ToricData, Triangulation, adjacent_sector,
                            cone_index, essential_cones, essential_sectors,
                            find_circuit, interior_cones, is_interior_point,
                            star_of, star_rays, validate_toric_data)
-from support import run_box_bijection
+from gkzflop.wall import c_battery
+from support import circuit_fixture, reference_canonical_lift, \
+    run_box_bijection
 
 F = Fraction
 
@@ -105,6 +108,39 @@ def test_canonical_lift_properties(a1):
             assert tuple(v % 1 for v in lift.values) == g.coords
             total = a1.data.combine(lift.values)
             assert total == tuple(F(-v) for v in c)
+
+
+# the circuits of test_cli.test_circuit_ladder_crossing
+LADDER = [(1, 1, -2), (1, 1, 1, -3), (1, 2, -3), (1, 1, 1, -1, -2),
+          (2, 3, -3, -2), (1, 1, 1, -1, -1, -1), (1, 1, 1, 1, -4),
+          (1, 1, 1, 1, -2, -2), (2, 2, -1, -3), (1, 2, -1, -2)]
+
+
+@pytest.mark.parametrize("name", ["a1", "conifold", *LADDER],
+                         ids=lambda n: n if isinstance(n, str)
+                         else "h=" + ",".join(map(str, n)))
+def test_kept_lattice_gives_the_per_call_lifts(packs, name):
+    if name in packs:
+        data, tris = packs[name].data, packs[name].tris
+    else:
+        data, tris = circuit_fixture(name)
+    lattice = data.lattice
+    assert data.lattice is lattice
+    # the kernel rows are relations of the points, and the whole kernel
+    assert len(lattice.hnf) == data.rank
+    assert len(lattice.kernel) == data.n - data.rank
+    for z in (*lattice.kernel, *lattice.kernel_basis):
+        assert data.combine(z) == (0,) * data.rank
+    assert list(map(list, lattice.kernel_basis)) \
+        == rational.hnf(rational.integer_kernel(data.points))[0]
+    circuit = find_circuit(data, tris["plus"], tris["minus"])
+    if name not in packs:
+        assert circuit.h == name
+    for t in tris.values():
+        for g in compute_box(data, t):
+            for c in c_battery(data, 2):
+                assert canonical_lift(data, g, c).values \
+                    == reference_canonical_lift(data, g, c)
 
 
 def test_lift_infeasible_when_points_do_not_span():
