@@ -58,11 +58,6 @@ def unit_phase(q):
     return cmath.exp(TWO_PI_I * float(q))
 
 
-def branched_power(x, a):
-    """x**a for an AlgebraElement exponent a, principal branch."""
-    return algebra_exp(a * principal_log(x))
-
-
 def constant_series(algebra, element, order):
     """EpsSeries equal to a single eps-free coefficient, known below order."""
     if isinstance(element, (int, float, complex)):
@@ -113,9 +108,6 @@ class EpsSeries:
                 f"coefficient of eps^{e} lies beyond the series window, "
                 f"which ends before eps^{self.order}")
         return AlgebraElement(self.algebra, self.coords[e - self.val])
-
-    def shift(self, d):
-        return EpsSeries(self.algebra, self.val + d, self.coords)
 
     def norm(self):
         """Largest coordinate modulus in the window; NaN if any is NaN."""

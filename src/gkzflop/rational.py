@@ -9,7 +9,10 @@ The lattice routines stay dense; their matrices have rank <= 4 and a
 handful of columns.  solve_integer and reduce_mod_lattice take a Hermite
 normal form computed beforehand: a fixture's points have one lattice,
 computed once (toric.ToricData.lattice) and read by validate_toric_data,
-canonical_lift and enumerate_terms.
+canonical_lift and enumerate_terms.  The cone geometry in toric runs on
+the same routines: cone indices are products of hnf pivots, facet
+normals are integer_kernel vectors, and compute_box reads each maximal
+cone's _hnf_full.
 """
 
 from fractions import Fraction
@@ -63,10 +66,6 @@ def _subtract_multiple(row, f, prow):
             row[k] = x
         else:
             row.pop(k, None)
-
-
-def rank(rows):
-    return len(rref(rows)[0])
 
 
 def solve(rows, rhs):

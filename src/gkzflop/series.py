@@ -332,12 +332,14 @@ def _tail_scan(shell_norms):
     return {"ratio": nan_max(*ratios), "checked": True}
 
 
-def _sector_batches(chamber, battery, x, policy, dual=False):
+def sector_batches(chamber, battery, x, policy, dual=False):
     """One term_values batch per sector for the whole battery.
 
     Yields, per twisted sector of the chamber in box order, its key, the
     terms of each c of the battery, the slice of the batch that holds
-    each c's rows (in term order), and the batch itself.
+    each c's rows (in term order), and the batch itself.  Each sector's
+    ring is the undeformed one (eps = 0, offsets 0..n-1); the crossing's
+    end-to-end check (wall.gamma_vector) reads the same batches.
     """
     for gamma in chamber.box:
         key = gamma.key()
@@ -372,8 +374,8 @@ def evaluate_gamma(chamber, battery, x, policy):
            for _ in battery]
     shells = [defaultdict(float) for _ in battery]
     finite = [True] * len(battery)
-    for key, terms, rows, batch in _sector_batches(chamber, battery, xs,
-                                                   policy):
+    for key, terms, rows, batch in sector_batches(chamber, battery, xs,
+                                                  policy):
         norms = batch.norm()
         for i, (val, part, sel) in enumerate(zip(out, terms, rows)):
             for term, norm in zip(part, norms[sel]):
@@ -412,8 +414,8 @@ def evaluate_gamma_dual(chamber, battery, x, policy, module=None):
     out = [DualGammaValue(components={}, algebras=algebras, term_counts={})
            for _ in battery]
     finite = [True] * len(battery)
-    for key, terms, rows, batch in _sector_batches(chamber, battery, xs,
-                                                   policy, dual=True):
+    for key, terms, rows, batch in sector_batches(chamber, battery, xs,
+                                                  policy, dual=True):
         for i, (val, part, sel) in enumerate(zip(out, terms, rows)):
             finite[i] &= bool(np.isfinite(batch.coords[sel]).all())
             val.term_counts[key] = len(part)

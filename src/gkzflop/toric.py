@@ -9,16 +9,21 @@ The points have one integer lattice, ToricData.lattice: their Hermite
 normal form with its unimodular transform, the integer kernel and the
 kernel's HNF basis, computed on first use and kept with the data.
 validate_toric_data reads its index, find_circuit and canonical_lift its
-kernel, and series.enumerate_terms walks the kernel basis.
+kernel, and series.enumerate_terms walks the kernel basis.  The cone
+questions use the same integer routines of rational: a cone's index is
+the product of the HNF pivots of its rays, a facet normal is the one
+integer kernel vector of the facet's rays, and compute_box walks one
+point per class of Z^d modulo each maximal cone's ray lattice.
 
 Index convention: points are 0-based internally; fixture files and reports
 use 1-based indices.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import (
     Infeasible,
@@ -163,9 +168,7 @@ def validate_toric_data(data):
     h = data.lattice.hnf
     if len(h) != data.rank:
         raise RankDeficient("points do not span the lattice over Q")
-    index = 1
-    for row in h:
-        index *= next(x for x in row if x)
+    index = _pivot_product(h)
     if index != 1:
         raise SublatticeIndex(
             f"points span a sublattice of index {index} in Z^{data.rank}")
@@ -176,32 +179,20 @@ def _simplex_matrix(data, sigma):
     return [list(data.points[j]) for j in sorted(sigma)]
 
 
+def _pivot_product(h):
+    """Product of the pivots of HNF rows h: with d rows in Z^d, the index
+    of their lattice."""
+    return math.prod(next(x for x in row if x) for row in h)
+
+
 def cone_index(data, sigma):
-    """Lattice index (|det|) of a full-dimensional simplicial cone."""
-    m = _simplex_matrix(data, sigma)
-    return abs(_det_int(m))
+    """Lattice index (|det|) of a full-dimensional simplicial cone.
 
-
-def _det_int(m):
-    n = len(m)
-    if n == 0:
-        return 1
-    work = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            det = -det
-        det *= work[c][c]
-        for i in range(c + 1, n):
-            f = work[i][c] / work[c][c]
-            if f:
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    assert det.denominator == 1   # internal: the rows are integral
-    return int(det)
+    The product of the HNF pivots of the ray rows; 0 when the rays are
+    linearly dependent.
+    """
+    h = rational.hnf(_simplex_matrix(data, sigma))[0]
+    return _pivot_product(h) if len(h) == len(sigma) else 0
 
 
 def simplicial_coordinates(data, sigma, x):
@@ -236,33 +227,21 @@ def _apply(mu, v):
 
 
 def _facet_normal(data, facet, sigma):
-    """Primitive normal of span(facet), oriented positive on sigma's extra ray."""
-    rows = [list(data.points[j]) for j in facet]
-    null = rational.nullspace(rows) if rows else []
-    if rows and len(null) != 1:
+    """Primitive normal of span(facet), oriented positive on sigma's extra ray.
+
+    The one integer kernel vector of the facet's rays as columns: a row
+    of a unimodular transform, so primitive.  None when the facet's
+    rays do not span a hyperplane.
+    """
+    if not facet:
         return None
-    if not rows:
+    kernel = rational.integer_kernel(
+        [[data.points[j][i] for j in facet] for i in range(data.rank)])
+    if len(kernel) != 1:
         return None
-    mu = null[0]
-    den = 1
-    for x in mu:
-        den = den * x.denominator // _gcd(den, x.denominator) if x else den
-    ints = [int(x * den) for x in mu]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
-    ints = [x // g for x in ints] if g else ints
+    mu = kernel[0]
     extra = next(iter(set(sigma) - set(facet)))
-    s = _apply(ints, data.points[extra])
-    if s < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    return [-x for x in mu] if _apply(mu, data.points[extra]) < 0 else mu
 
 
 def check_triangulation(data, t):
@@ -333,11 +312,8 @@ def find_circuit(data, t_plus, t_minus):
                   [[row[j] for j in outside] for row in basis])]
     if len(kernel) != 1:
         raise NotAdjacent("modified patch does not carry a unique relation")
-    local = kernel[0]
-    g = 0
-    for x in local:
-        g = _gcd(g, abs(x))
-    local = [x // g for x in local]
+    g = math.gcd(*kernel[0])
+    local = [x // g for x in kernel[0]]
     h = [0] * data.n
     for j, hj in zip(rays, local):
         h[j] = hj
@@ -387,39 +363,35 @@ def star_rays(t, sigma):
 def compute_box(data, t):
     """All twisted sectors of t, sorted deterministically.
 
-    Enumerates, per maximal cone, the lattice points in the half-open
-    parallelepiped of the rays; keeps those whose support is a face.
+    The lattice points of the half-open parallelepiped of a
+    full-dimensional maximal cone's rays are one per class of Z^d modulo
+    the rays' lattice.  That lattice's HNF h = u * rays is upper
+    triangular with pivots p_i, so the x with 0 <= x_i < p_i are one
+    point per class.  With x = z h, z u are x's coordinates in the ray
+    basis and their fractional parts the class's sector.  m = prod p_i
+    clears every denominator, so the work is in integers: m z by
+    forward substitution, then m z u reduced mod m.
     """
     found = {}
     for sigma in t.maximal:
-        rays = sorted(sigma)
-        m = cone_index(data, sigma)
-        if m == 0:
+        h, u = rational._hnf_full(_simplex_matrix(data, sigma))
+        if len(sigma) != data.rank or len(h) != data.rank:
             continue
-        for ks in _tuples(len(rays), m):
-            coeffs = [Fraction(k, m) for k in ks]
-            point = [Fraction(0)] * data.rank
-            for c, j in zip(coeffs, rays):
-                for a in range(data.rank):
-                    point[a] += c * data.points[j][a]
-            if any(p.denominator != 1 for p in point):
-                continue
+        m, rays = _pivot_product(h), sorted(sigma)
+        for x in product(*(range(row[i]) for i, row in enumerate(h))):
+            mz = []
+            for i, xi in enumerate(x):
+                mz.append((m * xi - sum(a * row[i] for a, row
+                                        in zip(mz, h))) // h[i][i])
+            ks = [sum(a * b for a, b in zip(mz, col)) % m for col in zip(*u)]
             coords = [Fraction(0)] * data.n
-            for c, j in zip(coeffs, rays):
-                coords[j] = c
-            sector = TwistedSector(coords=tuple(coords),
-                                   point=tuple(int(p) for p in point))
+            for j, k in zip(rays, ks):
+                coords[j] = Fraction(k, m)
+            point = tuple(sum(k * data.points[j][a] for j, k in zip(rays, ks))
+                          // m for a in range(data.rank))
+            sector = TwistedSector(coords=tuple(coords), point=point)
             found[sector.key()] = sector
     return sorted(found.values(), key=lambda s: s.key())
-
-
-def _tuples(length, bound):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(length - 1, bound):
-        for k in range(bound):
-            yield (k,) + rest
 
 
 def essential_cones(data, t, circuit):

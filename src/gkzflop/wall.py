@@ -41,8 +41,8 @@ from .toric import canonical_lift, adjacent_sector, essential_sectors, \
     sector_label
 from .deform import DeformationRing, TWO_PI_I, unit_phase, principal_log
 from .rings import algebra_exp
-from .series import TruncationPolicy, enumerate_terms, term_values, \
-    sum_rows, scalar_power, nan_max
+from .series import TruncationPolicy, enumerate_terms, sector_batches, \
+    term_values, sum_rows, scalar_power, nan_max
 
 
 # A line pass is one trapezoid rule at half-step offsets; its even nodes
@@ -166,21 +166,26 @@ def _ratio_poles_above(lprime, circuit, lo):
 
 
 def place_line(lprime, circuit, s0):
-    """Abscissa of the integration line for one generator.
+    """Abscissa of the integration line for one generator, and its
+    distance to the nearest pole.
 
     s0 None asks for the smallest half-integer >= 1/2 right of every
     ratio-factor pole.  A line closer than CLEARANCE to a pole (removable
-    points do not count) moves by +0.25, else by -0.25, else fails.
+    points do not count) moves by +0.25, else by -0.25, else fails.  An
+    integer point always lies within 1/2 of the line, so the poles one
+    unit either side hold the nearest.
     """
     if s0 is None:
         poles = _ratio_poles_above(lprime, circuit, 0)
         s0 = math.floor(poles[-1] + Fraction(1, 2)) + 0.5 if poles else 0.5
     s0 = float(s0)
     for cand in (s0, s0 + 0.25, s0 - 0.25):
-        near = pole_model(lprime, circuit, cand - 1, cand + 1)
-        if all(kind == "removable" or abs(cand - float(loc)) >= CLEARANCE
-               for loc, kind in near):
-            return cand
+        near = [loc for loc, kind
+                in pole_model(lprime, circuit, cand - 1, cand + 1)
+                if kind != "removable"]
+        if all(abs(cand - float(loc)) >= CLEARANCE for loc in near):
+            return cand, float(min(abs(Fraction(cand) - loc)
+                                   for loc in near))
     raise PoleOnContour(f"no clear line near Re s = {s0}")
 
 
@@ -283,17 +288,6 @@ class ContourSpec:
     height: float = 14.0
 
 
-def pole_distance(lprime, circuit, s0):
-    """Distance from the line Re s = s0 to its nearest pole.
-
-    Removable points do not count; an integer point always lies within
-    1/2, so the search stops one unit either side.
-    """
-    return float(min(abs(Fraction(s0) - loc) for loc, kind
-                     in pole_model(lprime, circuit, s0 - 1, s0 + 1)
-                     if kind != "removable"))
-
-
 def _line_quadrature(f, s0, height, a, probes=()):
     """Nested trapezoid levels on the line, all nodes in one integrand call.
 
@@ -332,9 +326,8 @@ def mb_contour_oracle(x, lprime, circuit, ring, spec=None):
     at the ends of the line share the line's one integrand call.
     """
     spec = spec or ContourSpec()
-    s0 = place_line(lprime, circuit, spec.s0)
+    s0, a = place_line(lprime, circuit, spec.s0)
     f = make_integrand(x, lprime, circuit, ring)
-    a = pole_distance(lprime, circuit, s0)
     probes = np.array([complex(s0, spec.height), complex(s0, -spec.height)])
     fine, coarse, vals, step = _line_quadrature(f, s0, spec.height, a,
                                                 probes)
@@ -494,8 +487,6 @@ class TransformMatrix:
     row_index: tuple         # (sector key, basis position) on the target side
     col_index: tuple         # same on the source side
     entries: np.ndarray
-    eps: object              # sampled eps, or None for the eps^0 extraction
-    provenance: str
     principal_ratio: float = 0.0
 
     def __post_init__(self):
@@ -714,11 +705,9 @@ def _transform(wall, eps, route):
     loc = localization_matrix(minus, rings_minus, mons).T
     colmat = np.array(raw_cols, dtype=complex).T
     entries = colmat @ np.linalg.inv(loc)
-    prov = "ac-residue" if route == "transport" else "fm-residue"
     return TransformMatrix(source=minus.t.label, target=plus.t.label,
                            row_index=wall.rows, col_index=wall.cols,
-                           entries=entries, eps=eps, provenance=prov,
-                           principal_ratio=principal)
+                           entries=entries, principal_ratio=principal)
 
 
 def invertibility(entries):
@@ -830,23 +819,16 @@ def evaluate_classes(chamber, rings, polys):
     return out
 
 
-def gamma_vector(chamber, rings, battery, x, policy):
+def gamma_vector(chamber, battery, x, policy):
     """Stacked sector coordinates of the series values, one per c.
 
-    Per sector the terms of every c of the battery are one term_values
-    batch, and each c adds its own rows in term order.
+    One series.sector_batches batch per sector for the whole battery,
+    and each c adds its own rows in term order.
     """
     per = [{} for _ in battery]
-    for g in chamber.box:
-        ls = [[term.l for term in enumerate_terms(chamber.data, chamber.t,
-                                                  c, g, policy)]
-              for c in battery]
-        batch = term_values(x, [l for part in ls for l in part],
-                            rings[g.key()])
-        start = 0
-        for out, part in zip(per, ls):
-            out[g.key()] = sum_rows(batch, slice(start, start + len(part)))
-            start += len(part)
+    for key, _, rows, batch in sector_batches(chamber, battery, x, policy):
+        for out, sel in zip(per, rows):
+            out[key] = sum_rows(batch, sel)
     return [_stack(chamber, p) for p in per]
 
 
@@ -1001,7 +983,7 @@ def verify_fm_equals_ac(circuit, plus, minus,
     battery = c_battery(data, depth)
     continued = continued_vector(wall, rings_plus, battery, path.x_minus,
                                  policy, spec)
-    values = gamma_vector(minus, rings_minus, battery, path.x_minus, policy)
+    values = gamma_vector(minus, battery, path.x_minus, policy)
     worst_dev = 0.0
     rows = []
     for c, (lhs, diag), value in zip(battery, continued, values):

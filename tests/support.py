@@ -12,7 +12,8 @@ from gkzflop.errors import NonFiniteValue, NotInvertible
 from gkzflop.rings import algebra_exp
 from gkzflop.deform import TWO_PI_I, principal_log, unit_phase
 from gkzflop.series import scalar_power
-from gkzflop.toric import ToricData, Triangulation, cone_index
+from gkzflop.toric import ToricData, Triangulation, TwistedSector, _apply, \
+    cone_index
 
 # Local P^2: the nontrivial 3-fold flop of Borisov & Horja, "Mellin-Barnes
 # integrals as Fourier-Mukai transforms" (Adv. Math. 207, 2006).
@@ -110,6 +111,105 @@ def reference_canonical_lift(data, sector, c):
     kernel = rational.integer_kernel(rows)
     z = rational.reduce_mod_lattice(z, rational.hnf(kernel)[0])
     return tuple(Fraction(zi) + gi for zi, gi in zip(z, sector.coords))
+
+
+# toric's cone geometry as it was before the HNF toolkit answered it: a
+# Fraction determinant for the cone index, a rational nullspace scaled to
+# a primitive normal, and a scan of all m^rank tuples k/m per cone for the
+# Box.  The pinning test in test_toric checks the HNF forms against these.
+
+
+def reference_cone_index(data, sigma):
+    """Lattice index (|det|) of a full-dimensional simplicial cone."""
+    m = [list(data.points[j]) for j in sorted(sigma)]
+    return abs(_reference_det_int(m))
+
+
+def _reference_det_int(m):
+    n = len(m)
+    if n == 0:
+        return 1
+    work = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            det = -det
+        det *= work[c][c]
+        for i in range(c + 1, n):
+            f = work[i][c] / work[c][c]
+            if f:
+                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    assert det.denominator == 1   # internal: the rows are integral
+    return int(det)
+
+
+def reference_facet_normal(data, facet, sigma):
+    """Primitive normal of span(facet), oriented positive on sigma's extra ray."""
+    rows = [list(data.points[j]) for j in facet]
+    null = rational.nullspace(rows) if rows else []
+    if rows and len(null) != 1:
+        return None
+    if not rows:
+        return None
+    mu = null[0]
+    den = 1
+    for x in mu:
+        den = den * x.denominator // _reference_gcd(den, x.denominator) \
+            if x else den
+    ints = [int(x * den) for x in mu]
+    g = 0
+    for x in ints:
+        g = _reference_gcd(g, abs(x))
+    ints = [x // g for x in ints] if g else ints
+    extra = next(iter(set(sigma) - set(facet)))
+    s = _apply(ints, data.points[extra])
+    if s < 0:
+        ints = [-x for x in ints]
+    return ints
+
+
+def _reference_gcd(a, b):
+    while b:
+        a, b = b, a % b
+    return a
+
+
+def reference_compute_box(data, t):
+    """All twisted sectors of t, by the m^rank scan of each maximal cone."""
+    found = {}
+    for sigma in t.maximal:
+        rays = sorted(sigma)
+        m = reference_cone_index(data, sigma)
+        if m == 0:
+            continue
+        for ks in _reference_tuples(len(rays), m):
+            coeffs = [Fraction(k, m) for k in ks]
+            point = [Fraction(0)] * data.rank
+            for c, j in zip(coeffs, rays):
+                for a in range(data.rank):
+                    point[a] += c * data.points[j][a]
+            if any(p.denominator != 1 for p in point):
+                continue
+            coords = [Fraction(0)] * data.n
+            for c, j in zip(coeffs, rays):
+                coords[j] = c
+            sector = TwistedSector(coords=tuple(coords),
+                                   point=tuple(int(p) for p in point))
+            found[sector.key()] = sector
+    return sorted(found.values(), key=lambda s: s.key())
+
+
+def _reference_tuples(length, bound):
+    if length == 0:
+        yield ()
+        return
+    for rest in _reference_tuples(length - 1, bound):
+        for k in range(bound):
+            yield (k,) + rest
 
 
 def subparser_reference():

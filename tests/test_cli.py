@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gkzflop import cli, kernels, rational, rings, wall
+from gkzflop import cli, kernels, rational, rings, series, wall
 from gkzflop import report as reporting
 from gkzflop.deform import DeformationRing, EpsSeries
 from gkzflop.fixtures import load_fixture, write_fixture
@@ -642,6 +642,7 @@ def test_battery_is_one_series_batch_per_sector(monkeypatch, fixture):
 
     monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
     monkeypatch.setattr(wall, "term_values", counted_values)
+    monkeypatch.setattr(series, "term_values", counted_values)
     argv = ["verify", "--fixture", fixture]
     status, rep = cli.run(argv[0], cli.build_parser().parse_args(argv))
     assert status == 0

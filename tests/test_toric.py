@@ -1,17 +1,21 @@
+import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from gkzflop import rational
+from gkzflop import rational, toric
 from gkzflop.errors import Infeasible, NonUnitDegree, NotAdjacent, \
     RankDeficient
+from gkzflop.fixtures import parse_fixture
 from gkzflop.toric import (ToricData, Triangulation, adjacent_sector,
                            canonical_lift, check_triangulation, compute_box,
                            cone_index, essential_cones, essential_sectors,
                            find_circuit, interior_cones, is_interior_point,
                            star_of, star_rays, validate_toric_data)
 from gkzflop.wall import c_battery
-from support import circuit_fixture, reference_canonical_lift, \
+from support import LOCAL_P2, circuit_fixture, reference_canonical_lift, \
+    reference_compute_box, reference_cone_index, reference_facet_normal, \
     run_box_bijection
 
 F = Fraction
@@ -187,3 +191,61 @@ def test_degenerate_triangulation_is_rejected(a1):
                                               frozenset({0, 1})))
     ok, messages = check_triangulation(a1.data, bad)
     assert not ok and messages
+
+
+# every circuit relation of n <= 6 points with 1 <= |h_j| <= 3, sum h = 0
+# and gcd 1, one per multiset of coefficients (in descending order): 50
+SMALL_CIRCUITS = [h for n in range(3, 7) for h in
+                  combinations_with_replacement((3, 2, 1, -1, -2, -3), n)
+                  if sum(h) == 0 and math.gcd(*h) == 1]
+
+
+def cone_geometry(data, t):
+    """Everything toric derives from the cones of t, as comparable data."""
+    return {"box": [(g.coords, g.point) for g in toric.compute_box(data, t)],
+            "index": [toric.cone_index(data, s) for s in t.maximal],
+            "facets": toric.boundary_facets(data, t),
+            "check": toric.check_triangulation(data, t)}
+
+
+@pytest.mark.parametrize("name", ["a1", "conifold", "local_p2",
+                                  *SMALL_CIRCUITS],
+                         ids=lambda n: n if isinstance(n, str)
+                         else "h=" + ",".join(map(str, n)))
+def test_cone_geometry_matches_the_fraction_routines(packs, name,
+                                                     monkeypatch):
+    # the HNF forms of the Box, the cone index and the facet normals give
+    # what the Fraction determinant, nullspace and m^rank scan gave, on
+    # both triangulations and on their union, which check_triangulation
+    # refuses with a message per shared facet
+    if name in packs:
+        data, tris = packs[name].data, packs[name].tris
+    elif name == "local_p2":
+        data, tris = parse_fixture(LOCAL_P2)
+    else:
+        data, tris = circuit_fixture(name)
+    assert len(SMALL_CIRCUITS) == 50
+    union = Triangulation("union", tris["plus"].maximal
+                          + tris["minus"].maximal)
+    for t in (tris["plus"], tris["minus"], union):
+        got = cone_geometry(data, t)
+        assert got["check"][0] == (t is not union), got["check"]
+        with monkeypatch.context() as m:
+            m.setattr(toric, "compute_box", reference_compute_box)
+            m.setattr(toric, "cone_index", reference_cone_index)
+            m.setattr(toric, "_facet_normal", reference_facet_normal)
+            want = cone_geometry(data, t)
+        assert got == want, t.label
+
+
+def test_box_of_a_large_index_cone():
+    # the minus cone of h = (1^6, -6) has index 6: one sector per class,
+    # six classes, where the m^rank scan walked 6^6 tuples
+    data, tris = circuit_fixture((1, 1, 1, 1, 1, 1, -6))
+    plus, minus = (compute_box(data, tris[s]) for s in ("plus", "minus"))
+    assert [g.coords for g in plus] == [(0,) * 7]
+    assert cone_index(data, tris["minus"].maximal[0]) == 6
+    assert [g.coords for g in minus] \
+        == [(F(k, 6),) * 6 + (0,) for k in range(6)]
+    assert [g.point for g in minus] == [data.combine(g.coords)
+                                        for g in minus]

@@ -486,7 +486,7 @@ def test_residue_rounds_match_the_one_circle_loop(packs, name, eps,
     cases = oracle_generators(packs, name, eps)
     assert cases
     for x, lp, circuit, ring in cases:
-        s0 = wall.place_line(lp, circuit, None)
+        s0, _ = wall.place_line(lp, circuit, None)
         want, summed, circles = reference_left_residue_sum(x, lp, circuit,
                                                            ring, s0)
         assert 0 < summed < len(circles), lp
@@ -593,12 +593,12 @@ def test_battery_vectors_do_not_depend_on_the_battery(packs, name):
     plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
     circuit = find_circuit(data, plus.t, minus.t)
     wc = wall.WallContext(circuit, plus, minus)
-    rings_plus, rings_minus = wc.rings(plus, 0.0), wc.rings(minus, 0.0)
+    rings_plus = wc.rings(plus, 0.0)
     x = select_endpoints(circuit, None, 0.1).x_minus
     policy = TruncationPolicy(degree_bound=25)
     battery = wall.c_battery(data, 1)
     continued = wall.continued_vector(wc, rings_plus, battery, x, policy)
-    values = wall.gamma_vector(minus, rings_minus, battery, x, policy)
+    values = wall.gamma_vector(minus, battery, x, policy)
     assert len(continued) == len(values) == len(battery) > 1
     assert any(np.abs(vec).max() > 0 for vec, _ in continued)
     assert any(np.abs(vec).max() > 0 for vec in values)
@@ -606,7 +606,7 @@ def test_battery_vectors_do_not_depend_on_the_battery(packs, name):
         [(alone, alone_diag)] = wall.continued_vector(wc, rings_plus, [c], x,
                                                       policy)
         assert (vec == alone).all() and diag == alone_diag, c
-        [alone] = wall.gamma_vector(minus, rings_minus, [c], x, policy)
+        [alone] = wall.gamma_vector(minus, [c], x, policy)
         assert (value == alone).all(), c
 
 
