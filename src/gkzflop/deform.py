@@ -260,11 +260,8 @@ def series_exp(x):
     return acc * head
 
 
-MIN_WINDOW = 8
-
-
 def laurent_window(data):
-    """Coefficients that series mode keeps: max(MIN_WINDOW, n + 1).
+    """Coefficients that series mode keeps: n + 1.
 
     A value knows its coefficients up to its order, and a product knows
     min(o1 + v2, o2 + v1): a factor with a pole of order p costs p
@@ -280,11 +277,9 @@ def laurent_window(data):
     and every further one costs 1, so eps^0 stays known with
     |I_+| + |I_-| + 1 <= n + 1 of them, and n + 1 is the smallest window
     that works on each.  A narrower window raises SeriesWindowExceeded
-    where eps^0 is read.  Below MIN_WINDOW the principal ratios, which
-    are read against the largest coefficient of the window, would
-    change.
+    where eps^0 is read.
     """
-    return max(MIN_WINDOW, data.n + 1)
+    return data.n + 1
 
 
 class DeformationRing:
@@ -413,9 +408,15 @@ class DeformationRing:
     # -- reading off values ---------------------------------------------
 
     def principal_ratio(self, x):
+        """Pole part of x against its largest coefficient at exponents <= 0.
+
+        The coefficients above eps^0 do not count: how many of them are
+        known depends on the window width, and the ratio must not.
+        """
         if not isinstance(x, EpsSeries):
             return 0.0
-        scale = max(x.norm(), 1e-300)
+        head = np.abs(x.coords[:max(1 - x.val, 0)])
+        scale = max(float(head.max()) if head.size else 0.0, 1e-300)
         return x.principal_norm() / scale
 
     def eps_zero(self, x, rtol=1e-9):

@@ -1,12 +1,12 @@
-"""Special-function kernels: log Gamma, 1/Gamma and its Taylor series.
+"""Special-function kernels: 1/Gamma and its Taylor series.
 
 Every kernel takes a complex scalar or a complex array and works
 elementwise; the contour integrand evaluates a whole vector of
 quadrature nodes in one call.  A scalar argument gives the scalar-shaped
 result (a complex number, or a 1-d coefficient array).
 
-Method.  One core (_stirling) serves every kernel; recip_gamma reads it
-through recip_gamma_series.
+Method.  One core, _stirling, behind recip_gamma_series; recip_gamma
+reads the series at order 0.
 
 * Where Re z < 1/2, 1/Gamma(z+u) = (z+u)(z+1+u)...(z+K-1+u)/Gamma(w+u)
   with w = z + K and Re w >= 1/2.  This product stays an exact
@@ -127,19 +127,6 @@ def _stirling(w, orders):
     return functools.reduce(operator.mul, table), log_gamma, psi
 
 
-def _log_gamma_flat(z):
-    """log Gamma(z) = log Gamma(W) - log(P (z)(z+1)...(z+K-1)).
-
-    K puts Re(z + K) >= 1/2; the factors z + j, j < K, are masked as in
-    _stirling, in two rows at least for the reason given in _horner.
-    """
-    count = _shift_count(z, 0.5)
-    steps = np.arange(max(count.max(initial=0.0), 2.0))[:, None]
-    table = np.where(steps < count, z + steps, 1.0)
-    scale, log_gamma, _ = _stirling(z + count, 0)
-    return log_gamma - np.log(scale * functools.reduce(operator.mul, table))
-
-
 def _recip_gamma_series_flat(z, kmax):
     """Taylor coefficients of 1/Gamma(z + u), shape (len(z), kmax + 1)."""
     count = _shift_count(z, 0.5)
@@ -179,12 +166,6 @@ def _blockwise(kernel, z, *args):
         out = np.concatenate([kernel(flat[i:i + _BLOCK], *args)
                               for i in range(0, flat.size, _BLOCK)])
     return out.reshape(z.shape + out.shape[1:])
-
-
-def log_gamma(z):
-    """log Gamma(z) on some branch: exp(log_gamma(z)) == Gamma(z)."""
-    out = _blockwise(_log_gamma_flat, z)
-    return complex(out) if out.ndim == 0 else out
 
 
 def recip_gamma(z):

@@ -11,8 +11,8 @@ normal form computed beforehand: a fixture's points have one lattice,
 computed once (toric.ToricData.lattice) and read by validate_toric_data,
 canonical_lift and enumerate_terms.  The cone geometry in toric runs on
 the same routines: cone indices are products of hnf pivots, facet
-normals are integer_kernel vectors, and compute_box reads each maximal
-cone's _hnf_full.
+normals are integer_kernel vectors, and compute_box and the cone
+membership test read each maximal cone's _hnf_full.
 """
 
 from fractions import Fraction
@@ -66,25 +66,6 @@ def _subtract_multiple(row, f, prow):
             row[k] = x
         else:
             row.pop(k, None)
-
-
-def solve(rows, rhs):
-    """One rational solution of rows * x = rhs, or None if inconsistent.
-
-    Free variables are set to 0.
-    """
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    sol = [Fraction(0)] * ncols
-    for row, c in zip(red, pivots):
-        if c == ncols:
-            return None
-        sol[c] = row[ncols]
-    # pivots beyond the listed rows cannot happen: rref pairs them 1:1
-    return sol
 
 
 def nullspace(rows):

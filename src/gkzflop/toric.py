@@ -12,8 +12,11 @@ validate_toric_data reads its index, find_circuit and canonical_lift its
 kernel, and series.enumerate_terms walks the kernel basis.  The cone
 questions use the same integer routines of rational: a cone's index is
 the product of the HNF pivots of its rays, a facet normal is the one
-integer kernel vector of the facet's rays, and compute_box walks one
-point per class of Z^d modulo each maximal cone's ray lattice.
+integer kernel vector of the facet's rays, and a point's coordinates in
+a cone's ray basis come in integers, times the index, from the HNF of
+the rays (_scaled_ray_coordinates): compute_box reads the sector of one
+point per class of Z^d modulo each maximal cone's ray lattice, and the
+cone membership test their signs.
 
 Index convention: points are 0-based internally; fixture files and reports
 use 1-based indices.
@@ -185,6 +188,33 @@ def _pivot_product(h):
     return math.prod(next(x for x in row if x) for row in h)
 
 
+def _ray_frame(data, sigma):
+    """(h, u, m) of a full-dimensional simplicial cone, or None.
+
+    h = u * rays is the HNF of the cone's rays (sorted), upper
+    triangular with pivots on the diagonal, and m the product of the
+    pivots, the cone's index.
+    """
+    h, u = rational._hnf_full(_simplex_matrix(data, sigma))
+    if len(sigma) != data.rank or len(h) != data.rank:
+        return None
+    return h, u, _pivot_product(h)
+
+
+def _scaled_ray_coordinates(frame, x):
+    """m times the coordinates of the integer vector x in the ray basis.
+
+    With x = z h, z u are the coordinates; m h^-1 is integral, so m z
+    comes by forward substitution in integers, each division exact.
+    """
+    h, u, m = frame
+    mz = []
+    for i, xi in enumerate(x):
+        mz.append((m * xi - sum(a * row[i] for a, row in zip(mz, h)))
+                  // h[i][i])
+    return [sum(a * b for a, b in zip(mz, col)) for col in zip(*u)]
+
+
 def cone_index(data, sigma):
     """Lattice index (|det|) of a full-dimensional simplicial cone.
 
@@ -193,14 +223,6 @@ def cone_index(data, sigma):
     """
     h = rational.hnf(_simplex_matrix(data, sigma))[0]
     return _pivot_product(h) if len(h) == len(sigma) else 0
-
-
-def simplicial_coordinates(data, sigma, x):
-    """Coefficients of x in the ray basis of a full-dim simplicial cone."""
-    rays = sorted(sigma)
-    cols = [[Fraction(data.points[j][i]) for j in rays] for i in range(data.rank)]
-    sol = rational.solve(cols, [Fraction(xi) for xi in x])
-    return dict(zip(rays, sol)) if sol is not None else None
 
 
 def boundary_facets(data, t):
@@ -367,23 +389,20 @@ def compute_box(data, t):
     full-dimensional maximal cone's rays are one per class of Z^d modulo
     the rays' lattice.  That lattice's HNF h = u * rays is upper
     triangular with pivots p_i, so the x with 0 <= x_i < p_i are one
-    point per class.  With x = z h, z u are x's coordinates in the ray
-    basis and their fractional parts the class's sector.  m = prod p_i
-    clears every denominator, so the work is in integers: m z by
-    forward substitution, then m z u reduced mod m.
+    point per class.  The fractional parts of x's coordinates in the ray
+    basis are the class's sector; m = prod p_i clears every
+    denominator, so the work is in integers, m times the coordinates
+    reduced mod m.
     """
     found = {}
     for sigma in t.maximal:
-        h, u = rational._hnf_full(_simplex_matrix(data, sigma))
-        if len(sigma) != data.rank or len(h) != data.rank:
+        frame = _ray_frame(data, sigma)
+        if frame is None:
             continue
-        m, rays = _pivot_product(h), sorted(sigma)
+        h, _, m = frame
+        rays = sorted(sigma)
         for x in product(*(range(row[i]) for i, row in enumerate(h))):
-            mz = []
-            for i, xi in enumerate(x):
-                mz.append((m * xi - sum(a * row[i] for a, row
-                                        in zip(mz, h))) // h[i][i])
-            ks = [sum(a * b for a, b in zip(mz, col)) % m for col in zip(*u)]
+            ks = [k % m for k in _scaled_ray_coordinates(frame, x)]
             coords = [Fraction(0)] * data.n
             for j, k in zip(rays, ks):
                 coords[j] = Fraction(k, m)
@@ -497,8 +516,6 @@ def is_interior_point(data, t, c, facets):
 
 
 def _in_cone(data, t, c):
-    for sigma in t.maximal:
-        coeffs = simplicial_coordinates(data, sigma, c)
-        if coeffs is not None and all(v >= 0 for v in coeffs.values()):
-            return True
-    return False
+    frames = (_ray_frame(data, sigma) for sigma in t.maximal)
+    return any(all(k >= 0 for k in _scaled_ray_coordinates(frame, c))
+               for frame in frames if frame is not None)

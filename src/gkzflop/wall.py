@@ -16,6 +16,10 @@ classes stay separated; matrices are sampled at generic eps or built as
 eps-Laurent data whose principal parts must cancel before the value at
 eps^0 is read off.
 
+Each orbit generator has one Line: its integration line, the split of
+its orbit and its residue circles, built once per command and passed to
+the integrand, the quadrature, the residue sums and the orbit sums.
+
 The end-to-end check of verify_fm_equals_ac runs over a battery of
 lattice points c at eps = 0 and evaluates it as a whole: one set of
 rings per side, one line integral per orbit generator, and one series
@@ -37,8 +41,8 @@ import numpy as np
 from .errors import InfeasibleArgs, LocalizationRankDeficient, \
     NonFiniteValue, PoleOnContour, PoleProximity, PoleRightOfLine, \
     TailBoundViolated
-from .toric import canonical_lift, adjacent_sector, essential_sectors, \
-    sector_label
+from .toric import canonical_lift, adjacent_sector, essential_cones, \
+    essential_sectors, sector_label
 from .deform import DeformationRing, TWO_PI_I, unit_phase, principal_log
 from .rings import algebra_exp
 from .series import TruncationPolicy, enumerate_terms, sector_batches, \
@@ -53,13 +57,13 @@ from .series import TruncationPolicy, enumerate_terms, sector_batches, \
 # Tails stay under TAIL_TOL.  A line keeps CLEARANCE from the poles, a node
 # GUARD from every model point.  Left residues reach MAX_DEPTH below the
 # line and stop after three in a row under STOP of their sum; their
-# circles are evaluated in rounds of _ROUND, 2 _ROUND, 4 _ROUND, ...
-# circles, one integrand call each.  Orbit terms are restored from
-# -M_BACK; the right pole sum ends at M_MAX.
+# circles, of _CIRCLE_NODES nodes each, are evaluated in rounds of
+# _ROUND, 2 _ROUND, 4 _ROUND, ... circles, one integrand call each.
+# Orbit terms are restored from -M_BACK; the right pole sum ends at M_MAX.
 LINE_EXPONENT, MAX_LINE_NODES, TAIL_TOL = 36, 2 ** 16, 1e-9
 CLEARANCE, GUARD = 0.15, 1e-7
 MAX_DEPTH, STOP = 40, 1e-13
-_ROUND = 4
+_ROUND, _CIRCLE_NODES = 4, 64
 M_BACK, M_MAX = 25, 30
 INVARIANCE_SEED, INVARIANCE_CLASSES = 7, 20   # random classes, invariance
 RCOND_MIN = 1e-8     # smallest sigma_min / sigma_max of a sampled transform
@@ -74,10 +78,8 @@ class PathSpec:
 
     x_plus: tuple
     x_minus: tuple
-    amplitude: float
     y_abs_plus: float
     y_abs_minus: float
-    arg_y: float
 
 
 def y_value(circuit, x):
@@ -130,109 +132,136 @@ def select_endpoints(circuit, amplitude, y_abs):
     _, ay = y_value(circuit, x_plus)
     # internal: every |arg x_j| < pi was checked, so arg y = -pi
     assert abs(ay + math.pi) < 1e-9
-    return PathSpec(x_plus=x_plus, x_minus=x_minus, amplitude=amplitude,
-                    y_abs_plus=y_abs, y_abs_minus=y_minus, arg_y=-math.pi)
+    return PathSpec(x_plus=x_plus, x_minus=x_minus, y_abs_plus=y_abs,
+                    y_abs_minus=y_minus)
 
 
-# -- pole model ---------------------------------------------------------
+# -- the line of one orbit generator ------------------------------------
 
 
-def pole_model(lprime, circuit, lo, hi):
-    """Exact real points in [lo, hi] where the line integrand is singular.
+class Line:
+    """The integration line of one orbit generator l', and its pole model.
 
-    Returns sorted (location, kind) pairs, each location a Fraction: the
-    integer points ("integer") and, for k in I_minus, the ratio-factor
-    points (l'_k - w) / (-h_k), w an integer.  For w >= 0 these are poles
-    ("ratio", also where they meet an integer); for w < 0 a zero of
-    1/Gamma(l'_k + s h_k) cancels the pole ("removable": no residue, but
-    at eps = 0 the formula cannot be evaluated there).  Every ratio pole
-    lies at or below max_k |l'_k|.
+    It depends on l' and the circuit alone, not on eps or the endpoint:
+    a command builds one Line per generator and passes it down.
+    families are the pairs (l'_k, -h_k), k in I_minus, whose points
+    (l'_k - w) / (-h_k), w an integer, are poles for w >= 0; top is the
+    largest (w = 0).  s0 None asks for the smallest half-integer >= 1/2
+    right of top.  A line closer than CLEARANCE to a pole (removable
+    points do not count) moves by +0.25, else by -0.25, else raises
+    PoleOnContour; distance is the placed line's distance to its nearest
+    pole.  An integer point always lies within 1/2 of the line, so the
+    poles 1.25 either side of the requested line hold the nearest of
+    every candidate.  first_right and circles are read on first use.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    kinds = {Fraction(m): "integer"
-             for m in range(math.ceil(lo), math.floor(hi) + 1)}
-    for k in sorted(circuit.I_minus):
-        hk, lk = -circuit.h[k], Fraction(lprime[k])
-        for w in range(math.ceil(lk - hk * hi), math.floor(lk - hk * lo) + 1):
-            loc = (lk - w) / hk
-            kinds[loc] = "ratio" if w >= 0 else kinds.get(loc, "removable")
-    return sorted(kinds.items())
 
-
-def _ratio_poles_above(lprime, circuit, lo):
-    top = max(abs(Fraction(v)) for v in lprime)
-    return [p for p, kind in pole_model(lprime, circuit, lo, top)
-            if kind == "ratio"]
-
-
-def place_line(lprime, circuit, s0):
-    """Abscissa of the integration line for one generator, and its
-    distance to the nearest pole.
-
-    s0 None asks for the smallest half-integer >= 1/2 right of every
-    ratio-factor pole.  A line closer than CLEARANCE to a pole (removable
-    points do not count) moves by +0.25, else by -0.25, else fails.  An
-    integer point always lies within 1/2 of the line, so the poles one
-    unit either side hold the nearest.
-    """
-    if s0 is None:
-        poles = _ratio_poles_above(lprime, circuit, 0)
-        s0 = math.floor(poles[-1] + Fraction(1, 2)) + 0.5 if poles else 0.5
-    s0 = float(s0)
-    for cand in (s0, s0 + 0.25, s0 - 0.25):
-        near = [loc for loc, kind
-                in pole_model(lprime, circuit, cand - 1, cand + 1)
+    def __init__(self, lprime, circuit, s0=None):
+        self.lprime = tuple(lprime)
+        self.circuit = circuit
+        self.families = tuple((Fraction(lprime[k]), -circuit.h[k])
+                              for k in sorted(circuit.I_minus))
+        self.top = max(lk / hk for lk, hk in self.families)
+        if s0 is None:
+            s0 = math.floor(max(self.top, 0) + Fraction(1, 2)) + 0.5
+        s0 = float(s0)
+        near = [loc for loc, kind in self.pole_model(s0 - 1.25, s0 + 1.25)
                 if kind != "removable"]
-        if all(abs(cand - float(loc)) >= CLEARANCE for loc in near):
-            return cand, float(min(abs(Fraction(cand) - loc)
-                                   for loc in near))
-    raise PoleOnContour(f"no clear line near Re s = {s0}")
+        for cand in (s0, s0 + 0.25, s0 - 0.25):
+            if all(abs(cand - float(loc)) >= CLEARANCE for loc in near):
+                self.s0 = cand
+                self.distance = float(min(abs(Fraction(cand) - loc)
+                                          for loc in near))
+                return
+        raise PoleOnContour(f"no clear line near Re s = {s0}")
 
+    def pole_model(self, lo, hi):
+        """Exact real points in [lo, hi] where the line integrand is singular.
 
-def first_right(lprime, circuit, s0):
-    """First orbit index right of the line Re s = s0.
+        Sorted (location, kind) pairs, each location a Fraction: the
+        integers ("integer") and the points of every family, "ratio" for
+        w >= 0 (also where they meet an integer) and "removable" for
+        w < 0, where a zero of 1/Gamma(l'_k + s h_k) cancels the pole (no
+        residue, but at eps = 0 the formula cannot be evaluated there).
+        """
+        lo, hi = Fraction(lo), Fraction(hi)
+        kinds = {Fraction(m): "integer"
+                 for m in range(math.ceil(lo), math.floor(hi) + 1)}
+        for lk, hk in self.families:
+            for w in range(math.ceil(lk - hk * hi),
+                           math.floor(lk - hk * lo) + 1):
+                loc = (lk - w) / hk
+                kinds[loc] = "ratio" if w >= 0 else kinds.get(loc, "removable")
+        return sorted(kinds.items())
 
-    The orbit splits there into restored terms and the line integral,
-    which holds only with every ratio-factor pole left of the line.
-    """
-    poles = _ratio_poles_above(lprime, circuit, s0)
-    if poles:
-        raise PoleRightOfLine(f"the line Re s = {s0} has ratio-factor poles "
-                              f"on its right, the largest at s = {poles[-1]}")
-    return math.floor(s0) + 1
+    @property
+    def first_right(self):
+        """First orbit index right of the line, where the orbit splits;
+        PoleRightOfLine unless every ratio pole lies left of the line."""
+        if self.top >= self.s0:
+            raise PoleRightOfLine(
+                f"the line Re s = {self.s0} has ratio-factor poles on its "
+                f"right, the largest at s = {self.top}")
+        return math.floor(self.s0) + 1
+
+    @functools.cached_property
+    def circles(self):
+        """Centres and radii of the residue circles left of the line.
+
+        One circle encloses each pole location less than MAX_DEPTH left
+        of the line, right to left, so poles sharing it (merged
+        families, integer points hit by a family) never force a tiny
+        radius; the radius, at most 0.2, keeps it off the neighbouring
+        locations.
+        """
+        points = self.pole_model(self.s0 - MAX_DEPTH - 1, self.s0 + 1)
+        # the float bounds as Fractions: exact comparisons, and no float
+        # conversion per point
+        lo, hi = Fraction(self.s0 - MAX_DEPTH), Fraction(self.s0)
+        centers, radii = [], []
+        for i in reversed(range(1, len(points) - 1)):
+            re, kind = points[i]
+            if kind == "removable" or not lo <= re < hi:
+                continue
+            gap = min(points[i + 1][0] - re, re - points[i - 1][0])
+            centers.append(float(re))
+            radii.append(min(0.2, 0.4 * float(gap)))
+        return np.array(centers), np.array(radii)
+
+    def orbit(self, m_from, m_to):
+        """The exponent tuples l' + m h, m_from <= m <= m_to."""
+        return [tuple(v + m * hv for v, hv in zip(self.lprime,
+                                                  self.circuit.h))
+                for m in range(m_from, m_to + 1)]
 
 
 # -- the integrand ------------------------------------------------------
 
 
-def make_integrand(x, lprime, circuit, ring):
-    """Closure evaluating I(s) with the s-independent parts hoisted out.
+def make_integrand(x, line, ring):
+    """Closure evaluating I(s) on line at x, s-independent parts hoisted.
 
     The closure takes one node s or an array of nodes and returns one
     element, or a batch with one row per node.  The ring must be in
     numeric mode (a concrete eps): series-mode values are not batched.
-    A node closer than GUARD to any point of the pole model, removable
-    points included, raises PoleProximity.  The guard runs in floats:
-    per node it measures the nearest integer and, for each k in
-    I_minus, the nearest (l'_k - w) / (-h_k) over every integer w,
-    rounded as the model's Fraction rounds.
+    A node closer than GUARD to any point of the line's pole model,
+    removable points included, raises PoleProximity.  The guard runs in
+    floats: per node it measures the nearest integer and, for each of
+    the line's families, the nearest (l'_k - w) / (-h_k) over every
+    integer w, rounded as the model's Fraction rounds.
     """
     if ring.laurent:
         raise InfeasibleArgs("the line integrand needs a sampled eps")
     x = tuple(complex(v) for v in x)
     n = len(x)
-    iminus = sorted(circuit.I_minus)
-    h = circuit.h
+    lprime, h = line.lprime, line.circuit.h
+    iminus = sorted(line.circuit.I_minus)
     lp = [complex(v) for v in lprime]
     # l'_k = a / b: the point of w is (a - w b) / (b (-h_k)), one rounding
-    families = []
-    for k in iminus:
-        lk = Fraction(lprime[k])
-        families.append((float(lk), -h[k], lk.numerator, lk.denominator))
+    families = [(float(lk), hk, lk.numerator, lk.denominator)
+                for lk, hk in line.families]
     d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
-    div = [ring.divisor(j) for j in range(n)]
     one = ring.one()
-    exp_neg = {j: ring.exp(div[j] * (-1.0)) for j in iminus}
+    exp_neg = {j: ring.exp(ring.divisor(j) * (-1.0)) for j in iminus}
     nums = {j: one - exp_neg[j] * unit_phase(-lprime[j]) for j in iminus}
     bp = [ring.branched_power(x[j], d[j]) for j in range(n)]
     logx = [principal_log(x[j]) for j in range(n)]
@@ -315,22 +344,20 @@ def _line_quadrature(f, s0, height, a, probes=()):
     return line.sum() * scale, coarse, vals, step
 
 
-def mb_contour_oracle(x, lprime, circuit, ring, spec=None):
+def mb_contour_oracle(f, line, height):
     """Numeric value of the line integral, downward orientation.
 
-    With this orientation the result equals the right-hand pole sum when
-    |y| < 1 and minus the left-hand pole sum when |y| > 1.  Returns the
-    value and a diagnostics dict: the placed abscissa s0, the line nodes
-    and the fine step, the error estimate |fine - coarse| of the two
-    trapezoid levels, and the measured tail bounds.  The two tail probes
-    at the ends of the line share the line's one integrand call.
+    f is the integrand built on line.  With this orientation the result
+    equals the right-hand pole sum when |y| < 1 and minus the left-hand
+    pole sum when |y| > 1.  Returns the value and a diagnostics dict:
+    the line nodes and the fine step, the error estimate |fine - coarse|
+    of the two trapezoid levels, and the measured tail bounds.  The two
+    tail probes at the ends of the line share the line's one integrand
+    call.
     """
-    spec = spec or ContourSpec()
-    s0, a = place_line(lprime, circuit, spec.s0)
-    f = make_integrand(x, lprime, circuit, ring)
-    probes = np.array([complex(s0, spec.height), complex(s0, -spec.height)])
-    fine, coarse, vals, step = _line_quadrature(f, s0, spec.height, a,
-                                                probes)
+    probes = np.array([complex(line.s0, height), complex(line.s0, -height)])
+    fine, coarse, vals, step = _line_quadrature(f, line.s0, height,
+                                                line.distance, probes)
     nodes = len(vals.coords) - len(probes)
     ends = vals.algebra.element(vals.coords[nodes:])
     _require_finite(ends, "tail probes")
@@ -342,83 +369,50 @@ def mb_contour_oracle(x, lprime, circuit, ring, spec=None):
         raise TailBoundViolated(
             f"measured tails {tail_up:.2e}+{tail_dn:.2e} "
             f"exceed {TAIL_TOL:.2e}")
-    return fine, {"s0": s0, "nodes": nodes, "step": step,
+    return fine, {"nodes": nodes, "step": step,
                   "est_error": (fine - coarse).norm(),
                   "tail": tail_up + tail_dn}
 
 
-def residue_at(x, lprime, circuit, ring, center, radius=0.25, nodes=64,
-               f=None):
-    """Residues by small positively oriented circles, in one batched call.
+def residue_at(f, centers, radii):
+    """Residues of f by small positively oriented circles, in one call.
 
-    center and radius are scalars, or 1-d arrays of one length: every
-    circle's nodes go to one integrand call, so to one kernel call.  A
-    scalar centre returns one element; an array returns a batch, one row
-    per circle.  Each circle sums its own nodes, as one circle alone would.
-    A non-finite node makes its circle's residue non-finite; a scalar
-    centre raises NonFiniteValue for that here, while the rows of an
-    array are checked by the caller, which may use only some of them.
-    f is the integrand of (x, lprime, circuit, ring) when the caller has
-    built it already; otherwise it is built here.
+    centers and radii are 1-d arrays of one length.  Every circle's
+    _CIRCLE_NODES nodes go to one integrand call, so to one kernel call,
+    and the result is a batch with one row per circle.  Each circle sums
+    its own nodes, as one circle alone would.  A non-finite node makes
+    its circle's residue non-finite; the caller checks the rows it uses.
     """
-    if f is None:
-        f = make_integrand(x, lprime, circuit, ring)
-    center = np.asarray(center, dtype=complex)
-    z = np.exp(TWO_PI_I * np.arange(nodes) / nodes) \
-        * np.asarray(radius, dtype=float)[..., None]
-    vals = f((center[..., None] + z).reshape(-1))
+    centers = np.asarray(centers, dtype=complex)
+    z = np.exp(TWO_PI_I * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES) \
+        * np.asarray(radii, dtype=float)[:, None]
+    vals = f((centers[:, None] + z).reshape(-1))
     alg = vals.algebra
-    blocks = vals.coords.reshape(-1, nodes, alg.dim)
-    rows = [(alg.element(block) * zi).sum() * (1.0 / nodes)
-            for block, zi in zip(blocks, z.reshape(-1, nodes))]
-    if center.ndim:
-        return alg.element(np.array([row.coords for row in rows]))
-    _require_finite(rows[0], "residue circle")
-    return rows[0]
+    blocks = vals.coords.reshape(-1, _CIRCLE_NODES, alg.dim)
+    return alg.element(np.array([
+        ((alg.element(block) * zi).sum() * (1.0 / _CIRCLE_NODES)).coords
+        for block, zi in zip(blocks, z)]))
 
 
-def orbit_sum(x, lprime, circuit, ring, m_from, m_to):
+def orbit_sum(x, line, ring, m_from, m_to):
     """Plain sum of the h-orbit terms m_from <= m <= m_to, one batch."""
-    return sum_rows(term_values(x, orbit(lprime, circuit, m_from, m_to),
-                                ring))
+    return sum_rows(term_values(x, line.orbit(m_from, m_to), ring))
 
 
-def orbit(lprime, circuit, m_from, m_to):
-    """The exponent tuples l' + m h, m_from <= m <= m_to."""
-    return [tuple(v + m * hv for v, hv in zip(lprime, circuit.h))
-            for m in range(m_from, m_to + 1)]
+def left_residue_sum(f, line):
+    """Sum of all residues of f left of the line, by line.circles.
 
-
-def left_residue_sum(x, lprime, circuit, ring, s0):
-    """Sum of all residues left of the line Re s = s0, by circles.
-
-    One circle encloses each pole location of the pole model, so poles
-    sharing it (merged families, integer points hit by a family) never
-    force a tiny radius; the radius, at most 0.2, keeps it off the
-    neighbouring locations.  The circles go right to left in rounds of
-    _ROUND, 2 _ROUND, 4 _ROUND, ..., one residue_at call each, on the
-    one integrand built here.  Residues are added one circle at a time,
-    and the sum stops after three in a row under STOP of it; the rest of
-    that round is dropped unchecked.
+    f is the integrand built on line.  The circles go right to left in
+    rounds of _ROUND, 2 _ROUND, 4 _ROUND, ..., one residue_at call each.
+    Residues are added one circle at a time, and the sum stops after
+    three in a row under STOP of it; the rest of that round is dropped
+    unchecked.
     """
-    f = make_integrand(x, lprime, circuit, ring)
-    points = pole_model(lprime, circuit, s0 - MAX_DEPTH - 1, s0 + 1)
-    # Fraction bounds compare as the floats did, without converting them
-    # once per point
-    lo, hi = Fraction(s0 - MAX_DEPTH), Fraction(s0)
-    centers, radii = [], []
-    for i in reversed(range(1, len(points) - 1)):
-        re, kind = points[i]
-        if kind == "removable" or not lo <= re < hi:
-            continue
-        gap = min(points[i + 1][0] - re, re - points[i - 1][0])
-        centers.append(float(re))
-        radii.append(min(0.2, 0.4 * float(gap)))
+    centers, radii = line.circles
     acc, small, start, size = None, 0, 0, _ROUND
     while start < len(centers):
         stop = start + size
-        batch = residue_at(x, lprime, circuit, ring, centers[start:stop],
-                           radii[start:stop], f=f)
+        batch = residue_at(f, centers[start:stop], radii[start:stop])
         for row in batch.coords:
             val = batch.algebra.element(row)
             _require_finite(val, "residue circle")
@@ -482,8 +476,6 @@ def coefficient_C(circuit, gamma, k, angles, ring):
 
 @dataclass
 class TransformMatrix:
-    source: str
-    target: str
     row_index: tuple         # (sector key, basis position) on the target side
     col_index: tuple         # same on the source side
     entries: np.ndarray
@@ -705,8 +697,7 @@ def _transform(wall, eps, route):
     loc = localization_matrix(minus, rings_minus, mons).T
     colmat = np.array(raw_cols, dtype=complex).T
     entries = colmat @ np.linalg.inv(loc)
-    return TransformMatrix(source=minus.t.label, target=plus.t.label,
-                           row_index=wall.rows, col_index=wall.cols,
+    return TransformMatrix(row_index=wall.rows, col_index=wall.cols,
                            entries=entries, principal_ratio=principal)
 
 
@@ -756,7 +747,6 @@ def c_battery(data, depth):
 
 def nonessential_index_sets(data, circuit, t_plus, t_minus):
     """Smallest index sets inside no essential cone of either side."""
-    from .toric import essential_cones
     ess = {frozenset(s) for s in essential_cones(data, t_plus, circuit)}
     ess |= {frozenset(s) for s in essential_cones(data, t_minus, circuit)}
     n = data.n
@@ -839,12 +829,13 @@ def continued_vector(wall, rings, battery, x, policy, spec=None):
     generators: the line integral of the generator plus its orbit terms
     left of the line, the analytic continuation of the near-side orbit
     sum.  Any non-essential leftovers (none in the bundled data) are
-    summed directly.  Each generator gets its own line; per plus sector,
+    summed directly.  Each generator gets its own Line; per plus sector,
     the orbit terms and leftovers of every c are one term_values batch,
     and each c adds its own rows in term order.  Returns, per c, the
     stacked vector and the worst est_error and total nodes of its lines.
     """
     circuit, plus = wall.circuit, wall.plus
+    spec = spec or ContourSpec()
     ls = {g.key(): [] for g in plus.box}
     plans = []
     for c in battery:
@@ -855,10 +846,11 @@ def continued_vector(wall, rings, battery, x, policy, spec=None):
             for term in enumerate_terms(plus.data, plus.t, c, g, policy,
                                         circuit):
                 if term.generator:
-                    q, dg = mb_contour_oracle(x, term.l, circuit,
-                                              rings[g.key()], spec)
-                    first = first_right(term.l, circuit, dg["s0"])
-                    terms = orbit(term.l, circuit, -M_BACK, first - 1)
+                    line = Line(term.l, circuit, spec.s0)
+                    q, dg = mb_contour_oracle(
+                        make_integrand(x, line, rings[g.key()]), line,
+                        spec.height)
+                    terms = line.orbit(-M_BACK, line.first_right - 1)
                     diag["est_error"] = nan_max(diag["est_error"],
                                                 dg["est_error"])
                     diag["nodes"] += dg["nodes"]
@@ -888,9 +880,13 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
                   amplitude=None, spec=None):
     """Quadrature vs pole sums on both sides, per generator and eps, at c = 0.
 
-    plus and minus are the Chambers of the two triangulations.
+    plus and minus are the Chambers of the two triangulations.  Each
+    generator's Line is built at its first use and serves every eps; per
+    eps, one integrand at each endpoint, the far one shared by its line
+    and its residue circles.
     """
     data, t_plus = plus.data, plus.t
+    spec = spec or ContourSpec()
     path = select_endpoints(circuit, amplitude, y_abs)
     c = (0,) * data.rank
     policy = TruncationPolicy()
@@ -900,21 +896,25 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
         if g.key() in wall.essential_plus:
             generators[g.key()] = [term.l for term in enumerate_terms(
                 data, t_plus, c, g, policy, circuit) if term.generator]
+    lines = {}
     checks = []
     for eps in eps_values:
         rings = wall.rings(plus, eps)
         for key, lps in generators.items():
             ring = rings[key]
             for lp in lps:
-                q_p, dg_p = mb_contour_oracle(path.x_plus, lp, circuit, ring,
-                                              spec)
-                right = orbit_sum(path.x_plus, lp, circuit, ring,
-                                  first_right(lp, circuit, dg_p["s0"]), M_MAX)
+                if lp not in lines:
+                    lines[lp] = Line(lp, circuit, spec.s0)
+                line = lines[lp]
+                q_p, dg_p = mb_contour_oracle(
+                    make_integrand(path.x_plus, line, ring), line,
+                    spec.height)
+                right = orbit_sum(path.x_plus, line, ring, line.first_right,
+                                  M_MAX)
                 dev_r = (q_p - right).norm() / max(right.norm(), 1.0)
-                q_m, dg_m = mb_contour_oracle(path.x_minus, lp, circuit,
-                                              ring, spec)
-                left = left_residue_sum(path.x_minus, lp, circuit, ring,
-                                        dg_m["s0"])
+                f_m = make_integrand(path.x_minus, line, ring)
+                q_m, dg_m = mb_contour_oracle(f_m, line, spec.height)
+                left = left_residue_sum(f_m, line)
                 dev_l = (q_m + left).norm() / max(left.norm(), 1.0)
                 # each side passes only with its line's quadrature error
                 # under the same tolerance as its deviation

@@ -3,12 +3,14 @@
 import argparse
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
+import mpmath
 import numpy as np
 
-from gkzflop import cli, kernels, rational, wall
-from gkzflop.errors import NonFiniteValue, NotInvertible
+from gkzflop import cli, rational, wall
+from gkzflop.errors import NonFiniteValue, NotInvertible, PoleOnContour, \
+    PoleRightOfLine
 from gkzflop.rings import algebra_exp
 from gkzflop.deform import TWO_PI_I, principal_log, unit_phase
 from gkzflop.series import scalar_power
@@ -30,6 +32,12 @@ triangulation plus
 triangulation minus
 1 2 3
 """
+
+# every circuit relation of n <= 6 points with 1 <= |h_j| <= 3, sum h = 0
+# and gcd 1, one per multiset of coefficients (in descending order): 50
+SMALL_CIRCUITS = [h for n in range(3, 7) for h in
+                  combinations_with_replacement((3, 2, 1, -1, -2, -3), n)
+                  if sum(h) == 0 and math.gcd(*h) == 1]
 
 
 def brute_force_box_classes(data, t, c, coord_bound=3):
@@ -76,14 +84,15 @@ def circuit_fixture(h):
 
     The points are the columns of the Hermite basis of the saturated
     lattice h^perp, so they span Z^(n-1) and satisfy sum h_j v_j = 0.
-    The degree functional solves deg . v_j = 1, which (1, ..., 1) in
-    h^perp allows.  The two triangulations are
+    The degree functional is the integer solution of deg . v_j = 1,
+    which (1, ..., 1) in h^perp allows; the points span Z^(n-1), so it
+    is unique.  The two triangulations are
     T+- = {supp h - {j} : j in I+-}.
     """
     basis, _ = rational.hnf(rational.integer_kernel([[v] for v in h]))
     points = [tuple(row[j] for row in basis) for j in range(len(h))]
-    deg = rational.solve([list(v) for v in points], [1] * len(h))
-    assert deg is not None and all(x.denominator == 1 for x in deg)
+    deg = rational.solve_integer(*rational._hnf_full(basis), [1] * len(h))
+    assert deg is not None
     support = frozenset(j for j, v in enumerate(h) if v)
 
     def side(sign):
@@ -255,9 +264,11 @@ def reference_integrand(x, lprime, circuit, ring):
         + math.pi * sum(h[j] for j in iminus)
     hm_sum = sum(h[j] for j in iminus)
 
+    gamma = np.frompyfunc(lambda z: complex(mpmath.gamma(z)), 1, 1)
+
     def f(s):
         s = np.asarray(s, dtype=complex)
-        pref = -np.exp(kernels.log_gamma(-s) + kernels.log_gamma(1.0 + s))
+        pref = -np.asarray(gamma(-s) * gamma(1.0 + s), dtype=complex)
         grow = np.exp(s * complex(logy, ay + math.pi * (1 - hm_sum)))
         acc = const * (pref * grow)
         for j in iminus:
@@ -269,23 +280,102 @@ def reference_integrand(x, lprime, circuit, ring):
     return f
 
 
-def reference_left_residue_sum(x, lprime, circuit, ring, s0, nodes=64):
-    """wall.left_residue_sum with one integrand call per circle.
+# wall's pole model as it was before one Line per orbit generator held
+# it: every question listed the exact points afresh, per call and per
+# eps.  test_wall checks wall.Line against these.
 
-    The same circles from the same pole model, right to left, each
-    evaluated on its own: its nodes checked finite, its residue
-    (values * z).sum() / nodes, then the add-and-stop rule.  Returns the
-    sum, the number of circles summed and every (centre, radius).
+
+def reference_pole_model(lprime, circuit, lo, hi):
+    """Exact real points in [lo, hi] where the line integrand is singular.
+
+    Returns sorted (location, kind) pairs, each location a Fraction: the
+    integer points ("integer") and, for k in I_minus, the ratio-factor
+    points (l'_k - w) / (-h_k), w an integer.  For w >= 0 these are poles
+    ("ratio", also where they meet an integer); for w < 0 a zero of
+    1/Gamma(l'_k + s h_k) cancels the pole ("removable": no residue, but
+    at eps = 0 the formula cannot be evaluated there).  Every ratio pole
+    lies at or below max_k |l'_k|.
     """
-    f = wall.make_integrand(x, lprime, circuit, ring)
-    points = wall.pole_model(lprime, circuit, s0 - wall.MAX_DEPTH - 1, s0 + 1)
-    circles = []
+    lo, hi = Fraction(lo), Fraction(hi)
+    kinds = {Fraction(m): "integer"
+             for m in range(math.ceil(lo), math.floor(hi) + 1)}
+    for k in sorted(circuit.I_minus):
+        hk, lk = -circuit.h[k], Fraction(lprime[k])
+        for w in range(math.ceil(lk - hk * hi), math.floor(lk - hk * lo) + 1):
+            loc = (lk - w) / hk
+            kinds[loc] = "ratio" if w >= 0 else kinds.get(loc, "removable")
+    return sorted(kinds.items())
+
+
+def _reference_ratio_poles_above(lprime, circuit, lo):
+    top = max(abs(Fraction(v)) for v in lprime)
+    return [p for p, kind in reference_pole_model(lprime, circuit, lo, top)
+            if kind == "ratio"]
+
+
+def reference_place_line(lprime, circuit, s0):
+    """Abscissa of the integration line for one generator, and its
+    distance to the nearest pole.
+
+    s0 None asks for the smallest half-integer >= 1/2 right of every
+    ratio-factor pole.  A line closer than CLEARANCE to a pole (removable
+    points do not count) moves by +0.25, else by -0.25, else fails.  An
+    integer point always lies within 1/2 of the line, so the poles one
+    unit either side hold the nearest.
+    """
+    if s0 is None:
+        poles = _reference_ratio_poles_above(lprime, circuit, 0)
+        s0 = math.floor(poles[-1] + Fraction(1, 2)) + 0.5 if poles else 0.5
+    s0 = float(s0)
+    for cand in (s0, s0 + 0.25, s0 - 0.25):
+        near = [loc for loc, kind
+                in reference_pole_model(lprime, circuit, cand - 1, cand + 1)
+                if kind != "removable"]
+        if all(abs(cand - float(loc)) >= wall.CLEARANCE for loc in near):
+            return cand, float(min(abs(Fraction(cand) - loc)
+                                   for loc in near))
+    raise PoleOnContour(f"no clear line near Re s = {s0}")
+
+
+def reference_first_right(lprime, circuit, s0):
+    """First orbit index right of the line Re s = s0.
+
+    The orbit splits there into restored terms and the line integral,
+    which holds only with every ratio-factor pole left of the line.
+    """
+    poles = _reference_ratio_poles_above(lprime, circuit, s0)
+    if poles:
+        raise PoleRightOfLine(f"the line Re s = {s0} has ratio-factor poles "
+                              f"on its right, the largest at s = {poles[-1]}")
+    return math.floor(s0) + 1
+
+
+def reference_circles(lprime, circuit, s0):
+    """The (centre, radius) list of wall.left_residue_sum, right to left."""
+    points = reference_pole_model(lprime, circuit, s0 - wall.MAX_DEPTH - 1,
+                                  s0 + 1)
+    # Fraction bounds compare as the floats did, without converting them
+    # once per point
+    lo, hi = Fraction(s0 - wall.MAX_DEPTH), Fraction(s0)
+    centers, radii = [], []
     for i in reversed(range(1, len(points) - 1)):
         re, kind = points[i]
-        if kind == "removable" or not s0 - wall.MAX_DEPTH <= re < s0:
+        if kind == "removable" or not lo <= re < hi:
             continue
         gap = min(points[i + 1][0] - re, re - points[i - 1][0])
-        circles.append((float(re), min(0.2, 0.4 * float(gap))))
+        centers.append(float(re))
+        radii.append(min(0.2, 0.4 * float(gap)))
+    return list(zip(centers, radii))
+
+
+def reference_left_residue_sum(f, circles, nodes=64):
+    """wall.left_residue_sum with one integrand call per circle.
+
+    The circles, (centre, radius) pairs right to left, each evaluated on
+    its own: its nodes checked finite, its residue (values * z).sum() /
+    nodes, then the add-and-stop rule.  Returns the sum and the number
+    of circles summed.
+    """
     acc, small, summed = None, 0, 0
     for center, radius in circles:
         z = np.exp(TWO_PI_I * np.arange(nodes) / nodes) * radius
@@ -299,7 +389,13 @@ def reference_left_residue_sum(x, lprime, circuit, ring, s0, nodes=64):
             else 0
         if small == 3:
             break
-    return acc, summed, circles
+    return acc, summed
+
+
+def residue(f, center, radius=0.25):
+    """The residue of f by the one circle (center, radius)."""
+    batch = wall.residue_at(f, np.array([center]), np.array([radius]))
+    return batch.algebra.element(batch.coords[0])
 
 
 def reference_solutions(l0, basis, bound):

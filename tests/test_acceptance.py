@@ -20,7 +20,7 @@ from gkzflop.dual import PairingStub, dual_transform_status
 from gkzflop.series import term_values
 from gkzflop.toric import Lift
 
-from support import run_box_bijection
+from support import residue, run_box_bijection
 
 
 def emit(label, ok, detail):
@@ -157,19 +157,19 @@ def test_residues_vanish_left_and_match_terms_right(packs):
         ring0 = wc.rings(wc.plus, 0.0)[g0.key()]
         ringe = wc.rings(wc.plus, 1e-2)[g0.key()]
         lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
+        line = wall.Line(lp, pack.circuit)
+        f0 = wall.make_integrand(path.x_plus, line, ring0)
         for m in (-1, -2):
-            res = wall.residue_at(path.x_plus, lp, pack.circuit, ring0,
-                                  complex(m))
+            res = residue(f0, m)
             worst_zero = max(worst_zero, res.norm())
             ok = ok and res.norm() < 1e-10
         for m in (0, 1, 2):
             if gamma_family_hit(lp, pack.circuit, m):
-                res = wall.residue_at(path.x_plus, lp, pack.circuit, ringe,
-                                      complex(m), radius=1.5e-3, nodes=64)
+                res = residue(wall.make_integrand(path.x_plus, line, ringe),
+                              m, radius=1.5e-3)
                 ring = ringe
             else:
-                res = wall.residue_at(path.x_plus, lp, pack.circuit, ring0,
-                                      complex(m))
+                res = residue(f0, m)
                 ring = ring0
             l = tuple(v + m * h for v, h in zip(lp, pack.circuit.h))
             ref = ring.algebra.element(

@@ -582,6 +582,37 @@ def test_one_wall_context_per_command(monkeypatch, argv):
     assert counts["bases"] == (0 if argv[0] == "oracle" else 1)
 
 
+def test_one_line_per_generator_per_command(monkeypatch):
+    # each generator's Line lists its exact pole model once to place the
+    # line and once more for its residue circles, which only oracle
+    # reads; oracle builds one integrand per endpoint, eps and generator.
+    # Per-call placement listed 24 and 69 times here, with 12 integrands
+    # for oracle
+    counts = {"listings": 0, "integrands": 0}
+    real_model, real_integrand = wall.Line.pole_model, wall.make_integrand
+
+    def counted_model(*args):
+        counts["listings"] += 1
+        return real_model(*args)
+
+    def counted_integrand(*args):
+        counts["integrands"] += 1
+        return real_integrand(*args)
+
+    monkeypatch.setattr(wall.Line, "pole_model", counted_model)
+    monkeypatch.setattr(wall, "make_integrand", counted_integrand)
+    for command, flags, listings, integrands in (
+            ("oracle", ["--eps", "3e-3", "--eps", "5e-3"], 4, 8),
+            ("verify", [], 23, 23)):
+        counts.update(listings=0, integrands=0)
+        for fixture in ("a1", "conifold"):
+            argv = [command, "--fixture", fixture, *flags]
+            status, _ = cli.run(command, cli.build_parser().parse_args(argv))
+            assert status == 0, argv
+        assert counts["listings"] <= listings, command
+        assert counts["integrands"] == integrands, command
+
+
 def test_invertibility_gate_ignores_the_basis_scale(tmp_path):
     # det 1.7e-9 here comes from the scale of the monomial basis; the
     # transform is well conditioned (sigma_min / sigma_max 7.4e-5)
@@ -656,8 +687,7 @@ def test_battery_is_one_series_batch_per_sector(monkeypatch, fixture):
 
 @pytest.mark.parametrize("command", ["fm", "ac"])
 def test_laurent_window_grows_with_the_circuit(tmp_path, command):
-    # eight points: the eps^0 coefficient needs a window of n + 1 = 9,
-    # one more than the floor that the smaller fixtures use
+    # eight points: the eps^0 coefficient needs a window of n + 1 = 9
     path = tmp_path / "circuit.txt"
     path.write_text(write_fixture(*circuit_fixture(
         (1, 1, 1, 1, -1, -1, -1, -1))))

@@ -32,12 +32,6 @@ def each_way(kernel, pts):
         yield z, row
 
 
-def test_log_gamma_exponentiates_to_gamma():
-    for z, got in each_way(kernels.log_gamma, reference_points(seed=5)):
-        want = complex(mpmath.gamma(mpmath.mpc(z)))
-        assert abs(np.exp(got) - want) <= 1e-12 * max(1.0, abs(want)), z
-
-
 def test_recip_gamma_plane_wide():
     # entire function: include points near and at the poles of Gamma
     pts = reference_points(seed=9, avoid_poles=False)
@@ -77,11 +71,9 @@ def test_backend_selection_reported():
 def test_result_shapes():
     # a scalar gives a scalar-shaped result; an array adds its own axes
     z = 1.3 + 0.7j
-    assert isinstance(kernels.log_gamma(z), complex)
     assert isinstance(kernels.recip_gamma(z), complex)
     assert kernels.recip_gamma_series(z, 6).shape == (7,)
     grid = np.full((5, 8), z)
-    assert kernels.log_gamma(grid).shape == (5, 8)
     assert kernels.recip_gamma(grid).shape == (5, 8)
     assert kernels.recip_gamma_series(grid, 6).shape == (5, 8, 7)
 
@@ -90,7 +82,7 @@ def test_batches_match_one_point_calls():
     # a value must not depend on the batch, or the block of a long batch,
     # that its point falls in
     pts = np.array(reference_points(seed=13, count=600, avoid_poles=False))
-    for kernel in (kernels.log_gamma, kernels.recip_gamma,
+    for kernel in (kernels.recip_gamma,
                    lambda z: kernels.recip_gamma_series(z, 4)):
         batch = kernel(pts)
         single = np.array([kernel(z) for z in pts])

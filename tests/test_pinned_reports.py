@@ -11,7 +11,10 @@ gamma-eval, dual-eval, inspect, box, essential and dual-status at their
 defaults, and verify at depth 0.  fm, ac and dual-eval are also pinned
 on the circuit fixture of CIRCUIT (sectors of dimension 3), written to
 a temporary file; its report's config names it CIRCUIT_NAME, not the
-file's path.
+file's path.  The jobs of FLAG_JOBS, keyed by their command line, are
+pinned with the exit status and error name each must end in: a line
+left of a ratio pole, integrands that overflow, a half-height too short
+for the tails, and one line placed by hand that passes.
 
 Every field that is not a float must match exactly, and every float
 within 1e-14 max(|v|, 1).  A change that moves a value on purpose
@@ -42,18 +45,29 @@ COMMANDS = tuple(c for c in JOBS if c != "oracle")
 CIRCUIT = (1, 1, 1, -3)
 CIRCUIT_NAME = "circuit(1,1,1,-3)"
 CIRCUIT_COMMANDS = ("fm", "ac", "dual-eval")
+FLAG_JOBS = {
+    "oracle a1 --contour-re -2.5": (2, "PoleRightOfLine"),
+    "oracle conifold --eps 1e3": (1, "NonFiniteValue"),
+    "oracle a1 --contour-t 300": (1, "NonFiniteValue"),
+    "verify a1 --contour-t 0.5": (1, "TailBoundViolated"),
+    "oracle a1 --contour-re 0.5": (0, None),
+}
 RTOL = 1e-14
 
 
-def pinned_run(command, fixture):
-    """Exit status and stripped report of one pinned job."""
+def pinned_run(command, fixture, flags=None):
+    """Exit status and stripped report of one pinned job.
+
+    flags default to the command's flags in JOBS.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = fixture
         if fixture == CIRCUIT_NAME:
             path = Path(tmp) / "circuit.txt"
             path.write_text(write_fixture(*circuit_fixture(CIRCUIT)))
         out = Path(tmp) / "report.json"
-        status = cli.main([command, "--fixture", str(path), *JOBS[command],
+        flags = JOBS[command] if flags is None else flags
+        status = cli.main([command, "--fixture", str(path), *flags,
                            "--out", str(out)])
         report = strip_timings(json.loads(out.read_text()))
     report["config"]["fixture"] = fixture
@@ -103,6 +117,16 @@ def test_circuit_report_matches_its_pin(command):
     assert mismatches(pinned_run(command, CIRCUIT_NAME), pinned) == []
 
 
+@pytest.mark.parametrize("job", sorted(FLAG_JOBS))
+def test_flagged_report_matches_its_pin(job):
+    status, error = FLAG_JOBS[job]
+    pinned = json.loads(COMMAND_PINS.read_text())[job]
+    assert pinned["status"] == status
+    assert pinned["report"]["body"].get("error") == error
+    command, fixture, *flags = job.split()
+    assert mismatches(pinned_run(command, fixture, flags), pinned) == []
+
+
 def test_pin_comparison_is_strict():
     want = {"a": [1.0, 1e-3, "x", 2, True], "b": {"c": 1e20}}
     assert mismatches(json.loads(json.dumps(want)), want) == []
@@ -122,6 +146,9 @@ if __name__ == "__main__":
         sort_keys=True, indent=1) + "\n")
     jobs = [(c, f) for c in COMMANDS for f in FIXTURES] \
         + [(c, CIRCUIT_NAME) for c in CIRCUIT_COMMANDS]
-    COMMAND_PINS.write_text(json.dumps(
-        {f"{c} {f}": pinned_run(c, f) for c, f in jobs},
-        sort_keys=True, indent=1) + "\n")
+    pins = {f"{c} {f}": pinned_run(c, f) for c, f in jobs}
+    for job in FLAG_JOBS:
+        command, fixture, *flags = job.split()
+        pins[job] = pinned_run(command, fixture, flags)
+    COMMAND_PINS.write_text(json.dumps(pins, sort_keys=True, indent=1)
+                            + "\n")

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
 from gkzflop.rational import (_hnf_full, hnf, integer_kernel, nullspace,
-                              reduce_mod_lattice, rref, solve, solve_integer)
+                              reduce_mod_lattice, rref, solve_integer)
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -124,19 +124,6 @@ def test_nullspace_vectors_annihilate_and_count_matches_rank(m):
                for row in m]
         assert all(x == 0 for x in img)
     assert len(ns) == ncols - len(rref(m)[0])
-
-
-@given(mat_strategy())
-def test_solve_returns_actual_solutions(m):
-    ncols = len(m[0])
-    x_true = [Fraction(k % 3 - 1) for k in range(ncols)]
-    rhs = [sum(Fraction(row[j]) * x_true[j] for j in range(ncols))
-           for row in m]
-    sol = solve(m, rhs)
-    assert sol is not None
-    back = [sum(Fraction(row[j]) * sol[j] for j in range(ncols))
-            for row in m]
-    assert back == rhs
 
 
 @given(mat_strategy())

@@ -1,6 +1,4 @@
-import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -14,9 +12,9 @@ from gkzflop.toric import (ToricData, Triangulation, adjacent_sector,
                            find_circuit, interior_cones, is_interior_point,
                            star_of, star_rays, validate_toric_data)
 from gkzflop.wall import c_battery
-from support import LOCAL_P2, circuit_fixture, reference_canonical_lift, \
-    reference_compute_box, reference_cone_index, reference_facet_normal, \
-    run_box_bijection
+from support import LOCAL_P2, SMALL_CIRCUITS, circuit_fixture, \
+    reference_canonical_lift, reference_compute_box, reference_cone_index, \
+    reference_facet_normal, run_box_bijection
 
 F = Fraction
 
@@ -191,13 +189,6 @@ def test_degenerate_triangulation_is_rejected(a1):
                                               frozenset({0, 1})))
     ok, messages = check_triangulation(a1.data, bad)
     assert not ok and messages
-
-
-# every circuit relation of n <= 6 points with 1 <= |h_j| <= 3, sum h = 0
-# and gcd 1, one per multiset of coefficients (in descending order): 50
-SMALL_CIRCUITS = [h for n in range(3, 7) for h in
-                  combinations_with_replacement((3, 2, 1, -1, -2, -3), n)
-                  if sum(h) == 0 and math.gcd(*h) == 1]
 
 
 def cone_geometry(data, t):

@@ -11,21 +11,25 @@ import pytest
 from gkzflop import (
     Chamber,
     Circuit,
-    ContourSpec,
     InfeasibleArgs,
     Lift,
     NonFiniteValue,
     PoleOnContour,
     PoleProximity,
+    PoleRightOfLine,
     TruncationPolicy,
     canonical_lift,
+    compute_box,
     find_circuit,
+    parse_fixture,
     select_endpoints,
 )
-from gkzflop import kernels, wall
+from gkzflop import deform, kernels, wall
 from gkzflop.series import enumerate_terms, sum_rows, term_values
-from support import circuit_fixture, reference_integrand, \
-    reference_left_residue_sum
+from support import LOCAL_P2, SMALL_CIRCUITS, circuit_fixture, \
+    reference_circles, reference_first_right, reference_integrand, \
+    reference_left_residue_sum, reference_place_line, reference_pole_model, \
+    residue
 
 
 def trivial_sector(wc):
@@ -46,6 +50,13 @@ def pole_angles(wc, g):
     return {(k, r): angles for k, r, angles in wc.poles[g.key()]}
 
 
+def line_oracle(x, lp, circuit, ring, s0=None, height=14.0):
+    """mb_contour_oracle on the Line of (lp, circuit, s0), and the line."""
+    line = wall.Line(lp, circuit, s0)
+    f = wall.make_integrand(x, line, ring)
+    return (*wall.mb_contour_oracle(f, line, height), line)
+
+
 def transported_C(pack, g, k, r, ring, lift):
     angles = wall.adjacent_data_transport(pack.data, pack.circuit,
                                           pack.t_minus, g, k, r, lift)
@@ -58,7 +69,6 @@ def test_select_endpoints_geometry(pack):
     amp = math.log(100.0) / h2
     for amplitude in (amp, None):   # None: the default, |y| = 1 / y_abs
         path = select_endpoints(circ, amplitude, 0.1)
-        assert path.arg_y == -math.pi
         assert abs(path.y_abs_plus - 0.1) < 1e-15
         assert abs(path.y_abs_minus - 0.1 * math.exp(amp * h2)) < 1e-12
         if amplitude is None:
@@ -130,8 +140,29 @@ def test_frozen_transform_matrices(pack):
         "conifold": np.eye(2),
     }[pack.name]
     assert np.abs(ac.entries - frozen).max() < 1e-10
-    assert ac.source == pack.t_minus.label and ac.target == pack.t_plus.label
     assert len(ac.row_index) == len(ac.col_index) == 2
+
+
+@pytest.mark.parametrize("build", [wall.fm_transform, wall.ac_transform],
+                         ids=["fm", "ac"])
+def test_laurent_transform_does_not_depend_on_the_window(monkeypatch,
+                                                         build):
+    # the principal ratio is read against the coefficients at eps^k,
+    # k <= 0, so a window wider than n + 1 = 7 moves neither it nor the
+    # eps^0 entries
+    data, tris = circuit_fixture((1, 1, 1, -1, -1, -1))
+    plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
+    circuit = find_circuit(data, plus.t, minus.t)
+    got = []
+    for width in (7, 8, 12, 16):
+        monkeypatch.setattr(deform, "laurent_window", lambda data, w=width: w)
+        m = build(wall.WallContext(circuit, plus, minus), None)
+        got.append((m.principal_ratio, m.entries))
+    ratio, entries = got[0]
+    assert 0 < ratio < 1e-9
+    for other_ratio, other_entries in got[1:]:
+        assert other_ratio == ratio
+        assert np.array_equal(other_entries, entries)
 
 
 def test_transforms_at_generic_eps(pack):
@@ -150,7 +181,7 @@ def test_integrand_forms_agree(pack):
     lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
     x = pack.path().x_plus
     f1 = reference_integrand(x, lp, pack.circuit, ring)
-    f2 = wall.make_integrand(x, lp, pack.circuit, ring)
+    f2 = wall.make_integrand(x, wall.Line(lp, pack.circuit), ring)
     for s in (0.3 + 2.0j, -0.7 - 1.4j, 1.2 + 0.15j):
         a, b = f1(s), f2(s)
         assert (a - b).norm() <= 1e-11 * max(1.0, b.norm()), s
@@ -162,8 +193,9 @@ def test_batched_integrand_matches_node_by_node(pack, form):
     g0 = trivial_sector(wc)
     ring = plus_ring(wc, g0, 1e-2)
     lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
-    build = reference_integrand if form == 1 else wall.make_integrand
-    f = build(pack.path().x_plus, lp, pack.circuit, ring)
+    x = pack.path().x_plus
+    f = reference_integrand(x, lp, pack.circuit, ring) if form == 1 \
+        else wall.make_integrand(x, wall.Line(lp, pack.circuit), ring)
     rng = np.random.default_rng(4)
     s = rng.uniform(-1.5, 2.5, 24) + 1j * rng.uniform(-6.0, 6.0, 24)
     batch = f(s)
@@ -179,7 +211,8 @@ def test_batched_integrand_guards_every_node(a1):
     g0 = trivial_sector(wc)
     ring = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
-    f = wall.make_integrand(a1.path().x_plus, lp, a1.circuit, ring)
+    f = wall.make_integrand(a1.path().x_plus, wall.Line(lp, a1.circuit),
+                            ring)
     s = 0.5 + 1j * np.linspace(-3.0, 3.0, 24)
     f(s)
     # an integer point, and a removable point: 1/Gamma(-2) cancels the
@@ -197,9 +230,10 @@ def test_guard_hits_every_model_point_across_a_wide_batch(packs):
     [(x, lp, circuit, ring)] = [
         case for case in oracle_generators(packs, (2, 3, -3, -2), 1e-2)
         if case[1][2] == Fraction(-3, 2)]
-    f = wall.make_integrand(x, lp, circuit, ring)
+    line = wall.Line(lp, circuit)
+    f = wall.make_integrand(x, line, ring)
     lo, hi = -11.0, 0.4
-    model = wall.pole_model(lp, circuit, lo, hi)
+    model = line.pole_model(lo, hi)
     kinds = dict(model)
     assert kinds[Fraction(-5, 6)] == "ratio"
     assert {"integer", "ratio", "removable"} <= set(kinds.values())
@@ -224,16 +258,17 @@ def test_integrand_needs_a_sampled_eps(a1):
     g0 = trivial_sector(wc)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
     with pytest.raises(InfeasibleArgs):
-        wall.make_integrand(a1.path().x_plus, lp, a1.circuit,
+        wall.make_integrand(a1.path().x_plus, wall.Line(lp, a1.circuit),
                             plus_ring(wc, g0, None))
 
 
 def test_pole_model_kinds_on_a1(a1):
     # l' = (0, -1, 0), h = (1, -2, 1): ratio-factor points (-1 - w) / 2
-    got = wall.pole_model((0, -1, 0), a1.circuit, -1, 1)
+    line = wall.Line((0, -1, 0), a1.circuit)
+    got = line.pole_model(-1, 1)
     assert got == [(-1, "ratio"), (Fraction(-1, 2), "ratio"), (0, "integer"),
                    (Fraction(1, 2), "removable"), (1, "integer")]
-    assert wall.pole_model((0, -1, 0), a1.circuit, 0.1, 0.4) == []
+    assert line.pole_model(0.1, 0.4) == []
 
 
 def test_moving_the_line_one_step_picks_up_one_residue(a1):
@@ -242,11 +277,9 @@ def test_moving_the_line_one_step_picks_up_one_residue(a1):
     ring = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
     x = a1.path().x_plus
-    near = wall.mb_contour_oracle(x, lp, a1.circuit, ring,
-                                  ContourSpec(s0=0.5))[0]
-    far = wall.mb_contour_oracle(x, lp, a1.circuit, ring,
-                                 ContourSpec(s0=1.5))[0]
-    res = wall.residue_at(x, lp, a1.circuit, ring, complex(1))
+    near, _, line = line_oracle(x, lp, a1.circuit, ring, 0.5)
+    far = line_oracle(x, lp, a1.circuit, ring, 1.5)[0]
+    res = residue(wall.make_integrand(x, line, ring), 1.0)
     assert (near - far - res).norm() < 1e-9 * max(1.0, res.norm())
 
 
@@ -256,24 +289,84 @@ def test_contour_autoperturbs_off_a_pole(a1):
     ring = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
     x = a1.path().x_plus
-    moved, diag = wall.mb_contour_oracle(x, lp, a1.circuit, ring,
-                                         ContourSpec(s0=1.0))
-    assert diag["s0"] == pytest.approx(1.25)
-    clean, _ = wall.mb_contour_oracle(x, lp, a1.circuit, ring,
-                                      ContourSpec(s0=1.25))
+    moved, _, line = line_oracle(x, lp, a1.circuit, ring, 1.0)
+    assert line.s0 == pytest.approx(1.25)
+    clean, _, _ = line_oracle(x, lp, a1.circuit, ring, 1.25)
     assert (moved - clean).norm() < 1e-12 * max(1.0, clean.norm())
 
 
-def test_pole_on_contour_when_no_clear_line(a1):
+def test_pole_on_contour_when_no_clear_line():
     # a synthetic steep circuit packs ratio-factor poles 0.2 apart, so the
     # requested line and both fallback candidates all sit on poles
-    wc = wall_context(a1)
-    g0 = trivial_sector(wc)
-    ring = plus_ring(wc, g0, 0.0)
     steep = Circuit(h=(1, -5, 1), plus_label="p", minus_label="m")
     with pytest.raises(PoleOnContour):
-        wall.mb_contour_oracle((0.5,) * 3, (0, -1, 0), steep, ring,
-                               ContourSpec(s0=-0.4))
+        wall.Line((0, -1, 0), steep, -0.4)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the pole error it raises."""
+    try:
+        return fn(*args)
+    except (PoleOnContour, PoleRightOfLine) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def placed(lp, circuit, s0):
+    line = outcome(wall.Line, lp, circuit, s0)
+    if isinstance(line, wall.Line):
+        return line, (line.s0, line.distance)
+    return None, line
+
+
+@pytest.mark.parametrize("name", ["a1", "conifold", "local_p2",
+                                  *SMALL_CIRCUITS],
+                         ids=lambda n: n if isinstance(n, str)
+                         else "h=" + ",".join(map(str, n)))
+def test_line_matches_the_per_call_pole_model(packs, name):
+    # one Line per generator places the line, splits the orbit and lists
+    # the residue circles as the per-call functions did, on every
+    # plus-side generator of a depth-2 battery and six requested lines.
+    # The circles depend on l' only through the families, so they are
+    # compared once per family tuple and placed line; a circle list
+    # spans 42 units of exact points, so on the census circuits only
+    # the default line's is compared
+    census = name in SMALL_CIRCUITS
+    if name in packs:
+        data, tris = packs[name].data, packs[name].tris
+    elif name == "local_p2":
+        data, tris = parse_fixture(LOCAL_P2)
+    else:
+        data, tris = circuit_fixture(name)
+    t = tris["plus"]
+    circuit = find_circuit(data, t, tris["minus"])
+    box = compute_box(data, t)
+    generators = {term.l for c in wall.c_battery(data, 2) for g in box
+                  for term in enumerate_terms(data, t, c, g,
+                                              TruncationPolicy(), circuit)
+                  if term.generator}
+    assert generators
+    compared = set()
+    for lp in sorted(generators):
+        for s0 in (None, -0.5, 0.5, 1.0, 1.25, 2.5):
+            line, got = placed(lp, circuit, s0)
+            assert got == outcome(reference_place_line, lp, circuit, s0)
+            if line is None:
+                continue
+            assert outcome(lambda: line.first_right) \
+                == outcome(reference_first_right, lp, circuit, line.s0)
+            assert line.orbit(-1, 1) == [
+                tuple(v + m * hv for v, hv in zip(lp, circuit.h))
+                for m in (-1, 0, 1)]
+            lo, hi = line.s0 - 1.25, line.s0 + 1.25
+            assert line.pole_model(lo, hi) \
+                == reference_pole_model(lp, circuit, lo, hi)
+            key = (line.families, line.s0)
+            if key in compared or (s0 is not None and census):
+                continue
+            compared.add(key)
+            centers, radii = line.circles
+            assert list(zip(centers.tolist(), radii.tolist())) \
+                == reference_circles(lp, circuit, line.s0)
 
 
 def gamma_family_hit(lp, circuit, m):
@@ -287,9 +380,10 @@ def test_restored_residues_match_series_terms(pack):
     g0 = trivial_sector(wc)
     ring0 = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
+    line = wall.Line(lp, pack.circuit)
+    f0 = wall.make_integrand(path.x_plus, line, ring0)
     for m in (-1, -2):
-        res = wall.residue_at(path.x_plus, lp, pack.circuit, ring0,
-                              complex(m))
+        res = residue(f0, m)
         assert res.norm() < 1e-10, m
     ringe = plus_ring(wc, g0, 1e-2)
     checked_nonzero = 0
@@ -297,12 +391,11 @@ def test_restored_residues_match_series_terms(pack):
         if gamma_family_hit(lp, pack.circuit, m):
             # a family pole merges with the integer point: separate at
             # small eps and enclose only the integer pole
-            res = wall.residue_at(path.x_plus, lp, pack.circuit, ringe,
-                                  complex(m), radius=1.5e-3, nodes=64)
+            res = residue(wall.make_integrand(path.x_plus, line, ringe), m,
+                          radius=1.5e-3)
             ring = ringe
         else:
-            res = wall.residue_at(path.x_plus, lp, pack.circuit, ring0,
-                                  complex(m))
+            res = residue(f0, m)
             ring = ring0
         l = tuple(v + m * h for v, h in zip(lp, pack.circuit.h))
         ref = ring.algebra.element(
@@ -358,16 +451,14 @@ def recording(f, calls):
     return g
 
 
-def test_line_nodes_miss_the_removable_point(a1, monkeypatch):
+def test_line_nodes_miss_the_removable_point(a1):
     x, lp, ring = a1_line(a1)
-    assert (Fraction(1, 2), "removable") in wall.pole_model(lp, a1.circuit,
-                                                            0, 1)
+    line = wall.Line(lp, a1.circuit)
+    assert (Fraction(1, 2), "removable") in line.pole_model(0, 1)
     calls = []
-    build = wall.make_integrand
-    monkeypatch.setattr(wall, "make_integrand",
-                        lambda *a: recording(build(*a), calls))
-    _, diag = wall.mb_contour_oracle(x, lp, a1.circuit, ring)   # no guard hit
-    assert diag["s0"] == 0.5
+    f = recording(wall.make_integrand(x, line, ring), calls)
+    _, diag = wall.mb_contour_oracle(f, line, 14.0)     # no guard hit
+    assert line.s0 == 0.5
     assert len(calls) == 1 and len(calls[0]) == diag["nodes"] + 2
     line = calls[0][:diag["nodes"]]
     assert len(line) == diag["nodes"] and np.all(line.real == 0.5)
@@ -375,10 +466,11 @@ def test_line_nodes_miss_the_removable_point(a1, monkeypatch):
         assert np.abs(level.imag).min() == pytest.approx(diag["step"] / 2)
 
 
-def test_one_integrand_call_gives_both_levels(a1, monkeypatch):
+def test_one_integrand_call_gives_both_levels(a1):
     x, lp, ring = a1_line(a1, 1e-2)
+    line = wall.Line(lp, a1.circuit)
     calls = []
-    f = recording(wall.make_integrand(x, lp, a1.circuit, ring), calls)
+    f = recording(wall.make_integrand(x, line, ring), calls)
     fine, coarse, vals, step = wall._line_quadrature(f, 0.5, 14.0, 0.5)
     assert len(calls) == 1 and len(calls[0]) == len(vals.coords) == 642
     assert step == pytest.approx(28.0 / 642)
@@ -389,10 +481,8 @@ def test_one_integrand_call_gives_both_levels(a1, monkeypatch):
                        rtol=0, atol=1e-15)
     # the oracle adds only the tail probes to the line pass
     count = []
-    build = wall.make_integrand
-    monkeypatch.setattr(wall, "make_integrand",
-                        lambda *a: recording(build(*a), count))
-    wall.mb_contour_oracle(x, lp, a1.circuit, ring)
+    wall.mb_contour_oracle(recording(wall.make_integrand(x, line, ring),
+                                     count), line, 14.0)
     assert [len(c) for c in count] == [644]
 
 
@@ -406,26 +496,25 @@ def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
     lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
     x = pack.path().x_plus
     integrand, kernel, circles = [], [], []
-    build = wall.make_integrand
     real_kernel, real_circle = kernels.recip_gamma_series, wall.residue_at
 
     def counted_kernel(z, kmax):
         kernel.append(np.shape(z))
         return real_kernel(z, kmax)
 
-    def counted_circle(*args, **kwargs):
-        circles.append(np.size(args[4]))      # the centres of one round
-        return real_circle(*args, **kwargs)
+    def counted_circle(f, centers, radii):
+        circles.append(np.size(centers))      # the centres of one round
+        return real_circle(f, centers, radii)
 
-    monkeypatch.setattr(wall, "make_integrand",
-                        lambda *a: recording(build(*a), integrand))
     monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
     monkeypatch.setattr(wall, "residue_at", counted_circle)
-    _, diag = wall.mb_contour_oracle(x, lp, pack.circuit, ring)
+    line = wall.Line(lp, pack.circuit)
+    f = recording(wall.make_integrand(x, line, ring), integrand)
+    _, diag = wall.mb_contour_oracle(f, line, 14.0)
     assert len(integrand) == 1
     assert kernel == [(pack.data.n, diag["nodes"] + 2)]
     del integrand[:], kernel[:]
-    wall.left_residue_sum(x, lp, pack.circuit, ring, diag["s0"])
+    wall.left_residue_sum(f, line)
     assert circles and len(integrand) == len(circles)
     assert kernel == [(pack.data.n, 64 * c) for c in circles]
     full = [wall._ROUND * 2 ** i for i in range(len(circles))]
@@ -477,24 +566,21 @@ def poisoned(f, center, radius):
 @pytest.mark.parametrize("name", ROUND_CASES,
                          ids=["a1", "conifold", "h=1,2,-3", "h=2,3,-3,-2",
                               "h=1,1,1,-3"])
-def test_residue_rounds_match_the_one_circle_loop(packs, name, eps,
-                                                 monkeypatch):
+def test_residue_rounds_match_the_one_circle_loop(packs, name, eps):
     # the rounds sum the same circles, bit for bit, as one integrand call
     # per circle, stop at the same circle, and take at most
     # ceil(log2(c / 4 + 1)) integrand calls for c circles summed
-    build = wall.make_integrand
     cases = oracle_generators(packs, name, eps)
     assert cases
     for x, lp, circuit, ring in cases:
-        s0, _ = wall.place_line(lp, circuit, None)
-        want, summed, circles = reference_left_residue_sum(x, lp, circuit,
-                                                           ring, s0)
+        line = wall.Line(lp, circuit)
+        circles = reference_circles(lp, circuit, line.s0)
+        want, summed = reference_left_residue_sum(
+            wall.make_integrand(x, line, ring), circles)
         assert 0 < summed < len(circles), lp
         calls = []
-        with monkeypatch.context() as m:
-            m.setattr(wall, "make_integrand",
-                      lambda *a: recording(build(*a), calls))
-            got = wall.left_residue_sum(x, lp, circuit, ring, s0)
+        got = wall.left_residue_sum(
+            recording(wall.make_integrand(x, line, ring), calls), line)
         assert np.array_equal(got.coords, want.coords), lp
         assert len(calls) <= math.ceil(math.log2(summed / 4 + 1)), lp
         # the stop falls in the last round, which is evaluated whole
@@ -504,15 +590,13 @@ def test_residue_rounds_match_the_one_circle_loop(packs, name, eps,
         # NaN on the first circle past the stop: dropped unchecked if its
         # round evaluated it; NaN on the last circle summed: raised
         for index in (summed, summed - 1):
-            with monkeypatch.context() as m:
-                m.setattr(wall, "make_integrand",
-                          lambda *a: poisoned(build(*a), *circles[index]))
-                if index < summed:
-                    with pytest.raises(NonFiniteValue):
-                        wall.left_residue_sum(x, lp, circuit, ring, s0)
-                else:
-                    got = wall.left_residue_sum(x, lp, circuit, ring, s0)
-                    assert np.array_equal(got.coords, want.coords), lp
+            f = poisoned(wall.make_integrand(x, line, ring), *circles[index])
+            if index < summed:
+                with pytest.raises(NonFiniteValue):
+                    wall.left_residue_sum(f, line)
+            else:
+                got = wall.left_residue_sum(f, line)
+                assert np.array_equal(got.coords, want.coords), lp
     if name == (2, 3, -3, -2):
         assert any(Fraction(lp[k]).denominator > 1
                    for _, lp, circuit, _ in cases for k in circuit.I_minus)
@@ -525,7 +609,7 @@ def test_a1_line_integral_matches_mpmath(a1):
     # numerator: 2 pi i / ((1 - e^{-2 pi i s}) (1 - e^{-2 pi i s h_1}))
     # times prod_j x_j^{s h_j} / Gamma(1 + s h_j).
     x, lp, ring = a1_line(a1)
-    got, _ = wall.mb_contour_oracle(x, lp, a1.circuit, ring)
+    got, _, _ = line_oracle(x, lp, a1.circuit, ring)
     h = a1.circuit.h
     c1 = ring.divisor(1).coords
     assert c1[0] == 0
