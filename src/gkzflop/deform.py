@@ -375,27 +375,31 @@ class DeformationRing:
     def branched_power(self, x, a):
         return self.exp(a * principal_log(x))
 
-    def recip_gamma(self, z, d):
-        """1/Gamma(1 + z + d) by Taylor composition around the scalar center.
+    def recip_gamma(self, w, d):
+        """1/Gamma(w + d) by Taylor composition around the scalar center.
 
-        z may be an array, which gives a batch of elements, and d may be
-        a list of shifts: z then stacks one batch per shift along its
+        w is the float centre less d's scalar part: 1 + z for the factor
+        1/Gamma(1 + z + d) of a series term or the integrand, formed by
+        the caller (series forms (N + v) / N from integer numerators).
+        w may be an array, which gives a batch of elements, and d may be
+        a list of shifts: w then stacks one batch per shift along its
         leading axis, one kernel call serves every shift, and the result
         is the list of their batches.  The kernel is exact at the poles
-        of Gamma, so a negative integer z needs no functional equation.
-        A Laurent ring raises InfeasibleArgs: it never meets 1/Gamma.
+        of Gamma, so a nonpositive integer w needs no functional
+        equation.  A Laurent ring raises InfeasibleArgs: it never meets
+        1/Gamma.
         """
         if self.laurent:
             raise InfeasibleArgs("1/Gamma needs a sampled eps")
         many = isinstance(d, list)
         shifts = d if many else [d]
-        rows = z if many else np.asarray(z)[None]
+        rows = np.asarray(w, dtype=complex)
+        if not many:
+            rows = rows[None]
         s = np.array([x.scalar_part for x in shifts])
-        # exact z (Fractions, alone or in an object array) meets the
-        # float center only after 1 + z is formed exactly
-        center = 1 + rows + s.reshape((-1,) + (1,) * (rows.ndim - 1))
+        center = rows + s.reshape((-1,) + (1,) * (rows.ndim - 1))
         mmax = self.algebra.zero_degree - 1
-        c = kernels.recip_gamma_series(np.asarray(center, dtype=complex), mmax)
+        c = kernels.recip_gamma_series(center, mmax)
         out = []
         for row, x in zip(c, shifts):
             n = x.nilpotent_part()

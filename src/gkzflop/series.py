@@ -14,12 +14,16 @@ at l to the term at l - e_i through the Gamma functional equation, so
 matched descriptor pairs contribute a residual of exactly zero and only
 truncation-boundary terms carry a numeric bound.
 
-The exponent tuples are enumerated in integers (_solutions), scaled by
-the common denominator of the lift; only the tuples kept become
-Fractions.  Terms are evaluated in batches (term_values): a list of
-exponent tuples becomes one element batch, with one Gamma-kernel call
-per coordinate for all its distinct values, and sums over the batch add
-its rows in term order.  A batch may hold the terms of several series
+The exponents of one sector share a denominator N: their fractional
+parts are the sector's coordinates, whatever c is.  So a term is carried
+as the integer numerators of N l, from the lattice walk (_solutions)
+through the classification (enumerate_terms) to the Gamma kernel
+(term_values); only the exact layer (canonical_lift, the sector
+algebras) and the reads that report or pair terms (LatticeTerm.l) use
+Fractions.  Terms are evaluated in batches (term_values): a table of
+numerators over one N becomes one element batch, with one Gamma-kernel
+call per coordinate for all its distinct values, and sums over the batch
+add its rows in term order.  A batch may hold the terms of several series
 (several c of a battery): a row does not depend on the other rows, so
 each series sums its own rows to the same value it would get alone.
 evaluate_gamma and evaluate_gamma_dual take a whole battery of c and
@@ -71,9 +75,15 @@ class EvaluationPoint:
 
 @dataclass(frozen=True)
 class LatticeTerm:
-    """One exponent tuple of the series, with its classification."""
+    """One exponent tuple of the series, with its classification.
 
-    l: tuple                 # Fractions
+    The exponents are l = num / den: integer numerators over the common
+    denominator den of the sector, the same for every c.  l reads them
+    as Fractions, for the checks and reports that pair or print terms.
+    """
+
+    num: tuple               # ints
+    den: int
     sector: object           # TwistedSector
     support: frozenset       # I(l) = {i : l_i not a nonnegative integer}
     owning_cones: tuple
@@ -81,8 +91,8 @@ class LatticeTerm:
     generator: bool = False
 
     @property
-    def degree(self):
-        return sum(abs(v) for v in self.l)
+    def l(self):
+        return tuple(Fraction(v, self.den) for v in self.num)
 
 
 @dataclass
@@ -113,17 +123,13 @@ class DualGammaValue:
     reduced: object = None
 
 
-def _term_support(l):
-    return frozenset(i for i, v in enumerate(l)
-                     if not (v.denominator == 1 and v >= 0))
+def _support(num, den):
+    """I(l) of l = num / den: the i with l_i negative or not an integer."""
+    return frozenset(i for i, v in enumerate(num) if v < 0 or v % den)
 
 
-def _negative_integer(v):
-    return v.denominator == 1 and v < 0
-
-
-def _negative_support(l):
-    return frozenset(i for i, v in enumerate(l) if _negative_integer(v))
+def _negative_integers(num, den):
+    return frozenset(i for i, v in enumerate(num) if v < 0 and not v % den)
 
 
 def scalar_power(x, e):
@@ -145,15 +151,16 @@ def _pivot(row):
 def _solutions(l0, basis, bound):
     """All l = l0 + Z-combinations of basis with sum |l_i| <= bound.
 
-    The walk runs in integers: l0 and the bound are scaled by the common
-    denominator of l0, and only an emitted tuple becomes Fractions.  The
-    basis rows are in echelon form, so the columns left of a row's pivot
-    are final once the rows above it are chosen; its coefficient is
-    confined to the interval where the pivot entry fits in the budget
-    those columns leave.  Tuples come in the order of the coefficients.
+    Returns the common denominator den of l0 and the integer tuples
+    den * l.  The walk runs in these integers, with the bound scaled by
+    den too.  The basis rows are in echelon form, so the columns left of
+    a row's pivot are final once the rows above it are chosen; its
+    coefficient is confined to the interval where the pivot entry fits
+    in the budget those columns leave.  Tuples come in the order of the
+    coefficients.
     """
-    den = math.lcm(*(Fraction(v).denominator for v in l0))
-    start = [int(Fraction(v) * den) for v in l0]
+    den = math.lcm(*(v.denominator for v in l0))
+    start = [v.numerator * (den // v.denominator) for v in l0]
     top = bound * den
     rows = [(_pivot(row), [r * den for r in row]) for row in basis]
     out = []
@@ -161,7 +168,7 @@ def _solutions(l0, basis, bound):
     def descend(cur, idx):
         if idx == len(rows):
             if sum(map(abs, cur)) <= top:
-                out.append(tuple(Fraction(v, den) for v in cur))
+                out.append(tuple(cur))
             return
         p, row = rows[idx]
         k = row[p]
@@ -173,114 +180,181 @@ def _solutions(l0, basis, bound):
             descend([c + m * r for c, r in zip(cur, row)], idx + 1)
 
     descend(start, 0)
-    return out
+    return den, out
 
 
 def enumerate_terms(data, t, c, gamma, policy, circuit=None):
     """Terms of the (c, gamma) series inside the degree ball, sorted.
 
-    Tuples whose support set fits in no maximal cone are dropped: their
-    value vanishes identically because the support's divisor product is
-    a relation of every sector algebra.
+    Sorted by degree, then by the numerators: with one denominator they
+    order as the Fractions do.  Tuples whose support set fits in no
+    maximal cone are dropped: their value vanishes identically because
+    the support's divisor product is a relation of every sector algebra.
+    With a circuit, a term is essential when an owning cone is, and a
+    generator when l - h is not essential.
     """
     lift = canonical_lift(data, gamma, c)
-    basis = data.lattice.kernel_basis
-    maximal = sorted(t.maximal, key=sorted)
+    den, nums = _solutions(lift.values, data.lattice.kernel_basis,
+                           policy.degree_bound)
     ess = set(map(frozenset, essential_cones(data, t, circuit))) \
         if circuit is not None else set()
-    h = tuple(circuit.h) if circuit is not None else None
-
-    def essential_of(l):
-        sup = _term_support(l)
-        return any(sup <= e for e in ess)
-
+    maximal = [(s, frozenset(s) in ess)
+               for s in sorted(t.maximal, key=sorted)]
+    step = tuple(den * v for v in circuit.h) if circuit is not None else None
+    nums.sort(key=lambda num: (sum(map(abs, num)), num))
     out = []
-    for l in _solutions(lift.values, basis, policy.degree_bound):
-        sup = _term_support(l)
-        owning = tuple(s for s in maximal if sup <= s)
+    for num in nums:
+        sup = _support(num, den)
+        owning = tuple(s for s, _ in maximal if sup <= s)
         if not owning:
             continue
-        is_ess = bool(ess) and any(frozenset(s) in ess for s in owning)
+        is_ess = any(e for s, e in maximal if sup <= s)
         gen = False
         if is_ess:
-            back = tuple(v - hv for v, hv in zip(l, h))
-            gen = not essential_of(back)
-        out.append(LatticeTerm(l=l, sector=gamma, support=sup,
+            back = _support([v - hv for v, hv in zip(num, step)], den)
+            gen = not any(back <= e for e in ess)
+        out.append(LatticeTerm(num=num, den=den, sector=gamma, support=sup,
                                owning_cones=owning, essential=is_ess,
                                generator=gen))
-    # sorted by degree, then l, compared as the integer tuples den * l:
-    # with one denominator they order as the Fractions do
-    den = math.lcm(*(Fraction(v).denominator for v in lift.values))
-
-    def key(term):
-        scaled = tuple(v.numerator * (den // v.denominator) for v in term.l)
-        return sum(map(abs, scaled)), scaled
-    out.sort(key=key)
     return out
 
 
-def _recip_gamma_rows(values, d, ring, dual):
-    """Coordinates of 1/Gamma(1 + v + d), one row per sorted distinct v.
+def exponent_table(ls):
+    """Integer numerators over one common denominator for exponent tuples.
 
-    Every v that is not a negative integer, and 0 when some v is, goes
-    through one batched ring.recip_gamma call.  A negative integer v = -m
-    takes the functional-equation product prod_{i<m} (d - i) times the
-    value at 0; the products for successive m extend each other.  dual
-    strips the leading factor d: the product starts at i = 1.
+    ls holds tuples of rationals (Fractions or ints); returns the rows
+    den * l and den, the lcm of every denominator: the form term_values
+    takes.
     """
-    neg = [v for v in values if _negative_integer(v)]
-    zs = set(values).difference(neg)
-    if neg:
-        zs.add(Fraction(0))
-    zs = sorted(zs)
-    batch = ring.recip_gamma(np.array(zs, dtype=object), d)
+    ls = [[Fraction(v) for v in l] for l in ls]
+    den = math.lcm(1, *(v.denominator for l in ls for v in l))
+    return [tuple(v.numerator * (den // v.denominator) for v in l)
+            for l in ls], den
+
+
+def _powers(x, values, den):
+    """x**(v / den) per numerator v, as scalar_power forms them."""
+    log = None
+    out = []
+    for v in values:
+        if v % den:
+            if log is None:
+                log = principal_log(x)
+            out.append(cmath.exp(v / den * log))
+        else:
+            out.append(complex(x) ** (v // den))
+    return np.array(out)
+
+
+def _normalized(element):
+    """element = m 2**e with |m|'s largest coordinate in [1/2, 1): (m, e).
+
+    A power of two scales every coordinate exactly.
+    """
+    e = int(np.frexp(np.abs(element.coords).max())[1])
+    return element * math.ldexp(1.0, -e), e
+
+
+def _ldexp(coords, e):
+    """coords * 2**e, row by row, for complex rows and integer e."""
+    return np.ldexp(coords.view(float), e[:, None]).view(complex)
+
+
+def _normalize_rows(coords, rows, scale):
+    """_normalized on the selected rows of coords, in place; their
+    exponents are added to scale."""
+    if rows.any():
+        e = np.frexp(np.abs(coords[rows]).max(axis=1))[1]
+        coords[rows] = _ldexp(coords[rows], -e)
+        scale[rows] += e
+
+
+def _recip_gamma_rows(values, den, d, ring, dual):
+    """Coordinates of 1/Gamma(1 + v/den + d), one row per sorted distinct v.
+
+    Every v/den that is not a negative integer, and 0 when some is, goes
+    through one batched ring.recip_gamma call at the float centres
+    (den + v) / den.  A negative integer v/den = -m takes the
+    functional-equation product prod_{i<m} (d - i) times the value at 0;
+    the products for successive m extend each other.  dual strips the
+    leading factor d: the product starts at i = 1.  Returns the rows and
+    a power-of-two exponent per row: past m of about 170 the product
+    overflows, so where the next factor would make it non-finite it is
+    scaled down by an exact power of two, whose exponent the row
+    carries.  Every product that is finite unscaled keeps exponent 0.
+    """
+    neg = [v for v in values if v < 0 and not v % den]
+    zs = sorted(set(values).difference(neg).union([0] if neg else []))
+    batch = ring.recip_gamma(np.array([(den + v) / den for v in zs]), d)
     rows = dict(zip(zs, batch.coords))
+    exps = dict.fromkeys(values, 0)
     if neg:
-        at_zero = d.algebra.element(rows[Fraction(0)])
-        products, acc = [], d.algebra.one()
-        for i in range(-int(neg[0])):
-            if i >= dual:
-                acc = acc * (d - i)
-            products.append(acc)
+        at_zero = d.algebra.element(rows[0])
+        products, acc, e = [], d.algebra.one(), 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(-neg[0] // den):
+                if i >= dual:
+                    step = acc * (d - i)
+                    if not np.isfinite(step.coords).all():
+                        acc, k = _normalized(acc)
+                        e += k
+                        step = acc * (d - i)
+                    acc = step
+                products.append((acc, e))
         for v in neg:
-            rows[v] = (products[-int(v) - 1] * at_zero).coords
-    return np.array([rows[v] for v in values])
+            acc, exps[v] = products[-v // den - 1]
+            rows[v] = (acc * at_zero).coords
+    return np.array([rows[v] for v in values]), \
+        np.array([exps[v] for v in values])
 
 
-def term_values(x, ls, ring, dual=False):
+def term_values(x, nums, den, ring, dual=False):
     """prod_j x_j^{l_j + D~_j/2pi i} / Gamma(1 + l_j + D~_j/2pi i), batched.
 
-    One row per exponent tuple of ls: an element batch of shape
-    (len(ls), dim).  Per coordinate j the branched power is formed once
-    and each distinct exact l_j is evaluated once (_recip_gamma_rows),
-    then gathered back to its rows; the factors are multiplied in
-    coordinate order, as one term at a time would.  dual=True gives the
-    dual-series coefficients: for l_j < 0 integral the reciprocal-Gamma
-    factor is divisible by D_j/2pi i, and that leading factor is removed
-    (the 1/2pi i kept), realizing the divided coefficient that
-    multiplies the generator of the support cone.
+    The exponents are l = num / den, one row num of integer numerators
+    per term: an element batch of shape (len(nums), dim).  Per
+    coordinate j the branched power is formed once and each distinct
+    numerator is evaluated once (_recip_gamma_rows), then gathered back
+    to its rows; the factors are multiplied in coordinate order, as one
+    term at a time would.  A row with a reciprocal-Gamma product that
+    carries a power of two is kept scaled, its largest coordinate in
+    [1/2, 1) after each factor, and its exponents are applied at the
+    end; every other row is formed exactly as without them.  dual=True
+    gives the dual-series coefficients: for l_j < 0 integral the
+    reciprocal-Gamma factor is divisible by D_j/2pi i, and that leading
+    factor is removed (the 1/2pi i kept), realizing the divided
+    coefficient that multiplies the generator of the support cone.
 
     The ring must be in numeric mode (a concrete eps).
     """
     if ring.laurent:
         raise InfeasibleArgs("series terms need a sampled eps")
-    ls = list(ls)
-    acc = ring.algebra.scalar(np.ones(len(ls)))
-    if not ls:
+    table = np.array(nums, dtype=np.int64).reshape(len(nums), len(x))
+    acc = ring.algebra.scalar(np.ones(len(table)))
+    if not len(table):
         return acc
+    columns = []
+    scaled = np.zeros(len(table), dtype=bool)
     for j, xj in enumerate(x):
         d = ring.divisor(j) * (1.0 / TWO_PI_I)
-        column = [l[j] for l in ls]
-        values = sorted(set(column))
-        index = {v: i for i, v in enumerate(values)}
-        take = np.array([index[v] for v in column], dtype=int)
-        powers = np.array([scalar_power(xj, v) for v in values])
-        rows = _recip_gamma_rows(values, d, ring, dual)
-        acc = acc * ring.branched_power(xj, d) * powers[take]
+        values, take = np.unique(table[:, j], return_inverse=True)
+        values = values.tolist()
+        rows, exps = _recip_gamma_rows(values, den, d, ring, dual)
+        scaled |= exps[take] != 0
+        columns.append((xj, d, values, take, rows, exps[take]))
+    scale = np.zeros(len(table), dtype=int)
+    for j, (xj, d, values, take, rows, exps) in enumerate(columns):
+        acc = acc * ring.branched_power(xj, d) * _powers(xj, values,
+                                                         den)[take]
+        _normalize_rows(acc.coords, scaled, scale)
         acc = acc * d.algebra.element(rows[take])
+        scale += exps
+        _normalize_rows(acc.coords, scaled, scale)
         if dual:
-            stripped = np.array([_negative_integer(v) for v in column])
+            column = table[:, j]
+            stripped = (column < 0) & (column % den == 0)
             acc.coords[stripped] *= 1.0 / TWO_PI_I
+    acc.coords[scaled] = _ldexp(acc.coords[scaled], scale[scaled])
     return acc
 
 
@@ -321,9 +395,11 @@ def nan_max(*values):
 def _tail_scan(shell_norms):
     """Geometric-decay fit on the last shells; ratio >= 1 is suspicious.
 
-    A NaN shell norm gives a NaN ratio, which the caller's guard rejects.
+    shell_norms is keyed by degree, as the pair (p, q) of p/q in lowest
+    terms.  A NaN shell norm gives a NaN ratio, which the caller's guard
+    rejects.
     """
-    degs = sorted(shell_norms)
+    degs = sorted(shell_norms, key=lambda pq: Fraction(*pq))
     vals = [shell_norms[d] for d in degs if shell_norms[d] != 0]
     if len(vals) < 3:
         return {"ratio": 0.0, "checked": False}
@@ -348,8 +424,11 @@ def sector_batches(chamber, battery, x, policy, dual=False):
                  for c in battery]
         ends = list(accumulate(map(len, terms)))
         rows = [slice(end - len(part), end) for part, end in zip(terms, ends)]
-        batch = term_values(x, [term.l for part in terms for term in part],
-                            ring, dual)
+        dens = {term.den for part in terms for term in part}
+        # internal: the fractional parts of every term are gamma's
+        assert len(dens) <= 1
+        batch = term_values(x, [term.num for part in terms for term in part],
+                            dens.pop() if dens else 1, ring, dual)
         yield key, terms, rows, batch
 
 
@@ -379,7 +458,9 @@ def evaluate_gamma(chamber, battery, x, policy):
         norms = batch.norm()
         for i, (val, part, sel) in enumerate(zip(out, terms, rows)):
             for term, norm in zip(part, norms[sel]):
-                shells[i][term.degree] += float(norm)
+                size = sum(map(abs, term.num))
+                g = math.gcd(size, term.den)
+                shells[i][size // g, term.den // g] += float(norm)
             values = batch.algebra.element(batch.coords[sel])
             finite[i] &= bool(np.isfinite(values.coords).all())
             val.value.components[key] = sum_rows(values)
@@ -448,15 +529,14 @@ def _exact_divisor_product(alg, idx):
     return acc
 
 
-def _image_vanishes(alg, l_img):
-    """Exact test that the term at l_img is the zero element.
+def _image_vanishes(alg, num, den):
+    """Exact test that the term at l = num / den is the zero element.
 
     Each negative-integer coordinate contributes a factor divisible by
     its divisor class, so a vanishing product of those classes kills the
     whole term.
     """
-    neg = _negative_support(l_img)
-    return not any(_exact_divisor_product(alg, neg))
+    return not any(_exact_divisor_product(alg, _negative_integers(num, den)))
 
 
 def _euler_defect(alg, terms, c):
@@ -467,9 +547,10 @@ def _euler_defect(alg, terms, c):
         worst = max(worst, m)
     for term in terms:
         for a in range(alg.data.rank):
-            s = sum(lv * Fraction(v[a])
-                    for lv, v in zip(term.l, alg.data.points)) + c[a]
-            worst = max(worst, abs(s))
+            s = sum(lv * v[a] for lv, v in zip(term.num, alg.data.points)) \
+                + term.den * c[a]
+            if s:
+                worst = max(worst, Fraction(abs(s), term.den))
     return worst
 
 
@@ -479,8 +560,8 @@ def _factor_identity_dev(alg, lj):
     worst = 0.0
     for j in range(alg.data.n):
         d = ring.divisor(j) * (1.0 / TWO_PI_I)
-        lhs = ring.recip_gamma(lj - 1, d)
-        rhs = (d + complex(lj)) * ring.recip_gamma(lj, d)
+        lhs = ring.recip_gamma(lj, d)
+        rhs = (d + complex(lj)) * ring.recip_gamma(1 + lj, d)
         scale = max(lhs.norm(), rhs.norm(), 1.0)
         worst = nan_max(worst, (lhs - rhs).norm() / scale)
     return worst
@@ -527,41 +608,42 @@ def pde_residuals(chamber, c_list, x, policy, which="primal", circuit=None):
             if cn not in c_set:
                 continue
             matched = zero_images = boundary = mismatches = 0
-            edges = defaultdict(list)     # sector key -> boundary images
+            edges = defaultdict(list)     # (sector key, den) -> images
             for gamma in box:
                 key = gamma.key()
                 alg = algebras[key]
                 src = terms[(c, key)]
-                dst = {term.l for term in terms[(cn, key)]}
+                dst = {term.num for term in terms[(cn, key)]}
                 for term in src:
-                    img = tuple(v - (1 if j == i else 0)
-                                for j, v in enumerate(term.l))
+                    den = term.den
+                    img = tuple(v - (den if j == i else 0)
+                                for j, v in enumerate(term.num))
                     if img in dst:
                         matched += 1
-                        lj = term.l[i]
-                        skey = (lj, key)
+                        skey = (term.num[i], key)
                         if skey not in sampled and len(sampled) < 24:
                             sampled.add(skey)
                             factor_dev = nan_max(
-                                factor_dev, _factor_identity_dev(alg, lj))
+                                factor_dev, _factor_identity_dev(
+                                    alg, Fraction(term.num[i], den)))
                         continue
-                    if _image_vanishes(alg, img):
+                    if _image_vanishes(alg, img, den):
                         zero_images += 1
                         continue
-                    sup = _term_support(img)
+                    sup = _support(img, den)
                     in_cone = any(sup <= s for s in t.maximal)
                     if which == "dual" and not in_cone:
                         zero_images += 1      # module relation sends it to 0
                         continue
-                    if sum(abs(v) for v in img) > policy.degree_bound:
+                    if sum(map(abs, img)) > policy.degree_bound * den:
                         boundary += 1
                         if in_cone:
-                            edges[key].append(img)
+                            edges[key, den].append(img)
                         continue
                     mismatches += 1
             boundary_max = nan_max(0.0, *(
-                norm for key, imgs in edges.items()
-                for norm in term_values(xs, imgs, rings[key],
+                norm for (key, den), imgs in edges.items()
+                for norm in term_values(xs, imgs, den, rings[key],
                                         dual=which == "dual").norm()))
             pairs.append({
                 "c": list(c), "i": i + 1, "matched": matched,

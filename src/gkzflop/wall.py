@@ -45,8 +45,8 @@ from .toric import canonical_lift, adjacent_sector, essential_cones, \
     essential_sectors, sector_label
 from .deform import DeformationRing, TWO_PI_I, unit_phase, principal_log
 from .rings import algebra_exp
-from .series import TruncationPolicy, enumerate_terms, sector_batches, \
-    term_values, sum_rows, scalar_power, nan_max
+from .series import TruncationPolicy, enumerate_terms, exponent_table, \
+    sector_batches, term_values, sum_rows, scalar_power, nan_max
 
 
 # A line pass is one trapezoid rule at half-step offsets; its even nodes
@@ -146,52 +146,70 @@ class Line:
     a command builds one Line per generator and passes it down.
     families are the pairs (l'_k, -h_k), k in I_minus, whose points
     (l'_k - w) / (-h_k), w an integer, are poles for w >= 0; top is the
-    largest (w = 0).  s0 None asks for the smallest half-integer >= 1/2
-    right of top.  A line closer than CLEARANCE to a pole (removable
-    points do not count) moves by +0.25, else by -0.25, else raises
-    PoleOnContour; distance is the placed line's distance to its nearest
-    pole.  An integer point always lies within 1/2 of the line, so the
-    poles 1.25 either side of the requested line hold the nearest of
-    every candidate.  first_right and circles are read on first use.
+    largest (w = 0).  Every point of the model is an integer over unit,
+    the lcm of the families' denominators, and the model is listed in
+    those numerators (points).  s0 None asks for the smallest
+    half-integer >= 1/2 right of top.  A line closer than CLEARANCE to a
+    pole (removable points do not count) moves by +0.25, else by -0.25,
+    else raises PoleOnContour; distance is the placed line's distance to
+    its nearest pole.  An integer point always lies within 1/2 of the
+    line, so the poles 1.25 either side of the requested line hold the
+    nearest of every candidate.  first_right and circles are read on
+    first use.  The orbit l' + m h is read as integer numerators over
+    den, the common denominator of l', the form series.term_values takes.
     """
 
     def __init__(self, lprime, circuit, s0=None):
         self.lprime = tuple(lprime)
         self.circuit = circuit
+        (self.num,), self.den = exponent_table([self.lprime])
         self.families = tuple((Fraction(lprime[k]), -circuit.h[k])
                               for k in sorted(circuit.I_minus))
+        self.unit = math.lcm(*(lk.denominator * hk
+                               for lk, hk in self.families))
         self.top = max(lk / hk for lk, hk in self.families)
         if s0 is None:
             s0 = math.floor(max(self.top, 0) + Fraction(1, 2)) + 0.5
         s0 = float(s0)
-        near = [loc for loc, kind in self.pole_model(s0 - 1.25, s0 + 1.25)
+        u = self.unit
+        near = [p for p, kind in self.points(s0 - 1.25, s0 + 1.25)
                 if kind != "removable"]
         for cand in (s0, s0 + 0.25, s0 - 0.25):
-            if all(abs(cand - float(loc)) >= CLEARANCE for loc in near):
+            if all(abs(cand - p / u) >= CLEARANCE for p in near):
+                # |cand - p/u| over the one denominator of cand * u
+                num, den = cand.as_integer_ratio()
                 self.s0 = cand
-                self.distance = float(min(abs(Fraction(cand) - loc)
-                                          for loc in near))
+                self.distance = min(abs(num * u - p * den)
+                                    for p in near) / (den * u)
                 return
         raise PoleOnContour(f"no clear line near Re s = {s0}")
 
-    def pole_model(self, lo, hi):
+    def points(self, lo, hi):
         """Exact real points in [lo, hi] where the line integrand is singular.
 
-        Sorted (location, kind) pairs, each location a Fraction: the
-        integers ("integer") and the points of every family, "ratio" for
-        w >= 0 (also where they meet an integer) and "removable" for
-        w < 0, where a zero of 1/Gamma(l'_k + s h_k) cancels the pole (no
+        Sorted (numerator over unit, kind) pairs: the integers
+        ("integer") and the points of every family, "ratio" for w >= 0
+        (also where they meet an integer) and "removable" for w < 0,
+        where a zero of 1/Gamma(l'_k + s h_k) cancels the pole (no
         residue, but at eps = 0 the formula cannot be evaluated there).
         """
         lo, hi = Fraction(lo), Fraction(hi)
-        kinds = {Fraction(m): "integer"
+        u = self.unit
+        kinds = {m * u: "integer"
                  for m in range(math.ceil(lo), math.floor(hi) + 1)}
         for lk, hk in self.families:
+            a, b = lk.numerator, lk.denominator
+            step = u // (b * hk)
             for w in range(math.ceil(lk - hk * hi),
                            math.floor(lk - hk * lo) + 1):
-                loc = (lk - w) / hk
+                loc = (a - w * b) * step
                 kinds[loc] = "ratio" if w >= 0 else kinds.get(loc, "removable")
         return sorted(kinds.items())
+
+    def pole_model(self, lo, hi):
+        """points(lo, hi) with each location read as a Fraction."""
+        return [(Fraction(p, self.unit), kind)
+                for p, kind in self.points(lo, hi)]
 
     @property
     def first_right(self):
@@ -213,24 +231,27 @@ class Line:
         radius; the radius, at most 0.2, keeps it off the neighbouring
         locations.
         """
-        points = self.pole_model(self.s0 - MAX_DEPTH - 1, self.s0 + 1)
-        # the float bounds as Fractions: exact comparisons, and no float
-        # conversion per point
-        lo, hi = Fraction(self.s0 - MAX_DEPTH), Fraction(self.s0)
+        points = self.points(self.s0 - MAX_DEPTH - 1, self.s0 + 1)
+        u = self.unit
+        # lo <= p / u < hi, compared exactly in integers
+        lo, lo_den = (self.s0 - MAX_DEPTH).as_integer_ratio()
+        hi, hi_den = self.s0.as_integer_ratio()
         centers, radii = [], []
         for i in reversed(range(1, len(points) - 1)):
             re, kind = points[i]
-            if kind == "removable" or not lo <= re < hi:
+            if kind == "removable" or not lo * u <= re * lo_den \
+                    or not re * hi_den < hi * u:
                 continue
             gap = min(points[i + 1][0] - re, re - points[i - 1][0])
-            centers.append(float(re))
-            radii.append(min(0.2, 0.4 * float(gap)))
+            centers.append(re / u)
+            radii.append(min(0.2, 0.4 * (gap / u)))
         return np.array(centers), np.array(radii)
 
     def orbit(self, m_from, m_to):
-        """The exponent tuples l' + m h, m_from <= m <= m_to."""
-        return [tuple(v + m * hv for v, hv in zip(self.lprime,
-                                                  self.circuit.h))
+        """The exponent tuples l' + m h, m_from <= m <= m_to, as integer
+        numerators over den."""
+        step = [self.den * hv for hv in self.circuit.h]
+        return [tuple(v + m * hv for v, hv in zip(self.num, step))
                 for m in range(m_from, m_to + 1)]
 
 
@@ -291,7 +312,7 @@ def make_integrand(x, line, ring):
                                                 * (lp[j] + s * h[j]))
                 acc = acc * nums[j] * ring.inv(den)
             e = np.stack([lp[j] + s * h[j] for j in range(n)])
-            gammas = ring.recip_gamma(e, d)    # one kernel call for every j
+            gammas = ring.recip_gamma(1 + e, d)    # one kernel call, every j
             for j in range(n):
                 if h[j]:
                     acc = acc * np.exp(e[j] * logx[j] - lp[j] * logx[j])
@@ -396,7 +417,8 @@ def residue_at(f, centers, radii):
 
 def orbit_sum(x, line, ring, m_from, m_to):
     """Plain sum of the h-orbit terms m_from <= m <= m_to, one batch."""
-    return sum_rows(term_values(x, line.orbit(m_from, m_to), ring))
+    return sum_rows(term_values(x, line.orbit(m_from, m_to), line.den,
+                                ring))
 
 
 def left_residue_sum(f, line):
@@ -837,6 +859,7 @@ def continued_vector(wall, rings, battery, x, policy, spec=None):
     circuit, plus = wall.circuit, wall.plus
     spec = spec or ContourSpec()
     ls = {g.key(): [] for g in plus.box}
+    dens = dict.fromkeys(ls, 1)
     plans = []
     for c in battery:
         plan, diag = {}, {"est_error": 0.0, "nodes": 0}
@@ -851,17 +874,22 @@ def continued_vector(wall, rings, battery, x, policy, spec=None):
                         make_integrand(x, line, rings[g.key()]), line,
                         spec.height)
                     terms = line.orbit(-M_BACK, line.first_right - 1)
+                    den = line.den
                     diag["est_error"] = nan_max(diag["est_error"],
                                                 dg["est_error"])
                     diag["nodes"] += dg["nodes"]
                 elif term.essential:
                     continue
                 else:
-                    q, terms = None, [term.l]
+                    q, terms, den = None, [term.num], term.den
+                # internal: the terms of a sector share their fractional
+                # parts, so the lcm of their denominators too
+                assert not rows or dens[g.key()] == den
+                dens[g.key()] = den
                 parts.append((q, slice(len(rows), len(rows) + len(terms))))
                 rows.extend(terms)
         plans.append((plan, diag))
-    batches = {key: term_values(x, rows, rings[key])
+    batches = {key: term_values(x, rows, dens[key], rings[key])
                for key, rows in ls.items()}
     out = []
     for plan, diag in plans:

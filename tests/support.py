@@ -2,6 +2,7 @@
 
 import argparse
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -15,7 +16,7 @@ from gkzflop.rings import algebra_exp
 from gkzflop.deform import TWO_PI_I, principal_log, unit_phase
 from gkzflop.series import scalar_power
 from gkzflop.toric import ToricData, Triangulation, TwistedSector, _apply, \
-    cone_index
+    canonical_lift, cone_index, essential_cones
 
 # Local P^2: the nontrivial 3-fold flop of Borisov & Horja, "Mellin-Barnes
 # integrals as Fourier-Mukai transforms" (Adv. Math. 207, 2006).
@@ -275,7 +276,7 @@ def reference_integrand(x, lprime, circuit, ring):
             den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lp[j] + s * h[j]))
             acc = acc * nums[j] * ring.inv(den)
         for j in range(n):
-            acc = acc * ring.recip_gamma(lp[j] + s * h[j], d[j])
+            acc = acc * ring.recip_gamma(1 + (lp[j] + s * h[j]), d[j])
         return acc
     return f
 
@@ -420,6 +421,137 @@ def reference_solutions(l0, basis, bound):
 
     descend([Fraction(v) for v in l0], 0)
     return out
+
+
+# series' term enumeration and evaluation as they were before the
+# exponents became integer numerators over one denominator: every term a
+# tuple of Fractions, classified, sorted and evaluated as such.  Only the
+# reciprocal-Gamma call is adapted: DeformationRing.recip_gamma now takes
+# the centre 1 + z, formed here exactly from the Fractions as before.
+# test_series checks the integer tables against these.
+
+
+@dataclass(frozen=True)
+class ReferenceTerm:
+    l: tuple                 # Fractions
+    support: frozenset
+    owning_cones: tuple
+    essential: bool = False
+    generator: bool = False
+
+
+def _reference_term_support(l):
+    return frozenset(i for i, v in enumerate(l)
+                     if not (v.denominator == 1 and v >= 0))
+
+
+def _reference_negative_integer(v):
+    return v.denominator == 1 and v < 0
+
+
+def reference_integer_walk(l0, basis, bound):
+    """series._solutions as it emitted Fractions."""
+    den = math.lcm(*(Fraction(v).denominator for v in l0))
+    start = [int(Fraction(v) * den) for v in l0]
+    top = bound * den
+    rows = [(next(i for i, v in enumerate(row) if v),
+             [r * den for r in row]) for row in basis]
+    out = []
+
+    def descend(cur, idx):
+        if idx == len(rows):
+            if sum(map(abs, cur)) <= top:
+                out.append(tuple(Fraction(v, den) for v in cur))
+            return
+        p, row = rows[idx]
+        k = row[p]
+        budget = top - sum(map(abs, cur[:p]))
+        lo, hi = -budget - cur[p], budget - cur[p]
+        if k < 0:
+            lo, hi = hi, lo
+        for m in range(-(-lo // k), hi // k + 1):
+            descend([c + m * r for c, r in zip(cur, row)], idx + 1)
+
+    descend(start, 0)
+    return out
+
+
+def reference_enumerate_terms(data, t, c, gamma, policy, circuit=None):
+    """series.enumerate_terms on Fraction tuples."""
+    lift = canonical_lift(data, gamma, c)
+    basis = data.lattice.kernel_basis
+    maximal = sorted(t.maximal, key=sorted)
+    ess = set(map(frozenset, essential_cones(data, t, circuit))) \
+        if circuit is not None else set()
+    h = tuple(circuit.h) if circuit is not None else None
+
+    def essential_of(l):
+        sup = _reference_term_support(l)
+        return any(sup <= e for e in ess)
+
+    out = []
+    for l in reference_integer_walk(lift.values, basis, policy.degree_bound):
+        sup = _reference_term_support(l)
+        owning = tuple(s for s in maximal if sup <= s)
+        if not owning:
+            continue
+        is_ess = bool(ess) and any(frozenset(s) in ess for s in owning)
+        gen = False
+        if is_ess:
+            back = tuple(v - hv for v, hv in zip(l, h))
+            gen = not essential_of(back)
+        out.append(ReferenceTerm(l=l, support=sup, owning_cones=owning,
+                                 essential=is_ess, generator=gen))
+    den = math.lcm(*(Fraction(v).denominator for v in lift.values))
+
+    def key(term):
+        scaled = tuple(v.numerator * (den // v.denominator) for v in term.l)
+        return sum(map(abs, scaled)), scaled
+    out.sort(key=key)
+    return out
+
+
+def _reference_recip_gamma_rows(values, d, ring, dual):
+    neg = [v for v in values if _reference_negative_integer(v)]
+    zs = set(values).difference(neg)
+    if neg:
+        zs.add(Fraction(0))
+    zs = sorted(zs)
+    batch = ring.recip_gamma(1 + np.array(zs, dtype=object), d)
+    rows = dict(zip(zs, batch.coords))
+    if neg:
+        at_zero = d.algebra.element(rows[Fraction(0)])
+        products, acc = [], d.algebra.one()
+        for i in range(-int(neg[0])):
+            if i >= dual:
+                acc = acc * (d - i)
+            products.append(acc)
+        for v in neg:
+            rows[v] = (products[-int(v) - 1] * at_zero).coords
+    return np.array([rows[v] for v in values])
+
+
+def reference_term_values(x, ls, ring, dual=False):
+    """series.term_values on a list of Fraction tuples."""
+    ls = list(ls)
+    acc = ring.algebra.scalar(np.ones(len(ls)))
+    if not ls:
+        return acc
+    for j, xj in enumerate(x):
+        d = ring.divisor(j) * (1.0 / TWO_PI_I)
+        column = [l[j] for l in ls]
+        values = sorted(set(column))
+        index = {v: i for i, v in enumerate(values)}
+        take = np.array([index[v] for v in column], dtype=int)
+        powers = np.array([scalar_power(xj, v) for v in values])
+        rows = _reference_recip_gamma_rows(values, d, ring, dual)
+        acc = acc * ring.branched_power(xj, d) * powers[take]
+        acc = acc * d.algebra.element(rows[take])
+        if dual:
+            stripped = np.array([_reference_negative_integer(v)
+                                 for v in column])
+            acc.coords[stripped] *= 1.0 / TWO_PI_I
+    return acc
 
 
 class ListSeries:

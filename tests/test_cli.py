@@ -157,6 +157,23 @@ def test_eps_whose_exp_overflows_is_a_report(tmp_path, argv):
     assert rep["body"]["error"] == "NonFiniteValue"
 
 
+def test_oracle_sums_orbit_terms_past_the_factorial_overflow(tmp_path):
+    # the right pole sum of (1,1,1,1,1,1,-6) runs to m = 30, where
+    # l_7 = -180 and the term's 1/Gamma product reaches 179!: it is
+    # finite, the check passes and numpy has nothing to warn about
+    path = tmp_path / "circuit.txt"
+    path.write_text(write_fixture(*circuit_fixture((1, 1, 1, 1, 1, 1, -6))))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkzflop", "oracle", "--fixture", str(path),
+         "--y-abs", "1e-5"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    checks = json.loads(proc.stdout)["body"]["checks"]
+    assert checks and all(math.isfinite(c["right_dev"]) for c in checks)
+
+
 @pytest.mark.parametrize("fixture", ["a1", "conifold"])
 def test_overflowing_integrand_fails_without_warnings(fixture):
     # at eps = 1e3 the line integrand overflows: a NonFiniteValue report,
@@ -589,7 +606,7 @@ def test_one_line_per_generator_per_command(monkeypatch):
     # Per-call placement listed 24 and 69 times here, with 12 integrands
     # for oracle
     counts = {"listings": 0, "integrands": 0}
-    real_model, real_integrand = wall.Line.pole_model, wall.make_integrand
+    real_model, real_integrand = wall.Line.points, wall.make_integrand
 
     def counted_model(*args):
         counts["listings"] += 1
@@ -599,7 +616,7 @@ def test_one_line_per_generator_per_command(monkeypatch):
         counts["integrands"] += 1
         return real_integrand(*args)
 
-    monkeypatch.setattr(wall.Line, "pole_model", counted_model)
+    monkeypatch.setattr(wall.Line, "points", counted_model)
     monkeypatch.setattr(wall, "make_integrand", counted_integrand)
     for command, flags, listings, integrands in (
             ("oracle", ["--eps", "3e-3", "--eps", "5e-3"], 4, 8),

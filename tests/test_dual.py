@@ -124,9 +124,10 @@ def test_unit_coefficient_recursion(a1):
             for i in range(a1.data.n):
                 if term.l[i] != 0:
                     continue
-                l_img = tuple(lv - (1 if j == i else 0)
-                              for j, lv in enumerate(term.l))
-                dual = term_values(x, [term.l, l_img], ring, dual=True)
+                img = tuple(v - (term.den if j == i else 0)
+                            for j, v in enumerate(term.num))
+                dual = term_values(x, [term.num, img], term.den, ring,
+                                   dual=True)
                 here, there = (alg.element(row) for row in dual.coords)
                 deriv = here * ring.divisor(i) * (1.0 / (TWO_PI_I * x[i]))
                 rhs = ring.divisor(i) * there

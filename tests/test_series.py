@@ -23,12 +23,13 @@ from gkzflop import (
 from gkzflop import cli, series
 from gkzflop.deform import DeformationRing, TWO_PI_I
 from gkzflop.dual import CompactKModule
-from gkzflop.fixtures import load_fixture
+from gkzflop.fixtures import load_fixture, parse_fixture
 from gkzflop.rings import Chamber
 from gkzflop.series import enumerate_terms, nan_max
 from gkzflop.toric import canonical_lift, compute_box, find_circuit
-from gkzflop.wall import c_battery, select_endpoints
-from support import circuit_fixture, reference_solutions
+from gkzflop.wall import Line, WallContext, c_battery, select_endpoints
+from support import LOCAL_P2, SMALL_CIRCUITS, circuit_fixture, \
+    reference_enumerate_terms, reference_solutions, reference_term_values
 
 mpmath.mp.dps = 30
 
@@ -106,10 +107,12 @@ def compare_walks(h, bounds=(3, 25)):
                      for c in c_battery(data, 1)]
             for l0 in lifts:
                 for bound in bounds:
-                    got = series._solutions(l0, basis, bound)
-                    assert got == reference_solutions(l0, basis, bound)
-                    assert all(isinstance(v, Fraction)
-                               for l in got for v in l)
+                    den, got = series._solutions(l0, basis, bound)
+                    assert den == math.lcm(*(v.denominator for v in l0))
+                    assert all(type(v) is int for l in got for v in l)
+                    assert [tuple(Fraction(v, den) for v in l)
+                            for l in got] \
+                        == reference_solutions(l0, basis, bound)
             if side == "plus" and any(v.denominator > 1
                                       for l0 in lifts for v in l0):
                 fractional += 1
@@ -213,9 +216,10 @@ def test_nan_shell_norm_trips_divergence_guard(a1, monkeypatch):
     # a convergent point whose terms of degree > 4 read NaN
     real = series.term_values
 
-    def poisoned(x, ls, ring, dual=False):
-        values = real(x, ls, ring, dual)
-        high = np.array([sum(abs(v) for v in l) > 4 for l in ls], dtype=bool)
+    def poisoned(x, nums, den, ring, dual=False):
+        values = real(x, nums, den, ring, dual)
+        high = np.array([sum(abs(v) for v in num) > 4 * den for num in nums],
+                        dtype=bool)
         return values * np.where(high, math.nan, 1.0)
 
     monkeypatch.setattr(series, "term_values", poisoned)
@@ -366,7 +370,7 @@ def interior_battery(pack):
 def test_pde_residuals_primal(pack, side):
     t = pack.t_plus if side == "plus" else pack.t_minus
     x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(pack.data.n))
-    policy = TruncationPolicy(degree_bound=12, tail_check=False)
+    policy = TruncationPolicy(tail_check=False)
     report = pde_residuals(pack.chamber(t), c_battery(pack.data, 1), x,
                            policy, which="primal")
     assert report["system"] == "primal"
@@ -386,7 +390,7 @@ def test_nan_recip_gamma_reaches_the_pde_report(a1, monkeypatch):
     monkeypatch.setattr(DeformationRing, "recip_gamma",
                         lambda self, z, d: real(self, z, d) * math.nan)
     x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(a1.data.n))
-    policy = TruncationPolicy(degree_bound=12, tail_check=False)
+    policy = TruncationPolicy(tail_check=False)
     report = pde_residuals(a1.chamber(a1.t_plus), c_battery(a1.data, 1), x,
                            policy, which="primal")
     assert math.isnan(report["factor_identity_max"])
@@ -399,7 +403,7 @@ def test_nan_recip_gamma_reaches_the_pde_report(a1, monkeypatch):
 def test_pde_residuals_dual(pack, side):
     t = pack.t_plus if side == "plus" else pack.t_minus
     x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(pack.data.n))
-    policy = TruncationPolicy(degree_bound=12, tail_check=False)
+    policy = TruncationPolicy(tail_check=False)
     report = pde_residuals(pack.chamber(t), interior_battery(pack), x, policy,
                            which="dual")
     assert report["system"] == "dual"
@@ -421,10 +425,17 @@ def batch_setup(pack, eps=0.0):
         chamber = pack.chamber(t)
         for g in chamber.box:
             ring = DeformationRing(chamber.algebras[g.key()], eps=eps)
-            ls = [term.l for term in enumerate_terms(
-                pack.data, t, (0,) * pack.data.rank, g, policy)]
-            out.append((ring, ls))
+            terms = enumerate_terms(pack.data, t, (0,) * pack.data.rank, g,
+                                    policy)
+            out.append((ring, terms))
     return x, out
+
+
+def values(x, terms, ring, dual=False):
+    """term_values of the terms, all over their sector's one den."""
+    den = terms[0].den if terms else 1
+    return series.term_values(x, [term.num for term in terms], den, ring,
+                              dual=dual)
 
 
 def negative_integers(l):
@@ -434,38 +445,70 @@ def negative_integers(l):
 @pytest.mark.parametrize("dual", [False, True])
 def test_term_rows_do_not_depend_on_the_batch(pack, dual):
     x, sectors = batch_setup(pack, eps=3e-3)
-    for ring, ls in sectors:
-        full = series.term_values(x, ls, ring, dual=dual).coords
-        assert full.shape == (len(ls), ring.algebra.dim)
-        odd = series.term_values(x, ls[1::2], ring, dual=dual).coords
+    for ring, terms in sectors:
+        full = values(x, terms, ring, dual=dual).coords
+        assert full.shape == (len(terms), ring.algebra.dim)
+        odd = values(x, terms[1::2], ring, dual=dual).coords
         assert np.array_equal(odd, full[1::2])
-        for i, l in enumerate(ls):
-            one = series.term_values(x, [l], ring, dual=dual).coords
-            assert np.array_equal(one[0], full[i]), l
+        for i, term in enumerate(terms):
+            one = values(x, [term], ring, dual=dual).coords
+            assert np.array_equal(one[0], full[i]), term.l
+
+
+def written_out(x, l, ring):
+    """One term of exponents l, with the product written out where
+    l_j = -m: prod_{i<m} (d - i) 1/Gamma(1 + d), unscaled."""
+    acc = ring.one()
+    for j, lj in enumerate(l):
+        d = ring.divisor(j) * (1.0 / TWO_PI_I)
+        acc = acc * ring.branched_power(x[j], d) \
+            * series.scalar_power(x[j], lj)
+        if j in negative_integers(l):
+            factor = ring.one()
+            for i in range(-int(lj)):
+                factor = factor * (d - i)
+            acc = acc * (factor * ring.recip_gamma(1, d))
+        else:
+            acc = acc * ring.recip_gamma(1 + lj, d)
+    return acc.coords
 
 
 def test_negative_integer_rows_are_the_functional_equation_product(pack):
-    # the one-term loop, with the product written out where l_j = -m
     x, sectors = batch_setup(pack)
     checked = 0
-    for ring, ls in sectors:
-        rows = series.term_values(x, ls, ring).coords
-        for l, row in zip(ls, rows):
-            acc = ring.one()
-            for j, lj in enumerate(l):
-                d = ring.divisor(j) * (1.0 / TWO_PI_I)
-                acc = acc * ring.branched_power(x[j], d) \
-                    * series.scalar_power(x[j], lj)
-                if j in negative_integers(l):
-                    factor = ring.one()
-                    for i in range(-int(lj)):
-                        factor = factor * (d - i)
-                    acc = acc * (factor * ring.recip_gamma(0, d))
-                else:
-                    acc = acc * ring.recip_gamma(lj, d)
-            assert np.array_equal(row, acc.coords), l
+    for ring, terms in sectors:
+        rows = values(x, terms, ring).coords
+        for l, row in zip((term.l for term in terms), rows):
+            assert np.array_equal(row, written_out(x, l, ring)), l
             checked += bool(negative_integers(l))
     assert checked
+
+
+def test_orbit_terms_past_the_factorial_overflow_are_finite():
+    # on (1,1,1,1,1,1,-6) the orbit term l' + m h of l' = 0 has
+    # l_7 = -6m, and its 1/Gamma product prod_{i<6m} (d - i) overflows
+    # a float from m = 29 on.  The rows up to m = 28 are the unscaled
+    # ones bit for bit; m = 29 and 30 are finite and go on with the
+    # orbit's geometric decay
+    data, tris = circuit_fixture((1, 1, 1, 1, 1, 1, -6))
+    plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
+    circuit = find_circuit(data, plus.t, minus.t)
+    wc = WallContext(circuit, plus, minus)
+    key = next(g.key() for g in plus.box if g.key() in wc.essential_plus)
+    ring = wc.rings(plus, 1e-2)[key]
+    x = select_endpoints(circuit, None, 1e-5).x_plus
+    line = Line((0,) * data.n, circuit)
+    rows = series.term_values(x, line.orbit(1, 30), line.den, ring).coords
+    assert np.isfinite(rows).all()
+    for m, row in enumerate(rows[:28], 1):
+        want = written_out(x, tuple(m * hv for hv in circuit.h), ring)
+        assert np.array_equal(row, want), m
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(written_out(x, tuple(29 * hv for hv in
+                                                     circuit.h), ring)).all()
+    norms = np.abs(rows).max(axis=1)
+    ratios = norms[1:] / norms[:-1]
+    assert np.abs(ratios[27:] / ratios[26:-1] - 1).max() < 0.01
 
 
 def test_dual_rows_carry_the_stripped_factor(pack):
@@ -473,10 +516,10 @@ def test_dual_rows_carry_the_stripped_factor(pack):
     # and the dual row keeps 1/2pi i per stripped coordinate
     x, sectors = batch_setup(pack)
     checked = 0
-    for ring, ls in sectors:
-        primal = series.term_values(x, ls, ring)
-        dual = series.term_values(x, ls, ring, dual=True)
-        for i, l in enumerate(ls):
+    for ring, terms in sectors:
+        primal = values(x, terms, ring)
+        dual = values(x, terms, ring, dual=True)
+        for i, l in enumerate(term.l for term in terms):
             back = ring.algebra.element(dual.coords[i])
             for j in negative_integers(l):
                 back = back * ring.divisor(j)
@@ -487,8 +530,94 @@ def test_dual_rows_carry_the_stripped_factor(pack):
     assert checked
 
 
+def equivalence_case(name):
+    if name == "local_p2":
+        return parse_fixture(LOCAL_P2)
+    if name in ("a1", "conifold"):
+        return load_fixture(name)
+    return circuit_fixture(name)
+
+
+@pytest.mark.parametrize("name", ["a1", "conifold", "local_p2",
+                                  *SMALL_CIRCUITS],
+                         ids=lambda n: n if isinstance(n, str)
+                         else "h=" + ",".join(map(str, n)))
+def test_integer_tables_match_the_fraction_terms(name):
+    # the integer terms, classification, order and term_values rows of
+    # every sector of both chambers and every c of the depth-2 battery,
+    # with and without the circuit, against the Fraction code they
+    # replaced (tests/support.py), rows bit for bit, primal and dual
+    data, tris = equivalence_case(name)
+    circuit = find_circuit(data, tris["plus"], tris["minus"])
+    policy = TruncationPolicy(tail_check=False)
+    x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(data.n))
+    battery = c_battery(data, 2)
+    for t in tris.values():
+        chamber = Chamber(data, t)
+        for g in chamber.box:
+            ring = DeformationRing(chamber.algebras[g.key()], eps=3e-3)
+            for circ in (None, circuit):
+                got = [enumerate_terms(data, t, c, g, policy, circ)
+                       for c in battery]
+                want = [reference_enumerate_terms(data, t, c, g, policy, circ)
+                        for c in battery]
+                for part, ref in zip(got, want):
+                    assert [(term.l, term.support, term.owning_cones,
+                             term.essential, term.generator)
+                            for term in part] == [
+                        (term.l, term.support, term.owning_cones,
+                         term.essential, term.generator) for term in ref]
+                    assert all(type(v) is int and term.den > 0
+                               for term in part for v in term.num)
+            terms = [term for part in got for term in part]
+            dens = {term.den for term in terms}
+            assert len(dens) <= 1
+            den = dens.pop() if dens else 1
+            for dual in (False, True):
+                rows = series.term_values(x, [term.num for term in terms],
+                                          den, ring, dual=dual).coords
+                ref = reference_term_values(x, [term.l for term in terms],
+                                            ring, dual=dual).coords
+                assert np.isfinite(ref).all()
+                assert np.array_equal(rows, ref), (g.key(), dual)
+
+
+@pytest.mark.parametrize("name", ["a1", "conifold"])
+def test_series_batches_build_fractions_per_lift_not_per_term(packs, name,
+                                                             monkeypatch):
+    # a canonical lift is n Fractions, each the sum of two, and each
+    # sector's ring has n offsets: at most 3n per lift, whatever the
+    # number of terms.  The Fraction terms of the parent code took 54 (a1)
+    # and 69 (conifold) per lift here
+    data = packs[name].data
+    x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(data.n))
+    battery = c_battery(data, 2)
+    chambers = [packs[name].chamber(t) for t in packs[name].tris.values()]
+    counts = {"fractions": 0, "lifts": 0, "terms": 0}
+    real_new, real_lift = Fraction.__new__, series.canonical_lift
+
+    def counted_new(cls, *args, **kwargs):
+        counts["fractions"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def counted_lift(*args):
+        counts["lifts"] += 1
+        return real_lift(*args)
+
+    monkeypatch.setattr(series, "canonical_lift", counted_lift)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    for chamber in chambers:
+        for dual in (False, True):
+            for _, terms, _, _ in series.sector_batches(
+                    chamber, battery, x, TruncationPolicy(), dual):
+                counts["terms"] += sum(map(len, terms))
+    monkeypatch.undo()
+    assert counts["terms"] > 5 * counts["lifts"]
+    assert counts["fractions"] <= 3 * data.n * counts["lifts"], counts
+
+
 def test_term_values_need_a_sampled_eps(a1):
     chamber = a1.chamber(a1.t_plus)
     ring = DeformationRing(chamber.algebras[chamber.box[0].key()], eps=None)
     with pytest.raises(InfeasibleArgs):
-        series.term_values((0.2, 0.8, 0.3), [(Fraction(0),) * 3], ring)
+        series.term_values((0.2, 0.8, 0.3), [(0,) * 3], 1, ring)

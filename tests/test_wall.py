@@ -25,7 +25,8 @@ from gkzflop import (
     select_endpoints,
 )
 from gkzflop import deform, kernels, wall
-from gkzflop.series import enumerate_terms, sum_rows, term_values
+from gkzflop.series import enumerate_terms, exponent_table, sum_rows, \
+    term_values
 from support import LOCAL_P2, SMALL_CIRCUITS, circuit_fixture, \
     reference_circles, reference_first_right, reference_integrand, \
     reference_left_residue_sum, reference_place_line, reference_pole_model, \
@@ -354,7 +355,10 @@ def test_line_matches_the_per_call_pole_model(packs, name):
                 continue
             assert outcome(lambda: line.first_right) \
                 == outcome(reference_first_right, lp, circuit, line.s0)
-            assert line.orbit(-1, 1) == [
+            assert all(type(v) is int for row in line.orbit(-1, 1)
+                       for v in row)
+            assert [tuple(Fraction(v, line.den) for v in row)
+                    for row in line.orbit(-1, 1)] == [
                 tuple(v + m * hv for v, hv in zip(lp, circuit.h))
                 for m in (-1, 0, 1)]
             lo, hi = line.s0 - 1.25, line.s0 + 1.25
@@ -399,7 +403,7 @@ def test_restored_residues_match_series_terms(pack):
             ring = ring0
         l = tuple(v + m * h for v, h in zip(lp, pack.circuit.h))
         ref = ring.algebra.element(
-            term_values(path.x_plus, [l], ring).coords[0])
+            term_values(path.x_plus, *exponent_table([l]), ring).coords[0])
         dev = (res - ref).norm() / max(ref.norm(), 1.0)
         assert dev < 1e-8, m
         if ref.norm() > 1e-6:
@@ -714,9 +718,10 @@ def test_nonessential_leftovers_are_summed_directly(a1, monkeypatch):
     for c, (vec, diag) in zip(battery, continued):
         want = {}
         for g in plus.box:
-            ls = [t.l for t in real(plus.data, plus.t, c, g, policy,
-                                    a1.circuit)]
-            want[g.key()] = sum_rows(term_values(x, ls, rings[g.key()]))
+            terms = real(plus.data, plus.t, c, g, policy, a1.circuit)
+            want[g.key()] = sum_rows(term_values(
+                x, [t.num for t in terms], terms[0].den if terms else 1,
+                rings[g.key()]))
         assert (vec == wall._stack(plus, want)).all(), c
         assert diag == {"est_error": 0.0, "nodes": 0}
     assert any(np.abs(vec).max() > 0 for vec, _ in continued)
