@@ -2,9 +2,9 @@
 
 Matrices go in and come out as lists of lists of fractions.Fraction (or
 ints for the lattice routines).  Row reduction over Q works on sparse
-rows, {column: Fraction} dicts, and touches only nonzero entries: the
-sector algebras reduce one small relation block per degree, mostly zero
-(the largest, on local P^2, is 30 x 19 with 73 nonzero entries).
+rows, {column: Fraction} dicts, and touches only nonzero entries: a
+sector algebra reduces its linear relations once and then one small
+block per degree, over the monomials in its free generators.
 The lattice routines stay dense; their matrices have rank <= 4 and a
 handful of columns.  solve_integer and reduce_mod_lattice take a Hermite
 normal form computed beforehand: a fixture's points have one lattice,

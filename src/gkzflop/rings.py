@@ -1,18 +1,23 @@
 """Twisted-sector cohomology algebras as finite nilpotent quotients.
 
-For a sector gamma of a triangulation, the algebra is generated by divisor
-classes D_i for i in Star(sigma(gamma)) \\ sigma(gamma), modulo
+For a sector gamma of a triangulation with support sigma, the algebra is
+generated by divisor classes D_j for j in Star(sigma), sigma included,
+modulo
 
-  * Stanley-Reisner monomials: prod_{j in J} D_j = 0 whenever
-    sigma(gamma) + J is not a cone, and
-  * linear relations sum_i mu(v_i) D_i = 0 for functionals mu vanishing
-    on the rays of sigma(gamma).
+  * linear relations sum_j <mu, v_j> D_j = 0 for every mu in M, with
+    D_j = 0 off Star(sigma), and
+  * Stanley-Reisner monomials: prod_{j in J} D_j = 0 whenever sigma + J
+    is not a cone
 
-Both kinds of relation are homogeneous, so the quotient is graded (Borisov,
-Chen & Smith, "The orbifold Chow ring of toric Deligne-Mumford stacks",
-J. AMS 18, 2005).  It is built one degree at a time, by exact row reduction
-of the degree-d relations over the degree-d monomials that survive the
-Stanley-Reisner relations, until a degree reduces to zero.  Structure
+(Borisov, Chen & Smith, "The orbifold Chow ring of toric Deligne-Mumford
+stacks", J. AMS 18, 2005; Borisov & Horja, "On the better behaved version
+of the GKZ hypergeometric system", Math. Ann. 357, 2013).  One exact row
+reduction of the linear relations writes every D_j as a linear form in
+the free generators; the rays of sigma are independent, so their classes
+are among those eliminated.  The quotient of the free polynomial ring by
+the images of the Stanley-Reisner monomials is graded, and it is built
+one degree at a time, by exact row reduction of those images over the
+free monomials of each degree, until a degree reduces to zero.  Structure
 constants are rational and stored both exactly and as complex arrays for
 numeric work.
 """
@@ -21,6 +26,7 @@ import cmath
 import functools
 import operator
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -49,61 +55,66 @@ class SectorAlgebra:
     # -- construction ---------------------------------------------------
 
     def _build(self, data, t, support):
-        """Reduce the relations degree by degree, up to the first zero degree.
+        """Eliminate the linear relations once, then reduce degree by degree.
 
-        A relation row (linear form) * m is homogeneous of degree deg m + 1,
-        so the relations of degree d are the annihilator forms times the
-        degree-(d - 1) monomials, and each degree reduces on its own.  The
-        non-pivot columns of the reduced form are the degree-d basis; a
-        pivot row, fully reduced, already writes its pivot monomial over
-        them.  The first degree with an empty basis is zero_degree: every
-        monomial of that degree or above reduces to zero.
+        One reduction of the rank coordinate relations, columns sigma and
+        then the generators, each sorted, writes every class D_j, j in
+        Star(sigma), as a linear form in the free generators (the
+        non-pivot columns).  The Stanley-Reisner ideal then lives in the
+        free generators, spanned in degree d by the images of the minimal
+        non-faces N of the link times the free monomials of degree
+        d - |N|.  Reduced over the degree-d free monomials in sorted
+        order, the non-pivot columns are the degree-d basis, and a pivot
+        row, fully reduced, writes its pivot monomial over them.  The
+        first degree with an empty basis is zero_degree: every monomial
+        of that degree or above reduces to zero.
         """
         gens = self.generators
-
-        def sr_zero(mono):
-            J = frozenset(gens[g] for g in mono)
-            return not t.is_cone(support | J)
-
-        sig_rows = [list(data.points[j]) for j in sorted(support)]
-        ann = rational.nullspace(sig_rows) if sig_rows else \
-            [[Fraction(i == j) for j in range(data.rank)]
-             for i in range(data.rank)]
-        forms = []
-        for mu in ann:
-            coeff = [sum(Fraction(a) * b for a, b in zip(mu, data.points[j]))
-                     for j in gens]
-            forms.append([(g, c) for g, c in enumerate(coeff) if c])
+        cols = sorted(support) + list(gens)
+        shift = len(support)
+        reduced, pivots = rational.rref(
+            [[data.points[j][a] for j in cols] for a in range(data.rank)])
+        free = [g for g in range(len(gens)) if shift + g not in pivots]
+        self._forms = {gens[g]: {(g,): Fraction(1)} for g in free}
+        for row, c in zip(reduced, pivots):
+            self._forms[cols[c]] = {(g,): -row[shift + g] for g in free
+                                    if row[shift + g]}
+        images, layer = [], {()}    # layer: the link's faces of one size
+        while layer:
+            grown = set()
+            for f in layer:
+                for g in range(f[-1] + 1 if f else 0, len(gens)):
+                    n = f + (g,)
+                    if any(n[:i] + n[i + 1:] not in layer
+                           for i in range(len(n))):
+                        continue
+                    if t.is_cone(support | {gens[i] for i in n}):
+                        grown.add(n)
+                    else:
+                        images.append((len(n), self._product(
+                            gens[i] for i in n)))
+            layer = grown
         basis = [()]
-        reductions = {(): {0: Fraction(1)}}   # sparse over basis positions
-        prev = [()]                           # SR survivors of degree d - 1
+        self._reduce = {(): {0: Fraction(1)}}   # sparse over basis positions
         for d in range(1, 2 * data.rank + 2):
-            products = {_mono_mul(p, (g,)) for p in prev
-                        for g in range(len(gens))}
-            monos = sorted(m for m in products if not sr_zero(m))
-            index = {m: i for i, m in enumerate(monos)}
+            monos = list(combinations_with_replacement(free, d))
             rows = []
-            for form in forms:
-                for p in prev:
-                    row = [Fraction(0)] * len(monos)
-                    for g, c in form:
-                        i = index.get(_mono_mul(p, (g,)))
-                        if i is not None:
-                            row[i] = c
-                    rows.append(row)
+            for size, poly in (im for im in images if im[0] <= d):
+                for m in combinations_with_replacement(free, d - size):
+                    prod = {_mono_mul(p, m): c for p, c in poly.items()}
+                    rows.append([prod.get(x, 0) for x in monos])
             reduced, pivots = rational.rref(rows)
-            free = sorted(set(range(len(monos))) - set(pivots))
-            if not free:
+            free_cols = [i for i in range(len(monos)) if i not in pivots]
+            if not free_cols:
                 self.zero_degree = d
                 break
-            pos = {i: len(basis) + k for k, i in enumerate(free)}
-            basis.extend(monos[i] for i in free)
-            for i in free:
-                reductions[monos[i]] = {pos[i]: Fraction(1)}
+            pos = {i: len(basis) + k for k, i in enumerate(free_cols)}
+            basis.extend(monos[i] for i in free_cols)
+            for i in free_cols:
+                self._reduce[monos[i]] = {pos[i]: Fraction(1)}
             for row, c in zip(reduced, pivots):
-                reductions[monos[c]] = {pos[i]: -row[i] for i in free
-                                        if row[i]}
-            prev = monos
+                self._reduce[monos[c]] = {pos[i]: -row[i] for i in free_cols
+                                          if row[i]}
         else:
             raise NilpotencyUnconfirmed(
                 f"sector {sector_label(self.sector.key())} of {t.label}: "
@@ -111,27 +122,42 @@ class SectorAlgebra:
                 f"{2 * data.rank + 1}")
         self.basis = tuple(basis)
         self.dim = len(basis)
-        self._reduce_exact = {
-            m: [sparse.get(b, Fraction(0)) for b in range(self.dim)]
-            for m, sparse in reductions.items()}
-        self._sr_zero = sr_zero
+
+    def _product(self, idx):
+        """prod_{j in idx} D_j as a polynomial {free monomial: Fraction}."""
+        poly = {(): Fraction(1)}
+        for j in idx:
+            out = {}
+            for a, x in poly.items():
+                for b, y in self._forms.get(j, {}).items():
+                    m = _mono_mul(a, b)
+                    out[m] = out.get(m, 0) + x * y
+            poly = {m: c for m, c in out.items() if c}
+        return poly
+
+    def _normal_form(self, poly):
+        """Exact basis coordinates of a polynomial in the free generators."""
+        out = [Fraction(0)] * self.dim
+        for mono, c in poly.items():
+            if len(mono) >= self.zero_degree:
+                continue
+            vec = self._reduce.get(mono)
+            if vec is None:
+                raise MonomialUnreduced(
+                    f"monomial {mono} outside reduction table")
+            for b, x in vec.items():
+                out[b] += c * x
+        return out
 
     def _finish_numeric(self):
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
-        gens = self.generators
-        self._divisor_exact = {}
-        for j in range(self.data.n):
-            if j in gens:
-                mono = (gens.index(j),)
-                vec = self._reduce_monomial(mono)
-            else:
-                vec = [Fraction(0)] * self.dim
-            self._divisor_exact[j] = vec
+        self._divisor_exact = {j: self.divisor_product_exact((j,))
+                               for j in range(self.data.n)}
         table = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
         self._mult_exact = {}
         for a, ma in enumerate(self.basis):
             for b, mb in enumerate(self.basis):
-                vec = self._reduce_monomial(_mono_mul(ma, mb))
+                vec = self._normal_form({_mono_mul(ma, mb): Fraction(1)})
                 self._mult_exact[(a, b)] = vec
                 table[a, b, :] = [float(x) for x in vec]
         self.mult_table = table
@@ -160,16 +186,6 @@ class SectorAlgebra:
         self._spans = tuple((k, c.index(k), c.index(k) + c.count(k))
                             for k in sorted(set(c)))
 
-    def _reduce_monomial(self, mono):
-        if self._sr_zero(mono):
-            return [Fraction(0)] * self.dim
-        if len(mono) >= self.zero_degree:
-            return [Fraction(0)] * self.dim
-        vec = self._reduce_exact.get(mono)
-        if vec is None:
-            raise MonomialUnreduced(f"monomial {mono} outside reduction table")
-        return vec
-
     # -- public API -----------------------------------------------------
 
     def key(self):
@@ -197,25 +213,17 @@ class SectorAlgebra:
         return AlgebraElement(self, coords)
 
     def divisor(self, j):
-        """Class of D_j; zero off Star(sigma) \\ sigma."""
+        """Class of D_j; zero off Star(sigma).
+
+        For j in Star(sigma), sigma included, the class is the linear
+        form in the free generators that the relations
+        sum_j <mu, v_j> D_j = 0, mu in M, leave.
+        """
         return AlgebraElement(self, self._divisor_num[j].copy())
 
-    def divisor_exact(self, j):
-        return list(self._divisor_exact[j])
-
-    def multiply_exact(self, a, b):
-        """Product of two rational coordinate vectors, exact."""
-        out = [Fraction(0)] * self.dim
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                for k, coeff in enumerate(self._mult_exact[(i, j)]):
-                    if coeff:
-                        out[k] += x * y * coeff
-        return out
+    def divisor_product_exact(self, idx):
+        """Exact coordinates of prod_{j in idx} D_j."""
+        return self._normal_form(self._product(idx))
 
     def multiply(self, x, y):
         """Row-wise product of coordinate arrays x and y of shape (..., dim).
@@ -263,15 +271,15 @@ class SectorAlgebra:
         return out
 
     def linear_relation_defects(self):
-        """Exact residuals sum_i mu(v_i) D_i for every coordinate functional.
+        """Exact residuals sum_j v_j[a] D_j, one per coordinate a, over all j.
 
-        Zero for annihilator functionals by construction; reported for the
-        full dual basis as the localization-consistency diagnostic.
+        The build writes every class over the free generators, so each
+        residual is zero; a nonzero one means a class broke the relations.
         """
         out = []
         for a in range(self.data.rank):
             vec = [Fraction(0)] * self.dim
-            for j in self.generators:
+            for j in range(self.data.n):
                 cj = Fraction(self.data.points[j][a])
                 if cj:
                     dv = self._divisor_exact[j]

@@ -519,16 +519,6 @@ def evaluate_gamma_dual(chamber, battery, x, policy, module=None):
 # -- PDE residuals ------------------------------------------------------
 
 
-def _exact_divisor_product(alg, idx):
-    acc = [Fraction(0)] * alg.dim
-    acc[alg.basis_index[()]] = Fraction(1)
-    for i in sorted(idx):
-        acc = alg.multiply_exact(acc, alg.divisor_exact(i))
-        if not any(acc):
-            break
-    return acc
-
-
 def _image_vanishes(alg, num, den):
     """Exact test that the term at l = num / den is the zero element.
 
@@ -536,7 +526,7 @@ def _image_vanishes(alg, num, den):
     its divisor class, so a vanishing product of those classes kills the
     whole term.
     """
-    return not any(_exact_divisor_product(alg, _negative_integers(num, den)))
+    return not any(alg.divisor_product_exact(_negative_integers(num, den)))
 
 
 def _euler_defect(alg, terms, c):

@@ -16,7 +16,7 @@ from gkzflop.rings import algebra_exp
 from gkzflop.deform import TWO_PI_I, principal_log, unit_phase
 from gkzflop.series import scalar_power
 from gkzflop.toric import ToricData, Triangulation, TwistedSector, _apply, \
-    canonical_lift, cone_index, essential_cones
+    canonical_lift, cone_index, essential_cones, star_rays
 
 # Local P^2: the nontrivial 3-fold flop of Borisov & Horja, "Mellin-Barnes
 # integrals as Fourier-Mukai transforms" (Adv. Math. 207, 2006).
@@ -220,6 +220,85 @@ def _reference_tuples(length, bound):
     for rest in _reference_tuples(length - 1, bound):
         for k in range(bound):
             yield (k,) + rest
+
+
+# rings.SectorAlgebra's build as it was before the linear relations were
+# eliminated once: the annihilator forms of sigma times every surviving
+# monomial in all the generators, reduced degree by degree, with the
+# Stanley-Reisner monomials dropped from each block.  test_rings checks
+# the basis, zero degree, generator classes and products against it.
+
+
+def reference_sector_algebra(data, t, sector):
+    """{basis, zero_degree, divisor, mult} of the sector, exactly.
+
+    divisor maps each generator j to the coordinates of D_j; mult maps
+    (a, b) to those of the product of basis monomials a and b.  None
+    when the nilpotency degree is not reached within 2 rank + 1.
+    """
+    support = sector.support
+    gens = tuple(sorted(star_rays(t, support)))
+
+    def mono_mul(a, b):
+        return tuple(sorted(a + b))
+
+    def sr_zero(mono):
+        return not t.is_cone(support | frozenset(gens[g] for g in mono))
+
+    sig_rows = [list(data.points[j]) for j in sorted(support)]
+    ann = rational.nullspace(sig_rows) if sig_rows else \
+        [[Fraction(i == j) for j in range(data.rank)]
+         for i in range(data.rank)]
+    forms = []
+    for mu in ann:
+        coeff = [sum(Fraction(a) * b for a, b in zip(mu, data.points[j]))
+                 for j in gens]
+        forms.append([(g, c) for g, c in enumerate(coeff) if c])
+    basis = [()]
+    reductions = {(): {0: Fraction(1)}}
+    prev = [()]
+    for d in range(1, 2 * data.rank + 2):
+        products = {mono_mul(p, (g,)) for p in prev for g in range(len(gens))}
+        monos = sorted(m for m in products if not sr_zero(m))
+        index = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for form in forms:
+            for p in prev:
+                row = [Fraction(0)] * len(monos)
+                for g, c in form:
+                    i = index.get(mono_mul(p, (g,)))
+                    if i is not None:
+                        row[i] = c
+                rows.append(row)
+        reduced, pivots = rational.rref(rows)
+        free = sorted(set(range(len(monos))) - set(pivots))
+        if not free:
+            zero_degree = d
+            break
+        pos = {i: len(basis) + k for k, i in enumerate(free)}
+        basis.extend(monos[i] for i in free)
+        for i in free:
+            reductions[monos[i]] = {pos[i]: Fraction(1)}
+        for row, c in zip(reduced, pivots):
+            reductions[monos[c]] = {pos[i]: -row[i] for i in free if row[i]}
+        prev = monos
+    else:
+        return None
+
+    def reduce(mono):
+        if sr_zero(mono) or len(mono) >= zero_degree:
+            return [Fraction(0)] * len(basis)
+        sparse = reductions[mono]
+        return [sparse.get(b, Fraction(0)) for b in range(len(basis))]
+
+    return {
+        "basis": tuple(basis),
+        "zero_degree": zero_degree,
+        "divisor": {j: reduce((g,)) for g, j in enumerate(gens)},
+        "mult": {(a, b): reduce(mono_mul(ma, mb))
+                 for a, ma in enumerate(basis)
+                 for b, mb in enumerate(basis)},
+    }
 
 
 def subparser_reference():

@@ -30,7 +30,8 @@ from gkzflop.fixtures import load_fixture, parse_fixture
 from gkzflop.rings import Chamber
 from gkzflop.toric import sector_label, star_of
 from gkzflop.wall import _localization_values
-from support import LOCAL_P2, circuit_fixture
+from support import LOCAL_P2, SMALL_CIRCUITS, circuit_fixture, \
+    reference_sector_algebra
 
 STRUCTURE_FILE = Path(__file__).parent / "data" / "sector_structure.json"
 STRUCTURE_CIRCUITS = ((2, 3, -3, -2), (1, 1, 1, 1, -4), (1, 1, 1, -1, -1, -1))
@@ -111,6 +112,49 @@ def test_linear_relation_defects_vanish_exactly(algebra_map):
                 assert all(x == 0 for x in vec), (key, alg.sector)
 
 
+@pytest.fixture(scope="module")
+def small_chambers():
+    """(h, data, chamber) for both chambers of every SMALL_CIRCUITS flop."""
+    out = []
+    for h in SMALL_CIRCUITS:
+        data, tris = circuit_fixture(h)
+        out += [(h, data, Chamber(data, t)) for t in tris.values()]
+    return out
+
+
+def test_linear_relations_hold_exactly_on_small_circuits(small_chambers):
+    # R^mu = 1 for a basis of M: sum_j v_j[a] D_j = 0 over every j, sigma
+    # included, and sum_j v_j[a] gamma_j is an integer, for every a
+    live = []    # the (circuit, sector) pairs with a nonzero sigma class
+    for h, data, chamber in small_chambers:
+        for alg in chamber.algebras.values():
+            for vec in alg.linear_relation_defects():
+                assert all(x == 0 for x in vec), (h, alg.sector)
+            for a in range(data.rank):
+                twist = sum(v[a] * g for v, g in zip(data.points,
+                                                     alg.sector.coords))
+                assert twist.denominator == 1, (h, alg.sector, a)
+            if any(any(alg.divisor_product_exact((j,)))
+                   for j in alg.sector.support):
+                live.append((h, alg.sector))
+    assert len(live) == 50
+    assert len({h for h, _ in live}) == 26
+
+
+def test_sector_algebras_match_the_reference_build(small_chambers):
+    # the build over all the generators, with the annihilator forms of
+    # sigma, gives the same basis, zero degree, generator classes and
+    # products; only the classes of sigma itself were missing there
+    for h, data, chamber in small_chambers:
+        for alg in chamber.algebras.values():
+            ref = reference_sector_algebra(data, chamber.t, alg.sector)
+            assert ref["basis"] == alg.basis, (h, alg.sector)
+            assert ref["zero_degree"] == alg.zero_degree, (h, alg.sector)
+            assert ref["divisor"] == {j: alg._divisor_exact[j]
+                                      for j in alg.generators}, (h, alg.sector)
+            assert ref["mult"] == alg._mult_exact, (h, alg.sector)
+
+
 def test_stanley_reisner_products(algebra_map):
     a1 = next(iter(algebra_map[("a1", "plus")].values()))
     assert (a1.divisor(0) * a1.divisor(2)).is_zero(1e-15)
@@ -122,9 +166,9 @@ def test_stanley_reisner_products(algebra_map):
 
 def test_exact_products_match_numeric(algebra_map):
     alg = next(iter(algebra_map[("a1", "plus")].values()))
-    prod = alg.multiply_exact(alg.divisor_exact(0), alg.divisor_exact(2))
+    prod = alg.divisor_product_exact((0, 2))
     assert all(x == 0 for x in prod)
-    prod = alg.multiply_exact(alg.divisor_exact(1), alg.divisor_exact(1))
+    prod = alg.divisor_product_exact((1, 1))
     num = alg.divisor(1) * alg.divisor(1)
     assert np.allclose([complex(x) for x in prod], num.coords, atol=1e-14)
 
@@ -142,9 +186,9 @@ def test_algebra_failures_are_typed_errors(a1):
     t = a1.t_plus
     alg = SectorAlgebra(a1.data, t, compute_box(a1.data, t)[0])
     mono = max(alg.basis, key=len)
-    del alg._reduce_exact[mono]
+    del alg._reduce[mono]
     with pytest.raises(MonomialUnreduced):
-        alg._reduce_monomial(mono)
+        alg._normal_form({mono: Fraction(1)})
     alg.zero_degree = 0
     with pytest.raises(NilpotencyUnconfirmed):
         alg.nilpotency_order(alg.generators[0])
@@ -189,21 +233,24 @@ def test_structure_constants_match_the_recorded_values():
 
 
 def test_rank_seven_circuit_builds_small():
-    # the one-shot build ran out of memory on this chamber
-    data, tris = circuit_fixture((1, 1, 1, 1, -1, -1, -1, -1))
-    assert data.rank == 7
-    for t in tris.values():
-        tracemalloc.start()
-        try:
-            chamber = Chamber(data, t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**26, peak
-        for alg in chamber.algebras.values():
-            assert alg.dim == len(star_of(t, alg.sector.support))
-            for j in alg.generators:
-                assert alg.nilpotency_order(j) <= data.rank + 1
+    # the one-shot build ran out of memory on the rank-7 chamber, and the
+    # build over all the generators took seconds on the rank-9 one
+    for h in ((1, 1, 1, 1, -1, -1, -1, -1),
+              (1, 1, 1, 1, 1, -1, -1, -1, -1, -1)):
+        data, tris = circuit_fixture(h)
+        assert data.rank == len(h) - 1
+        for t in tris.values():
+            tracemalloc.start()
+            try:
+                chamber = Chamber(data, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**26, (h, peak)
+            for alg in chamber.algebras.values():
+                assert alg.dim == len(star_of(t, alg.sector.support))
+                for j in alg.generators:
+                    assert alg.nilpotency_order(j) <= data.rank + 1
 
 
 def test_random_inverses(algebra_map):
