@@ -65,7 +65,6 @@ CLEARANCE, GUARD = 0.15, 1e-7
 MAX_DEPTH, STOP = 40, 1e-13
 _ROUND, _CIRCLE_NODES = 4, 64
 M_BACK, M_MAX = 25, 30
-INVARIANCE_SEED, INVARIANCE_CLASSES = 7, 20   # random classes, invariance
 RCOND_MIN = 1e-8     # smallest sigma_min / sigma_max of a sampled transform
 
 
@@ -767,68 +766,35 @@ def c_battery(data, depth):
     return sorted(cs)
 
 
-def nonessential_index_sets(data, circuit, t_plus, t_minus):
-    """Smallest index sets inside no essential cone of either side."""
-    ess = {frozenset(s) for s in essential_cones(data, t_plus, circuit)}
-    ess |= {frozenset(s) for s in essential_cones(data, t_minus, circuit)}
-    n = data.n
-    for size in range(1, n + 1):
-        found = [J for J in combinations(range(n), size)
-                 if not any(frozenset(J) <= e for e in ess)]
-        if found:
-            return found
-    return []
+def nonessential_set(data, circuit, t_plus, t_minus):
+    """The first smallest index set inside no essential cone of either side."""
+    ess = [frozenset(s) for t in (t_plus, t_minus)
+           for s in essential_cones(data, t, circuit)]
+    found = (J for size in range(1, data.n + 1)
+             for J in combinations(range(data.n), size)
+             if not any(e >= frozenset(J) for e in ess))
+    J = next(found, None)
+    # internal: no essential cone holds all indices, so some J exists
+    assert J is not None, "every index set meets an essential cone"
+    return J
 
 
-def random_nonessential_class(rng, data, circuit, t_plus, t_minus):
-    """A Laurent combination times prod (1 - R_j) over a non-essential set.
+def blind_classes(chamber, rings, mons, J):
+    """Localization values of R^b prod_{j in J} (1 - R_j), one row per b.
 
-    The index set J fits in no essential cone on either side, so the
-    class is blind to the wall and must be fixed by the transform.
+    J from nonessential_set makes these classes blind to the wall, so the
+    transform must fix them.  The factor is built once per sector.
     """
-    sets = nonessential_index_sets(data, circuit, t_plus, t_minus)
-    # internal: no essential cone holds all indices, so sets is nonempty
-    assert sets, "every index set meets an essential cone"
-    best = sets[0]
-    n = data.n
-    terms = {}
-    for _ in range(3):
-        b = tuple(int(rng.integers(-2, 3)) for _ in range(n))
-        terms[b] = terms.get(b, 0.0) + complex(rng.standard_normal(),
-                                               rng.standard_normal())
-    out = {}
-    for b, cf in terms.items():
-        expanded = {b: cf}
-        for j in best:
-            nxt = {}
-            for bb, cc in expanded.items():
-                nxt[bb] = nxt.get(bb, 0.0) + cc
-                b2 = tuple(v + (1 if i == j else 0)
-                           for i, v in enumerate(bb))
-                nxt[b2] = nxt.get(b2, 0.0) - cc
-            expanded = nxt
-        for bb, cc in expanded.items():
-            out[bb] = out.get(bb, 0.0) + cc
-    return out, best
-
-
-def evaluate_classes(chamber, rings, polys):
-    """Localization values of Laurent combinations, one flat vector each.
-
-    rings are the chamber's DeformationRings at one eps (at eps^0 for a
-    Laurent ring).  The monomials of all combinations are evaluated as
-    one batch; each combination adds its own rows in sorted order.
-    """
-    union = sorted(set().union(*polys))
-    pos = {b: i for i, b in enumerate(union)}
-    table = localization_matrix(chamber, rings, union)
+    units = [tuple(int(i == j) for i in range(chamber.data.n)) for j in J]
     out = []
-    for poly in polys:
-        mons = sorted(poly)
-        cfs = np.array([poly[b] for b in mons], dtype=complex)
-        rows = table[[pos[b] for b in mons]] * cfs[:, None]
-        out.append(np.cumsum(rows, axis=0)[-1])
-    return out
+    for g in chamber.box:
+        ring = rings[g.key()]
+        factor = ring.algebra.one()
+        for rj in _localization_values(ring, g.coords, units).coords:
+            factor = factor * (1.0 - ring.algebra.element(rj))
+        out.append((_localization_values(ring, g.coords, mons)
+                    * factor).coords)
+    return np.concatenate(out, axis=1)
 
 
 def gamma_vector(chamber, battery, x, policy):
@@ -850,10 +816,11 @@ def continued_vector(wall, rings, battery, x, policy, spec=None):
     Essential families are continued orbit-by-orbit from their
     generators: the line integral of the generator plus its orbit terms
     left of the line, the analytic continuation of the near-side orbit
-    sum.  Any non-essential leftovers (none in the bundled data) are
-    summed directly.  Each generator gets its own Line; per plus sector,
-    the orbit terms and leftovers of every c are one term_values batch,
-    and each c adds its own rows in term order.  Returns, per c, the
+    sum.  Non-essential leftovers (a1 and conifold have none; points
+    outside the circuit can give some) are summed directly.  Each
+    generator gets its own Line; per plus sector, the orbit terms and
+    leftovers of every c are one term_values batch, and each c adds its
+    own rows in term order.  Returns, per c, the
     stacked vector and the worst est_error and total nodes of its lines.
     """
     circuit, plus = wall.circuit, wall.plus
@@ -964,14 +931,23 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
             "checks": checks, "pass": ok}
 
 
+def _deviation(got, ref):
+    """Largest |got - ref| over max(|ref|, 1), and that scale."""
+    scale = max(np.abs(ref).max(), 1.0)
+    return float(np.abs(got - ref).max() / scale), scale
+
+
 def verify_fm_equals_ac(circuit, plus, minus,
                         eps_samples=(1e-2, 5e-3, 2e-3), depth=2,
                         y_abs=0.1, amplitude=None, policy=None,
                         spec=None):
-    """The full crossing battery: matrices, cancellation, end to end.
+    """The crossing battery: matrix, laurent, end_to_end and invariance.
 
     plus and minus are the Chambers of the two triangulations; one wall
-    context over them serves every eps below.  Returns a report dict;
+    context over them serves every eps below.  `invariance` checks that
+    the transform fixes R^b prod_{j in J} (1 - R_j), b over its monomials
+    and J the first smallest index set in no essential cone of either
+    side.  Returns a report dict;
     raises nothing on mere check failure (the caller decides), but
     propagates structural errors.
     """
@@ -987,8 +963,7 @@ def verify_fm_equals_ac(circuit, plus, minus,
     for eps in eps_samples:
         ac = ac_transform(wall, eps)
         fm = fm_transform(wall, eps)
-        scale = max(np.abs(fm.entries).max(), 1.0)
-        dev = float(np.abs(ac.entries - fm.entries).max() / scale)
+        dev, _ = _deviation(ac.entries, fm.entries)
         sizes, invertible = invertibility(fm.entries)
         samples.append({"eps": eps, "matrix_dev": dev, **sizes,
                         "pass": dev < 1e-10 and invertible})
@@ -997,8 +972,7 @@ def verify_fm_equals_ac(circuit, plus, minus,
 
     ac0 = ac_transform(wall, None)
     fm0 = fm_transform(wall, None)
-    scale = max(np.abs(fm0.entries).max(), 1.0)
-    dev0 = float(np.abs(ac0.entries - fm0.entries).max() / scale)
+    dev0, _ = _deviation(ac0.entries, fm0.entries)
     principal = nan_max(ac0.principal_ratio, fm0.principal_ratio)
     report["laurent"] = {
         "principal_ratio": principal,
@@ -1015,9 +989,7 @@ def verify_fm_equals_ac(circuit, plus, minus,
     worst_dev = 0.0
     rows = []
     for c, (lhs, diag), value in zip(battery, continued, values):
-        rhs = fm0.entries @ value
-        scale = max(np.abs(lhs).max(), 1.0)
-        dev = float(np.abs(lhs - rhs).max() / scale)
+        dev, scale = _deviation(fm0.entries @ value, lhs)
         worst_dev = nan_max(worst_dev, dev)
         rows.append({"c": list(c), "dev": dev,
                      "quad_error": diag["est_error"],
@@ -1026,20 +998,14 @@ def verify_fm_equals_ac(circuit, plus, minus,
     report["end_to_end"] = {"battery": rows, "max_dev": worst_dev,
                             "pass": all(r["pass"] for r in rows)}
 
-    rng = np.random.default_rng(INVARIANCE_SEED)
-    drawn = [random_nonessential_class(rng, data, circuit, t_plus, t_minus)
-             for _ in range(INVARIANCE_CLASSES)]
-    polys = [poly for poly, _ in drawn]
-    j_used = drawn[-1][1]
-    worst_inv = 0.0
-    for src, tgt in zip(evaluate_classes(minus, rings_minus, polys),
-                        evaluate_classes(plus, rings_plus, polys)):
-        got = fm0.entries @ src
-        scale = max(np.abs(tgt).max(), 1.0)
-        worst_inv = nan_max(worst_inv,
-                             float(np.abs(got - tgt).max() / scale))
-    report["invariance"] = {"classes": INVARIANCE_CLASSES,
-                            "J": [j + 1 for j in j_used],
+    J = nonessential_set(data, circuit, t_plus, t_minus)
+    src = blind_classes(minus, rings_minus, wall.monomials, J)
+    tgt = blind_classes(plus, rings_plus, wall.monomials, J)
+    worst_inv = nan_max(0.0, *(_deviation(fm0.entries @ vec, ref)[0]
+                               for vec, ref in zip(src, tgt)))
+    report["invariance"] = {"classes": len(wall.monomials),
+                            "J": [j + 1 for j in J],
+                            "signal": float(np.abs(tgt).max()),
                             "max_dev": worst_inv,
                             "pass": worst_inv < 1e-10}
 

@@ -34,6 +34,27 @@ triangulation minus
 1 2 3
 """
 
+# A square flop with a fifth point (2, 0) outside its circuit: the one
+# fixture whose wall-blind index set J = {5} is not every point, so its
+# blind classes R^b (1 - R_5) are nonzero, and whose plus-side series
+# has non-essential terms.
+TRAPEZOID = """rank 3
+1 0 1
+0 0 1
+0 1 1
+1 1 1
+2 0 1
+deg 0 0 1
+triangulation plus
+1 2 4
+2 3 4
+1 4 5
+triangulation minus
+1 2 3
+1 3 4
+1 4 5
+"""
+
 # every circuit relation of n <= 6 points with 1 <= |h_j| <= 3, sum h = 0
 # and gcd 1, one per multiset of coefficients (in descending order): 50
 SMALL_CIRCUITS = [h for n in range(3, 7) for h in

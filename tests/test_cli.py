@@ -17,7 +17,7 @@ from gkzflop import report as reporting
 from gkzflop.deform import DeformationRing, EpsSeries
 from gkzflop.fixtures import load_fixture, write_fixture
 from gkzflop.toric import compute_box, find_circuit
-from support import circuit_fixture, subparser_reference
+from support import TRAPEZOID, circuit_fixture, subparser_reference
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -819,3 +819,16 @@ def test_every_assertion_in_the_package_is_internal():
                "    'm'  # internal: c\n\nassert z\n"
                "raise AssertionError('no')\nraise ValueError('v')\nraise\n")
     assert unmarked_assertions(snippet) == [7, 8]
+
+
+def test_trapezoid_invariance_has_signal(tmp_path):
+    # the fifth point lies outside the circuit, so J = {5} and the blind
+    # classes R^b (1 - R_5), one per transform column, are nonzero
+    path = tmp_path / "trapezoid.txt"
+    path.write_text(TRAPEZOID)
+    status, rep = run_cli(["verify", "--fixture", str(path), "--depth", "0"],
+                          tmp_path)
+    assert status == 0
+    inv = rep["body"]["invariance"]
+    assert inv["J"] == [5] and inv["classes"] == 3
+    assert inv["signal"] == 1.0 and inv["pass"]

@@ -27,7 +27,7 @@ from gkzflop import (
 from gkzflop import deform, kernels, wall
 from gkzflop.series import enumerate_terms, exponent_table, sum_rows, \
     term_values
-from support import LOCAL_P2, SMALL_CIRCUITS, circuit_fixture, \
+from support import LOCAL_P2, SMALL_CIRCUITS, TRAPEZOID, circuit_fixture, \
     reference_circles, reference_first_right, reference_integrand, \
     reference_left_residue_sum, reference_place_line, reference_pole_model, \
     residue
@@ -699,7 +699,8 @@ def test_battery_vectors_do_not_depend_on_the_battery(packs, name):
 
 
 def test_nonessential_leftovers_are_summed_directly(a1, monkeypatch):
-    # no shipped crossing has non-essential terms; mark every term
+    # a1 has no non-essential terms (the trapezoid has six, see
+    # test_trapezoid_sums_its_nonessential_leftovers); mark every term
     # non-essential and the continued vector of each c is its plain
     # near-side series sum, with no line integrated
     real = wall.enumerate_terms
@@ -725,3 +726,59 @@ def test_nonessential_leftovers_are_summed_directly(a1, monkeypatch):
         assert (vec == wall._stack(plus, want)).all(), c
         assert diag == {"est_error": 0.0, "nodes": 0}
     assert any(np.abs(vec).max() > 0 for vec, _ in continued)
+
+
+def trapezoid_wall():
+    data, tris = parse_fixture(TRAPEZOID)
+    plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
+    return wall.WallContext(find_circuit(data, plus.t, minus.t), plus, minus)
+
+
+def test_trapezoid_sums_its_nonessential_leftovers(monkeypatch):
+    # the fifth point lies outside the circuit: six plus-side terms of
+    # the depth-2 battery are non-essential, and the continued vector
+    # matches the transformed far-side values only with them summed in
+    wc = trapezoid_wall()
+    real = wall.enumerate_terms
+    leftovers = []
+
+    def spy(*args):
+        terms = real(*args)
+        leftovers.extend(term for term in terms if not term.essential)
+        return terms
+    monkeypatch.setattr(wall, "enumerate_terms", spy)
+    x = select_endpoints(wc.circuit, None, 0.1).x_minus
+    policy = TruncationPolicy(degree_bound=25)
+    battery = wall.c_battery(wc.plus.data, 2)
+    continued = wall.continued_vector(wc, wc.rings(wc.plus, 0.0), battery, x,
+                                      policy)
+    assert len(leftovers) == 6
+    assert not any(term.generator for term in leftovers)
+    t = wall.fm_transform(wc, None).entries
+    values = wall.gamma_vector(wc.minus, battery, x, policy)
+    for c, (vec, _), value in zip(battery, continued, values):
+        assert np.abs(vec - t @ value).max() < 1e-12, c
+
+
+def test_blind_classes_span_one_direction_on_the_trapezoid():
+    # J = {5}: the classes R^b (1 - R_5) span one direction on the minus
+    # side, the third column, so the check sees a perturbation of the
+    # transform there and none in the first two columns
+    wc = trapezoid_wall()
+    data = wc.plus.data
+    J = wall.nonessential_set(data, wc.circuit, wc.plus.t, wc.minus.t)
+    assert J == (4,)
+    src = wall.blind_classes(wc.minus, wc.rings(wc.minus, 0.0),
+                             wc.monomials, J)
+    tgt = wall.blind_classes(wc.plus, wc.rings(wc.plus, 0.0), wc.monomials, J)
+    assert len(src) == len(wc.cols) == 3
+    t = wall.fm_transform(wc, None).entries
+
+    def worst(entries):
+        return max(wall._deviation(entries @ vec, ref)[0]
+                   for vec, ref in zip(src, tgt))
+    assert worst(t) < 1e-10
+    for col, dev in ((0, 0.0), (1, 0.0), (2, 1e-3)):
+        bumped = t.copy()
+        bumped[:, col] += 1e-3
+        assert worst(bumped) == pytest.approx(dev, rel=1e-9, abs=1e-15), col
