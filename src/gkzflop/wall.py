@@ -66,6 +66,14 @@ MAX_DEPTH, STOP = 40, 1e-13
 _ROUND, _CIRCLE_NODES = 4, 64
 M_BACK, M_MAX = 25, 30
 RCOND_MIN = 1e-8     # smallest sigma_min / sigma_max of a sampled transform
+# A line whose 1/Gamma argument z = 1 + l'_j + h_j s, h_j != 0, lies left of
+# Re z = GAMMA_RE_MIN cannot be finite.  With K = ceil(1/2 - Re z), 1/Gamma(z)
+# = z (z+1) ... (z+K-1) / Gamma(z+K) and |Gamma(z+K)| <= sqrt(pi); the
+# factors but the last have |Re| >= 1/2, 3/2, ..., so |1/Gamma(z)| >=
+# Gamma(K - 1/2) |Im z| / pi, above the float range there (K >= 181) at
+# every node more than 4e-20 off the real axis.  The kernel would multiply
+# the K factors back one pass at a time.
+GAMMA_RE_MIN = -180
 
 
 # -- path and endpoints -------------------------------------------------
@@ -257,34 +265,113 @@ class Line:
 # -- the integrand ------------------------------------------------------
 
 
-def make_integrand(x, line, ring):
+class LineFactors:
+    """The per-coordinate factors of the line integrands on one sector ring.
+
+    Coordinate j's factors depend on a line only through l'_j, and the
+    lines of a sector share their nodes, so each factor is evaluated
+    once per (exact node array, j, l'_j as a Fraction, h_j), and the
+    power once more per x_j: 1/Gamma(1 + l'_j + h_j s + D_j / 2 pi i),
+    the pole-denominator inverse of j in I_minus, 1 / (1 - e^{-D_j}
+    e^{-2 pi i (l'_j + h_j s)}), and e^{(l'_j + h_j s) log x_j - l'_j
+    log x_j}.  What depends only on the ring (d_j = D_j / 2 pi i and
+    e^{-D_j}) or on x and the ring (the branched powers x_j^{d_j} and
+    log x_j) is kept too.  Every factor is formed exactly as for one
+    line alone, so a shared value equals a fresh one bit for bit.  A
+    table lives as long as the call that builds it.
+    """
+
+    def __init__(self, ring):
+        if ring.laurent:
+            raise InfeasibleArgs("the line integrand needs a sampled eps")
+        self.ring = ring
+        self.d = [ring.divisor(j) * (1.0 / TWO_PI_I)
+                  for j in range(ring.algebra.data.n)]
+        self._exp_neg, self._at = {}, {}
+        self._gamma, self._pole, self._power = {}, {}, {}
+
+    def exp_neg(self, j):
+        """e^{-D_j}, formed for the j in I_minus alone: at a large
+        negative eps it may overflow for other j."""
+        if j not in self._exp_neg:
+            self._exp_neg[j] = self.ring.exp(self.ring.divisor(j) * (-1.0))
+        return self._exp_neg[j]
+
+    def at(self, x):
+        """The key of the point x (its bytes: -0.0 is not 0.0 there), the
+        branched powers x_j^{d_j} and log x_j."""
+        key = np.array(x, dtype=complex).tobytes()
+        if key not in self._at:
+            self._at[key] = (key, [self.ring.branched_power(v, dj)
+                                   for v, dj in zip(x, self.d)],
+                             [principal_log(v) for v in x])
+        return self._at[key]
+
+    def pole(self, nodes, s, j, lj, hj):
+        """1 / (1 - e^{-D_j} e^{-2 pi i (l'_j + h_j s)}) at the nodes s."""
+        key = (nodes, j, Fraction(lj), hj)
+        if key not in self._pole:
+            den = self.ring.one() - self.exp_neg(j) * np.exp(
+                -TWO_PI_I * (complex(lj) + s * hj))
+            self._pole[key] = self.ring.inv(den)
+        return self._pole[key]
+
+    def power(self, point, nodes, s, logxj, j, lj, hj):
+        """e^{(l'_j + h_j s) log x_j - l'_j log x_j} at the nodes s; point
+        is the key of x from at()."""
+        key = (point, nodes, j, Fraction(lj), hj)
+        if key not in self._power:
+            lpj = complex(lj)
+            self._power[key] = np.exp((lpj + s * hj) * logxj - lpj * logxj)
+        return self._power[key]
+
+    def gammas(self, nodes, s, lprime, h):
+        """1/Gamma(1 + l'_j + h_j s + d_j) for every j, as a list.
+
+        The coordinates the table lacks go to the kernel in one call.
+        """
+        keys = [(nodes, j, Fraction(lj), hj)
+                for j, (lj, hj) in enumerate(zip(lprime, h))]
+        missing = [k for k in keys if k not in self._gamma]
+        if missing:
+            e = np.stack([complex(lj) + s * hj for _, _, lj, hj in missing])
+            vals = self.ring.recip_gamma(1 + e, [self.d[j] for _, j, _, _
+                                                 in missing])
+            self._gamma.update(zip(missing, vals))
+        return [self._gamma[k] for k in keys]
+
+
+def make_integrand(x, line, ring, factors=None):
     """Closure evaluating I(s) on line at x, s-independent parts hoisted.
 
     The closure takes one node s or an array of nodes and returns one
     element, or a batch with one row per node.  The ring must be in
     numeric mode (a concrete eps): series-mode values are not batched.
-    A node closer than GUARD to any point of the line's pole model,
-    removable points included, raises PoleProximity.  The guard runs in
-    floats: per node it measures the nearest integer and, for each of
-    the line's families, the nearest (l'_k - w) / (-h_k) over every
-    integer w, rounded as the model's Fraction rounds.
+    factors is the LineFactors table of ring that the caller's lines
+    share; None gives the integrand a table of its own.  The closure
+    multiplies the table's factors in one fixed order, so its values do
+    not depend on what the table already held.  A node closer than
+    GUARD to any point of the line's pole model, removable points
+    included, raises PoleProximity.  The guard runs in floats: per node
+    it measures the nearest integer and, for each of the line's
+    families, the nearest (l'_k - w) / (-h_k) over every integer w,
+    rounded as the model's Fraction rounds.
     """
-    if ring.laurent:
-        raise InfeasibleArgs("the line integrand needs a sampled eps")
+    if factors is None:
+        factors = LineFactors(ring)
+    # internal: a shared table belongs to the ring it is passed with
+    assert factors.ring is ring, "line factors of another ring"
     x = tuple(complex(v) for v in x)
     n = len(x)
     lprime, h = line.lprime, line.circuit.h
     iminus = sorted(line.circuit.I_minus)
-    lp = [complex(v) for v in lprime]
     # l'_k = a / b: the point of w is (a - w b) / (b (-h_k)), one rounding
     families = [(float(lk), hk, lk.numerator, lk.denominator)
                 for lk, hk in line.families]
-    d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
     one = ring.one()
-    exp_neg = {j: ring.exp(ring.divisor(j) * (-1.0)) for j in iminus}
-    nums = {j: one - exp_neg[j] * unit_phase(-lprime[j]) for j in iminus}
-    bp = [ring.branched_power(x[j], d[j]) for j in range(n)]
-    logx = [principal_log(x[j]) for j in range(n)]
+    nums = {j: one - factors.exp_neg(j) * unit_phase(-lprime[j])
+            for j in iminus}
+    point, bp, logx = factors.at(x)
     const = ring.one()
     for j in range(n):
         const = const * bp[j] * scalar_power(x[j], lprime[j])
@@ -302,19 +389,19 @@ def make_integrand(x, line, ring):
         if hit.any():
             raise PoleProximity(f"s = {complex(s[hit].flat[0])} too "
                                 f"close to a pole")
+        nodes = (s.shape, s.tobytes())
         # a value that overflows stays inf or NaN without a numpy warning:
         # the quadratures gate the values for finiteness
         with np.errstate(over="ignore", invalid="ignore"):
             acc = const * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
             for j in iminus:
-                den = one - exp_neg[j] * np.exp(-TWO_PI_I
-                                                * (lp[j] + s * h[j]))
-                acc = acc * nums[j] * ring.inv(den)
-            e = np.stack([lp[j] + s * h[j] for j in range(n)])
-            gammas = ring.recip_gamma(1 + e, d)    # one kernel call, every j
+                acc = acc * nums[j] * factors.pole(nodes, s, j, lprime[j],
+                                                   h[j])
+            gammas = factors.gammas(nodes, s, lprime, h)
             for j in range(n):
                 if h[j]:
-                    acc = acc * np.exp(e[j] * logx[j] - lp[j] * logx[j])
+                    acc = acc * factors.power(point, nodes, s, logx[j], j,
+                                              lprime[j], h[j])
                 acc = acc * gammas[j]
         return acc
 
@@ -373,8 +460,16 @@ def mb_contour_oracle(f, line, height):
     the line nodes and the fine step, the error estimate |fine - coarse|
     of the two trapezoid levels, and the measured tail bounds.  The two
     tail probes at the ends of the line share the line's one integrand
-    call.
+    call.  A 1/Gamma argument left of Re z = GAMMA_RE_MIN raises
+    NonFiniteValue before anything is evaluated.
     """
+    circuit = line.circuit
+    low = min(1 + lk + hk * line.s0
+              for lk, hk in zip(line.lprime, circuit.h) if hk)
+    if low < GAMMA_RE_MIN:
+        raise NonFiniteValue(
+            f"1/Gamma overflows on the line Re s = {line.s0}: an argument "
+            f"has Re z = {float(low):.6g} < {GAMMA_RE_MIN}")
     probes = np.array([complex(line.s0, height), complex(line.s0, -height)])
     fine, coarse, vals, step = _line_quadrature(f, line.s0, height,
                                                 line.distance, probes)
@@ -820,11 +915,15 @@ def continued_vector(wall, rings, battery, x, policy, spec=None):
     outside the circuit can give some) are summed directly.  Each
     generator gets its own Line; per plus sector, the orbit terms and
     leftovers of every c are one term_values batch, and each c adds its
-    own rows in term order.  Returns, per c, the
-    stacked vector and the worst est_error and total nodes of its lines.
+    own rows in term order.  The lines of a plus sector share one
+    LineFactors table over the whole battery: they all sit on the same
+    nodes, so a factor of (j, l'_j) is evaluated once.  Returns, per c,
+    the stacked vector and the worst est_error and total nodes of its
+    lines.
     """
     circuit, plus = wall.circuit, wall.plus
     spec = spec or ContourSpec()
+    factors = {key: LineFactors(ring) for key, ring in rings.items()}
     ls = {g.key(): [] for g in plus.box}
     dens = dict.fromkeys(ls, 1)
     plans = []
@@ -838,8 +937,8 @@ def continued_vector(wall, rings, battery, x, policy, spec=None):
                 if term.generator:
                     line = Line(term.l, circuit, spec.s0)
                     q, dg = mb_contour_oracle(
-                        make_integrand(x, line, rings[g.key()]), line,
-                        spec.height)
+                        make_integrand(x, line, rings[g.key()],
+                                       factors[g.key()]), line, spec.height)
                     terms = line.orbit(-M_BACK, line.first_right - 1)
                     den = line.den
                     diag["est_error"] = nan_max(diag["est_error"],
@@ -878,7 +977,9 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
     plus and minus are the Chambers of the two triangulations.  Each
     generator's Line is built at its first use and serves every eps; per
     eps, one integrand at each endpoint, the far one shared by its line
-    and its residue circles.
+    and its residue circles.  The integrands of one eps and sector share
+    a LineFactors table, so the near and far ends of a line evaluate
+    their Gamma and pole factors, which do not depend on x, once.
     """
     data, t_plus = plus.data, plus.t
     spec = spec or ContourSpec()
@@ -897,17 +998,18 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
         rings = wall.rings(plus, eps)
         for key, lps in generators.items():
             ring = rings[key]
+            factors = LineFactors(ring)
             for lp in lps:
                 if lp not in lines:
                     lines[lp] = Line(lp, circuit, spec.s0)
                 line = lines[lp]
                 q_p, dg_p = mb_contour_oracle(
-                    make_integrand(path.x_plus, line, ring), line,
+                    make_integrand(path.x_plus, line, ring, factors), line,
                     spec.height)
                 right = orbit_sum(path.x_plus, line, ring, line.first_right,
                                   M_MAX)
                 dev_r = (q_p - right).norm() / max(right.norm(), 1.0)
-                f_m = make_integrand(path.x_minus, line, ring)
+                f_m = make_integrand(path.x_minus, line, ring, factors)
                 q_m, dg_m = mb_contour_oracle(f_m, line, spec.height)
                 left = left_residue_sum(f_m, line)
                 dev_l = (q_m + left).norm() / max(left.norm(), 1.0)

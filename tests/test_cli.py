@@ -97,6 +97,24 @@ def test_nonfinite_contour_re_rejected(tmp_path):
     assert "--contour-re" in rep["body"]["message"]
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("value", ["1e9", "-1e9"])
+@pytest.mark.parametrize("fixture", ["a1", "conifold"])
+def test_far_contour_re_ends_before_the_kernel(tmp_path, monkeypatch,
+                                               command, value, fixture):
+    # the first line's Gamma arguments reach Re z ~ -1e9 on either side;
+    # the kernel's shift loop once took one pass per unit of |Re z|, and
+    # now the line is refused before any 1/Gamma is evaluated
+    def never(z, kmax):
+        raise AssertionError("the kernel was called")
+    monkeypatch.setattr(kernels, "recip_gamma_series", never)
+    status, rep = run_cli([command, "--fixture", fixture,
+                           f"--contour-re={value}"], tmp_path)
+    assert status == 1
+    assert rep["body"]["error"] == "NonFiniteValue"
+    assert "1/Gamma overflows" in rep["body"]["message"]
+
+
 @pytest.mark.parametrize("height,error", [
     ("nan", "InputError"), ("inf", "InputError"), ("-1", "InputError"),
     # finite, but the trapezoid step would need 458,368 nodes on a line

@@ -24,7 +24,7 @@ from gkzflop import (
     parse_fixture,
     select_endpoints,
 )
-from gkzflop import deform, kernels, wall
+from gkzflop import cli, deform, kernels, wall
 from gkzflop.series import enumerate_terms, exponent_table, sum_rows, \
     term_values
 from support import LOCAL_P2, SMALL_CIRCUITS, TRAPEZOID, circuit_fixture, \
@@ -164,6 +164,55 @@ def test_laurent_transform_does_not_depend_on_the_window(monkeypatch,
     for other_ratio, other_entries in got[1:]:
         assert other_ratio == ratio
         assert np.array_equal(other_entries, entries)
+
+
+def unit_character(h):
+    """An integer b with h . b = 1, by the extended gcd (gcd h = 1)."""
+    def egcd(a, b):
+        if b == 0:
+            return a, 1, 0
+        g, x, y = egcd(b, a % b)
+        return g, y, x - (a // b) * y
+    g, b = 0, [0] * len(h)
+    for j, v in enumerate(h):
+        g, p, q = egcd(g, v)
+        b = [p * bi for bi in b]
+        b[j] = q
+    return tuple(g * bi for bi in b)     # g = +-1
+
+
+# the fixed offsets 0, ..., n-1 cannot separate these crossings' poles
+OFFSET_REFUSED = [(3, -1, -2), (3, 2, -2, -3), (3, 2, -1, -2, -2),
+                  (3, 1, -1, -1, -2), (2, 2, -1, -1, -2),
+                  (3, 3, -1, -1, -2, -2)]
+
+
+def test_laurent_transform_does_not_depend_on_its_monomial_basis():
+    # T maps the minus-side localization values onto the plus-side ones,
+    # so any basis of Laurent monomials with full-rank values gives the
+    # same T: the greedy wall.monomials and the window characters
+    # b_w = w b_1, w = 0, ..., eta - 1, with h . b_1 = 1, agree to 1.0e-12
+    # on every buildable census crossing
+    built = 0
+    for h in SMALL_CIRCUITS:
+        data, tris = circuit_fixture(h)
+        plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
+        circuit = find_circuit(data, plus.t, minus.t)
+        if h in OFFSET_REFUSED:
+            with pytest.raises(InfeasibleArgs, match="deformation offsets"):
+                wall.WallContext(circuit, plus, minus)
+            continue
+        wc = wall.WallContext(circuit, plus, minus)
+        greedy = wall.fm_transform(wc, None).entries
+        b1 = unit_character(circuit.h)
+        assert sum(hj * bj for hj, bj in zip(circuit.h, b1)) == 1
+        wc.monomials = tuple(tuple(w * bj for bj in b1)
+                             for w in range(len(wc.cols)))
+        window = wall.fm_transform(wc, None).entries
+        scale = np.abs(greedy).max()
+        assert np.abs(window - greedy).max() <= 1e-9 * scale, h
+        built += 1
+    assert built == len(SMALL_CIRCUITS) - len(OFFSET_REFUSED) == 44
 
 
 def test_transforms_at_generic_eps(pack):
@@ -782,3 +831,135 @@ def test_blind_classes_span_one_direction_on_the_trapezoid():
         bumped = t.copy()
         bumped[:, col] += 1e-3
         assert worst(bumped) == pytest.approx(dev, rel=1e-9, abs=1e-15), col
+
+
+# -- shared line factors -------------------------------------------------
+
+
+def values_of(f, out):
+    """f with the coordinates of every batch it returns appended to out."""
+    def g(s):
+        vals = f(s)
+        out.append(vals.coords.copy())
+        return vals
+    g.decay, g.arg_y = f.decay, f.arg_y
+    return g
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("name", ["a1", "conifold", (2, 2, -1, -3)],
+                         ids=["a1", "conifold", "h=2,2,-1,-3"])
+def test_shared_line_factors_are_exact(packs, name, eps, monkeypatch):
+    # the generator lines of a depth-2 battery, one LineFactors table per
+    # sector and eps, at both endpoints: each line's value, est_error and
+    # node values equal those of a fresh make_integrand(x, line, ring) to
+    # the last bit, whatever the table held before it, and the shared
+    # tables send fewer Gamma arguments to the kernel
+    if name in packs:
+        data, tris = packs[name].data, packs[name].tris
+    else:
+        data, tris = circuit_fixture(name)
+    plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
+    circuit = find_circuit(data, plus.t, minus.t)
+    rings = wall.WallContext(circuit, plus, minus).rings(plus, eps)
+    path = select_endpoints(circuit, None, 0.1)
+    sent = {"shared": 0, "fresh": 0}
+    mode = ["fresh"]
+    real_kernel = kernels.recip_gamma_series
+
+    def counted_kernel(z, kmax):
+        sent[mode[0]] += np.size(z)
+        return real_kernel(z, kmax)
+    monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
+    lines = 0
+    for g in plus.box:
+        ring = rings[g.key()]
+        factors = wall.LineFactors(ring)
+        for c in wall.c_battery(data, 2):
+            for term in enumerate_terms(data, plus.t, c, g,
+                                        TruncationPolicy(), circuit):
+                if not term.generator:
+                    continue
+                line = wall.Line(term.l, circuit)
+                for x in (path.x_plus, path.x_minus):
+                    got, want = [], []
+                    mode[0] = "shared"
+                    q, dg = wall.mb_contour_oracle(values_of(
+                        wall.make_integrand(x, line, ring, factors), got),
+                        line, 14.0)
+                    mode[0] = "fresh"
+                    q0, dg0 = wall.mb_contour_oracle(values_of(
+                        wall.make_integrand(x, line, ring), want), line, 14.0)
+                    assert q.coords.tobytes() == q0.coords.tobytes()
+                    assert dg == dg0
+                    assert [v.tobytes() for v in got] \
+                        == [v.tobytes() for v in want]
+                    lines += 1
+    assert lines >= 8
+    assert 0 < sent["shared"] < sent["fresh"]
+
+
+@pytest.mark.parametrize("argv, sent", [
+    (["verify", "--fixture", "a1"], 5796),
+    (["verify", "--fixture", "conifold"], 7728),
+    (["oracle", "--fixture", "a1", "--eps", "1e-2", "--eps", "3e-3"], 3864),
+    (["oracle", "--fixture", "conifold", "--eps", "1e-2", "--eps", "3e-3"],
+     5152)], ids=["verify-a1", "verify-conifold", "oracle-a1",
+                  "oracle-conifold"])
+def test_lines_send_each_factor_to_the_kernel_once(monkeypatch, argv, sent):
+    # the Gamma arguments the lines send (644 nodes and probes a line):
+    # one integrand table per line sent 17,388, 36,064, 7,728 and 10,304
+    # of them; a table per sector shares the coordinates whose l'_j the
+    # sector's lines repeat, and oracle's near and far ends share theirs
+    count = {"on": False, "sent": 0}
+    real_kernel, real_oracle = kernels.recip_gamma_series, \
+        wall.mb_contour_oracle
+
+    def counted_kernel(z, kmax):
+        count["sent"] += np.size(z) if count["on"] else 0
+        return real_kernel(z, kmax)
+
+    def on_lines(*args):
+        count["on"] = True
+        try:
+            return real_oracle(*args)
+        finally:
+            count["on"] = False
+    monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
+    monkeypatch.setattr(wall, "mb_contour_oracle", on_lines)
+    status, _ = cli.run(argv[0], cli.build_parser().parse_args(argv))
+    assert status == 0
+    assert count["sent"] == sent
+
+
+@pytest.mark.parametrize("s0", [1e9, -1e9])
+def test_far_lines_are_refused_before_any_evaluation(packs, s0):
+    # 1 + l'_j + h_j s0 lies far left of GAMMA_RE_MIN for some j on
+    # either side; the kernel would take one pass per unit of |Re z|
+    def never(s):
+        raise AssertionError("the integrand was called")
+    for pack in packs.values():
+        for lp in {term.l for g in pack.chamber(pack.t_plus).box
+                   for term in enumerate_terms(
+                       pack.data, pack.t_plus, (0,) * pack.data.rank, g,
+                       TruncationPolicy(), pack.circuit) if term.generator}:
+            line = wall.Line(lp, pack.circuit, s0)
+            with pytest.raises(NonFiniteValue, match="1/Gamma overflows"):
+                wall.mb_contour_oracle(never, line, 14.0)
+
+
+def test_lines_near_the_gamma_bound_are_not_finite(a1):
+    # a1's l' = 0 on Re s = 89.5 reaches Re z = 1 - 2 (89.5) = -178 at
+    # j = 2, right of the bound: it is evaluated, and the overflow the
+    # bound predicts shows on the line; at 90.75 (Re z = -180.5) it is
+    # refused unevaluated
+    x, lp, ring = a1_line(a1)
+    line = wall.Line(lp, a1.circuit, 89.5)
+    assert line.s0 == 89.5
+    with pytest.raises(NonFiniteValue, match="not finite on the line"):
+        wall.mb_contour_oracle(wall.make_integrand(x, line, ring), line,
+                               14.0)
+    line = wall.Line(lp, a1.circuit, 90.75)
+    with pytest.raises(NonFiniteValue, match="-180.5 < -180"):
+        wall.mb_contour_oracle(wall.make_integrand(x, line, ring), line,
+                               14.0)
