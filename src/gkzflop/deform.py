@@ -381,27 +381,28 @@ class DeformationRing:
         w is the float centre less d's scalar part: 1 + z for the factor
         1/Gamma(1 + z + d) of a series term or the integrand, formed by
         the caller (series forms (N + v) / N from integer numerators).
-        w may be an array, which gives a batch of elements, and d may be
-        a list of shifts: w then stacks one batch per shift along its
-        leading axis, one kernel call serves every shift, and the result
-        is the list of their batches.  The kernel is exact at the poles
-        of Gamma, so a nonpositive integer w needs no functional
-        equation.  A Laurent ring raises InfeasibleArgs: it never meets
-        1/Gamma.
+        w may be an array, which gives a batch of elements.  w and d may
+        also be a list of arrays, of any shapes, and the list of their
+        shifts: one kernel call then serves every pair, and the result
+        is the list of their batches.  The kernel is elementwise, so a
+        value does not depend on the arrays it is sent with.  It is
+        exact at the poles of Gamma, so a nonpositive integer w needs no
+        functional equation.  A Laurent ring raises InfeasibleArgs: it
+        never meets 1/Gamma.
         """
         if self.laurent:
             raise InfeasibleArgs("1/Gamma needs a sampled eps")
         many = isinstance(d, list)
         shifts = d if many else [d]
-        rows = np.asarray(w, dtype=complex)
-        if not many:
-            rows = rows[None]
-        s = np.array([x.scalar_part for x in shifts])
-        center = rows + s.reshape((-1,) + (1,) * (rows.ndim - 1))
+        ws = [np.asarray(v, dtype=complex) for v in (w if many else [w])]
+        center = np.concatenate([(v + x.scalar_part).reshape(-1)
+                                 for v, x in zip(ws, shifts)])
         mmax = self.algebra.zero_degree - 1
         c = kernels.recip_gamma_series(center, mmax)
-        out = []
-        for row, x in zip(c, shifts):
+        out, start = [], 0
+        for v, x in zip(ws, shifts):
+            row = c[start:start + v.size].reshape(v.shape + (mmax + 1,))
+            start += v.size
             n = x.nilpotent_part()
             acc = self.algebra.scalar(row[..., mmax])
             for m in range(mmax - 1, -1, -1):

@@ -144,11 +144,14 @@ def _recip_gamma_series_flat(z, kmax):
             f.append(sum(math.comb(m - 1, j) * g[m - j - 1] * f[j]
                          for j in range(m)))
             out[:, m] = f[m] / math.factorial(m)
-        # multiply the polynomial (z+u)(z+1+u)... back in, factor by factor
+        # multiply the polynomial (z+u)(z+1+u)... back in, factor by
+        # factor; a row with K <= j keeps its value, and while every row
+        # is live no mask is needed
         for j in range(int(count.max(initial=0.0)) - 1, -1, -1):
             times = (z + j)[:, None] * out
             times[:, 1:] += out[:, :-1]
-            out = np.where((count > j)[:, None], times, out)
+            live = count > j
+            out = times if live.all() else np.where(live[:, None], times, out)
     return out
 
 

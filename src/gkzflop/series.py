@@ -269,43 +269,52 @@ def _normalize_rows(coords, rows, scale):
         scale[rows] += e
 
 
-def _recip_gamma_rows(values, den, d, ring, dual):
+def _recip_gamma_rows(columns, den, ds, ring, dual):
     """Coordinates of 1/Gamma(1 + v/den + d), one row per sorted distinct v.
 
-    Every v/den that is not a negative integer, and 0 when some is, goes
-    through one batched ring.recip_gamma call at the float centres
-    (den + v) / den.  A negative integer v/den = -m takes the
+    columns holds, per coordinate, its sorted distinct numerators v, and
+    ds the coordinate's shift d.  Every v/den that is not a negative
+    integer, and 0 when some is, goes to the kernel at the float centre
+    (den + v) / den, every coordinate's centres in one batched
+    ring.recip_gamma call.  A negative integer v/den = -m takes the
     functional-equation product prod_{i<m} (d - i) times the value at 0;
     the products for successive m extend each other.  dual strips the
-    leading factor d: the product starts at i = 1.  Returns the rows and
-    a power-of-two exponent per row: past m of about 170 the product
-    overflows, so where the next factor would make it non-finite it is
-    scaled down by an exact power of two, whose exponent the row
-    carries.  Every product that is finite unscaled keeps exponent 0.
+    leading factor d: the product starts at i = 1.  Returns, per
+    coordinate, the rows and a power-of-two exponent per row: past m of
+    about 170 the product overflows, so where the next factor would make
+    it non-finite it is scaled down by an exact power of two, whose
+    exponent the row carries.  Every product that is finite unscaled
+    keeps exponent 0.
     """
-    neg = [v for v in values if v < 0 and not v % den]
-    zs = sorted(set(values).difference(neg).union([0] if neg else []))
-    batch = ring.recip_gamma(np.array([(den + v) / den for v in zs]), d)
-    rows = dict(zip(zs, batch.coords))
-    exps = dict.fromkeys(values, 0)
-    if neg:
-        at_zero = d.algebra.element(rows[0])
-        products, acc, e = [], d.algebra.one(), 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(-neg[0] // den):
-                if i >= dual:
-                    step = acc * (d - i)
-                    if not np.isfinite(step.coords).all():
-                        acc, k = _normalized(acc)
-                        e += k
+    negs = [[v for v in values if v < 0 and not v % den] for values in columns]
+    centres = [sorted(set(values).difference(neg).union([0] if neg else []))
+               for values, neg in zip(columns, negs)]
+    batches = ring.recip_gamma([np.array([(den + v) / den for v in zs])
+                                for zs in centres], list(ds))
+    out = []
+    for values, d, neg, zs, batch in zip(columns, ds, negs, centres,
+                                         batches):
+        rows = dict(zip(zs, batch.coords))
+        exps = dict.fromkeys(values, 0)
+        if neg:
+            at_zero = d.algebra.element(rows[0])
+            products, acc, e = [], d.algebra.one(), 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(-neg[0] // den):
+                    if i >= dual:
                         step = acc * (d - i)
-                    acc = step
-                products.append((acc, e))
-        for v in neg:
-            acc, exps[v] = products[-v // den - 1]
-            rows[v] = (acc * at_zero).coords
-    return np.array([rows[v] for v in values]), \
-        np.array([exps[v] for v in values])
+                        if not np.isfinite(step.coords).all():
+                            acc, k = _normalized(acc)
+                            e += k
+                            step = acc * (d - i)
+                        acc = step
+                    products.append((acc, e))
+            for v in neg:
+                acc, exps[v] = products[-v // den - 1]
+                rows[v] = (acc * at_zero).coords
+        out.append((np.array([rows[v] for v in values]),
+                    np.array([exps[v] for v in values])))
+    return out
 
 
 def term_values(x, nums, den, ring, dual=False):
@@ -314,16 +323,18 @@ def term_values(x, nums, den, ring, dual=False):
     The exponents are l = num / den, one row num of integer numerators
     per term: an element batch of shape (len(nums), dim).  Per
     coordinate j the branched power is formed once and each distinct
-    numerator is evaluated once (_recip_gamma_rows), then gathered back
-    to its rows; the factors are multiplied in coordinate order, as one
-    term at a time would.  A row with a reciprocal-Gamma product that
-    carries a power of two is kept scaled, its largest coordinate in
-    [1/2, 1) after each factor, and its exponents are applied at the
-    end; every other row is formed exactly as without them.  dual=True
-    gives the dual-series coefficients: for l_j < 0 integral the
-    reciprocal-Gamma factor is divisible by D_j/2pi i, and that leading
-    factor is removed (the 1/2pi i kept), realizing the divided
-    coefficient that multiplies the generator of the support cone.
+    numerator is evaluated once, then gathered back to its rows; the
+    distinct centres of every coordinate go to the kernel in one call
+    (_recip_gamma_rows).  The factors are multiplied in coordinate
+    order, as one term at a time would.  A row with a reciprocal-Gamma
+    product that carries a power of two is kept scaled, its largest
+    coordinate in [1/2, 1) after each factor, and its exponents are
+    applied at the end; every other row is formed exactly as without
+    them.  dual=True gives the dual-series coefficients: for l_j < 0
+    integral the reciprocal-Gamma factor is divisible by D_j/2pi i, and
+    that leading factor is removed (the 1/2pi i kept), realizing the
+    divided coefficient that multiplies the generator of the support
+    cone.
 
     The ring must be in numeric mode (a concrete eps).
     """
@@ -333,22 +344,20 @@ def term_values(x, nums, den, ring, dual=False):
     acc = ring.algebra.scalar(np.ones(len(table)))
     if not len(table):
         return acc
-    columns = []
+    ds = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(len(x))]
+    distinct = [np.unique(column, return_inverse=True) for column in table.T]
+    values = [v.tolist() for v, _ in distinct]
+    gammas = _recip_gamma_rows(values, den, ds, ring, dual)
     scaled = np.zeros(len(table), dtype=bool)
-    for j, xj in enumerate(x):
-        d = ring.divisor(j) * (1.0 / TWO_PI_I)
-        values, take = np.unique(table[:, j], return_inverse=True)
-        values = values.tolist()
-        rows, exps = _recip_gamma_rows(values, den, d, ring, dual)
+    for (_, take), (_, exps) in zip(distinct, gammas):
         scaled |= exps[take] != 0
-        columns.append((xj, d, values, take, rows, exps[take]))
     scale = np.zeros(len(table), dtype=int)
-    for j, (xj, d, values, take, rows, exps) in enumerate(columns):
-        acc = acc * ring.branched_power(xj, d) * _powers(xj, values,
-                                                         den)[take]
+    for j, (xj, d, vals, (_, take), (rows, exps)) in enumerate(
+            zip(x, ds, values, distinct, gammas)):
+        acc = acc * ring.branched_power(xj, d) * _powers(xj, vals, den)[take]
         _normalize_rows(acc.coords, scaled, scale)
         acc = acc * d.algebra.element(rows[take])
-        scale += exps
+        scale += exps[take]
         _normalize_rows(acc.coords, scaled, scale)
         if dual:
             column = table[:, j]

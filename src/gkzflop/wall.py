@@ -22,8 +22,9 @@ the integrand, the quadrature, the residue sums and the orbit sums.
 
 The end-to-end check of verify_fm_equals_ac runs over a battery of
 lattice points c at eps = 0 and evaluates it as a whole: one set of
-rings per side, one line integral per orbit generator, and one series
-batch (series.term_values) per sector and side for every c at once
+rings per side, one line integral per orbit generator, the lines of a
+sector on one node grid evaluated as one stack, and one series batch
+(series.term_values) per sector and side for every c at once
 (continued_vector, gamma_vector).  Each c sums only its own rows, in
 term order, so its values do not depend on the rest of the battery.
 """
@@ -38,9 +39,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InfeasibleArgs, LocalizationRankDeficient, \
-    NonFiniteValue, PoleOnContour, PoleProximity, PoleRightOfLine, \
-    TailBoundViolated
+from .errors import GkzflopError, InfeasibleArgs, \
+    LocalizationRankDeficient, NonFiniteValue, PoleOnContour, PoleProximity, \
+    PoleRightOfLine, TailBoundViolated
 from .toric import canonical_lift, adjacent_sector, essential_cones, \
     essential_sectors, sector_label
 from .deform import DeformationRing, TWO_PI_I, unit_phase, principal_log
@@ -269,16 +270,17 @@ class LineFactors:
     """The per-coordinate factors of the line integrands on one sector ring.
 
     Coordinate j's factors depend on a line only through l'_j, and the
-    lines of a sector share their nodes, so each factor is evaluated
+    lines of a node grid share their nodes, so each factor is evaluated
     once per (exact node array, j, l'_j as a Fraction, h_j), and the
     power once more per x_j: 1/Gamma(1 + l'_j + h_j s + D_j / 2 pi i),
     the pole-denominator inverse of j in I_minus, 1 / (1 - e^{-D_j}
     e^{-2 pi i (l'_j + h_j s)}), and e^{(l'_j + h_j s) log x_j - l'_j
     log x_j}.  What depends only on the ring (d_j = D_j / 2 pi i and
     e^{-D_j}) or on x and the ring (the branched powers x_j^{d_j} and
-    log x_j) is kept too.  Every factor is formed exactly as for one
-    line alone, so a shared value equals a fresh one bit for bit.  A
-    table lives as long as the call that builds it.
+    log x_j) is kept too.  The Gamma factors a stack of lines lacks go
+    to the kernel in one call.  Every factor is formed exactly as for
+    one line alone, so a shared value equals a fresh one bit for bit.
+    A table lives as long as the call that builds it.
     """
 
     def __init__(self, ring):
@@ -325,85 +327,125 @@ class LineFactors:
             self._power[key] = np.exp((lpj + s * hj) * logxj - lpj * logxj)
         return self._power[key]
 
-    def gammas(self, nodes, s, lprime, h):
-        """1/Gamma(1 + l'_j + h_j s + d_j) for every j, as a list.
+    def gammas(self, nodes, s, lprimes, h):
+        """1/Gamma(1 + l'_j + h_j s + d_j), a list over j per l' of lprimes.
 
-        The coordinates the table lacks go to the kernel in one call.
+        The keys the table lacks, over every l', go to the kernel in one
+        call.
         """
-        keys = [(nodes, j, Fraction(lj), hj)
-                for j, (lj, hj) in enumerate(zip(lprime, h))]
-        missing = [k for k in keys if k not in self._gamma]
+        keys = [[(nodes, j, Fraction(lj), hj)
+                 for j, (lj, hj) in enumerate(zip(lprime, h))]
+                for lprime in lprimes]
+        missing = list(dict.fromkeys(k for row in keys for k in row
+                                     if k not in self._gamma))
         if missing:
-            e = np.stack([complex(lj) + s * hj for _, _, lj, hj in missing])
-            vals = self.ring.recip_gamma(1 + e, [self.d[j] for _, j, _, _
-                                                 in missing])
+            vals = self.ring.recip_gamma(
+                [1 + (complex(lj) + s * hj) for _, _, lj, hj in missing],
+                [self.d[j] for _, j, _, _ in missing])
             self._gamma.update(zip(missing, vals))
-        return [self._gamma[k] for k in keys]
+        return [[self._gamma[k] for k in row] for row in keys]
 
 
-def make_integrand(x, line, ring, factors=None):
-    """Closure evaluating I(s) on line at x, s-independent parts hoisted.
+def _rows(arrays):
+    """The arrays stacked along a new leading axis; one is a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    The closure takes one node s or an array of nodes and returns one
-    element, or a batch with one row per node.  The ring must be in
+
+def make_integrand(x, lines, ring, factors=None):
+    """Closure evaluating I(s) on a stack of lines at x, hoisted.
+
+    lines is a list of Lines of one circuit, or one Line, a stack of
+    one.  The closure takes one node s or an array of nodes, shared by
+    the lines, and returns a batch of shape (L,) + s.shape + (dim,), one
+    block per line; for a single Line the leading axis is left out.
+    Each block is the line's I(s) alone to the last bit: the factors of
+    a line multiply in one fixed order, SectorAlgebra.multiply treats
+    rows apart, and the kernel works elementwise.  The ring must be in
     numeric mode (a concrete eps): series-mode values are not batched.
     factors is the LineFactors table of ring that the caller's lines
-    share; None gives the integrand a table of its own.  The closure
-    multiplies the table's factors in one fixed order, so its values do
-    not depend on what the table already held.  A node closer than
-    GUARD to any point of the line's pole model, removable points
-    included, raises PoleProximity.  The guard runs in floats: per node
-    it measures the nearest integer and, for each of the line's
-    families, the nearest (l'_k - w) / (-h_k) over every integer w,
-    rounded as the model's Fraction rounds.
+    share; None gives the integrand a table of its own.  A node closer
+    than GUARD to any point of a line's pole model, removable points
+    included, raises PoleProximity for the first such line.  The guard
+    runs in floats: per node it measures the nearest integer and, for
+    each of the line's families, the nearest (l'_k - w) / (-h_k) over
+    every integer w, rounded as the model's Fraction rounds.  .decay
+    and .arg_y depend on x and the circuit alone.
     """
+    stacked = not isinstance(lines, Line)
+    lines = list(lines) if stacked else [lines]
     if factors is None:
         factors = LineFactors(ring)
+    circuit = lines[0].circuit
     # internal: a shared table belongs to the ring it is passed with
     assert factors.ring is ring, "line factors of another ring"
+    # internal: a stack holds the lines of one circuit
+    assert all(line.circuit is circuit for line in lines)
+    alg = ring.algebra
     x = tuple(complex(v) for v in x)
     n = len(x)
-    lprime, h = line.lprime, line.circuit.h
-    iminus = sorted(line.circuit.I_minus)
-    # l'_k = a / b: the point of w is (a - w b) / (b (-h_k)), one rounding
-    families = [(float(lk), hk, lk.numerator, lk.denominator)
-                for lk, hk in line.families]
+    h = circuit.h
+    iminus = sorted(circuit.I_minus)
+    lprimes = [line.lprime for line in lines]
+    # per family k, a column with one row per line of l'_k = a / b as a
+    # float, a, b and b (-h_k): the point of w is (a - w b) / (b (-h_k)),
+    # one rounding
+    families = []
+    for i, (_, hk) in enumerate(lines[0].families):
+        lks = [line.families[i][0] for line in lines]
+        cols = np.array([[float(lk), lk.numerator, lk.denominator,
+                          lk.denominator * hk] for lk in lks]).T
+        families.append((hk, *cols[:, :, None]))
     one = ring.one()
-    nums = {j: one - factors.exp_neg(j) * unit_phase(-lprime[j])
-            for j in iminus}
+    nums = {j: np.array([(one - factors.exp_neg(j)
+                          * unit_phase(-lprime[j])).coords
+                         for lprime in lprimes]) for j in iminus}
     point, bp, logx = factors.at(x)
-    const = ring.one()
-    for j in range(n):
-        const = const * bp[j] * scalar_power(x[j], lprime[j])
+    consts = []
+    for lprime in lprimes:
+        const = ring.one()
+        for j in range(n):
+            const = const * bp[j] * scalar_power(x[j], lprime[j])
+        consts.append(const.coords)
+    consts = np.array(consts)
     ay = sum(hv * lg.imag for hv, lg in zip(h, logx)) \
         + math.pi * sum(h[j] for j in iminus)
 
     def f(s):
         s = np.asarray(s, dtype=complex)
+        # one entry per line, broadcast over the nodes
+        lead = (len(lines),) + (1,) * s.ndim
         # the model's points lie on the real line, so the nearest of a
-        # family to s is the nearest to Re s
-        hit = np.abs(s - np.rint(s.real)) < GUARD
-        for lk, hk, a, b in families:
-            w = np.rint(lk - hk * s.real)
-            hit |= np.abs(s - (a - w * b) / (b * hk)) < GUARD
+        # family to s is the nearest to Re s; one row of nodes per line
+        flat = s.reshape(-1)
+        hit = np.abs(flat - np.rint(flat.real)) < GUARD
+        for hk, lk, a, b, bh in families:
+            w = np.rint(lk - hk * flat.real)
+            hit = hit | (np.abs(flat - (a - w * b) / bh) < GUARD)
         if hit.any():
-            raise PoleProximity(f"s = {complex(s[hit].flat[0])} too "
+            first = next(row for row in np.broadcast_to(
+                hit, (len(lines), flat.size)) if row.any())
+            raise PoleProximity(f"s = {complex(flat[first][0])} too "
                                 f"close to a pole")
         nodes = (s.shape, s.tobytes())
         # a value that overflows stays inf or NaN without a numpy warning:
         # the quadratures gate the values for finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            acc = const * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
+            acc = alg.element(consts.reshape(lead + (alg.dim,))) \
+                * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
             for j in iminus:
-                acc = acc * nums[j] * factors.pole(nodes, s, j, lprime[j],
-                                                   h[j])
-            gammas = factors.gammas(nodes, s, lprime, h)
+                acc = acc * alg.element(nums[j].reshape(lead + (alg.dim,))) \
+                    * alg.element(_rows([
+                        factors.pole(nodes, s, j, lp[j], h[j]).coords
+                        for lp in lprimes]))
+            gammas = factors.gammas(nodes, s, lprimes, h)
             for j in range(n):
                 if h[j]:
-                    acc = acc * factors.power(point, nodes, s, logx[j], j,
-                                              lprime[j], h[j])
-                acc = acc * gammas[j]
-        return acc
+                    acc = acc * _rows([
+                        factors.power(point, nodes, s, logx[j], j, lp[j],
+                                      h[j]) for lp in lprimes])
+                acc = acc * alg.element(_rows([row[j].coords
+                                               for row in gammas]))
+        return acc if stacked else alg.element(acc.coords[0])
 
     f.decay = (2.0 * math.pi + ay, -ay)   # rates for t -> +inf / -inf
     f.arg_y = ay
@@ -424,6 +466,20 @@ class ContourSpec:
     height: float = 14.0
 
 
+def _stack_size(height, a):
+    """Lines per stack on a node grid of half-height height at distance a.
+
+    A stack holds at most MAX_LINE_NODES nodes and tail probes in all,
+    or one line: the largest single line a stack may hold, so no stack
+    has larger temporaries.  A line past the node cap is alone in its
+    stack, where the quadrature refuses it.
+    """
+    half = height * LINE_EXPONENT / (math.pi * a)    # may be inf
+    if not half < MAX_LINE_NODES:
+        return 1
+    return max(1, MAX_LINE_NODES // (2 * math.ceil(half) + 2))
+
+
 def _line_quadrature(f, s0, height, a, probes=()):
     """Nested trapezoid levels on the line, all nodes in one integrand call.
 
@@ -432,9 +488,12 @@ def _line_quadrature(f, s0, height, a, probes=()):
     there); the coarse level is its even nodes at step 2h.  On a strip
     of half-width a both levels converge geometrically (Trefethen &
     Weideman, SIAM Review 56, 2014).  The points of probes are evaluated
-    in the same call.  Returns the fine and coarse values, the integrand
-    values (the n nodes, then the probes) and the fine step; a line node
-    that is not finite raises NonFiniteValue before anything is summed.
+    in the same call.  f may evaluate a stack of lines on these nodes;
+    each line sums its own contiguous block of nodes.  Returns the fine
+    and coarse values (with the stack's leading axis), the integrand
+    values (per line the n nodes, then the probes) and the fine step; a
+    line node that is not finite raises NonFiniteValue, for the first
+    such line, before anything is summed.
     """
     n = 2 * math.ceil(height * LINE_EXPONENT / (math.pi * a))
     if n > MAX_LINE_NODES:
@@ -444,49 +503,78 @@ def _line_quadrature(f, s0, height, a, probes=()):
     step = 2.0 * height / n
     vals = f(np.concatenate([s0 + 1j * (-height + (np.arange(n) + 0.5)
                                          * step), probes]))
-    line = vals.algebra.element(vals.coords[:n])
-    _require_finite(line, "line")
+    alg = vals.algebra
+    blocks = vals.coords.reshape((-1,) + vals.coords.shape[-2:])
+    lines = [alg.element(block[:n]) for block in blocks]
+    for line in lines:
+        _require_finite(line, "line")
     scale = step * (-1.0 / (2.0 * math.pi))
-    coarse = vals.algebra.element(line.coords[::2]).sum() * (2.0 * scale)
-    return line.sum() * scale, coarse, vals, step
+    fine = [(line.sum() * scale).coords for line in lines]
+    coarse = [(alg.element(line.coords[::2]).sum() * (2.0 * scale)).coords
+              for line in lines]
+    shape = vals.coords.shape[:-2] + (alg.dim,)
+    return alg.element(np.reshape(fine, shape)), \
+        alg.element(np.reshape(coarse, shape)), vals, step
 
 
-def mb_contour_oracle(f, line, height):
-    """Numeric value of the line integral, downward orientation.
+def mb_contour_oracle(f, lines, height):
+    """Numeric value of each line integral, downward orientation.
 
-    f is the integrand built on line.  With this orientation the result
-    equals the right-hand pole sum when |y| < 1 and minus the left-hand
-    pole sum when |y| > 1.  Returns the value and a diagnostics dict:
-    the line nodes and the fine step, the error estimate |fine - coarse|
-    of the two trapezoid levels, and the measured tail bounds.  The two
-    tail probes at the ends of the line share the line's one integrand
-    call.  A 1/Gamma argument left of Re z = GAMMA_RE_MIN raises
-    NonFiniteValue before anything is evaluated.
+    f is the integrand built on lines, a list of Lines on one node grid
+    (the same s0 and distance) or one Line.  With this orientation a
+    line's result equals the right-hand pole sum when |y| < 1 and minus
+    the left-hand pole sum when |y| > 1.  Returns, per line, the value
+    and a diagnostics dict: the line nodes and the fine step, the error
+    estimate |fine - coarse| of the two trapezoid levels, and the
+    measured tail bounds; one Line gives its pair alone.  Every line
+    sums its own contiguous block of the one integrand call, its two
+    tail probes included.  The checks run in the order one line runs
+    them, each over the lines in stack order: a 1/Gamma argument left
+    of Re z = GAMMA_RE_MIN raises NonFiniteValue, and a grid past
+    MAX_LINE_NODES InfeasibleArgs, before anything is evaluated; then
+    the node guard, finiteness of the line nodes, then of the probes,
+    the decay rates and the tail bounds.
     """
-    circuit = line.circuit
-    low = min(1 + lk + hk * line.s0
-              for lk, hk in zip(line.lprime, circuit.h) if hk)
-    if low < GAMMA_RE_MIN:
-        raise NonFiniteValue(
-            f"1/Gamma overflows on the line Re s = {line.s0}: an argument "
-            f"has Re z = {float(low):.6g} < {GAMMA_RE_MIN}")
-    probes = np.array([complex(line.s0, height), complex(line.s0, -height)])
-    fine, coarse, vals, step = _line_quadrature(f, line.s0, height,
-                                                line.distance, probes)
-    nodes = len(vals.coords) - len(probes)
-    ends = vals.algebra.element(vals.coords[nodes:])
-    _require_finite(ends, "tail probes")
+    stacked = not isinstance(lines, Line)
+    lines = list(lines) if stacked else [lines]
+    s0, distance = lines[0].s0, lines[0].distance
+    # internal: the lines of a stack share one node grid
+    assert all(line.s0 == s0 and line.distance == distance
+               for line in lines), "lines on different node grids"
+    for line in lines:
+        low = min(1 + lk + hk * s0
+                  for lk, hk in zip(line.lprime, line.circuit.h) if hk)
+        if low < GAMMA_RE_MIN:
+            raise NonFiniteValue(
+                f"1/Gamma overflows on the line Re s = {s0}: an argument "
+                f"has Re z = {float(low):.6g} < {GAMMA_RE_MIN}")
+    probes = np.array([complex(s0, height), complex(s0, -height)])
+    fine, coarse, vals, step = _line_quadrature(f, s0, height, distance,
+                                                probes)
+    alg = vals.algebra
+    blocks = vals.coords.reshape((-1,) + vals.coords.shape[-2:])
+    nodes = blocks.shape[1] - len(probes)
+    ends = [alg.element(block[nodes:]) for block in blocks]
+    for end in ends:
+        _require_finite(end, "tail probes")
     rate_up, rate_dn = f.decay
     if min(rate_up, rate_dn) <= 0:
         raise TailBoundViolated("arg y outside (-2 pi, 0): no decay")
-    tail_up, tail_dn = (float(v) for v in ends.norm() / (rate_up, rate_dn))
-    if tail_up + tail_dn > TAIL_TOL:
-        raise TailBoundViolated(
-            f"measured tails {tail_up:.2e}+{tail_dn:.2e} "
-            f"exceed {TAIL_TOL:.2e}")
-    return fine, {"nodes": nodes, "step": step,
-                  "est_error": (fine - coarse).norm(),
-                  "tail": tail_up + tail_dn}
+    tails = [tuple(float(v) for v in end.norm() / (rate_up, rate_dn))
+             for end in ends]
+    for tail_up, tail_dn in tails:
+        if tail_up + tail_dn > TAIL_TOL:
+            raise TailBoundViolated(
+                f"measured tails {tail_up:.2e}+{tail_dn:.2e} "
+                f"exceed {TAIL_TOL:.2e}")
+    fine = fine.coords.reshape(-1, alg.dim)
+    coarse = coarse.coords.reshape(-1, alg.dim)
+    out = [(alg.element(fi), {"nodes": nodes, "step": step,
+                              "est_error": (alg.element(fi)
+                                            - alg.element(ci)).norm(),
+                              "tail": up + dn})
+           for fi, ci, (up, dn) in zip(fine, coarse, tails)]
+    return out if stacked else out[0]
 
 
 def residue_at(f, centers, radii):
@@ -612,8 +700,11 @@ class WallContext:
     the transform, and for each essential plus sector the angular data
     (theta, coords2) of its poles (k, r) by both residue routes.  The
     monomial basis is found on first use, so a command that assembles
-    no transform never searches for it.  Everything that depends on eps
-    is built by the functions that take eps, from `rings`.
+    no transform never searches for it.  The DeformationRings of a side
+    at one eps are built once, by `rings`, and shared by every function
+    that takes that eps, so the two residue routes share the series
+    mode's memo of exp, inverse and powers; the rest of what depends on
+    eps is built by those functions.
     """
 
     def __init__(self, circuit, plus, minus):
@@ -649,6 +740,7 @@ class WallContext:
                           for i in range(plus.algebras[g.key()].dim))
         self.cols = tuple((g.key(), i) for g in minus.box
                           for i in range(minus.algebras[g.key()].dim))
+        self._rings = {}
 
     @functools.cached_property
     def monomials(self):
@@ -656,9 +748,20 @@ class WallContext:
         return monomial_basis(self)
 
     def rings(self, chamber, eps):
-        """The DeformationRing of every sector of chamber at eps."""
-        return {key: DeformationRing(alg, self.offsets, eps=eps)
-                for key, alg in chamber.algebras.items()}
+        """The DeformationRing of every sector of chamber at eps.
+
+        Built once per side and eps (None: Laurent), keyed by eps as the
+        ring reads it, its sign of zero included; callers share them.
+        """
+        # internal: a context serves its own two chambers
+        assert chamber is self.plus or chamber is self.minus
+        side = (chamber is self.plus, None if eps is None
+                else repr(complex(eps)))
+        if side not in self._rings:
+            self._rings[side] = {key: DeformationRing(alg, self.offsets,
+                                                      eps=eps)
+                                 for key, alg in chamber.algebras.items()}
+        return self._rings[side]
 
 
 def _localization_values(ring, coords, mons):
@@ -905,6 +1008,40 @@ def gamma_vector(chamber, battery, x, policy):
     return [_stack(chamber, p) for p in per]
 
 
+def _line_values(x, rings, factors, lines, height):
+    """Value, diagnostics and left orbit terms of every (sector key, Line).
+
+    The lines of one sector on one node grid (s0 and distance) are
+    evaluated as stacks: one integrand and one mb_contour_oracle call
+    per stack, in battery order, at most _stack_size lines each.  The
+    orbit terms are those left of the line, l' + m h for -M_BACK <= m <
+    first_right.  If a stack fails, the lines run again one at a time in
+    battery order, each its quadrature and then its orbit split, so the
+    first failing line raises what it would raise alone.
+    """
+    grids = {}
+    for i, (key, line) in enumerate(lines):
+        grids.setdefault((key, line.s0, line.distance), []).append(i)
+    out = [None] * len(lines)
+    try:
+        for (key, _, distance), rows in grids.items():
+            size = _stack_size(height, distance)
+            for start in range(0, len(rows), size):
+                part = rows[start:start + size]
+                stack = [lines[i][1] for i in part]
+                f = make_integrand(x, stack, rings[key], factors[key])
+                for i, res in zip(part, mb_contour_oracle(f, stack, height)):
+                    out[i] = res
+    except GkzflopError:
+        for key, line in lines:
+            mb_contour_oracle(make_integrand(x, line, rings[key],
+                                             factors[key]), line, height)
+            line.orbit(-M_BACK, line.first_right - 1)
+        raise
+    return [(q, dg, line.orbit(-M_BACK, line.first_right - 1))
+            for (q, dg), (_, line) in zip(out, lines)]
+
+
 def continued_vector(wall, rings, battery, x, policy, spec=None):
     """Far-side values of the near-side solutions, one per c.
 
@@ -912,55 +1049,71 @@ def continued_vector(wall, rings, battery, x, policy, spec=None):
     generators: the line integral of the generator plus its orbit terms
     left of the line, the analytic continuation of the near-side orbit
     sum.  Non-essential leftovers (a1 and conifold have none; points
-    outside the circuit can give some) are summed directly.  Each
-    generator gets its own Line; per plus sector, the orbit terms and
-    leftovers of every c are one term_values batch, and each c adds its
-    own rows in term order.  The lines of a plus sector share one
-    LineFactors table over the whole battery: they all sit on the same
-    nodes, so a factor of (j, l'_j) is evaluated once.  Returns, per c,
+    outside the circuit can give some) are summed directly.  Every Line
+    of the battery is built first, then the lines of each plus sector
+    are evaluated as one stack per node grid (_line_values), sharing one
+    LineFactors table over the whole battery: a factor of (j, l'_j) is
+    evaluated once.  The first failing step in battery order decides
+    the error, as if each c ran alone: an error while the lines are
+    built is raised once the lines before it have run.  Per plus
+    sector, the orbit terms and leftovers of every c are one term_values
+    batch, and each c adds its own rows in term order.  Returns, per c,
     the stacked vector and the worst est_error and total nodes of its
     lines.
     """
     circuit, plus = wall.circuit, wall.plus
     spec = spec or ContourSpec()
     factors = {key: LineFactors(ring) for key, ring in rings.items()}
+    plans, lines, pending = [], [], None
+    try:
+        for c in battery:
+            plans.append({})
+            for g in plus.box:
+                parts = plans[-1][g.key()] = []
+                for term in enumerate_terms(plus.data, plus.t, c, g, policy,
+                                            circuit):
+                    if term.generator:
+                        line = Line(term.l, circuit, spec.s0)
+                        lines.append((g.key(), line))
+                        parts.append(line)
+                    elif not term.essential:
+                        parts.append(term)
+    except GkzflopError as err:     # raised once the lines before it ran
+        pending = err
+    values = iter(_line_values(x, rings, factors, lines, spec.height))
+    if pending is not None:
+        raise pending
     ls = {g.key(): [] for g in plus.box}
     dens = dict.fromkeys(ls, 1)
-    plans = []
-    for c in battery:
-        plan, diag = {}, {"est_error": 0.0, "nodes": 0}
-        for g in plus.box:
-            rows = ls[g.key()]
-            parts = plan[g.key()] = []
-            for term in enumerate_terms(plus.data, plus.t, c, g, policy,
-                                        circuit):
-                if term.generator:
-                    line = Line(term.l, circuit, spec.s0)
-                    q, dg = mb_contour_oracle(
-                        make_integrand(x, line, rings[g.key()],
-                                       factors[g.key()]), line, spec.height)
-                    terms = line.orbit(-M_BACK, line.first_right - 1)
-                    den = line.den
+    layouts = []
+    for plan in plans:
+        layout, diag = {}, {"est_error": 0.0, "nodes": 0}
+        for key, parts in plan.items():
+            rows = ls[key]
+            layout[key] = []
+            for part in parts:
+                if isinstance(part, Line):
+                    q, dg, terms = next(values)
+                    den = part.den
                     diag["est_error"] = nan_max(diag["est_error"],
                                                 dg["est_error"])
                     diag["nodes"] += dg["nodes"]
-                elif term.essential:
-                    continue
                 else:
-                    q, terms, den = None, [term.num], term.den
+                    q, terms, den = None, [part.num], part.den
                 # internal: the terms of a sector share their fractional
                 # parts, so the lcm of their denominators too
-                assert not rows or dens[g.key()] == den
-                dens[g.key()] = den
-                parts.append((q, slice(len(rows), len(rows) + len(terms))))
+                assert not rows or dens[key] == den
+                dens[key] = den
+                layout[key].append((q, slice(len(rows),
+                                             len(rows) + len(terms))))
                 rows.extend(terms)
-        plans.append((plan, diag))
+        layouts.append((layout, diag))
     batches = {key: term_values(x, rows, dens[key], rings[key])
                for key, rows in ls.items()}
     out = []
-    for plan, diag in plans:
+    for layout, diag in layouts:
         per = {}
-        for key, parts in plan.items():
+        for key, parts in layout.items():
             acc = rings[key].zero()
             for q, rows in parts:
                 val = sum_rows(batches[key], rows)
@@ -977,9 +1130,10 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
     plus and minus are the Chambers of the two triangulations.  Each
     generator's Line is built at its first use and serves every eps; per
     eps, one integrand at each endpoint, the far one shared by its line
-    and its residue circles.  The integrands of one eps and sector share
-    a LineFactors table, so the near and far ends of a line evaluate
-    their Gamma and pole factors, which do not depend on x, once.
+    and its residue circles; each line is a stack of one.  The
+    integrands of one eps and sector share a LineFactors table, so the
+    near and far ends of a line evaluate their Gamma and pole factors,
+    which do not depend on x, once.
     """
     data, t_plus = plus.data, plus.t
     spec = spec or ContourSpec()

@@ -10,8 +10,8 @@ import mpmath
 import numpy as np
 
 from gkzflop import cli, rational, wall
-from gkzflop.errors import NonFiniteValue, NotInvertible, PoleOnContour, \
-    PoleRightOfLine
+from gkzflop.errors import InfeasibleArgs, NonFiniteValue, NotInvertible, \
+    PoleOnContour, PoleProximity, PoleRightOfLine, TailBoundViolated
 from gkzflop.rings import algebra_exp
 from gkzflop.deform import TWO_PI_I, principal_log, unit_phase
 from gkzflop.series import scalar_power
@@ -379,6 +379,128 @@ def reference_integrand(x, lprime, circuit, ring):
             acc = acc * ring.recip_gamma(1 + (lp[j] + s * h[j]), d[j])
         return acc
     return f
+
+
+# wall's line integral as it was before the lines of a node grid were
+# evaluated as one stack: one integrand per line, built afresh, and one
+# quadrature per line.  test_wall checks the stacks against these, bit
+# for bit and error for error.
+
+
+def reference_line_integrand(x, line, ring):
+    """The integrand of one Line, every factor formed for it alone.
+
+    The factors multiply in wall.make_integrand's order, each formed as
+    it forms them, with one 1/Gamma call per coordinate.  The node
+    guard raises PoleProximity at the first node near a point of the
+    line's pole model, removable points included.
+    """
+    x = tuple(complex(v) for v in x)
+    n = len(x)
+    lprime, h = line.lprime, line.circuit.h
+    iminus = sorted(line.circuit.I_minus)
+    families = [(float(lk), hk, lk.numerator, lk.denominator)
+                for lk, hk in line.families]
+    d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
+    one = ring.one()
+    exp_neg = {j: ring.exp(ring.divisor(j) * (-1.0)) for j in iminus}
+    nums = {j: one - exp_neg[j] * unit_phase(-lprime[j]) for j in iminus}
+    logx = [principal_log(v) for v in x]
+    const = ring.one()
+    for j in range(n):
+        const = const * ring.branched_power(x[j], d[j]) \
+            * scalar_power(x[j], lprime[j])
+    ay = sum(hv * lg.imag for hv, lg in zip(h, logx)) \
+        + math.pi * sum(h[j] for j in iminus)
+
+    def f(s):
+        s = np.asarray(s, dtype=complex)
+        hit = np.abs(s - np.rint(s.real)) < wall.GUARD
+        for lk, hk, a, b in families:
+            w = np.rint(lk - hk * s.real)
+            hit |= np.abs(s - (a - w * b) / (b * hk)) < wall.GUARD
+        if hit.any():
+            raise PoleProximity(f"s = {complex(s[hit].flat[0])} too "
+                                f"close to a pole")
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = const * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
+            for j in iminus:
+                lpj = complex(lprime[j])
+                den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lpj + s * h[j]))
+                acc = acc * nums[j] * ring.inv(den)
+            for j in range(n):
+                lpj = complex(lprime[j])
+                if h[j]:
+                    acc = acc * np.exp((lpj + s * h[j]) * logx[j]
+                                       - lpj * logx[j])
+                acc = acc * ring.recip_gamma(1 + (lpj + s * h[j]), d[j])
+        return acc
+
+    f.decay = (2.0 * math.pi + ay, -ay)
+    f.arg_y = ay
+    return f
+
+
+def reference_line_oracle(f, line, height):
+    """One line's quadrature: its value, diagnostics and node values.
+
+    The checks run in their order for one line: the 1/Gamma bound and
+    the node cap before any evaluation, then (in f) the node guard, the
+    finiteness of the line nodes, then of the two tail probes, the decay
+    rates and the tail bound.
+    """
+    low = min(1 + lk + hk * line.s0
+              for lk, hk in zip(line.lprime, line.circuit.h) if hk)
+    if low < wall.GAMMA_RE_MIN:
+        raise NonFiniteValue(
+            f"1/Gamma overflows on the line Re s = {line.s0}: an argument "
+            f"has Re z = {float(low):.6g} < {wall.GAMMA_RE_MIN}")
+    n = 2 * math.ceil(height * wall.LINE_EXPONENT
+                      / (math.pi * line.distance))
+    if n > wall.MAX_LINE_NODES:
+        raise InfeasibleArgs(f"a line of half-height {height} at distance "
+                             f"{line.distance} from its nearest pole needs "
+                             f"{n} nodes, more than {wall.MAX_LINE_NODES}")
+    step = 2.0 * height / n
+    probes = [complex(line.s0, height), complex(line.s0, -height)]
+    vals = f(np.concatenate([line.s0 + 1j * (-height + (np.arange(n) + 0.5)
+                                              * step), probes]))
+    alg = vals.algebra
+    nodes = alg.element(vals.coords[:n])
+    if not np.isfinite(nodes.coords).all():
+        raise NonFiniteValue("integrand is not finite on the line")
+    scale = step * (-1.0 / (2.0 * math.pi))
+    fine = nodes.sum() * scale
+    coarse = alg.element(nodes.coords[::2]).sum() * (2.0 * scale)
+    ends = alg.element(vals.coords[n:])
+    if not np.isfinite(ends.coords).all():
+        raise NonFiniteValue("integrand is not finite on the tail probes")
+    rate_up, rate_dn = f.decay
+    if min(rate_up, rate_dn) <= 0:
+        raise TailBoundViolated("arg y outside (-2 pi, 0): no decay")
+    tail_up, tail_dn = (float(v) for v in ends.norm() / (rate_up, rate_dn))
+    if tail_up + tail_dn > wall.TAIL_TOL:
+        raise TailBoundViolated(
+            f"measured tails {tail_up:.2e}+{tail_dn:.2e} "
+            f"exceed {wall.TAIL_TOL:.2e}")
+    return fine, {"nodes": n, "step": step,
+                  "est_error": (fine - coarse).norm(),
+                  "tail": tail_up + tail_dn}, vals.coords
+
+
+def reference_line_battery(x, rings, lines, height):
+    """The lines of a battery run one at a time, in battery order.
+
+    lines holds (sector key, Line) pairs.  Each line runs its quadrature,
+    then its orbit split (first_right); the first failing line raises.
+    Returns (value, diagnostics, node values) per line.
+    """
+    out = []
+    for key, line in lines:
+        out.append(reference_line_oracle(
+            reference_line_integrand(x, line, rings[key]), line, height))
+        reference_first_right(line.lprime, line.circuit, line.s0)
+    return out
 
 
 # wall's pole model as it was before one Line per orbit generator held

@@ -443,13 +443,15 @@ def test_nan_series_term_never_passes(tmp_path, monkeypatch, command):
 
 
 @pytest.mark.parametrize("fixture, command, calls", [
-    ("a1", "gamma-eval", 9), ("a1", "dual-eval", 9),
-    ("conifold", "gamma-eval", 8), ("conifold", "dual-eval", 8),
-    ("p2", "dual-eval", 16)], ids=str)
-def test_one_kernel_call_per_sector_and_coordinate(tmp_path, monkeypatch,
-                                                   fixture, command, calls):
-    # the battery is one term_values batch per sector and side: one
-    # kernel call per (side, sector, coordinate), whatever the depth
+    ("a1", "gamma-eval", 3), ("a1", "dual-eval", 3),
+    ("conifold", "gamma-eval", 2), ("conifold", "dual-eval", 2),
+    ("p2", "dual-eval", 4)], ids=str)
+def test_one_kernel_call_per_sector(tmp_path, monkeypatch, fixture, command,
+                                    calls):
+    # the battery is one term_values batch per sector and side, and a
+    # batch sends every coordinate's centres at once: one kernel call per
+    # (side, sector), whatever the depth; one call per coordinate made
+    # 9, 9, 8, 8 and 16
     if fixture == "p2":
         path = tmp_path / "p2.txt"
         path.write_text(write_fixture(*circuit_fixture((1, 1, 1, -3))))
@@ -621,7 +623,9 @@ def test_one_wall_context_per_command(monkeypatch, argv):
 def test_one_line_per_generator_per_command(monkeypatch):
     # each generator's Line lists its exact pole model once to place the
     # line and once more for its residue circles, which only oracle
-    # reads; oracle builds one integrand per endpoint, eps and generator.
+    # reads; oracle builds one integrand per endpoint, eps and generator,
+    # and verify one per stack, the lines of a sector on one node grid
+    # (one stack per fixture here; one integrand per line made 23).
     # Per-call placement listed 24 and 69 times here, with 12 integrands
     # for oracle
     counts = {"listings": 0, "integrands": 0}
@@ -639,7 +643,7 @@ def test_one_line_per_generator_per_command(monkeypatch):
     monkeypatch.setattr(wall, "make_integrand", counted_integrand)
     for command, flags, listings, integrands in (
             ("oracle", ["--eps", "3e-3", "--eps", "5e-3"], 4, 8),
-            ("verify", [], 23, 23)):
+            ("verify", [], 23, 2)):
         counts.update(listings=0, integrands=0)
         for fixture in ("a1", "conifold"):
             argv = [command, "--fixture", fixture, *flags]

@@ -387,8 +387,12 @@ def test_pde_residuals_primal(pack, side):
 def test_nan_recip_gamma_reaches_the_pde_report(a1, monkeypatch):
     # a NaN 1/Gamma value must surface as a NaN worst case, never as 0.0
     real = DeformationRing.recip_gamma
-    monkeypatch.setattr(DeformationRing, "recip_gamma",
-                        lambda self, z, d: real(self, z, d) * math.nan)
+
+    def nan(self, z, d):
+        out = real(self, z, d)
+        return [v * math.nan for v in out] if isinstance(d, list) \
+            else out * math.nan
+    monkeypatch.setattr(DeformationRing, "recip_gamma", nan)
     x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(a1.data.n))
     policy = TruncationPolicy(tail_check=False)
     report = pde_residuals(a1.chamber(a1.t_plus), c_battery(a1.data, 1), x,

@@ -17,6 +17,7 @@ from gkzflop import (
     PoleOnContour,
     PoleProximity,
     PoleRightOfLine,
+    TailBoundViolated,
     TruncationPolicy,
     canonical_lift,
     compute_box,
@@ -29,8 +30,9 @@ from gkzflop.series import enumerate_terms, exponent_table, sum_rows, \
     term_values
 from support import LOCAL_P2, SMALL_CIRCUITS, TRAPEZOID, circuit_fixture, \
     reference_circles, reference_first_right, reference_integrand, \
-    reference_left_residue_sum, reference_place_line, reference_pole_model, \
-    residue
+    reference_left_residue_sum, reference_line_battery, \
+    reference_line_integrand, reference_line_oracle, reference_place_line, \
+    reference_pole_model, residue
 
 
 def trivial_sector(wc):
@@ -565,11 +567,11 @@ def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
     f = recording(wall.make_integrand(x, line, ring), integrand)
     _, diag = wall.mb_contour_oracle(f, line, 14.0)
     assert len(integrand) == 1
-    assert kernel == [(pack.data.n, diag["nodes"] + 2)]
+    assert kernel == [(pack.data.n * (diag["nodes"] + 2),)]
     del integrand[:], kernel[:]
     wall.left_residue_sum(f, line)
     assert circles and len(integrand) == len(circles)
-    assert kernel == [(pack.data.n, 64 * c) for c in circles]
+    assert kernel == [(pack.data.n * 64 * c,) for c in circles]
     full = [wall._ROUND * 2 ** i for i in range(len(circles))]
     assert circles[:-1] == full[:-1] and 0 < circles[-1] <= full[-1]
 
@@ -963,3 +965,218 @@ def test_lines_near_the_gamma_bound_are_not_finite(a1):
     with pytest.raises(NonFiniteValue, match="-180.5 < -180"):
         wall.mb_contour_oracle(wall.make_integrand(x, line, ring), line,
                                14.0)
+
+
+# -- stacks of lines -----------------------------------------------------
+
+
+def battery_lines(wc, depth=2, s0=None):
+    """(sector key, Line) of every generator of the battery, in order."""
+    data, plus = wc.plus.data, wc.plus
+    return [(g.key(), wall.Line(term.l, wc.circuit, s0))
+            for c in wall.c_battery(data, depth) for g in plus.box
+            for term in enumerate_terms(data, plus.t, c, g,
+                                        TruncationPolicy(degree_bound=25),
+                                        wc.circuit)
+            if term.generator]
+
+
+def stacked_values(monkeypatch, out):
+    """Patch make_integrand so that each stack's lines and values go to
+    out."""
+    real = wall.make_integrand
+
+    def spy(x, lines, ring, factors=None):
+        f = real(x, lines, ring, factors)
+
+        def g(s):
+            vals = f(s)
+            out.append((lines, vals.coords.copy()))
+            return vals
+        g.decay, g.arg_y = f.decay, f.arg_y
+        return g
+    monkeypatch.setattr(wall, "make_integrand", spy)
+
+
+def case_wall(packs, name):
+    if name == "trapezoid":
+        return trapezoid_wall()
+    if name in packs:
+        data, tris = packs[name].data, packs[name].tris
+    else:
+        data, tris = circuit_fixture(name)
+    plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
+    return wall.WallContext(find_circuit(data, plus.t, minus.t), plus, minus)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("name", ["a1", "conifold", (2, 2, -1, -3),
+                                  "trapezoid"],
+                         ids=["a1", "conifold", "h=2,2,-1,-3", "trapezoid"])
+def test_stacks_equal_the_per_line_reference(packs, name, eps, monkeypatch):
+    # every line of a depth-2 battery, and each generator line of s0 =
+    # 1/2 once more on Re s = 1, which moves it to 5/4 at distance 1/4:
+    # each stack's lines give the value, est_error, nodes, node values
+    # and tail probes of the line alone, to the last bit.  The trapezoid
+    # has seven grids in one sector by s0 alone, every case two by the
+    # moved lines
+    wc = case_wall(packs, name)
+    rings = wc.rings(wc.plus, eps)
+    lines = battery_lines(wc)
+    lines += [(key, wall.Line(line.lprime, wc.circuit, 1.0))
+              for key, line in lines if line.s0 == 0.5]
+    grids = {(key, line.s0, line.distance) for key, line in lines}
+    assert any(line.s0 == 1.25 and line.distance == 0.25
+               for _, line in lines)
+    assert len(grids) > len({key for key, _ in lines})
+    for x in (select_endpoints(wc.circuit, None, 0.1).x_plus,
+              select_endpoints(wc.circuit, None, 0.1).x_minus):
+        stacks = []
+        stacked_values(monkeypatch, stacks)
+        factors = {key: wall.LineFactors(ring) for key, ring in rings.items()}
+        got = wall._line_values(x, rings, factors, lines, 14.0)
+        monkeypatch.undo()
+        want = reference_line_battery(x, rings, lines, 14.0)
+        assert len(stacks) == len(grids)
+        blocks = {id(line): block for stack, coords in stacks
+                  for line, block in zip(stack, coords)}
+        for (q, dg, terms), (q0, dg0, vals0), (_, line) in zip(got, want,
+                                                               lines):
+            assert q.coords.tobytes() == q0.coords.tobytes()
+            assert dg == dg0
+            assert blocks[id(line)].tobytes() == vals0.tobytes()
+            assert terms == line.orbit(-wall.M_BACK, line.first_right - 1)
+
+
+def test_a_later_line_of_a_stack_fails_as_alone(a1, monkeypatch):
+    # a1's l' = 0 passes; (-179, 0, 0) on its grid overflows on the line,
+    # and (-182, 0, 0) has 1/Gamma argument -180.5, refused unevaluated:
+    # the stack raises what the failing line raises alone, and a refused
+    # line stops the stack before the kernel
+    x, lp, ring = a1_line(a1)
+    ok = wall.Line(lp, a1.circuit)
+    sent = []
+    real_kernel = kernels.recip_gamma_series
+
+    def counted_kernel(z, kmax):
+        sent.append(np.min(np.real(z)))
+        return real_kernel(z, kmax)
+    monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
+    for bad, evaluated in (((-179, 0, 0), True), ((-182, 0, 0), False)):
+        line = wall.Line(bad, a1.circuit)
+        assert (line.s0, line.distance) == (ok.s0, ok.distance)
+        reference_line_oracle(reference_line_integrand(x, ok, ring), ok,
+                              14.0)
+        with pytest.raises(NonFiniteValue) as want:
+            reference_line_oracle(reference_line_integrand(x, line, ring),
+                                  line, 14.0)
+        del sent[:]
+        with pytest.raises(NonFiniteValue) as got:
+            wall.mb_contour_oracle(wall.make_integrand(x, [ok, line], ring),
+                                   [ok, line], 14.0)
+        assert str(got.value) == str(want.value)
+        assert bool(sent) == evaluated
+        assert all(v > wall.GAMMA_RE_MIN for v in sent)
+
+
+@pytest.mark.parametrize("early, s0, error", [
+    ((-179, 0, 0), None, NonFiniteValue),
+    ((0, 0, 0), -0.5, PoleRightOfLine)], ids=["overflow", "pole-right"])
+def test_an_early_line_decides_over_later_lines(a1, monkeypatch, early, s0,
+                                                error):
+    # the early line fails on its values, or passes its quadrature and
+    # then fails its orbit split; later lines on its grid overflow
+    # ((-178, 0, 0) on Re s = 1/2 or -1/4) or are refused unevaluated
+    # ((-182, 0, 0)): the battery raises the early line's error, as the
+    # lines run one at a time would, and no refused line reaches the
+    # kernel
+    wc = wall_context(a1)
+    g0 = trivial_sector(wc)
+    x, ring = a1.path().x_plus, plus_ring(wc, g0, 0.0)
+    key = g0.key()
+    rings = {key: ring}
+    lines = [(key, wall.Line(lp, a1.circuit, s0))
+             for lp in (early, (-182, 0, 0), (-178, 0, 0))]
+    assert len({(line.s0, line.distance) for _, line in lines}) == 1
+    with pytest.raises(error) as want:
+        reference_line_battery(x, rings, lines, 14.0)
+    low = []
+    real_kernel = kernels.recip_gamma_series
+
+    def counted_kernel(z, kmax):
+        low.append(np.min(np.real(z)))
+        return real_kernel(z, kmax)
+    monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
+    with pytest.raises(error) as got:
+        wall._line_values(x, rings, {key: wall.LineFactors(ring)}, lines,
+                          14.0)
+    assert str(got.value) == str(want.value)
+    assert low and min(low) > wall.GAMMA_RE_MIN
+
+
+@pytest.mark.parametrize("height, error", [(0.5, TailBoundViolated),
+                                           (14.0, PoleOnContour)],
+                         ids=["line-first", "build-first"])
+def test_an_error_while_lines_are_built_waits_for_earlier_lines(
+        a1, monkeypatch, height, error):
+    # the third generator's Line cannot be placed: at half-height 0.5
+    # the first line's tails fail first, as when each line ran before the
+    # next was built; at 14 every earlier line passes and the placement
+    # error is raised
+    wc = wall_context(a1)
+    built = []
+
+    class Line(wall.Line):
+        def __init__(self, lprime, circuit, s0=None):
+            built.append(lprime)
+            if len(built) == 3:
+                raise PoleOnContour("no clear line")
+            super().__init__(lprime, circuit, s0)
+    monkeypatch.setattr(wall, "Line", Line)
+    with pytest.raises(error):
+        wall.continued_vector(wc, wc.rings(wc.plus, 0.0),
+                              wall.c_battery(a1.data, 2), a1.path().x_minus,
+                              TruncationPolicy(degree_bound=25),
+                              wall.ContourSpec(height=height))
+    assert len(built) == 3
+
+
+def test_a_stack_never_exceeds_the_node_cap(monkeypatch):
+    # a cap of 2,000 nodes holds three of the trapezoid's 644-node lines
+    # (642 nodes and two probes): stacks of at most three lines, whose
+    # values are those of the uncapped stacks to the last bit
+    wc = trapezoid_wall()
+    x = select_endpoints(wc.circuit, None, 0.1).x_minus
+    policy = TruncationPolicy(degree_bound=25)
+    battery = wall.c_battery(wc.plus.data, 2)
+    want = wall.continued_vector(wc, wc.rings(wc.plus, 0.0), battery, x,
+                                 policy)
+    sizes = []
+    real = wall.make_integrand
+
+    def counted(x, lines, ring, factors=None):
+        f = real(x, lines, ring, factors)
+
+        def g(s):
+            sizes.append(len(lines) * np.size(s))
+            return f(s)
+        g.decay, g.arg_y = f.decay, f.arg_y
+        return g
+    monkeypatch.setattr(wall, "make_integrand", counted)
+    monkeypatch.setattr(wall, "MAX_LINE_NODES", 2000)
+    assert wall._stack_size(14.0, 0.5) == 3
+    got = wall.continued_vector(wc, wc.rings(wc.plus, 0.0), battery, x,
+                                policy)
+    assert max(sizes) == 3 * 644
+    assert len(sizes) > 7
+    for (vec, diag), (vec0, diag0) in zip(got, want):
+        assert vec.tobytes() == vec0.tobytes() and diag == diag0
+
+
+def test_stack_size_counts_nodes_and_probes():
+    # 642 nodes and two probes a line at half-height 14 and distance 1/2;
+    # a line past the cap, or one whose node count overflows, is alone
+    assert wall._stack_size(14.0, 0.5) == wall.MAX_LINE_NODES // 644
+    assert wall._stack_size(14.0, 0.25) == wall.MAX_LINE_NODES // 1286
+    assert wall._stack_size(1e4, 0.5) == 1
+    assert wall._stack_size(1e308, 0.5) == 1
