@@ -375,32 +375,30 @@ class DeformationRing:
     def branched_power(self, x, a):
         return self.exp(a * principal_log(x))
 
-    def recip_gamma(self, w, d):
+    def recip_gamma(self, ws, ds):
         """1/Gamma(w + d) by Taylor composition around the scalar center.
 
-        w is the float centre less d's scalar part: 1 + z for the factor
+        ws is a list of float centres w, each a number or an array of any
+        shape, and ds the list of their shifts d, one element each.  A w
+        is the centre less its d's scalar part: 1 + z for the factor
         1/Gamma(1 + z + d) of a series term or the integrand, formed by
         the caller (series forms (N + v) / N from integer numerators).
-        w may be an array, which gives a batch of elements.  w and d may
-        also be a list of arrays, of any shapes, and the list of their
-        shifts: one kernel call then serves every pair, and the result
-        is the list of their batches.  The kernel is elementwise, so a
-        value does not depend on the arrays it is sent with.  It is
-        exact at the poles of Gamma, so a nonpositive integer w needs no
-        functional equation.  A Laurent ring raises InfeasibleArgs: it
-        never meets 1/Gamma.
+        One kernel call serves every pair, and the result is the list of
+        their values, a batch of elements for an array w.  The kernel is
+        elementwise, so a value does not depend on the arrays it is sent
+        with.  It is exact at the poles of Gamma, so a nonpositive
+        integer w needs no functional equation.  A Laurent ring raises
+        InfeasibleArgs: it never meets 1/Gamma.
         """
         if self.laurent:
             raise InfeasibleArgs("1/Gamma needs a sampled eps")
-        many = isinstance(d, list)
-        shifts = d if many else [d]
-        ws = [np.asarray(v, dtype=complex) for v in (w if many else [w])]
+        ws = [np.asarray(v, dtype=complex) for v in ws]
         center = np.concatenate([(v + x.scalar_part).reshape(-1)
-                                 for v, x in zip(ws, shifts)])
+                                 for v, x in zip(ws, ds)])
         mmax = self.algebra.zero_degree - 1
         c = kernels.recip_gamma_series(center, mmax)
         out, start = [], 0
-        for v, x in zip(ws, shifts):
+        for v, x in zip(ws, ds):
             row = c[start:start + v.size].reshape(v.shape + (mmax + 1,))
             start += v.size
             n = x.nilpotent_part()
@@ -408,7 +406,7 @@ class DeformationRing:
             for m in range(mmax - 1, -1, -1):
                 acc = acc * n + row[..., m]
             out.append(acc)
-        return out if many else out[0]
+        return out
 
     # -- reading off values ---------------------------------------------
 

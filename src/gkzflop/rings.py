@@ -228,12 +228,13 @@ class SectorAlgebra:
     def multiply(self, x, y):
         """Row-wise product of coordinate arrays x and y of shape (..., dim).
 
-        Coordinate c sums t x_a y_b over the terms of its span in (a, b)
-        order, each product numpy's complex multiply out of place (in
-        place, it rounds a 1-element array differently).  Two single
-        elements add their gathered products left to right (builtin sum
-        compensates on newer Pythons), batches sum whole columns, and a
-        row gets the same bits either way.
+        Their leading axes broadcast.  Coordinate c sums t x_a y_b over
+        the terms of its span in (a, b) order, each product numpy's
+        complex multiply out of place (in place, it rounds a 1-element
+        array differently).  Two single elements add their gathered
+        products left to right (builtin sum compensates on newer
+        Pythons), batches sum whole columns, and a row gets the same bits
+        either way.
         """
         if x.ndim == y.ndim == 1:
             a, b = self._gather
@@ -246,28 +247,18 @@ class SectorAlgebra:
             for c, lo, hi in self._spans:
                 out[c] = functools.reduce(operator.add, p[lo:hi])
             return out
-        shape = np.broadcast(x, y).shape
-        rows = []
-        for z in (x, y):
-            if z.shape != shape:
-                full = np.empty(shape, dtype=complex)
-                full[...] = z
-                z = full
-            rows.append(z.reshape(-1, self.dim))
-        x, y = rows
-        out = np.zeros(shape, dtype=complex)
-        flat = out.reshape(-1, self.dim)
+        out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
         for c, lo, hi in self._spans:
             col = None
             for a, b, t in self._terms[lo:hi]:
-                p = x[:, a] * y[:, b]
+                p = x[..., a] * y[..., b]
                 if t != 1:
                     p = p * t
                 if col is None:
                     col = p
                 else:
                     col += p
-            flat[:, c] = col
+            out[..., c] = col
         return out
 
     def linear_relation_defects(self):

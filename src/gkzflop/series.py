@@ -559,8 +559,8 @@ def _factor_identity_dev(alg, lj):
     worst = 0.0
     for j in range(alg.data.n):
         d = ring.divisor(j) * (1.0 / TWO_PI_I)
-        lhs = ring.recip_gamma(lj, d)
-        rhs = (d + complex(lj)) * ring.recip_gamma(1 + lj, d)
+        lhs, rhs = ring.recip_gamma([lj, 1 + lj], [d, d])
+        rhs = (d + complex(lj)) * rhs
         scale = max(lhs.norm(), rhs.norm(), 1.0)
         worst = nan_max(worst, (lhs - rhs).norm() / scale)
     return worst

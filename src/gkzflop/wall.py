@@ -18,7 +18,9 @@ eps^0 is read off.
 
 Each orbit generator has one Line: its integration line, the split of
 its orbit and its residue circles, built once per command and passed to
-the integrand, the quadrature, the residue sums and the orbit sums.
+the integrand, the quadrature, the residue sums and the orbit sums.  The
+integrand and the quadrature take one form, a stack: a list of Lines on
+one node grid, with one block per line; a line alone is a stack of one.
 
 The end-to-end check of verify_fm_equals_ac runs over a battery of
 lattice points c at eps = 0 and evaluates it as a whole: one set of
@@ -351,30 +353,25 @@ def _rows(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def make_integrand(x, lines, ring, factors=None):
+def make_integrand(x, lines, ring, factors):
     """Closure evaluating I(s) on a stack of lines at x, hoisted.
 
-    lines is a list of Lines of one circuit, or one Line, a stack of
-    one.  The closure takes one node s or an array of nodes, shared by
-    the lines, and returns a batch of shape (L,) + s.shape + (dim,), one
-    block per line; for a single Line the leading axis is left out.
-    Each block is the line's I(s) alone to the last bit: the factors of
-    a line multiply in one fixed order, SectorAlgebra.multiply treats
-    rows apart, and the kernel works elementwise.  The ring must be in
-    numeric mode (a concrete eps): series-mode values are not batched.
-    factors is the LineFactors table of ring that the caller's lines
-    share; None gives the integrand a table of its own.  A node closer
-    than GUARD to any point of a line's pole model, removable points
+    lines is a list of Lines of one circuit; one line is a stack of one.
+    The closure takes one node s or an array of nodes, shared by the
+    lines, and returns a batch of shape (L,) + s.shape + (dim,), one
+    block per line.  Each block is the line's I(s) alone to the last
+    bit: the factors of a line multiply in one fixed order,
+    SectorAlgebra.multiply treats rows apart, and the kernel works
+    elementwise.  The ring must be in numeric mode (a concrete eps):
+    series-mode values are not batched.  factors is the LineFactors
+    table of ring that the caller's lines share.  A node closer than
+    GUARD to any point of a line's pole model, removable points
     included, raises PoleProximity for the first such line.  The guard
     runs in floats: per node it measures the nearest integer and, for
     each of the line's families, the nearest (l'_k - w) / (-h_k) over
     every integer w, rounded as the model's Fraction rounds.  .decay
     and .arg_y depend on x and the circuit alone.
     """
-    stacked = not isinstance(lines, Line)
-    lines = list(lines) if stacked else [lines]
-    if factors is None:
-        factors = LineFactors(ring)
     circuit = lines[0].circuit
     # internal: a shared table belongs to the ring it is passed with
     assert factors.ring is ring, "line factors of another ring"
@@ -445,7 +442,7 @@ def make_integrand(x, lines, ring, factors=None):
                                       h[j]) for lp in lprimes])
                 acc = acc * alg.element(_rows([row[j].coords
                                                for row in gammas]))
-        return acc if stacked else alg.element(acc.coords[0])
+        return acc
 
     f.decay = (2.0 * math.pi + ay, -ay)   # rates for t -> +inf / -inf
     f.arg_y = ay
@@ -466,6 +463,17 @@ class ContourSpec:
     height: float = 14.0
 
 
+def _line_nodes(height, a):
+    """Fine-level nodes of a line of half-height height at distance a.
+
+    The even count 2 ceil(height LINE_EXPONENT / (pi a)), or inf where
+    that quotient is no finite float; a count above MAX_LINE_NODES is
+    past the cap, where mb_contour_oracle refuses the line.
+    """
+    half = height * LINE_EXPONENT / (math.pi * a)
+    return 2 * math.ceil(half) if math.isfinite(half) else math.inf
+
+
 def _stack_size(height, a):
     """Lines per stack on a node grid of half-height height at distance a.
 
@@ -474,69 +482,32 @@ def _stack_size(height, a):
     has larger temporaries.  A line past the node cap is alone in its
     stack, where the quadrature refuses it.
     """
-    half = height * LINE_EXPONENT / (math.pi * a)    # may be inf
-    if not half < MAX_LINE_NODES:
-        return 1
-    return max(1, MAX_LINE_NODES // (2 * math.ceil(half) + 2))
-
-
-def _line_quadrature(f, s0, height, a, probes=()):
-    """Nested trapezoid levels on the line, all nodes in one integrand call.
-
-    The fine level has an even number n of nodes t_k = -H + (k + 1/2) h,
-    so no node lies at t = 0 (a removable point may sit on the line
-    there); the coarse level is its even nodes at step 2h.  On a strip
-    of half-width a both levels converge geometrically (Trefethen &
-    Weideman, SIAM Review 56, 2014).  The points of probes are evaluated
-    in the same call.  f may evaluate a stack of lines on these nodes;
-    each line sums its own contiguous block of nodes.  Returns the fine
-    and coarse values (with the stack's leading axis), the integrand
-    values (per line the n nodes, then the probes) and the fine step; a
-    line node that is not finite raises NonFiniteValue, for the first
-    such line, before anything is summed.
-    """
-    n = 2 * math.ceil(height * LINE_EXPONENT / (math.pi * a))
-    if n > MAX_LINE_NODES:
-        raise InfeasibleArgs(f"a line of half-height {height} at distance "
-                             f"{a} from its nearest pole needs {n} nodes, "
-                             f"more than {MAX_LINE_NODES}")
-    step = 2.0 * height / n
-    vals = f(np.concatenate([s0 + 1j * (-height + (np.arange(n) + 0.5)
-                                         * step), probes]))
-    alg = vals.algebra
-    blocks = vals.coords.reshape((-1,) + vals.coords.shape[-2:])
-    lines = [alg.element(block[:n]) for block in blocks]
-    for line in lines:
-        _require_finite(line, "line")
-    scale = step * (-1.0 / (2.0 * math.pi))
-    fine = [(line.sum() * scale).coords for line in lines]
-    coarse = [(alg.element(line.coords[::2]).sum() * (2.0 * scale)).coords
-              for line in lines]
-    shape = vals.coords.shape[:-2] + (alg.dim,)
-    return alg.element(np.reshape(fine, shape)), \
-        alg.element(np.reshape(coarse, shape)), vals, step
+    n = _line_nodes(height, a)
+    return 1 if n > MAX_LINE_NODES else max(1, MAX_LINE_NODES // (n + 2))
 
 
 def mb_contour_oracle(f, lines, height):
     """Numeric value of each line integral, downward orientation.
 
     f is the integrand built on lines, a list of Lines on one node grid
-    (the same s0 and distance) or one Line.  With this orientation a
-    line's result equals the right-hand pole sum when |y| < 1 and minus
-    the left-hand pole sum when |y| > 1.  Returns, per line, the value
-    and a diagnostics dict: the line nodes and the fine step, the error
-    estimate |fine - coarse| of the two trapezoid levels, and the
-    measured tail bounds; one Line gives its pair alone.  Every line
-    sums its own contiguous block of the one integrand call, its two
-    tail probes included.  The checks run in the order one line runs
-    them, each over the lines in stack order: a 1/Gamma argument left
-    of Re z = GAMMA_RE_MIN raises NonFiniteValue, and a grid past
-    MAX_LINE_NODES InfeasibleArgs, before anything is evaluated; then
-    the node guard, finiteness of the line nodes, then of the probes,
-    the decay rates and the tail bounds.
+    (the same s0 and distance); one line is a stack of one.  With this
+    orientation a line's result equals the right-hand pole sum when
+    |y| < 1 and minus the left-hand pole sum when |y| > 1.  The nodes
+    of the grid and both tail probes go to one integrand call, and each
+    line sums its own block of it.  The fine level has an even number n
+    of nodes t_k = -H + (k + 1/2) h, so no node lies at t = 0 (a
+    removable point may sit on the line there); the coarse level is its
+    even nodes at step 2h.  On a strip of half-width a both levels
+    converge geometrically (Trefethen & Weideman, SIAM Review 56, 2014).
+    Returns a list with, per line, the value and a diagnostics dict: the
+    line nodes and the fine step, the error estimate |fine - coarse| of
+    the two levels, and the measured tail bounds.  The checks run in the
+    order one line runs them, each over the lines in stack order: a
+    1/Gamma argument left of Re z = GAMMA_RE_MIN raises NonFiniteValue,
+    and a grid past MAX_LINE_NODES InfeasibleArgs, before anything is
+    evaluated; then the node guard, finiteness of the line nodes, then
+    of the probes, the decay rates and the tail bounds.
     """
-    stacked = not isinstance(lines, Line)
-    lines = list(lines) if stacked else [lines]
     s0, distance = lines[0].s0, lines[0].distance
     # internal: the lines of a stack share one node grid
     assert all(line.s0 == s0 and line.distance == distance
@@ -548,13 +519,19 @@ def mb_contour_oracle(f, lines, height):
             raise NonFiniteValue(
                 f"1/Gamma overflows on the line Re s = {s0}: an argument "
                 f"has Re z = {float(low):.6g} < {GAMMA_RE_MIN}")
-    probes = np.array([complex(s0, height), complex(s0, -height)])
-    fine, coarse, vals, step = _line_quadrature(f, s0, height, distance,
-                                                probes)
+    n = _line_nodes(height, distance)
+    if n > MAX_LINE_NODES:
+        raise InfeasibleArgs(f"a line of half-height {height} at distance "
+                             f"{distance} from its nearest pole needs {n} "
+                             f"nodes, more than {MAX_LINE_NODES}")
+    step = 2.0 * height / n
+    vals = f(np.concatenate([s0 + 1j * (-height + (np.arange(n) + 0.5)
+                                         * step),
+                             [complex(s0, height), complex(s0, -height)]]))
     alg = vals.algebra
-    blocks = vals.coords.reshape((-1,) + vals.coords.shape[-2:])
-    nodes = blocks.shape[1] - len(probes)
-    ends = [alg.element(block[nodes:]) for block in blocks]
+    for block in vals.coords:
+        _require_finite(alg.element(block[:n]), "line")
+    ends = [alg.element(block[n:]) for block in vals.coords]
     for end in ends:
         _require_finite(end, "tail probes")
     rate_up, rate_dn = f.decay
@@ -567,14 +544,15 @@ def mb_contour_oracle(f, lines, height):
             raise TailBoundViolated(
                 f"measured tails {tail_up:.2e}+{tail_dn:.2e} "
                 f"exceed {TAIL_TOL:.2e}")
-    fine = fine.coords.reshape(-1, alg.dim)
-    coarse = coarse.coords.reshape(-1, alg.dim)
-    out = [(alg.element(fi), {"nodes": nodes, "step": step,
-                              "est_error": (alg.element(fi)
-                                            - alg.element(ci)).norm(),
-                              "tail": up + dn})
-           for fi, ci, (up, dn) in zip(fine, coarse, tails)]
-    return out if stacked else out[0]
+    scale = step * (-1.0 / (2.0 * math.pi))
+    out = []
+    for block, (up, dn) in zip(vals.coords, tails):
+        fine = alg.element(block[:n]).sum() * scale
+        coarse = alg.element(block[:n:2]).sum() * (2.0 * scale)
+        out.append((fine, {"nodes": n, "step": step,
+                           "est_error": (fine - coarse).norm(),
+                           "tail": up + dn}))
+    return out
 
 
 def residue_at(f, centers, radii):
@@ -606,11 +584,11 @@ def orbit_sum(x, line, ring, m_from, m_to):
 def left_residue_sum(f, line):
     """Sum of all residues of f left of the line, by line.circles.
 
-    f is the integrand built on line.  The circles go right to left in
-    rounds of _ROUND, 2 _ROUND, 4 _ROUND, ..., one residue_at call each.
-    Residues are added one circle at a time, and the sum stops after
-    three in a row under STOP of it; the rest of that round is dropped
-    unchecked.
+    f is the integrand built on the stack [line] alone; residue_at
+    reads its one block.  The circles go right to left in rounds of
+    _ROUND, 2 _ROUND, 4 _ROUND, ..., one residue_at call each.  Residues
+    are added one circle at a time, and the sum stops after three in a
+    row under STOP of it; the rest of that round is dropped unchecked.
     """
     centers, radii = line.circles
     acc, small, start, size = None, 0, 0, _ROUND
@@ -1016,8 +994,9 @@ def _line_values(x, rings, factors, lines, height):
     per stack, in battery order, at most _stack_size lines each.  The
     orbit terms are those left of the line, l' + m h for -M_BACK <= m <
     first_right.  If a stack fails, the lines run again one at a time in
-    battery order, each its quadrature and then its orbit split, so the
-    first failing line raises what it would raise alone.
+    battery order, each a stack of one, its quadrature and then its
+    orbit split, so the first failing line raises what it would raise
+    alone.
     """
     grids = {}
     for i, (key, line) in enumerate(lines):
@@ -1034,8 +1013,8 @@ def _line_values(x, rings, factors, lines, height):
                     out[i] = res
     except GkzflopError:
         for key, line in lines:
-            mb_contour_oracle(make_integrand(x, line, rings[key],
-                                             factors[key]), line, height)
+            mb_contour_oracle(make_integrand(x, [line], rings[key],
+                                             factors[key]), [line], height)
             line.orbit(-M_BACK, line.first_right - 1)
         raise
     return [(q, dg, line.orbit(-M_BACK, line.first_right - 1))
@@ -1129,8 +1108,8 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
 
     plus and minus are the Chambers of the two triangulations.  Each
     generator's Line is built at its first use and serves every eps; per
-    eps, one integrand at each endpoint, the far one shared by its line
-    and its residue circles; each line is a stack of one.  The
+    eps, one integrand at each endpoint on the stack of that one line,
+    the far one shared by its quadrature and its residue circles.  The
     integrands of one eps and sector share a LineFactors table, so the
     near and far ends of a line evaluate their Gamma and pole factors,
     which do not depend on x, once.
@@ -1157,14 +1136,14 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
                 if lp not in lines:
                     lines[lp] = Line(lp, circuit, spec.s0)
                 line = lines[lp]
-                q_p, dg_p = mb_contour_oracle(
-                    make_integrand(path.x_plus, line, ring, factors), line,
-                    spec.height)
+                (q_p, dg_p), = mb_contour_oracle(
+                    make_integrand(path.x_plus, [line], ring, factors),
+                    [line], spec.height)
                 right = orbit_sum(path.x_plus, line, ring, line.first_right,
                                   M_MAX)
                 dev_r = (q_p - right).norm() / max(right.norm(), 1.0)
-                f_m = make_integrand(path.x_minus, line, ring, factors)
-                q_m, dg_m = mb_contour_oracle(f_m, line, spec.height)
+                f_m = make_integrand(path.x_minus, [line], ring, factors)
+                (q_m, dg_m), = mb_contour_oracle(f_m, [line], spec.height)
                 left = left_residue_sum(f_m, line)
                 dev_l = (q_m + left).norm() / max(left.norm(), 1.0)
                 # each side passes only with its line's quadrature error

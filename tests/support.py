@@ -376,7 +376,7 @@ def reference_integrand(x, lprime, circuit, ring):
             den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lp[j] + s * h[j]))
             acc = acc * nums[j] * ring.inv(den)
         for j in range(n):
-            acc = acc * ring.recip_gamma(1 + (lp[j] + s * h[j]), d[j])
+            acc = acc * ring.recip_gamma([1 + (lp[j] + s * h[j])], [d[j]])[0]
         return acc
     return f
 
@@ -433,7 +433,8 @@ def reference_line_integrand(x, line, ring):
                 if h[j]:
                     acc = acc * np.exp((lpj + s * h[j]) * logx[j]
                                        - lpj * logx[j])
-                acc = acc * ring.recip_gamma(1 + (lpj + s * h[j]), d[j])
+                acc = acc * ring.recip_gamma([1 + (lpj + s * h[j])],
+                                             [d[j]])[0]
         return acc
 
     f.decay = (2.0 * math.pi + ay, -ay)
@@ -649,7 +650,8 @@ def reference_solutions(l0, basis, bound):
 # exponents became integer numerators over one denominator: every term a
 # tuple of Fractions, classified, sorted and evaluated as such.  Only the
 # reciprocal-Gamma call is adapted: DeformationRing.recip_gamma now takes
-# the centre 1 + z, formed here exactly from the Fractions as before.
+# lists of centres 1 + z and shifts, each centre formed here exactly from
+# the Fractions as before.
 # test_series checks the integer tables against these.
 
 
@@ -739,7 +741,7 @@ def _reference_recip_gamma_rows(values, d, ring, dual):
     if neg:
         zs.add(Fraction(0))
     zs = sorted(zs)
-    batch = ring.recip_gamma(1 + np.array(zs, dtype=object), d)
+    batch, = ring.recip_gamma([1 + np.array(zs, dtype=object)], [d])
     rows = dict(zip(zs, batch.coords))
     if neg:
         at_zero = d.algebra.element(rows[Fraction(0)])

@@ -627,7 +627,7 @@ def test_one_line_per_generator_per_command(monkeypatch):
     # and verify one per stack, the lines of a sector on one node grid
     # (one stack per fixture here; one integrand per line made 23).
     # Per-call placement listed 24 and 69 times here, with 12 integrands
-    # for oracle
+    # for oracle.  Every integrand takes a stack, a list of Lines.
     counts = {"listings": 0, "integrands": 0}
     real_model, real_integrand = wall.Line.points, wall.make_integrand
 
@@ -635,9 +635,10 @@ def test_one_line_per_generator_per_command(monkeypatch):
         counts["listings"] += 1
         return real_model(*args)
 
-    def counted_integrand(*args):
+    def counted_integrand(x, lines, ring, factors):
+        assert isinstance(lines, list), lines
         counts["integrands"] += 1
-        return real_integrand(*args)
+        return real_integrand(x, lines, ring, factors)
 
     monkeypatch.setattr(wall.Line, "points", counted_model)
     monkeypatch.setattr(wall, "make_integrand", counted_integrand)

@@ -14,8 +14,9 @@ a temporary file; its report's config names it CIRCUIT_NAME, not the
 file's path.  The jobs of FLAG_JOBS, keyed by their command line, are
 pinned with the exit status and error name each must end in: a line
 left of a ratio pole, integrands that overflow, a half-height too short
-for the tails, one line placed by hand that passes, and verify at its
-default depth 2, whose battery's lines share their factors.
+for the tails, a half-height whose node count is no finite float, one
+line placed by hand that passes, and verify at its default depth 2,
+whose battery's lines share their factors.
 
 Every field that is not a float must match exactly, and every float
 within 1e-14 max(|v|, 1).  A change that moves a value on purpose
@@ -50,6 +51,8 @@ FLAG_JOBS = {
     "oracle a1 --contour-re -2.5": (2, "PoleRightOfLine"),
     "oracle conifold --eps 1e3": (1, "NonFiniteValue"),
     "oracle a1 --contour-t 300": (1, "NonFiniteValue"),
+    "oracle a1 --contour-t 1e308": (2, "InfeasibleArgs"),
+    "verify conifold --contour-t 1e308": (2, "InfeasibleArgs"),
     "verify a1 --contour-t 0.5": (1, "TailBoundViolated"),
     "oracle a1 --contour-re 0.5": (0, None),
     "verify a1 --depth 2": (0, None),

@@ -53,11 +53,26 @@ def pole_angles(wc, g):
     return {(k, r): angles for k, r, angles in wc.poles[g.key()]}
 
 
+def line_integrand(x, line, ring):
+    """make_integrand on the stack of line alone, with a table of its own."""
+    return wall.make_integrand(x, [line], ring, wall.LineFactors(ring))
+
+
+def alone(f):
+    """f, an integrand on a stack of one line, returning that line's block."""
+    def g(s):
+        vals = f(s)
+        return vals.algebra.element(vals.coords[0])
+    g.decay, g.arg_y = f.decay, f.arg_y
+    return g
+
+
 def line_oracle(x, lp, circuit, ring, s0=None, height=14.0):
     """mb_contour_oracle on the Line of (lp, circuit, s0), and the line."""
     line = wall.Line(lp, circuit, s0)
-    f = wall.make_integrand(x, line, ring)
-    return (*wall.mb_contour_oracle(f, line, height), line)
+    (q, dg), = wall.mb_contour_oracle(line_integrand(x, line, ring), [line],
+                                      height)
+    return q, dg, line
 
 
 def transported_C(pack, g, k, r, ring, lift):
@@ -233,7 +248,7 @@ def test_integrand_forms_agree(pack):
     lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
     x = pack.path().x_plus
     f1 = reference_integrand(x, lp, pack.circuit, ring)
-    f2 = wall.make_integrand(x, wall.Line(lp, pack.circuit), ring)
+    f2 = alone(line_integrand(x, wall.Line(lp, pack.circuit), ring))
     for s in (0.3 + 2.0j, -0.7 - 1.4j, 1.2 + 0.15j):
         a, b = f1(s), f2(s)
         assert (a - b).norm() <= 1e-11 * max(1.0, b.norm()), s
@@ -247,14 +262,16 @@ def test_batched_integrand_matches_node_by_node(pack, form):
     lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
     x = pack.path().x_plus
     f = reference_integrand(x, lp, pack.circuit, ring) if form == 1 \
-        else wall.make_integrand(x, wall.Line(lp, pack.circuit), ring)
+        else line_integrand(x, wall.Line(lp, pack.circuit), ring)
+    lead = () if form == 1 else (1,)      # a stack of one line
     rng = np.random.default_rng(4)
     s = rng.uniform(-1.5, 2.5, 24) + 1j * rng.uniform(-6.0, 6.0, 24)
     batch = f(s)
-    assert batch.coords.shape == (24, ring.algebra.dim)
-    for row, node in zip(batch.coords, s):
+    assert batch.coords.shape == lead + (24, ring.algebra.dim)
+    for row, node in zip(batch.coords.reshape(24, -1), s):
         want = f(node).coords
-        assert want.shape == (ring.algebra.dim,)
+        assert want.shape == lead + (ring.algebra.dim,)
+        want = want.reshape(-1)
         assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max(), node
 
 
@@ -263,8 +280,7 @@ def test_batched_integrand_guards_every_node(a1):
     g0 = trivial_sector(wc)
     ring = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
-    f = wall.make_integrand(a1.path().x_plus, wall.Line(lp, a1.circuit),
-                            ring)
+    f = line_integrand(a1.path().x_plus, wall.Line(lp, a1.circuit), ring)
     s = 0.5 + 1j * np.linspace(-3.0, 3.0, 24)
     f(s)
     # an integer point, and a removable point: 1/Gamma(-2) cancels the
@@ -283,7 +299,7 @@ def test_guard_hits_every_model_point_across_a_wide_batch(packs):
         case for case in oracle_generators(packs, (2, 3, -3, -2), 1e-2)
         if case[1][2] == Fraction(-3, 2)]
     line = wall.Line(lp, circuit)
-    f = wall.make_integrand(x, line, ring)
+    f = line_integrand(x, line, ring)
     lo, hi = -11.0, 0.4
     model = line.pole_model(lo, hi)
     kinds = dict(model)
@@ -310,8 +326,8 @@ def test_integrand_needs_a_sampled_eps(a1):
     g0 = trivial_sector(wc)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
     with pytest.raises(InfeasibleArgs):
-        wall.make_integrand(a1.path().x_plus, wall.Line(lp, a1.circuit),
-                            plus_ring(wc, g0, None))
+        line_integrand(a1.path().x_plus, wall.Line(lp, a1.circuit),
+                       plus_ring(wc, g0, None))
 
 
 def test_pole_model_kinds_on_a1(a1):
@@ -331,7 +347,7 @@ def test_moving_the_line_one_step_picks_up_one_residue(a1):
     x = a1.path().x_plus
     near, _, line = line_oracle(x, lp, a1.circuit, ring, 0.5)
     far = line_oracle(x, lp, a1.circuit, ring, 1.5)[0]
-    res = residue(wall.make_integrand(x, line, ring), 1.0)
+    res = residue(line_integrand(x, line, ring), 1.0)
     assert (near - far - res).norm() < 1e-9 * max(1.0, res.norm())
 
 
@@ -436,7 +452,7 @@ def test_restored_residues_match_series_terms(pack):
     ring0 = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
     line = wall.Line(lp, pack.circuit)
-    f0 = wall.make_integrand(path.x_plus, line, ring0)
+    f0 = line_integrand(path.x_plus, line, ring0)
     for m in (-1, -2):
         res = residue(f0, m)
         assert res.norm() < 1e-10, m
@@ -446,7 +462,7 @@ def test_restored_residues_match_series_terms(pack):
         if gamma_family_hit(lp, pack.circuit, m):
             # a family pole merges with the integer point: separate at
             # small eps and enclose only the integer pole
-            res = residue(wall.make_integrand(path.x_plus, line, ringe), m,
+            res = residue(line_integrand(path.x_plus, line, ringe), m,
                           radius=1.5e-3)
             ring = ringe
         else:
@@ -511,8 +527,8 @@ def test_line_nodes_miss_the_removable_point(a1):
     line = wall.Line(lp, a1.circuit)
     assert (Fraction(1, 2), "removable") in line.pole_model(0, 1)
     calls = []
-    f = recording(wall.make_integrand(x, line, ring), calls)
-    _, diag = wall.mb_contour_oracle(f, line, 14.0)     # no guard hit
+    f = recording(line_integrand(x, line, ring), calls)
+    (_, diag), = wall.mb_contour_oracle(f, [line], 14.0)    # no guard hit
     assert line.s0 == 0.5
     assert len(calls) == 1 and len(calls[0]) == diag["nodes"] + 2
     line = calls[0][:diag["nodes"]]
@@ -524,21 +540,20 @@ def test_line_nodes_miss_the_removable_point(a1):
 def test_one_integrand_call_gives_both_levels(a1):
     x, lp, ring = a1_line(a1, 1e-2)
     line = wall.Line(lp, a1.circuit)
-    calls = []
-    f = recording(wall.make_integrand(x, line, ring), calls)
-    fine, coarse, vals, step = wall._line_quadrature(f, 0.5, 14.0, 0.5)
-    assert len(calls) == 1 and len(calls[0]) == len(vals.coords) == 642
-    assert step == pytest.approx(28.0 / 642)
-    w = -step / (2 * math.pi)
-    assert np.allclose(fine.coords, vals.coords.sum(axis=0) * w,
+    calls, vals = [], []
+    f = values_of(recording(line_integrand(x, line, ring), calls), vals)
+    (fine, diag), = wall.mb_contour_oracle(f, [line], 14.0)
+    # the 642 line nodes and the two tail probes, in one call
+    assert len(calls) == 1 and len(calls[0]) == 644
+    assert diag["nodes"] == 642
+    assert diag["step"] == pytest.approx(28.0 / 642)
+    w = -diag["step"] / (2 * math.pi)
+    nodes = vals[0][0, :642]
+    assert np.allclose(fine.coords, nodes.sum(axis=0) * w,
                        rtol=0, atol=1e-15)
-    assert np.allclose(coarse.coords, vals.coords[::2].sum(axis=0) * 2 * w,
-                       rtol=0, atol=1e-15)
-    # the oracle adds only the tail probes to the line pass
-    count = []
-    wall.mb_contour_oracle(recording(wall.make_integrand(x, line, ring),
-                                     count), line, 14.0)
-    assert [len(c) for c in count] == [644]
+    coarse = nodes[::2].sum(axis=0) * 2 * w
+    assert diag["est_error"] == pytest.approx(
+        np.abs(fine.coords - coarse).max(), rel=0, abs=1e-15)
 
 
 def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
@@ -564,8 +579,8 @@ def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
     monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
     monkeypatch.setattr(wall, "residue_at", counted_circle)
     line = wall.Line(lp, pack.circuit)
-    f = recording(wall.make_integrand(x, line, ring), integrand)
-    _, diag = wall.mb_contour_oracle(f, line, 14.0)
+    f = recording(line_integrand(x, line, ring), integrand)
+    (_, diag), = wall.mb_contour_oracle(f, [line], 14.0)
     assert len(integrand) == 1
     assert kernel == [(pack.data.n * (diag["nodes"] + 2),)]
     del integrand[:], kernel[:]
@@ -611,7 +626,8 @@ def poisoned(f, center, radius):
     """f with NaN values at the nodes of the circle (center, radius)."""
     def g(s):
         vals = f(s)
-        vals.coords[np.abs(np.asarray(s) - center) < 1.2 * radius] = np.nan
+        vals.coords[:, np.abs(np.asarray(s) - center) < 1.2 * radius] = \
+            np.nan
         return vals
     g.decay, g.arg_y = f.decay, f.arg_y
     return g
@@ -631,11 +647,11 @@ def test_residue_rounds_match_the_one_circle_loop(packs, name, eps):
         line = wall.Line(lp, circuit)
         circles = reference_circles(lp, circuit, line.s0)
         want, summed = reference_left_residue_sum(
-            wall.make_integrand(x, line, ring), circles)
+            alone(line_integrand(x, line, ring)), circles)
         assert 0 < summed < len(circles), lp
         calls = []
         got = wall.left_residue_sum(
-            recording(wall.make_integrand(x, line, ring), calls), line)
+            recording(line_integrand(x, line, ring), calls), line)
         assert np.array_equal(got.coords, want.coords), lp
         assert len(calls) <= math.ceil(math.log2(summed / 4 + 1)), lp
         # the stop falls in the last round, which is evaluated whole
@@ -645,7 +661,7 @@ def test_residue_rounds_match_the_one_circle_loop(packs, name, eps):
         # NaN on the first circle past the stop: dropped unchecked if its
         # round evaluated it; NaN on the last circle summed: raised
         for index in (summed, summed - 1):
-            f = poisoned(wall.make_integrand(x, line, ring), *circles[index])
+            f = poisoned(line_integrand(x, line, ring), *circles[index])
             if index < summed:
                 with pytest.raises(NonFiniteValue):
                     wall.left_residue_sum(f, line)
@@ -705,12 +721,11 @@ def test_underresolved_step_fails_the_checks(a1, monkeypatch):
 
 
 def test_nan_quadrature_error_fails_the_row(a1, monkeypatch):
-    line = wall._line_quadrature
+    oracle = wall.mb_contour_oracle
 
     def poisoned(*args):
-        fine, coarse, vals, step = line(*args)
-        return fine, coarse * math.nan, vals, step
-    monkeypatch.setattr(wall, "_line_quadrature", poisoned)
+        return [(q, {**dg, "est_error": math.nan}) for q, dg in oracle(*args)]
+    monkeypatch.setattr(wall, "mb_contour_oracle", poisoned)
     plus, minus = a1.chamber(a1.t_plus), a1.chamber(a1.t_minus)
     rep = wall.oracle_report(a1.circuit, plus, minus, eps_values=(1e-2,))
     assert all(math.isnan(c["est_error"]) for c in rep["checks"])
@@ -854,8 +869,8 @@ def values_of(f, out):
 def test_shared_line_factors_are_exact(packs, name, eps, monkeypatch):
     # the generator lines of a depth-2 battery, one LineFactors table per
     # sector and eps, at both endpoints: each line's value, est_error and
-    # node values equal those of a fresh make_integrand(x, line, ring) to
-    # the last bit, whatever the table held before it, and the shared
+    # node values equal those of its integrand on a fresh LineFactors(ring)
+    # to the last bit, whatever the table held before it, and the shared
     # tables send fewer Gamma arguments to the kernel
     if name in packs:
         data, tris = packs[name].data, packs[name].tris
@@ -886,12 +901,14 @@ def test_shared_line_factors_are_exact(packs, name, eps, monkeypatch):
                 for x in (path.x_plus, path.x_minus):
                     got, want = [], []
                     mode[0] = "shared"
-                    q, dg = wall.mb_contour_oracle(values_of(
-                        wall.make_integrand(x, line, ring, factors), got),
-                        line, 14.0)
+                    (q, dg), = wall.mb_contour_oracle(values_of(
+                        wall.make_integrand(x, [line], ring, factors), got),
+                        [line], 14.0)
                     mode[0] = "fresh"
-                    q0, dg0 = wall.mb_contour_oracle(values_of(
-                        wall.make_integrand(x, line, ring), want), line, 14.0)
+                    (q0, dg0), = wall.mb_contour_oracle(values_of(
+                        wall.make_integrand(x, [line], ring,
+                                            wall.LineFactors(ring)), want),
+                        [line], 14.0)
                     assert q.coords.tobytes() == q0.coords.tobytes()
                     assert dg == dg0
                     assert [v.tobytes() for v in got] \
@@ -947,7 +964,7 @@ def test_far_lines_are_refused_before_any_evaluation(packs, s0):
                        TruncationPolicy(), pack.circuit) if term.generator}:
             line = wall.Line(lp, pack.circuit, s0)
             with pytest.raises(NonFiniteValue, match="1/Gamma overflows"):
-                wall.mb_contour_oracle(never, line, 14.0)
+                wall.mb_contour_oracle(never, [line], 14.0)
 
 
 def test_lines_near_the_gamma_bound_are_not_finite(a1):
@@ -959,12 +976,10 @@ def test_lines_near_the_gamma_bound_are_not_finite(a1):
     line = wall.Line(lp, a1.circuit, 89.5)
     assert line.s0 == 89.5
     with pytest.raises(NonFiniteValue, match="not finite on the line"):
-        wall.mb_contour_oracle(wall.make_integrand(x, line, ring), line,
-                               14.0)
+        wall.mb_contour_oracle(line_integrand(x, line, ring), [line], 14.0)
     line = wall.Line(lp, a1.circuit, 90.75)
     with pytest.raises(NonFiniteValue, match="-180.5 < -180"):
-        wall.mb_contour_oracle(wall.make_integrand(x, line, ring), line,
-                               14.0)
+        wall.mb_contour_oracle(line_integrand(x, line, ring), [line], 14.0)
 
 
 # -- stacks of lines -----------------------------------------------------
@@ -986,7 +1001,7 @@ def stacked_values(monkeypatch, out):
     out."""
     real = wall.make_integrand
 
-    def spy(x, lines, ring, factors=None):
+    def spy(x, lines, ring, factors):
         f = real(x, lines, ring, factors)
 
         def g(s):
@@ -1072,8 +1087,10 @@ def test_a_later_line_of_a_stack_fails_as_alone(a1, monkeypatch):
                                   line, 14.0)
         del sent[:]
         with pytest.raises(NonFiniteValue) as got:
-            wall.mb_contour_oracle(wall.make_integrand(x, [ok, line], ring),
-                                   [ok, line], 14.0)
+            wall.mb_contour_oracle(
+                wall.make_integrand(x, [ok, line], ring,
+                                    wall.LineFactors(ring)),
+                [ok, line], 14.0)
         assert str(got.value) == str(want.value)
         assert bool(sent) == evaluated
         assert all(v > wall.GAMMA_RE_MIN for v in sent)
@@ -1154,7 +1171,7 @@ def test_a_stack_never_exceeds_the_node_cap(monkeypatch):
     sizes = []
     real = wall.make_integrand
 
-    def counted(x, lines, ring, factors=None):
+    def counted(x, lines, ring, factors):
         f = real(x, lines, ring, factors)
 
         def g(s):
@@ -1176,6 +1193,13 @@ def test_a_stack_never_exceeds_the_node_cap(monkeypatch):
 def test_stack_size_counts_nodes_and_probes():
     # 642 nodes and two probes a line at half-height 14 and distance 1/2;
     # a line past the cap, or one whose node count overflows, is alone
+    assert wall._line_nodes(14.0, 0.5) == 642
+    assert wall._line_nodes(14.0, 0.25) == 1284
+    assert wall._line_nodes(1e4, 0.5) == 458368 > wall.MAX_LINE_NODES
+    far = wall._line_nodes(1e300, 0.5)    # finite: an exact even int
+    assert isinstance(far, int) and far > wall.MAX_LINE_NODES
+    assert wall._line_nodes(1e308, 0.5) == math.inf     # 1e308 * 36 is not
+    assert wall._stack_size(1e300, 0.5) == 1
     assert wall._stack_size(14.0, 0.5) == wall.MAX_LINE_NODES // 644
     assert wall._stack_size(14.0, 0.25) == wall.MAX_LINE_NODES // 1286
     assert wall._stack_size(1e4, 0.5) == 1
