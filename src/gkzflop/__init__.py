@@ -57,7 +57,6 @@ from .rings import (
 )
 from .deform import DeformationRing, EpsSeries
 from .series import (
-    EvaluationPoint,
     TruncationPolicy,
     evaluate_gamma,
     evaluate_gamma_dual,

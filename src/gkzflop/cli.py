@@ -2,7 +2,10 @@
 
 Every command takes the same flags, so one parser reads them all: the
 command is its first positional argument, and the flags may come before
-or after it.
+or after it.  COMMANDS is the one table of commands, name -> (help line,
+function of the parsed flags that returns the report body); the
+parser's choices, its help epilog and run all read it.  A report's
+config is the parsed flags, less the command and --out.
 
 Exit codes: 0 all checks pass, 1 verification failure or runtime error
 in a module, 2 input error (bad flags, malformed fixture, infeasible
@@ -28,19 +31,6 @@ from .dual import CompactKModule, PairingStub, dual_transform_status
 from .wall import (ContourSpec, WallContext, ac_transform, c_battery,
                    fm_transform, invertibility, oracle_report,
                    select_endpoints, verify_fm_equals_ac)
-
-SUBCOMMANDS = (
-    ("inspect", "fixture combinatorics: points, triangulations, circuit"),
-    ("box", "twisted sectors of both triangulations"),
-    ("essential", "essential cones and sectors on both sides"),
-    ("gamma-eval", "evaluate the solution series at the path endpoints"),
-    ("dual-eval", "evaluate the interior-indexed series, reduced"),
-    ("fm", "kernel-route transform matrix"),
-    ("ac", "residue-route transform matrix"),
-    ("oracle", "contour quadrature vs pole sums"),
-    ("verify", "full crossing battery: matrices and end-to-end values"),
-    ("dual-status", "implemented-ingredient checklist for the dual side"),
-)
 
 _TRUNC_DEFAULT = 20
 
@@ -83,11 +73,11 @@ def build_parser():
         prog="gkzflop",
         description="wall-crossing solution series and transform checks",
         epilog="commands:\n" + "\n".join(
-            f"  {name:<12} {help_text}" for name, help_text in SUBCOMMANDS),
+            f"  {name:<12} {help_text}"
+            for name, (help_text, _) in COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser._negative_number_matcher = re.compile(_NEGATIVE_NUMBER)
-    parser.add_argument("command", metavar="COMMAND",
-                        choices=[name for name, _ in SUBCOMMANDS],
+    parser.add_argument("command", metavar="COMMAND", choices=list(COMMANDS),
                         help="one of the commands listed below")
     _add_common(parser)
     return parser
@@ -115,14 +105,6 @@ def _validate(args):
             raise InputError("--eps samples must be nonzero")
 
 
-def _config_dict(args):
-    return {"fixture": args.fixture, "plus": args.plus, "minus": args.minus,
-            "trunc": args.trunc, "eps": args.eps,
-            "contour_t": args.contour_t, "contour_re": args.contour_re,
-            "amp": args.amp, "y_abs": args.y_abs, "depth": args.depth,
-            "format": args.format}
-
-
 def _load(args):
     """The fixture's data and its plus and minus triangulations, validated."""
     data, ts = load_fixture(args.fixture)
@@ -136,6 +118,13 @@ def _load(args):
         if not ok:
             raise NotATriangulation(f"{label}: {'; '.join(messages)}")
     return data, ts[args.plus], ts[args.minus]
+
+
+def _crossing(args):
+    """The fixture's data, its circuit and the plus and minus Chambers."""
+    data, t_plus, t_minus = _load(args)
+    circuit = find_circuit(data, t_plus, t_minus)
+    return data, circuit, Chamber(data, t_plus), Chamber(data, t_minus)
 
 
 def _policy(args, default=_TRUNC_DEFAULT):
@@ -152,20 +141,19 @@ def _cone_list(cones):
 
 
 def cmd_inspect(args):
-    data, t_plus, t_minus = _load(args)
-    circuit = find_circuit(data, t_plus, t_minus)
+    data, circuit, plus, minus = _crossing(args)
     dims = {}
-    for t in (t_plus, t_minus):
+    for chamber in (plus, minus):
         per = {sector_label(k): alg.dim
-               for k, alg in Chamber(data, t).algebras.items()}
-        dims[t.label] = {"sectors": per, "total": sum(per.values())}
+               for k, alg in chamber.algebras.items()}
+        dims[chamber.t.label] = {"sectors": per, "total": sum(per.values())}
     return {
-        "points": [list(p) for p in data.points],
-        "deg": list(data.deg),
+        "points": data.points,
+        "deg": data.deg,
         "rank": data.rank, "n": data.n,
-        "triangulations": {t.label: _cone_list(t.maximal)
-                           for t in (t_plus, t_minus)},
-        "circuit": {"h": list(circuit.h),
+        "triangulations": {c.t.label: _cone_list(c.t.maximal)
+                           for c in (plus, minus)},
+        "circuit": {"h": circuit.h,
                     "I_plus": sorted(j + 1 for j in circuit.I_plus),
                     "I_minus": sorted(j + 1 for j in circuit.I_minus)},
         "sector_dims": dims,
@@ -177,8 +165,7 @@ def cmd_box(args):
     data, t_plus, t_minus = _load(args)
     body = {}
     for t in (t_plus, t_minus):
-        body[t.label] = [{"coords": [str(v) for v in g.coords],
-                          "point": list(g.point)}
+        body[t.label] = [{"coords": g.coords, "point": g.point}
                          for g in compute_box(data, t)]
     body["pass"] = True
     return body
@@ -199,27 +186,22 @@ def cmd_essential(args):
     return body
 
 
-def _element_out(el):
-    return {"coords": [{"re": v.real, "im": v.imag} for v in el.coords]}
-
-
 def cmd_gamma_eval(args):
     data, t_plus, t_minus = _load(args)
     circuit = find_circuit(data, t_plus, t_minus)
     path = select_endpoints(circuit, args.amp, args.y_abs)
     policy = _policy(args)
     battery = c_battery(data, args.depth)
-    body = {"x_plus": [{"re": v.real, "im": v.imag} for v in path.x_plus],
-            "x_minus": [{"re": v.real, "im": v.imag} for v in path.x_minus],
+    body = {"x_plus": path.x_plus, "x_minus": path.x_minus,
             "evaluations": []}
     for side, t, x in (("plus", t_plus, path.x_plus),
                        ("minus", t_minus, path.x_minus)):
         values = evaluate_gamma(Chamber(data, t), battery, x, policy)
         for c, val in zip(battery, values):
             body["evaluations"].append({
-                "side": side, "c": list(c),
-                "components": {sector_label(k): _element_out(v)
-                               for k, v in val.value.components.items()},
+                "side": side, "c": c,
+                "components": {sector_label(k): {"coords": v.coords}
+                               for k, v in val.components.items()},
                 "term_counts": {sector_label(k): v
                                 for k, v in val.term_counts.items()},
                 "tail": val.tail,
@@ -232,14 +214,9 @@ def _interior_battery(data, depth):
     base = tuple(sum(p[a] for p in data.points) for a in range(data.rank))
     battery = [base]
     if depth >= 2:
-        for v in data.points:
-            battery.append(tuple(b + w for b, w in zip(base, v)))
-    seen, out = set(), []
-    for c in battery:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
+        battery += [tuple(b + w for b, w in zip(base, v))
+                    for v in data.points]
+    return list(dict.fromkeys(battery))
 
 
 def cmd_dual_eval(args):
@@ -247,8 +224,7 @@ def cmd_dual_eval(args):
     policy = _policy(args)
     battery = _interior_battery(data, args.depth)
     x = [0.08 + 0.01j] * data.n
-    body = {"x": [{"re": v.real, "im": v.imag} for v in x],
-            "evaluations": []}
+    body = {"x": x, "evaluations": []}
     for t in (t_plus, t_minus):
         chamber = Chamber(data, t)
         module = CompactKModule(chamber)
@@ -256,15 +232,14 @@ def cmd_dual_eval(args):
                                      module=module)
         for c, val in zip(battery, values):
             body["evaluations"].append({
-                "side": t.label, "c": list(c),
+                "side": t.label, "c": c,
                 "generators": [[i + 1 for i in I]
                                for I in module.generators],
                 "module_dim": module.dim,
                 "components": {f"{sector_label(k)} {tuple(i + 1 for i in I)}":
-                               _element_out(v)
+                               {"coords": v.coords}
                                for (k, I), v in val.components.items()},
-                "reduced": {sector_label(k): [{"re": v.real, "im": v.imag}
-                                     for v in vec]
+                "reduced": {sector_label(k): vec
                             for k, vec in val.reduced.items()},
                 "term_counts": {sector_label(k): v
                                 for k, v in val.term_counts.items()},
@@ -273,62 +248,44 @@ def cmd_dual_eval(args):
     return body
 
 
-def _matrix_out(m):
-    return {"rows": [f"{sector_label(k)}[{i}]" for k, i in m.row_index],
-            "cols": [f"{sector_label(k)}[{i}]" for k, i in m.col_index],
-            "entries": [[{"re": v.real, "im": v.imag} for v in row]
-                        for row in m.entries],
+def _matrix_out(wall, m):
+    return {"rows": [f"{sector_label(k)}[{i}]" for k, i in wall.rows],
+            "cols": [f"{sector_label(k)}[{i}]" for k, i in wall.cols],
+            "entries": m.entries,
             "principal_ratio": m.principal_ratio}
 
 
-def _transform_body(args, route):
-    data, t_plus, t_minus = _load(args)
-    circuit = find_circuit(data, t_plus, t_minus)
-    eps_list = args.eps if args.eps else [1e-2]
-    builder = fm_transform if route == "fm" else ac_transform
-    plus, minus = Chamber(data, t_plus), Chamber(data, t_minus)
+def _transform_body(args, route, builder):
+    _, circuit, plus, minus = _crossing(args)
     wall = WallContext(circuit, plus, minus)
     samples = []
     ok = True
-    for eps in eps_list:
+    for eps in args.eps or [1e-2]:
         m = builder(wall, eps)
         sizes, invertible = invertibility(m.entries)
         ok = ok and invertible
-        samples.append({"eps": eps, **sizes, **_matrix_out(m)})
+        samples.append({"eps": eps, **sizes, **_matrix_out(wall, m)})
     m0 = builder(wall, None)
     return {"route": route, "samples": samples,
-            "undeformed_limit": _matrix_out(m0),
+            "undeformed_limit": _matrix_out(wall, m0),
             "pass": ok and m0.principal_ratio < 1e-9}
 
 
-def cmd_fm(args):
-    return _transform_body(args, "fm")
-
-
-def cmd_ac(args):
-    return _transform_body(args, "ac")
-
-
 def cmd_oracle(args):
-    data, t_plus, t_minus = _load(args)
-    circuit = find_circuit(data, t_plus, t_minus)
-    eps_values = tuple(args.eps) if args.eps else (1e-2, 1e-3)
-    return oracle_report(circuit, Chamber(data, t_plus),
-                         Chamber(data, t_minus), eps_values=eps_values,
+    _, circuit, plus, minus = _crossing(args)
+    return oracle_report(circuit, plus, minus,
+                         eps_values=tuple(args.eps or (1e-2, 1e-3)),
                          y_abs=args.y_abs, amplitude=args.amp,
                          spec=_contour_spec(args))
 
 
 def cmd_verify(args):
-    data, t_plus, t_minus = _load(args)
-    circuit = find_circuit(data, t_plus, t_minus)
-    eps_samples = tuple(args.eps) if args.eps else (1e-2, 5e-3, 2e-3)
-    policy = _policy(args, default=25)
-    return verify_fm_equals_ac(circuit, Chamber(data, t_plus),
-                               Chamber(data, t_minus),
-                               eps_samples=eps_samples, depth=args.depth,
-                               y_abs=args.y_abs, amplitude=args.amp,
-                               policy=policy, spec=_contour_spec(args))
+    _, circuit, plus, minus = _crossing(args)
+    return verify_fm_equals_ac(
+        circuit, plus, minus,
+        eps_samples=tuple(args.eps or (1e-2, 5e-3, 2e-3)),
+        depth=args.depth, y_abs=args.y_abs, amplitude=args.amp,
+        policy=_policy(args, default=25), spec=_contour_spec(args))
 
 
 def cmd_dual_status(args):
@@ -358,37 +315,43 @@ def cmd_dual_status(args):
     return body
 
 
-DISPATCH = {
-    "inspect": cmd_inspect,
-    "box": cmd_box,
-    "essential": cmd_essential,
-    "gamma-eval": cmd_gamma_eval,
-    "dual-eval": cmd_dual_eval,
-    "fm": cmd_fm,
-    "ac": cmd_ac,
-    "oracle": cmd_oracle,
-    "verify": cmd_verify,
-    "dual-status": cmd_dual_status,
+COMMANDS = {
+    "inspect": ("fixture combinatorics: points, triangulations, circuit",
+                cmd_inspect),
+    "box": ("twisted sectors of both triangulations", cmd_box),
+    "essential": ("essential cones and sectors on both sides",
+                  cmd_essential),
+    "gamma-eval": ("evaluate the solution series at the path endpoints",
+                   cmd_gamma_eval),
+    "dual-eval": ("evaluate the interior-indexed series, reduced",
+                  cmd_dual_eval),
+    "fm": ("kernel-route transform matrix",
+           lambda args: _transform_body(args, "fm", fm_transform)),
+    "ac": ("residue-route transform matrix",
+           lambda args: _transform_body(args, "ac", ac_transform)),
+    "oracle": ("contour quadrature vs pole sums", cmd_oracle),
+    "verify": ("full crossing battery: matrices and end-to-end values",
+               cmd_verify),
+    "dual-status": ("implemented-ingredient checklist for the dual side",
+                    cmd_dual_status),
 }
 
 
 def run(command, args):
-    """Dispatch one subcommand; returns (exit_status, report dict)."""
+    """Run one command; returns (exit_status, report dict)."""
     t0 = time.perf_counter()
     try:
         _validate(args)
-        body = DISPATCH[command](args)
+        body = COMMANDS[command][1](args)
         status = 0 if body.get("pass", True) else 1
-    except InputError as exc:
-        body = {"error": type(exc).__name__, "message": str(exc),
-                "pass": False}
-        status = 2
     except GkzflopError as exc:
         body = {"error": type(exc).__name__, "message": str(exc),
                 "pass": False}
-        status = 1
+        status = 2 if isinstance(exc, InputError) else 1
     timings = {"total_s": time.perf_counter() - t0}
-    rep = reporting.assemble(command, _config_dict(args), body, timings)
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("command", "out")}
+    rep = reporting.assemble(command, config, body, timings)
     return status, rep
 
 

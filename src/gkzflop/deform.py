@@ -34,6 +34,9 @@ from . import kernels
 from .rings import AlgebraElement, algebra_exp, algebra_inverse
 
 TWO_PI_I = 2j * math.pi
+# series_inverse drops scalar-part coefficients below SCALAR_RTOL of the
+# largest; eps_zero refuses a principal part above POLE_RTOL.
+SCALAR_RTOL = POLE_RTOL = 1e-9
 
 
 def principal_log(x):
@@ -197,7 +200,7 @@ class EpsSeries:
         return acc
 
 
-def series_inverse(x, rtol=1e-9):
+def series_inverse(x):
     """Inverse of an EpsSeries whose scalar part is a nonzero Laurent series.
 
     Splits x = S + N with S the scalar-part series (noise below the
@@ -214,7 +217,7 @@ def series_inverse(x, rtol=1e-9):
         raise NotInvertible("series scalar part vanishes on its window")
     if not math.isfinite(top):
         raise NonFiniteValue("series scalar part is not finite")
-    lead = next(i for i, m in enumerate(mags) if m > rtol * top)
+    lead = next(i for i, m in enumerate(mags) if m > SCALAR_RTOL * top)
     s = scal[lead:]
     sinv = [0j] * len(s)
     sinv[0] = 1.0 / s[0]
@@ -359,9 +362,9 @@ class DeformationRing:
             return self._once(series_exp, x)
         return algebra_exp(x)
 
-    def inv(self, x, rtol=1e-9):
+    def inv(self, x):
         if isinstance(x, EpsSeries):
-            return self._once(series_inverse, x, rtol)
+            return self._once(series_inverse, x)
         return algebra_inverse(x)
 
     def power(self, x, k):
@@ -422,7 +425,7 @@ class DeformationRing:
         scale = max(float(head.max()) if head.size else 0.0, 1e-300)
         return x.principal_norm() / scale
 
-    def eps_zero(self, x, rtol=1e-9):
+    def eps_zero(self, x):
         """Value at eps^0 after checking the pole part cancelled.
 
         A window that ends before eps^0 raises SeriesWindowExceeded.  A
@@ -432,7 +435,7 @@ class DeformationRing:
             return x
         value = x.coeff(0)
         ratio = self.principal_ratio(x)
-        if not ratio <= rtol:
+        if not ratio <= POLE_RTOL:
             raise UncancelledPole(
                 f"principal part at relative size {ratio:.3e}")
         return value

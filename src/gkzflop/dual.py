@@ -24,7 +24,11 @@ from .rings import algebra_exp, algebra_inverse
 from .deform import unit_phase
 
 
-def _rref(mat, tol=1e-9):
+# A pivot candidate at most PIVOT_RTOL of the matrix's scale is zero.
+PIVOT_RTOL = 1e-9
+
+
+def _rref(mat):
     """Reduced row echelon form with fixed left-to-right pivot order."""
     mat = np.array(mat, dtype=complex)
     if mat.size == 0:
@@ -38,7 +42,7 @@ def _rref(mat, tol=1e-9):
             break
         sub = np.abs(mat[r:, col])
         best = int(sub.argmax())
-        if sub[best] <= tol * scale:
+        if sub[best] <= PIVOT_RTOL * scale:
             continue
         if best:
             mat[[r, r + best]] = mat[[r + best, r]]

@@ -129,13 +129,14 @@ def _stirling(w, orders):
 
 def _recip_gamma_series_flat(z, kmax):
     """Taylor coefficients of 1/Gamma(z + u), shape (len(z), kmax + 1)."""
-    count = _shift_count(z, 0.5)
-    scale, log_gamma, psi = _stirling(z + count, kmax)
-    out = np.empty((z.size, kmax + 1), dtype=complex)
     # a z far out on the left overflows exp to inf, and the recurrence
-    # turns that into NaN: the values say so, and the callers' finiteness
-    # gates raise NonFiniteValue, so numpy need not warn as well
+    # turns that into NaN; a non-finite z gives a NaN row: the values say
+    # so, and the callers' finiteness gates raise NonFiniteValue, so numpy
+    # need not warn as well
     with np.errstate(over="ignore", invalid="ignore"):
+        count = _shift_count(z, 0.5)
+        scale, log_gamma, psi = _stirling(z + count, kmax)
+        out = np.empty((z.size, kmax + 1), dtype=complex)
         out[:, 0] = scale * np.exp(-log_gamma)
         # f = exp(g), g' = -psi: f^(m) = sum_j C(m-1,j) g^(m-j) f^(j)
         g = -psi
@@ -146,8 +147,10 @@ def _recip_gamma_series_flat(z, kmax):
             out[:, m] = f[m] / math.factorial(m)
         # multiply the polynomial (z+u)(z+1+u)... back in, factor by
         # factor; a row with K <= j keeps its value, and while every row
-        # is live no mask is needed
-        for j in range(int(count.max(initial=0.0)) - 1, -1, -1):
+        # is live no mask is needed.  The bound is the largest finite K:
+        # a non-finite z has a NaN or infinite K
+        bound = count.max(initial=0.0, where=np.isfinite(count))
+        for j in range(int(bound) - 1, -1, -1):
             times = (z + j)[:, None] * out
             times[:, 1:] += out[:, :-1]
             live = count > j

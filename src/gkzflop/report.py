@@ -3,6 +3,11 @@
 Reports carry a fixed schema: config and body are fully deterministic
 for a given job configuration; wall-clock timings live in a separate
 section so machine comparison can strip them.
+
+sanitize is the one rule that turns values into JSON: a complex number
+becomes {"re": real, "im": imag}, tuples and arrays become lists and
+Fractions strings.  Commands put their values into a report as they
+are.
 """
 
 import json

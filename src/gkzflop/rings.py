@@ -442,10 +442,10 @@ def algebra_exp(element):
             from None
 
 
-def algebra_inverse(element, tol=0.0):
+def algebra_inverse(element):
     """Inverse via the terminating geometric series; NotInvertible at s=0."""
     s = element.scalar_part
-    if np.any(np.abs(s) <= tol):
+    if np.any(s == 0):
         raise NotInvertible("zero scalar part")
     n = element.nilpotent_part() * (-1.0 / s)
     acc = element.algebra.one() + n

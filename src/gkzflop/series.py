@@ -34,7 +34,7 @@ battery of one.
 import cmath
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -56,21 +56,6 @@ class TruncationPolicy:
 
     def __post_init__(self):
         assert self.degree_bound >= 1   # internal: cli rejects --trunc < 1
-
-
-@dataclass(frozen=True)
-class EvaluationPoint:
-    """Complex coordinates with every argument strictly inside (-pi, pi)."""
-
-    x: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(complex(v) for v in self.x))
-        for j, v in enumerate(self.x):
-            if v == 0:
-                raise InfeasibleArgs(f"coordinate {j + 1} is zero")
-            if v.imag == 0 and v.real < 0:
-                raise BranchCut(f"coordinate {j + 1} on the negative axis")
 
 
 @dataclass(frozen=True)
@@ -96,19 +81,10 @@ class LatticeTerm:
 
 
 @dataclass
-class OrbifoldSum:
+class GammaValue:
     """Per-sector components over the Box of one triangulation."""
 
-    components: dict = field(default_factory=dict)
-
-    def norm(self):
-        return max((v.norm() for v in self.components.values()), default=0.0)
-
-
-@dataclass
-class GammaValue:
-    value: OrbifoldSum
-    algebras: dict
+    components: dict         # sector key -> AlgebraElement
     term_counts: dict
     tail: dict
 
@@ -118,7 +94,6 @@ class DualGammaValue:
     """Coefficients attached to interior-cone generators, per sector."""
 
     components: dict         # (sector key, cone tuple) -> AlgebraElement
-    algebras: dict
     term_counts: dict
     reduced: object = None
 
@@ -381,13 +356,18 @@ def sum_rows(batch, rows=None):
 
 
 def _point(x, n):
-    if isinstance(x, EvaluationPoint):
-        pt = x
-    else:
-        pt = EvaluationPoint(tuple(x))
+    """x as a tuple of complex numbers, every argument strictly inside
+    (-pi, pi): a zero coordinate raises InfeasibleArgs, one on the
+    negative axis BranchCut."""
+    x = tuple(complex(v) for v in x)
+    for j, v in enumerate(x):
+        if v == 0:
+            raise InfeasibleArgs(f"coordinate {j + 1} is zero")
+        if v.imag == 0 and v.real < 0:
+            raise BranchCut(f"coordinate {j + 1} on the negative axis")
     # internal: callers build x with one coordinate per point
-    assert len(pt.x) == n, f"need {n} coordinates"
-    return pt.x
+    assert len(x) == n, f"need {n} coordinates"
+    return x
 
 
 def nan_max(*values):
@@ -457,8 +437,7 @@ def evaluate_gamma(chamber, battery, x, policy):
     """
     battery = list(battery)
     xs = _point(x, chamber.data.n)
-    algebras = dict(chamber.algebras)
-    out = [GammaValue(OrbifoldSum(), algebras, term_counts={}, tail=None)
+    out = [GammaValue(components={}, term_counts={}, tail=None)
            for _ in battery]
     shells = [defaultdict(float) for _ in battery]
     finite = [True] * len(battery)
@@ -472,7 +451,7 @@ def evaluate_gamma(chamber, battery, x, policy):
                 shells[i][size // g, term.den // g] += float(norm)
             values = batch.algebra.element(batch.coords[sel])
             finite[i] &= bool(np.isfinite(values.coords).all())
-            val.value.components[key] = sum_rows(values)
+            val.components[key] = sum_rows(values)
             val.term_counts[key] = len(part)
     for c, val, shell, ok in zip(battery, out, shells, finite):
         val.tail = _tail_scan(shell)
@@ -500,9 +479,7 @@ def evaluate_gamma_dual(chamber, battery, x, policy, module=None):
             raise NonInteriorPoint(f"{tuple(c)} is not interior")
     xs = _point(x, data.n)
     interior = set(map(frozenset, interior_cones(data, t, chamber.facets)))
-    algebras = dict(chamber.algebras)
-    out = [DualGammaValue(components={}, algebras=algebras, term_counts={})
-           for _ in battery]
+    out = [DualGammaValue(components={}, term_counts={}) for _ in battery]
     finite = [True] * len(battery)
     for key, terms, rows, batch in sector_batches(chamber, battery, xs,
                                                   policy, dual=True):

@@ -658,8 +658,8 @@ def coefficient_C(circuit, gamma, k, angles, ring):
 
 @dataclass
 class TransformMatrix:
-    row_index: tuple         # (sector key, basis position) on the target side
-    col_index: tuple         # same on the source side
+    """Entries indexed by WallContext.rows (target) and .cols (source)."""
+
     entries: np.ndarray
     principal_ratio: float = 0.0
 
@@ -894,8 +894,7 @@ def _transform(wall, eps, route):
     loc = localization_matrix(minus, rings_minus, mons).T
     colmat = np.array(raw_cols, dtype=complex).T
     entries = colmat @ np.linalg.inv(loc)
-    return TransformMatrix(row_index=wall.rows, col_index=wall.cols,
-                           entries=entries, principal_ratio=principal)
+    return TransformMatrix(entries=entries, principal_ratio=principal)
 
 
 def invertibility(entries):
@@ -1021,7 +1020,7 @@ def _line_values(x, rings, factors, lines, height):
             for (q, dg), (_, line) in zip(out, lines)]
 
 
-def continued_vector(wall, rings, battery, x, policy, spec=None):
+def continued_vector(wall, rings, battery, x, policy, spec):
     """Far-side values of the near-side solutions, one per c.
 
     Essential families are continued orbit-by-orbit from their
@@ -1041,7 +1040,6 @@ def continued_vector(wall, rings, battery, x, policy, spec=None):
     lines.
     """
     circuit, plus = wall.circuit, wall.plus
-    spec = spec or ContourSpec()
     factors = {key: LineFactors(ring) for key, ring in rings.items()}
     plans, lines, pending = [], [], None
     try:
@@ -1102,8 +1100,7 @@ def continued_vector(wall, rings, battery, x, policy, spec=None):
     return out
 
 
-def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
-                  amplitude=None, spec=None):
+def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, spec):
     """Quadrature vs pole sums on both sides, per generator and eps, at c = 0.
 
     plus and minus are the Chambers of the two triangulations.  Each
@@ -1115,7 +1112,6 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
     which do not depend on x, once.
     """
     data, t_plus = plus.data, plus.t
-    spec = spec or ContourSpec()
     path = select_endpoints(circuit, amplitude, y_abs)
     c = (0,) * data.rank
     policy = TruncationPolicy()
@@ -1141,11 +1137,11 @@ def oracle_report(circuit, plus, minus, eps_values=(1e-2, 1e-3), y_abs=0.1,
                     [line], spec.height)
                 right = orbit_sum(path.x_plus, line, ring, line.first_right,
                                   M_MAX)
-                dev_r = (q_p - right).norm() / max(right.norm(), 1.0)
+                dev_r, _ = _deviation(q_p.coords, right.coords)
                 f_m = make_integrand(path.x_minus, [line], ring, factors)
                 (q_m, dg_m), = mb_contour_oracle(f_m, [line], spec.height)
                 left = left_residue_sum(f_m, line)
-                dev_l = (q_m + left).norm() / max(left.norm(), 1.0)
+                dev_l, _ = _deviation(q_m.coords, -left.coords)
                 # each side passes only with its line's quadrature error
                 # under the same tolerance as its deviation
                 err_r = dg_p["est_error"] / max(q_p.norm(), 1.0)
@@ -1172,10 +1168,8 @@ def _deviation(got, ref):
     return float(np.abs(got - ref).max() / scale), scale
 
 
-def verify_fm_equals_ac(circuit, plus, minus,
-                        eps_samples=(1e-2, 5e-3, 2e-3), depth=2,
-                        y_abs=0.1, amplitude=None, policy=None,
-                        spec=None):
+def verify_fm_equals_ac(circuit, plus, minus, eps_samples, depth, y_abs,
+                        amplitude, policy, spec):
     """The crossing battery: matrix, laurent, end_to_end and invariance.
 
     plus and minus are the Chambers of the two triangulations; one wall
@@ -1187,7 +1181,6 @@ def verify_fm_equals_ac(circuit, plus, minus,
     propagates structural errors.
     """
     data, t_plus, t_minus = plus.data, plus.t, minus.t
-    policy = policy or TruncationPolicy(degree_bound=25)
     path = select_endpoints(circuit, amplitude, y_abs)
     report = {"kind": "fm-vs-ac", "fixture": {"plus": t_plus.label,
                                               "minus": t_minus.label},

@@ -3,6 +3,7 @@ from hypothesis import settings
 
 from gkzflop.fixtures import load_fixture
 from gkzflop.rings import Chamber
+from gkzflop.series import TruncationPolicy
 from gkzflop.toric import find_circuit
 from gkzflop import wall
 
@@ -59,8 +60,11 @@ def verify_reports(packs):
     """Full crossing battery, computed once per fixture."""
     out = {}
     for name, p in packs.items():
-        out[name] = wall.verify_fm_equals_ac(p.circuit, p.chamber(p.t_plus),
-                                             p.chamber(p.t_minus))
+        out[name] = wall.verify_fm_equals_ac(
+            p.circuit, p.chamber(p.t_plus), p.chamber(p.t_minus),
+            eps_samples=(1e-2, 5e-3, 2e-3), depth=2, y_abs=0.1,
+            amplitude=None, policy=TruncationPolicy(degree_bound=25),
+            spec=wall.ContourSpec())
     return out
 
 
@@ -71,5 +75,7 @@ def oracle_reports(packs):
     for name, p in packs.items():
         out[name] = wall.oracle_report(p.circuit, p.chamber(p.t_plus),
                                        p.chamber(p.t_minus),
-                                       eps_values=(1e-2, 1e-3))
+                                       eps_values=(1e-2, 1e-3), y_abs=0.1,
+                                       amplitude=None,
+                                       spec=wall.ContourSpec())
     return out

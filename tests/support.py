@@ -333,7 +333,7 @@ def subparser_reference():
         prog="gkzflop",
         description="wall-crossing solution series and transform checks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in cli.SUBCOMMANDS:
+    for name, (help_text, _) in cli.COMMANDS.items():
         cli._add_common(sub.add_parser(name, help=help_text))
     return parser
 

@@ -213,7 +213,7 @@ FLAG_VALUES = {"--fixture": "conifold", "--plus": "minus", "--minus": "plus",
                "--depth": "1", "--out": "r.json", "--format": "text"}
 
 
-@pytest.mark.parametrize("command", [name for name, _ in cli.SUBCOMMANDS])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_flat_parser_reads_what_the_subparsers_read(command, capsys):
     flat, reference = cli.build_parser(), subparser_reference()
     every = [token for pair in FLAG_VALUES.items() for token in pair]
@@ -234,7 +234,7 @@ def test_help_lists_every_command(capsys):
         cli.main(["-h"])
     assert exc.value.code == 0
     lines = capsys.readouterr().out.splitlines()
-    for name, help_text in cli.SUBCOMMANDS:
+    for name, (help_text, _) in cli.COMMANDS.items():
         assert [name, help_text] in [line.split(None, 1) for line in lines]
 
 
@@ -379,7 +379,7 @@ INVALID_FIXTURES = {
 def test_every_command_validates_the_fixture(tmp_path, error):
     path = tmp_path / "bad.txt"
     path.write_text(INVALID_FIXTURES[error])
-    for command in cli.DISPATCH:
+    for command in cli.COMMANDS:
         status, rep = run_cli([command, "--fixture", str(path)], tmp_path)
         assert status == 2, (command, rep["body"])
         assert rep["body"]["error"] == error, command

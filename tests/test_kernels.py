@@ -88,3 +88,21 @@ def test_batches_match_one_point_calls():
         single = np.array([kernel(z) for z in pts])
         scale = np.maximum(1.0, np.abs(single))
         assert np.max(np.abs(batch - single) / scale) <= 1e-15
+
+
+def test_non_finite_centres_give_non_finite_rows_quietly():
+    # a centre whose scalar part overflowed is NaN (or infinite): its row
+    # is not finite, numpy does not warn, and every finite row is the one
+    # that its centre gives alone
+    finite = [1.5 + 0.2j, -3.3 + 1j, 0.5, -4.0, -7.6 - 0.3j]
+    bad = [complex(np.nan, np.nan), complex(np.nan, 0.0),
+           complex(-np.inf, 0.0), complex(np.inf, 1.0)]
+    z = np.array(finite[:2] + bad + finite[2:])
+    with np.errstate(all="raise"):
+        batch = kernels.recip_gamma_series(z, 4)
+        for v, row in zip(z, batch):
+            alone = kernels.recip_gamma_series(np.array([v]), 4)[0]
+            if v in finite:
+                assert np.array_equal(row, alone), v
+            else:
+                assert not np.isfinite(row).all(), v

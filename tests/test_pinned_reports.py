@@ -50,6 +50,8 @@ CIRCUIT_COMMANDS = ("fm", "ac", "dual-eval")
 FLAG_JOBS = {
     "oracle a1 --contour-re -2.5": (2, "PoleRightOfLine"),
     "oracle conifold --eps 1e3": (1, "NonFiniteValue"),
+    "oracle a1 --eps 9e307": (1, "NonFiniteValue"),
+    "oracle conifold --eps 9e307": (1, "NonFiniteValue"),
     "oracle a1 --contour-t 300": (1, "NonFiniteValue"),
     "oracle a1 --contour-t 1e308": (2, "InfeasibleArgs"),
     "verify conifold --contour-t 1e308": (2, "InfeasibleArgs"),

@@ -158,7 +158,7 @@ def test_frozen_transform_matrices(pack):
         "conifold": np.eye(2),
     }[pack.name]
     assert np.abs(ac.entries - frozen).max() < 1e-10
-    assert len(ac.row_index) == len(ac.col_index) == 2
+    assert ac.entries.shape == (len(wc.rows), len(wc.cols)) == (2, 2)
 
 
 @pytest.mark.parametrize("build", [wall.fm_transform, wall.ac_transform],
@@ -707,13 +707,18 @@ def test_underresolved_step_fails_the_checks(a1, monkeypatch):
     # but |fine - coarse| is far above every tolerance
     monkeypatch.setattr(wall, "LINE_EXPONENT", 12)
     plus, minus = a1.chamber(a1.t_plus), a1.chamber(a1.t_minus)
-    rep = wall.oracle_report(a1.circuit, plus, minus, eps_values=(1e-2,))
+    rep = wall.oracle_report(a1.circuit, plus, minus, eps_values=(1e-2,),
+                             y_abs=0.1, amplitude=None,
+                             spec=wall.ContourSpec())
     for chk in rep["checks"]:
         assert chk["right_dev"] < 1e-7 and chk["left_dev"] < 1e-6
         assert not chk["right_pass"] and not chk["left_pass"]
         assert chk["nodes"] == [214, 214]
     assert rep["pass"] is False
-    rep = wall.verify_fm_equals_ac(a1.circuit, plus, minus, depth=0)
+    rep = wall.verify_fm_equals_ac(
+        a1.circuit, plus, minus, eps_samples=(1e-2, 5e-3, 2e-3), depth=0,
+        y_abs=0.1, amplitude=None, policy=TruncationPolicy(degree_bound=25),
+        spec=wall.ContourSpec())
     e2e = rep["end_to_end"]
     assert e2e["max_dev"] < 1e-6
     assert not any(row["pass"] for row in e2e["battery"])
@@ -727,10 +732,15 @@ def test_nan_quadrature_error_fails_the_row(a1, monkeypatch):
         return [(q, {**dg, "est_error": math.nan}) for q, dg in oracle(*args)]
     monkeypatch.setattr(wall, "mb_contour_oracle", poisoned)
     plus, minus = a1.chamber(a1.t_plus), a1.chamber(a1.t_minus)
-    rep = wall.oracle_report(a1.circuit, plus, minus, eps_values=(1e-2,))
+    rep = wall.oracle_report(a1.circuit, plus, minus, eps_values=(1e-2,),
+                             y_abs=0.1, amplitude=None,
+                             spec=wall.ContourSpec())
     assert all(math.isnan(c["est_error"]) for c in rep["checks"])
     assert not any(c["right_pass"] or c["left_pass"] for c in rep["checks"])
-    rep = wall.verify_fm_equals_ac(a1.circuit, plus, minus, depth=0)
+    rep = wall.verify_fm_equals_ac(
+        a1.circuit, plus, minus, eps_samples=(1e-2, 5e-3, 2e-3), depth=0,
+        y_abs=0.1, amplitude=None, policy=TruncationPolicy(degree_bound=25),
+        spec=wall.ContourSpec())
     assert not rep["end_to_end"]["pass"]
 
 
@@ -751,14 +761,16 @@ def test_battery_vectors_do_not_depend_on_the_battery(packs, name):
     x = select_endpoints(circuit, None, 0.1).x_minus
     policy = TruncationPolicy(degree_bound=25)
     battery = wall.c_battery(data, 1)
-    continued = wall.continued_vector(wc, rings_plus, battery, x, policy)
+    spec = wall.ContourSpec()
+    continued = wall.continued_vector(wc, rings_plus, battery, x, policy,
+                                      spec)
     values = wall.gamma_vector(minus, battery, x, policy)
     assert len(continued) == len(values) == len(battery) > 1
     assert any(np.abs(vec).max() > 0 for vec, _ in continued)
     assert any(np.abs(vec).max() > 0 for vec in values)
     for c, (vec, diag), value in zip(battery, continued, values):
         [(alone, alone_diag)] = wall.continued_vector(wc, rings_plus, [c], x,
-                                                      policy)
+                                                      policy, spec)
         assert (vec == alone).all() and diag == alone_diag, c
         [alone] = wall.gamma_vector(minus, [c], x, policy)
         assert (value == alone).all(), c
@@ -781,7 +793,8 @@ def test_nonessential_leftovers_are_summed_directly(a1, monkeypatch):
     x = a1.path().x_minus
     policy = TruncationPolicy(degree_bound=12)
     battery = wall.c_battery(a1.data, 1)
-    continued = wall.continued_vector(wc, rings, battery, x, policy)
+    continued = wall.continued_vector(wc, rings, battery, x, policy,
+                                      wall.ContourSpec())
     for c, (vec, diag) in zip(battery, continued):
         want = {}
         for g in plus.box:
@@ -817,7 +830,7 @@ def test_trapezoid_sums_its_nonessential_leftovers(monkeypatch):
     policy = TruncationPolicy(degree_bound=25)
     battery = wall.c_battery(wc.plus.data, 2)
     continued = wall.continued_vector(wc, wc.rings(wc.plus, 0.0), battery, x,
-                                      policy)
+                                      policy, wall.ContourSpec())
     assert len(leftovers) == 6
     assert not any(term.generator for term in leftovers)
     t = wall.fm_transform(wc, None).entries
@@ -1167,7 +1180,7 @@ def test_a_stack_never_exceeds_the_node_cap(monkeypatch):
     policy = TruncationPolicy(degree_bound=25)
     battery = wall.c_battery(wc.plus.data, 2)
     want = wall.continued_vector(wc, wc.rings(wc.plus, 0.0), battery, x,
-                                 policy)
+                                 policy, wall.ContourSpec())
     sizes = []
     real = wall.make_integrand
 
@@ -1183,7 +1196,7 @@ def test_a_stack_never_exceeds_the_node_cap(monkeypatch):
     monkeypatch.setattr(wall, "MAX_LINE_NODES", 2000)
     assert wall._stack_size(14.0, 0.5) == 3
     got = wall.continued_vector(wc, wc.rings(wc.plus, 0.0), battery, x,
-                                policy)
+                                policy, wall.ContourSpec())
     assert max(sizes) == 3 * 644
     assert len(sizes) > 7
     for (vec, diag), (vec0, diag0) in zip(got, want):
