@@ -29,7 +29,6 @@ from .errors import (
     SublatticeIndex,
     TailBoundViolated,
     UncancelledPole,
-    UnimplementedPairing,
 )
 from .toric import (
     Circuit,
@@ -74,8 +73,4 @@ from .wall import (
     select_endpoints,
     verify_fm_equals_ac,
 )
-from .dual import (
-    CompactKModule,
-    PairingStub,
-    dual_transform_status,
-)
+from .dual import CompactKModule

@@ -5,7 +5,8 @@ command is its first positional argument, and the flags may come before
 or after it.  COMMANDS is the one table of commands, name -> (help line,
 function of the parsed flags that returns the report body); the
 parser's choices, its help epilog and run all read it.  A report's
-config is the parsed flags, less the command and --out.
+config is the parsed flags, less the command and --out.  --trunc and
+--contour-t take their defaults from TruncationPolicy and ContourSpec.
 
 Exit codes: 0 all checks pass, 1 verification failure or runtime error
 in a module, 2 input error (bad flags, malformed fixture, infeasible
@@ -19,20 +20,20 @@ import sys
 import time
 
 from . import report as reporting
-from .errors import (GkzflopError, InputError, NotATriangulation,
-                     UnimplementedPairing)
+from .errors import GkzflopError, InputError, NotATriangulation
 from .fixtures import load_fixture
 from .toric import (check_triangulation, compute_box, essential_cones,
                     essential_sectors, find_circuit, sector_label,
                     validate_toric_data)
 from .rings import Chamber
 from .series import TruncationPolicy, evaluate_gamma, evaluate_gamma_dual
-from .dual import CompactKModule, PairingStub, dual_transform_status
+from .dual import CompactKModule
 from .wall import (ContourSpec, WallContext, ac_transform, c_battery,
                    fm_transform, invertibility, oracle_report,
                    select_endpoints, verify_fm_equals_ac)
 
-_TRUNC_DEFAULT = 20
+# verify's --trunc default, above TruncationPolicy's
+_VERIFY_TRUNC = 25
 
 # Tokens that read as a negative number, so as a flag's value and not as
 # a flag.  argparse's own rule (Python 3.11) takes only -5 and -0.5
@@ -48,11 +49,12 @@ def _add_common(sp):
     sp.add_argument("--minus", default="minus", metavar="LABEL",
                     help="label of the triangulation used as the minus side")
     sp.add_argument("--trunc", type=int, default=None,
-                    help="series degree bound (default 20; verify uses 25)")
+                    help="series degree bound (default "
+                         f"{TruncationPolicy.degree_bound}; verify uses {_VERIFY_TRUNC})")
     sp.add_argument("--eps", type=float, action="append", default=None,
                     help="deformation sample, repeatable")
     sp.add_argument("--contour-t", dest="contour_t", type=float,
-                    default=14.0, help="contour half-height T")
+                    default=ContourSpec.height, help="contour half-height T")
     sp.add_argument("--contour-re", dest="contour_re", type=float,
                     default=None,
                     help="real part of the integration line (default: "
@@ -127,7 +129,7 @@ def _crossing(args):
     return data, circuit, Chamber(data, t_plus), Chamber(data, t_minus)
 
 
-def _policy(args, default=_TRUNC_DEFAULT):
+def _policy(args, default=TruncationPolicy.degree_bound):
     bound = args.trunc if args.trunc is not None else default
     return TruncationPolicy(degree_bound=bound)
 
@@ -276,7 +278,7 @@ def cmd_oracle(args):
     return oracle_report(circuit, plus, minus,
                          eps_values=tuple(args.eps or (1e-2, 1e-3)),
                          y_abs=args.y_abs, amplitude=args.amp,
-                         spec=_contour_spec(args))
+                         policy=_policy(args), spec=_contour_spec(args))
 
 
 def cmd_verify(args):
@@ -285,34 +287,7 @@ def cmd_verify(args):
         circuit, plus, minus,
         eps_samples=tuple(args.eps or (1e-2, 5e-3, 2e-3)),
         depth=args.depth, y_abs=args.y_abs, amplitude=args.amp,
-        policy=_policy(args, default=25), spec=_contour_spec(args))
-
-
-def cmd_dual_status(args):
-    data, t_plus, t_minus = _load(args)
-    body = dual_transform_status()
-    body["modules"] = {}
-    for t in (t_plus, t_minus):
-        module = CompactKModule(Chamber(data, t))
-        body["modules"][t.label] = {
-            "generators": [[i + 1 for i in I] for I in module.generators],
-            "dim": module.dim,
-        }
-    stub = PairingStub()
-    raises = {}
-    for name, slot in (("euler_characteristic", stub.euler_characteristic),
-                       ("solution_pairing", stub.solution_pairing)):
-        try:
-            slot(None, None)
-        except UnimplementedPairing as exc:
-            raises[name] = {"raises": "UnimplementedPairing",
-                            "message": str(exc)}
-        else:
-            raises[name] = {"raises": None}
-    body["stub"] = raises
-    body["pass"] = all(v["raises"] == "UnimplementedPairing"
-                       for v in raises.values())
-    return body
+        policy=_policy(args, default=_VERIFY_TRUNC), spec=_contour_spec(args))
 
 
 COMMANDS = {
@@ -332,8 +307,6 @@ COMMANDS = {
     "oracle": ("contour quadrature vs pole sums", cmd_oracle),
     "verify": ("full crossing battery: matrices and end-to-end values",
                cmd_verify),
-    "dual-status": ("implemented-ingredient checklist for the dual side",
-                    cmd_dual_status),
 }
 
 

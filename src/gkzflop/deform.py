@@ -291,7 +291,8 @@ class DeformationRing:
     eps=None selects series mode (values are EpsSeries of
     laurent_window(data) coefficients); a concrete eps folds the shift
     into scalar parts and every operation stays plain AlgebraElement
-    arithmetic.
+    arithmetic.  A concrete eps whose shift a_j eps is not a finite
+    complex number raises NonFiniteValue here, before any arithmetic.
     """
 
     def __init__(self, algebra, offsets=None, eps=None):
@@ -307,6 +308,12 @@ class DeformationRing:
         self.algebra = algebra
         self.offsets = offsets
         self.eps = None if eps is None else complex(eps)
+        if self.eps is not None:
+            for a in offsets:
+                if not cmath.isfinite(complex(a) * self.eps):
+                    raise NonFiniteValue(
+                        f"divisor shift {a} * eps is not finite at "
+                        f"eps = {eps!r}")
         self.window = laurent_window(algebra.data)
         self._memo = {}
 

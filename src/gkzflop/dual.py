@@ -14,11 +14,14 @@ series attachments F_I produced by the interior-indexed sums satisfy
 D_i F_I = F_{I u {i}} (or 0); the two relation shapes differ by the
 invertible factor (1 - e^{-D_i})/D_i, so they generate the same row
 space and share the reduction.
+
+This is the module dual-eval reduces the dual series in.  The pairing
+between the plain and the dual solution spaces, which would continue
+the dual series across the wall, is not provided.
 """
 
 import numpy as np
 
-from .errors import UnimplementedPairing
 from .toric import interior_cones
 from .rings import algebra_exp, algebra_inverse
 from .deform import unit_phase
@@ -152,68 +155,3 @@ class CompactKModule:
         return {key: self.reduce_vector(key, vec)
                 for key, vec in stacked.items()}
 
-
-class PairingStub:
-    """Declared slots for the bilinear pairings; deliberately empty.
-
-    The continuation of the interior-indexed series is determined by a
-    nondegenerate pairing against the plain solution space; no closed
-    formula for that pairing ships here, so every slot reports itself
-    unimplemented instead of guessing.
-    """
-
-    def euler_characteristic(self, a, b):
-        raise UnimplementedPairing(
-            "the K-side Euler form is not provided; supply a pairing "
-            "provider to evaluate it")
-
-    def solution_pairing(self, u, v):
-        raise UnimplementedPairing(
-            "the bilinear form between the two solution spaces is not "
-            "provided; the interior-side continuation is scoped behind "
-            "a pairing provider")
-
-
-def dual_transform_status():
-    """Checklist of what the interior-indexed side does and does not do."""
-    return {
-        "kind": "dual-status",
-        "implemented": [
-            {"name": "interior-indexed series",
-             "detail": "lattice sums over the open support cone with "
-                       "stripped reciprocal-gamma factors attached to "
-                       "interior-cone generators"},
-            {"name": "compact module presentation",
-             "detail": "generators G_I for interior cones with relations "
-                       "(1-R_i^{-1}) G_I = G_{I u {i}} or 0, reduced over "
-                       "the localization model"},
-            {"name": "interior recursion checks",
-             "detail": "derivative and Euler identities for the "
-                       "interior-indexed series, exercising the module "
-                       "relations through attachment changes"},
-        ],
-        "open": [
-            {"name": "solution pairing",
-             "detail": "the bilinear form between the plain and "
-                       "interior-indexed solution spaces; its slots raise "
-                       "UnimplementedPairing"},
-        ],
-        "normalization": {
-            "unit": "the derivative identity forces D_i F_I = F_{I u {i}} "
-                    "with unit coefficient; the K-side relation uses "
-                    "1 - R_i^{-1} = D_i times an invertible series, so "
-                    "both presentations generate the same row space"},
-        "contract": [
-            "a conforming pairing provider must be nondegenerate between "
-            "the plain solution space and the interior-indexed one on "
-            "each side of the wall",
-            "it must intertwine the recursion: pairing(d_i u, v) + "
-            "pairing(u, d_i v) equals d_i pairing(u, v) termwise",
-            "the continued interior-indexed solution is then defined as "
-            "the pairing-adjoint of the verified plain-side map, and the "
-            "two transforms must satisfy pairing(M u, M_c v) = "
-            "pairing(u, v) for all u, v",
-            "given nondegeneracy this determines M_c uniquely, so "
-            "checking the displayed identity on a basis closes the loop",
-        ],
-    }

@@ -101,10 +101,6 @@ class LocalizationRankDeficient(GkzflopError):
     """No Laurent monomials found whose localization values span the side."""
 
 
-class UnimplementedPairing(GkzflopError):
-    """The bilinear pairing slots are declared but intentionally absent."""
-
-
 class SeriesWindowExceeded(GkzflopError):
     """An eps-series coefficient beyond its truncated window was needed."""
 

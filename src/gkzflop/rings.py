@@ -45,7 +45,6 @@ class SectorAlgebra:
 
     def __init__(self, data, t, sector):
         self.data = data
-        self.t_label = t.label
         self.sector = sector
         support = sector.support
         self.generators = tuple(sorted(star_rays(t, support)))
@@ -187,9 +186,6 @@ class SectorAlgebra:
                             for k in sorted(set(c)))
 
     # -- public API -----------------------------------------------------
-
-    def key(self):
-        return (self.t_label, self.sector.key())
 
     def element(self, coords):
         """Element with the given coordinates; shape (..., dim) is a batch."""
@@ -337,9 +333,6 @@ class AlgebraElement:
     def __init__(self, algebra, coords):
         self.algebra = algebra
         self.coords = coords
-
-    def copy(self):
-        return AlgebraElement(self.algebra, self.coords.copy())
 
     @property
     def scalar_part(self):

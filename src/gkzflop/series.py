@@ -95,7 +95,7 @@ class DualGammaValue:
 
     components: dict         # (sector key, cone tuple) -> AlgebraElement
     term_counts: dict
-    reduced: object = None
+    reduced: dict = None     # sector key -> quotient coordinates
 
 
 def _support(num, den):
@@ -463,9 +463,10 @@ def evaluate_gamma(chamber, battery, x, policy):
     return out
 
 
-def evaluate_gamma_dual(chamber, battery, x, policy, module=None):
+def evaluate_gamma_dual(chamber, battery, x, policy, module):
     """Dual series of every c of the battery: coefficients on the
-    interior-cone generators.
+    interior-cone generators, and their reduction in the CompactKModule
+    module.
 
     Every c must be an interior point (NonInteriorPoint otherwise).  One
     batch per sector for the whole battery, as in evaluate_gamma; returns
@@ -497,8 +498,7 @@ def evaluate_gamma_dual(chamber, battery, x, policy, module=None):
                 val.components[ckey] = sum_rows(batch, idx)
     for c, val, ok in zip(battery, out, finite):
         _require_finite(ok, c)
-        if module is not None:
-            val.reduced = module.reduce_components(val.components)
+        val.reduced = module.reduce_components(val.components)
     return out
 
 

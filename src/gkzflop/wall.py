@@ -48,8 +48,8 @@ from .toric import canonical_lift, adjacent_sector, essential_cones, \
     essential_sectors, sector_label
 from .deform import DeformationRing, TWO_PI_I, unit_phase, principal_log
 from .rings import algebra_exp
-from .series import TruncationPolicy, enumerate_terms, exponent_table, \
-    sector_batches, term_values, sum_rows, scalar_power, nan_max
+from .series import enumerate_terms, exponent_table, sector_batches, \
+    term_values, sum_rows, scalar_power, nan_max
 
 
 # A line pass is one trapezoid rule at half-step offsets; its even nodes
@@ -1100,13 +1100,15 @@ def continued_vector(wall, rings, battery, x, policy, spec):
     return out
 
 
-def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, spec):
+def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
+                  spec):
     """Quadrature vs pole sums on both sides, per generator and eps, at c = 0.
 
-    plus and minus are the Chambers of the two triangulations.  Each
-    generator's Line is built at its first use and serves every eps; per
-    eps, one integrand at each endpoint on the stack of that one line,
-    the far one shared by its quadrature and its residue circles.  The
+    plus and minus are the Chambers of the two triangulations, and policy
+    bounds the terms searched for orbit generators.  Each generator's
+    Line is built at its first use and serves every eps; per eps, one
+    integrand at each endpoint on the stack of that one line, the far
+    one shared by its quadrature and its residue circles.  The
     integrands of one eps and sector share a LineFactors table, so the
     near and far ends of a line evaluate their Gamma and pole factors,
     which do not depend on x, once.
@@ -1114,7 +1116,6 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, spec):
     data, t_plus = plus.data, plus.t
     path = select_endpoints(circuit, amplitude, y_abs)
     c = (0,) * data.rank
-    policy = TruncationPolicy()
     wall = WallContext(circuit, plus, minus)
     generators = {}      # they do not depend on eps: found once
     for g in plus.box:

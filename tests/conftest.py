@@ -77,5 +77,6 @@ def oracle_reports(packs):
                                        p.chamber(p.t_minus),
                                        eps_values=(1e-2, 1e-3), y_abs=0.1,
                                        amplitude=None,
+                                       policy=TruncationPolicy(),
                                        spec=wall.ContourSpec())
     return out

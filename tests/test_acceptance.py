@@ -11,12 +11,10 @@ import pytest
 from gkzflop import (
     CompactKModule,
     TruncationPolicy,
-    UnimplementedPairing,
     canonical_lift,
     pde_residuals,
 )
 from gkzflop import wall
-from gkzflop.dual import PairingStub, dual_transform_status
 from gkzflop.series import exponent_table, term_values
 from gkzflop.toric import Lift
 
@@ -221,23 +219,3 @@ def test_residue_coefficients_blind_to_lift(packs):
     emit("lift independence", ok,
          f"{n_pairs} coefficient pairs; laurent dev {worst['laurent']:.2e}, "
          f"numeric dev {worst['numeric']:.2e}, both < 1e-12")
-
-
-def test_interior_side_scope_is_declared(packs):
-    """The unimplemented pairing is declared, not silently faked."""
-    status = dual_transform_status()
-    ok = len(status["implemented"]) == 3 and len(status["open"]) == 1
-    stub = PairingStub()
-    for slot in (stub.euler_characteristic, stub.solution_pairing):
-        try:
-            slot(None, None)
-        except UnimplementedPairing:
-            pass
-        else:
-            ok = False
-    for name, pack in packs.items():
-        for side, t in both_sides(pack):
-            ok = ok and CompactKModule(pack.chamber(t)).dim == 2
-    emit("interior-side scope", ok,
-         "checklist reports 3 implemented ingredients and 1 open slot; "
-         "both pairing slots raise UnimplementedPairing")

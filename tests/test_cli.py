@@ -206,6 +206,22 @@ def test_overflowing_integrand_fails_without_warnings(fixture):
     assert json.loads(proc.stdout)["body"]["error"] == "NonFiniteValue"
 
 
+def test_oracle_searches_generators_within_trunc(tmp_path):
+    # the twisted sector's orbit generator of (1,2,-3) has degree 3, so
+    # --trunc 2 finds the untwisted one alone
+    path = tmp_path / "circuit.txt"
+    path.write_text(write_fixture(*circuit_fixture((1, 2, -3))))
+    found = {}
+    for trunc in (["--trunc", "2"], []):
+        status, rep = run_cli(["oracle", "--fixture", str(path), *trunc],
+                              tmp_path)
+        assert status == 0, rep["body"]
+        found[len(trunc)] = {(c["sector"], tuple(c["lprime"]))
+                             for c in rep["body"]["checks"]}
+    assert found[2] == {("(0,0,0)", ("0", "0", "0"))}
+    assert found[0] == found[2] | {("(1/2,0,1/2)", ("1/2", "1", "-3/2"))}
+
+
 # a value other than the default for every flag that takes one
 FLAG_VALUES = {"--fixture": "conifold", "--plus": "minus", "--minus": "plus",
                "--trunc": "7", "--eps": "3e-3", "--contour-t": "9.5",
@@ -470,17 +486,6 @@ def test_one_kernel_call_per_sector(tmp_path, monkeypatch, fixture, command,
         status, _ = cli.run(argv[0], cli.build_parser().parse_args(argv))
         assert status == 0
         assert len(count) == calls, depth
-
-
-def test_dual_status(tmp_path):
-    status, rep = run_cli(["dual-status", "--fixture", "conifold"], tmp_path)
-    assert status == 0
-    body = rep["body"]
-    assert len(body["implemented"]) == 3
-    assert len(body["open"]) == 1
-    for slot in body["stub"].values():
-        assert slot["raises"] == "UnimplementedPairing"
-    assert all(m["dim"] == 2 for m in body["modules"].values())
 
 
 def test_dual_eval_reduces_to_rank_two(tmp_path):

@@ -16,6 +16,7 @@ from gkzflop import (
     GkzflopError,
     InfeasibleArgs,
     NegativeValuation,
+    NonFiniteValue,
     NotInvertible,
     SectorAlgebra,
     UncancelledPole,
@@ -154,6 +155,15 @@ def test_ring_offset_validation(alg):
     ring = DeformationRing(alg)
     assert ring.offsets == (Fraction(0), Fraction(1), Fraction(2))
     assert ring.laurent
+
+
+def test_ring_refuses_a_shift_that_overflows(alg):
+    # the largest offset is 2: 2 * 8e307 is finite, 2 * 9e307 is not
+    ring = DeformationRing(alg, eps=8e307)
+    assert np.isfinite(ring.divisor(2).coords).all()
+    for eps in (9e307, -9e307, 9e307j):
+        with pytest.raises(NonFiniteValue, match="divisor shift 2"):
+            DeformationRing(alg, eps=eps)
 
 
 def test_modes_agree_at_small_eps(alg):

@@ -1,4 +1,4 @@
-"""Interior-indexed module: generators, relations, reductions, the open slot."""
+"""Interior-indexed module: generators, relations, reductions."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,11 @@ from gkzflop import (
     CompactKModule,
     SectorAlgebra,
     TruncationPolicy,
-    UnimplementedPairing,
     compute_box,
     evaluate_gamma_dual,
     pde_residuals,
 )
-from gkzflop.dual import PairingStub, _rref, dual_transform_status
+from gkzflop.dual import _rref
 from gkzflop.deform import DeformationRing, TWO_PI_I
 from gkzflop.series import enumerate_terms, term_values
 
@@ -156,17 +155,3 @@ def test_dual_pde_check_report(a1):
     module = CompactKModule(chamber)
     assert module.dim == 2
     assert module.generators == ((0, 1), (1,), (1, 2))
-
-
-def test_status_checklist_and_stub():
-    st = dual_transform_status()
-    assert st["kind"] == "dual-status"
-    assert len(st["implemented"]) == 3
-    assert len(st["open"]) == 1
-    assert "unit" in st["normalization"]
-    assert len(st["contract"]) == 4
-    stub = PairingStub()
-    with pytest.raises(UnimplementedPairing):
-        stub.euler_characteristic(None, None)
-    with pytest.raises(UnimplementedPairing):
-        stub.solution_pairing(None, None)

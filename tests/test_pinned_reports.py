@@ -7,16 +7,17 @@ the report without its timings of
 
 and tests/data/command_reports.json holds the same, keyed
 "COMMAND NAME", for the other jobs of JOBS: fm and ac at the same eps,
-gamma-eval, dual-eval, inspect, box, essential and dual-status at their
-defaults, and verify at depth 0.  fm, ac and dual-eval are also pinned
-on the circuit fixture of CIRCUIT (sectors of dimension 3), written to
-a temporary file; its report's config names it CIRCUIT_NAME, not the
+gamma-eval, dual-eval, inspect, box and essential at their defaults,
+and verify at depth 0.  fm, ac and dual-eval are also pinned on the
+circuit fixture of CIRCUIT (sectors of dimension 3), written to a
+temporary file; its report's config names it CIRCUIT_NAME, not the
 file's path.  The jobs of FLAG_JOBS, keyed by their command line, are
 pinned with the exit status and error name each must end in: a line
-left of a ratio pole, integrands that overflow, a half-height too short
-for the tails, a half-height whose node count is no finite float, one
-line placed by hand that passes, and verify at its default depth 2,
-whose battery's lines share their factors.
+left of a ratio pole, integrands that overflow, a divisor shift a eps
+that overflows, a half-height too short for the tails, a half-height
+whose node count is no finite float, one line placed by hand that
+passes, and verify at its default depth 2, whose battery's lines share
+their factors.
 
 Every field that is not a float must match exactly, and every float
 within 1e-14 max(|v|, 1).  A change that moves a value on purpose
@@ -42,7 +43,7 @@ FIXTURES = ("a1", "conifold")
 EPS = ["--eps", "1e-2", "--eps", "1e-3"]
 JOBS = {"oracle": EPS, "fm": EPS, "ac": EPS, "gamma-eval": [],
         "dual-eval": [], "verify": ["--depth", "0"], "inspect": [],
-        "box": [], "essential": [], "dual-status": []}
+        "box": [], "essential": []}
 COMMANDS = tuple(c for c in JOBS if c != "oracle")
 CIRCUIT = (1, 1, 1, -3)
 CIRCUIT_NAME = "circuit(1,1,1,-3)"

@@ -246,10 +246,13 @@ def test_point_validation():
 def test_dual_attachments_a1(a1):
     x = (0.08 + 0.01j,) * 3
     policy = TruncationPolicy(degree_bound=4, tail_check=False)
-    [plus] = evaluate_gamma_dual(a1.chamber(a1.t_plus), [(1, 1)], x, policy)
+    plus_chamber, minus_chamber = (a1.chamber(t)
+                                   for t in (a1.t_plus, a1.t_minus))
+    [plus] = evaluate_gamma_dual(plus_chamber, [(1, 1)], x, policy,
+                                 CompactKModule(plus_chamber))
     assert set(plus.components) == {(G0_A1, (1,))}
-    [minus] = evaluate_gamma_dual(a1.chamber(a1.t_minus), [(1, 1)], x,
-                                  policy)
+    [minus] = evaluate_gamma_dual(minus_chamber, [(1, 1)], x, policy,
+                                  CompactKModule(minus_chamber))
     assert set(minus.components) == {(G0_A1, (0, 2)), (TW_A1, (0, 2))}
     for (key, cone), v in minus.components.items():
         assert cone, "dual coefficients must sit on a nonempty cone"
@@ -259,10 +262,12 @@ def test_dual_attachments_a1(a1):
 def test_dual_requires_interior_point(a1):
     x = (0.1, 0.1, 0.1)
     policy = TruncationPolicy(degree_bound=4, tail_check=False)
+    chamber = a1.chamber(a1.t_plus)
+    module = CompactKModule(chamber)
     with pytest.raises(NonInteriorPoint):
-        evaluate_gamma_dual(a1.chamber(a1.t_plus), [(0, 0)], x, policy)
+        evaluate_gamma_dual(chamber, [(0, 0)], x, policy, module)
     with pytest.raises(NonInteriorPoint):
-        evaluate_gamma_dual(a1.chamber(a1.t_plus), [(0, 1)], x, policy)
+        evaluate_gamma_dual(chamber, [(0, 1)], x, policy, module)
 
 
 def battery_case(name):
@@ -353,9 +358,10 @@ def test_battery_raises_what_its_first_failing_c_raises():
 def test_dual_battery_checks_every_c_up_front(a1):
     x = (0.1, 0.1, 0.1)
     policy = TruncationPolicy(degree_bound=4, tail_check=False)
+    chamber = a1.chamber(a1.t_plus)
     with pytest.raises(NonInteriorPoint, match=r"\(0, 1\)"):
-        evaluate_gamma_dual(a1.chamber(a1.t_plus), [(1, 1), (0, 1)], x,
-                            policy)
+        evaluate_gamma_dual(chamber, [(1, 1), (0, 1)], x, policy,
+                            CompactKModule(chamber))
 
 
 def interior_battery(pack):

@@ -709,6 +709,7 @@ def test_underresolved_step_fails_the_checks(a1, monkeypatch):
     plus, minus = a1.chamber(a1.t_plus), a1.chamber(a1.t_minus)
     rep = wall.oracle_report(a1.circuit, plus, minus, eps_values=(1e-2,),
                              y_abs=0.1, amplitude=None,
+                             policy=TruncationPolicy(),
                              spec=wall.ContourSpec())
     for chk in rep["checks"]:
         assert chk["right_dev"] < 1e-7 and chk["left_dev"] < 1e-6
@@ -734,6 +735,7 @@ def test_nan_quadrature_error_fails_the_row(a1, monkeypatch):
     plus, minus = a1.chamber(a1.t_plus), a1.chamber(a1.t_minus)
     rep = wall.oracle_report(a1.circuit, plus, minus, eps_values=(1e-2,),
                              y_abs=0.1, amplitude=None,
+                             policy=TruncationPolicy(),
                              spec=wall.ContourSpec())
     assert all(math.isnan(c["est_error"]) for c in rep["checks"])
     assert not any(c["right_pass"] or c["left_pass"] for c in rep["checks"])
