@@ -69,9 +69,7 @@ class LatticeTerm:
 
     num: tuple               # ints
     den: int
-    sector: object           # TwistedSector
     support: frozenset       # I(l) = {i : l_i not a nonnegative integer}
-    owning_cones: tuple
     essential: bool = False
     generator: bool = False
 
@@ -173,24 +171,22 @@ def enumerate_terms(data, t, c, gamma, policy, circuit=None):
                            policy.degree_bound)
     ess = set(map(frozenset, essential_cones(data, t, circuit))) \
         if circuit is not None else set()
-    maximal = [(s, frozenset(s) in ess)
-               for s in sorted(t.maximal, key=sorted)]
+    maximal = [(s, frozenset(s) in ess) for s in t.maximal]
     step = tuple(den * v for v in circuit.h) if circuit is not None else None
     nums.sort(key=lambda num: (sum(map(abs, num)), num))
     out = []
     for num in nums:
         sup = _support(num, den)
-        owning = tuple(s for s, _ in maximal if sup <= s)
+        owning = [e for s, e in maximal if sup <= s]
         if not owning:
             continue
-        is_ess = any(e for s, e in maximal if sup <= s)
+        is_ess = any(owning)
         gen = False
         if is_ess:
             back = _support([v - hv for v, hv in zip(num, step)], den)
             gen = not any(back <= e for e in ess)
-        out.append(LatticeTerm(num=num, den=den, sector=gamma, support=sup,
-                               owning_cones=owning, essential=is_ess,
-                               generator=gen))
+        out.append(LatticeTerm(num=num, den=den, support=sup,
+                               essential=is_ess, generator=gen))
     return out
 
 

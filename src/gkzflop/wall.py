@@ -20,15 +20,22 @@ Each orbit generator has one Line: its integration line, the split of
 its orbit and its residue circles, built once per command and passed to
 the integrand, the quadrature, the residue sums and the orbit sums.  The
 integrand and the quadrature take one form, a stack: a list of Lines on
-one node grid, with one block per line; a line alone is a stack of one.
+one node grid at a list of endpoints, with one block per (endpoint,
+line); a line alone is a stack of one.  An integrand call forms each
+factor once, however many blocks share it, and the quadrature returns
+one outcome per (endpoint, line): a value, or the error that entry
+raises alone.  Each command then walks its lines in order and raises
+the first failure.
 
 The end-to-end check of verify_fm_equals_ac runs over a battery of
 lattice points c at eps = 0 and evaluates it as a whole: one set of
 rings per side, one line integral per orbit generator, the lines of a
-sector on one node grid evaluated as one stack, and one series batch
-(series.term_values) per sector and side for every c at once
-(continued_vector, gamma_vector).  Each c sums only its own rows, in
-term order, so its values do not depend on the rest of the battery.
+sector on one node grid evaluated as one stack at the far endpoint,
+and one series batch (series.term_values) per sector and side for
+every c at once (continued_vector, gamma_vector).  Each c sums only its
+own rows, in term order, so its values do not depend on the rest of
+the battery.  oracle_report evaluates each generator's line at both
+endpoints in one stack.
 """
 
 import cmath
@@ -268,184 +275,127 @@ class Line:
 # -- the integrand ------------------------------------------------------
 
 
-class LineFactors:
-    """The per-coordinate factors of the line integrands on one sector ring.
+def _near_pole(lines, s):
+    """Per line, a row over the flat nodes s: True within GUARD of a point
+    of the line's pole model, removable points included.
 
-    Coordinate j's factors depend on a line only through l'_j, and the
-    lines of a node grid share their nodes, so each factor is evaluated
-    once per (exact node array, j, l'_j as a Fraction, h_j), and the
-    power once more per x_j: 1/Gamma(1 + l'_j + h_j s + D_j / 2 pi i),
-    the pole-denominator inverse of j in I_minus, 1 / (1 - e^{-D_j}
-    e^{-2 pi i (l'_j + h_j s)}), and e^{(l'_j + h_j s) log x_j - l'_j
-    log x_j}.  What depends only on the ring (d_j = D_j / 2 pi i and
-    e^{-D_j}) or on x and the ring (the branched powers x_j^{d_j} and
-    log x_j) is kept too.  The Gamma factors a stack of lines lacks go
-    to the kernel in one call.  Every factor is formed exactly as for
-    one line alone, so a shared value equals a fresh one bit for bit.
-    A table lives as long as the call that builds it.
+    It runs in floats.  The model's points lie on the real line, so per
+    node it measures the nearest integer to Re s and, for each of the
+    line's families, the nearest (l'_k - w) / (-h_k) over every integer
+    w, rounded as the model's Fraction rounds: l'_k = a / b gives (a - w
+    b) / (b (-h_k)), one rounding.
     """
-
-    def __init__(self, ring):
-        if ring.laurent:
-            raise InfeasibleArgs("the line integrand needs a sampled eps")
-        self.ring = ring
-        self.d = [ring.divisor(j) * (1.0 / TWO_PI_I)
-                  for j in range(ring.algebra.data.n)]
-        self._exp_neg, self._at = {}, {}
-        self._gamma, self._pole, self._power = {}, {}, {}
-
-    def exp_neg(self, j):
-        """e^{-D_j}, formed for the j in I_minus alone: at a large
-        negative eps it may overflow for other j."""
-        if j not in self._exp_neg:
-            self._exp_neg[j] = self.ring.exp(self.ring.divisor(j) * (-1.0))
-        return self._exp_neg[j]
-
-    def at(self, x):
-        """The key of the point x (its bytes: -0.0 is not 0.0 there), the
-        branched powers x_j^{d_j} and log x_j."""
-        key = np.array(x, dtype=complex).tobytes()
-        if key not in self._at:
-            self._at[key] = (key, [self.ring.branched_power(v, dj)
-                                   for v, dj in zip(x, self.d)],
-                             [principal_log(v) for v in x])
-        return self._at[key]
-
-    def pole(self, nodes, s, j, lj, hj):
-        """1 / (1 - e^{-D_j} e^{-2 pi i (l'_j + h_j s)}) at the nodes s."""
-        key = (nodes, j, Fraction(lj), hj)
-        if key not in self._pole:
-            den = self.ring.one() - self.exp_neg(j) * np.exp(
-                -TWO_PI_I * (complex(lj) + s * hj))
-            self._pole[key] = self.ring.inv(den)
-        return self._pole[key]
-
-    def power(self, point, nodes, s, logxj, j, lj, hj):
-        """e^{(l'_j + h_j s) log x_j - l'_j log x_j} at the nodes s; point
-        is the key of x from at()."""
-        key = (point, nodes, j, Fraction(lj), hj)
-        if key not in self._power:
-            lpj = complex(lj)
-            self._power[key] = np.exp((lpj + s * hj) * logxj - lpj * logxj)
-        return self._power[key]
-
-    def gammas(self, nodes, s, lprimes, h):
-        """1/Gamma(1 + l'_j + h_j s + d_j), a list over j per l' of lprimes.
-
-        The keys the table lacks, over every l', go to the kernel in one
-        call.
-        """
-        keys = [[(nodes, j, Fraction(lj), hj)
-                 for j, (lj, hj) in enumerate(zip(lprime, h))]
-                for lprime in lprimes]
-        missing = list(dict.fromkeys(k for row in keys for k in row
-                                     if k not in self._gamma))
-        if missing:
-            vals = self.ring.recip_gamma(
-                [1 + (complex(lj) + s * hj) for _, _, lj, hj in missing],
-                [self.d[j] for _, j, _, _ in missing])
-            self._gamma.update(zip(missing, vals))
-        return [[self._gamma[k] for k in row] for row in keys]
+    hit = np.abs(s - np.rint(s.real)) < GUARD
+    for i, (_, hk) in enumerate(lines[0].families):
+        lk, a, b, bh = np.array([[float(lk), lk.numerator, lk.denominator,
+                                  lk.denominator * hk]
+                                 for lk, _ in (line.families[i]
+                                               for line in lines)]).T[..., None]
+        w = np.rint(lk - hk * s.real)
+        hit = hit | (np.abs(s - (a - w * b) / bh) < GUARD)
+    return np.broadcast_to(hit, (len(lines), s.size))
 
 
-def _rows(arrays):
-    """The arrays stacked along a new leading axis; one is a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+def _pole_error(nodes, row):
+    return PoleProximity(f"s = {complex(nodes[row][0])} too close to a "
+                         f"pole")
 
 
-def make_integrand(x, lines, ring, factors):
-    """Closure evaluating I(s) on a stack of lines at x, hoisted.
+def make_integrand(xs, lines, ring):
+    """Closure evaluating I(s) on a stack of lines at every endpoint of xs.
 
     lines is a list of Lines of one circuit; one line is a stack of one.
     The closure takes one node s or an array of nodes, shared by the
-    lines, and returns a batch of shape (L,) + s.shape + (dim,), one
-    block per line.  Each block is the line's I(s) alone to the last
-    bit: the factors of a line multiply in one fixed order,
-    SectorAlgebra.multiply treats rows apart, and the kernel works
-    elementwise.  The ring must be in numeric mode (a concrete eps):
-    series-mode values are not batched.  factors is the LineFactors
-    table of ring that the caller's lines share.  A node closer than
-    GUARD to any point of a line's pole model, removable points
-    included, raises PoleProximity for the first such line.  The guard
-    runs in floats: per node it measures the nearest integer and, for
-    each of the line's families, the nearest (l'_k - w) / (-h_k) over
-    every integer w, rounded as the model's Fraction rounds.  .decay
-    and .arg_y depend on x and the circuit alone.
+    lines, and optionally keep, the indices of the lines to evaluate
+    (default: all).  It returns a batch of shape (X K,) + s.shape +
+    (dim,), X = len(xs) and K the lines kept: one block per (x, line),
+    x-major.  Within a call each distinct 1/Gamma argument, 1 + l'_j +
+    h_j s + D_j / 2 pi i, goes to the kernel once, in one kernel call;
+    each pole-denominator inverse of j in I_minus, 1 / (1 - e^{-D_j}
+    e^{-2 pi i (l'_j + h_j s)}), is formed once per (j, l'_j); and each
+    power e^{(l'_j + h_j s) log x_j - l'_j log x_j} once per (x, j,
+    l'_j).  Each block is its line's I(s) at its x alone to the last
+    bit: every factor is formed as for that line alone, the factors of
+    a line multiply in one fixed order, SectorAlgebra.multiply treats
+    rows apart, and the kernel works elementwise.  The ring must be in
+    numeric mode (a concrete eps): series-mode values are not batched.
+    A node closer than GUARD to any point of a kept line's pole model,
+    removable points included, raises PoleProximity for the first such
+    line (_near_pole).  .decay and .arg_y hold one value per x and
+    depend on x and the circuit alone.
     """
+    if ring.laurent:
+        raise InfeasibleArgs("the line integrand needs a sampled eps")
     circuit = lines[0].circuit
-    # internal: a shared table belongs to the ring it is passed with
-    assert factors.ring is ring, "line factors of another ring"
     # internal: a stack holds the lines of one circuit
     assert all(line.circuit is circuit for line in lines)
     alg = ring.algebra
-    x = tuple(complex(v) for v in x)
-    n = len(x)
+    xs = [tuple(complex(v) for v in x) for x in xs]
+    n = alg.data.n
     h = circuit.h
     iminus = sorted(circuit.I_minus)
-    lprimes = [line.lprime for line in lines]
-    # per family k, a column with one row per line of l'_k = a / b as a
-    # float, a, b and b (-h_k): the point of w is (a - w b) / (b (-h_k)),
-    # one rounding
-    families = []
-    for i, (_, hk) in enumerate(lines[0].families):
-        lks = [line.families[i][0] for line in lines]
-        cols = np.array([[float(lk), lk.numerator, lk.denominator,
-                          lk.denominator * hk] for lk in lks]).T
-        families.append((hk, *cols[:, :, None]))
+    d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
+    # e^{-D_j} for the j in I_minus alone: at a large negative eps it may
+    # overflow for other j
+    exp_neg = {j: ring.exp(ring.divisor(j) * (-1.0)) for j in iminus}
     one = ring.one()
-    nums = {j: np.array([(one - factors.exp_neg(j)
-                          * unit_phase(-lprime[j])).coords
-                         for lprime in lprimes]) for j in iminus}
-    point, bp, logx = factors.at(x)
+    nums = {j: np.array([(one - exp_neg[j]
+                          * unit_phase(-line.lprime[j])).coords
+                         for line in lines]) for j in iminus}
+    logs = [[principal_log(v) for v in x] for x in xs]
     consts = []
-    for lprime in lprimes:
-        const = ring.one()
-        for j in range(n):
-            const = const * bp[j] * scalar_power(x[j], lprime[j])
-        consts.append(const.coords)
-    consts = np.array(consts)
-    ay = sum(hv * lg.imag for hv, lg in zip(h, logx)) \
-        + math.pi * sum(h[j] for j in iminus)
+    for x in xs:
+        bp = [ring.branched_power(v, dj) for v, dj in zip(x, d)]
+        for line in lines:
+            const = ring.one()
+            for j in range(n):
+                const = const * bp[j] * scalar_power(x[j], line.lprime[j])
+            consts.append(const.coords)
+    consts = np.array(consts).reshape(len(xs), len(lines), alg.dim)
 
-    def f(s):
+    def f(s, keep=None):
         s = np.asarray(s, dtype=complex)
-        # one entry per line, broadcast over the nodes
-        lead = (len(lines),) + (1,) * s.ndim
-        # the model's points lie on the real line, so the nearest of a
-        # family to s is the nearest to Re s; one row of nodes per line
+        keep = list(range(len(lines)) if keep is None else keep)
+        kept = [lines[i] for i in keep]
         flat = s.reshape(-1)
-        hit = np.abs(flat - np.rint(flat.real)) < GUARD
-        for hk, lk, a, b, bh in families:
-            w = np.rint(lk - hk * flat.real)
-            hit = hit | (np.abs(flat - (a - w * b) / bh) < GUARD)
-        if hit.any():
-            first = next(row for row in np.broadcast_to(
-                hit, (len(lines), flat.size)) if row.any())
-            raise PoleProximity(f"s = {complex(flat[first][0])} too "
-                                f"close to a pole")
-        nodes = (s.shape, s.tobytes())
+        for row in _near_pole(kept, flat):
+            if row.any():
+                raise _pole_error(flat, row)
+        # l'_j of every kept line, exact, and the distinct ones per j
+        lj = [[Fraction(line.lprime[j]) for line in kept] for j in range(n)]
+        distinct = [list(dict.fromkeys(col)) for col in lj]
+        # one entry per (x, line), broadcast over the nodes
+        lead = (len(xs), len(kept)) + (1,) * s.ndim
         # a value that overflows stays inf or NaN without a numpy warning:
         # the quadratures gate the values for finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            acc = alg.element(consts.reshape(lead + (alg.dim,))) \
+            keys = [(j, v) for j in range(n) for v in distinct[j]]
+            gammas = dict(zip(keys, ring.recip_gamma(
+                [1 + (complex(v) + s * h[j]) for j, v in keys],
+                [d[j] for j, _ in keys])))
+            acc = alg.element(consts[:, keep].reshape(lead + (alg.dim,))) \
                 * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
             for j in iminus:
-                acc = acc * alg.element(nums[j].reshape(lead + (alg.dim,))) \
-                    * alg.element(_rows([
-                        factors.pole(nodes, s, j, lp[j], h[j]).coords
-                        for lp in lprimes]))
-            gammas = factors.gammas(nodes, s, lprimes, h)
+                poles = {v: ring.inv(one - exp_neg[j] * np.exp(
+                    -TWO_PI_I * (complex(v) + s * h[j])))
+                    for v in distinct[j]}
+                acc = acc * alg.element(nums[j][keep].reshape(
+                    lead[1:] + (alg.dim,))) \
+                    * alg.element(np.stack([poles[v].coords for v in lj[j]]))
             for j in range(n):
                 if h[j]:
-                    acc = acc * _rows([
-                        factors.power(point, nodes, s, logx[j], j, lp[j],
-                                      h[j]) for lp in lprimes])
-                acc = acc * alg.element(_rows([row[j].coords
-                                               for row in gammas]))
-        return acc
+                    powers = [{v: np.exp((complex(v) + s * h[j]) * logx[j]
+                                         - complex(v) * logx[j])
+                               for v in distinct[j]} for logx in logs]
+                    acc = acc * np.array([[p[v] for v in lj[j]]
+                                          for p in powers])
+                acc = acc * alg.element(np.stack([gammas[j, v].coords
+                                                  for v in lj[j]]))
+        return alg.element(acc.coords.reshape((-1,) + acc.coords.shape[2:]))
 
-    f.decay = (2.0 * math.pi + ay, -ay)   # rates for t -> +inf / -inf
-    f.arg_y = ay
+    f.arg_y = [y_value(circuit, x)[1] for x in xs]
+    # rates for t -> +inf / -inf, per x
+    f.decay = [(2.0 * math.pi + ay, -ay) for ay in f.arg_y]
     return f
 
 
@@ -486,72 +436,92 @@ def _stack_size(height, a):
     return 1 if n > MAX_LINE_NODES else max(1, MAX_LINE_NODES // (n + 2))
 
 
+def _line_sum(alg, block, n, step, rates):
+    """Value and diagnostics of one (x, line) block of n line nodes and
+    two tail probes; raises its first failing check."""
+    nodes = alg.element(block[:n])
+    _require_finite(nodes, "line")
+    end = alg.element(block[n:])
+    _require_finite(end, "tail probes")
+    rate_up, rate_dn = rates
+    if min(rate_up, rate_dn) <= 0:
+        raise TailBoundViolated("arg y outside (-2 pi, 0): no decay")
+    tail_up, tail_dn = (float(v) for v in end.norm() / (rate_up, rate_dn))
+    if tail_up + tail_dn > TAIL_TOL:
+        raise TailBoundViolated(f"measured tails {tail_up:.2e}+{tail_dn:.2e} "
+                                f"exceed {TAIL_TOL:.2e}")
+    scale = step * (-1.0 / (2.0 * math.pi))
+    fine = nodes.sum() * scale
+    coarse = alg.element(block[:n:2]).sum() * (2.0 * scale)
+    return fine, {"nodes": n, "step": step,
+                  "est_error": (fine - coarse).norm(),
+                  "tail": tail_up + tail_dn}
+
+
 def mb_contour_oracle(f, lines, height):
     """Numeric value of each line integral, downward orientation.
 
     f is the integrand built on lines, a list of Lines on one node grid
-    (the same s0 and distance); one line is a stack of one.  With this
-    orientation a line's result equals the right-hand pole sum when
-    |y| < 1 and minus the left-hand pole sum when |y| > 1.  The nodes
-    of the grid and both tail probes go to one integrand call, and each
-    line sums its own block of it.  The fine level has an even number n
-    of nodes t_k = -H + (k + 1/2) h, so no node lies at t = 0 (a
-    removable point may sit on the line there); the coarse level is its
-    even nodes at step 2h.  On a strip of half-width a both levels
-    converge geometrically (Trefethen & Weideman, SIAM Review 56, 2014).
-    Returns a list with, per line, the value and a diagnostics dict: the
-    line nodes and the fine step, the error estimate |fine - coarse| of
-    the two levels, and the measured tail bounds.  The checks run in the
-    order one line runs them, each over the lines in stack order: a
-    1/Gamma argument left of Re z = GAMMA_RE_MIN raises NonFiniteValue,
-    and a grid past MAX_LINE_NODES InfeasibleArgs, before anything is
-    evaluated; then the node guard, finiteness of the line nodes, then
-    of the probes, the decay rates and the tail bounds.
+    (the same s0 and distance), at one or more endpoints x; one line is
+    a stack of one.  With this orientation a line's result equals the
+    right-hand pole sum when |y| < 1 and minus the left-hand pole sum
+    when |y| > 1.  The nodes of the grid and both tail probes go to one
+    integrand call, and each (x, line) sums its own block of it.  The
+    fine level has an even number n of nodes t_k = -H + (k + 1/2) h, so
+    no node lies at t = 0 (a removable point may sit on the line there);
+    the coarse level is its even nodes at step 2h.  On a strip of
+    half-width a both levels converge geometrically (Trefethen &
+    Weideman, SIAM Review 56, 2014).
+
+    Returns one outcome per (x, line), x-major: the value and a
+    diagnostics dict (the line nodes and the fine step, the error
+    estimate |fine - coarse| of the two levels, and the measured tail
+    bounds), or the GkzflopError that the entry raises alone.  An
+    entry's checks run in this order: a 1/Gamma argument left of Re z =
+    GAMMA_RE_MIN (NonFiniteValue) and a grid past MAX_LINE_NODES
+    (InfeasibleArgs) refuse a line before anything is evaluated, and so
+    does a node within GUARD of its pole model (PoleProximity); the
+    integrand call skips the refused lines.  Then come the finiteness of
+    the line nodes, then of the probes, the decay rates of x and the
+    tail bounds.
     """
     s0, distance = lines[0].s0, lines[0].distance
     # internal: the lines of a stack share one node grid
     assert all(line.s0 == s0 and line.distance == distance
                for line in lines), "lines on different node grids"
+    refused = []
     for line in lines:
         low = min(1 + lk + hk * s0
                   for lk, hk in zip(line.lprime, line.circuit.h) if hk)
-        if low < GAMMA_RE_MIN:
-            raise NonFiniteValue(
-                f"1/Gamma overflows on the line Re s = {s0}: an argument "
-                f"has Re z = {float(low):.6g} < {GAMMA_RE_MIN}")
+        refused.append(NonFiniteValue(
+            f"1/Gamma overflows on the line Re s = {s0}: an argument has "
+            f"Re z = {float(low):.6g} < {GAMMA_RE_MIN}")
+            if low < GAMMA_RE_MIN else None)
     n = _line_nodes(height, distance)
     if n > MAX_LINE_NODES:
-        raise InfeasibleArgs(f"a line of half-height {height} at distance "
+        cap = InfeasibleArgs(f"a line of half-height {height} at distance "
                              f"{distance} from its nearest pole needs {n} "
                              f"nodes, more than {MAX_LINE_NODES}")
+        return [err or cap for _ in f.decay for err in refused]
     step = 2.0 * height / n
-    vals = f(np.concatenate([s0 + 1j * (-height + (np.arange(n) + 0.5)
-                                         * step),
-                             [complex(s0, height), complex(s0, -height)]]))
-    alg = vals.algebra
-    for block in vals.coords:
-        _require_finite(alg.element(block[:n]), "line")
-    ends = [alg.element(block[n:]) for block in vals.coords]
-    for end in ends:
-        _require_finite(end, "tail probes")
-    rate_up, rate_dn = f.decay
-    if min(rate_up, rate_dn) <= 0:
-        raise TailBoundViolated("arg y outside (-2 pi, 0): no decay")
-    tails = [tuple(float(v) for v in end.norm() / (rate_up, rate_dn))
-             for end in ends]
-    for tail_up, tail_dn in tails:
-        if tail_up + tail_dn > TAIL_TOL:
-            raise TailBoundViolated(
-                f"measured tails {tail_up:.2e}+{tail_dn:.2e} "
-                f"exceed {TAIL_TOL:.2e}")
-    scale = step * (-1.0 / (2.0 * math.pi))
+    nodes = np.concatenate([s0 + 1j * (-height + (np.arange(n) + 0.5) * step),
+                            [complex(s0, height), complex(s0, -height)]])
+    refused = [err or (_pole_error(nodes, row) if row.any() else None)
+               for err, row in zip(refused, _near_pole(lines, nodes))]
+    keep = [i for i, err in enumerate(refused) if err is None]
+    vals = f(nodes, keep) if keep else None
+    blocks = iter(() if vals is None else vals.coords)
     out = []
-    for block, (up, dn) in zip(vals.coords, tails):
-        fine = alg.element(block[:n]).sum() * scale
-        coarse = alg.element(block[:n:2]).sum() * (2.0 * scale)
-        out.append((fine, {"nodes": n, "step": step,
-                           "est_error": (fine - coarse).norm(),
-                           "tail": up + dn}))
+    for rates in f.decay:
+        for err in refused:
+            if err is not None:
+                out.append(err)
+                continue
+            try:
+                out.append(_line_sum(vals.algebra, next(blocks), n, step,
+                                     rates))
+            except GkzflopError as exc:
+                out.append(exc)
     return out
 
 
@@ -584,8 +554,8 @@ def orbit_sum(x, line, ring, m_from, m_to):
 def left_residue_sum(f, line):
     """Sum of all residues of f left of the line, by line.circles.
 
-    f is the integrand built on the stack [line] alone; residue_at
-    reads its one block.  The circles go right to left in rounds of
+    f is the integrand built on the stack [line] alone at one endpoint;
+    residue_at reads its one block.  The circles go right to left in rounds of
     _ROUND, 2 _ROUND, 4 _ROUND, ..., one residue_at call each.  Residues
     are added one circle at a time, and the sum stops after three in a
     row under STOP of it; the rest of that round is dropped unchecked.
@@ -985,39 +955,45 @@ def gamma_vector(chamber, battery, x, policy):
     return [_stack(chamber, p) for p in per]
 
 
-def _line_values(x, rings, factors, lines, height):
+def _result(outcome):
+    """An outcome of mb_contour_oracle or of a Line build: raised if it
+    is an error, else returned."""
+    if isinstance(outcome, GkzflopError):
+        raise outcome
+    return outcome
+
+
+def _line_values(x, rings, lines, height):
     """Value, diagnostics and left orbit terms of every (sector key, Line).
 
-    The lines of one sector on one node grid (s0 and distance) are
-    evaluated as stacks: one integrand and one mb_contour_oracle call
-    per stack, in battery order, at most _stack_size lines each.  The
-    orbit terms are those left of the line, l' + m h for -M_BACK <= m <
-    first_right.  If a stack fails, the lines run again one at a time in
-    battery order, each a stack of one, its quadrature and then its
-    orbit split, so the first failing line raises what it would raise
-    alone.
+    lines is in battery order, and its last entry may hold, in place of
+    a Line, the GkzflopError that building the lines raised there.  The
+    lines of one sector on one node grid (s0 and distance) are evaluated
+    as stacks: one integrand and one mb_contour_oracle call per stack,
+    at most _stack_size lines each.  The orbit terms are those left of
+    the line, l' + m h for -M_BACK <= m < first_right.  Then each line
+    in battery order is built, integrated and split, and the first
+    failure is raised: what the first failing line raises alone.
     """
     grids = {}
     for i, (key, line) in enumerate(lines):
-        grids.setdefault((key, line.s0, line.distance), []).append(i)
+        if not isinstance(line, GkzflopError):
+            grids.setdefault((key, line.s0, line.distance), []).append(i)
     out = [None] * len(lines)
-    try:
-        for (key, _, distance), rows in grids.items():
-            size = _stack_size(height, distance)
-            for start in range(0, len(rows), size):
-                part = rows[start:start + size]
-                stack = [lines[i][1] for i in part]
-                f = make_integrand(x, stack, rings[key], factors[key])
-                for i, res in zip(part, mb_contour_oracle(f, stack, height)):
-                    out[i] = res
-    except GkzflopError:
-        for key, line in lines:
-            mb_contour_oracle(make_integrand(x, [line], rings[key],
-                                             factors[key]), [line], height)
-            line.orbit(-M_BACK, line.first_right - 1)
-        raise
-    return [(q, dg, line.orbit(-M_BACK, line.first_right - 1))
-            for (q, dg), (_, line) in zip(out, lines)]
+    for (key, _, distance), rows in grids.items():
+        size = _stack_size(height, distance)
+        for start in range(0, len(rows), size):
+            part = rows[start:start + size]
+            stack = [lines[i][1] for i in part]
+            f = make_integrand([x], stack, rings[key])
+            for i, res in zip(part, mb_contour_oracle(f, stack, height)):
+                out[i] = res
+    values = []
+    for (_, line), res in zip(lines, out):
+        _result(line)
+        q, dg = _result(res)
+        values.append((q, dg, line.orbit(-M_BACK, line.first_right - 1)))
+    return values
 
 
 def continued_vector(wall, rings, battery, x, policy, spec):
@@ -1029,19 +1005,16 @@ def continued_vector(wall, rings, battery, x, policy, spec):
     sum.  Non-essential leftovers (a1 and conifold have none; points
     outside the circuit can give some) are summed directly.  Every Line
     of the battery is built first, then the lines of each plus sector
-    are evaluated as one stack per node grid (_line_values), sharing one
-    LineFactors table over the whole battery: a factor of (j, l'_j) is
-    evaluated once.  The first failing step in battery order decides
-    the error, as if each c ran alone: an error while the lines are
-    built is raised once the lines before it have run.  Per plus
-    sector, the orbit terms and leftovers of every c are one term_values
-    batch, and each c adds its own rows in term order.  Returns, per c,
-    the stacked vector and the worst est_error and total nodes of its
-    lines.
+    are evaluated as one stack per node grid (_line_values).  The first
+    failing step in battery order decides the error, as if each c ran
+    alone: an error while the lines are built ends the list of lines,
+    and is raised unless a line before it fails.  Per plus sector, the
+    orbit terms and leftovers of every c are one term_values batch, and
+    each c adds its own rows in term order.  Returns, per c, the stacked
+    vector and the worst est_error and total nodes of its lines.
     """
     circuit, plus = wall.circuit, wall.plus
-    factors = {key: LineFactors(ring) for key, ring in rings.items()}
-    plans, lines, pending = [], [], None
+    plans, lines = [], []
     try:
         for c in battery:
             plans.append({})
@@ -1055,11 +1028,9 @@ def continued_vector(wall, rings, battery, x, policy, spec):
                         parts.append(line)
                     elif not term.essential:
                         parts.append(term)
-    except GkzflopError as err:     # raised once the lines before it ran
-        pending = err
-    values = iter(_line_values(x, rings, factors, lines, spec.height))
-    if pending is not None:
-        raise pending
+    except GkzflopError as err:
+        lines.append((None, err))
+    values = iter(_line_values(x, rings, lines, spec.height))
     ls = {g.key(): [] for g in plus.box}
     dens = dict.fromkeys(ls, 1)
     layouts = []
@@ -1106,12 +1077,14 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
 
     plus and minus are the Chambers of the two triangulations, and policy
     bounds the terms searched for orbit generators.  Each generator's
-    Line is built at its first use and serves every eps; per eps, one
-    integrand at each endpoint on the stack of that one line, the far
-    one shared by its quadrature and its residue circles.  The
-    integrands of one eps and sector share a LineFactors table, so the
-    near and far ends of a line evaluate their Gamma and pole factors,
-    which do not depend on x, once.
+    Line is built at its first use and serves every eps.  Per eps, one
+    integrand on that line at both endpoints and one mb_contour_oracle
+    call give its near and far quadratures, and an integrand at the far
+    endpoint alone its residue circles.  A generator's checks run in
+    the order near quadrature, right orbit sum, far quadrature, left
+    residue sum, and the first failure is raised.  An essential plus
+    sector with no generator within policy contributes no check: the
+    report fails and names it under unchecked_sectors.
     """
     data, t_plus = plus.data, plus.t
     path = select_endpoints(circuit, amplitude, y_abs)
@@ -1128,20 +1101,20 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
         rings = wall.rings(plus, eps)
         for key, lps in generators.items():
             ring = rings[key]
-            factors = LineFactors(ring)
             for lp in lps:
                 if lp not in lines:
                     lines[lp] = Line(lp, circuit, spec.s0)
                 line = lines[lp]
-                (q_p, dg_p), = mb_contour_oracle(
-                    make_integrand(path.x_plus, [line], ring, factors),
+                near, far = mb_contour_oracle(
+                    make_integrand([path.x_plus, path.x_minus], [line], ring),
                     [line], spec.height)
+                q_p, dg_p = _result(near)
                 right = orbit_sum(path.x_plus, line, ring, line.first_right,
                                   M_MAX)
                 dev_r, _ = _deviation(q_p.coords, right.coords)
-                f_m = make_integrand(path.x_minus, [line], ring, factors)
-                (q_m, dg_m), = mb_contour_oracle(f_m, [line], spec.height)
-                left = left_residue_sum(f_m, line)
+                q_m, dg_m = _result(far)
+                left = left_residue_sum(
+                    make_integrand([path.x_minus], [line], ring), line)
                 dev_l, _ = _deviation(q_m.coords, -left.coords)
                 # each side passes only with its line's quadrature error
                 # under the same tolerance as its deviation
@@ -1157,10 +1130,15 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
                     "est_error": nan_max(dg_p["est_error"],
                                          dg_m["est_error"]),
                     "nodes": [dg_p["nodes"], dg_m["nodes"]]})
-    ok = all(c["right_pass"] and c["left_pass"] for c in checks)
-    return {"kind": "contour-oracle", "y_abs": [path.y_abs_plus,
-                                                path.y_abs_minus],
-            "checks": checks, "pass": ok}
+    unchecked = [sector_label(key) for key, lps in generators.items()
+                 if not lps]
+    report = {"kind": "contour-oracle",
+              "y_abs": [path.y_abs_plus, path.y_abs_minus], "checks": checks,
+              "pass": not unchecked and all(
+                  c["right_pass"] and c["left_pass"] for c in checks)}
+    if unchecked:
+        report["unchecked_sectors"] = unchecked
+    return report
 
 
 def _deviation(got, ref):

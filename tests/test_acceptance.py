@@ -159,17 +159,15 @@ def test_residues_vanish_left_and_match_terms_right(packs):
         ringe = wc.rings(wc.plus, 1e-2)[g0.key()]
         lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
         line = wall.Line(lp, pack.circuit)
-        f0 = wall.make_integrand(path.x_plus, [line], ring0,
-                                 wall.LineFactors(ring0))
+        f0 = wall.make_integrand([path.x_plus], [line], ring0)
         for m in (-1, -2):
             res = residue(f0, m)
             worst_zero = max(worst_zero, res.norm())
             ok = ok and res.norm() < 1e-10
         for m in (0, 1, 2):
             if gamma_family_hit(lp, pack.circuit, m):
-                res = residue(wall.make_integrand(path.x_plus, [line], ringe,
-                                                  wall.LineFactors(ringe)),
-                              m, radius=1.5e-3)
+                res = residue(wall.make_integrand([path.x_plus], [line],
+                                                  ringe), m, radius=1.5e-3)
                 ring = ringe
             else:
                 res = residue(f0, m)

@@ -208,16 +208,23 @@ def test_overflowing_integrand_fails_without_warnings(fixture):
 
 def test_oracle_searches_generators_within_trunc(tmp_path):
     # the twisted sector's orbit generator of (1,2,-3) has degree 3, so
-    # --trunc 2 finds the untwisted one alone
+    # --trunc 2 finds the untwisted one alone, and the report fails and
+    # names the essential sector it left unchecked
     path = tmp_path / "circuit.txt"
     path.write_text(write_fixture(*circuit_fixture((1, 2, -3))))
     found = {}
-    for trunc in (["--trunc", "2"], []):
+    for trunc, want in ((["--trunc", "2"], 1), ([], 0)):
         status, rep = run_cli(["oracle", "--fixture", str(path), *trunc],
                               tmp_path)
-        assert status == 0, rep["body"]
+        assert status == want, rep["body"]
+        assert all(c["right_pass"] and c["left_pass"]
+                   for c in rep["body"]["checks"])
         found[len(trunc)] = {(c["sector"], tuple(c["lprime"]))
                              for c in rep["body"]["checks"]}
+        if trunc:
+            assert rep["body"]["unchecked_sectors"] == ["(1/2,0,1/2)"]
+        else:
+            assert "unchecked_sectors" not in rep["body"]
     assert found[2] == {("(0,0,0)", ("0", "0", "0"))}
     assert found[0] == found[2] | {("(1/2,0,1/2)", ("1/2", "1", "-3/2"))}
 
@@ -628,11 +635,13 @@ def test_one_wall_context_per_command(monkeypatch, argv):
 def test_one_line_per_generator_per_command(monkeypatch):
     # each generator's Line lists its exact pole model once to place the
     # line and once more for its residue circles, which only oracle
-    # reads; oracle builds one integrand per endpoint, eps and generator,
-    # and verify one per stack, the lines of a sector on one node grid
-    # (one stack per fixture here; one integrand per line made 23).
-    # Per-call placement listed 24 and 69 times here, with 12 integrands
-    # for oracle.  Every integrand takes a stack, a list of Lines.
+    # reads; oracle builds two integrands per eps and generator, one at
+    # both endpoints for its quadratures and one at the far endpoint for
+    # its residue circles, and verify one per stack, the lines of a
+    # sector on one node grid (one stack per fixture here; one integrand
+    # per line made 23).  Per-call placement listed 24 and 69 times here,
+    # with 12 integrands for oracle.  Every integrand takes a list of
+    # endpoints and a stack, a list of Lines.
     counts = {"listings": 0, "integrands": 0}
     real_model, real_integrand = wall.Line.points, wall.make_integrand
 
@@ -640,10 +649,10 @@ def test_one_line_per_generator_per_command(monkeypatch):
         counts["listings"] += 1
         return real_model(*args)
 
-    def counted_integrand(x, lines, ring, factors):
-        assert isinstance(lines, list), lines
+    def counted_integrand(xs, lines, ring):
+        assert isinstance(xs, list) and isinstance(lines, list), lines
         counts["integrands"] += 1
-        return real_integrand(x, lines, ring, factors)
+        return real_integrand(xs, lines, ring)
 
     monkeypatch.setattr(wall.Line, "points", counted_model)
     monkeypatch.setattr(wall, "make_integrand", counted_integrand)

@@ -570,11 +570,10 @@ def test_integer_tables_match_the_fraction_terms(name):
                 want = [reference_enumerate_terms(data, t, c, g, policy, circ)
                         for c in battery]
                 for part, ref in zip(got, want):
-                    assert [(term.l, term.support, term.owning_cones,
-                             term.essential, term.generator)
-                            for term in part] == [
-                        (term.l, term.support, term.owning_cones,
-                         term.essential, term.generator) for term in ref]
+                    assert [(term.l, term.support, term.essential,
+                             term.generator) for term in part] == [
+                        (term.l, term.support, term.essential,
+                         term.generator) for term in ref]
                     assert all(type(v) is int and term.den > 0
                                for term in part for v in term.num)
             terms = [term for part in got for term in part]

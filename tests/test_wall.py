@@ -54,8 +54,8 @@ def pole_angles(wc, g):
 
 
 def line_integrand(x, line, ring):
-    """make_integrand on the stack of line alone, with a table of its own."""
-    return wall.make_integrand(x, [line], ring, wall.LineFactors(ring))
+    """make_integrand on the stack of line alone, at x alone."""
+    return wall.make_integrand([x], [line], ring)
 
 
 def alone(f):
@@ -515,9 +515,9 @@ def a1_line(a1, eps=0.0):
 
 def recording(f, calls):
     """f with every array of nodes it is called on appended to calls."""
-    def g(s):
+    def g(s, *keep):
         calls.append(np.array(s, dtype=complex))
-        return f(s)
+        return f(s, *keep)
     g.decay, g.arg_y = f.decay, f.arg_y
     return g
 
@@ -746,6 +746,40 @@ def test_nan_quadrature_error_fails_the_row(a1, monkeypatch):
     assert not rep["end_to_end"]["pass"]
 
 
+def test_oracle_raises_the_first_generators_error(monkeypatch):
+    # (1,2,-3) has one generator per essential plus sector, the untwisted
+    # one checked first: it fails on its far side (its left residue sum),
+    # and the twisted one, checked later, on its near quadrature (a line
+    # past the node cap).  The report raises the untwisted one's error
+    data, tris = circuit_fixture((1, 2, -3))
+    plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
+    circuit = find_circuit(data, plus.t, minus.t)
+    real_sum = wall.left_residue_sum
+
+    class Line(wall.Line):
+        def __init__(self, lprime, circuit, s0=None):
+            super().__init__(lprime, circuit, s0)
+            if any(Fraction(v).denominator > 1 for v in lprime):
+                self.distance = 1e-9
+
+    def far_fails(f, line):
+        if not any(line.lprime):
+            raise NonFiniteValue("the untwisted generator's far side")
+        return real_sum(f, line)
+
+    def report():
+        return wall.oracle_report(circuit, plus, minus, eps_values=(1e-2,),
+                                  y_abs=0.1, amplitude=None,
+                                  policy=TruncationPolicy(),
+                                  spec=wall.ContourSpec())
+    monkeypatch.setattr(wall, "Line", Line)
+    with pytest.raises(InfeasibleArgs, match="nodes, more than"):
+        report()
+    monkeypatch.setattr(wall, "left_residue_sum", far_fails)
+    with pytest.raises(NonFiniteValue, match="untwisted generator"):
+        report()
+
+
 @pytest.mark.parametrize("name", ["a1", "conifold", (1, 2, -3),
                                   (2, 3, -3, -2)],
                          ids=["a1", "conifold", "h=1,2,-3", "h=2,3,-3,-2"])
@@ -870,8 +904,8 @@ def test_blind_classes_span_one_direction_on_the_trapezoid():
 
 def values_of(f, out):
     """f with the coordinates of every batch it returns appended to out."""
-    def g(s):
-        vals = f(s)
+    def g(s, *keep):
+        vals = f(s, *keep)
         out.append(vals.coords.copy())
         return vals
     g.decay, g.arg_y = f.decay, f.arg_y
@@ -882,11 +916,11 @@ def values_of(f, out):
 @pytest.mark.parametrize("name", ["a1", "conifold", (2, 2, -1, -3)],
                          ids=["a1", "conifold", "h=2,2,-1,-3"])
 def test_shared_line_factors_are_exact(packs, name, eps, monkeypatch):
-    # the generator lines of a depth-2 battery, one LineFactors table per
-    # sector and eps, at both endpoints: each line's value, est_error and
-    # node values equal those of its integrand on a fresh LineFactors(ring)
-    # to the last bit, whatever the table held before it, and the shared
-    # tables send fewer Gamma arguments to the kernel
+    # the generator lines of a depth-2 battery, each on one integrand at
+    # both endpoints: each (x, line)'s value, est_error and node values
+    # equal those of the line's integrand at that x alone to the last
+    # bit, and the shared Gamma and pole factors send fewer Gamma
+    # arguments to the kernel
     if name in packs:
         data, tris = packs[name].data, packs[name].tris
     else:
@@ -904,30 +938,27 @@ def test_shared_line_factors_are_exact(packs, name, eps, monkeypatch):
         return real_kernel(z, kmax)
     monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
     lines = 0
+    xs = [path.x_plus, path.x_minus]
     for g in plus.box:
         ring = rings[g.key()]
-        factors = wall.LineFactors(ring)
         for c in wall.c_battery(data, 2):
             for term in enumerate_terms(data, plus.t, c, g,
                                         TruncationPolicy(), circuit):
                 if not term.generator:
                     continue
                 line = wall.Line(term.l, circuit)
-                for x in (path.x_plus, path.x_minus):
-                    got, want = [], []
-                    mode[0] = "shared"
-                    (q, dg), = wall.mb_contour_oracle(values_of(
-                        wall.make_integrand(x, [line], ring, factors), got),
-                        [line], 14.0)
-                    mode[0] = "fresh"
+                got = []
+                mode[0] = "shared"
+                both = wall.mb_contour_oracle(values_of(
+                    wall.make_integrand(xs, [line], ring), got), [line], 14.0)
+                mode[0] = "fresh"
+                for (q, dg), block, x in zip(both, got[0], xs):
+                    want = []
                     (q0, dg0), = wall.mb_contour_oracle(values_of(
-                        wall.make_integrand(x, [line], ring,
-                                            wall.LineFactors(ring)), want),
-                        [line], 14.0)
+                        line_integrand(x, line, ring), want), [line], 14.0)
                     assert q.coords.tobytes() == q0.coords.tobytes()
                     assert dg == dg0
-                    assert [v.tobytes() for v in got] \
-                        == [v.tobytes() for v in want]
+                    assert block.tobytes() == want[0][0].tobytes()
                     lines += 1
     assert lines >= 8
     assert 0 < sent["shared"] < sent["fresh"]
@@ -942,9 +973,9 @@ def test_shared_line_factors_are_exact(packs, name, eps, monkeypatch):
                   "oracle-conifold"])
 def test_lines_send_each_factor_to_the_kernel_once(monkeypatch, argv, sent):
     # the Gamma arguments the lines send (644 nodes and probes a line):
-    # one integrand table per line sent 17,388, 36,064, 7,728 and 10,304
-    # of them; a table per sector shares the coordinates whose l'_j the
-    # sector's lines repeat, and oracle's near and far ends share theirs
+    # one integrand per line and endpoint sent 17,388, 36,064, 7,728 and
+    # 10,304 of them; a stack sends each l'_j its lines repeat once, and
+    # oracle's near and far ends, one integrand, send theirs once
     count = {"on": False, "sent": 0}
     real_kernel, real_oracle = kernels.recip_gamma_series, \
         wall.mb_contour_oracle
@@ -970,16 +1001,18 @@ def test_lines_send_each_factor_to_the_kernel_once(monkeypatch, argv, sent):
 def test_far_lines_are_refused_before_any_evaluation(packs, s0):
     # 1 + l'_j + h_j s0 lies far left of GAMMA_RE_MIN for some j on
     # either side; the kernel would take one pass per unit of |Re z|
-    def never(s):
+    def never(s, keep):
         raise AssertionError("the integrand was called")
+    never.decay = [(1.0, 1.0)]
     for pack in packs.values():
         for lp in {term.l for g in pack.chamber(pack.t_plus).box
                    for term in enumerate_terms(
                        pack.data, pack.t_plus, (0,) * pack.data.rank, g,
                        TruncationPolicy(), pack.circuit) if term.generator}:
             line = wall.Line(lp, pack.circuit, s0)
+            [out] = wall.mb_contour_oracle(never, [line], 14.0)
             with pytest.raises(NonFiniteValue, match="1/Gamma overflows"):
-                wall.mb_contour_oracle(never, [line], 14.0)
+                wall._result(out)
 
 
 def test_lines_near_the_gamma_bound_are_not_finite(a1):
@@ -990,11 +1023,15 @@ def test_lines_near_the_gamma_bound_are_not_finite(a1):
     x, lp, ring = a1_line(a1)
     line = wall.Line(lp, a1.circuit, 89.5)
     assert line.s0 == 89.5
+    [out] = wall.mb_contour_oracle(line_integrand(x, line, ring), [line],
+                                   14.0)
     with pytest.raises(NonFiniteValue, match="not finite on the line"):
-        wall.mb_contour_oracle(line_integrand(x, line, ring), [line], 14.0)
+        wall._result(out)
     line = wall.Line(lp, a1.circuit, 90.75)
+    [out] = wall.mb_contour_oracle(line_integrand(x, line, ring), [line],
+                                   14.0)
     with pytest.raises(NonFiniteValue, match="-180.5 < -180"):
-        wall.mb_contour_oracle(line_integrand(x, line, ring), [line], 14.0)
+        wall._result(out)
 
 
 # -- stacks of lines -----------------------------------------------------
@@ -1016,12 +1053,12 @@ def stacked_values(monkeypatch, out):
     out."""
     real = wall.make_integrand
 
-    def spy(x, lines, ring, factors):
-        f = real(x, lines, ring, factors)
+    def spy(xs, lines, ring):
+        f = real(xs, lines, ring)
 
-        def g(s):
-            vals = f(s)
-            out.append((lines, vals.coords.copy()))
+        def g(s, keep):
+            vals = f(s, keep)
+            out.append(([lines[i] for i in keep], vals.coords.copy()))
             return vals
         g.decay, g.arg_y = f.decay, f.arg_y
         return g
@@ -1063,8 +1100,7 @@ def test_stacks_equal_the_per_line_reference(packs, name, eps, monkeypatch):
               select_endpoints(wc.circuit, None, 0.1).x_minus):
         stacks = []
         stacked_values(monkeypatch, stacks)
-        factors = {key: wall.LineFactors(ring) for key, ring in rings.items()}
-        got = wall._line_values(x, rings, factors, lines, 14.0)
+        got = wall._line_values(x, rings, lines, 14.0)
         monkeypatch.undo()
         want = reference_line_battery(x, rings, lines, 14.0)
         assert len(stacks) == len(grids)
@@ -1081,8 +1117,9 @@ def test_stacks_equal_the_per_line_reference(packs, name, eps, monkeypatch):
 def test_a_later_line_of_a_stack_fails_as_alone(a1, monkeypatch):
     # a1's l' = 0 passes; (-179, 0, 0) on its grid overflows on the line,
     # and (-182, 0, 0) has 1/Gamma argument -180.5, refused unevaluated:
-    # the stack raises what the failing line raises alone, and a refused
-    # line stops the stack before the kernel
+    # the later line's outcome is the error it raises alone, l' = 0 gets
+    # its value alone to the last bit, and no argument of a refused line
+    # reaches the kernel
     x, lp, ring = a1_line(a1)
     ok = wall.Line(lp, a1.circuit)
     sent = []
@@ -1092,23 +1129,21 @@ def test_a_later_line_of_a_stack_fails_as_alone(a1, monkeypatch):
         sent.append(np.min(np.real(z)))
         return real_kernel(z, kmax)
     monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
-    for bad, evaluated in (((-179, 0, 0), True), ((-182, 0, 0), False)):
+    for bad in ((-179, 0, 0), (-182, 0, 0)):
         line = wall.Line(bad, a1.circuit)
         assert (line.s0, line.distance) == (ok.s0, ok.distance)
-        reference_line_oracle(reference_line_integrand(x, ok, ring), ok,
-                              14.0)
+        q0, dg0, _ = reference_line_oracle(
+            reference_line_integrand(x, ok, ring), ok, 14.0)
         with pytest.raises(NonFiniteValue) as want:
             reference_line_oracle(reference_line_integrand(x, line, ring),
                                   line, 14.0)
         del sent[:]
-        with pytest.raises(NonFiniteValue) as got:
-            wall.mb_contour_oracle(
-                wall.make_integrand(x, [ok, line], ring,
-                                    wall.LineFactors(ring)),
-                [ok, line], 14.0)
-        assert str(got.value) == str(want.value)
-        assert bool(sent) == evaluated
-        assert all(v > wall.GAMMA_RE_MIN for v in sent)
+        (q, dg), got = wall.mb_contour_oracle(
+            wall.make_integrand([x], [ok, line], ring), [ok, line], 14.0)
+        assert type(got) is NonFiniteValue
+        assert str(got) == str(want.value)
+        assert q.coords.tobytes() == q0.coords.tobytes() and dg == dg0
+        assert sent and all(v > wall.GAMMA_RE_MIN for v in sent)
 
 
 @pytest.mark.parametrize("early, s0, error", [
@@ -1140,8 +1175,7 @@ def test_an_early_line_decides_over_later_lines(a1, monkeypatch, early, s0,
         return real_kernel(z, kmax)
     monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
     with pytest.raises(error) as got:
-        wall._line_values(x, rings, {key: wall.LineFactors(ring)}, lines,
-                          14.0)
+        wall._line_values(x, rings, lines, 14.0)
     assert str(got.value) == str(want.value)
     assert low and min(low) > wall.GAMMA_RE_MIN
 
@@ -1186,12 +1220,12 @@ def test_a_stack_never_exceeds_the_node_cap(monkeypatch):
     sizes = []
     real = wall.make_integrand
 
-    def counted(x, lines, ring, factors):
-        f = real(x, lines, ring, factors)
+    def counted(xs, lines, ring):
+        f = real(xs, lines, ring)
 
-        def g(s):
-            sizes.append(len(lines) * np.size(s))
-            return f(s)
+        def g(s, keep):
+            sizes.append(len(keep) * np.size(s))
+            return f(s, keep)
         g.decay, g.arg_y = f.decay, f.arg_y
         return g
     monkeypatch.setattr(wall, "make_integrand", counted)
