@@ -30,7 +30,7 @@ from .series import TruncationPolicy, evaluate_gamma, evaluate_gamma_dual
 from .dual import CompactKModule
 from .wall import (ContourSpec, WallContext, ac_transform, c_battery,
                    fm_transform, invertibility, oracle_report,
-                   select_endpoints, verify_fm_equals_ac)
+                   sampled_transforms, select_endpoints, verify_fm_equals_ac)
 
 # verify's --trunc default, above TruncationPolicy's
 _VERIFY_TRUNC = 25
@@ -260,10 +260,10 @@ def _matrix_out(wall, m):
 def _transform_body(args, route, builder):
     _, circuit, plus, minus = _crossing(args)
     wall = WallContext(circuit, plus, minus)
-    samples = []
-    ok = True
-    for eps in args.eps or [1e-2]:
-        m = builder(wall, eps)
+    samples, ok = [], True
+    eps_samples = args.eps or [1e-2]
+    for eps, m in zip(eps_samples, *sampled_transforms(
+            wall, eps_samples, (builder,))):
         sizes, invertible = invertibility(m.entries)
         ok = ok and invertible
         samples.append({"eps": eps, **sizes, **_matrix_out(wall, m)})

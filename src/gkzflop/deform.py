@@ -6,10 +6,10 @@ coincide in a sector algebra (the conifold) merge those poles.  Shifting
 each class by a distinct rational multiple a_j of a small parameter eps
 separates them again.  A DeformationRing works in one of two modes:
 
-  * numeric mode: eps is a concrete number and the shift is folded into
-    the scalar part of an AlgebraElement.  Every operation works here,
-    1/Gamma (recip_gamma) included, so the Gamma-series terms are
-    evaluated in this mode;
+  * numeric mode: eps is a number, or a tuple of samples that gives each
+    value a leading sample axis; the shift is folded into the scalar
+    part of an AlgebraElement.  Every operation works here, 1/Gamma (at
+    one eps) included, so the Gamma-series terms are evaluated here;
   * series mode: eps stays formal and every value is a truncated
     Laurent series in eps (EpsSeries): one complex array of shape
     (width, dim) per value, row i the algebra coordinates of the
@@ -291,8 +291,9 @@ class DeformationRing:
     eps=None selects series mode (values are EpsSeries of
     laurent_window(data) coefficients); a concrete eps folds the shift
     into scalar parts and every operation stays plain AlgebraElement
-    arithmetic.  A concrete eps whose shift a_j eps is not a finite
-    complex number raises NonFiniteValue here, before any arithmetic.
+    arithmetic.  A tuple of samples is a stack: a value's rows are the
+    samples, each the bits of that sample alone.  A sample whose shift
+    a_j eps is not a finite complex number raises NonFiniteValue here.
     """
 
     def __init__(self, algebra, offsets=None, eps=None):
@@ -307,13 +308,15 @@ class DeformationRing:
             raise InfeasibleArgs("offsets must be pairwise distinct")
         self.algebra = algebra
         self.offsets = offsets
-        self.eps = None if eps is None else complex(eps)
+        self.eps = None if eps is None else np.array(eps, dtype=complex) \
+            if isinstance(eps, tuple) else complex(eps)
         if self.eps is not None:
-            for a in offsets:
-                if not cmath.isfinite(complex(a) * self.eps):
-                    raise NonFiniteValue(
-                        f"divisor shift {a} * eps is not finite at "
-                        f"eps = {eps!r}")
+            for e in eps if isinstance(eps, tuple) else (eps,):
+                for a in offsets:
+                    if not cmath.isfinite(complex(a) * complex(e)):
+                        raise NonFiniteValue(
+                            f"divisor shift {a} * eps is not finite at "
+                            f"eps = {e!r}")
         self.window = laurent_window(algebra.data)
         self._memo = {}
 

@@ -429,7 +429,13 @@ def algebra_exp(element):
             break
         acc = acc + term
     try:
-        return acc * (cmath.exp(s) if isinstance(s, complex) else np.exp(s))
+        if isinstance(s, complex):
+            return acc * cmath.exp(s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(s)
+        for s in map(complex, s[~np.isfinite(e)]):
+            cmath.exp(s)    # raises as for this entry alone
+        return acc * e
     except OverflowError:
         raise NonFiniteValue(f"exp of the scalar part {s:.3e} overflows") \
             from None

@@ -12,9 +12,9 @@ and played against each other:
     vertical line, which is the ground truth for both.
 
 Everything runs over a DeformationRing so that coinciding divisor
-classes stay separated; matrices are sampled at generic eps or built as
-eps-Laurent data whose principal parts must cancel before the value at
-eps^0 is read off.
+classes stay separated; matrices are sampled at generic eps, all the
+samples of a command in one stack per route, or built as eps-Laurent
+data whose principal parts must cancel before eps^0 is read off.
 
 Each orbit generator has one Line: its integration line, the split of
 its orbit and its residue circles, built once per command and passed to
@@ -633,9 +633,6 @@ class TransformMatrix:
     entries: np.ndarray
     principal_ratio: float = 0.0
 
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-
 
 class WallContext:
     """Everything about one wall crossing that does not depend on eps.
@@ -649,10 +646,10 @@ class WallContext:
     (theta, coords2) of its poles (k, r) by both residue routes.  The
     monomial basis is found on first use, so a command that assembles
     no transform never searches for it.  The DeformationRings of a side
-    at one eps are built once, by `rings`, and shared by every function
-    that takes that eps, so the two residue routes share the series
-    mode's memo of exp, inverse and powers; the rest of what depends on
-    eps is built by those functions.
+    at one eps, one stack of samples or None are built once, by `rings`,
+    and shared by every function that takes it, so the two residue routes
+    share the series mode's memo of exp, inverse and powers; the rest of
+    what depends on eps is built by those functions.
     """
 
     def __init__(self, circuit, plus, minus):
@@ -698,13 +695,13 @@ class WallContext:
     def rings(self, chamber, eps):
         """The DeformationRing of every sector of chamber at eps.
 
-        Built once per side and eps (None: Laurent), keyed by eps as the
-        ring reads it, its sign of zero included; callers share them.
+        Built once per side and eps (None: Laurent; a tuple: a stack),
+        keyed by eps as the ring reads it, its sign of zero included.
         """
         # internal: a context serves its own two chambers
         assert chamber is self.plus or chamber is self.minus
-        side = (chamber is self.plus, None if eps is None
-                else repr(complex(eps)))
+        side = (chamber is self.plus, repr(
+            None if eps is None else np.asarray(eps, dtype=complex).tolist()))
         if side not in self._rings:
             self._rings[side] = {key: DeformationRing(alg, self.offsets,
                                                       eps=eps)
@@ -715,17 +712,17 @@ class WallContext:
 def _localization_values(ring, coords, mons):
     """Values of the Laurent monomials R^b at r_j = e^{D~_j + 2 pi i g_j}.
 
-    One batch row per exponent b of mons: one batched algebra_exp of the
-    combinations sum_j b_j D~_j, times the exact phase e^{2 pi i b.g} of
-    each b.  A Laurent ring gives the eps^0 coefficients: R^b has no
-    pole in eps, and every caller reads eps^0 alone.
+    One batch row per exponent b of mons (after a stack's sample axis):
+    one batched algebra_exp of the sums sum_j b_j D~_j, times the exact
+    phase e^{2 pi i b.g} of each b.  A Laurent ring gives the eps^0
+    coefficients: R^b has no pole in eps, and callers read eps^0 alone.
     """
     alg = ring.algebra
     b = np.array(mons, dtype=float).reshape(len(mons), alg.data.n)
     combo = np.zeros((len(mons), alg.dim), dtype=complex)
     for j in range(alg.data.n):
         div = alg.divisor(j) if ring.laurent else ring.divisor(j)
-        combo = combo + b[:, j, None] * div.coords
+        combo = combo + b[:, j, None] * div.coords[..., None, :]
     # b.g exactly, over the common denominator of the sector coordinates
     den = math.lcm(*(g.denominator for g in coords))
     nums = [int(g * den) for g in coords]
@@ -736,10 +733,10 @@ def _localization_values(ring, coords, mons):
 
 
 def localization_matrix(chamber, rings, mons):
-    """Localization values of the monomials R^b, one stacked row per b."""
+    """Localization values of the monomials R^b, a row per b (per sample)."""
     return np.concatenate([_localization_values(rings[g.key()], g.coords,
                                                 mons).coords
-                           for g in chamber.box], axis=1)
+                           for g in chamber.box], axis=-1)
 
 
 def monomial_basis(wall):
@@ -783,26 +780,14 @@ def monomial_basis(wall):
 
 
 def _stack(chamber, per_sector):
-    """Per-sector values as one flat vector, in the chamber's box order."""
-    out = []
-    for g in chamber.box:
-        out.extend(np.asarray(per_sector[g.key()].coords))
-    return np.array(out, dtype=complex)
-
-
-def _column_entries(chamber, rings, values):
-    """Stacked ring values; if Laurent, at eps^0, with the worst pole part."""
-    worst = 0.0
-    for key, v in values.items():
-        ring = rings[key]
-        if ring.laurent:
-            worst = nan_max(worst, ring.principal_ratio(v))
-            values[key] = ring.eps_zero(v)
-    return _stack(chamber, values), worst
+    """Per-sector values as one flat vector (per sample), in box order."""
+    return np.concatenate([per_sector[g.key()].coords for g in chamber.box],
+                          axis=-1)
 
 
 def _transform(wall, eps, route):
-    """Shared assembly for both residue routes at one eps (None: Laurent)."""
+    """Shared assembly for both residue routes: the Laurent matrix (eps
+    None), or one matrix per sample of the tuple eps, as one stack."""
     circuit, plus, minus = wall.circuit, wall.plus, wall.minus
     h = circuit.h
     mons = wall.monomials
@@ -827,7 +812,7 @@ def _transform(wall, eps, route):
             key = g.key()
             ring = rings_plus[key]
             if key not in residues:
-                values[key] = ring.algebra.element(local[key][i])
+                values[key] = ring.algebra.element(local[key][..., i, :])
                 continue
             acc = None
             for k, r, coords2, c_kr in residues[key]:
@@ -858,13 +843,16 @@ def _transform(wall, eps, route):
                 contrib = c_kr * val
                 acc = contrib if acc is None else acc + contrib
             values[key] = acc * (-1.0)
-        col, worst = _column_entries(plus, rings_plus, values)
-        principal = nan_max(principal, worst)
-        raw_cols.append(col)
-    loc = localization_matrix(minus, rings_minus, mons).T
-    colmat = np.array(raw_cols, dtype=complex).T
-    entries = colmat @ np.linalg.inv(loc)
-    return TransformMatrix(entries=entries, principal_ratio=principal)
+        for key, v in values.items():     # a Laurent value, at eps^0
+            principal = nan_max(principal, rings_plus[key].principal_ratio(v))
+            values[key] = rings_plus[key].eps_zero(v)
+        raw_cols.append(_stack(plus, values))
+    cols = np.stack(raw_cols, axis=-2)      # (sample,) monomial, row
+    loc = localization_matrix(minus, rings_minus, mons)
+    if eps is None:
+        return TransformMatrix(cols.T @ np.linalg.inv(loc.T), principal)
+    return [TransformMatrix(c.T @ np.linalg.inv(m.T))
+            for c, m in zip(cols, loc)]
 
 
 def invertibility(entries):
@@ -891,6 +879,18 @@ def ac_transform(wall, eps):
 def fm_transform(wall, eps):
     """Transform assembled from residue-location (kernel) data."""
     return _transform(wall, eps, "pole")
+
+
+def sampled_transforms(wall, samples, routes):
+    """Each route's transforms at the samples, one stack per route; if a
+    stack raises, raise what the samples raise alone, route by route."""
+    try:
+        return [route(wall, tuple(samples)) for route in routes]
+    except GkzflopError:
+        for eps in samples:
+            for route in routes:
+                route(wall, (eps,))
+        raise
 
 
 # -- verification -------------------------------------------------------
@@ -1167,9 +1167,8 @@ def verify_fm_equals_ac(circuit, plus, minus, eps_samples, depth, y_abs,
     wall = WallContext(circuit, plus, minus)
 
     samples = []
-    for eps in eps_samples:
-        ac = ac_transform(wall, eps)
-        fm = fm_transform(wall, eps)
+    for eps, ac, fm in zip(eps_samples, *sampled_transforms(
+            wall, eps_samples, (ac_transform, fm_transform))):
         dev, _ = _deviation(ac.entries, fm.entries)
         sizes, invertible = invertibility(fm.entries)
         samples.append({"eps": eps, "matrix_dev": dev, **sizes,

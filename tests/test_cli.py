@@ -164,15 +164,42 @@ def test_nonfinite_eps_rejected(tmp_path, command, value):
     assert "--eps" in rep["body"]["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["fm", "--fixture", "conifold", "--eps", "1e10"],
-    ["oracle", "--fixture", "a1", "--eps", "1e300"],
-    ["verify", "--fixture", "a1", "--eps", "1e300", "--depth", "0"]])
-def test_eps_whose_exp_overflows_is_a_report(tmp_path, argv):
-    # finite, but e^(a_j eps) leaves the float range in a sector algebra
-    status, rep = run_cli(argv, tmp_path)
-    assert status == 1
-    assert rep["body"]["error"] == "NonFiniteValue"
+# (argv, the scalar part whose exp overflows).  With several samples the
+# error is the first that a sample raises alone, in sample order and, in
+# verify, ac before fm: a stack that raises replays its samples alone.
+EXP_OVERFLOWS = [
+    (["fm", "--fixture", "conifold", "--eps", "1e10"],
+     "1.000e+10-0.000e+00j"),
+    (["oracle", "--fixture", "a1", "--eps", "1e300"],
+     "1.667e+299+1.222e+299j"),
+    (["verify", "--fixture", "a1", "--eps", "1e300", "--depth", "0"],
+     "5.000e+299+0.000e+00j"),
+    # 9e307's divisor shift is not finite, but 1e10 comes first
+    (["fm", "--fixture", "conifold", "--eps", "1e10", "--eps", "9e307"],
+     "1.000e+10-0.000e+00j"),
+    (["ac", "--fixture", "conifold", "--eps", "1e-2", "--eps", "1e10"],
+     "1.000e+10-0.000e+00j"),
+    (["verify", "--fixture", "a1", "--eps", "1e10", "--eps", "1e300",
+      "--depth", "0"], "5.000e+09+0.000e+00j"),
+    (["verify", "--fixture", "conifold", "--eps", "1e-2", "--eps", "1e10",
+      "--depth", "0"], "1.000e+10-0.000e+00j"),
+]
+
+
+@pytest.mark.parametrize("argv, scalar", EXP_OVERFLOWS,
+                         ids=[f"argv{i}" for i in range(len(EXP_OVERFLOWS))])
+def test_eps_whose_exp_overflows_is_a_report(argv, scalar):
+    # finite, but e^(a_j eps) leaves the float range in a sector algebra:
+    # a NonFiniteValue report, and no numpy overflow warning on stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkzflop", *argv], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    body = json.loads(proc.stdout)["body"]
+    assert body["error"] == "NonFiniteValue"
+    assert body["message"] == f"exp of the scalar part {scalar} overflows"
 
 
 def test_oracle_sums_orbit_terms_past_the_factorial_overflow(tmp_path):

@@ -234,11 +234,34 @@ def test_laurent_transform_does_not_depend_on_its_monomial_basis():
 
 def test_transforms_at_generic_eps(pack):
     wc = wall_context(pack)
-    ac = wall.ac_transform(wc, 1e-2)
-    fm = wall.fm_transform(wc, 1e-2)
+    (ac,) = wall.ac_transform(wc, (1e-2,))
+    (fm,) = wall.fm_transform(wc, (1e-2,))
     scale = max(np.abs(fm.entries).max(), 1.0)
     assert np.abs(ac.entries - fm.entries).max() / scale < 1e-10
     assert abs(np.linalg.det(fm.entries)) > 1e-6
+
+
+def test_sample_stack_is_its_samples_alone():
+    # a stack of samples carries each sample on its own row of a leading
+    # axis: each route's stack equals the stacks of one to the last bit,
+    # on the fixtures, the trapezoid and every buildable census crossing
+    from gkzflop.fixtures import load_fixture
+    fixtures = [load_fixture("a1"), load_fixture("conifold"),
+                parse_fixture(TRAPEZOID)]
+    fixtures += [circuit_fixture(h) for h in SMALL_CIRCUITS
+                 if h not in OFFSET_REFUSED]
+    samples = (1e-2, 5e-3, 2e-3)
+    for data, tris in fixtures:
+        plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
+        wc = wall.WallContext(find_circuit(data, plus.t, minus.t), plus, minus)
+        for route in (wall.ac_transform, wall.fm_transform):
+            stack = route(wc, samples)
+            alone = [route(wc, (eps,)) for eps in samples]
+            assert len(stack) == len(samples)
+            for m, (one,) in zip(stack, alone):
+                assert m.entries.shape == (len(wc.rows), len(wc.cols))
+                assert m.entries.tobytes() == one.entries.tobytes()
+    assert len(fixtures) == 3 + 44
 
 
 def test_integrand_forms_agree(pack):
