@@ -304,7 +304,8 @@ COMMANDS = {
            lambda args: _transform_body(args, "fm", fm_transform)),
     "ac": ("residue-route transform matrix",
            lambda args: _transform_body(args, "ac", ac_transform)),
-    "oracle": ("contour quadrature vs pole sums", cmd_oracle),
+    "oracle": ("contour quadrature vs pole sums, at c = 0 only "
+               "(ignores --depth)", cmd_oracle),
     "verify": ("full crossing battery: matrices and end-to-end values",
                cmd_verify),
 }

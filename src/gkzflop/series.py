@@ -217,13 +217,13 @@ def _powers(x, values, den):
     return np.array(out)
 
 
-def _normalized(element):
-    """element = m 2**e with |m|'s largest coordinate in [1/2, 1): (m, e).
+def _normalized(coords):
+    """coords = m 2**e with |m|'s largest entry in [1/2, 1): (m, e).
 
     A power of two scales every coordinate exactly.
     """
-    e = int(np.frexp(np.abs(element.coords).max())[1])
-    return element * math.ldexp(1.0, -e), e
+    e = int(np.frexp(np.abs(coords).max())[1])
+    return coords * math.ldexp(1.0, -e), e
 
 
 def _ldexp(coords, e):
@@ -249,8 +249,10 @@ def _recip_gamma_rows(columns, den, ds, ring, dual):
     (den + v) / den, every coordinate's centres in one batched
     ring.recip_gamma call.  A negative integer v/den = -m takes the
     functional-equation product prod_{i<m} (d - i) times the value at 0;
-    the products for successive m extend each other.  dual strips the
-    leading factor d: the product starts at i = 1.  Returns, per
+    the products for successive m extend each other, formed on raw
+    coordinate arrays by SectorAlgebra.multiply, the bits AlgebraElement
+    products give.  dual strips the leading factor d: the product
+    starts at i = 1.  Returns, per
     coordinate, the rows and a power-of-two exponent per row: past m of
     about 170 the product overflows, so where the next factor would make
     it non-finite it is scaled down by an exact power of two, whose
@@ -268,21 +270,27 @@ def _recip_gamma_rows(columns, den, ds, ring, dual):
         rows = dict(zip(zs, batch.coords))
         exps = dict.fromkeys(values, 0)
         if neg:
-            at_zero = d.algebra.element(rows[0])
-            products, acc, e = [], d.algebra.one(), 0
+            alg = d.algebra
+            unit = alg.basis_index[()]
+            # d - i differs from d only in its scalar slot, (re - i, im):
+            # one factor array, that slot rewritten per i
+            factor = d.coords.copy()
+            re, im = factor[unit].real, factor[unit].imag
+            products, acc, e = [], alg.one().coords, 0
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(-neg[0] // den):
                     if i >= dual:
-                        step = acc * (d - i)
-                        if not np.isfinite(step.coords).all():
+                        factor[unit] = complex(re - i, im)
+                        step = alg.multiply(acc, factor)
+                        if not np.isfinite(step).all():
                             acc, k = _normalized(acc)
                             e += k
-                            step = acc * (d - i)
+                            step = alg.multiply(acc, factor)
                         acc = step
                     products.append((acc, e))
             for v in neg:
                 acc, exps[v] = products[-v // den - 1]
-                rows[v] = (acc * at_zero).coords
+                rows[v] = alg.multiply(acc, rows[0])
         out.append((np.array([rows[v] for v in values]),
                     np.array([exps[v] for v in values])))
     return out

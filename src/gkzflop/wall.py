@@ -34,8 +34,9 @@ sector on one node grid evaluated as one stack at the far endpoint,
 and one series batch (series.term_values) per sector and side for
 every c at once (continued_vector, gamma_vector).  Each c sums only its
 own rows, in term order, so its values do not depend on the rest of
-the battery.  oracle_report evaluates each generator's line at both
-endpoints in one stack.
+the battery.  oracle_report builds one integrand per generator and eps,
+on that line at both endpoints: its quadratures read both, its residue
+circles the far endpoint alone.
 """
 
 import cmath
@@ -68,12 +69,13 @@ from .series import enumerate_terms, exponent_table, sector_batches, \
 # GUARD from every model point.  Left residues reach MAX_DEPTH below the
 # line and stop after three in a row under STOP of their sum; their
 # circles, of _CIRCLE_NODES nodes each, are evaluated in rounds of
-# _ROUND, 2 _ROUND, 4 _ROUND, ... circles, one integrand call each.
+# _ROUND, then _ROUND_MAX, _ROUND_MAX, ... circles, one integrand call
+# each: 8 circles are 512 nodes, one kernels._BLOCK per Gamma argument.
 # Orbit terms are restored from -M_BACK; the right pole sum ends at M_MAX.
 LINE_EXPONENT, MAX_LINE_NODES, TAIL_TOL = 36, 2 ** 16, 1e-9
 CLEARANCE, GUARD = 0.15, 1e-7
 MAX_DEPTH, STOP = 40, 1e-13
-_ROUND, _CIRCLE_NODES = 4, 64
+_ROUND, _ROUND_MAX, _CIRCLE_NODES = 4, 8, 64
 M_BACK, M_MAX = 25, 30
 RCOND_MIN = 1e-8     # smallest sigma_min / sigma_max of a sampled transform
 # A line whose 1/Gamma argument z = 1 + l'_j + h_j s, h_j != 0, lies left of
@@ -306,23 +308,24 @@ def make_integrand(xs, lines, ring):
 
     lines is a list of Lines of one circuit; one line is a stack of one.
     The closure takes one node s or an array of nodes, shared by the
-    lines, and optionally keep, the indices of the lines to evaluate
-    (default: all).  It returns a batch of shape (X K,) + s.shape +
-    (dim,), X = len(xs) and K the lines kept: one block per (x, line),
-    x-major.  Within a call each distinct 1/Gamma argument, 1 + l'_j +
-    h_j s + D_j / 2 pi i, goes to the kernel once, in one kernel call;
-    each pole-denominator inverse of j in I_minus, 1 / (1 - e^{-D_j}
-    e^{-2 pi i (l'_j + h_j s)}), is formed once per (j, l'_j); and each
-    power e^{(l'_j + h_j s) log x_j - l'_j log x_j} once per (x, j,
-    l'_j).  Each block is its line's I(s) at its x alone to the last
+    lines, and optionally keep, the indices of the lines to evaluate,
+    and at, the indices of the endpoints of xs to evaluate them at (each
+    default: all).  It returns a batch of shape (X K,) + s.shape +
+    (dim,), X the endpoints and K the lines kept: one block per (x,
+    line), x-major.  Within a call each distinct 1/Gamma argument, 1 +
+    l'_j + h_j s + D_j / 2 pi i, goes to the kernel once, in one kernel
+    call; each pole-denominator inverse of j in I_minus, 1 / (1 -
+    e^{-D_j} e^{-2 pi i (l'_j + h_j s)}), is formed once per (j, l'_j);
+    and each power e^{(l'_j + h_j s) log x_j - l'_j log x_j} once per
+    (x, j, l'_j).  Each block is its line's I(s) at its x alone to the last
     bit: every factor is formed as for that line alone, the factors of
     a line multiply in one fixed order, SectorAlgebra.multiply treats
     rows apart, and the kernel works elementwise.  The ring must be in
     numeric mode (a concrete eps): series-mode values are not batched.
-    A node closer than GUARD to any point of a kept line's pole model,
-    removable points included, raises PoleProximity for the first such
-    line (_near_pole).  .decay and .arg_y hold one value per x and
-    depend on x and the circuit alone.
+    The closure does not guard its nodes: its callers, mb_contour_oracle
+    and residue_at, keep every node they send GUARD away from the pole
+    model (_near_pole).  .decay and .arg_y hold one value per x of xs
+    and depend on x and the circuit alone.
     """
     if ring.laurent:
         raise InfeasibleArgs("the line integrand needs a sampled eps")
@@ -353,19 +356,16 @@ def make_integrand(xs, lines, ring):
             consts.append(const.coords)
     consts = np.array(consts).reshape(len(xs), len(lines), alg.dim)
 
-    def f(s, keep=None):
+    def f(s, keep=None, at=None):
         s = np.asarray(s, dtype=complex)
         keep = list(range(len(lines)) if keep is None else keep)
+        at = list(range(len(xs)) if at is None else at)
         kept = [lines[i] for i in keep]
-        flat = s.reshape(-1)
-        for row in _near_pole(kept, flat):
-            if row.any():
-                raise _pole_error(flat, row)
         # l'_j of every kept line, exact, and the distinct ones per j
         lj = [[Fraction(line.lprime[j]) for line in kept] for j in range(n)]
         distinct = [list(dict.fromkeys(col)) for col in lj]
         # one entry per (x, line), broadcast over the nodes
-        lead = (len(xs), len(kept)) + (1,) * s.ndim
+        lead = (len(at), len(kept)) + (1,) * s.ndim
         # a value that overflows stays inf or NaN without a numpy warning:
         # the quadratures gate the values for finiteness
         with np.errstate(over="ignore", invalid="ignore"):
@@ -373,7 +373,8 @@ def make_integrand(xs, lines, ring):
             gammas = dict(zip(keys, ring.recip_gamma(
                 [1 + (complex(v) + s * h[j]) for j, v in keys],
                 [d[j] for j, _ in keys])))
-            acc = alg.element(consts[:, keep].reshape(lead + (alg.dim,))) \
+            acc = alg.element(consts[np.ix_(at, keep)].reshape(
+                lead + (alg.dim,))) \
                 * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
             for j in iminus:
                 poles = {v: ring.inv(one - exp_neg[j] * np.exp(
@@ -386,7 +387,8 @@ def make_integrand(xs, lines, ring):
                 if h[j]:
                     powers = [{v: np.exp((complex(v) + s * h[j]) * logx[j]
                                          - complex(v) * logx[j])
-                               for v in distinct[j]} for logx in logs]
+                               for v in distinct[j]}
+                              for logx in (logs[i] for i in at)]
                     acc = acc * np.array([[p[v] for v in lj[j]]
                                           for p in powers])
                 acc = acc * alg.element(np.stack([gammas[j, v].coords
@@ -525,24 +527,31 @@ def mb_contour_oracle(f, lines, height):
     return out
 
 
-def residue_at(f, centers, radii):
+def residue_at(f, line, centers, radii, at=None):
     """Residues of f by small positively oriented circles, in one call.
 
-    centers and radii are 1-d arrays of one length.  Every circle's
-    _CIRCLE_NODES nodes go to one integrand call, so to one kernel call,
-    and the result is a batch with one row per circle.  Each circle sums
-    its own nodes, as one circle alone would.  A non-finite node makes
-    its circle's residue non-finite; the caller checks the rows it uses.
+    f is an integrand built on the stack [line] alone, and at selects
+    the one endpoint to evaluate (default: f has one).  centers and
+    radii are 1-d arrays of one length.  A node within GUARD of the
+    line's pole model raises PoleProximity for the first such node
+    before anything is evaluated.  Every circle's _CIRCLE_NODES nodes go
+    to one integrand call, so to one kernel call, and the result is a
+    batch with one row per circle.  Each circle sums its own nodes as
+    one circle alone would, in one reduction over the (circles, nodes,
+    dim) array.  A non-finite node makes its circle's residue
+    non-finite; the caller checks the rows it uses.
     """
     centers = np.asarray(centers, dtype=complex)
     z = np.exp(TWO_PI_I * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES) \
         * np.asarray(radii, dtype=float)[:, None]
-    vals = f((centers[:, None] + z).reshape(-1))
+    nodes = (centers[:, None] + z).reshape(-1)
+    [row] = _near_pole([line], nodes)
+    if row.any():
+        raise _pole_error(nodes, row)
+    vals = f(nodes, at=at)
     alg = vals.algebra
-    blocks = vals.coords.reshape(-1, _CIRCLE_NODES, alg.dim)
-    return alg.element(np.array([
-        ((alg.element(block) * zi).sum() * (1.0 / _CIRCLE_NODES)).coords
-        for block, zi in zip(blocks, z)]))
+    blocks = vals.coords.reshape(-1, _CIRCLE_NODES, alg.dim) * z[..., None]
+    return alg.element(blocks.sum(axis=1) * (1.0 / _CIRCLE_NODES))
 
 
 def orbit_sum(x, line, ring, m_from, m_to):
@@ -551,20 +560,23 @@ def orbit_sum(x, line, ring, m_from, m_to):
                                 ring))
 
 
-def left_residue_sum(f, line):
+def left_residue_sum(f, line, at=None):
     """Sum of all residues of f left of the line, by line.circles.
 
-    f is the integrand built on the stack [line] alone at one endpoint;
-    residue_at reads its one block.  The circles go right to left in rounds of
-    _ROUND, 2 _ROUND, 4 _ROUND, ..., one residue_at call each.  Residues
-    are added one circle at a time, and the sum stops after three in a
-    row under STOP of it; the rest of that round is dropped unchecked.
+    f is the integrand built on the stack [line] alone, and at selects
+    the endpoint whose residues are summed (default: f has one);
+    residue_at reads its one block.  The circles go right to left in
+    rounds of _ROUND, then _ROUND_MAX, _ROUND_MAX, ... circles, one
+    residue_at call each.  Residues are added one circle at a time, and
+    the sum stops after three in a row under STOP of it; the rest of
+    that round is dropped unchecked.
     """
     centers, radii = line.circles
     acc, small, start, size = None, 0, 0, _ROUND
     while start < len(centers):
         stop = start + size
-        batch = residue_at(f, centers[start:stop], radii[start:stop])
+        batch = residue_at(f, line, centers[start:stop], radii[start:stop],
+                           at)
         for row in batch.coords:
             val = batch.algebra.element(row)
             _require_finite(val, "residue circle")
@@ -573,7 +585,7 @@ def left_residue_sum(f, line):
                 else 0
             if small == 3:
                 return acc
-        start, size = stop, 2 * size
+        start, size = stop, _ROUND_MAX
     return acc
 
 
@@ -648,8 +660,10 @@ class WallContext:
     no transform never searches for it.  The DeformationRings of a side
     at one eps, one stack of samples or None are built once, by `rings`,
     and shared by every function that takes it, so the two residue routes
-    share the series mode's memo of exp, inverse and powers; the rest of
-    what depends on eps is built by those functions.
+    share the series mode's memo of exp, inverse and powers.  The minus
+    side's localization matrix at one eps is built once, by
+    `localization`, for both routes; the rest of what depends on eps is
+    built by those functions.
     """
 
     def __init__(self, circuit, plus, minus):
@@ -685,7 +699,7 @@ class WallContext:
                           for i in range(plus.algebras[g.key()].dim))
         self.cols = tuple((g.key(), i) for g in minus.box
                           for i in range(minus.algebras[g.key()].dim))
-        self._rings = {}
+        self._rings, self._localization = {}, {}
 
     @functools.cached_property
     def monomials(self):
@@ -700,13 +714,31 @@ class WallContext:
         """
         # internal: a context serves its own two chambers
         assert chamber is self.plus or chamber is self.minus
-        side = (chamber is self.plus, repr(
-            None if eps is None else np.asarray(eps, dtype=complex).tolist()))
+        side = (chamber is self.plus, _eps_key(eps))
         if side not in self._rings:
             self._rings[side] = {key: DeformationRing(alg, self.offsets,
                                                       eps=eps)
                                  for key, alg in chamber.algebras.items()}
         return self._rings[side]
+
+    def localization(self, eps):
+        """The minus side's localization matrix of the monomials at eps.
+
+        Built once per eps (keyed as rings keys it) and monomial basis,
+        and shared by both residue routes.
+        """
+        key = (_eps_key(eps), self.monomials)
+        if key not in self._localization:
+            self._localization[key] = localization_matrix(
+                self.minus, self.rings(self.minus, eps), self.monomials)
+        return self._localization[key]
+
+
+def _eps_key(eps):
+    """eps as a dict key: None, one sample or a tuple, its sign of zero
+    included."""
+    return repr(None if eps is None
+                else np.asarray(eps, dtype=complex).tolist())
 
 
 def _localization_values(ring, coords, mons):
@@ -785,14 +817,16 @@ def _stack(chamber, per_sector):
                           axis=-1)
 
 
+# a value that overflows stays inf or NaN without a numpy warning: the
+# rcond and principal-ratio gates fail on it
+@np.errstate(over="ignore", invalid="ignore")
 def _transform(wall, eps, route):
     """Shared assembly for both residue routes: the Laurent matrix (eps
     None), or one matrix per sample of the tuple eps, as one stack."""
-    circuit, plus, minus = wall.circuit, wall.plus, wall.minus
+    circuit, plus = wall.circuit, wall.plus
     h = circuit.h
     mons = wall.monomials
     rings_plus = wall.rings(plus, eps)
-    rings_minus = wall.rings(minus, eps)
     residues = {}
     for g in plus.box:
         if g.key() in wall.poles:
@@ -848,7 +882,7 @@ def _transform(wall, eps, route):
             values[key] = rings_plus[key].eps_zero(v)
         raw_cols.append(_stack(plus, values))
     cols = np.stack(raw_cols, axis=-2)      # (sample,) monomial, row
-    loc = localization_matrix(minus, rings_minus, mons)
+    loc = wall.localization(eps)
     if eps is None:
         return TransformMatrix(cols.T @ np.linalg.inv(loc.T), principal)
     return [TransformMatrix(c.T @ np.linalg.inv(m.T))
@@ -860,9 +894,11 @@ def invertibility(entries):
 
     The gate reads rcond > RCOND_MIN, which does not depend on the scale
     of the monomial basis that |det| carries.  Non-finite entries give
-    rcond NaN, which fails.
+    rcond NaN, which fails; a det that overflows reads inf or NaN
+    without a numpy warning.
     """
-    det = float(abs(np.linalg.det(entries)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(abs(np.linalg.det(entries)))
     if np.isfinite(entries).all():
         sv = np.linalg.svd(entries, compute_uv=False)
         rcond = float(sv[-1] / sv[0]) if sv[0] else 0.0
@@ -1078,9 +1114,10 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
     plus and minus are the Chambers of the two triangulations, and policy
     bounds the terms searched for orbit generators.  Each generator's
     Line is built at its first use and serves every eps.  Per eps, one
-    integrand on that line at both endpoints and one mb_contour_oracle
-    call give its near and far quadratures, and an integrand at the far
-    endpoint alone its residue circles.  A generator's checks run in
+    integrand on that line at both endpoints serves it all: one
+    mb_contour_oracle call gives its near and far quadratures, and its
+    residue circles evaluate the far endpoint alone.  Only c = 0 is
+    checked, whatever the battery depth.  A generator's checks run in
     the order near quadrature, right orbit sum, far quadrature, left
     residue sum, and the first failure is raised.  An essential plus
     sector with no generator within policy contributes no check: the
@@ -1105,16 +1142,14 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
                 if lp not in lines:
                     lines[lp] = Line(lp, circuit, spec.s0)
                 line = lines[lp]
-                near, far = mb_contour_oracle(
-                    make_integrand([path.x_plus, path.x_minus], [line], ring),
-                    [line], spec.height)
+                f = make_integrand([path.x_plus, path.x_minus], [line], ring)
+                near, far = mb_contour_oracle(f, [line], spec.height)
                 q_p, dg_p = _result(near)
                 right = orbit_sum(path.x_plus, line, ring, line.first_right,
                                   M_MAX)
                 dev_r, _ = _deviation(q_p.coords, right.coords)
                 q_m, dg_m = _result(far)
-                left = left_residue_sum(
-                    make_integrand([path.x_minus], [line], ring), line)
+                left = left_residue_sum(f, line, at=[1])
                 dev_l, _ = _deviation(q_m.coords, -left.coords)
                 # each side passes only with its line's quadrature error
                 # under the same tolerance as its deviation

@@ -616,9 +616,10 @@ def reference_left_residue_sum(f, circles, nodes=64):
     return acc, summed
 
 
-def residue(f, center, radius=0.25):
-    """The residue of f by the one circle (center, radius)."""
-    batch = wall.residue_at(f, np.array([center]), np.array([radius]))
+def residue(f, line, center, radius=0.25):
+    """The residue of f, an integrand on [line], by the one circle
+    (center, radius)."""
+    batch = wall.residue_at(f, line, np.array([center]), np.array([radius]))
     return batch.algebra.element(batch.coords[0])
 
 

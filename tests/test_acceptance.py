@@ -161,16 +161,17 @@ def test_residues_vanish_left_and_match_terms_right(packs):
         line = wall.Line(lp, pack.circuit)
         f0 = wall.make_integrand([path.x_plus], [line], ring0)
         for m in (-1, -2):
-            res = residue(f0, m)
+            res = residue(f0, line, m)
             worst_zero = max(worst_zero, res.norm())
             ok = ok and res.norm() < 1e-10
         for m in (0, 1, 2):
             if gamma_family_hit(lp, pack.circuit, m):
                 res = residue(wall.make_integrand([path.x_plus], [line],
-                                                  ringe), m, radius=1.5e-3)
+                                                  ringe), line, m,
+                              radius=1.5e-3)
                 ring = ringe
             else:
-                res = residue(f0, m)
+                res = residue(f0, line, m)
                 ring = ring0
             l = tuple(v + m * h for v, h in zip(lp, pack.circuit.h))
             ref = ring.algebra.element(

@@ -17,7 +17,7 @@ from gkzflop import report as reporting
 from gkzflop.deform import DeformationRing, EpsSeries
 from gkzflop.fixtures import load_fixture, write_fixture
 from gkzflop.toric import compute_box, find_circuit
-from support import TRAPEZOID, circuit_fixture, subparser_reference
+from support import LOCAL_P2, TRAPEZOID, circuit_fixture, subparser_reference
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -217,6 +217,26 @@ def test_oracle_sums_orbit_terms_past_the_factorial_overflow(tmp_path):
     assert proc.returncode == 0
     checks = json.loads(proc.stdout)["body"]["checks"]
     assert checks and all(math.isfinite(c["right_dev"]) for c in checks)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fm", "--eps", "-100"], ["ac", "--eps", "-100"],
+    ["verify", "--depth", "0", "--eps", "-100"], ["fm", "--eps", "300"]],
+    ids=["fm-100", "ac-100", "verify-100", "fm300"])
+def test_overflowing_transform_fails_without_warnings(tmp_path, argv):
+    # local P2's transforms at a large |eps| overflow in their products
+    # and in det: the values carry inf or NaN and the rcond gate fails
+    # (exit 1), with no numpy warning on stderr
+    path = tmp_path / "p2.txt"
+    path.write_text(LOCAL_P2)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkzflop", *argv, "--fixture", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["body"]["pass"] is False
 
 
 @pytest.mark.parametrize("fixture", ["a1", "conifold"])
@@ -662,15 +682,18 @@ def test_one_wall_context_per_command(monkeypatch, argv):
 def test_one_line_per_generator_per_command(monkeypatch):
     # each generator's Line lists its exact pole model once to place the
     # line and once more for its residue circles, which only oracle
-    # reads; oracle builds two integrands per eps and generator, one at
-    # both endpoints for its quadratures and one at the far endpoint for
-    # its residue circles, and verify one per stack, the lines of a
-    # sector on one node grid (one stack per fixture here; one integrand
-    # per line made 23).  Per-call placement listed 24 and 69 times here,
-    # with 12 integrands for oracle.  Every integrand takes a list of
-    # endpoints and a stack, a list of Lines.
-    counts = {"listings": 0, "integrands": 0}
+    # reads; oracle builds one integrand per eps and generator, at both
+    # endpoints, whose far endpoint also serves its residue circles (two
+    # per eps and generator made 8 here), and verify one per stack, the
+    # lines of a sector on one node grid (one stack per fixture here;
+    # one integrand per line made 23).  Per-call placement listed 24 and
+    # 69 times here, with 12 integrands for oracle.  Every integrand
+    # takes a list of endpoints and a stack, a list of Lines.  oracle's
+    # residue circles come in rounds of 4, 8, 8, ...: 10 rounds of 64
+    # circles here, where rounds of 4, 8, 16, ... evaluated 80
+    counts = {"listings": 0, "integrands": 0, "rounds": 0, "circles": 0}
     real_model, real_integrand = wall.Line.points, wall.make_integrand
+    real_circles = wall.residue_at
 
     def counted_model(*args):
         counts["listings"] += 1
@@ -681,18 +704,57 @@ def test_one_line_per_generator_per_command(monkeypatch):
         counts["integrands"] += 1
         return real_integrand(xs, lines, ring)
 
+    def counted_circles(f, line, centers, radii, at=None):
+        counts["rounds"] += 1
+        counts["circles"] += len(centers)
+        return real_circles(f, line, centers, radii, at)
+
     monkeypatch.setattr(wall.Line, "points", counted_model)
     monkeypatch.setattr(wall, "make_integrand", counted_integrand)
-    for command, flags, listings, integrands in (
-            ("oracle", ["--eps", "3e-3", "--eps", "5e-3"], 4, 8),
-            ("verify", [], 23, 2)):
-        counts.update(listings=0, integrands=0)
+    monkeypatch.setattr(wall, "residue_at", counted_circles)
+    for command, flags, listings, integrands, rounds, circles in (
+            ("oracle", ["--eps", "3e-3", "--eps", "5e-3"], 4, 4, 10, 64),
+            ("verify", [], 23, 2, 0, 0)):
+        counts.update(listings=0, integrands=0, rounds=0, circles=0)
         for fixture in ("a1", "conifold"):
             argv = [command, "--fixture", fixture, *flags]
             status, _ = cli.run(command, cli.build_parser().parse_args(argv))
             assert status == 0, argv
         assert counts["listings"] <= listings, command
         assert counts["integrands"] == integrands, command
+        assert (counts["rounds"], counts["circles"]) == (rounds, circles), \
+            command
+
+
+@pytest.mark.parametrize("command", ["verify", "fm", "ac"])
+def test_one_localization_matrix_per_stack(monkeypatch, command):
+    # the minus side's localization matrix of the transform's monomials
+    # is built once per stack of samples and once for the Laurent matrix,
+    # and both routes share it: verify's matrix and laurent blocks built
+    # it for ac and again for fm (4 builds a fixture).  The candidates of
+    # the monomial basis search are not counted
+    builds, searching = [], [False]
+    real_matrix, real_basis = wall.localization_matrix, wall.monomial_basis
+
+    def counted_matrix(chamber, rings, mons):
+        if not searching[0]:
+            builds.append(len(mons))
+        return real_matrix(chamber, rings, mons)
+
+    def basis(wc):
+        searching[0] = True
+        try:
+            return real_basis(wc)
+        finally:
+            searching[0] = False
+    monkeypatch.setattr(wall, "localization_matrix", counted_matrix)
+    monkeypatch.setattr(wall, "monomial_basis", basis)
+    for fixture in ("a1", "conifold"):
+        del builds[:]
+        argv = [command, "--fixture", fixture, "--depth", "0"]
+        status, _ = cli.run(command, cli.build_parser().parse_args(argv))
+        assert status == 0, argv
+        assert len(builds) == 2, argv
 
 
 def test_invertibility_gate_ignores_the_basis_scale(tmp_path):

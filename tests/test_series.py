@@ -519,6 +519,50 @@ def test_orbit_terms_past_the_factorial_overflow_are_finite():
     assert np.abs(ratios[27:] / ratios[26:-1] - 1).max() < 0.01
 
 
+def element_rows(values, d, at_zero, dual):
+    """prod_{dual <= i < m} (d - i) 1/Gamma(1 + d) for each v = -m of
+    values (den 1), and its power-of-two exponent, with AlgebraElement
+    products: a product about to turn non-finite is first scaled to a
+    largest coordinate in [1/2, 1)."""
+    products, acc, e = [], d.algebra.one(), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(-min(values)):
+            if i >= dual:
+                step = acc * (d - i)
+                if not np.isfinite(step.coords).all():
+                    k = int(np.frexp(np.abs(acc.coords).max())[1])
+                    acc, e = acc * math.ldexp(1.0, -k), e + k
+                    step = acc * (d - i)
+                acc = step
+            products.append((acc, e))
+    return {v: ((products[-v - 1][0] * at_zero).coords, products[-v - 1][1])
+            for v in values if v < 0}
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_gamma_products_match_element_products(pack, dual):
+    # the functional-equation products on raw coordinates equal the
+    # AlgebraElement loop bit for bit, exponents included, past the
+    # factorial overflow (m of about 170) as well
+    values = [-200, -171, -170, -169, -3, -1, 0, 2]
+    _, sectors = batch_setup(pack, eps=1e-2)
+    scaled = 0
+    for ring, _ in sectors:
+        n = ring.algebra.data.n
+        ds = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
+        got = series._recip_gamma_rows([values] * n, 1, ds, ring, dual)
+        for d, (rows, exps) in zip(ds, got):
+            at_zero = d.algebra.element(rows[values.index(0)])
+            want = element_rows(values, d, at_zero, dual)
+            for v, row, e in zip(values, rows, exps):
+                if v < 0:
+                    assert row.tobytes() == want[v][0].tobytes(), v
+                    assert e == want[v][1], v
+                    scaled += e != 0
+            assert exps[values.index(-169)] == 0
+    assert scaled
+
+
 def test_dual_rows_carry_the_stripped_factor(pack):
     # d_j * (stripped factor) = 1/Gamma(1 + l_j + d_j), d_j = D~_j/2pi i,
     # and the dual row keeps 1/2pi i per stripped coordinate

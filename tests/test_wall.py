@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -298,20 +299,32 @@ def test_batched_integrand_matches_node_by_node(pack, form):
         assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max(), node
 
 
-def test_batched_integrand_guards_every_node(a1):
+def test_residue_circles_guard_every_node(a1):
+    # the integrand evaluates any node; residue_at refuses a round of
+    # circles with a node near the line's pole model before evaluating
+    # any of it, and names that node
     wc = wall_context(a1)
     g0 = trivial_sector(wc)
     ring = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
-    f = line_integrand(a1.path().x_plus, wall.Line(lp, a1.circuit), ring)
-    s = 0.5 + 1j * np.linspace(-3.0, 3.0, 24)
-    f(s)
+    line = wall.Line(lp, a1.circuit)
+    calls = []
+    f = recording(line_integrand(a1.path().x_plus, line, ring), calls)
+    centers, radii = np.array([-0.25, 0.0, -2.25]), np.full(3, 0.1)
     # an integer point, and a removable point: 1/Gamma(-2) cancels the
     # ratio-factor pole at s = 1/2, yet the formula gives 0 there
     for bad in (2.0 + 1e-9, 0.5):
-        s[17] = bad
-        with pytest.raises(PoleProximity):
-            f(s)
+        f(np.array([bad, 0.5 + 1j]))
+        centers[1] = bad - 0.1          # its first node lies at bad
+        node = complex(centers[1] + radii[1])
+        del calls[:]
+        with pytest.raises(PoleProximity, match=re.escape(
+                f"s = {node} too close to a pole")):
+            wall.residue_at(f, line, centers, radii)
+        assert not calls
+    centers[1] = 1.25
+    wall.residue_at(f, line, centers, radii)
+    assert len(calls) == 1
 
 
 def test_guard_hits_every_model_point_across_a_wide_batch(packs):
@@ -322,26 +335,27 @@ def test_guard_hits_every_model_point_across_a_wide_batch(packs):
         case for case in oracle_generators(packs, (2, 3, -3, -2), 1e-2)
         if case[1][2] == Fraction(-3, 2)]
     line = wall.Line(lp, circuit)
-    f = line_integrand(x, line, ring)
     lo, hi = -11.0, 0.4
     model = line.pole_model(lo, hi)
     kinds = dict(model)
     assert kinds[Fraction(-5, 6)] == "ratio"
     assert {"integer", "ratio", "removable"} <= set(kinds.values())
     base = np.linspace(lo, hi, 40) + 0.3j
-    f(base)
+
+    def hits(node):
+        [row] = wall._near_pole([line], np.concatenate([base, [node]]))
+        assert not row[:-1].any()
+        return bool(row[-1])
     # -1/3 is no model point: 1/3 off the integers, 1/6 off the family
     # of l'_3 and not a half-integer of the family of l'_4
-    f(np.concatenate([base, [-1.0 / 3]]))
+    assert not hits(-1.0 / 3)
     guard = wall.GUARD
-    with np.errstate(all="ignore"):
-        for p, kind in model:
-            p = float(p)
-            for off in (2 * guard, -2 * guard, 2j * guard):
-                f(np.concatenate([base, [p + off]]))
-            for off in (0.0, guard / 2, -guard / 2, 0.5j * guard):
-                with pytest.raises(PoleProximity):
-                    f(np.concatenate([base, [p + off]]))
+    for p, kind in model:
+        p = float(p)
+        for off in (2 * guard, -2 * guard, 2j * guard):
+            assert not hits(p + off), (p, off)
+        for off in (0.0, guard / 2, -guard / 2, 0.5j * guard):
+            assert hits(p + off), (p, off)
 
 
 def test_integrand_needs_a_sampled_eps(a1):
@@ -370,7 +384,7 @@ def test_moving_the_line_one_step_picks_up_one_residue(a1):
     x = a1.path().x_plus
     near, _, line = line_oracle(x, lp, a1.circuit, ring, 0.5)
     far = line_oracle(x, lp, a1.circuit, ring, 1.5)[0]
-    res = residue(line_integrand(x, line, ring), 1.0)
+    res = residue(line_integrand(x, line, ring), line, 1.0)
     assert (near - far - res).norm() < 1e-9 * max(1.0, res.norm())
 
 
@@ -477,7 +491,7 @@ def test_restored_residues_match_series_terms(pack):
     line = wall.Line(lp, pack.circuit)
     f0 = line_integrand(path.x_plus, line, ring0)
     for m in (-1, -2):
-        res = residue(f0, m)
+        res = residue(f0, line, m)
         assert res.norm() < 1e-10, m
     ringe = plus_ring(wc, g0, 1e-2)
     checked_nonzero = 0
@@ -485,11 +499,11 @@ def test_restored_residues_match_series_terms(pack):
         if gamma_family_hit(lp, pack.circuit, m):
             # a family pole merges with the integer point: separate at
             # small eps and enclose only the integer pole
-            res = residue(line_integrand(path.x_plus, line, ringe), m,
-                          radius=1.5e-3)
+            res = residue(line_integrand(path.x_plus, line, ringe), line,
+                          m, radius=1.5e-3)
             ring = ringe
         else:
-            res = residue(f0, m)
+            res = residue(f0, line, m)
             ring = ring0
         l = tuple(v + m * h for v, h in zip(lp, pack.circuit.h))
         ref = ring.algebra.element(
@@ -538,9 +552,9 @@ def a1_line(a1, eps=0.0):
 
 def recording(f, calls):
     """f with every array of nodes it is called on appended to calls."""
-    def g(s, *keep):
+    def g(s, *args, **kwargs):
         calls.append(np.array(s, dtype=complex))
-        return f(s, *keep)
+        return f(s, *args, **kwargs)
     g.decay, g.arg_y = f.decay, f.arg_y
     return g
 
@@ -595,9 +609,9 @@ def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
         kernel.append(np.shape(z))
         return real_kernel(z, kmax)
 
-    def counted_circle(f, centers, radii):
+    def counted_circle(f, line, centers, radii, at=None):
         circles.append(np.size(centers))      # the centres of one round
-        return real_circle(f, centers, radii)
+        return real_circle(f, line, centers, radii, at)
 
     monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
     monkeypatch.setattr(wall, "residue_at", counted_circle)
@@ -610,7 +624,9 @@ def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
     wall.left_residue_sum(f, line)
     assert circles and len(integrand) == len(circles)
     assert kernel == [(pack.data.n * 64 * c,) for c in circles]
-    full = [wall._ROUND * 2 ** i for i in range(len(circles))]
+    # rounds of 4, then 8, 8, ...: 8 circles are one kernel block per
+    # Gamma argument
+    full = [4] + [8] * (len(circles) - 1)
     assert circles[:-1] == full[:-1] and 0 < circles[-1] <= full[-1]
 
 
@@ -647,8 +663,8 @@ def oracle_generators(packs, name, eps):
 
 def poisoned(f, center, radius):
     """f with NaN values at the nodes of the circle (center, radius)."""
-    def g(s):
-        vals = f(s)
+    def g(s, *args, **kwargs):
+        vals = f(s, *args, **kwargs)
         vals.coords[:, np.abs(np.asarray(s) - center) < 1.2 * radius] = \
             np.nan
         return vals
@@ -662,8 +678,11 @@ def poisoned(f, center, radius):
                               "h=1,1,1,-3"])
 def test_residue_rounds_match_the_one_circle_loop(packs, name, eps):
     # the rounds sum the same circles, bit for bit, as one integrand call
-    # per circle, stop at the same circle, and take at most
-    # ceil(log2(c / 4 + 1)) integrand calls for c circles summed
+    # per circle, and stop at the same circle.  Rounds of 4, 8, 8, ...
+    # take 1 + ceil(max(c - 4, 0) / 8) integrand calls for c circles
+    # summed, and evaluate min(4 + 8 (calls - 1), circles) circles.  The
+    # far endpoint of an integrand at both endpoints, which oracle sums,
+    # gives the same bits as an integrand at the far endpoint alone
     cases = oracle_generators(packs, name, eps)
     assert cases
     for x, lp, circuit, ring in cases:
@@ -676,11 +695,14 @@ def test_residue_rounds_match_the_one_circle_loop(packs, name, eps):
         got = wall.left_residue_sum(
             recording(line_integrand(x, line, ring), calls), line)
         assert np.array_equal(got.coords, want.coords), lp
-        assert len(calls) <= math.ceil(math.log2(summed / 4 + 1)), lp
-        # the stop falls in the last round, which is evaluated whole
-        covered = wall._ROUND * (2 ** len(calls) - 1)
-        assert covered - wall._ROUND * 2 ** (len(calls) - 1) < summed, lp
-        assert sum(map(len, calls)) == 64 * min(covered, len(circles)), lp
+        assert len(calls) == 1 + math.ceil(max(summed - 4, 0) / 8), lp
+        evaluated = min(4 + 8 * (len(calls) - 1), len(circles))
+        assert sum(map(len, calls)) == 64 * evaluated, lp
+        both = select_endpoints(circuit, None, 0.1)
+        assert both.x_minus == x
+        got = wall.left_residue_sum(wall.make_integrand(
+            [both.x_plus, x], [line], ring), line, at=[1])
+        assert got.coords.tobytes() == want.coords.tobytes(), lp
         # NaN on the first circle past the stop: dropped unchecked if its
         # round evaluated it; NaN on the last circle summed: raised
         for index in (summed, summed - 1):
@@ -785,10 +807,10 @@ def test_oracle_raises_the_first_generators_error(monkeypatch):
             if any(Fraction(v).denominator > 1 for v in lprime):
                 self.distance = 1e-9
 
-    def far_fails(f, line):
+    def far_fails(f, line, **kwargs):
         if not any(line.lprime):
             raise NonFiniteValue("the untwisted generator's far side")
-        return real_sum(f, line)
+        return real_sum(f, line, **kwargs)
 
     def report():
         return wall.oracle_report(circuit, plus, minus, eps_values=(1e-2,),
@@ -927,8 +949,8 @@ def test_blind_classes_span_one_direction_on_the_trapezoid():
 
 def values_of(f, out):
     """f with the coordinates of every batch it returns appended to out."""
-    def g(s, *keep):
-        vals = f(s, *keep)
+    def g(s, *args, **kwargs):
+        vals = f(s, *args, **kwargs)
         out.append(vals.coords.copy())
         return vals
     g.decay, g.arg_y = f.decay, f.arg_y
@@ -1079,8 +1101,8 @@ def stacked_values(monkeypatch, out):
     def spy(xs, lines, ring):
         f = real(xs, lines, ring)
 
-        def g(s, keep):
-            vals = f(s, keep)
+        def g(s, keep, **kwargs):
+            vals = f(s, keep, **kwargs)
             out.append(([lines[i] for i in keep], vals.coords.copy()))
             return vals
         g.decay, g.arg_y = f.decay, f.arg_y
@@ -1246,9 +1268,9 @@ def test_a_stack_never_exceeds_the_node_cap(monkeypatch):
     def counted(xs, lines, ring):
         f = real(xs, lines, ring)
 
-        def g(s, keep):
+        def g(s, keep, **kwargs):
             sizes.append(len(keep) * np.size(s))
-            return f(s, keep)
+            return f(s, keep, **kwargs)
         g.decay, g.arg_y = f.decay, f.arg_y
         return g
     monkeypatch.setattr(wall, "make_integrand", counted)
