@@ -11,7 +11,6 @@ from .errors import (
     InputError,
     LocalizationRankDeficient,
     MonomialUnreduced,
-    NegativeValuation,
     NilpotencyUnconfirmed,
     NonFiniteValue,
     NonInteriorPoint,
@@ -25,10 +24,8 @@ from .errors import (
     PoleProximity,
     PoleRightOfLine,
     RankDeficient,
-    SeriesWindowExceeded,
     SublatticeIndex,
     TailBoundViolated,
-    UncancelledPole,
 )
 from .toric import (
     Circuit,
@@ -54,7 +51,7 @@ from .rings import (
     algebra_exp,
     algebra_inverse,
 )
-from .deform import DeformationRing, EpsSeries
+from .deform import DeformationRing
 from .series import (
     TruncationPolicy,
     evaluate_gamma,

@@ -30,7 +30,8 @@ from .series import TruncationPolicy, evaluate_gamma, evaluate_gamma_dual
 from .dual import CompactKModule
 from .wall import (ContourSpec, WallContext, ac_transform, c_battery,
                    fm_transform, invertibility, oracle_report,
-                   sampled_transforms, select_endpoints, verify_fm_equals_ac)
+                   select_endpoints, undeformed_transforms,
+                   verify_fm_equals_ac)
 
 # verify's --trunc default, above TruncationPolicy's
 _VERIFY_TRUNC = 25
@@ -262,15 +263,16 @@ def _transform_body(args, route, builder):
     wall = WallContext(circuit, plus, minus)
     samples, ok = [], True
     eps_samples = args.eps or [1e-2]
-    for eps, m in zip(eps_samples, *sampled_transforms(
-            wall, eps_samples, (builder,))):
+    [(sampled, m0)] = undeformed_transforms(wall, eps_samples, (builder,))
+    for eps, m in zip(eps_samples, sampled):
         sizes, invertible = invertibility(m.entries)
         ok = ok and invertible
         samples.append({"eps": eps, **sizes, **_matrix_out(wall, m)})
-    m0 = builder(wall, None)
     return {"route": route, "samples": samples,
-            "undeformed_limit": _matrix_out(wall, m0),
-            "pass": ok and m0.principal_ratio < 1e-9}
+            "undeformed_limit": {**_matrix_out(wall, m0), "rho": m0.rho,
+                                 "samples": m0.samples,
+                                 "nested_error": m0.nested_error},
+            "pass": ok and m0.undeformed_pass}
 
 
 def cmd_oracle(args):

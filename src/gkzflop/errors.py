@@ -85,10 +85,6 @@ class NonFiniteValue(GkzflopError):
     """A numeric evaluation produced NaN or infinity."""
 
 
-class UncancelledPole(GkzflopError):
-    """An eps-principal part survives a sum that should be regular."""
-
-
 class NilpotencyUnconfirmed(GkzflopError):
     """A sector algebra or divisor class is not confirmed nilpotent."""
 
@@ -99,11 +95,3 @@ class MonomialUnreduced(GkzflopError):
 
 class LocalizationRankDeficient(GkzflopError):
     """No Laurent monomials found whose localization values span the side."""
-
-
-class SeriesWindowExceeded(GkzflopError):
-    """An eps-series coefficient beyond its truncated window was needed."""
-
-
-class NegativeValuation(GkzflopError):
-    """A series-mode exp received a pole in eps."""

@@ -10,8 +10,8 @@ Fractions strings.  Commands put their values into a report as they
 are.
 """
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -60,8 +60,55 @@ def strip_timings(report):
     return {k: v for k, v in report.items() if k != "timings"}
 
 
+def _json_float(v):
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    if v != v:
+        return "NaN"
+    if v in (float("inf"), float("-inf")):
+        return "Infinity" if v > 0 else "-Infinity"
+    return float.__repr__(v)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def render_json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The sanitized report as json.dumps(report, sort_keys=True,
+    indent=2) writes it, plus a newline, in one walk that appends
+    strings.  Values are dispatched on their exact type, which sanitize
+    fixes: dict, list, str, int, float, bool or None."""
+    out = []
+    put = out.append
+
+    def walk(obj, pad):
+        kind = type(obj)
+        if kind is float:
+            put(_json_float(obj))
+        elif kind is dict or kind is list:
+            if not obj:
+                put("{}" if kind is dict else "[]")
+                return
+            inner = pad + "  "
+            sep = ("{" if kind is dict else "[") + "\n" + inner
+            for item in sorted(obj) if kind is dict else obj:
+                if kind is dict:
+                    put(sep + encode_basestring_ascii(item) + ": ")
+                    walk(obj[item], inner)
+                else:
+                    put(sep)
+                    walk(item, inner)
+                sep = ",\n" + inner
+            put("\n" + pad + ("}" if kind is dict else "]"))
+        elif kind is str:
+            put(encode_basestring_ascii(obj))
+        elif kind is int:
+            put(int.__repr__(obj))
+        else:
+            put(_JSON_CONSTANTS[obj])
+
+    walk(report, "")
+    put("\n")
+    return "".join(out)
 
 
 def _text_lines(obj, indent, out):

@@ -16,14 +16,14 @@ truncation-boundary terms carry a numeric bound.
 
 The exponents of one sector share a denominator N: their fractional
 parts are the sector's coordinates, whatever c is.  So a term is carried
-as the integer numerators of N l, from the lattice walk (_solutions)
-through the classification (enumerate_terms) to the Gamma kernel
-(term_values); only the exact layer (canonical_lift, the sector
-algebras) and the reads that report or pair terms (LatticeTerm.l) use
-Fractions.  Terms are evaluated in batches (term_values): a table of
-numerators over one N becomes one element batch, with one Gamma-kernel
-call per coordinate for all its distinct values, and sums over the batch
-add its rows in term order.  A batch may hold the terms of several series
+as the integer numerators of N l, from the lattice walk (_solutions, one
+array pass for a whole battery of c) through the classification
+(enumerate_terms) to the Gamma kernel (term_values); only the exact
+layer (canonical_lift, the sector algebras) and the reads that report or
+pair terms (LatticeTerm.l) use Fractions.  Terms are evaluated in
+batches (term_values): a table of numerators over one N becomes one
+element batch, with one Gamma-kernel call per coordinate for all its
+distinct values, and sums over the batch add its rows in term order.  A batch may hold the terms of several series
 (several c of a battery): a row does not depend on the other rows, so
 each series sums its own rows to the same value it would get alone.
 evaluate_gamma and evaluate_gamma_dual take a whole battery of c and
@@ -121,72 +121,108 @@ def _pivot(row):
     raise AssertionError("zero kernel row")
 
 
-def _solutions(l0, basis, bound):
-    """All l = l0 + Z-combinations of basis with sum |l_i| <= bound.
+def _solutions(starts, den, basis, bound):
+    """All l = l0 + Z-combinations of basis with sum |l_i| <= bound, for
+    every start l0 at once.
 
-    Returns the common denominator den of l0 and the integer tuples
+    starts is the table of integer numerators den * l0, one row per
+    start; returns the start of each tuple and the table of the tuples
     den * l.  The walk runs in these integers, with the bound scaled by
-    den too.  The basis rows are in echelon form, so the columns left of
-    a row's pivot are final once the rows above it are chosen; its
-    coefficient is confined to the interval where the pivot entry fits
-    in the budget those columns leave.  Tuples come in the order of the
-    coefficients.
+    den too, and passes over the basis rows once, for every partial
+    tuple of every start at once.  The rows are in echelon form, so the
+    columns left of a row's pivot are final once the rows above it are
+    chosen; its coefficient is confined to the interval where the pivot
+    entry fits in the budget those columns leave, and each partial tuple
+    is repeated over its interval.  A start's tuples come in the order
+    of the coefficients.
     """
-    den = math.lcm(*(v.denominator for v in l0))
-    start = [v.numerator * (den // v.denominator) for v in l0]
+    cur = np.array(starts, dtype=np.int64).reshape(len(starts), -1)
+    owner = np.arange(len(cur))
     top = bound * den
-    rows = [(_pivot(row), [r * den for r in row]) for row in basis]
-    out = []
-
-    def descend(cur, idx):
-        if idx == len(rows):
-            if sum(map(abs, cur)) <= top:
-                out.append(tuple(cur))
-            return
-        p, row = rows[idx]
-        k = row[p]
-        budget = top - sum(map(abs, cur[:p]))
-        lo, hi = -budget - cur[p], budget - cur[p]
+    for row in basis:
+        p = _pivot(row)
+        step = np.array(row, dtype=np.int64) * den
+        k = int(step[p])
+        budget = top - np.abs(cur[:, :p]).sum(axis=1)
+        lo, hi = -budget - cur[:, p], budget - cur[:, p]
         if k < 0:
             lo, hi = hi, lo
-        for m in range(-(-lo // k), hi // k + 1):
-            descend([c + m * r for c, r in zip(cur, row)], idx + 1)
+        first = -(-lo // k)
+        count = np.maximum(hi // k + 1 - first, 0)
+        take = np.repeat(np.arange(len(cur)), count)
+        # each tuple's coefficient: its interval's start plus its rank
+        m = first[take] + np.arange(len(take)) \
+            - np.repeat(np.cumsum(count) - count, count)
+        cur = cur[take] + m[:, None] * step
+        owner = owner[take]
+    keep = np.abs(cur).sum(axis=1) <= top
+    return owner[keep], cur[keep]
 
-    descend(start, 0)
-    return den, out
+
+def _support_bits(nums, den):
+    """I(l) of each row l = num / den of nums, as the sum of 2**i over i
+    in I(l)."""
+    mask = (nums < 0) | (nums % den != 0)
+    return mask @ (1 << np.arange(nums.shape[1], dtype=np.int64))
 
 
-def enumerate_terms(data, t, c, gamma, policy, circuit=None):
-    """Terms of the (c, gamma) series inside the degree ball, sorted.
+def _within(sup, cones):
+    """Per support (as _support_bits) and cone: the support lies within
+    the cone."""
+    bits = np.array([sum(1 << j for j in s) for s in cones], dtype=np.int64)
+    return (sup[:, None] & ~bits) == 0
+
+
+def enumerate_terms(data, t, battery, gamma, policy, circuit=None):
+    """Terms of the (c, gamma) series inside the degree ball, for every c
+    of the battery: one list per c, each sorted.
 
     Sorted by degree, then by the numerators: with one denominator they
     order as the Fractions do.  Tuples whose support set fits in no
     maximal cone are dropped: their value vanishes identically because
     the support's divisor product is a relation of every sector algebra.
     With a circuit, a term is essential when an owning cone is, and a
-    generator when l - h is not essential.
+    generator when l - h is not essential.  The whole battery is one
+    lattice walk (_solutions), classified on supports and cones as bit
+    masks and sorted once by (c, degree, numerators).
     """
-    lift = canonical_lift(data, gamma, c)
-    den, nums = _solutions(lift.values, data.lattice.kernel_basis,
-                           policy.degree_bound)
+    lifts = [canonical_lift(data, gamma, c).values for c in battery]
+    if not lifts:
+        return []
+    dens = {math.lcm(*(v.denominator for v in lift)) for lift in lifts}
+    # internal: the fractional parts of every lift are gamma's
+    assert len(dens) == 1
+    den = dens.pop()
+    owner, nums = _solutions(
+        [[v.numerator * (den // v.denominator) for v in lift]
+         for lift in lifts], den, data.lattice.kernel_basis,
+        policy.degree_bound)
+    sup = _support_bits(nums, den)
     ess = set(map(frozenset, essential_cones(data, t, circuit))) \
         if circuit is not None else set()
-    maximal = [(s, frozenset(s) in ess) for s in t.maximal]
-    step = tuple(den * v for v in circuit.h) if circuit is not None else None
-    nums.sort(key=lambda num: (sum(map(abs, num)), num))
-    out = []
-    for num in nums:
-        sup = _support(num, den)
-        owning = [e for s, e in maximal if sup <= s]
-        if not owning:
-            continue
-        is_ess = any(owning)
-        gen = False
-        if is_ess:
-            back = _support([v - hv for v, hv in zip(num, step)], den)
-            gen = not any(back <= e for e in ess)
-        out.append(LatticeTerm(num=num, den=den, support=sup,
-                               essential=is_ess, generator=gen))
+    owning = _within(sup, t.maximal)
+    keep = owning.any(axis=1)
+    essential = (owning & np.array([frozenset(s) in ess
+                                    for s in t.maximal])).any(axis=1)
+    generator = np.zeros(len(nums), dtype=bool)
+    if ess:
+        back = _support_bits(nums - np.array(circuit.h) * den, den)
+        generator = essential & ~_within(back, ess).any(axis=1)
+    order = np.lexsort(tuple(nums[:, j] for j in reversed(range(data.n)))
+                       + (np.abs(nums).sum(axis=1), owner))
+    order = order[keep[order]]
+    supports = {}
+    out = [[] for _ in lifts]
+    for i, num, bits, is_ess, gen in zip(
+            owner[order].tolist(), nums[order].tolist(),
+            sup[order].tolist(), essential[order].tolist(),
+            generator[order].tolist()):
+        if bits not in supports:
+            supports[bits] = frozenset(j for j in range(data.n)
+                                       if bits >> j & 1)
+        out[i].append(LatticeTerm(num=tuple(num), den=den,
+                                  support=supports[bits], essential=is_ess,
+                                  generator=gen))
     return out
 
 
@@ -314,11 +350,7 @@ def term_values(x, nums, den, ring, dual=False):
     that leading factor is removed (the 1/2pi i kept), realizing the
     divided coefficient that multiplies the generator of the support
     cone.
-
-    The ring must be in numeric mode (a concrete eps).
     """
-    if ring.laurent:
-        raise InfeasibleArgs("series terms need a sampled eps")
     table = np.array(nums, dtype=np.int64).reshape(len(nums), len(x))
     acc = ring.algebra.scalar(np.ones(len(table)))
     if not len(table):
@@ -413,8 +445,8 @@ def sector_batches(chamber, battery, x, policy, dual=False):
     for gamma in chamber.box:
         key = gamma.key()
         ring = DeformationRing(chamber.algebras[key], eps=0.0)
-        terms = [enumerate_terms(chamber.data, chamber.t, c, gamma, policy)
-                 for c in battery]
+        terms = enumerate_terms(chamber.data, chamber.t, battery, gamma,
+                                policy)
         ends = list(accumulate(map(len, terms)))
         rows = [slice(end - len(part), end) for part, end in zip(terms, ends)]
         dens = {term.den for part in terms for term in part}
@@ -570,10 +602,10 @@ def pde_residuals(chamber, c_list, x, policy, which="primal", circuit=None):
                 raise NonInteriorPoint(f"{c} is not interior")
 
     terms = {}
-    for c in sorted(c_set):
-        for gamma in box:
-            terms[(c, gamma.key())] = enumerate_terms(
-                data, t, c, gamma, policy, circuit)
+    for gamma in box:
+        for c, part in zip(sorted(c_set), enumerate_terms(
+                data, t, sorted(c_set), gamma, policy, circuit)):
+            terms[(c, gamma.key())] = part
 
     euler = Fraction(0)
     for (c, key), tl in terms.items():

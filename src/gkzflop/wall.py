@@ -12,9 +12,10 @@ and played against each other:
     vertical line, which is the ground truth for both.
 
 Everything runs over a DeformationRing so that coinciding divisor
-classes stay separated; matrices are sampled at generic eps, all the
-samples of a command in one stack per route, or built as eps-Laurent
-data whose principal parts must cancel before eps^0 is read off.
+classes stay separated.  A command samples its matrices at its generic
+real eps and at a circle of complex eps around 0, all in one stack per
+route; the circle's mean is the undeformed (eps^0) transform, and its
+eps^-m coefficients, which must cancel, are gated (deform.circle_read).
 
 Each orbit generator has one Line: its integration line, the split of
 its orbit and its residue circles, built once per command and passed to
@@ -54,8 +55,9 @@ from .errors import GkzflopError, InfeasibleArgs, \
     PoleRightOfLine, TailBoundViolated
 from .toric import canonical_lift, adjacent_sector, essential_cones, \
     essential_sectors, sector_label
-from .deform import DeformationRing, TWO_PI_I, unit_phase, principal_log
-from .rings import algebra_exp
+from .deform import DeformationRing, TWO_PI_I, circle, circle_read, \
+    unit_phase, principal_log
+from .rings import algebra_exp, algebra_inverse
 from .series import enumerate_terms, exponent_table, sector_batches, \
     term_values, sum_rows, scalar_power, nan_max
 
@@ -86,6 +88,14 @@ RCOND_MIN = 1e-8     # smallest sigma_min / sigma_max of a sampled transform
 # every node more than 4e-20 off the real axis.  The kernel would multiply
 # the K factors back one pass at a time.
 GAMMA_RE_MIN = -180
+# The eps^0 transform is the mean of the transform over CIRCLE_NODES
+# samples on |eps| = rho, rho = min(CIRCLE_RHO, R / 3) and R the nearest
+# nonzero eps where a residue denominator vanishes (circle_radius).  While
+# the nested estimate exceeds CIRCLE_RTOL of the largest entry, the
+# circle doubles, up to CIRCLE_MAX samples.  EPS0_TOL gates that estimate
+# and the principal ratio.
+CIRCLE_NODES, CIRCLE_MAX, CIRCLE_RHO = 32, 256, 0.1
+CIRCLE_RTOL, EPS0_TOL = 1e-11, 1e-9
 
 
 # -- path and endpoints -------------------------------------------------
@@ -320,15 +330,11 @@ def make_integrand(xs, lines, ring):
     (x, j, l'_j).  Each block is its line's I(s) at its x alone to the last
     bit: every factor is formed as for that line alone, the factors of
     a line multiply in one fixed order, SectorAlgebra.multiply treats
-    rows apart, and the kernel works elementwise.  The ring must be in
-    numeric mode (a concrete eps): series-mode values are not batched.
-    The closure does not guard its nodes: its callers, mb_contour_oracle
-    and residue_at, keep every node they send GUARD away from the pole
-    model (_near_pole).  .decay and .arg_y hold one value per x of xs
+    rows apart, and the kernel works elementwise.  The closure does not
+    guard its nodes: its callers, mb_contour_oracle and residue_at, keep
+    every node they send GUARD away from the pole model (_near_pole).  .decay and .arg_y hold one value per x of xs
     and depend on x and the circuit alone.
     """
-    if ring.laurent:
-        raise InfeasibleArgs("the line integrand needs a sampled eps")
     circuit = lines[0].circuit
     # internal: a stack holds the lines of one circuit
     assert all(line.circuit is circuit for line in lines)
@@ -340,8 +346,8 @@ def make_integrand(xs, lines, ring):
     d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
     # e^{-D_j} for the j in I_minus alone: at a large negative eps it may
     # overflow for other j
-    exp_neg = {j: ring.exp(ring.divisor(j) * (-1.0)) for j in iminus}
-    one = ring.one()
+    exp_neg = {j: algebra_exp(ring.divisor(j) * (-1.0)) for j in iminus}
+    one = alg.one()
     nums = {j: np.array([(one - exp_neg[j]
                           * unit_phase(-line.lprime[j])).coords
                          for line in lines]) for j in iminus}
@@ -350,7 +356,7 @@ def make_integrand(xs, lines, ring):
     for x in xs:
         bp = [ring.branched_power(v, dj) for v, dj in zip(x, d)]
         for line in lines:
-            const = ring.one()
+            const = alg.one()
             for j in range(n):
                 const = const * bp[j] * scalar_power(x[j], line.lprime[j])
             consts.append(const.coords)
@@ -377,7 +383,7 @@ def make_integrand(xs, lines, ring):
                 lead + (alg.dim,))) \
                 * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
             for j in iminus:
-                poles = {v: ring.inv(one - exp_neg[j] * np.exp(
+                poles = {v: algebra_inverse(one - exp_neg[j] * np.exp(
                     -TWO_PI_I * (complex(v) + s * h[j])))
                     for v in distinct[j]}
                 acc = acc * alg.element(nums[j][keep].reshape(
@@ -620,18 +626,19 @@ def coefficient_C(circuit, gamma, k, angles, ring):
     hk = h[k]
     assert k in circuit.I_minus   # internal: poles are built over I_minus
     theta, coords2 = angles
+    one = ring.algebra.one()
     dk = ring.divisor(k)
-    num = ring.one() - ring.exp(dk * (-1.0)) * unit_phase(-gamma.coords[k])
-    den = (ring.one() - ring.exp(dk * (1.0 / hk)) * unit_phase(-theta)) * hk
-    acc = num * ring.inv(den)
+    num = one - algebra_exp(dk * (-1.0)) * unit_phase(-gamma.coords[k])
+    den = (one - algebra_exp(dk * (1.0 / hk)) * unit_phase(-theta)) * hk
+    acc = num * algebra_inverse(den)
     for j in sorted(circuit.I_minus):
         if j == k:
             continue
         dj = ring.divisor(j)
         delta = dj - dk * (h[j] / hk)
-        numj = ring.one() - ring.exp(dj * (-1.0)) * unit_phase(-gamma.coords[j])
-        denj = ring.one() - ring.exp(delta * (-1.0)) * unit_phase(-coords2[j])
-        acc = acc * numj * ring.inv(denj)
+        numj = one - algebra_exp(dj * (-1.0)) * unit_phase(-gamma.coords[j])
+        denj = one - algebra_exp(delta * (-1.0)) * unit_phase(-coords2[j])
+        acc = acc * numj * algebra_inverse(denj)
     return acc
 
 
@@ -640,10 +647,25 @@ def coefficient_C(circuit, gamma, k, angles, ring):
 
 @dataclass
 class TransformMatrix:
-    """Entries indexed by WallContext.rows (target) and .cols (source)."""
+    """Entries indexed by WallContext.rows (target) and .cols (source).
+
+    A sampled transform has its entries alone.  An eps^0 transform
+    (undeformed_transforms) also carries the circle it was read from:
+    its radius rho, its number of samples, and deform.circle_read's
+    principal ratio and nested estimate.
+    """
 
     entries: np.ndarray
     principal_ratio: float = 0.0
+    rho: float = None
+    samples: int = None
+    nested_error: float = None
+
+    @property
+    def undeformed_pass(self):
+        """The eps^0 gate: principal ratio and nested estimate (NaN
+        fails) under EPS0_TOL."""
+        return nan_max(self.principal_ratio, self.nested_error) < EPS0_TOL
 
 
 class WallContext:
@@ -658,10 +680,9 @@ class WallContext:
     (theta, coords2) of its poles (k, r) by both residue routes.  The
     monomial basis is found on first use, so a command that assembles
     no transform never searches for it.  The DeformationRings of a side
-    at one eps, one stack of samples or None are built once, by `rings`,
-    and shared by every function that takes it, so the two residue routes
-    share the series mode's memo of exp, inverse and powers.  The minus
-    side's localization matrix at one eps is built once, by
+    at one eps or one stack of samples are built once, by `rings`, and
+    shared by every function that takes it.  The minus side's
+    localization matrix at one eps or stack is built once, by
     `localization`, for both routes; the rest of what depends on eps is
     built by those functions.
     """
@@ -709,8 +730,8 @@ class WallContext:
     def rings(self, chamber, eps):
         """The DeformationRing of every sector of chamber at eps.
 
-        Built once per side and eps (None: Laurent; a tuple: a stack),
-        keyed by eps as the ring reads it, its sign of zero included.
+        Built once per side and eps (a tuple: a stack), keyed by eps as
+        the ring reads it, its sign of zero included.
         """
         # internal: a context serves its own two chambers
         assert chamber is self.plus or chamber is self.minus
@@ -735,10 +756,10 @@ class WallContext:
 
 
 def _eps_key(eps):
-    """eps as a dict key: None, one sample or a tuple, its sign of zero
-    included."""
-    return repr(None if eps is None
-                else np.asarray(eps, dtype=complex).tolist())
+    """eps as a dict key: one sample or a tuple, its bits (the sign of
+    zero included) and its shape."""
+    eps = np.asarray(eps, dtype=complex)
+    return eps.shape, eps.tobytes()
 
 
 def _localization_values(ring, coords, mons):
@@ -746,15 +767,13 @@ def _localization_values(ring, coords, mons):
 
     One batch row per exponent b of mons (after a stack's sample axis):
     one batched algebra_exp of the sums sum_j b_j D~_j, times the exact
-    phase e^{2 pi i b.g} of each b.  A Laurent ring gives the eps^0
-    coefficients: R^b has no pole in eps, and callers read eps^0 alone.
+    phase e^{2 pi i b.g} of each b.
     """
     alg = ring.algebra
     b = np.array(mons, dtype=float).reshape(len(mons), alg.data.n)
     combo = np.zeros((len(mons), alg.dim), dtype=complex)
     for j in range(alg.data.n):
-        div = alg.divisor(j) if ring.laurent else ring.divisor(j)
-        combo = combo + b[:, j, None] * div.coords[..., None, :]
+        combo = combo + b[:, j, None] * ring.divisor(j).coords[..., None, :]
     # b.g exactly, over the common denominator of the sector coordinates
     den = math.lcm(*(g.denominator for g in coords))
     nums = [int(g * den) for g in coords]
@@ -818,11 +837,11 @@ def _stack(chamber, per_sector):
 
 
 # a value that overflows stays inf or NaN without a numpy warning: the
-# rcond and principal-ratio gates fail on it
+# rcond and eps^0 gates fail on it
 @np.errstate(over="ignore", invalid="ignore")
 def _transform(wall, eps, route):
-    """Shared assembly for both residue routes: the Laurent matrix (eps
-    None), or one matrix per sample of the tuple eps, as one stack."""
+    """Shared assembly for both residue routes: one matrix per sample of
+    the tuple eps, as one stack."""
     circuit, plus = wall.circuit, wall.plus
     h = circuit.h
     mons = wall.monomials
@@ -839,7 +858,6 @@ def _transform(wall, eps, route):
                                            mons).coords
              for g in plus.box if g.key() not in residues}
     raw_cols = []
-    principal = 0.0
     for i, b in enumerate(mons):
         values = {}
         for g in plus.box:
@@ -861,32 +879,26 @@ def _transform(wall, eps, route):
                                  - ring.divisor(k) * (h[j] / h[k])) \
                             * float(bj)
                         combo = piece if combo is None else combo + piece
-                    val = ring.one() * phase if combo is None \
-                        else ring.exp(combo) * phase
+                    val = ring.algebra.one() * phase if combo is None \
+                        else algebra_exp(combo) * phase
                 else:
-                    pk = ring.exp(ring.divisor(k) * (1.0 / (-h[k]))) \
+                    pk = algebra_exp(ring.divisor(k) * (1.0 / (-h[k]))) \
                         * unit_phase(Fraction(g.coords[k] + r, -h[k]))
-                    val = ring.one()
+                    val = ring.algebra.one()
                     for j, bj in enumerate(b):
                         if bj == 0:
                             continue
-                        rj = ring.exp(ring.divisor(j)) \
+                        rj = algebra_exp(ring.divisor(j)) \
                             * unit_phase(g.coords[j])
                         factor = rj * ring.power(pk, h[j]) if h[j] else rj
                         val = val * ring.power(factor, bj)
                 contrib = c_kr * val
                 acc = contrib if acc is None else acc + contrib
             values[key] = acc * (-1.0)
-        for key, v in values.items():     # a Laurent value, at eps^0
-            principal = nan_max(principal, rings_plus[key].principal_ratio(v))
-            values[key] = rings_plus[key].eps_zero(v)
         raw_cols.append(_stack(plus, values))
-    cols = np.stack(raw_cols, axis=-2)      # (sample,) monomial, row
-    loc = wall.localization(eps)
-    if eps is None:
-        return TransformMatrix(cols.T @ np.linalg.inv(loc.T), principal)
-    return [TransformMatrix(c.T @ np.linalg.inv(m.T))
-            for c, m in zip(cols, loc)]
+    cols = np.stack(raw_cols, axis=-2)      # sample, monomial, row
+    inv = np.linalg.inv(np.swapaxes(wall.localization(eps), -1, -2))
+    return [TransformMatrix(c.T @ m) for c, m in zip(cols, inv)]
 
 
 def invertibility(entries):
@@ -927,6 +939,65 @@ def sampled_transforms(wall, samples, routes):
             for route in routes:
                 route(wall, (eps,))
         raise
+
+
+def _gap(q):
+    """Distance from the rational q to the nearest other integer."""
+    q = Fraction(q) % 1
+    return min(q, 1 - q) if q else Fraction(1)
+
+
+def circle_radius(wall):
+    """The radius rho = min(CIRCLE_RHO, R / 3) of the eps^0 circle.
+
+    R is the smallest nonzero |eps| where the scalar part of a
+    denominator of coefficient_C vanishes, over every essential plus
+    sector, pole (k, r) and route's angles (theta, coords2): den_k at
+    eps = 2 pi i h_k (theta + m) / a_k and den_j at eps = 2 pi i (m -
+    coords2_j) / (a_j - a_k h_j / h_k), m any integer, a the offsets.
+    WallContext refuses offsets that make a_k or a_j - a_k h_j / h_k
+    zero.
+    """
+    h, a = wall.circuit.h, wall.offsets
+    near = math.inf
+    for poles in wall.poles.values():
+        for k, _, angles in poles:
+            for theta, coords2 in angles.values():
+                near = min(near, abs(h[k]) * _gap(theta) / abs(a[k]))
+                for j in wall.circuit.I_minus - {k}:
+                    near = min(near, _gap(coords2[j])
+                               / abs(a[j] - a[k] * Fraction(h[j], h[k])))
+    return min(CIRCLE_RHO, 2 * math.pi * float(near) / 3)
+
+
+def undeformed_transforms(wall, samples, routes):
+    """Each route's transforms at the samples and its eps^0 transform.
+
+    The circle(rho, CIRCLE_NODES) samples (rho = circle_radius) go after
+    the samples into one stack per route (sampled_transforms), and each
+    route's eps^0 transform is read off its circle rows (circle_read).
+    While a route's nested estimate exceeds CIRCLE_RTOL and the circle
+    has fewer than CIRCLE_MAX samples, the circle doubles: a new stack of
+    the circle alone.  Returns, per route, the list of its transforms at
+    the samples and its eps^0 TransformMatrix.
+    """
+    samples = tuple(samples)
+    rho, k = circle_radius(wall), CIRCLE_NODES
+    stacks = sampled_transforms(wall, samples + circle(rho, k), routes)
+    sampled = [stack[:len(samples)] for stack in stacks]
+    rows = [stack[len(samples):] for stack in stacks]
+    while True:
+        limits = []
+        for stack in rows:
+            value, principal, nested = circle_read(
+                np.array([m.entries for m in stack]), circle(rho, k),
+                wall.plus.data.n)
+            limits.append(TransformMatrix(value, principal, rho, k, nested))
+        if k >= CIRCLE_MAX or not any(m.nested_error > CIRCLE_RTOL
+                                      for m in limits):
+            return list(zip(sampled, limits))
+        k *= 2
+        rows = sampled_transforms(wall, circle(rho, k), routes)
 
 
 # -- verification -------------------------------------------------------
@@ -1039,25 +1110,31 @@ def continued_vector(wall, rings, battery, x, policy, spec):
     generators: the line integral of the generator plus its orbit terms
     left of the line, the analytic continuation of the near-side orbit
     sum.  Non-essential leftovers (a1 and conifold have none; points
-    outside the circuit can give some) are summed directly.  Every Line
-    of the battery is built first, then the lines of each plus sector
-    are evaluated as one stack per node grid (_line_values).  The first
-    failing step in battery order decides the error, as if each c ran
-    alone: an error while the lines are built ends the list of lines,
-    and is raised unless a line before it fails.  Per plus sector, the
-    orbit terms and leftovers of every c are one term_values batch, and
-    each c adds its own rows in term order.  Returns, per c, the stacked
-    vector and the worst est_error and total nodes of its lines.
+    outside the circuit can give some) are summed directly.  The terms
+    of each plus sector are enumerated for the whole battery at once,
+    then every Line of the battery is built, then the lines of each plus
+    sector are evaluated as one stack per node grid (_line_values).  The
+    first failing step in battery order decides the error, as if each c
+    ran alone: an error while the lines are built ends the list of
+    lines, and is raised unless a line before it fails.  (Enumerating
+    raises only where canonical_lift finds no lift, which a validated
+    fixture always has.)  Per plus sector, the orbit terms and leftovers
+    of every c are one term_values batch, and each c adds its own rows in
+    term order.  Returns, per c, the stacked vector and the worst
+    est_error, total nodes and largest |value| (line_signal) of its
+    lines.
     """
     circuit, plus = wall.circuit, wall.plus
     plans, lines = [], []
     try:
-        for c in battery:
+        terms = {g.key(): enumerate_terms(plus.data, plus.t, battery, g,
+                                          policy, circuit)
+                 for g in plus.box}
+        for i, _ in enumerate(battery):
             plans.append({})
             for g in plus.box:
                 parts = plans[-1][g.key()] = []
-                for term in enumerate_terms(plus.data, plus.t, c, g, policy,
-                                            circuit):
+                for term in terms[g.key()][i]:
                     if term.generator:
                         line = Line(term.l, circuit, spec.s0)
                         lines.append((g.key(), line))
@@ -1071,7 +1148,7 @@ def continued_vector(wall, rings, battery, x, policy, spec):
     dens = dict.fromkeys(ls, 1)
     layouts = []
     for plan in plans:
-        layout, diag = {}, {"est_error": 0.0, "nodes": 0}
+        layout, diag = {}, {"est_error": 0.0, "nodes": 0, "line_signal": 0.0}
         for key, parts in plan.items():
             rows = ls[key]
             layout[key] = []
@@ -1082,6 +1159,8 @@ def continued_vector(wall, rings, battery, x, policy, spec):
                     diag["est_error"] = nan_max(diag["est_error"],
                                                 dg["est_error"])
                     diag["nodes"] += dg["nodes"]
+                    diag["line_signal"] = nan_max(diag["line_signal"],
+                                                  q.norm())
                 else:
                     q, terms, den = None, [part.num], part.den
                 # internal: the terms of a sector share their fractional
@@ -1098,7 +1177,7 @@ def continued_vector(wall, rings, battery, x, policy, spec):
     for layout, diag in layouts:
         per = {}
         for key, parts in layout.items():
-            acc = rings[key].zero()
+            acc = rings[key].algebra.zero()
             for q, rows in parts:
                 val = sum_rows(batches[key], rows)
                 acc = acc + (val if q is None else val + q)
@@ -1130,8 +1209,8 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
     generators = {}      # they do not depend on eps: found once
     for g in plus.box:
         if g.key() in wall.essential_plus:
-            generators[g.key()] = [term.l for term in enumerate_terms(
-                data, t_plus, c, g, policy, circuit) if term.generator]
+            [terms] = enumerate_terms(data, t_plus, [c], g, policy, circuit)
+            generators[g.key()] = [term.l for term in terms if term.generator]
     lines = {}
     checks = []
     for eps in eps_values:
@@ -1187,12 +1266,14 @@ def verify_fm_equals_ac(circuit, plus, minus, eps_samples, depth, y_abs,
     """The crossing battery: matrix, laurent, end_to_end and invariance.
 
     plus and minus are the Chambers of the two triangulations; one wall
-    context over them serves every eps below.  `invariance` checks that
-    the transform fixes R^b prod_{j in J} (1 - R_j), b over its monomials
-    and J the first smallest index set in no essential cone of either
-    side.  Returns a report dict;
-    raises nothing on mere check failure (the caller decides), but
-    propagates structural errors.
+    context over them serves every eps below.  `matrix` compares the two
+    routes at the real samples, and `laurent` their eps^0 transforms,
+    read off one circle of complex samples (undeformed_transforms).
+    `invariance` checks that the transform fixes R^b prod_{j in J} (1 -
+    R_j), b over its monomials and J the first smallest index set in no
+    essential cone of either side.  Returns a report dict; raises nothing
+    on mere check failure (the caller decides), but propagates
+    structural errors.
     """
     data, t_plus, t_minus = plus.data, plus.t, minus.t
     path = select_endpoints(circuit, amplitude, y_abs)
@@ -1201,9 +1282,10 @@ def verify_fm_equals_ac(circuit, plus, minus, eps_samples, depth, y_abs,
               "eps_samples": list(eps_samples)}
     wall = WallContext(circuit, plus, minus)
 
+    (acs, ac0), (fms, fm0) = undeformed_transforms(
+        wall, eps_samples, (ac_transform, fm_transform))
     samples = []
-    for eps, ac, fm in zip(eps_samples, *sampled_transforms(
-            wall, eps_samples, (ac_transform, fm_transform))):
+    for eps, ac, fm in zip(eps_samples, acs, fms):
         dev, _ = _deviation(ac.entries, fm.entries)
         sizes, invertible = invertibility(fm.entries)
         samples.append({"eps": eps, "matrix_dev": dev, **sizes,
@@ -1211,16 +1293,15 @@ def verify_fm_equals_ac(circuit, plus, minus, eps_samples, depth, y_abs,
     report["matrix"] = {"samples": samples,
                         "pass": all(s["pass"] for s in samples)}
 
-    ac0 = ac_transform(wall, None)
-    fm0 = fm_transform(wall, None)
     dev0, _ = _deviation(ac0.entries, fm0.entries)
-    principal = nan_max(ac0.principal_ratio, fm0.principal_ratio)
     report["laurent"] = {
-        "principal_ratio": principal,
+        "principal_ratio": nan_max(ac0.principal_ratio, fm0.principal_ratio),
         "matrix_dev": dev0,
         "entries": [[[v.real, v.imag] for v in row]
                     for row in fm0.entries],
-        "pass": principal < 1e-9}
+        "rho": fm0.rho, "samples": fm0.samples,
+        "nested_error": nan_max(ac0.nested_error, fm0.nested_error),
+        "pass": ac0.undeformed_pass and fm0.undeformed_pass}
 
     rings_plus, rings_minus = wall.rings(plus, 0.0), wall.rings(minus, 0.0)
     battery = c_battery(data, depth)
@@ -1235,6 +1316,7 @@ def verify_fm_equals_ac(circuit, plus, minus, eps_samples, depth, y_abs,
         rows.append({"c": list(c), "dev": dev,
                      "quad_error": diag["est_error"],
                      "quad_nodes": diag["nodes"],
+                     "line_signal": diag["line_signal"],
                      "pass": nan_max(dev, diag["est_error"] / scale) < 1e-6})
     report["end_to_end"] = {"battery": rows, "max_dev": worst_dev,
                             "pass": all(r["pass"] for r in rows)}

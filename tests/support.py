@@ -10,11 +10,11 @@ import mpmath
 import numpy as np
 
 from gkzflop import cli, rational, wall
-from gkzflop.errors import InfeasibleArgs, NonFiniteValue, NotInvertible, \
+from gkzflop.errors import InfeasibleArgs, NonFiniteValue, \
     PoleOnContour, PoleProximity, PoleRightOfLine, TailBoundViolated
-from gkzflop.rings import algebra_exp
 from gkzflop.deform import TWO_PI_I, principal_log, unit_phase
-from gkzflop.series import scalar_power
+from gkzflop.rings import algebra_exp, algebra_inverse
+from gkzflop.series import LatticeTerm, enumerate_terms, scalar_power
 from gkzflop.toric import ToricData, Triangulation, TwistedSector, _apply, \
     canonical_lift, cone_index, essential_cones, star_rays
 
@@ -352,11 +352,11 @@ def reference_integrand(x, lprime, circuit, ring):
     h = circuit.h
     lp = [complex(v) for v in lprime]
     d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
-    one = ring.one()
-    exp_neg = {j: ring.exp(ring.divisor(j) * (-1.0)) for j in iminus}
+    one = ring.algebra.one()
+    exp_neg = {j: algebra_exp(ring.divisor(j) * (-1.0)) for j in iminus}
     nums = {j: one - exp_neg[j] * unit_phase(-lprime[j]) for j in iminus}
     logx = [principal_log(v) for v in x]
-    const = ring.one()
+    const = ring.algebra.one()
     for j in range(n):
         const = const * ring.branched_power(x[j], d[j]) \
             * scalar_power(x[j], lprime[j])
@@ -374,7 +374,7 @@ def reference_integrand(x, lprime, circuit, ring):
         acc = const * (pref * grow)
         for j in iminus:
             den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lp[j] + s * h[j]))
-            acc = acc * nums[j] * ring.inv(den)
+            acc = acc * nums[j] * algebra_inverse(den)
         for j in range(n):
             acc = acc * ring.recip_gamma([1 + (lp[j] + s * h[j])], [d[j]])[0]
         return acc
@@ -402,11 +402,11 @@ def reference_line_integrand(x, line, ring):
     families = [(float(lk), hk, lk.numerator, lk.denominator)
                 for lk, hk in line.families]
     d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
-    one = ring.one()
-    exp_neg = {j: ring.exp(ring.divisor(j) * (-1.0)) for j in iminus}
+    one = ring.algebra.one()
+    exp_neg = {j: algebra_exp(ring.divisor(j) * (-1.0)) for j in iminus}
     nums = {j: one - exp_neg[j] * unit_phase(-lprime[j]) for j in iminus}
     logx = [principal_log(v) for v in x]
-    const = ring.one()
+    const = ring.algebra.one()
     for j in range(n):
         const = const * ring.branched_power(x[j], d[j]) \
             * scalar_power(x[j], lprime[j])
@@ -427,7 +427,7 @@ def reference_line_integrand(x, line, ring):
             for j in iminus:
                 lpj = complex(lprime[j])
                 den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lpj + s * h[j]))
-                acc = acc * nums[j] * ring.inv(den)
+                acc = acc * nums[j] * algebra_inverse(den)
             for j in range(n):
                 lpj = complex(lprime[j])
                 if h[j]:
@@ -623,6 +623,12 @@ def residue(f, line, center, radius=0.25):
     return batch.algebra.element(batch.coords[0])
 
 
+def terms_of(data, t, c, gamma, policy, circuit=None):
+    """series.enumerate_terms on the battery of c alone: c's terms."""
+    [terms] = enumerate_terms(data, t, [c], gamma, policy, circuit)
+    return terms
+
+
 def reference_solutions(l0, basis, bound):
     """series._solutions walked in Fractions, one coefficient at a time.
 
@@ -779,142 +785,61 @@ def reference_term_values(x, ls, ring, dual=False):
     return acc
 
 
-class ListSeries:
-    """Reference eps-Laurent series: a list of AlgebraElement coefficients.
-
-    gkzflop.deform.EpsSeries's arithmetic written one coefficient at a
-    time, against which its whole-window array form must give the same
-    floating-point values: coeffs[i] is the coefficient of
-    eps**(val+i), exact leading zeros are trimmed, and a product adds
-    a * b into each output exponent one coefficient pair at a time, in
-    ascending order of the left factor's rows, skipping its zero rows.
-    """
-
-    def __init__(self, algebra, val, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            val += 1
-        self.algebra = algebra
-        self.val = val
-        self.coeffs = coeffs
-
-    @classmethod
-    def of(cls, series):
-        """The reference twin of an EpsSeries."""
-        return cls(series.algebra, series.val,
-                   [series.algebra.element(row.copy())
-                    for row in series.coords])
-
-    @property
-    def order(self):
-        return self.val + len(self.coeffs)
-
-    def coeff(self, e):
-        if e < self.val:
-            return self.algebra.zero()
-        assert e < self.order, f"coefficient of eps^{e} beyond window"
-        return self.coeffs[e - self.val]
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, ListSeries):
-            return other
-        return list_constant(self.algebra, other, max(self.order, 1))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        val = min(self.val, o.val)
-        order = min(self.order, o.order)
-        coeffs = [self.coeff(e) + o.coeff(e) for e in range(val, order)]
-        return ListSeries(self.algebra, val, coeffs)
-
-    def __neg__(self):
-        return ListSeries(self.algebra, self.val, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return ListSeries(self.algebra, self.val,
-                              [c * other for c in self.coeffs])
-        o = self._coerce(other)
-        val = self.val + o.val
-        order = min(self.order + o.val, o.order + self.val)
-        out = [self.algebra.zero() for _ in range(order - val)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            base = self.val + i + o.val - val
-            for j, b in enumerate(o.coeffs):
-                e = base + j
-                if e >= len(out):
-                    break
-                out[e] = out[e] + a * b
-        return ListSeries(self.algebra, val, out)
-
-    def power(self, k):
-        acc = list_constant(self.algebra, self.algebra.one(),
-                            max(self.order, 1))
-        for _ in range(k):
-            acc = acc * self
-        return acc
+# series.enumerate_terms as it walked one c at a time, before the
+# battery became one array pass: the integer walk of one lift, then each
+# tuple classified on its own.  test_series checks the battery form
+# against it.
 
 
-def list_constant(algebra, element, order):
-    if isinstance(element, (int, float, complex)):
-        element = algebra.scalar(element)
-    pad = [algebra.zero() for _ in range(order - 1)]
-    return ListSeries(algebra, 0, [element] + pad)
+def _reference_solutions_of_c(l0, basis, bound):
+    """series._solutions as it walked one lift recursively."""
+    den = math.lcm(*(v.denominator for v in l0))
+    start = [v.numerator * (den // v.denominator) for v in l0]
+    top = bound * den
+    rows = [(next(i for i, v in enumerate(row) if v),
+             [r * den for r in row]) for row in basis]
+    out = []
+
+    def descend(cur, idx):
+        if idx == len(rows):
+            if sum(map(abs, cur)) <= top:
+                out.append(tuple(cur))
+            return
+        p, row = rows[idx]
+        k = row[p]
+        budget = top - sum(map(abs, cur[:p]))
+        lo, hi = -budget - cur[p], budget - cur[p]
+        if k < 0:
+            lo, hi = hi, lo
+        for m in range(-(-lo // k), hi // k + 1):
+            descend([c + m * r for c, r in zip(cur, row)], idx + 1)
+
+    descend(start, 0)
+    return den, out
 
 
-def list_series_inverse(x, rtol=1e-9):
-    """series_inverse on the reference form."""
-    alg = x.algebra
-    scal = [c.scalar_part for c in x.coeffs]
-    mags = [abs(s) for s in scal]
-    top = max(mags, default=0.0)
-    if top == 0.0:
-        raise NotInvertible("series scalar part vanishes on its window")
-    lead = next(i for i, m in enumerate(mags) if m > rtol * top)
-    s = scal[lead:]
-    sinv = [0j] * len(s)
-    sinv[0] = 1.0 / s[0]
-    for m in range(1, len(s)):
-        acc = 0j
-        for i in range(1, m + 1):
-            acc += s[i] * sinv[m - i]
-        sinv[m] = -acc / s[0]
-    s_inv = ListSeries(alg, -(x.val + lead), [alg.scalar(c) for c in sinv])
-    nilp = ListSeries(alg, x.val, [c.nilpotent_part() for c in x.coeffs])
-    t = s_inv * nilp
-    acc = s_inv
-    term = s_inv
-    for _ in range(1, alg.zero_degree):
-        term = (term * t) * (-1.0)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc
-
-
-def list_series_exp(x):
-    """series_exp on the reference form, for nonnegative valuation."""
-    alg = x.algebra
-    assert x.val >= 0, "exp needs a nonnegative eps-valuation"
-    width = max(x.order, 1)
-    if not x.coeffs:
-        return list_constant(alg, alg.one(), width)
-    head = algebra_exp(x.coeff(0))
-    rest = x - list_constant(alg, x.coeff(0), width)
-    acc = list_constant(alg, alg.one(), width)
-    term = acc
-    for m in range(1, width):
-        term = term * rest * (1.0 / m)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc * head
+def reference_terms_of_c(data, t, c, gamma, policy, circuit=None):
+    """The sorted LatticeTerms of one c, as enumerate_terms found them."""
+    lift = canonical_lift(data, gamma, c)
+    den, nums = _reference_solutions_of_c(
+        lift.values, data.lattice.kernel_basis, policy.degree_bound)
+    ess = set(map(frozenset, essential_cones(data, t, circuit))) \
+        if circuit is not None else set()
+    maximal = [(s, frozenset(s) in ess) for s in t.maximal]
+    step = tuple(den * v for v in circuit.h) if circuit is not None else None
+    nums.sort(key=lambda num: (sum(map(abs, num)), num))
+    out = []
+    for num in nums:
+        sup = frozenset(i for i, v in enumerate(num) if v < 0 or v % den)
+        owning = [e for s, e in maximal if sup <= s]
+        if not owning:
+            continue
+        is_ess = any(owning)
+        gen = False
+        if is_ess:
+            back = frozenset(i for i, v in enumerate(num)
+                             if v - step[i] < 0 or (v - step[i]) % den)
+            gen = not any(back <= e for e in ess)
+        out.append(LatticeTerm(num=num, den=den, support=sup,
+                               essential=is_ess, generator=gen))
+    return out

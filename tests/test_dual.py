@@ -119,7 +119,8 @@ def test_unit_coefficient_recursion(a1):
     for gamma in compute_box(a1.data, t):
         alg = SectorAlgebra(a1.data, t, gamma)
         ring = DeformationRing(alg, eps=0.0)
-        for term in enumerate_terms(a1.data, t, (1, 1), gamma, policy)[:40]:
+        for term in enumerate_terms(a1.data, t, [(1, 1)], gamma,
+                                    policy)[0][:40]:
             for i in range(a1.data.n):
                 if term.l[i] != 0:
                     continue

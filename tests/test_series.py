@@ -28,7 +28,8 @@ from gkzflop.series import enumerate_terms, nan_max
 from gkzflop.toric import canonical_lift, compute_box, find_circuit
 from gkzflop.wall import Line, WallContext, c_battery, select_endpoints
 from support import LOCAL_P2, SMALL_CIRCUITS, circuit_fixture, \
-    reference_enumerate_terms, reference_solutions, reference_term_values
+    reference_enumerate_terms, reference_solutions, reference_term_values, \
+    reference_terms_of_c, terms_of
 
 mpmath.mp.dps = 30
 
@@ -53,14 +54,14 @@ def test_enumerate_conifold_orbit(conifold):
     c = (0, 0, 0)
     policy = TruncationPolicy(degree_bound=4)
     g0 = sector_of(conifold, conifold.t_plus, G0_CONE)
-    plus = exponents(enumerate_terms(conifold.data, conifold.t_plus, c, g0,
-                                     policy))
+    plus = exponents(terms_of(conifold.data, conifold.t_plus, c, g0,
+                              policy))
     z = (Fraction(0),) * 4
     step = tuple(map(Fraction, (1, -1, -1, 1)))
     assert plus == {z, step}
     g0m = sector_of(conifold, conifold.t_minus, G0_CONE)
-    minus = exponents(enumerate_terms(conifold.data, conifold.t_minus, c, g0m,
-                                      policy))
+    minus = exponents(terms_of(conifold.data, conifold.t_minus, c, g0m,
+                               policy))
     back = tuple(map(Fraction, (-1, 1, 1, -1)))
     assert minus == {z, back}
 
@@ -68,7 +69,7 @@ def test_enumerate_conifold_orbit(conifold):
 def test_enumerate_twisted_leading(a1):
     g = sector_of(a1, a1.t_minus, TW_A1)
     policy = TruncationPolicy(degree_bound=2)
-    terms = enumerate_terms(a1.data, a1.t_minus, (1, 1), g, policy)
+    terms = terms_of(a1.data, a1.t_minus, (1, 1), g, policy)
     want = (Fraction(-1, 2), Fraction(0), Fraction(-1, 2))
     assert exponents(terms) == {want}
     assert terms[0].support == frozenset({0, 2})
@@ -77,7 +78,7 @@ def test_enumerate_twisted_leading(a1):
 def test_enumerate_deep_point_empty(a1):
     g0 = sector_of(a1, a1.t_plus, G0_A1)
     policy = TruncationPolicy(degree_bound=1)
-    assert enumerate_terms(a1.data, a1.t_plus, (3, 3), g0, policy) == []
+    assert enumerate_terms(a1.data, a1.t_plus, [(3, 3)], g0, policy) == [[]]
 
 
 @st.composite
@@ -104,13 +105,14 @@ def compare_walks(h, bounds=(3, 25)):
         for g in compute_box(data, t):
             lifts = [canonical_lift(data, g, c).values
                      for c in c_battery(data, 1)]
-            for l0 in lifts:
-                for bound in bounds:
-                    den, got = series._solutions(l0, basis, bound)
-                    assert den == math.lcm(*(v.denominator for v in l0))
-                    assert all(type(v) is int for l in got for v in l)
-                    assert [tuple(Fraction(v, den) for v in l)
-                            for l in got] \
+            den = math.lcm(*(v.denominator for l0 in lifts for v in l0))
+            starts = [[int(v * den) for v in l0] for l0 in lifts]
+            for bound in bounds:
+                owner, got = series._solutions(starts, den, basis, bound)
+                assert got.dtype == np.int64
+                for i, l0 in enumerate(lifts):
+                    assert [tuple(Fraction(int(v), den) for v in l)
+                            for l in got[owner == i]] \
                         == reference_solutions(l0, basis, bound)
             if side == "plus" and any(v.denominator > 1
                                       for l0 in lifts for v in l0):
@@ -424,6 +426,29 @@ def test_pde_residuals_dual(pack, side):
 # -- the batched term evaluator -------------------------------------------
 
 
+@pytest.mark.parametrize("h", SMALL_CIRCUITS,
+                         ids=lambda h: "h=" + ",".join(map(str, h)))
+def test_battery_terms_match_the_per_c_walk(h):
+    # one lattice walk and one classification for the whole battery give
+    # every c the LatticeTerms that walking and classifying c alone gave:
+    # both sides, every sector, the depth-2 battery, with and without
+    # the circuit
+    data, tris = circuit_fixture(h)
+    circuit = find_circuit(data, tris["plus"], tris["minus"])
+    policy = TruncationPolicy()
+    battery = c_battery(data, 2)
+    for t in tris.values():
+        for g in compute_box(data, t):
+            for circ in (None, circuit):
+                got = enumerate_terms(data, t, battery, g, policy, circ)
+                assert got == [reference_terms_of_c(data, t, c, g, policy,
+                                                    circ) for c in battery]
+                assert all(type(v) is int and type(term.essential) is bool
+                           and type(term.generator) is bool
+                           for part in got for term in part
+                           for v in term.num)
+
+
 def batch_setup(pack, eps=0.0):
     """Terms of every plus and minus sector at c = 0, with their rings."""
     x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(pack.data.n))
@@ -433,8 +458,7 @@ def batch_setup(pack, eps=0.0):
         chamber = pack.chamber(t)
         for g in chamber.box:
             ring = DeformationRing(chamber.algebras[g.key()], eps=eps)
-            terms = enumerate_terms(pack.data, t, (0,) * pack.data.rank, g,
-                                    policy)
+            terms = terms_of(pack.data, t, (0,) * pack.data.rank, g, policy)
             out.append((ring, terms))
     return x, out
 
@@ -466,13 +490,13 @@ def test_term_rows_do_not_depend_on_the_batch(pack, dual):
 def written_out(x, l, ring):
     """One term of exponents l, with the product written out where
     l_j = -m: prod_{i<m} (d - i) 1/Gamma(1 + d), unscaled."""
-    acc = ring.one()
+    acc = ring.algebra.one()
     for j, lj in enumerate(l):
         d = ring.divisor(j) * (1.0 / TWO_PI_I)
         acc = acc * ring.branched_power(x[j], d) \
             * series.scalar_power(x[j], lj)
         if j in negative_integers(l):
-            factor = ring.one()
+            factor = ring.algebra.one()
             for i in range(-int(lj)):
                 factor = factor * (d - i)
             acc = acc * (factor * ring.recip_gamma([1], [d])[0])
@@ -609,8 +633,7 @@ def test_integer_tables_match_the_fraction_terms(name):
         for g in chamber.box:
             ring = DeformationRing(chamber.algebras[g.key()], eps=3e-3)
             for circ in (None, circuit):
-                got = [enumerate_terms(data, t, c, g, policy, circ)
-                       for c in battery]
+                got = enumerate_terms(data, t, battery, g, policy, circ)
                 want = [reference_enumerate_terms(data, t, c, g, policy, circ)
                         for c in battery]
                 for part, ref in zip(got, want):
@@ -665,10 +688,3 @@ def test_series_batches_build_fractions_per_lift_not_per_term(packs, name,
     monkeypatch.undo()
     assert counts["terms"] > 5 * counts["lifts"]
     assert counts["fractions"] <= 3 * data.n * counts["lifts"], counts
-
-
-def test_term_values_need_a_sampled_eps(a1):
-    chamber = a1.chamber(a1.t_plus)
-    ring = DeformationRing(chamber.algebras[chamber.box[0].key()], eps=None)
-    with pytest.raises(InfeasibleArgs):
-        series.term_values((0.2, 0.8, 0.3), [(0,) * 3], 1, ring)
