@@ -22,9 +22,9 @@ import time
 from . import report as reporting
 from .errors import GkzflopError, InputError, NotATriangulation
 from .fixtures import load_fixture
-from .toric import (check_triangulation, compute_box, essential_cones,
-                    essential_sectors, find_circuit, sector_label,
-                    validate_toric_data)
+from .toric import (check_triangulation, compute_box, cone_index,
+                    essential_cones, essential_sectors, find_circuit,
+                    sector_label, validate_toric_data)
 from .rings import Chamber
 from .series import TruncationPolicy, evaluate_gamma, evaluate_gamma_dual
 from .dual import CompactKModule
@@ -144,12 +144,17 @@ def _cone_list(cones):
 
 
 def cmd_inspect(args):
+    """Passes when each side's K-theory rank, the total sector-algebra
+    dimension, equals its normalized volume sum |det| over the maximal
+    cones."""
     data, circuit, plus, minus = _crossing(args)
     dims = {}
     for chamber in (plus, minus):
         per = {sector_label(k): alg.dim
                for k, alg in chamber.algebras.items()}
-        dims[chamber.t.label] = {"sectors": per, "total": sum(per.values())}
+        dims[chamber.t.label] = {
+            "sectors": per, "total": sum(per.values()),
+            "volume": sum(cone_index(data, c) for c in chamber.t.maximal)}
     return {
         "points": data.points,
         "deg": data.deg,
@@ -160,7 +165,7 @@ def cmd_inspect(args):
                     "I_plus": sorted(j + 1 for j in circuit.I_plus),
                     "I_minus": sorted(j + 1 for j in circuit.I_minus)},
         "sector_dims": dims,
-        "pass": True,
+        "pass": all(d["total"] == d["volume"] for d in dims.values()),
     }
 
 

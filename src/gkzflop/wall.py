@@ -313,6 +313,26 @@ def _pole_error(nodes, row):
                          f"pole")
 
 
+def _slots(values):
+    """The distinct values in first-seen order, and each value's slot."""
+    index = {}
+    slots = [index.setdefault(v, len(index)) for v in values]
+    return list(index), slots
+
+
+def _recip_gamma_chain(g, d, z, depth):
+    """[1/Gamma(z - m + d) for m = 0, ..., depth] from g = 1/Gamma(z + d).
+
+    Each step is the functional equation 1/Gamma(w - 1) = (w - 1) /
+    Gamma(w): G_m = G_{m-1} (d + (z - m)).  z is an array of float
+    centres, d one element, g the batch of their values.
+    """
+    out = [g]
+    for m in range(1, depth + 1):
+        out.append(out[-1] * (d + (z - m)))
+    return out
+
+
 def make_integrand(xs, lines, ring):
     """Closure evaluating I(s) on a stack of lines at every endpoint of xs.
 
@@ -322,18 +342,26 @@ def make_integrand(xs, lines, ring):
     and at, the indices of the endpoints of xs to evaluate them at (each
     default: all).  It returns a batch of shape (X K,) + s.shape +
     (dim,), X the endpoints and K the lines kept: one block per (x,
-    line), x-major.  Within a call each distinct 1/Gamma argument, 1 +
-    l'_j + h_j s + D_j / 2 pi i, goes to the kernel once, in one kernel
-    call; each pole-denominator inverse of j in I_minus, 1 / (1 -
-    e^{-D_j} e^{-2 pi i (l'_j + h_j s)}), is formed once per (j, l'_j);
-    and each power e^{(l'_j + h_j s) log x_j - l'_j log x_j} once per
-    (x, j, l'_j).  Each block is its line's I(s) at its x alone to the last
-    bit: every factor is formed as for that line alone, the factors of
-    a line multiply in one fixed order, SectorAlgebra.multiply treats
-    rows apart, and the kernel works elementwise.  The closure does not
-    guard its nodes: its callers, mb_contour_oracle and residue_at, keep
-    every node they send GUARD away from the pole model (_near_pole).  .decay and .arg_y hold one value per x of xs
-    and depend on x and the circuit alone.
+    line), x-major.
+
+    A factor that depends on l'_j only through its class r = l'_j mod 1
+    is formed once per class of the kept lines.  1/Gamma(1 + l'_j + h_j
+    s + D_j / 2 pi i) goes to the kernel at its anchor, r when l'_j < 1
+    and l'_j itself otherwise, once per (j, anchor), all in one kernel
+    call; l'_j = anchor - m follows by m steps of _recip_gamma_chain.
+    Each pole-denominator inverse of j in I_minus, 1 / (1 - e^{-D_j}
+    e^{-2 pi i (r + h_j s)}), and its numerator are formed once per (j,
+    r), and each power x_j^{h_j s} once per (x, j).  Classes, anchors and step counts are
+    read once, when the integrand is built; a call only indexes them.
+
+    A value depends on (j, l'_j, s) alone, so each block is its line's
+    I(s) at its x alone to the last bit: every factor is formed as for
+    that line alone, the factors of a line multiply in one fixed order,
+    SectorAlgebra.multiply treats rows apart, and the kernel works
+    elementwise.  The closure does not guard its nodes: its callers,
+    mb_contour_oracle and residue_at, keep every node they send GUARD
+    away from the pole model (_near_pole).  .decay and .arg_y hold one
+    value per x of xs and depend on x and the circuit alone.
     """
     circuit = lines[0].circuit
     # internal: a stack holds the lines of one circuit
@@ -348,9 +376,6 @@ def make_integrand(xs, lines, ring):
     # overflow for other j
     exp_neg = {j: algebra_exp(ring.divisor(j) * (-1.0)) for j in iminus}
     one = alg.one()
-    nums = {j: np.array([(one - exp_neg[j]
-                          * unit_phase(-line.lprime[j])).coords
-                         for line in lines]) for j in iminus}
     logs = [[principal_log(v) for v in x] for x in xs]
     consts = []
     for x in xs:
@@ -361,44 +386,66 @@ def make_integrand(xs, lines, ring):
                 const = const * bp[j] * scalar_power(x[j], line.lprime[j])
             consts.append(const.coords)
     consts = np.array(consts).reshape(len(xs), len(lines), alg.dim)
+    # per j: the distinct anchors as floats, and per line the index of
+    # its anchor and its step count anchor - l'_j; for j in I_minus also
+    # the distinct classes r = l'_j mod 1, each line's index among them
+    # and the pole numerator 1 - e^{-D_j} e^{-2 pi i r} of each class.
+    # Exact, on numerators over the lines' common denominator
+    den = math.lcm(*(line.den for line in lines))
+    anchors, steps, classes, nums = [], [], {}, {}
+    for j in range(n):
+        col = [line.num[j] * (den // line.den) for line in lines]
+        rs = [v % den for v in col]
+        an = [r if v < den else v for v, r in zip(col, rs)]
+        steps.append([(a - v) // den for a, v in zip(an, col)])
+        a_vals, a_pos = _slots(an)
+        anchors.append((np.array(a_vals) / den + 0j, a_pos))
+        if j in iminus:
+            r_vals, r_pos = _slots(rs)
+            classes[j] = (np.array(r_vals) / den + 0j, r_pos)
+            nums[j] = np.array([
+                (one - exp_neg[j] * unit_phase(Fraction(-r, den))).coords
+                for r in r_vals])
 
     def f(s, keep=None, at=None):
         s = np.asarray(s, dtype=complex)
         keep = list(range(len(lines)) if keep is None else keep)
         at = list(range(len(xs)) if at is None else at)
-        kept = [lines[i] for i in keep]
-        # l'_j of every kept line, exact, and the distinct ones per j
-        lj = [[Fraction(line.lprime[j]) for line in kept] for j in range(n)]
-        distinct = [list(dict.fromkeys(col)) for col in lj]
         # one entry per (x, line), broadcast over the nodes
-        lead = (len(at), len(kept)) + (1,) * s.ndim
+        lead = (len(at), len(keep)) + (1,) * s.ndim
+        # per j: the anchors of the kept lines, each once, and per kept
+        # line the slot of its anchor among them and its step count
+        used, slots = zip(*(_slots([pos[i] for i in keep])
+                            for _, pos in anchors))
+        depth = [[row[i] for i in keep] for row in steps]
         # a value that overflows stays inf or NaN without a numpy warning:
         # the quadratures gate the values for finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            keys = [(j, v) for j in range(n) for v in distinct[j]]
-            gammas = dict(zip(keys, ring.recip_gamma(
-                [1 + (complex(v) + s * h[j]) for j, v in keys],
-                [d[j] for j, _ in keys])))
+            zs = [1 + (vals[u].reshape((-1,) + (1,) * s.ndim) + s * h[j])
+                  for j, ((vals, _), u) in enumerate(zip(anchors, used))]
+            gammas = []
+            for j, g in enumerate(ring.recip_gamma(zs, d)):
+                chain = _recip_gamma_chain(g, d[j], zs[j], max(depth[j]))
+                gammas.append(np.stack([c.coords for c in chain])[
+                    depth[j], slots[j]])
             acc = alg.element(consts[np.ix_(at, keep)].reshape(
                 lead + (alg.dim,))) \
                 * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
             for j in iminus:
-                poles = {v: algebra_inverse(one - exp_neg[j] * np.exp(
-                    -TWO_PI_I * (complex(v) + s * h[j])))
-                    for v in distinct[j]}
-                acc = acc * alg.element(nums[j][keep].reshape(
+                vals, pos = classes[j]
+                cls = [pos[i] for i in keep]
+                poles = {c: algebra_inverse(one - exp_neg[j] * np.exp(
+                    -TWO_PI_I * (vals[c] + s * h[j])))
+                    for c in dict.fromkeys(cls)}
+                acc = acc * alg.element(nums[j][cls].reshape(
                     lead[1:] + (alg.dim,))) \
-                    * alg.element(np.stack([poles[v].coords for v in lj[j]]))
+                    * alg.element(np.stack([poles[c].coords for c in cls]))
             for j in range(n):
                 if h[j]:
-                    powers = [{v: np.exp((complex(v) + s * h[j]) * logx[j]
-                                         - complex(v) * logx[j])
-                               for v in distinct[j]}
-                              for logx in (logs[i] for i in at)]
-                    acc = acc * np.array([[p[v] for v in lj[j]]
-                                          for p in powers])
-                acc = acc * alg.element(np.stack([gammas[j, v].coords
-                                                  for v in lj[j]]))
+                    acc = acc * np.array([np.exp(s * h[j] * logs[i][j])
+                                          for i in at]).reshape(
+                        (len(at), 1) + s.shape)
+                acc = acc * alg.element(gammas[j])
         return alg.element(acc.coords.reshape((-1,) + acc.coords.shape[2:]))
 
     f.arg_y = [y_value(circuit, x)[1] for x in xs]
@@ -1268,7 +1315,9 @@ def verify_fm_equals_ac(circuit, plus, minus, eps_samples, depth, y_abs,
     plus and minus are the Chambers of the two triangulations; one wall
     context over them serves every eps below.  `matrix` compares the two
     routes at the real samples, and `laurent` their eps^0 transforms,
-    read off one circle of complex samples (undeformed_transforms).
+    read off one circle of complex samples (undeformed_transforms): each
+    route's pole part and nested estimate, and the two routes' deviation
+    under the `matrix` gate's 1e-10 (NaN fails).
     `invariance` checks that the transform fixes R^b prod_{j in J} (1 -
     R_j), b over its monomials and J the first smallest index set in no
     essential cone of either side.  Returns a report dict; raises nothing
@@ -1301,7 +1350,8 @@ def verify_fm_equals_ac(circuit, plus, minus, eps_samples, depth, y_abs,
                     for row in fm0.entries],
         "rho": fm0.rho, "samples": fm0.samples,
         "nested_error": nan_max(ac0.nested_error, fm0.nested_error),
-        "pass": ac0.undeformed_pass and fm0.undeformed_pass}
+        "pass": ac0.undeformed_pass and fm0.undeformed_pass
+        and dev0 < 1e-10}
 
     rings_plus, rings_minus = wall.rings(plus, 0.0), wall.rings(minus, 0.0)
     battery = c_battery(data, depth)

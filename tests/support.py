@@ -387,17 +387,26 @@ def reference_integrand(x, lprime, circuit, ring):
 # for bit and error for error.
 
 
-def reference_line_integrand(x, line, ring):
+def reference_line_integrand(x, line, ring, per_class=True):
     """The integrand of one Line, every factor formed for it alone.
 
     The factors multiply in wall.make_integrand's order, each formed as
-    it forms them, with one 1/Gamma call per coordinate.  The node
-    guard raises PoleProximity at the first node near a point of the
-    line's pole model, removable points included.
+    it forms them: per coordinate j one 1/Gamma call at the anchor of
+    l'_j (its class r = l'_j mod 1 when l'_j < 1, else l'_j), followed
+    by the anchor - l'_j steps of 1/Gamma(w - 1) = (w - 1)/Gamma(w);
+    the pole factor at r and the power x_j^{h_j s}.  per_class=False
+    gives the form before the classes: 1/Gamma from the kernel at 1 +
+    l'_j + h_j s, the pole factor at l'_j and the power e^{(l'_j + h_j
+    s) log x_j - l'_j log x_j}.  The node guard raises PoleProximity at
+    the first node near a point of the line's pole model, removable
+    points included.
     """
     x = tuple(complex(v) for v in x)
     n = len(x)
     lprime, h = line.lprime, line.circuit.h
+    exact = [Fraction(v) for v in lprime]
+    classes = [v % 1 for v in exact]
+    anchors = [r if v < 1 else v for v, r in zip(exact, classes)]
     iminus = sorted(line.circuit.I_minus)
     families = [(float(lk), hk, lk.numerator, lk.denominator)
                 for lk, hk in line.families]
@@ -425,16 +434,25 @@ def reference_line_integrand(x, line, ring):
         with np.errstate(over="ignore", invalid="ignore"):
             acc = const * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
             for j in iminus:
-                lpj = complex(lprime[j])
+                lpj = complex(classes[j] if per_class else lprime[j])
                 den = one - exp_neg[j] * np.exp(-TWO_PI_I * (lpj + s * h[j]))
                 acc = acc * nums[j] * algebra_inverse(den)
             for j in range(n):
-                lpj = complex(lprime[j])
+                if not per_class:
+                    lpj = complex(lprime[j])
+                    if h[j]:
+                        acc = acc * np.exp((lpj + s * h[j]) * logx[j]
+                                           - lpj * logx[j])
+                    acc = acc * ring.recip_gamma([1 + (lpj + s * h[j])],
+                                                 [d[j]])[0]
+                    continue
                 if h[j]:
-                    acc = acc * np.exp((lpj + s * h[j]) * logx[j]
-                                       - lpj * logx[j])
-                acc = acc * ring.recip_gamma([1 + (lpj + s * h[j])],
-                                             [d[j]])[0]
+                    acc = acc * np.exp(s * h[j] * logx[j])
+                z = 1 + (complex(anchors[j]) + s * h[j])
+                g = ring.recip_gamma([z], [d[j]])[0]
+                for m in range(1, int(anchors[j] - exact[j]) + 1):
+                    g = g * (d[j] + (z - m))
+                acc = acc * g
         return acc
 
     f.decay = (2.0 * math.pi + ay, -ay)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +20,8 @@ from gkzflop import cli, kernels, rational, rings, series, wall
 from gkzflop import report as reporting
 from gkzflop.fixtures import load_fixture, write_fixture
 from gkzflop.toric import compute_box, find_circuit
-from support import LOCAL_P2, TRAPEZOID, circuit_fixture, subparser_reference
+from support import LOCAL_P2, SMALL_CIRCUITS, TRAPEZOID, circuit_fixture, \
+    subparser_reference
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -37,6 +39,43 @@ def test_inspect(tmp_path):
     assert body["circuit"]["h"] == [1, -2, 1]
     assert body["circuit"]["I_minus"] == [2]
     assert all(v["total"] == 2 for v in body["sector_dims"].values())
+
+
+def test_inspect_rank_is_the_normalized_volume(tmp_path):
+    # each side's K-theory rank, the total sector-algebra dimension, is
+    # its normalized volume sum |det| over the maximal cones: on both
+    # fixtures, local P^2, the trapezoid and every circuit of
+    # SMALL_CIRCUITS, both sides
+    texts = [LOCAL_P2, TRAPEZOID] + [write_fixture(*circuit_fixture(h))
+                                     for h in SMALL_CIRCUITS]
+    fixtures = ["a1", "conifold"]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"case{i}.txt"
+        path.write_text(text)
+        fixtures.append(str(path))
+    for fixture in fixtures:
+        status, rep = run_cli(["inspect", "--fixture", fixture], tmp_path)
+        dims = rep["body"]["sector_dims"]
+        assert status == 0 and rep["body"]["pass"], fixture
+        assert sorted(dims) == ["minus", "plus"]
+        assert all(d["volume"] == d["total"] > 0 for d in dims.values())
+
+
+def test_inspect_fails_on_a_dropped_sector(tmp_path, monkeypatch):
+    # one sector dropped from the minus side's box: its rank falls below
+    # its volume, and inspect says so
+    real = rings.compute_box
+
+    def dropped(data, t):
+        box = real(data, t)
+        return box[:-1] if t.label == "minus" else box
+
+    monkeypatch.setattr(rings, "compute_box", dropped)
+    status, rep = run_cli(["inspect", "--fixture", "a1"], tmp_path)
+    dims = rep["body"]["sector_dims"]
+    assert status == 1 and rep["body"]["pass"] is False
+    assert dims["minus"]["total"] == 1 and dims["minus"]["volume"] == 2
+    assert dims["plus"]["total"] == dims["plus"]["volume"] == 2
 
 
 def test_box_lists_both_sectors(tmp_path):
@@ -678,6 +717,62 @@ def test_uncancelled_pole_fails_the_undeformed_limit(tmp_path, monkeypatch):
     assert not rep["body"]["laurent"]["pass"]
     assert rep["body"]["laurent"]["principal_ratio"] == \
         pytest.approx(1e-3, rel=1e-6)
+
+
+def test_laurent_gates_the_eps0_deviation_of_the_routes(tmp_path,
+                                                       monkeypatch):
+    # the transport angle theta = 1/2 of a1's pole at index 2, r = 1, moved
+    # by 1e-6 in the circle's stacks alone: the real samples' matrices
+    # still agree and the circle's pole part still cancels, so only
+    # laurent.matrix_dev, ac - fm at eps^0, sees the moved angle
+    real = wall._transform
+
+    def moved(wc, eps, route):
+        real_eps = tuple(e for e in eps if complex(e).imag == 0)
+        out = real(wc, real_eps, route) if real_eps else []
+        if len(real_eps) == len(eps):
+            return out
+        poles = wc.poles
+        if route == "transport":
+            [(key, entries)] = poles.items()
+            k, r, angles = entries[1]
+            theta, coords2 = angles["transport"]
+            assert (k, r, theta) == (1, 1, Fraction(1, 2))
+            wc.poles = {key: [entries[0], (k, r, {
+                **angles, "transport": (theta + Fraction(1, 10 ** 6),
+                                        coords2)})]}
+        try:
+            return out + real(wc, eps[len(real_eps):], route)
+        finally:
+            wc.poles = poles
+
+    argv = ["verify", "--fixture", "a1", "--depth", "0"]
+    status, rep = run_cli(argv, tmp_path)
+    assert status == 0 and rep["body"]["laurent"]["matrix_dev"] < 1e-12
+    monkeypatch.setattr(wall, "_transform", moved)
+    status, rep = run_cli(argv, tmp_path)
+    laurent = rep["body"]["laurent"]
+    assert status == 1 and rep["body"]["matrix"]["pass"]
+    assert max(laurent["principal_ratio"],
+               laurent["nested_error"]) < wall.EPS0_TOL
+    assert laurent["matrix_dev"] > 1e-7 and not laurent["pass"]
+
+
+def test_laurent_fails_on_a_nan_eps0_deviation(tmp_path, monkeypatch):
+    # a NaN in the ac route's eps^0 matrix alone fails the laurent gate
+    real = wall.undeformed_transforms
+
+    def nan_ac(wc, samples, routes):
+        out = real(wc, samples, routes)
+        out[0][1].entries[0, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(wall, "undeformed_transforms", nan_ac)
+    status, rep = run_cli(["verify", "--fixture", "a1", "--depth", "0"],
+                          tmp_path)
+    assert status == 1 and rep["body"]["matrix"]["pass"]
+    assert math.isnan(rep["body"]["laurent"]["matrix_dev"])
+    assert rep["body"]["laurent"]["pass"] is False
 
 
 def test_circle_doubles_until_the_nested_estimate_meets_its_target(

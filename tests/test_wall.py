@@ -27,6 +27,7 @@ from gkzflop import (
     select_endpoints,
 )
 from gkzflop import cli, deform, kernels, wall
+from gkzflop.deform import TWO_PI_I
 from gkzflop.series import exponent_table, sum_rows, term_values
 from support import LOCAL_P2, SMALL_CIRCUITS, TRAPEZOID, circuit_fixture, \
     reference_circles, reference_first_right, reference_integrand, \
@@ -1024,8 +1025,8 @@ def test_shared_line_factors_are_exact(packs, name, eps, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, sent", [
-    (["verify", "--fixture", "a1"], 5796),
-    (["verify", "--fixture", "conifold"], 7728),
+    (["verify", "--fixture", "a1"], 1932),
+    (["verify", "--fixture", "conifold"], 2576),
     (["oracle", "--fixture", "a1", "--eps", "1e-2", "--eps", "3e-3"], 3864),
     (["oracle", "--fixture", "conifold", "--eps", "1e-2", "--eps", "3e-3"],
      5152)], ids=["verify-a1", "verify-conifold", "oracle-a1",
@@ -1033,8 +1034,11 @@ def test_shared_line_factors_are_exact(packs, name, eps, monkeypatch):
 def test_lines_send_each_factor_to_the_kernel_once(monkeypatch, argv, sent):
     # the Gamma arguments the lines send (644 nodes and probes a line):
     # one integrand per line and endpoint sent 17,388, 36,064, 7,728 and
-    # 10,304 of them; a stack sends each l'_j its lines repeat once, and
-    # oracle's near and far ends, one integrand, send theirs once
+    # 10,304 of them, and one per distinct l'_j of a stack 5,796 and
+    # 7,728 for verify; a stack sends one per anchor of each class r =
+    # l'_j mod 1 ({-2, -1, 0} share the anchor 0 on both fixtures) and
+    # reaches the rest by the functional equation, and oracle's near and
+    # far ends, one integrand, send theirs once
     count = {"on": False, "sent": 0}
     real_kernel, real_oracle = kernels.recip_gamma_series, \
         wall.mb_contour_oracle
@@ -1127,7 +1131,9 @@ def stacked_values(monkeypatch, out):
 def case_wall(packs, name):
     if name == "trapezoid":
         return trapezoid_wall()
-    if name in packs:
+    if name == "p2":
+        data, tris = parse_fixture(LOCAL_P2)
+    elif name in packs:
         data, tris = packs[name].data, packs[name].tris
     else:
         data, tris = circuit_fixture(name)
@@ -1203,6 +1209,116 @@ def test_a_later_line_of_a_stack_fails_as_alone(a1, monkeypatch):
         assert str(got) == str(want.value)
         assert q.coords.tobytes() == q0.coords.tobytes() and dg == dg0
         assert sent and all(v > wall.GAMMA_RE_MIN for v in sent)
+
+
+def grid_values(x, ring, stack, stride=1, height=14.0):
+    """Node values of a stack of lines on one grid, and the nodes: every
+    stride-th fine node and both tail probes that mb_contour_oracle
+    sends."""
+    n = wall._line_nodes(height, stack[0].distance)
+    step = 2.0 * height / n
+    nodes = np.concatenate([
+        stack[0].s0 + 1j * (-height + (np.arange(0, n, stride) + 0.5) * step),
+        [complex(stack[0].s0, height), complex(stack[0].s0, -height)]])
+    return wall.make_integrand([x], stack, ring)(nodes).coords, nodes
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+def test_class_formed_lines_match_the_per_lprime_kernel(eps):
+    # each line of a depth-2 battery, evaluated in its stack at the far
+    # endpoint on every 16th node and the probes (a node's value does not
+    # depend on the nodes sent with it), against the form before the
+    # classes (one kernel argument per l'_j, the pole factor at l'_j and
+    # the power e^{(l'_j + h_j s) log x_j - l'_j log x_j}), on every
+    # buildable circuit of SMALL_CIRCUITS and on the trapezoid: within
+    # 1e-13 of each line's largest |value|
+    cases = [trapezoid_wall()] + [
+        case_wall({}, h) for h in SMALL_CIRCUITS if h not in OFFSET_REFUSED]
+    worst, nonzero, chained = 0.0, 0, 0
+    for wc in cases:
+        x = select_endpoints(wc.circuit, None, 0.1).x_minus
+        rings = wc.rings(wc.plus, eps)
+        grids = {}
+        for key, line in battery_lines(wc):
+            grids.setdefault((key, line.s0, line.distance), []).append(line)
+        for (key, _, _), stack in grids.items():
+            got, nodes = grid_values(x, rings[key], stack, stride=16)
+            for line, block in zip(stack, got):
+                want = reference_line_integrand(x, line, rings[key],
+                                                per_class=False)(nodes)
+                scale = np.abs(want.coords).max()
+                assert np.isfinite(block).all() and np.isfinite(scale)
+                worst = max(worst, np.abs(block - want.coords).max()
+                            / max(scale, 1e-300))
+                nonzero += scale > 0
+                chained += any(Fraction(v) < 0 for v in line.lprime)
+    assert nonzero > 1000 and chained > 100
+    assert worst < 1e-13
+
+
+def test_chained_recip_gamma_matches_mpmath():
+    # 1/Gamma(z - m + d) for m <= 10 steps of the functional equation
+    # from the kernel's 1/Gamma(z + d), z = 1 + r + h s, on local P^2's
+    # sector of dimension 3 (d = D_j / 2 pi i has a square): each value
+    # against the Taylor series of mpmath's rgamma, summed in the
+    # algebra, within 1e-13 of its largest coordinate (450 points)
+    wc = case_wall({}, "p2")
+    g0 = trivial_sector(wc)
+    ring = plus_ring(wc, g0, 1e-2)
+    alg = ring.algebra
+    assert alg.dim == 3
+    j = next(j for j in range(alg.data.n)
+             if not (ring.divisor(j) * ring.divisor(j)).is_zero())
+    d = ring.divisor(j) * (1.0 / TWO_PI_I)
+    nil = d.nilpotent_part()
+    powers = [alg.one(), nil, nil * nil]
+    s = np.array([0.5 + 1.3j, -0.75 + 0.4j, 0.25 - 2.2j])
+    worst, points = 0.0, 0
+    with mpmath.workdps(30):
+        for r in (Fraction(0), Fraction(1, 2), Fraction(1, 3)):
+            for h in (1, -1, 2, -2, 3):
+                z = 1 + (complex(r) + s * h)
+                [g] = ring.recip_gamma([z], [d])
+                chain = wall._recip_gamma_chain(g, d, z, 10)
+                for m in range(1, 11):
+                    for i, zi in enumerate(z):
+                        w = mpmath.mpc(zi - m) + mpmath.mpc(d.scalar_part)
+                        want = sum(complex(c) * p for c, p in zip(
+                            mpmath.taylor(mpmath.rgamma, w, 2), powers))
+                        got = chain[m].coords[i]
+                        worst = max(worst, np.abs(got - want.coords).max()
+                                    / np.abs(want.coords).max())
+                        points += 1
+    assert points == 450
+    assert worst < 1e-13
+
+
+def test_chain_keeps_the_kernels_zero_at_a_gamma_pole():
+    # the trapezoid's fifth point has h_5 = 0: a line whose l'_5 is a
+    # negative integer -m reaches 1/Gamma(1 - m + D_5 / 2 pi i) from the
+    # anchor 0 by m steps.  At eps = 0 that factor has the exact zero
+    # scalar part the kernel gives at a pole of Gamma, so the line's
+    # values have one too, as in the form before the classes, and their
+    # other coordinates agree
+    wc = trapezoid_wall()
+    [j] = [j for j, v in enumerate(wc.circuit.h) if v == 0]
+    x = select_endpoints(wc.circuit, None, 0.1).x_minus
+    rings = wc.rings(wc.plus, 0.0)
+    ring = next(ring for ring in rings.values()
+                if not ring.divisor(j).is_zero())
+    unit = ring.algebra.basis_index[()]
+    # l'_k = 1/2 on I_minus keeps the pole numerators invertible
+    half = [Fraction(1, 2) if i in wc.circuit.I_minus else 0
+            for i in range(len(x))]
+    stack = [wall.Line(half[:j] + [-m] + half[j + 1:], wc.circuit)
+             for m in (1, 2, 3)]
+    got, nodes = grid_values(x, ring, stack)
+    for line, block in zip(stack, got):
+        want = reference_line_integrand(x, line, ring,
+                                        per_class=False)(nodes).coords
+        assert not want[..., unit].any() and not block[..., unit].any()
+        assert 0 < np.abs(want).max() < math.inf
+        assert np.abs(block - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("early, s0, error", [
