@@ -151,22 +151,27 @@ class DeformationRing:
         is the centre less its d's scalar part: 1 + z for the factor
         1/Gamma(1 + z + d) of a series term or the integrand, formed by
         the caller (series forms (N + v) / N from integer numerators).
+        A d of a batch shape B (a stack's sample axis) pairs each of its
+        rows with every w: the value has shape B + w.shape, B leading.
         One kernel call serves every pair, and the result is the list of
-        their values, a batch of elements for an array w.  The kernel is
-        elementwise, so a value does not depend on the arrays it is sent
-        with.  It is exact at the poles of Gamma, so a nonpositive
-        integer w needs no functional equation.
+        their values, a batch of elements for an array w or d.  The
+        kernel is elementwise, so a value does not depend on the arrays
+        it is sent with.  It is exact at the poles of Gamma, so a
+        nonpositive integer w needs no functional equation.
         """
-        ws = [np.asarray(v, dtype=complex) for v in ws]
-        center = np.concatenate([(v + x.scalar_part).reshape(-1)
-                                 for v, x in zip(ws, ds)])
+        dim = self.algebra.dim
+        ws = [np.add.outer(x.scalar_part, np.asarray(v, dtype=complex))
+              for v, x in zip(ws, ds)]
         mmax = self.algebra.zero_degree - 1
-        c = kernels.recip_gamma_series(center, mmax)
+        c = kernels.recip_gamma_series(
+            np.concatenate([v.reshape(-1) for v in ws]), mmax)
         out, start = [], 0
         for v, x in zip(ws, ds):
             row = c[start:start + v.size].reshape(v.shape + (mmax + 1,))
             start += v.size
-            n = x.nilpotent_part()
+            lead = x.coords.shape[:-1]
+            n = self.algebra.element(x.nilpotent_part().coords.reshape(
+                lead + (1,) * (v.ndim - len(lead)) + (dim,)))
             acc = self.algebra.scalar(row[..., mmax])
             for m in range(mmax - 1, -1, -1):
                 acc = acc * n + row[..., m]

@@ -117,7 +117,9 @@ class CompactKModule:
         for i in range(self.data.n):
             r = algebra_exp(alg.divisor(i)) * unit_phase(sector.coords[i])
             elt = alg.one() - algebra_inverse(r)
-            out[i] = [np.asarray((alg.element(eye[b]) * elt).coords)
+            # the unit's row is elt itself
+            out[i] = [elt.coords if b == alg.basis_index[()]
+                      else (alg.element(eye[b]) * elt).coords
                       for b in range(alg.dim)]
         return out
 

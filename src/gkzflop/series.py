@@ -285,15 +285,15 @@ def _recip_gamma_rows(columns, den, ds, ring, dual):
     (den + v) / den, every coordinate's centres in one batched
     ring.recip_gamma call.  A negative integer v/den = -m takes the
     functional-equation product prod_{i<m} (d - i) times the value at 0;
-    the products for successive m extend each other, formed on raw
-    coordinate arrays by SectorAlgebra.multiply, the bits AlgebraElement
-    products give.  dual strips the leading factor d: the product
-    starts at i = 1.  Returns, per
-    coordinate, the rows and a power-of-two exponent per row: past m of
-    about 170 the product overflows, so where the next factor would make
-    it non-finite it is scaled down by an exact power of two, whose
-    exponent the row carries.  Every product that is finite unscaled
-    keeps exponent 0.
+    the products for successive m extend each other from the first
+    factor, formed on raw coordinate arrays by SectorAlgebra.multiply,
+    the bits AlgebraElement products give.  dual strips the leading
+    factor d: the product starts at i = 1, and at m = 1 the row is the
+    value at 0 itself.  Returns, per coordinate, the rows and a
+    power-of-two exponent per row: past m of about 170 the product
+    overflows, so where the next factor would make it non-finite it is
+    scaled down by an exact power of two, whose exponent the row
+    carries.  Every product that is finite unscaled keeps exponent 0.
     """
     negs = [[v for v in values if v < 0 and not v % den] for values in columns]
     centres = [sorted(set(values).difference(neg).union([0] if neg else []))
@@ -312,21 +312,26 @@ def _recip_gamma_rows(columns, den, ds, ring, dual):
             # one factor array, that slot rewritten per i
             factor = d.coords.copy()
             re, im = factor[unit].real, factor[unit].imag
-            products, acc, e = [], alg.one().coords, 0
+            # acc None is the empty product, which only dual's m = 1 has
+            products, acc, e = [], None, 0
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(-neg[0] // den):
                     if i >= dual:
                         factor[unit] = complex(re - i, im)
-                        step = alg.multiply(acc, factor)
-                        if not np.isfinite(step).all():
-                            acc, k = _normalized(acc)
-                            e += k
+                        if acc is None:
+                            step = factor.copy()
+                        else:
                             step = alg.multiply(acc, factor)
+                            if not np.isfinite(step).all():
+                                acc, k = _normalized(acc)
+                                e += k
+                                step = alg.multiply(acc, factor)
                         acc = step
                     products.append((acc, e))
             for v in neg:
                 acc, exps[v] = products[-v // den - 1]
-                rows[v] = alg.multiply(acc, rows[0])
+                rows[v] = rows[0] if acc is None \
+                    else alg.multiply(acc, rows[0])
         out.append((np.array([rows[v] for v in values]),
                     np.array([exps[v] for v in values])))
     return out
@@ -352,9 +357,8 @@ def term_values(x, nums, den, ring, dual=False):
     cone.
     """
     table = np.array(nums, dtype=np.int64).reshape(len(nums), len(x))
-    acc = ring.algebra.scalar(np.ones(len(table)))
     if not len(table):
-        return acc
+        return ring.algebra.scalar(np.ones(0))
     ds = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(len(x))]
     distinct = [np.unique(column, return_inverse=True) for column in table.T]
     values = [v.tolist() for v, _ in distinct]
@@ -363,9 +367,16 @@ def term_values(x, nums, den, ring, dual=False):
     for (_, take), (_, exps) in zip(distinct, gammas):
         scaled |= exps[take] != 0
     scale = np.zeros(len(table), dtype=int)
+    acc = None
     for j, (xj, d, vals, (_, take), (rows, exps)) in enumerate(
             zip(x, ds, values, distinct, gammas)):
-        acc = acc * ring.branched_power(xj, d) * _powers(xj, vals, den)[take]
+        # x_j^d is one where d = 0 (D_j vanishes in the sector, eps = 0)
+        if d.coords.any():
+            power = ring.branched_power(xj, d)
+            acc = power if acc is None else acc * power
+        scalars = _powers(xj, vals, den)[take]
+        acc = ring.algebra.scalar(scalars) if acc is None \
+            else acc * scalars
         _normalize_rows(acc.coords, scaled, scale)
         acc = acc * d.algebra.element(rows[take])
         scale += exps[take]

@@ -21,12 +21,12 @@ Each orbit generator has one Line: its integration line, the split of
 its orbit and its residue circles, built once per command and passed to
 the integrand, the quadrature, the residue sums and the orbit sums.  The
 integrand and the quadrature take one form, a stack: a list of Lines on
-one node grid at a list of endpoints, with one block per (endpoint,
-line); a line alone is a stack of one.  An integrand call forms each
-factor once, however many blocks share it, and the quadrature returns
-one outcome per (endpoint, line): a value, or the error that entry
-raises alone.  Each command then walks its lines in order and raises
-the first failure.
+one node grid at a list of endpoints and on a ring of eps samples, with
+one block per (eps, endpoint, line); a line alone, and one eps, is a
+stack of one.  An integrand call forms each factor once, however many
+blocks share it, and the quadrature returns one outcome per (eps,
+endpoint, line): a value, or the error that entry raises alone.  Each
+command then walks its lines in order and raises the first failure.
 
 The end-to-end check of verify_fm_equals_ac runs over a battery of
 lattice points c at eps = 0 and evaluates it as a whole: one set of
@@ -35,14 +35,16 @@ sector on one node grid evaluated as one stack at the far endpoint,
 and one series batch (series.term_values) per sector and side for
 every c at once (continued_vector, gamma_vector).  Each c sums only its
 own rows, in term order, so its values do not depend on the rest of
-the battery.  oracle_report builds one integrand per generator and eps,
-on that line at both endpoints: its quadratures read both, its residue
-circles the far endpoint alone.
+the battery.  oracle_report builds one ring for its eps samples and one
+integrand per generator, on that line at both endpoints and every eps:
+its quadratures read both endpoints, its residue circles the far
+endpoint alone.
 """
 
 import cmath
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,10 +71,11 @@ from .series import enumerate_terms, exponent_table, sector_batches, \
 # than MAX_LINE_NODES nodes (a half-height in the hundreds) is refused.
 # Tails stay under TAIL_TOL.  A line keeps CLEARANCE from the poles, a node
 # GUARD from every model point.  Left residues reach MAX_DEPTH below the
-# line and stop after three in a row under STOP of their sum; their
-# circles, of _CIRCLE_NODES nodes each, are evaluated in rounds of
+# line and stop after three in a row under STOP of their sum, per eps;
+# their circles, of _CIRCLE_NODES nodes each, are evaluated in rounds of
 # _ROUND, then _ROUND_MAX, _ROUND_MAX, ... circles, one integrand call
-# each: 8 circles are 512 nodes, one kernels._BLOCK per Gamma argument.
+# each for every eps of the ring: 8 circles are 512 nodes, one
+# kernels._BLOCK per Gamma argument and eps.
 # Orbit terms are restored from -M_BACK; the right pole sum ends at M_MAX.
 LINE_EXPONENT, MAX_LINE_NODES, TAIL_TOL = 36, 2 ** 16, 1e-9
 CLEARANCE, GUARD = 0.15, 1e-7
@@ -334,63 +337,83 @@ def _recip_gamma_chain(g, d, z, depth):
 
 
 def make_integrand(xs, lines, ring):
-    """Closure evaluating I(s) on a stack of lines at every endpoint of xs.
+    """Closure evaluating I(s) on a stack of lines at every endpoint of xs
+    and every sample of ring.
 
     lines is a list of Lines of one circuit; one line is a stack of one.
-    The closure takes one node s or an array of nodes, shared by the
-    lines, and optionally keep, the indices of the lines to evaluate,
-    and at, the indices of the endpoints of xs to evaluate them at (each
-    default: all).  It returns a batch of shape (X K,) + s.shape +
-    (dim,), X the endpoints and K the lines kept: one block per (x,
-    line), x-major.
+    ring is a DeformationRing at one eps or at a stack of samples; one
+    sample is a stack of one.  The closure takes one node s or an array
+    of nodes, shared by the lines, and optionally keep, the indices of
+    the lines to evaluate, and at, the indices of the endpoints of xs to
+    evaluate them at (each default: all); every sample is evaluated.  It
+    returns a batch of shape (E X K,) + s.shape + (dim,), E the samples,
+    X the endpoints and K the lines kept: one block per (eps, x, line),
+    eps-major.
 
-    A factor that depends on l'_j only through its class r = l'_j mod 1
-    is formed once per class of the kept lines.  1/Gamma(1 + l'_j + h_j
-    s + D_j / 2 pi i) goes to the kernel at its anchor, r when l'_j < 1
-    and l'_j itself otherwise, once per (j, anchor), all in one kernel
-    call; l'_j = anchor - m follows by m steps of _recip_gamma_chain.
-    Each pole-denominator inverse of j in I_minus, 1 / (1 - e^{-D_j}
-    e^{-2 pi i (r + h_j s)}), and its numerator are formed once per (j,
-    r), and each power x_j^{h_j s} once per (x, j).  Classes, anchors and step counts are
-    read once, when the integrand is built; a call only indexes them.
+    eps enters only scalar parts: the kernel centres, e^{-D_j} and the
+    branched powers x_j^{D_j / 2 pi i}, so the samples are one more
+    batch axis.  A factor that depends on l'_j only through its class r
+    = l'_j mod 1 is formed once per class of the kept lines.  1/Gamma(1
+    + l'_j + h_j s + D_j / 2 pi i) goes to the kernel at its anchor, r
+    when l'_j < 1 and l'_j itself otherwise, once per (eps, j, anchor),
+    all in one kernel call; l'_j = anchor - m follows by m steps of
+    _recip_gamma_chain.  Each pole-denominator inverse of j in I_minus,
+    1 / (1 - e^{-D_j} e^{-2 pi i (r + h_j s)}), and its numerator are
+    formed once per (eps, j, r), and each power x_j^{h_j s} once per (x,
+    j).  Classes, anchors and step counts are read once, when the
+    integrand is built; a call only indexes them.
 
-    A value depends on (j, l'_j, s) alone, so each block is its line's
-    I(s) at its x alone to the last bit: every factor is formed as for
-    that line alone, the factors of a line multiply in one fixed order,
-    SectorAlgebra.multiply treats rows apart, and the kernel works
-    elementwise.  The closure does not guard its nodes: its callers,
-    mb_contour_oracle and residue_at, keep every node they send GUARD
-    away from the pole model (_near_pole).  .decay and .arg_y hold one
-    value per x of xs and depend on x and the circuit alone.
+    A value depends on (eps, j, l'_j, s) alone, so each block is its
+    line's I(s) at its x and its eps alone to the last bit: every factor
+    is formed as for that line alone, the factors of a line multiply in
+    one fixed order, SectorAlgebra.multiply treats rows apart, and the
+    kernel works elementwise.  The closure does not guard its nodes: its
+    callers, mb_contour_oracle and residue_at, keep every node they send
+    GUARD away from the pole model (_near_pole).  .decay holds the tail
+    rates of each (eps, x), eps-major, and .arg_y one value per x of xs;
+    both depend on x and the circuit alone.
     """
     circuit = lines[0].circuit
     # internal: a stack holds the lines of one circuit
     assert all(line.circuit is circuit for line in lines)
     alg = ring.algebra
+    dim = alg.dim
     xs = [tuple(complex(v) for v in x) for x in xs]
     n = alg.data.n
     h = circuit.h
     iminus = sorted(circuit.I_minus)
-    d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
+    # every class with a leading sample axis, of length 1 for one eps
+    samples = np.size(ring.eps)
+
+    def stacked(el, k=0):
+        """el with k unit axes after its sample axis."""
+        return alg.element(el.coords.reshape((samples,) + (1,) * k
+                                             + (dim,)))
+
+    divisors = [stacked(ring.divisor(j)) for j in range(n)]
+    d = [dj * (1.0 / TWO_PI_I) for dj in divisors]
     # e^{-D_j} for the j in I_minus alone: at a large negative eps it may
     # overflow for other j
-    exp_neg = {j: algebra_exp(ring.divisor(j) * (-1.0)) for j in iminus}
+    exp_neg = {j: algebra_exp(divisors[j] * (-1.0)) for j in iminus}
     one = alg.one()
     logs = [[principal_log(v) for v in x] for x in xs]
     consts = []
     for x in xs:
         bp = [ring.branched_power(v, dj) for v, dj in zip(x, d)]
         for line in lines:
-            const = alg.one()
-            for j in range(n):
+            const = bp[0] * scalar_power(x[0], line.lprime[0])
+            for j in range(1, n):
                 const = const * bp[j] * scalar_power(x[j], line.lprime[j])
             consts.append(const.coords)
-    consts = np.array(consts).reshape(len(xs), len(lines), alg.dim)
+    # sample, x, line
+    consts = np.moveaxis(np.array(consts).reshape(
+        len(xs), len(lines), samples, dim), 2, 0)
     # per j: the distinct anchors as floats, and per line the index of
     # its anchor and its step count anchor - l'_j; for j in I_minus also
     # the distinct classes r = l'_j mod 1, each line's index among them
-    # and the pole numerator 1 - e^{-D_j} e^{-2 pi i r} of each class.
-    # Exact, on numerators over the lines' common denominator
+    # and the pole numerator 1 - e^{-D_j} e^{-2 pi i r} of each class
+    # (class, sample).  Exact, on numerators over the lines' common
+    # denominator
     den = math.lcm(*(line.den for line in lines))
     anchors, steps, classes, nums = [], [], {}, {}
     for j in range(n):
@@ -411,8 +434,8 @@ def make_integrand(xs, lines, ring):
         s = np.asarray(s, dtype=complex)
         keep = list(range(len(lines)) if keep is None else keep)
         at = list(range(len(xs)) if at is None else at)
-        # one entry per (x, line), broadcast over the nodes
-        lead = (len(at), len(keep)) + (1,) * s.ndim
+        # one entry per (eps, x, line), broadcast over the nodes
+        lead = (samples, len(at), len(keep)) + (1,) * s.ndim
         # per j: the anchors of the kept lines, each once, and per kept
         # line the slot of its anchor among them and its step count
         used, slots = zip(*(_slots([pos[i] for i in keep])
@@ -425,32 +448,37 @@ def make_integrand(xs, lines, ring):
                   for j, ((vals, _), u) in enumerate(zip(anchors, used))]
             gammas = []
             for j, g in enumerate(ring.recip_gamma(zs, d)):
-                chain = _recip_gamma_chain(g, d[j], zs[j], max(depth[j]))
-                gammas.append(np.stack([c.coords for c in chain])[
-                    depth[j], slots[j]])
-            acc = alg.element(consts[np.ix_(at, keep)].reshape(
-                lead + (alg.dim,))) \
+                chain = _recip_gamma_chain(g, stacked(d[j], 1 + s.ndim),
+                                           zs[j], max(depth[j]))
+                # (sample, line, nodes), one unit axis for the endpoints
+                gammas.append(np.stack([c.coords for c in chain], axis=1)[
+                    :, depth[j], slots[j]][:, None])
+            acc = alg.element(consts[np.ix_(range(samples), at, keep)]
+                              .reshape(lead + (dim,))) \
                 * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
             for j in iminus:
                 vals, pos = classes[j]
                 cls = [pos[i] for i in keep]
-                poles = {c: algebra_inverse(one - exp_neg[j] * np.exp(
+                e_j = stacked(exp_neg[j], s.ndim)
+                poles = {c: algebra_inverse(one - e_j * np.exp(
                     -TWO_PI_I * (vals[c] + s * h[j])))
                     for c in dict.fromkeys(cls)}
-                acc = acc * alg.element(nums[j][cls].reshape(
-                    lead[1:] + (alg.dim,))) \
-                    * alg.element(np.stack([poles[c].coords for c in cls]))
+                acc = acc * alg.element(np.swapaxes(nums[j][cls], 0, 1)
+                                        .reshape((samples, 1) + lead[2:]
+                                                 + (dim,))) \
+                    * alg.element(np.stack([poles[c].coords for c in cls],
+                                           axis=1)[:, None])
             for j in range(n):
                 if h[j]:
                     acc = acc * np.array([np.exp(s * h[j] * logs[i][j])
                                           for i in at]).reshape(
                         (len(at), 1) + s.shape)
                 acc = acc * alg.element(gammas[j])
-        return alg.element(acc.coords.reshape((-1,) + acc.coords.shape[2:]))
+        return alg.element(acc.coords.reshape((-1,) + acc.coords.shape[3:]))
 
     f.arg_y = [y_value(circuit, x)[1] for x in xs]
-    # rates for t -> +inf / -inf, per x
-    f.decay = [(2.0 * math.pi + ay, -ay) for ay in f.arg_y]
+    # rates for t -> +inf / -inf, per (eps, x)
+    f.decay = [(2.0 * math.pi + ay, -ay) for ay in f.arg_y] * samples
     return f
 
 
@@ -517,19 +545,19 @@ def mb_contour_oracle(f, lines, height):
     """Numeric value of each line integral, downward orientation.
 
     f is the integrand built on lines, a list of Lines on one node grid
-    (the same s0 and distance), at one or more endpoints x; one line is
-    a stack of one.  With this orientation a line's result equals the
-    right-hand pole sum when |y| < 1 and minus the left-hand pole sum
-    when |y| > 1.  The nodes of the grid and both tail probes go to one
-    integrand call, and each (x, line) sums its own block of it.  The
-    fine level has an even number n of nodes t_k = -H + (k + 1/2) h, so
-    no node lies at t = 0 (a removable point may sit on the line there);
-    the coarse level is its even nodes at step 2h.  On a strip of
-    half-width a both levels converge geometrically (Trefethen &
-    Weideman, SIAM Review 56, 2014).
+    (the same s0 and distance), at one or more endpoints x and on a ring
+    of one or more eps samples; one line is a stack of one.  With this
+    orientation a line's result equals the right-hand pole sum when |y|
+    < 1 and minus the left-hand pole sum when |y| > 1.  The nodes of the
+    grid and both tail probes go to one integrand call, and each (eps,
+    x, line) sums its own block of it.  The fine level has an even
+    number n of nodes t_k = -H + (k + 1/2) h, so no node lies at t = 0
+    (a removable point may sit on the line there); the coarse level is
+    its even nodes at step 2h.  On a strip of half-width a both levels
+    converge geometrically (Trefethen & Weideman, SIAM Review 56, 2014).
 
-    Returns one outcome per (x, line), x-major: the value and a
-    diagnostics dict (the line nodes and the fine step, the error
+    Returns one outcome per (eps, x, line), eps-major, then x: the value
+    and a diagnostics dict (the line nodes and the fine step, the error
     estimate |fine - coarse| of the two levels, and the measured tail
     bounds), or the GkzflopError that the entry raises alone.  An
     entry's checks run in this order: a 1/Gamma argument left of Re z =
@@ -583,14 +611,15 @@ def mb_contour_oracle(f, lines, height):
 def residue_at(f, line, centers, radii, at=None):
     """Residues of f by small positively oriented circles, in one call.
 
-    f is an integrand built on the stack [line] alone, and at selects
-    the one endpoint to evaluate (default: f has one).  centers and
-    radii are 1-d arrays of one length.  A node within GUARD of the
-    line's pole model raises PoleProximity for the first such node
-    before anything is evaluated.  Every circle's _CIRCLE_NODES nodes go
-    to one integrand call, so to one kernel call, and the result is a
-    batch with one row per circle.  Each circle sums its own nodes as
-    one circle alone would, in one reduction over the (circles, nodes,
+    f is an integrand built on the stack [line] alone, on a ring of one
+    or more eps samples, and at selects the one endpoint to evaluate
+    (default: f has one).  centers and radii are 1-d arrays of one
+    length.  A node within GUARD of the line's pole model raises
+    PoleProximity for the first such node before anything is evaluated.
+    Every circle's _CIRCLE_NODES nodes go to one integrand call, so to
+    one kernel call, and the result is a batch with one row per (eps,
+    circle), eps-major.  Each circle sums its own nodes as one circle at
+    one eps alone would, in one reduction over the (eps, circles, nodes,
     dim) array.  A non-finite node makes its circle's residue
     non-finite; the caller checks the rows it uses.
     """
@@ -603,8 +632,12 @@ def residue_at(f, line, centers, radii, at=None):
         raise _pole_error(nodes, row)
     vals = f(nodes, at=at)
     alg = vals.algebra
-    blocks = vals.coords.reshape(-1, _CIRCLE_NODES, alg.dim) * z[..., None]
-    return alg.element(blocks.sum(axis=1) * (1.0 / _CIRCLE_NODES))
+    # a non-finite node value stays inf or NaN without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = vals.coords.reshape(-1, len(centers), _CIRCLE_NODES,
+                                     alg.dim) * z[..., None]
+        sums = blocks.sum(axis=2) * (1.0 / _CIRCLE_NODES)
+    return alg.element(sums.reshape(-1, alg.dim))
 
 
 def orbit_sum(x, line, ring, m_from, m_to):
@@ -614,32 +647,50 @@ def orbit_sum(x, line, ring, m_from, m_to):
 
 
 def left_residue_sum(f, line, at=None):
-    """Sum of all residues of f left of the line, by line.circles.
+    """Sum of all residues of f left of the line, by line.circles, per eps.
 
-    f is the integrand built on the stack [line] alone, and at selects
-    the endpoint whose residues are summed (default: f has one);
-    residue_at reads its one block.  The circles go right to left in
-    rounds of _ROUND, then _ROUND_MAX, _ROUND_MAX, ... circles, one
-    residue_at call each.  Residues are added one circle at a time, and
-    the sum stops after three in a row under STOP of it; the rest of
-    that round is dropped unchecked.
+    f is the integrand built on the stack [line] alone, on a ring of one
+    or more eps samples, and at selects the endpoint whose residues are
+    summed (default: f has one); residue_at reads one block per eps.
+    The circles go right to left in rounds of _ROUND, then _ROUND_MAX,
+    _ROUND_MAX, ... circles, one residue_at call each, while any eps is
+    still summing.  Each eps adds its residues one circle at a time and
+    stops after three in a row under STOP of its sum, the circle where
+    it would stop alone; the rest of its rows are dropped unchecked.
+    Returns one outcome per eps: its sum, or the NonFiniteValue of the
+    first circle it sums that is not finite.  An error of residue_at
+    (its node guard) is raised, for the stack as for one eps.
     """
     centers, radii = line.circles
-    acc, small, start, size = None, 0, 0, _ROUND
+    # per eps, from the first round on: its sum and its run of small
+    # residues, 3 once it has stopped (an error stops it too)
+    sums = small = None
+    start, size = 0, _ROUND
     while start < len(centers):
         stop = start + size
         batch = residue_at(f, line, centers[start:stop], radii[start:stop],
                            at)
-        for row in batch.coords:
-            val = batch.algebra.element(row)
-            _require_finite(val, "residue circle")
-            acc = val if acc is None else acc + val
-            small = small + 1 if val.norm() < STOP * max(acc.norm(), 1.0) \
-                else 0
-            if small == 3:
-                return acc
+        alg = batch.algebra
+        rows = batch.coords.reshape(-1, len(centers[start:stop]), alg.dim)
+        if sums is None:
+            sums, small = [None] * len(rows), [0] * len(rows)
+        for i, block in enumerate(rows):
+            for row in block:
+                if small[i] == 3:
+                    break
+                val = alg.element(row)
+                try:
+                    _require_finite(val, "residue circle")
+                except NonFiniteValue as exc:
+                    sums[i], small[i] = exc, 3
+                    break
+                sums[i] = val if sums[i] is None else sums[i] + val
+                small[i] = small[i] + 1 \
+                    if val.norm() < STOP * max(sums[i].norm(), 1.0) else 0
+        if min(small) == 3:
+            break
         start, size = stop, _ROUND_MAX
-    return acc
+    return sums
 
 
 # -- residue coefficients ------------------------------------------------
@@ -926,20 +977,21 @@ def _transform(wall, eps, route):
                                  - ring.divisor(k) * (h[j] / h[k])) \
                             * float(bj)
                         combo = piece if combo is None else combo + piece
-                    val = ring.algebra.one() * phase if combo is None \
+                    val = phase if combo is None \
                         else algebra_exp(combo) * phase
                 else:
                     pk = algebra_exp(ring.divisor(k) * (1.0 / (-h[k]))) \
                         * unit_phase(Fraction(g.coords[k] + r, -h[k]))
-                    val = ring.algebra.one()
+                    val = None      # the empty product, at b = 0
                     for j, bj in enumerate(b):
                         if bj == 0:
                             continue
                         rj = algebra_exp(ring.divisor(j)) \
                             * unit_phase(g.coords[j])
                         factor = rj * ring.power(pk, h[j]) if h[j] else rj
-                        val = val * ring.power(factor, bj)
-                contrib = c_kr * val
+                        power = ring.power(factor, bj)
+                        val = power if val is None else val * power
+                contrib = c_kr if val is None else c_kr * val
                 acc = contrib if acc is None else acc + contrib
             values[key] = acc * (-1.0)
         raw_cols.append(_stack(plus, values))
@@ -1088,11 +1140,13 @@ def blind_classes(chamber, rings, mons, J):
     out = []
     for g in chamber.box:
         ring = rings[g.key()]
-        factor = ring.algebra.one()
-        for rj in _localization_values(ring, g.coords, units).coords:
-            factor = factor * (1.0 - ring.algebra.element(rj))
-        out.append((_localization_values(ring, g.coords, mons)
-                    * factor).coords)
+        factor = functools.reduce(operator.mul, (
+            1.0 - ring.algebra.element(rj)
+            for rj in _localization_values(ring, g.coords, units).coords))
+        local = _localization_values(ring, g.coords, mons)
+        # an algebra of dimension 1 holds numbers: R^b is its value alone
+        out.append((factor * local.coords[:, 0] if local.algebra.dim == 1
+                    else local * factor).coords)
     return np.concatenate(out, axis=1)
 
 
@@ -1110,8 +1164,8 @@ def gamma_vector(chamber, battery, x, policy):
 
 
 def _result(outcome):
-    """An outcome of mb_contour_oracle or of a Line build: raised if it
-    is an error, else returned."""
+    """An outcome (of mb_contour_oracle, left_residue_sum or a Line
+    build): raised if it is an error, else returned."""
     if isinstance(outcome, GkzflopError):
         raise outcome
     return outcome
@@ -1238,16 +1292,16 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
     """Quadrature vs pole sums on both sides, per generator and eps, at c = 0.
 
     plus and minus are the Chambers of the two triangulations, and policy
-    bounds the terms searched for orbit generators.  Each generator's
-    Line is built at its first use and serves every eps.  Per eps, one
-    integrand on that line at both endpoints serves it all: one
-    mb_contour_oracle call gives its near and far quadratures, and its
-    residue circles evaluate the far endpoint alone.  Only c = 0 is
-    checked, whatever the battery depth.  A generator's checks run in
+    bounds the terms searched for orbit generators.  The samples of
+    eps_values are one stack (_oracle_checks): one ring, and per
+    generator one Line and one integrand on that line at both endpoints
+    and every eps.  Only c = 0 is checked, whatever the battery depth.
+    The checks come in (eps, sector, generator) order, a generator's in
     the order near quadrature, right orbit sum, far quadrature, left
-    residue sum, and the first failure is raised.  An essential plus
-    sector with no generator within policy contributes no check: the
-    report fails and names it under unchecked_sectors.
+    residue sum, and the first failure is raised; if the stack fails,
+    what the samples raise alone is raised, sample by sample.  An
+    essential plus sector with no generator within policy contributes no
+    check: the report fails and names it under unchecked_sectors.
     """
     data, t_plus = plus.data, plus.t
     path = select_endpoints(circuit, amplitude, y_abs)
@@ -1258,39 +1312,16 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
         if g.key() in wall.essential_plus:
             [terms] = enumerate_terms(data, t_plus, [c], g, policy, circuit)
             generators[g.key()] = [term.l for term in terms if term.generator]
-    lines = {}
-    checks = []
-    for eps in eps_values:
-        rings = wall.rings(plus, eps)
-        for key, lps in generators.items():
-            ring = rings[key]
-            for lp in lps:
-                if lp not in lines:
-                    lines[lp] = Line(lp, circuit, spec.s0)
-                line = lines[lp]
-                f = make_integrand([path.x_plus, path.x_minus], [line], ring)
-                near, far = mb_contour_oracle(f, [line], spec.height)
-                q_p, dg_p = _result(near)
-                right = orbit_sum(path.x_plus, line, ring, line.first_right,
-                                  M_MAX)
-                dev_r, _ = _deviation(q_p.coords, right.coords)
-                q_m, dg_m = _result(far)
-                left = left_residue_sum(f, line, at=[1])
-                dev_l, _ = _deviation(q_m.coords, -left.coords)
-                # each side passes only with its line's quadrature error
-                # under the same tolerance as its deviation
-                err_r = dg_p["est_error"] / max(q_p.norm(), 1.0)
-                err_l = dg_m["est_error"] / max(q_m.norm(), 1.0)
-                checks.append({
-                    "eps": eps, "sector": sector_label(key),
-                    "c": list(c),
-                    "lprime": [str(v) for v in lp],
-                    "right_dev": dev_r, "left_dev": dev_l,
-                    "right_pass": nan_max(dev_r, err_r) < 1e-7,
-                    "left_pass": nan_max(dev_l, err_l) < 1e-6,
-                    "est_error": nan_max(dg_p["est_error"],
-                                         dg_m["est_error"]),
-                    "nodes": [dg_p["nodes"], dg_m["nodes"]]})
+    eps_values, lines = tuple(eps_values), {}
+    try:
+        checks = _oracle_checks(wall, path, generators, lines, eps_values,
+                                spec)
+    except GkzflopError:
+        # one sample alone has just raised
+        if len(eps_values) > 1:
+            for eps in eps_values:
+                _oracle_checks(wall, path, generators, lines, (eps,), spec)
+        raise
     unchecked = [sector_label(key) for key, lps in generators.items()
                  if not lps]
     report = {"kind": "contour-oracle",
@@ -1300,6 +1331,77 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
     if unchecked:
         report["unchecked_sectors"] = unchecked
     return report
+
+
+def _oracle_checks(wall, path, generators, lines, eps, spec):
+    """oracle_report's checks at the tuple of samples eps, as one stack.
+
+    First, per generator: its Line (kept in lines, at its first use), one
+    integrand at both endpoints on the stacked ring, one
+    mb_contour_oracle call (an outcome per (eps, endpoint)) and one
+    left_residue_sum (an outcome per eps), made only if the quadratures
+    of some eps both give a value.  An error raised up to the quadrature
+    is kept as the generator's and raised before its near quadrature,
+    one raised by the residue sum as every eps's left outcome.
+    Then each eps walks the generators in order: near quadrature, right
+    orbit sum (series.term_values takes one eps, so one sum per eps),
+    far quadrature, left residue sum, raising the first failure.  For
+    one eps that is its order of checks alone; a stack's raise is read
+    again sample by sample (oracle_report).
+    """
+    circuit = wall.circuit
+    rings = wall.rings(wall.plus, eps)
+    sides = {}
+    for key, lps in generators.items():
+        for lp in lps:
+            try:
+                if lp not in lines:
+                    lines[lp] = Line(lp, circuit, spec.s0)
+                line = lines[lp]
+                f = make_integrand([path.x_plus, path.x_minus], [line],
+                                   rings[key])
+                quads = mb_contour_oracle(f, [line], spec.height)
+            except GkzflopError as exc:
+                sides[key, lp] = exc
+                continue
+            # the residues are summed only if some eps reaches them: its
+            # near and far quadratures both give a value
+            left = [None] * len(eps)
+            if any(not isinstance(near, GkzflopError)
+                   and not isinstance(far, GkzflopError)
+                   for near, far in zip(quads[::2], quads[1::2])):
+                try:
+                    left = left_residue_sum(f, line, at=[1])
+                except GkzflopError as exc:
+                    left = [exc] * len(eps)
+            sides[key, lp] = line, quads, left
+    checks = []
+    for i, e in enumerate(eps):
+        ring = wall.rings(wall.plus, e)
+        for key, lps in generators.items():
+            for lp in lps:
+                line, quads, left = _result(sides[key, lp])
+                q_p, dg_p = _result(quads[2 * i])
+                right = orbit_sum(path.x_plus, line, ring[key],
+                                  line.first_right, M_MAX)
+                dev_r, _ = _deviation(q_p.coords, right.coords)
+                q_m, dg_m = _result(quads[2 * i + 1])
+                dev_l, _ = _deviation(q_m.coords, -_result(left[i]).coords)
+                # each side passes only with its line's quadrature error
+                # under the same tolerance as its deviation
+                err_r = dg_p["est_error"] / max(q_p.norm(), 1.0)
+                err_l = dg_m["est_error"] / max(q_m.norm(), 1.0)
+                checks.append({
+                    "eps": e, "sector": sector_label(key),
+                    "c": [0] * wall.plus.data.rank,
+                    "lprime": [str(v) for v in lp],
+                    "right_dev": dev_r, "left_dev": dev_l,
+                    "right_pass": nan_max(dev_r, err_r) < 1e-7,
+                    "left_pass": nan_max(dev_l, err_l) < 1e-6,
+                    "est_error": nan_max(dg_p["est_error"],
+                                         dg_m["est_error"]),
+                    "nodes": [dg_p["nodes"], dg_m["nodes"]]})
+    return checks
 
 
 def _deviation(got, ref):

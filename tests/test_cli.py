@@ -317,6 +317,35 @@ def test_overflowing_integrand_fails_without_warnings(fixture):
     assert json.loads(proc.stdout)["body"]["error"] == "NonFiniteValue"
 
 
+# oracle stacks whose samples fail alone in different places, and what
+# they raise: the first failing sample's first error in check order.  At
+# 1e3 the line integrand overflows, and its residue circles too, but the
+# near quadrature is checked first; 9e307's divisor shift is not finite,
+# so the stack's ring cannot be built and each sample is built alone
+ORACLE_STACK_ERRORS = [
+    (["--fixture", "conifold", "--eps", "1e-2", "--eps", "1e3"],
+     "integrand is not finite on the line"),
+    (["--fixture", "a1", "--eps", "1e-3", "--eps", "9e307"],
+     "divisor shift 2 * eps is not finite at eps = 9e+307"),
+    (["--fixture", "conifold", "--eps", "1e-2", "--eps", "-1e3"],
+     "exp of the scalar part 1.000e+03-0.000e+00j overflows"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ORACLE_STACK_ERRORS,
+                         ids=["conifold-1e3", "a1-9e307", "conifold--1e3"])
+def test_oracle_stack_raises_its_first_failing_sample(argv, message):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkzflop", "oracle", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    body = json.loads(proc.stdout)["body"]
+    assert (body["error"], body["message"]) == ("NonFiniteValue", message)
+
+
 def test_oracle_searches_generators_within_trunc(tmp_path):
     # the twisted sector's orbit generator of (1,2,-3) has degree 3, so
     # --trunc 2 finds the untwisted one alone, and the report fails and
@@ -894,15 +923,17 @@ def test_one_wall_context_per_command(monkeypatch, argv):
 def test_one_line_per_generator_per_command(monkeypatch):
     # each generator's Line lists its exact pole model once to place the
     # line and once more for its residue circles, which only oracle
-    # reads; oracle builds one integrand per eps and generator, at both
-    # endpoints, whose far endpoint also serves its residue circles (two
-    # per eps and generator made 8 here), and verify one per stack, the
+    # reads; oracle builds one integrand per generator, at both
+    # endpoints and on the stack of its eps samples, whose far endpoint
+    # also serves its residue circles (one per eps and generator made 4
+    # here, and two per eps and generator 8), and verify one per stack, the
     # lines of a sector on one node grid (one stack per fixture here;
     # one integrand per line made 23).  Per-call placement listed 24 and
     # 69 times here, with 12 integrands for oracle.  Every integrand
     # takes a list of endpoints and a stack, a list of Lines.  oracle's
-    # residue circles come in rounds of 4, 8, 8, ...: 10 rounds of 64
-    # circles here, where rounds of 4, 8, 16, ... evaluated 80
+    # residue circles come in rounds of 4, 8, 8, ..., each round for
+    # every eps: 5 rounds of 32 circles here, where a round per eps made
+    # 10 rounds of 64 circles and rounds of 4, 8, 16, ... evaluated 80
     counts = {"listings": 0, "integrands": 0, "rounds": 0, "circles": 0}
     real_model, real_integrand = wall.Line.points, wall.make_integrand
     real_circles = wall.residue_at
@@ -925,7 +956,7 @@ def test_one_line_per_generator_per_command(monkeypatch):
     monkeypatch.setattr(wall, "make_integrand", counted_integrand)
     monkeypatch.setattr(wall, "residue_at", counted_circles)
     for command, flags, listings, integrands, rounds, circles in (
-            ("oracle", ["--eps", "3e-3", "--eps", "5e-3"], 4, 4, 10, 64),
+            ("oracle", ["--eps", "3e-3", "--eps", "5e-3"], 4, 2, 5, 32),
             ("verify", [], 23, 2, 0, 0)):
         counts.update(listings=0, integrands=0, rounds=0, circles=0)
         for fixture in ("a1", "conifold"):
@@ -936,6 +967,32 @@ def test_one_line_per_generator_per_command(monkeypatch):
         assert counts["integrands"] == integrands, command
         assert (counts["rounds"], counts["circles"]) == (rounds, circles), \
             command
+
+
+def test_no_product_by_an_exact_one(monkeypatch):
+    # every product starts from its first factor, and a factor that is
+    # one by construction is left out: x_j^d where d = 0, the unit's row
+    # of a multiplication matrix, and an algebra of dimension 1 holds
+    # numbers.  No SectorAlgebra.multiply call of any command on a1 or
+    # conifold has an operand that is one in every row (a product by
+    # one may turn a -0.0 into 0.0, and inf into NaN)
+    real = rings.SectorAlgebra.multiply
+    calls, by_one = [0], []
+
+    def counted(alg, x, y):
+        one = np.zeros(alg.dim, dtype=complex)
+        one[alg.basis_index[()]] = 1.0
+        calls[0] += 1
+        if (x == one).all() or (y == one).all():
+            by_one.append((x.shape, y.shape))
+        return real(alg, x, y)
+
+    monkeypatch.setattr(rings.SectorAlgebra, "multiply", counted)
+    for fixture in ("a1", "conifold"):
+        for command in cli.COMMANDS:
+            argv = [command, "--fixture", fixture]
+            cli.run(command, cli.build_parser().parse_args(argv))
+    assert calls[0] > 1000 and by_one == []
 
 
 @pytest.mark.parametrize("command", ["verify", "fm", "ac"])

@@ -287,6 +287,36 @@ def test_sample_stack_is_its_samples_alone():
     assert len(fixtures) == 3 + 44
 
 
+def test_oracle_stack_is_its_samples_alone():
+    # oracle_report evaluates its eps samples as one stack: its checks
+    # are those of each sample alone, in sample order, check by check
+    # and to the last bit, on the fixtures, the trapezoid and ten census
+    # crossings (passing or not)
+    from gkzflop.fixtures import load_fixture
+    fixtures = [load_fixture("a1"), load_fixture("conifold"),
+                parse_fixture(TRAPEZOID)]
+    fixtures += [circuit_fixture(h) for h in SMALL_CIRCUITS
+                 if h not in OFFSET_REFUSED][:10]
+    samples = (3e-3, -5e-3, 1e-2)
+    for data, tris in fixtures:
+        plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
+        circuit = find_circuit(data, plus.t, minus.t)
+
+        def report(eps):
+            return wall.oracle_report(circuit, plus, minus, eps_values=eps,
+                                      y_abs=0.1, amplitude=None,
+                                      policy=TruncationPolicy(),
+                                      spec=wall.ContourSpec())
+
+        stack = report(samples)
+        alone = [report((eps,)) for eps in samples]
+        checks = [c for rep in alone for c in rep["checks"]]
+        assert checks and len(stack["checks"]) == len(checks)
+        assert repr(stack["checks"]) == repr(checks), circuit.h
+        assert stack["pass"] == all(rep["pass"] for rep in alone)
+    assert len(fixtures) == 3 + 10
+
+
 def test_integrand_forms_agree(pack):
     wc = wall_context(pack)
     g0 = trivial_sector(wc)
@@ -675,11 +705,12 @@ def oracle_generators(packs, name, eps):
     return out
 
 
-def poisoned(f, center, radius):
-    """f with NaN values at the nodes of the circle (center, radius)."""
+def poisoned(f, center, radius, block=slice(None)):
+    """f with NaN values at the nodes of the circle (center, radius), in
+    every block of its batch or in the one that block selects."""
     def g(s, *args, **kwargs):
         vals = f(s, *args, **kwargs)
-        vals.coords[:, np.abs(np.asarray(s) - center) < 1.2 * radius] = \
+        vals.coords[block, np.abs(np.asarray(s) - center) < 1.2 * radius] = \
             np.nan
         return vals
     g.decay, g.arg_y = f.decay, f.arg_y
@@ -696,7 +727,9 @@ def test_residue_rounds_match_the_one_circle_loop(packs, name, eps):
     # take 1 + ceil(max(c - 4, 0) / 8) integrand calls for c circles
     # summed, and evaluate min(4 + 8 (calls - 1), circles) circles.  The
     # far endpoint of an integrand at both endpoints, which oracle sums,
-    # gives the same bits as an integrand at the far endpoint alone
+    # gives the same bits as an integrand at the far endpoint alone.  A
+    # stack of samples sums each sample as alone, one outcome each, its
+    # rounds running while any sample still sums
     cases = oracle_generators(packs, name, eps)
     assert cases
     for x, lp, circuit, ring in cases:
@@ -706,7 +739,7 @@ def test_residue_rounds_match_the_one_circle_loop(packs, name, eps):
             alone(line_integrand(x, line, ring)), circles)
         assert 0 < summed < len(circles), lp
         calls = []
-        got = wall.left_residue_sum(
+        [got] = wall.left_residue_sum(
             recording(line_integrand(x, line, ring), calls), line)
         assert np.array_equal(got.coords, want.coords), lp
         assert len(calls) == 1 + math.ceil(max(summed - 4, 0) / 8), lp
@@ -714,19 +747,39 @@ def test_residue_rounds_match_the_one_circle_loop(packs, name, eps):
         assert sum(map(len, calls)) == 64 * evaluated, lp
         both = select_endpoints(circuit, None, 0.1)
         assert both.x_minus == x
-        got = wall.left_residue_sum(wall.make_integrand(
+        [got] = wall.left_residue_sum(wall.make_integrand(
             [both.x_plus, x], [line], ring), line, at=[1])
         assert got.coords.tobytes() == want.coords.tobytes(), lp
         # NaN on the first circle past the stop: dropped unchecked if its
-        # round evaluated it; NaN on the last circle summed: raised
+        # round evaluated it; NaN on the last circle summed: its outcome
         for index in (summed, summed - 1):
             f = poisoned(line_integrand(x, line, ring), *circles[index])
+            [got] = wall.left_residue_sum(f, line)
             if index < summed:
-                with pytest.raises(NonFiniteValue):
-                    wall.left_residue_sum(f, line)
+                assert isinstance(got, NonFiniteValue), lp
             else:
-                got = wall.left_residue_sum(f, line)
                 assert np.array_equal(got.coords, want.coords), lp
+        # the samples (eps, -eps) as one stack at both endpoints
+        other = deform.DeformationRing(ring.algebra, ring.offsets, eps=-eps)
+        want2, summed2 = reference_left_residue_sum(
+            alone(line_integrand(x, line, other)), circles)
+        pair = deform.DeformationRing(ring.algebra, ring.offsets,
+                                      eps=(eps, -eps))
+        calls = []
+        f = recording(wall.make_integrand([both.x_plus, x], [line], pair),
+                      calls)
+        got = wall.left_residue_sum(f, line, at=[1])
+        assert [v.coords.tobytes() for v in got] \
+            == [want.coords.tobytes(), want2.coords.tobytes()], lp
+        assert len(calls) == 1 + math.ceil(
+            max(summed - 4, summed2 - 4, 0) / 8), lp
+        # NaN on the last circle the first sample sums, in its block
+        # alone: that sample's outcome, and the other's sum as alone
+        f = poisoned(wall.make_integrand([x], [line], pair),
+                     *circles[summed - 1], block=0)
+        bad, good = wall.left_residue_sum(f, line)
+        assert isinstance(bad, NonFiniteValue), lp
+        assert good.coords.tobytes() == want2.coords.tobytes(), lp
     if name == (2, 3, -3, -2):
         assert any(Fraction(lp[k]).denominator > 1
                    for _, lp, circuit, _ in cases for k in circuit.I_minus)
