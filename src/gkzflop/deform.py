@@ -143,7 +143,7 @@ class DeformationRing:
     def branched_power(self, x, a):
         return algebra_exp(a * principal_log(x))
 
-    def recip_gamma(self, ws, ds):
+    def recip_gamma(self, ws, ds, picks=None):
         """1/Gamma(w + d) by Taylor composition around the scalar center.
 
         ws is a list of float centres w, each a number or an array of any
@@ -153,11 +153,16 @@ class DeformationRing:
         the caller (series forms (N + v) / N from integer numerators).
         A d of a batch shape B (a stack's sample axis) pairs each of its
         rows with every w: the value has shape B + w.shape, B leading.
-        One kernel call serves every pair, and the result is the list of
-        their values, a batch of elements for an array w or d.  The
-        kernel is elementwise, so a value does not depend on the arrays
-        it is sent with.  It is exact at the poles of Gamma, so a
-        nonpositive integer w needs no functional equation.
+        picks, if given, holds per w None or a pair (slots, depths) of
+        int arrays of one shape P: that w holds anchors along its first
+        axis, and its value is 1/Gamma(w[slot] - depth + d) per request,
+        of shape B + P + w.shape[1:], read off the anchors by
+        kernels.recip_gamma_ladder.  One kernel call serves every pair
+        and anchor, and the result is the list of their values, a batch
+        of elements for an array w or d.  The kernel and the ladder are
+        elementwise, so a value does not depend on the arrays it is sent
+        with.  Both are exact at the poles of Gamma, so a nonpositive
+        integer w needs no functional equation.
         """
         dim = self.algebra.dim
         ws = [np.add.outer(x.scalar_part, np.asarray(v, dtype=complex))
@@ -166,12 +171,15 @@ class DeformationRing:
         c = kernels.recip_gamma_series(
             np.concatenate([v.reshape(-1) for v in ws]), mmax)
         out, start = [], 0
-        for v, x in zip(ws, ds):
+        for v, x, pick in zip(ws, ds, picks or [None] * len(ws)):
             row = c[start:start + v.size].reshape(v.shape + (mmax + 1,))
             start += v.size
             lead = x.coords.shape[:-1]
+            if pick is not None:
+                row = kernels.recip_gamma_ladder(row, v, *pick,
+                                                 axis=len(lead))
             n = self.algebra.element(x.nilpotent_part().coords.reshape(
-                lead + (1,) * (v.ndim - len(lead)) + (dim,)))
+                lead + (1,) * (row.ndim - 1 - len(lead)) + (dim,)))
             acc = self.algebra.scalar(row[..., mmax])
             for m in range(mmax - 1, -1, -1):
                 acc = acc * n + row[..., m]

@@ -25,6 +25,14 @@ reads the series at order 0.
 
 Every step works elementwise or adds rows in a fixed order, so a value
 does not depend on the batch it is evaluated in.
+
+Ladder.  recip_gamma_ladder reaches 1/Gamma(w - m + u) from the series
+at an anchor w by m steps of the functional equation 1/Gamma(v - 1 + u)
+= (v - 1 + u) / Gamma(v + u), on Taylor coefficients: c_m = (w - m) c_{m-1}
++ u c_{m-1}.  The callers run Stirling once per anchor and read the
+integer translates w - m off it: the deep, negative arguments that would
+pay the longest multiply-back loop here.  A step where w - m is exactly
+zero keeps the exact zero at the pole of Gamma.
 """
 
 import functools
@@ -186,3 +194,40 @@ def recip_gamma_series(z, kmax):
     The coefficients run along a new last axis: shape z.shape + (kmax+1,).
     """
     return _blockwise(_recip_gamma_series_flat, z, int(kmax))
+
+
+def recip_gamma_ladder(c, w, slots, depths, axis=0):
+    """Taylor coefficients of 1/Gamma(w[slot] - depth + u), read off c.
+
+    w holds anchors along its axis axis and c = recip_gamma_series(w,
+    kmax) their coefficients.  slots and depths are int arrays of one
+    shape P, a request each: the anchor w[slot] laddered depth >= 0
+    steps down.  The requests take the anchors' place: the result has
+    shape w.shape[:axis] + P + w.shape[axis + 1:] + (kmax + 1,).  Every
+    anchor steps down to the deepest request, each step two array
+    operations on the whole of c, and the requests are read off the
+    levels asked for; a value depends on its anchor and its depth alone.
+    """
+    slots = np.asarray(slots, dtype=int)
+    depths = np.asarray(depths, dtype=int)
+    wanted = set(depths.reshape(-1).tolist())
+    levels = sorted(wanted)
+    if not levels[-1]:
+        return np.take(c, slots, axis=axis)
+    kept = [c] if 0 in wanted else []
+    w = np.asarray(w, dtype=complex)[..., None]
+    # a deep step may overflow to inf, and inf to NaN: the values say so,
+    # and the callers' finiteness gates raise NonFiniteValue
+    with np.errstate(over="ignore", invalid="ignore"):
+        # every factor w - m at once, then c_m = (w - m) c_{m-1} + u c_{m-1}
+        factors = w - np.arange(1, levels[-1] + 1).reshape(
+            (-1,) + (1,) * w.ndim)
+        for m, factor in enumerate(factors, 1):
+            step = factor * c
+            step[..., 1:] += c[..., :-1]
+            c = step
+            if m in wanted:
+                kept.append(c)
+    # the levels before the anchors' axis: a (level, slot) pair per request
+    return np.stack(kept, axis=axis)[(slice(None),) * axis + (
+        np.searchsorted(levels, depths), slots)]

@@ -74,8 +74,10 @@ from .series import enumerate_terms, exponent_table, sector_batches, \
 # line and stop after three in a row under STOP of their sum, per eps;
 # their circles, of _CIRCLE_NODES nodes each, are evaluated in rounds of
 # _ROUND, then _ROUND_MAX, _ROUND_MAX, ... circles, one integrand call
-# each for every eps of the ring: 8 circles are 512 nodes, one
-# kernels._BLOCK per Gamma argument and eps.
+# each for every eps of the ring.  A factor 1/Gamma with h_j < 0 sends
+# every node of a round to the kernel, 8 circles 512 nodes (one
+# kernels._BLOCK) per eps; one with h_j > 0 sends the 64 nodes of each
+# circle class once and ladders down to the rest (Line.circles).
 # Orbit terms are restored from -M_BACK; the right pole sum ends at M_MAX.
 LINE_EXPONENT, MAX_LINE_NODES, TAIL_TOL = 36, 2 ** 16, 1e-9
 CLEARANCE, GUARD = 0.15, 1e-7
@@ -171,6 +173,32 @@ def select_endpoints(circuit, amplitude, y_abs):
 # -- the line of one orbit generator ------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Circles:
+    """Residue circles: 1-d arrays of centres and radii, and their classes.
+
+    The circles of a class are integer translates of its first circle:
+    circle i lies shifts[i] >= 0 to the left of the centre anchors[i],
+    at the same radius, so that 1/Gamma(1 + l'_j + h_j s + D_j / 2 pi i)
+    on its nodes is the value on its anchor circle's nodes shifts[i] h_j
+    steps down the functional equation.  A circle that is its own class
+    has itself as anchor and shift 0.  Indexing takes the same rows of
+    every array.
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
+    anchors: np.ndarray
+    shifts: np.ndarray
+
+    def __getitem__(self, rows):
+        return Circles(self.centers[rows], self.radii[rows],
+                       self.anchors[rows], self.shifts[rows])
+
+    def __len__(self):
+        return len(self.centers)
+
+
 class Line:
     """The integration line of one orbit generator l', and its pole model.
 
@@ -255,29 +283,37 @@ class Line:
 
     @functools.cached_property
     def circles(self):
-        """Centres and radii of the residue circles left of the line.
+        """The residue circles left of the line, as Circles.
 
         One circle encloses each pole location less than MAX_DEPTH left
         of the line, right to left, so poles sharing it (merged
         families, integer points hit by a family) never force a tiny
         radius; the radius, at most 0.2, keeps it off the neighbouring
-        locations.
+        locations.  The circles are classed exactly, on the integer
+        numerators of their centres: a class is one value of (centre
+        mod 1, radius), and its first circle anchors it.
         """
         points = self.points(self.s0 - MAX_DEPTH - 1, self.s0 + 1)
         u = self.unit
         # lo <= p / u < hi, compared exactly in integers
         lo, lo_den = (self.s0 - MAX_DEPTH).as_integer_ratio()
         hi, hi_den = self.s0.as_integer_ratio()
-        centers, radii = [], []
+        rows, first = [], {}
         for i in reversed(range(1, len(points) - 1)):
             re, kind = points[i]
             if kind == "removable" or not lo * u <= re * lo_den \
                     or not re * hi_den < hi * u:
                 continue
             gap = min(points[i + 1][0] - re, re - points[i - 1][0])
-            centers.append(re / u)
-            radii.append(min(0.2, 0.4 * (gap / u)))
-        return np.array(centers), np.array(radii)
+            radius = min(0.2, 0.4 * (gap / u))
+            top = first.setdefault((re % u, radius), re)
+            rows.append((re / u, radius, top / u, (top - re) // u))
+        centers, radii, anchors, shifts = zip(*rows) if rows \
+            else ((),) * 4
+        return Circles(np.array(centers, dtype=float),
+                       np.array(radii, dtype=float),
+                       np.array(anchors, dtype=float),
+                       np.array(shifts, dtype=int))
 
     def orbit(self, m_from, m_to):
         """The exponent tuples l' + m h, m_from <= m <= m_to, as integer
@@ -323,19 +359,6 @@ def _slots(values):
     return list(index), slots
 
 
-def _recip_gamma_chain(g, d, z, depth):
-    """[1/Gamma(z - m + d) for m = 0, ..., depth] from g = 1/Gamma(z + d).
-
-    Each step is the functional equation 1/Gamma(w - 1) = (w - 1) /
-    Gamma(w): G_m = G_{m-1} (d + (z - m)).  z is an array of float
-    centres, d one element, g the batch of their values.
-    """
-    out = [g]
-    for m in range(1, depth + 1):
-        out.append(out[-1] * (d + (z - m)))
-    return out
-
-
 def make_integrand(xs, lines, ring):
     """Closure evaluating I(s) on a stack of lines at every endpoint of xs
     and every sample of ring.
@@ -348,30 +371,41 @@ def make_integrand(xs, lines, ring):
     evaluate them at (each default: all); every sample is evaluated.  It
     returns a batch of shape (E X K,) + s.shape + (dim,), E the samples,
     X the endpoints and K the lines kept: one block per (eps, x, line),
-    eps-major.
+    eps-major.  For residue circles it also takes ladder = (base, slots,
+    shifts): s of shape (C, N) holds C circles of N nodes, base (A, N)
+    the nodes of their classes' anchor circles, and circle i lies
+    shifts[i] to the left of base[slots[i]] (Circles).
 
     eps enters only scalar parts: the kernel centres, e^{-D_j} and the
     branched powers x_j^{D_j / 2 pi i}, so the samples are one more
-    batch axis.  A factor that depends on l'_j only through its class r
-    = l'_j mod 1 is formed once per class of the kept lines.  1/Gamma(1
-    + l'_j + h_j s + D_j / 2 pi i) goes to the kernel at its anchor, r
-    when l'_j < 1 and l'_j itself otherwise, once per (eps, j, anchor),
-    all in one kernel call; l'_j = anchor - m follows by m steps of
-    _recip_gamma_chain.  Each pole-denominator inverse of j in I_minus,
-    1 / (1 - e^{-D_j} e^{-2 pi i (r + h_j s)}), and its numerator are
-    formed once per (eps, j, r), and each power x_j^{h_j s} once per (x,
-    j).  Classes, anchors and step counts are read once, when the
-    integrand is built; a call only indexes them.
+    batch axis.  The product of the branched powers is formed once per
+    endpoint, each line's constant from it by one scalar.  A factor
+    that depends on l'_j only through its class r = l'_j mod 1 is
+    formed once per class of the kept lines.  1/Gamma(1 + l'_j + h_j s
+    + D_j / 2 pi i) goes to the kernel at its anchor, r when l'_j < 1
+    and l'_j itself otherwise, once per (eps, j, anchor), all in one
+    DeformationRing.recip_gamma call, and l'_j = anchor - m is reached
+    by m steps of the functional equation (kernels.recip_gamma_ladder),
+    composed with the nilpotent part once per (eps, j, anchor, m).
+    With a ladder, a factor with h_j > 0 goes to the kernel on base
+    alone, once per (eps, j, anchor, class), and circle i takes
+    shifts[i] h_j steps more; a factor with h_j <= 0 takes every node
+    of s.  Each pole-denominator inverse of j in I_minus, 1 / (1 -
+    e^{-D_j} e^{-2 pi i (r + h_j s)}), and its numerator are formed once
+    per (eps, j, r), and each power x_j^{h_j s} once per (x, j).
+    Classes, anchors and step counts are read once, when the integrand
+    is built; a call only indexes them.
 
-    A value depends on (eps, j, l'_j, s) alone, so each block is its
+    A value depends on (eps, j, l'_j, s) alone, and on a residue circle
+    on its anchor circle's nodes and its shift, so each block is its
     line's I(s) at its x and its eps alone to the last bit: every factor
     is formed as for that line alone, the factors of a line multiply in
     one fixed order, SectorAlgebra.multiply treats rows apart, and the
-    kernel works elementwise.  The closure does not guard its nodes: its
-    callers, mb_contour_oracle and residue_at, keep every node they send
-    GUARD away from the pole model (_near_pole).  .decay holds the tail
-    rates of each (eps, x), eps-major, and .arg_y one value per x of xs;
-    both depend on x and the circuit alone.
+    kernel and the ladder work elementwise.  The closure does not guard
+    its nodes: its callers, mb_contour_oracle and residue_at, keep every
+    node they send GUARD away from the pole model (_near_pole).  .decay
+    holds the tail rates of each (eps, x), eps-major, and .arg_y one
+    value per x of xs; both depend on x and the circuit alone.
     """
     circuit = lines[0].circuit
     # internal: a stack holds the lines of one circuit
@@ -399,12 +433,12 @@ def make_integrand(xs, lines, ring):
     logs = [[principal_log(v) for v in x] for x in xs]
     consts = []
     for x in xs:
-        bp = [ring.branched_power(v, dj) for v, dj in zip(x, d)]
+        branched = functools.reduce(operator.mul, (
+            ring.branched_power(v, dj) for v, dj in zip(x, d)))
         for line in lines:
-            const = bp[0] * scalar_power(x[0], line.lprime[0])
-            for j in range(1, n):
-                const = const * bp[j] * scalar_power(x[j], line.lprime[j])
-            consts.append(const.coords)
+            consts.append((branched * functools.reduce(operator.mul, (
+                scalar_power(v, lj) for v, lj in zip(x, line.lprime))))
+                .coords)
     # sample, x, line
     consts = np.moveaxis(np.array(consts).reshape(
         len(xs), len(lines), samples, dim), 2, 0)
@@ -430,29 +464,39 @@ def make_integrand(xs, lines, ring):
                 (one - exp_neg[j] * unit_phase(Fraction(-r, den))).coords
                 for r in r_vals])
 
-    def f(s, keep=None, at=None):
+    def f(s, keep=None, at=None, ladder=None):
         s = np.asarray(s, dtype=complex)
         keep = list(range(len(lines)) if keep is None else keep)
         at = list(range(len(xs)) if at is None else at)
         # one entry per (eps, x, line), broadcast over the nodes
         lead = (samples, len(at), len(keep)) + (1,) * s.ndim
-        # per j: the anchors of the kept lines, each once, and per kept
-        # line the slot of its anchor among them and its step count
-        used, slots = zip(*(_slots([pos[i] for i in keep])
-                            for _, pos in anchors))
-        depth = [[row[i] for i in keep] for row in steps]
         # a value that overflows stays inf or NaN without a numpy warning:
         # the quadratures gate the values for finiteness
         with np.errstate(over="ignore", invalid="ignore"):
-            zs = [1 + (vals[u].reshape((-1,) + (1,) * s.ndim) + s * h[j])
-                  for j, ((vals, _), u) in enumerate(zip(anchors, used))]
-            gammas = []
-            for j, g in enumerate(ring.recip_gamma(zs, d)):
-                chain = _recip_gamma_chain(g, stacked(d[j], 1 + s.ndim),
-                                           zs[j], max(depth[j]))
-                # (sample, line, nodes), one unit axis for the endpoints
-                gammas.append(np.stack([c.coords for c in chain], axis=1)[
-                    :, depth[j], slots[j]][:, None])
+            # per j: the distinct (anchor, step count) pairs of the kept
+            # lines and each kept line's row among them; the anchors of
+            # the pairs, each once, and each pair's (slot, depth) request
+            ws, picks, rows = [], [], []
+            base, at_base, shifts = ladder or (None,) * 3
+            for j, (vals, pos) in enumerate(anchors):
+                pairs, at_pair = _slots([(pos[i], steps[j][i]) for i in keep])
+                used, slots = _slots([a for a, _ in pairs])
+                depths = np.array([m for _, m in pairs])
+                if ladder is not None and h[j] > 0:
+                    ws.append(1 + (vals[used][:, None, None] + base * h[j])
+                              .reshape((-1,) + base.shape[1:]))
+                    picks.append((np.array(slots)[:, None] * len(base)
+                                  + at_base, depths[:, None] + shifts * h[j]))
+                else:
+                    ws.append(1 + (vals[used].reshape((-1,) + (1,) * s.ndim)
+                                   + s * h[j]))
+                    picks.append((slots, depths))
+                # with a pair per kept line, the rows come in line order
+                rows.append(slice(None) if len(pairs) == len(keep)
+                            else at_pair)
+            # (sample, line) + s.shape, one unit axis for the endpoints
+            gammas = [g.coords[:, r][:, None] for g, r in zip(
+                ring.recip_gamma(ws, d, picks), rows)]
             acc = alg.element(consts[np.ix_(range(samples), at, keep)]
                               .reshape(lead + (dim,))) \
                 * (TWO_PI_I / (1.0 - np.exp(-TWO_PI_I * s)))
@@ -608,33 +652,42 @@ def mb_contour_oracle(f, lines, height):
     return out
 
 
-def residue_at(f, line, centers, radii, at=None):
+def residue_at(f, line, circles, at=None):
     """Residues of f by small positively oriented circles, in one call.
 
     f is an integrand built on the stack [line] alone, on a ring of one
     or more eps samples, and at selects the one endpoint to evaluate
-    (default: f has one).  centers and radii are 1-d arrays of one
-    length.  A node within GUARD of the line's pole model raises
-    PoleProximity for the first such node before anything is evaluated.
-    Every circle's _CIRCLE_NODES nodes go to one integrand call, so to
-    one kernel call, and the result is a batch with one row per (eps,
-    circle), eps-major.  Each circle sums its own nodes as one circle at
-    one eps alone would, in one reduction over the (eps, circles, nodes,
-    dim) array.  A non-finite node makes its circle's residue
-    non-finite; the caller checks the rows it uses.
+    (default: f has one).  circles is a Circles, rows of line.circles or
+    circles of their own.  A node within GUARD of the line's pole model
+    raises PoleProximity for the first such node before anything is
+    evaluated.  Every circle's _CIRCLE_NODES nodes go to one integrand
+    call, so to one kernel call: the nodes themselves for the factors
+    1/Gamma with h_j <= 0, and for those with h_j > 0 the nodes of each
+    class's anchor circle, once per class, laddered down by the circle's
+    shift.  So a circle's value depends on its eps and the circle alone,
+    whatever the other circles of the call.  The result is a batch with
+    one row per (eps, circle), eps-major.  Each circle sums its own nodes
+    as one circle at one eps alone would, in one reduction over the
+    (eps, circles, nodes, dim) array.  A non-finite node makes its
+    circle's residue non-finite; the caller checks the rows it uses.
     """
-    centers = np.asarray(centers, dtype=complex)
-    z = np.exp(TWO_PI_I * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES) \
-        * np.asarray(radii, dtype=float)[:, None]
-    nodes = (centers[:, None] + z).reshape(-1)
-    [row] = _near_pole([line], nodes)
+    unit = np.exp(TWO_PI_I * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES)
+    z = unit * circles.radii[:, None]
+    nodes = np.asarray(circles.centers, dtype=complex)[:, None] + z
+    [row] = _near_pole([line], nodes.reshape(-1))
     if row.any():
-        raise _pole_error(nodes, row)
-    vals = f(nodes, at=at)
+        raise _pole_error(nodes.reshape(-1), row)
+    # the classes of the call: (anchor, radius) pairs, first seen first
+    tops, slots = _slots(zip(circles.anchors.tolist(),
+                             circles.radii.tolist()))
+    top, radius = np.array(tops).reshape(-1, 2).T
+    base = top.astype(complex)[:, None] + unit * radius[:, None]
+    vals = f(nodes, at=at, ladder=(base, np.array(slots, dtype=int),
+                                   circles.shifts))
     alg = vals.algebra
     # a non-finite node value stays inf or NaN without a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = vals.coords.reshape(-1, len(centers), _CIRCLE_NODES,
+        blocks = vals.coords.reshape(-1, len(circles), _CIRCLE_NODES,
                                      alg.dim) * z[..., None]
         sums = blocks.sum(axis=2) * (1.0 / _CIRCLE_NODES)
     return alg.element(sums.reshape(-1, alg.dim))
@@ -654,24 +707,26 @@ def left_residue_sum(f, line, at=None):
     summed (default: f has one); residue_at reads one block per eps.
     The circles go right to left in rounds of _ROUND, then _ROUND_MAX,
     _ROUND_MAX, ... circles, one residue_at call each, while any eps is
-    still summing.  Each eps adds its residues one circle at a time and
+    still summing.  A circle's residue does not depend on the round that
+    evaluates it: its factors with h_j > 0 are laddered down from its
+    class's anchor circle (residue_at), which need not share its round.
+    Each eps adds its residues one circle at a time and
     stops after three in a row under STOP of its sum, the circle where
     it would stop alone; the rest of its rows are dropped unchecked.
     Returns one outcome per eps: its sum, or the NonFiniteValue of the
     first circle it sums that is not finite.  An error of residue_at
     (its node guard) is raised, for the stack as for one eps.
     """
-    centers, radii = line.circles
+    circles = line.circles
     # per eps, from the first round on: its sum and its run of small
     # residues, 3 once it has stopped (an error stops it too)
     sums = small = None
     start, size = 0, _ROUND
-    while start < len(centers):
+    while start < len(circles):
         stop = start + size
-        batch = residue_at(f, line, centers[start:stop], radii[start:stop],
-                           at)
+        batch = residue_at(f, line, circles[start:stop], at)
         alg = batch.algebra
-        rows = batch.coords.reshape(-1, len(centers[start:stop]), alg.dim)
+        rows = batch.coords.reshape(-1, len(circles[start:stop]), alg.dim)
         if sums is None:
             sums, small = [None] * len(rows), [0] * len(rows)
         for i, block in enumerate(rows):
@@ -1298,8 +1353,11 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
     and every eps.  Only c = 0 is checked, whatever the battery depth.
     The checks come in (eps, sector, generator) order, a generator's in
     the order near quadrature, right orbit sum, far quadrature, left
-    residue sum, and the first failure is raised; if the stack fails,
-    what the samples raise alone is raised, sample by sample.  An
+    residue sum, and the first failure is raised.  A failure of one
+    sample's own outcome is raised as the walk meets it, which is what
+    the first failing sample raises alone; only an error of the stack
+    as a whole is read again sample by sample, raising what the
+    samples raise alone.  An
     essential plus sector with no generator within policy contributes no
     check: the report fails and names it under unchecked_sectors.
     """
@@ -1313,15 +1371,13 @@ def oracle_report(circuit, plus, minus, eps_values, y_abs, amplitude, policy,
             [terms] = enumerate_terms(data, t_plus, [c], g, policy, circuit)
             generators[g.key()] = [term.l for term in terms if term.generator]
     eps_values, lines = tuple(eps_values), {}
-    try:
-        checks = _oracle_checks(wall, path, generators, lines, eps_values,
-                                spec)
-    except GkzflopError:
-        # one sample alone has just raised
+    checks = _oracle_checks(wall, path, generators, lines, eps_values, spec)
+    if isinstance(checks, GkzflopError):
         if len(eps_values) > 1:
             for eps in eps_values:
-                _oracle_checks(wall, path, generators, lines, (eps,), spec)
-        raise
+                _result(_oracle_checks(wall, path, generators, lines,
+                                       (eps,), spec))
+        raise checks
     unchecked = [sector_label(key) for key, lps in generators.items()
                  if not lps]
     report = {"kind": "contour-oracle",
@@ -1340,40 +1396,51 @@ def _oracle_checks(wall, path, generators, lines, eps, spec):
     integrand at both endpoints on the stacked ring, one
     mb_contour_oracle call (an outcome per (eps, endpoint)) and one
     left_residue_sum (an outcome per eps), made only if the quadratures
-    of some eps both give a value.  An error raised up to the quadrature
-    is kept as the generator's and raised before its near quadrature,
-    one raised by the residue sum as every eps's left outcome.
-    Then each eps walks the generators in order: near quadrature, right
-    orbit sum (series.term_values takes one eps, so one sum per eps),
-    far quadrature, left residue sum, raising the first failure.  For
-    one eps that is its order of checks alone; a stack's raise is read
-    again sample by sample (oracle_report).
+    of some eps both give a value.  Then each eps walks the generators
+    in order: near quadrature, right orbit sum (series.term_values takes
+    one eps, so one sum per eps), far quadrature, left residue sum,
+    raising the first failure of its own: an outcome, a right sum, or
+    the generator's Line, the same for every sample.  An error of the
+    stack as a whole (the stacked ring, a generator's integrand or
+    quadrature call, its residue sum as a whole) is returned where the
+    walk meets it, for oracle_report to read sample by sample; the
+    checks are returned if none fails.  For one eps that is its order
+    of checks alone.
     """
     circuit = wall.circuit
-    rings = wall.rings(wall.plus, eps)
+    try:
+        rings = wall.rings(wall.plus, eps)
+    except GkzflopError as exc:
+        return exc
+    # per generator: its Line's error, or (line, quadratures, residue
+    # sums), an error of the stack in place of either of the last two
     sides = {}
     for key, lps in generators.items():
         for lp in lps:
             try:
                 if lp not in lines:
                     lines[lp] = Line(lp, circuit, spec.s0)
-                line = lines[lp]
+            except GkzflopError as exc:
+                sides[key, lp] = exc
+                continue
+            line = lines[lp]
+            try:
                 f = make_integrand([path.x_plus, path.x_minus], [line],
                                    rings[key])
                 quads = mb_contour_oracle(f, [line], spec.height)
             except GkzflopError as exc:
-                sides[key, lp] = exc
+                sides[key, lp] = line, exc, None
                 continue
             # the residues are summed only if some eps reaches them: its
             # near and far quadratures both give a value
-            left = [None] * len(eps)
+            left = None
             if any(not isinstance(near, GkzflopError)
                    and not isinstance(far, GkzflopError)
                    for near, far in zip(quads[::2], quads[1::2])):
                 try:
                     left = left_residue_sum(f, line, at=[1])
                 except GkzflopError as exc:
-                    left = [exc] * len(eps)
+                    left = exc
             sides[key, lp] = line, quads, left
     checks = []
     for i, e in enumerate(eps):
@@ -1381,11 +1448,15 @@ def _oracle_checks(wall, path, generators, lines, eps, spec):
         for key, lps in generators.items():
             for lp in lps:
                 line, quads, left = _result(sides[key, lp])
+                if isinstance(quads, GkzflopError):
+                    return quads
                 q_p, dg_p = _result(quads[2 * i])
                 right = orbit_sum(path.x_plus, line, ring[key],
                                   line.first_right, M_MAX)
                 dev_r, _ = _deviation(q_p.coords, right.coords)
                 q_m, dg_m = _result(quads[2 * i + 1])
+                if isinstance(left, GkzflopError):
+                    return left
                 dev_l, _ = _deviation(q_m.coords, -_result(left[i]).coords)
                 # each side passes only with its line's quadrature error
                 # under the same tolerance as its deviation

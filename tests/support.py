@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 
 import argparse
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -391,11 +393,14 @@ def reference_line_integrand(x, line, ring, per_class=True):
     """The integrand of one Line, every factor formed for it alone.
 
     The factors multiply in wall.make_integrand's order, each formed as
-    it forms them: per coordinate j one 1/Gamma call at the anchor of
-    l'_j (its class r = l'_j mod 1 when l'_j < 1, else l'_j), followed
-    by the anchor - l'_j steps of 1/Gamma(w - 1) = (w - 1)/Gamma(w);
-    the pole factor at r and the power x_j^{h_j s}.  per_class=False
-    gives the form before the classes: 1/Gamma from the kernel at 1 +
+    it forms them: the constant, the product of the branched powers
+    x_j^{D_j / 2 pi i} times the scalar prod_j x_j^{l'_j}; per
+    coordinate j one 1/Gamma call at the anchor of l'_j (its class r =
+    l'_j mod 1 when l'_j < 1, else l'_j), laddered down the anchor -
+    l'_j steps of 1/Gamma(w - 1) = (w - 1)/Gamma(w) on its Taylor
+    coefficients (the ring's picks); the pole factor at r and the power
+    x_j^{h_j s}.  per_class=False gives the form before the classes: the
+    constant multiplied factor by factor, 1/Gamma from the kernel at 1 +
     l'_j + h_j s, the pole factor at l'_j and the power e^{(l'_j + h_j
     s) log x_j - l'_j log x_j}.  The node guard raises PoleProximity at
     the first node near a point of the line's pole model, removable
@@ -415,10 +420,16 @@ def reference_line_integrand(x, line, ring, per_class=True):
     exp_neg = {j: algebra_exp(ring.divisor(j) * (-1.0)) for j in iminus}
     nums = {j: one - exp_neg[j] * unit_phase(-lprime[j]) for j in iminus}
     logx = [principal_log(v) for v in x]
-    const = ring.algebra.one()
-    for j in range(n):
-        const = const * ring.branched_power(x[j], d[j]) \
-            * scalar_power(x[j], lprime[j])
+    if per_class:
+        const = functools.reduce(operator.mul, (
+            ring.branched_power(x[j], d[j]) for j in range(n))) \
+            * functools.reduce(operator.mul, (
+                scalar_power(x[j], lprime[j]) for j in range(n)))
+    else:
+        const = ring.algebra.one()
+        for j in range(n):
+            const = const * ring.branched_power(x[j], d[j]) \
+                * scalar_power(x[j], lprime[j])
     ay = sum(hv * lg.imag for hv, lg in zip(h, logx)) \
         + math.pi * sum(h[j] for j in iminus)
 
@@ -449,10 +460,8 @@ def reference_line_integrand(x, line, ring, per_class=True):
                 if h[j]:
                     acc = acc * np.exp(s * h[j] * logx[j])
                 z = 1 + (complex(anchors[j]) + s * h[j])
-                g = ring.recip_gamma([z], [d[j]])[0]
-                for m in range(1, int(anchors[j] - exact[j]) + 1):
-                    g = g * (d[j] + (z - m))
-                acc = acc * g
+                acc = acc * ring.recip_gamma([z[None]], [d[j]], [
+                    (0, int(anchors[j] - exact[j]))])[0]
         return acc
 
     f.decay = (2.0 * math.pi + ay, -ay)
@@ -593,7 +602,10 @@ def reference_first_right(lprime, circuit, s0):
 
 
 def reference_circles(lprime, circuit, s0):
-    """The (centre, radius) list of wall.left_residue_sum, right to left."""
+    """The circles of wall.left_residue_sum, right to left: (centre,
+    radius, anchor, shift) each, the anchor the centre of the first
+    circle of its class (centre mod 1, radius) and the shift the integer
+    distance to it."""
     points = reference_pole_model(lprime, circuit, s0 - wall.MAX_DEPTH - 1,
                                   s0 + 1)
     # Fraction bounds compare as the floats did, without converting them
@@ -605,23 +617,33 @@ def reference_circles(lprime, circuit, s0):
         if kind == "removable" or not lo <= re < hi:
             continue
         gap = min(points[i + 1][0] - re, re - points[i - 1][0])
-        centers.append(float(re))
+        centers.append(re)
         radii.append(min(0.2, 0.4 * float(gap)))
-    return list(zip(centers, radii))
+    first = {}
+    out = []
+    for re, radius in zip(centers, radii):
+        top = first.setdefault((re % 1, radius), re)
+        out.append((float(re), radius, float(top), int(top - re)))
+    return out
 
 
 def reference_left_residue_sum(f, circles, nodes=64):
     """wall.left_residue_sum with one integrand call per circle.
 
-    The circles, (centre, radius) pairs right to left, each evaluated on
-    its own: its nodes checked finite, its residue (values * z).sum() /
-    nodes, then the add-and-stop rule.  Returns the sum and the number
-    of circles summed.
+    The circles, (centre, radius, anchor, shift) right to left as
+    reference_circles lists them, each evaluated on its own, with the
+    ladder from its anchor circle: its nodes checked finite, its residue
+    (values * z).sum() / nodes, then the add-and-stop rule.  f is an
+    integrand that returns one block.  Returns the sum and the number of
+    circles summed.
     """
     acc, small, summed = None, 0, 0
-    for center, radius in circles:
+    for center, radius, anchor, shift in circles:
         z = np.exp(TWO_PI_I * np.arange(nodes) / nodes) * radius
-        vals = f(complex(center) + z)
+        ladder = ((complex(anchor) + z)[None], np.zeros(1, dtype=int),
+                  np.array([shift]))
+        vals = f((complex(center) + z)[None], ladder=ladder)
+        vals = vals.algebra.element(vals.coords[0])
         if not np.isfinite(vals.coords).all():
             raise NonFiniteValue("integrand is not finite on the circle")
         val = (vals * z).sum() * (1.0 / nodes)
@@ -634,10 +656,17 @@ def reference_left_residue_sum(f, circles, nodes=64):
     return acc, summed
 
 
+def own_circles(centers, radii):
+    """wall.Circles of the given centres and radii, each its own class."""
+    centers = np.array(centers, dtype=float)
+    return wall.Circles(centers, np.array(radii, dtype=float), centers,
+                        np.zeros(len(centers), dtype=int))
+
+
 def residue(f, line, center, radius=0.25):
     """The residue of f, an integrand on [line], by the one circle
     (center, radius)."""
-    batch = wall.residue_at(f, line, np.array([center]), np.array([radius]))
+    batch = wall.residue_at(f, line, own_circles([center], [radius]))
     return batch.algebra.element(batch.coords[0])
 
 

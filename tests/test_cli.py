@@ -346,6 +346,32 @@ def test_oracle_stack_raises_its_first_failing_sample(argv, message):
     assert (body["error"], body["message"]) == ("NonFiniteValue", message)
 
 
+@pytest.mark.parametrize("argv, message", ORACLE_STACK_ERRORS,
+                         ids=["conifold-1e3", "a1-9e307", "conifold--1e3"])
+def test_oracle_reads_only_a_failure_of_the_whole_stack_again(
+        monkeypatch, argv, message):
+    # each fixture has one generator.  At 1e3 the failure is that
+    # sample's own quadrature outcome, raised as the walk meets it: one
+    # integrand, where reading every sample again built 3.  The stack's
+    # ring at 9e307 fails as a whole, so the samples are read alone:
+    # 1e-3 builds its integrand, 9e307 fails at its ring.  At -1e3 the
+    # stack's integrand build fails as a whole, then 1e-2 alone builds
+    # one and -1e3 alone fails in its build: 3 calls
+    built = []
+    real = wall.make_integrand
+
+    def counted(xs, lines, ring):
+        built.append(np.size(ring.eps))
+        return real(xs, lines, ring)
+    monkeypatch.setattr(wall, "make_integrand", counted)
+    status, rep = cli.run("oracle", cli.build_parser().parse_args(
+        ["oracle", *argv]))
+    assert status == 1
+    assert (rep["body"]["error"], rep["body"]["message"]) \
+        == ("NonFiniteValue", message)
+    assert built == {"1e3": [2], "9e307": [1], "-1e3": [2, 1, 1]}[argv[-1]]
+
+
 def test_oracle_searches_generators_within_trunc(tmp_path):
     # the twisted sector's orbit generator of (1,2,-3) has degree 3, so
     # --trunc 2 finds the untwisted one alone, and the report fails and
@@ -947,10 +973,10 @@ def test_one_line_per_generator_per_command(monkeypatch):
         counts["integrands"] += 1
         return real_integrand(xs, lines, ring)
 
-    def counted_circles(f, line, centers, radii, at=None):
+    def counted_circles(f, line, circles, at=None):
         counts["rounds"] += 1
-        counts["circles"] += len(centers)
-        return real_circles(f, line, centers, radii, at)
+        counts["circles"] += len(circles)
+        return real_circles(f, line, circles, at)
 
     monkeypatch.setattr(wall.Line, "points", counted_model)
     monkeypatch.setattr(wall, "make_integrand", counted_integrand)

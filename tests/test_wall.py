@@ -33,7 +33,7 @@ from support import LOCAL_P2, SMALL_CIRCUITS, TRAPEZOID, circuit_fixture, \
     reference_circles, reference_first_right, reference_integrand, \
     reference_left_residue_sum, reference_line_battery, \
     reference_line_integrand, reference_line_oracle, reference_place_line, \
-    reference_pole_model, residue, terms_of
+    reference_pole_model, own_circles, residue, terms_of
 
 
 def trivial_sector(wc):
@@ -76,8 +76,8 @@ def line_integrand(x, line, ring):
 
 def alone(f):
     """f, an integrand on a stack of one line, returning that line's block."""
-    def g(s):
-        vals = f(s)
+    def g(s, **kwargs):
+        vals = f(s, **kwargs)
         return vals.algebra.element(vals.coords[0])
     g.decay, g.arg_y = f.decay, f.arg_y
     return g
@@ -372,10 +372,10 @@ def test_residue_circles_guard_every_node(a1):
         del calls[:]
         with pytest.raises(PoleProximity, match=re.escape(
                 f"s = {node} too close to a pole")):
-            wall.residue_at(f, line, centers, radii)
+            wall.residue_at(f, line, own_circles(centers, radii))
         assert not calls
     centers[1] = 1.25
-    wall.residue_at(f, line, centers, radii)
+    wall.residue_at(f, line, own_circles(centers, radii))
     assert len(calls) == 1
 
 
@@ -515,8 +515,10 @@ def test_line_matches_the_per_call_pole_model(packs, name):
             if key in compared or (s0 is not None and census):
                 continue
             compared.add(key)
-            centers, radii = line.circles
-            assert list(zip(centers.tolist(), radii.tolist())) \
+            circles = line.circles
+            assert list(zip(circles.centers.tolist(), circles.radii.tolist(),
+                            circles.anchors.tolist(),
+                            circles.shifts.tolist())) \
                 == reference_circles(lp, circuit, line.s0)
 
 
@@ -646,16 +648,16 @@ def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
     ring = plus_ring(wc, g0, 1e-2)
     lp = canonical_lift(pack.data, g0, pack.data.points[1]).values
     x = pack.path().x_plus
-    integrand, kernel, circles = [], [], []
+    integrand, kernel, rounds = [], [], []
     real_kernel, real_circle = kernels.recip_gamma_series, wall.residue_at
 
     def counted_kernel(z, kmax):
         kernel.append(np.shape(z))
         return real_kernel(z, kmax)
 
-    def counted_circle(f, line, centers, radii, at=None):
-        circles.append(np.size(centers))      # the centres of one round
-        return real_circle(f, line, centers, radii, at)
+    def counted_circle(f, line, circles, at=None):
+        rounds.append(circles)
+        return real_circle(f, line, circles, at)
 
     monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
     monkeypatch.setattr(wall, "residue_at", counted_circle)
@@ -666,12 +668,22 @@ def test_one_kernel_call_per_line_and_per_circle(pack, monkeypatch):
     assert kernel == [(pack.data.n * (diag["nodes"] + 2),)]
     del integrand[:], kernel[:]
     wall.left_residue_sum(f, line)
-    assert circles and len(integrand) == len(circles)
-    assert kernel == [(pack.data.n * 64 * c,) for c in circles]
+    assert rounds and len(integrand) == len(rounds)
+    # a factor with h_j <= 0 sends the 64 nodes of every circle of a
+    # round, one with h_j > 0 those of each class of the round once (the
+    # class's anchor circle, which need not be in the round)
+    low = sum(v <= 0 for v in pack.circuit.h)
+    high = pack.data.n - low
+    classes = [len(set(zip(c.anchors.tolist(), c.radii.tolist())))
+               for c in rounds]
+    assert kernel == [(64 * (low * len(c) + high * k),)
+                      for c, k in zip(rounds, classes)]
+    assert high and max(classes) < max(map(len, rounds))
     # rounds of 4, then 8, 8, ...: 8 circles are one kernel block per
-    # Gamma argument
-    full = [4] + [8] * (len(circles) - 1)
-    assert circles[:-1] == full[:-1] and 0 < circles[-1] <= full[-1]
+    # Gamma argument with h_j < 0
+    sizes = [len(c) for c in rounds]
+    full = [4] + [8] * (len(sizes) - 1)
+    assert sizes[:-1] == full[:-1] and 0 < sizes[-1] <= full[-1]
 
 
 # -- left residue sums in rounds ----------------------------------------
@@ -686,23 +698,11 @@ def oracle_generators(packs, name, eps):
     The generators of c = 0 in the essential plus sectors, at the far
     endpoint of oracle's default path.
     """
-    if name in packs:
-        data, tris = packs[name].data, packs[name].tris
-    else:
-        data, tris = circuit_fixture(name)
-    plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
-    circuit = find_circuit(data, plus.t, minus.t)
-    wc = wall.WallContext(circuit, plus, minus)
-    x = select_endpoints(circuit, None, 0.1).x_minus
-    rings = wc.rings(plus, eps)
-    out = []
-    for g in plus.box:
-        if g.key() in wc.essential_plus:
-            out += [(x, term.l, circuit, rings[g.key()])
-                    for term in terms_of(data, plus.t, (0,) * data.rank,
-                                         g, TruncationPolicy(), circuit)
-                    if term.generator]
-    return out
+    wc = case_wall(packs, name)
+    x = select_endpoints(wc.circuit, None, 0.1).x_minus
+    rings = wc.rings(wc.plus, eps)
+    return [(x, line.lprime, wc.circuit, rings[key])
+            for key, line in generator_lines(wc)]
 
 
 def poisoned(f, center, radius, block=slice(None)):
@@ -729,22 +729,27 @@ def test_residue_rounds_match_the_one_circle_loop(packs, name, eps):
     # far endpoint of an integrand at both endpoints, which oracle sums,
     # gives the same bits as an integrand at the far endpoint alone.  A
     # stack of samples sums each sample as alone, one outcome each, its
-    # rounds running while any sample still sums
+    # rounds running while any sample still sums.  The one-circle loop
+    # ladders each circle from its class's anchor circle alone, so a
+    # circle of a later round, whose anchor circle lies in the first,
+    # has the bits it has in its round
     cases = oracle_generators(packs, name, eps)
     assert cases
+    later = 0
     for x, lp, circuit, ring in cases:
         line = wall.Line(lp, circuit)
         circles = reference_circles(lp, circuit, line.s0)
         want, summed = reference_left_residue_sum(
             alone(line_integrand(x, line, ring)), circles)
         assert 0 < summed < len(circles), lp
+        later += sum(shift >= 4 for _, _, _, shift in circles[4:summed])
         calls = []
         [got] = wall.left_residue_sum(
             recording(line_integrand(x, line, ring), calls), line)
         assert np.array_equal(got.coords, want.coords), lp
         assert len(calls) == 1 + math.ceil(max(summed - 4, 0) / 8), lp
         evaluated = min(4 + 8 * (len(calls) - 1), len(circles))
-        assert sum(map(len, calls)) == 64 * evaluated, lp
+        assert sum(map(np.size, calls)) == 64 * evaluated, lp
         both = select_endpoints(circuit, None, 0.1)
         assert both.x_minus == x
         [got] = wall.left_residue_sum(wall.make_integrand(
@@ -753,7 +758,7 @@ def test_residue_rounds_match_the_one_circle_loop(packs, name, eps):
         # NaN on the first circle past the stop: dropped unchecked if its
         # round evaluated it; NaN on the last circle summed: its outcome
         for index in (summed, summed - 1):
-            f = poisoned(line_integrand(x, line, ring), *circles[index])
+            f = poisoned(line_integrand(x, line, ring), *circles[index][:2])
             [got] = wall.left_residue_sum(f, line)
             if index < summed:
                 assert isinstance(got, NonFiniteValue), lp
@@ -776,13 +781,119 @@ def test_residue_rounds_match_the_one_circle_loop(packs, name, eps):
         # NaN on the last circle the first sample sums, in its block
         # alone: that sample's outcome, and the other's sum as alone
         f = poisoned(wall.make_integrand([x], [line], pair),
-                     *circles[summed - 1], block=0)
+                     *circles[summed - 1][:2], block=0)
         bad, good = wall.left_residue_sum(f, line)
         assert isinstance(bad, NonFiniteValue), lp
         assert good.coords.tobytes() == want2.coords.tobytes(), lp
+    assert later
     if name == (2, 3, -3, -2):
         assert any(Fraction(lp[k]).denominator > 1
                    for _, lp, circuit, _ in cases for k in circuit.I_minus)
+
+
+def generator_lines(wc):
+    """(sector key, Line) of each generator oracle sums left: c = 0, the
+    essential plus sectors."""
+    data, plus = wc.plus.data, wc.plus
+    return [(g.key(), wall.Line(term.l, wc.circuit)) for g in plus.box
+            if g.key() in wc.essential_plus
+            for term in terms_of(data, plus.t, (0,) * data.rank, g,
+                                 TruncationPolicy(), wc.circuit)
+            if term.generator]
+
+
+def test_laddered_circles_match_the_direct_kernel():
+    # every residue circle of oracle's generators, at the far endpoint
+    # and the samples (1e-2, -3e-3) as one stack, on the 44 buildable
+    # SMALL_CIRCUITS, the trapezoid and local P^2, on every 8th node (a
+    # node's value does not depend on the nodes sent with it): the
+    # integrand with the ladder of residue_at, its factors 1/Gamma with
+    # h_j > 0 laddered down from their class's anchor circle, against
+    # the same nodes with every factor from the kernel.  Within 1e-13 of
+    # each (eps, circle) block's largest |value| for a centre c with |c|
+    # <= 4, and within 2e-14 (1 + |c|) beyond: the nodes c + r e^{i
+    # theta} round by about 1e-16 |c|, so they are not the exact
+    # translates of the anchor circle's nodes that the ladder reads, and
+    # 1/Gamma at |1 + l'_j + h_j s| near 100 magnifies that (seen: 1.8e-14
+    # for |c| <= 4, 9.4e-15 (1 + |c|) beyond; the ladder itself is within
+    # 5e-15 of mpmath, test_kernels).  A block is finite on both sides or on neither (past
+    # 1e308 deep left).  Then residue_at on each line's first round with
+    # a copy of it at half the radius: classes of one centre mod 1 and
+    # two radii, each laddered from its own anchor circle
+    cases = [trapezoid_wall(), case_wall({}, "p2")] + [
+        case_wall({}, h) for h in SMALL_CIRCUITS if h not in OFFSET_REFUSED]
+    unit = np.exp(TWO_PI_I * np.arange(0, 64, 8) / 64)
+    worst, near, halves, circles, deep = 0.0, 0.0, 0.0, 0, 0
+    for wc in cases:
+        x = select_endpoints(wc.circuit, None, 0.1).x_minus
+        rings = wc.rings(wc.plus, (1e-2, -3e-3))
+        for key, line in generator_lines(wc):
+            c = line.circles
+            if not len(c):
+                continue
+            f = wall.make_integrand([x], [line], rings[key])
+            z = unit * c.radii[:, None]
+            got = f(c.centers[:, None] + z, ladder=(
+                c.anchors[:, None] + z, np.arange(len(c)), c.shifts)).coords
+            want = f(c.centers[:, None] + z).coords
+            finite = np.isfinite(want).all(axis=(2, 3))
+            assert (np.isfinite(got).all(axis=(2, 3)) == finite).all()
+            with np.errstate(invalid="ignore"):
+                dev = np.abs(got - want).max(axis=(2, 3)) \
+                    / np.abs(want).max(axis=(2, 3))
+            reach = np.broadcast_to(1 + np.abs(c.centers), dev.shape)
+            dev, reach = dev[finite], reach[finite]
+            worst = max(worst, float((dev / reach).max()))
+            near = max(near, float(dev[reach <= 5].max(initial=0.0)))
+            circles += len(c)
+            deep = max(deep, int(c.shifts[finite.all(0)].max())
+                       * max(wc.circuit.h))
+            first = c[:4]
+            both = wall.Circles(*(np.concatenate(pair) for pair in (
+                (first.centers,) * 2, (first.radii, first.radii / 2),
+                (first.anchors,) * 2, (first.shifts,) * 2)))
+            vals = []
+            wall.residue_at(values_of(f, vals), line, both)
+            nodes = both.centers[:, None] + np.exp(
+                TWO_PI_I * np.arange(64) / 64) * both.radii[:, None]
+            want = f(nodes).coords
+            halves = max(halves, float((np.abs(vals[0] - want).max(
+                axis=(2, 3)) / np.abs(want).max(axis=(2, 3))).max()))
+    assert len(cases) == 46 and circles > 10000 and deep >= 100
+    assert near < 1e-13 and worst < 2e-14 and halves < 1e-13
+
+
+def test_ladder_keeps_the_kernels_zero_at_a_gamma_pole():
+    # on (1, 2, -3) at eps = 0, the line l' = (0, 0, 1/4) and circles of
+    # radius 1/8 centred at 3/8 - k, k = 0, ..., 3, one class: the first
+    # node s = 1/2 - k is exact, and there the factor with h_j = 2 is
+    # 1/Gamma(2 - 2k + D_j / 2 pi i), at a pole of Gamma for k >= 1.  The
+    # ladder steps from the anchor circle's argument 2 onto 2 - 2k
+    # exactly, so that node's value has the exact zero scalar part the
+    # kernel gives at the node itself; every other node's is nonzero,
+    # and the other coordinates agree within 1e-13 of the largest
+    wc = case_wall({}, (1, 2, -3))
+    j = wc.circuit.h.index(2)
+    x = select_endpoints(wc.circuit, None, 0.1).x_minus
+    ring = next(ring for ring in wc.rings(wc.plus, 0.0).values()
+                if not ring.divisor(j).is_zero())
+    unit = ring.algebra.basis_index[()]
+    line = wall.Line((0, 0, Fraction(1, 4)), wc.circuit)
+    f = wall.make_integrand([x], [line], ring)
+    k = np.arange(4)
+    circles = wall.Circles(0.375 - k, np.full(4, 0.125), np.full(4, 0.375),
+                           k)
+    got = []
+    wall.residue_at(values_of(f, got), line, circles)
+    [got] = got[0]
+    want = f(circles.centers[:, None] + np.exp(
+        TWO_PI_I * np.arange(64) / 64) * circles.radii[:, None]).coords[0]
+    pole = np.zeros((4, 64), dtype=bool)
+    pole[1:, 0] = True
+    for vals in (got, want):
+        assert not vals[pole, unit].any() and vals[~pole, unit].all()
+    assert 0 < np.abs(want).max() < math.inf
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_a1_line_integral_matches_mpmath(a1):
@@ -1113,6 +1224,40 @@ def test_lines_send_each_factor_to_the_kernel_once(monkeypatch, argv, sent):
     assert count["sent"] == sent
 
 
+@pytest.mark.parametrize("fixture, sent", [("a1", 4096), ("conifold", 3584)])
+def test_circles_send_each_class_to_the_kernel_once(monkeypatch, fixture,
+                                                    sent):
+    # the Gamma arguments oracle --eps 1e-2 --eps 3e-3 sends from its
+    # residue circles: 64 nodes a circle, 2 samples.  a1 (h = (1, -2, 1))
+    # sums 20 circles in rounds of 4, 8, 8, on two classes (the integers
+    # and the half-integers, radius 0.2), each class in every round;
+    # conifold (h = (1, -1, -1, 1)) 12 circles in rounds of 4, 8, on one
+    # class.  A factor with h_j < 0 sends every node: 20 x 64 x 2 = 2560
+    # and 2 x 12 x 64 x 2 = 3072; one with h_j > 0 the anchor circle of
+    # each class of a round: 2 x 3 x 2 x 64 x 2 = 1536 and 2 x 2 x 1 x
+    # 64 x 2 = 512.  With every node sent, 7680 and 6144
+    count = {"on": False, "sent": 0, "circles": 0}
+    real_kernel, real_circles = kernels.recip_gamma_series, wall.residue_at
+
+    def counted_kernel(z, kmax):
+        count["sent"] += np.size(z) if count["on"] else 0
+        return real_kernel(z, kmax)
+
+    def on_circles(f, line, circles, at=None):
+        count["on"], count["circles"] = True, count["circles"] + len(circles)
+        try:
+            return real_circles(f, line, circles, at)
+        finally:
+            count["on"] = False
+    monkeypatch.setattr(kernels, "recip_gamma_series", counted_kernel)
+    monkeypatch.setattr(wall, "residue_at", on_circles)
+    argv = ["oracle", "--fixture", fixture, "--eps", "1e-2", "--eps", "3e-3"]
+    status, _ = cli.run(argv[0], cli.build_parser().parse_args(argv))
+    assert status == 0
+    assert (count["circles"], count["sent"]) \
+        == ({"a1": 20, "conifold": 12}[fixture], sent)
+
+
 @pytest.mark.parametrize("s0", [1e9, -1e9])
 def test_far_lines_are_refused_before_any_evaluation(packs, s0):
     # 1 + l'_j + h_j s0 lies far left of GAMMA_RE_MIN for some j on
@@ -1311,10 +1456,11 @@ def test_class_formed_lines_match_the_per_lprime_kernel(eps):
 
 def test_chained_recip_gamma_matches_mpmath():
     # 1/Gamma(z - m + d) for m <= 10 steps of the functional equation
-    # from the kernel's 1/Gamma(z + d), z = 1 + r + h s, on local P^2's
-    # sector of dimension 3 (d = D_j / 2 pi i has a square): each value
-    # against the Taylor series of mpmath's rgamma, summed in the
-    # algebra, within 1e-13 of its largest coordinate (450 points)
+    # from the kernel's series at the anchor z + d, z = 1 + r + h s (the
+    # ring's picks, kernels.recip_gamma_ladder), on local P^2's sector of
+    # dimension 3 (d = D_j / 2 pi i has a square): each value against the
+    # Taylor series of mpmath's rgamma, summed in the algebra, within
+    # 1e-13 of its largest coordinate (450 points)
     wc = case_wall({}, "p2")
     g0 = trivial_sector(wc)
     ring = plus_ring(wc, g0, 1e-2)
@@ -1331,14 +1477,14 @@ def test_chained_recip_gamma_matches_mpmath():
         for r in (Fraction(0), Fraction(1, 2), Fraction(1, 3)):
             for h in (1, -1, 2, -2, 3):
                 z = 1 + (complex(r) + s * h)
-                [g] = ring.recip_gamma([z], [d])
-                chain = wall._recip_gamma_chain(g, d, z, 10)
+                [chain] = ring.recip_gamma([z[None]], [d], [(
+                    np.zeros(10, dtype=int), np.arange(1, 11))])
                 for m in range(1, 11):
                     for i, zi in enumerate(z):
                         w = mpmath.mpc(zi - m) + mpmath.mpc(d.scalar_part)
                         want = sum(complex(c) * p for c, p in zip(
                             mpmath.taylor(mpmath.rgamma, w, 2), powers))
-                        got = chain[m].coords[i]
+                        got = chain.coords[m - 1, i]
                         worst = max(worst, np.abs(got - want.coords).max()
                                     / np.abs(want.coords).max())
                         points += 1
