@@ -143,26 +143,31 @@ class DeformationRing:
     def branched_power(self, x, a):
         return algebra_exp(a * principal_log(x))
 
-    def recip_gamma(self, ws, ds, picks=None):
+    def recip_gamma(self, ws, ds, picks=None, scaled=False):
         """1/Gamma(w + d) by Taylor composition around the scalar center.
 
         ws is a list of float centres w, each a number or an array of any
         shape, and ds the list of their shifts d, one element each.  A w
         is the centre less its d's scalar part: 1 + z for the factor
         1/Gamma(1 + z + d) of a series term or the integrand, formed by
-        the caller (series forms (N + v) / N from integer numerators).
+        the caller (series forms (N + a) / N from integer numerators).
         A d of a batch shape B (a stack's sample axis) pairs each of its
         rows with every w: the value has shape B + w.shape, B leading.
-        picks, if given, holds per w None or a pair (slots, depths) of
-        int arrays of one shape P: that w holds anchors along its first
-        axis, and its value is 1/Gamma(w[slot] - depth + d) per request,
-        of shape B + P + w.shape[1:], read off the anchors by
-        kernels.recip_gamma_ladder.  One kernel call serves every pair
-        and anchor, and the result is the list of their values, a batch
-        of elements for an array w or d.  The kernel and the ladder are
-        elementwise, so a value does not depend on the arrays it is sent
-        with.  Both are exact at the poles of Gamma, so a nonpositive
-        integer w needs no functional equation.
+        picks, if given, holds per w None or (slots, depths, lowered),
+        int arrays, slots and depths of one shape P: that w holds anchors
+        along its first axis, and its value is 1/Gamma(w[slot] - depth +
+        d) per request, of shape B + P + w.shape[1:], read off the
+        anchors by kernels.recip_gamma_ladder.  lowered, 0 or of w's
+        shape, ladders an anchor from w - 1 where it is 1: its requests
+        leave out the leading factor (w - 1 + d).  scaled (with picks for
+        every w) returns each value as (element, exponents), the value
+        being the element times 2**exponents: the ladder's scaling past
+        the float range.  One kernel call serves every pair and anchor,
+        and the result is the list of their values, a batch of elements
+        for an array w or d.  The kernel and the ladder are elementwise,
+        so a value does not depend on the arrays it is sent with.  Both
+        are exact at the poles of Gamma, so a nonpositive integer w needs
+        no functional equation.
         """
         dim = self.algebra.dim
         ws = [np.add.outer(x.scalar_part, np.asarray(v, dtype=complex))
@@ -176,12 +181,16 @@ class DeformationRing:
             start += v.size
             lead = x.coords.shape[:-1]
             if pick is not None:
-                row = kernels.recip_gamma_ladder(row, v, *pick,
-                                                 axis=len(lead))
+                slots, depths, lowered = pick
+                row = kernels.recip_gamma_ladder(
+                    row, v - lowered, slots, depths, axis=len(lead),
+                    scaled=scaled)
+                if scaled:
+                    row, exps = row
             n = self.algebra.element(x.nilpotent_part().coords.reshape(
                 lead + (1,) * (row.ndim - 1 - len(lead)) + (dim,)))
             acc = self.algebra.scalar(row[..., mmax])
             for m in range(mmax - 1, -1, -1):
                 acc = acc * n + row[..., m]
-            out.append(acc)
+            out.append((acc, exps) if scaled else acc)
         return out

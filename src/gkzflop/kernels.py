@@ -29,10 +29,14 @@ does not depend on the batch it is evaluated in.
 Ladder.  recip_gamma_ladder reaches 1/Gamma(w - m + u) from the series
 at an anchor w by m steps of the functional equation 1/Gamma(v - 1 + u)
 = (v - 1 + u) / Gamma(v + u), on Taylor coefficients: c_m = (w - m) c_{m-1}
-+ u c_{m-1}.  The callers run Stirling once per anchor and read the
-integer translates w - m off it: the deep, negative arguments that would
-pay the longest multiply-back loop here.  A step where w - m is exactly
-zero keeps the exact zero at the pole of Gamma.
++ u c_{m-1}.  Its callers (lines, residue circles and series terms,
+through DeformationRing.recip_gamma) run Stirling once per anchor and
+read the integer translates w - m off it: the deep, negative arguments
+that would pay the longest multiply-back loop here.  A step where w - m
+is exactly zero keeps the exact zero at the pole of Gamma.  From w - 1
+on the series at w, a request leaves out the factor w - 1 + u (the dual
+series' divided coefficient); a series term's coefficients past m of
+about 170 are scaled by an exact power of two per row.
 """
 
 import functools
@@ -196,26 +200,34 @@ def recip_gamma_series(z, kmax):
     return _blockwise(_recip_gamma_series_flat, z, int(kmax))
 
 
-def recip_gamma_ladder(c, w, slots, depths, axis=0):
-    """Taylor coefficients of 1/Gamma(w[slot] - depth + u), read off c.
+def recip_gamma_ladder(c, w, slots, depths, axis=0, scaled=False):
+    """Coefficients of prod_{k=1}^{depth} (w[slot] - k + u) f(u), read off c.
 
-    w holds anchors along its axis axis and c = recip_gamma_series(w,
-    kmax) their coefficients.  slots and depths are int arrays of one
+    w holds anchors along its axis axis and c, per anchor, the Taylor
+    coefficients of f; with c = recip_gamma_series(w, kmax) a request is
+    1/Gamma(w[slot] - depth + u).  slots and depths are int arrays of one
     shape P, a request each: the anchor w[slot] laddered depth >= 0
     steps down.  The requests take the anchors' place: the result has
     shape w.shape[:axis] + P + w.shape[axis + 1:] + (kmax + 1,).  Every
     anchor steps down to the deepest request, each step two array
     operations on the whole of c, and the requests are read off the
     levels asked for; a value depends on its anchor and its depth alone.
+    scaled also returns a power-of-two exponent e per request: where a
+    step would leave a row of c non-finite, that row is first scaled to
+    a largest modulus in [1/2, 1), exactly, and the value is the
+    coefficients times 2**e.  A row that stays in the float range keeps
+    e = 0 and its unscaled bits.
     """
     slots = np.asarray(slots, dtype=int)
     depths = np.asarray(depths, dtype=int)
     wanted = set(depths.reshape(-1).tolist())
     levels = sorted(wanted)
     if not levels[-1]:
-        return np.take(c, slots, axis=axis)
-    kept = [c] if 0 in wanted else []
+        out = np.take(c, slots, axis=axis)
+        return (out, np.zeros(out.shape[:-1], dtype=int)) if scaled else out
     w = np.asarray(w, dtype=complex)[..., None]
+    e = np.zeros(c.shape[:-1], dtype=int)
+    kept, exps = [c] * (0 in wanted), [e] * (0 in wanted)
     # a deep step may overflow to inf, and inf to NaN: the values say so,
     # and the callers' finiteness gates raise NonFiniteValue
     with np.errstate(over="ignore", invalid="ignore"):
@@ -225,9 +237,29 @@ def recip_gamma_ladder(c, w, slots, depths, axis=0):
         for m, factor in enumerate(factors, 1):
             step = factor * c
             step[..., 1:] += c[..., :-1]
+            if scaled and not np.isfinite(step).all():
+                k = np.where(np.isfinite(step).all(axis=-1), 0,
+                             np.frexp(np.abs(c).max(axis=-1))[1])
+                c, e = ldexp(c, -k), e + k
+                step = factor * c
+                step[..., 1:] += c[..., :-1]
             c = step
             if m in wanted:
                 kept.append(c)
+                exps.append(e)
     # the levels before the anchors' axis: a (level, slot) pair per request
-    return np.stack(kept, axis=axis)[(slice(None),) * axis + (
-        np.searchsorted(levels, depths), slots)]
+    pick = (slice(None),) * axis + (np.searchsorted(levels, depths), slots)
+    out = np.stack(kept, axis=axis)[pick]
+    if not scaled:
+        return out
+    # exponents only grow: with none at the deepest level there are none
+    return out, (np.stack(exps, axis=axis)[pick] if e.any()
+                 else np.zeros(out.shape[:-1], dtype=int))
+
+
+def ldexp(coords, e):
+    """coords * 2**e for complex coords, e an int array of the shape of
+    coords without its last axis: row by row, exact where the result is
+    a normal float."""
+    coords = np.ascontiguousarray(coords)
+    return np.ldexp(coords.view(float), e[..., None]).view(complex)

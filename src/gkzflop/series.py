@@ -22,17 +22,20 @@ array pass for a whole battery of c) through the classification
 layer (canonical_lift, the sector algebras) and the reads that report or
 pair terms (LatticeTerm.l) use Fractions.  Terms are evaluated in
 batches (term_values): a table of numerators over one N becomes one
-element batch, with one Gamma-kernel call per coordinate for all its
-distinct values, and sums over the batch add its rows in term order.  A batch may hold the terms of several series
-(several c of a battery): a row does not depend on the other rows, so
-each series sums its own rows to the same value it would get alone.
-evaluate_gamma and evaluate_gamma_dual take a whole battery of c and
-make one batch per sector for the whole battery; a single c is a
-battery of one.
+element batch, at one eps or a stack of them, and sums over the batch
+add its rows in term order.  Every 1/Gamma takes the line integrand's
+path: one DeformationRing.recip_gamma call at the distinct anchors
+(ladder_anchors), laddered down the functional equation.  A batch may
+hold the terms of several series (several c of a battery): a row does
+not depend on the other rows, so each series sums its own rows to the
+same value it would get alone.  evaluate_gamma and evaluate_gamma_dual
+take a whole battery of c and make one batch per sector for the whole
+battery; a single c is a battery of one.
 """
 
 import cmath
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +48,7 @@ from .errors import BranchCut, DivergenceSuspected, InfeasibleArgs, \
 from .toric import essential_cones, interior_cones, is_interior_point, \
     canonical_lift
 from .deform import DeformationRing, TWO_PI_I, principal_log
+from . import kernels
 
 
 @dataclass(frozen=True)
@@ -239,167 +243,120 @@ def exponent_table(ls):
             for l in ls], den
 
 
+def ladder_anchors(nums, den):
+    """Per numerator v of l = v / den, the 1/Gamma ladder's anchor (the
+    class v mod den when v < den, else v) and step count (anchor - v) /
+    den, as lists: the rule of the line integrand and the terms."""
+    anchors = [v % den if v < den else v for v in nums]
+    return anchors, [(a - v) // den for a, v in zip(anchors, nums)]
+
+
 def _powers(x, values, den):
-    """x**(v / den) per numerator v, as scalar_power forms them."""
-    log = None
+    """x**(v / den) per numerator v, as arrays of m and e, m 2**e with
+    |m| in [1/2, 1): scalar_power's value, scaled exactly, where that is
+    a normal float, else read off t = (v / den) log x."""
+    log = principal_log(x)
     out = []
-    for v in values:
-        if v % den:
-            if log is None:
-                log = principal_log(x)
-            out.append(cmath.exp(v / den * log))
+    for v in values.tolist():
+        try:
+            p = cmath.exp(v / den * log) if v % den \
+                else complex(x) ** (v // den)
+        except OverflowError:
+            p = 0j
+        if sys.float_info.min <= abs(p) < math.inf:
+            e = math.frexp(abs(p))[1]
+            out.append((p * 2.0 ** -e, e))
         else:
-            out.append(complex(x) ** (v // den))
-    return np.array(out)
-
-
-def _normalized(coords):
-    """coords = m 2**e with |m|'s largest entry in [1/2, 1): (m, e).
-
-    A power of two scales every coordinate exactly.
-    """
-    e = int(np.frexp(np.abs(coords).max())[1])
-    return coords * math.ldexp(1.0, -e), e
-
-
-def _ldexp(coords, e):
-    """coords * 2**e, row by row, for complex rows and integer e."""
-    return np.ldexp(coords.view(float), e[:, None]).view(complex)
-
-
-def _normalize_rows(coords, rows, scale):
-    """_normalized on the selected rows of coords, in place; their
-    exponents are added to scale."""
-    if rows.any():
-        e = np.frexp(np.abs(coords[rows]).max(axis=1))[1]
-        coords[rows] = _ldexp(coords[rows], -e)
-        scale[rows] += e
-
-
-def _recip_gamma_rows(columns, den, ds, ring, dual):
-    """Coordinates of 1/Gamma(1 + v/den + d), one row per sorted distinct v.
-
-    columns holds, per coordinate, its sorted distinct numerators v, and
-    ds the coordinate's shift d.  Every v/den that is not a negative
-    integer, and 0 when some is, goes to the kernel at the float centre
-    (den + v) / den, every coordinate's centres in one batched
-    ring.recip_gamma call.  A negative integer v/den = -m takes the
-    functional-equation product prod_{i<m} (d - i) times the value at 0;
-    the products for successive m extend each other from the first
-    factor, formed on raw coordinate arrays by SectorAlgebra.multiply,
-    the bits AlgebraElement products give.  dual strips the leading
-    factor d: the product starts at i = 1, and at m = 1 the row is the
-    value at 0 itself.  Returns, per coordinate, the rows and a
-    power-of-two exponent per row: past m of about 170 the product
-    overflows, so where the next factor would make it non-finite it is
-    scaled down by an exact power of two, whose exponent the row
-    carries.  Every product that is finite unscaled keeps exponent 0.
-    """
-    negs = [[v for v in values if v < 0 and not v % den] for values in columns]
-    centres = [sorted(set(values).difference(neg).union([0] if neg else []))
-               for values, neg in zip(columns, negs)]
-    batches = ring.recip_gamma([np.array([(den + v) / den for v in zs])
-                                for zs in centres], list(ds))
-    out = []
-    for values, d, neg, zs, batch in zip(columns, ds, negs, centres,
-                                         batches):
-        rows = dict(zip(zs, batch.coords))
-        exps = dict.fromkeys(values, 0)
-        if neg:
-            alg = d.algebra
-            unit = alg.basis_index[()]
-            # d - i differs from d only in its scalar slot, (re - i, im):
-            # one factor array, that slot rewritten per i
-            factor = d.coords.copy()
-            re, im = factor[unit].real, factor[unit].imag
-            # acc None is the empty product, which only dual's m = 1 has
-            products, acc, e = [], None, 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(-neg[0] // den):
-                    if i >= dual:
-                        factor[unit] = complex(re - i, im)
-                        if acc is None:
-                            step = factor.copy()
-                        else:
-                            step = alg.multiply(acc, factor)
-                            if not np.isfinite(step).all():
-                                acc, k = _normalized(acc)
-                                e += k
-                                step = alg.multiply(acc, factor)
-                        acc = step
-                    products.append((acc, e))
-            for v in neg:
-                acc, exps[v] = products[-v // den - 1]
-                rows[v] = rows[0] if acc is None \
-                    else alg.multiply(acc, rows[0])
-        out.append((np.array([rows[v] for v in values]),
-                    np.array([exps[v] for v in values])))
-    return out
+            t = v / den * log
+            e = math.floor(t.real / math.log(2)) + 1
+            out.append((cmath.exp(t - e * math.log(2)), e))
+    return tuple(map(np.array, zip(*out)))
 
 
 def term_values(x, nums, den, ring, dual=False):
     """prod_j x_j^{l_j + D~_j/2pi i} / Gamma(1 + l_j + D~_j/2pi i), batched.
 
     The exponents are l = num / den, one row num of integer numerators
-    per term: an element batch of shape (len(nums), dim).  Per
-    coordinate j the branched power is formed once and each distinct
-    numerator is evaluated once, then gathered back to its rows; the
-    distinct centres of every coordinate go to the kernel in one call
-    (_recip_gamma_rows).  The factors are multiplied in coordinate
-    order, as one term at a time would.  A row with a reciprocal-Gamma
-    product that carries a power of two is kept scaled, its largest
-    coordinate in [1/2, 1) after each factor, and its exponents are
-    applied at the end; every other row is formed exactly as without
-    them.  dual=True gives the dual-series coefficients: for l_j < 0
-    integral the reciprocal-Gamma factor is divisible by D_j/2pi i, and
-    that leading factor is removed (the 1/2pi i kept), realizing the
-    divided coefficient that multiplies the generator of the support
-    cone.
+    per term, on a ring at one eps or a stack of samples: a batch of
+    shape (len(nums), dim), after a sample axis for a stack, each
+    sample's rows the bits of that sample alone.  Per coordinate j the
+    branched power is formed once and each distinct numerator is
+    evaluated once, then gathered back to its rows; the distinct anchors
+    of every coordinate (ladder_anchors) go to one
+    DeformationRing.recip_gamma call, laddered down to each numerator.
+    The factors multiply in coordinate order, as one term at a time
+    would, each x_j^{l_j} and 1/Gamma row scaled exactly to a largest
+    modulus in [1/2, 1), and a term's powers of two are applied at the
+    end: a finite term stays finite when a factor leaves the float
+    range, and one with normal partial products gets its unscaled bits.
+    dual=True gives the dual-series coefficients: for l_j < 0 integral
+    the reciprocal-Gamma factor is divisible by D_j/2pi i, and that
+    leading factor is left out (laddered from anchor 0's w - 1; the
+    1/2pi i is kept), the divided coefficient of the support cone's
+    generator.
     """
     table = np.array(nums, dtype=np.int64).reshape(len(nums), len(x))
+    lead = np.shape(ring.eps)
+    alg = ring.algebra
     if not len(table):
-        return ring.algebra.scalar(np.ones(0))
+        return alg.scalar(np.ones(lead + (0,)))
     ds = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(len(x))]
     distinct = [np.unique(column, return_inverse=True) for column in table.T]
-    values = [v.tolist() for v, _ in distinct]
-    gammas = _recip_gamma_rows(values, den, ds, ring, dual)
-    scaled = np.zeros(len(table), dtype=bool)
-    for (_, take), (_, exps) in zip(distinct, gammas):
-        scaled |= exps[take] != 0
-    scale = np.zeros(len(table), dtype=int)
+    ws, picks = [], []
+    for vals, _ in distinct:
+        vals = vals.tolist()
+        anchors, depths = ladder_anchors(vals, den)
+        tops = sorted(set(anchors))
+        slot = {a: i for i, a in enumerate(tops)}
+        # a dual strip takes anchor 0 once more, laddered from w - 1
+        strip = [dual and v < 0 and not v % den for v in vals]
+        ws.append(np.array([den + a for a in tops + [0] * dual]) / den)
+        picks.append((np.array([len(tops) if cut else slot[a]
+                                for a, cut in zip(anchors, strip)]),
+                      np.array(depths) - strip,
+                      np.arange(len(ws[-1])) >= len(tops) if dual else 0))
+    gammas = ring.recip_gamma(ws, ds, picks, scaled=True)
+    scale = np.zeros(lead + (len(table),), dtype=int)
     acc = None
-    for j, (xj, d, vals, (_, take), (rows, exps)) in enumerate(
-            zip(x, ds, values, distinct, gammas)):
-        # x_j^d is one where d = 0 (D_j vanishes in the sector, eps = 0)
-        if d.coords.any():
-            power = ring.branched_power(xj, d)
-            acc = power if acc is None else acc * power
-        scalars = _powers(xj, vals, den)[take]
-        acc = ring.algebra.scalar(scalars) if acc is None \
-            else acc * scalars
-        _normalize_rows(acc.coords, scaled, scale)
-        acc = acc * d.algebra.element(rows[take])
-        scale += exps[take]
-        _normalize_rows(acc.coords, scaled, scale)
-        if dual:
-            column = table[:, j]
-            stripped = (column < 0) & (column % den == 0)
-            acc.coords[stripped] *= 1.0 / TWO_PI_I
-    acc.coords[scaled] = _ldexp(acc.coords[scaled], scale[scaled])
-    return acc
+    # a term that is not finite says so in its value, and the callers'
+    # finiteness gates raise NonFiniteValue
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (xj, d, (vals, take), (rows, exps)) in enumerate(
+                zip(x, ds, distinct, gammas)):
+            # x_j^d is one where d = 0 (D_j vanishes in the sector, eps = 0)
+            if d.coords.any():
+                power = ring.branched_power(xj, d)
+                power = alg.element(power.coords.reshape(lead + (1, -1)))
+                acc = power if acc is None else acc * power
+            mant, e = _powers(xj, vals, den)
+            acc = alg.scalar(mant[take]) if acc is None \
+                else acc * mant[take]
+            k = np.frexp(np.abs(rows.coords).max(axis=-1))[1]
+            rows = kernels.ldexp(rows.coords, -k)
+            acc = acc * alg.element(rows[..., take, :])
+            scale = scale + (e + exps + k)[..., take]
+            if dual:
+                column = table[:, j]
+                stripped = (column < 0) & (column % den == 0)
+                acc.coords[..., stripped, :] *= 1.0 / TWO_PI_I
+        return alg.element(kernels.ldexp(acc.coords, scale))
 
 
 def sum_rows(batch, rows=None):
     """Sum of the batch's rows (all, or those that rows selects).
 
-    The rows are added in order, starting from zero, as a loop over
-    terms adds them; numpy's own sum over the batch axis pairs rows up
-    when the algebra has dimension 1.
+    The rows run along the second-to-last axis: a stack sums each
+    sample's rows alone.  They are added in order, starting from zero,
+    as a loop over terms adds them; numpy's own sum over the batch axis
+    pairs rows up when the algebra has dimension 1.
     """
-    coords = batch.coords if rows is None else batch.coords[rows]
-    if not len(coords):
-        return batch.algebra.zero()
-    return batch.algebra.element(np.cumsum(coords, axis=0)[-1] + 0.0)
+    coords = batch.coords if rows is None else batch.coords[..., rows, :]
+    if not coords.shape[-2]:
+        return batch.algebra.element(coords.sum(axis=-2))
+    # rows that are not finite make a sum that the callers gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        return batch.algebra.element(np.cumsum(coords, axis=-2)[..., -1, :]
+                                     + 0.0)
 
 
 def _point(x, n):
@@ -432,8 +389,7 @@ def _tail_scan(shell_norms):
     """Geometric-decay fit on the last shells; ratio >= 1 is suspicious.
 
     shell_norms is keyed by degree, as the pair (p, q) of p/q in lowest
-    terms.  A NaN shell norm gives a NaN ratio, which the caller's guard
-    rejects.
+    terms; evaluate_gamma has checked them finite.
     """
     degs = sorted(shell_norms, key=lambda pq: Fraction(*pq))
     vals = [shell_norms[d] for d in degs if shell_norms[d] != 0]
@@ -478,16 +434,16 @@ def evaluate_gamma(chamber, battery, x, policy):
 
     One batch per sector for the whole battery: each c adds its own rows
     in term order.  Returns one GammaValue per c, in battery order.  The
-    checks run per c in battery order, as for that c alone: the tail fit
-    of its shell norms (DivergenceSuspected), then its terms' finiteness
-    (NonFiniteValue).
+    checks run per c in battery order, as for that c alone: the
+    finiteness of its shell norms, which a term that is not finite makes
+    NaN or inf (NonFiniteValue), then their tail fit
+    (DivergenceSuspected), which so never reads a NaN.
     """
     battery = list(battery)
     xs = _point(x, chamber.data.n)
     out = [GammaValue(components={}, term_counts={}, tail=None)
            for _ in battery]
     shells = [defaultdict(float) for _ in battery]
-    finite = [True] * len(battery)
     for key, terms, rows, batch in sector_batches(chamber, battery, xs,
                                                   policy):
         norms = batch.norm()
@@ -496,17 +452,15 @@ def evaluate_gamma(chamber, battery, x, policy):
                 size = sum(map(abs, term.num))
                 g = math.gcd(size, term.den)
                 shells[i][size // g, term.den // g] += float(norm)
-            values = batch.algebra.element(batch.coords[sel])
-            finite[i] &= bool(np.isfinite(values.coords).all())
-            val.components[key] = sum_rows(values)
+            val.components[key] = sum_rows(batch, sel)
             val.term_counts[key] = len(part)
-    for c, val, shell, ok in zip(battery, out, shells, finite):
+    for c, val, shell in zip(battery, out, shells):
+        _require_finite(all(map(math.isfinite, shell.values())), c)
         val.tail = _tail_scan(shell)
         if policy.tail_check and val.tail["checked"] \
                 and not val.tail["ratio"] < 1.0:
             raise DivergenceSuspected(
                 f"shell norms grow with ratio {val.tail['ratio']:.3f}")
-        _require_finite(ok, c)
     return out
 
 

@@ -60,8 +60,8 @@ from .toric import canonical_lift, adjacent_sector, essential_cones, \
 from .deform import DeformationRing, TWO_PI_I, circle, circle_read, \
     unit_phase, principal_log
 from .rings import algebra_exp, algebra_inverse
-from .series import enumerate_terms, exponent_table, sector_batches, \
-    term_values, sum_rows, scalar_power, nan_max
+from .series import enumerate_terms, exponent_table, ladder_anchors, \
+    sector_batches, term_values, sum_rows, scalar_power, nan_max
 
 
 # A line pass is one trapezoid rule at half-step offsets; its even nodes
@@ -382,11 +382,11 @@ def make_integrand(xs, lines, ring):
     endpoint, each line's constant from it by one scalar.  A factor
     that depends on l'_j only through its class r = l'_j mod 1 is
     formed once per class of the kept lines.  1/Gamma(1 + l'_j + h_j s
-    + D_j / 2 pi i) goes to the kernel at its anchor, r when l'_j < 1
-    and l'_j itself otherwise, once per (eps, j, anchor), all in one
-    DeformationRing.recip_gamma call, and l'_j = anchor - m is reached
-    by m steps of the functional equation (kernels.recip_gamma_ladder),
-    composed with the nilpotent part once per (eps, j, anchor, m).
+    + D_j / 2 pi i) goes to the kernel at its anchor (ladder_anchors),
+    once per (eps, j, anchor), all in one DeformationRing.recip_gamma
+    call, and l'_j = anchor - m is reached by m steps of the functional
+    equation (kernels.recip_gamma_ladder), composed with the nilpotent
+    part once per (eps, j, anchor, m).
     With a ladder, a factor with h_j > 0 goes to the kernel on base
     alone, once per (eps, j, anchor, class), and circle i takes
     shifts[i] h_j steps more; a factor with h_j <= 0 takes every node
@@ -443,22 +443,20 @@ def make_integrand(xs, lines, ring):
     consts = np.moveaxis(np.array(consts).reshape(
         len(xs), len(lines), samples, dim), 2, 0)
     # per j: the distinct anchors as floats, and per line the index of
-    # its anchor and its step count anchor - l'_j; for j in I_minus also
-    # the distinct classes r = l'_j mod 1, each line's index among them
-    # and the pole numerator 1 - e^{-D_j} e^{-2 pi i r} of each class
-    # (class, sample).  Exact, on numerators over the lines' common
-    # denominator
+    # its anchor and its step count; for j in I_minus also the distinct
+    # classes r = l'_j mod 1, each line's index among them and the pole
+    # numerator 1 - e^{-D_j} e^{-2 pi i r} of each class (class,
+    # sample).  Exact, on numerators over the lines' common denominator
     den = math.lcm(*(line.den for line in lines))
     anchors, steps, classes, nums = [], [], {}, {}
     for j in range(n):
         col = [line.num[j] * (den // line.den) for line in lines]
-        rs = [v % den for v in col]
-        an = [r if v < den else v for v, r in zip(col, rs)]
-        steps.append([(a - v) // den for a, v in zip(an, col)])
+        an, m = ladder_anchors(col, den)
+        steps.append(m)
         a_vals, a_pos = _slots(an)
         anchors.append((np.array(a_vals) / den + 0j, a_pos))
         if j in iminus:
-            r_vals, r_pos = _slots(rs)
+            r_vals, r_pos = _slots([v % den for v in col])
             classes[j] = (np.array(r_vals) / den + 0j, r_pos)
             nums[j] = np.array([
                 (one - exp_neg[j] * unit_phase(Fraction(-r, den))).coords
@@ -486,11 +484,12 @@ def make_integrand(xs, lines, ring):
                     ws.append(1 + (vals[used][:, None, None] + base * h[j])
                               .reshape((-1,) + base.shape[1:]))
                     picks.append((np.array(slots)[:, None] * len(base)
-                                  + at_base, depths[:, None] + shifts * h[j]))
+                                  + at_base, depths[:, None] + shifts * h[j],
+                                  0))
                 else:
                     ws.append(1 + (vals[used].reshape((-1,) + (1,) * s.ndim)
                                    + s * h[j]))
-                    picks.append((slots, depths))
+                    picks.append((slots, depths, 0))
                 # with a pair per kept line, the rows come in line order
                 rows.append(slice(None) if len(pairs) == len(keep)
                             else at_pair)
@@ -694,7 +693,8 @@ def residue_at(f, line, circles, at=None):
 
 
 def orbit_sum(x, line, ring, m_from, m_to):
-    """Plain sum of the h-orbit terms m_from <= m <= m_to, one batch."""
+    """Plain sum of the h-orbit terms m_from <= m <= m_to, one batch: on
+    a stacked ring, one sum per sample, each the bits of that sample."""
     return sum_rows(term_values(x, line.orbit(m_from, m_to), line.den,
                                 ring))
 
@@ -1394,26 +1394,26 @@ def _oracle_checks(wall, path, generators, lines, eps, spec):
 
     First, per generator: its Line (kept in lines, at its first use), one
     integrand at both endpoints on the stacked ring, one
-    mb_contour_oracle call (an outcome per (eps, endpoint)) and one
+    mb_contour_oracle call (an outcome per (eps, endpoint)), one right
+    orbit sum (a sum per eps, from one term_values batch) and one
     left_residue_sum (an outcome per eps), made only if the quadratures
     of some eps both give a value.  Then each eps walks the generators
-    in order: near quadrature, right orbit sum (series.term_values takes
-    one eps, so one sum per eps), far quadrature, left residue sum,
-    raising the first failure of its own: an outcome, a right sum, or
+    in order: near quadrature, right orbit sum, far quadrature, left
+    residue sum, raising the first failure of its own: an outcome or
     the generator's Line, the same for every sample.  An error of the
-    stack as a whole (the stacked ring, a generator's integrand or
-    quadrature call, its residue sum as a whole) is returned where the
-    walk meets it, for oracle_report to read sample by sample; the
-    checks are returned if none fails.  For one eps that is its order
-    of checks alone.
+    stack as a whole (the stacked ring, a generator's integrand,
+    quadrature call or right orbit sum, its residue sum as a whole) is
+    returned where the walk meets it, for oracle_report to read sample
+    by sample; the checks are returned if none fails.  For one eps that
+    is its order of checks alone.
     """
     circuit = wall.circuit
     try:
         rings = wall.rings(wall.plus, eps)
     except GkzflopError as exc:
         return exc
-    # per generator: its Line's error, or (line, quadratures, residue
-    # sums), an error of the stack in place of either of the last two
+    # per generator: its Line's error, or (line, quadratures, right
+    # sums, residue sums), an error of the stack in place of the last 3
     sides = {}
     for key, lps in generators.items():
         for lp in lps:
@@ -1429,8 +1429,13 @@ def _oracle_checks(wall, path, generators, lines, eps, spec):
                                    rings[key])
                 quads = mb_contour_oracle(f, [line], spec.height)
             except GkzflopError as exc:
-                sides[key, lp] = line, exc, None
+                sides[key, lp] = line, exc, None, None
                 continue
+            try:
+                right = orbit_sum(path.x_plus, line, rings[key],
+                                  line.first_right, M_MAX)
+            except GkzflopError as exc:
+                right = exc
             # the residues are summed only if some eps reaches them: its
             # near and far quadratures both give a value
             left = None
@@ -1441,19 +1446,18 @@ def _oracle_checks(wall, path, generators, lines, eps, spec):
                     left = left_residue_sum(f, line, at=[1])
                 except GkzflopError as exc:
                     left = exc
-            sides[key, lp] = line, quads, left
+            sides[key, lp] = line, quads, right, left
     checks = []
     for i, e in enumerate(eps):
-        ring = wall.rings(wall.plus, e)
         for key, lps in generators.items():
             for lp in lps:
-                line, quads, left = _result(sides[key, lp])
+                line, quads, right, left = _result(sides[key, lp])
                 if isinstance(quads, GkzflopError):
                     return quads
                 q_p, dg_p = _result(quads[2 * i])
-                right = orbit_sum(path.x_plus, line, ring[key],
-                                  line.first_right, M_MAX)
-                dev_r, _ = _deviation(q_p.coords, right.coords)
+                if isinstance(right, GkzflopError):
+                    return right
+                dev_r, _ = _deviation(q_p.coords, right.coords[i])
                 q_m, dg_m = _result(quads[2 * i + 1])
                 if isinstance(left, GkzflopError):
                     return left

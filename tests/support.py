@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
 import argparse
+import cmath
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -62,6 +64,10 @@ triangulation minus
 SMALL_CIRCUITS = [h for n in range(3, 7) for h in
                   combinations_with_replacement((3, 2, 1, -1, -2, -3), n)
                   if sum(h) == 0 and math.gcd(*h) == 1]
+# the fixed offsets 0, ..., n-1 cannot separate these crossings' poles
+OFFSET_REFUSED = [(3, -1, -2), (3, 2, -2, -3), (3, 2, -1, -2, -2),
+                  (3, 1, -1, -1, -2), (2, 2, -1, -1, -2),
+                  (3, 3, -1, -1, -2, -2)]
 
 
 def brute_force_box_classes(data, t, c, coord_bound=3):
@@ -461,7 +467,7 @@ def reference_line_integrand(x, line, ring, per_class=True):
                     acc = acc * np.exp(s * h[j] * logx[j])
                 z = 1 + (complex(anchors[j]) + s * h[j])
                 acc = acc * ring.recip_gamma([z[None]], [d[j]], [
-                    (0, int(anchors[j] - exact[j]))])[0]
+                    (0, int(anchors[j] - exact[j]), 0)])[0]
         return acc
 
     f.decay = (2.0 * math.pi + ay, -ay)
@@ -789,46 +795,112 @@ def reference_enumerate_terms(data, t, c, gamma, policy, circuit=None):
     return out
 
 
+def _reference_power(x, v):
+    """x**v for a Fraction v as (m, e), m 2**e with |m| in [1/2, 1).
+
+    scalar_power's value, scaled exactly, where that is a normal float;
+    else read off t = v log x: e from Re t, m = exp(t - e log 2).
+    """
+    try:
+        p = scalar_power(x, v)
+    except OverflowError:
+        p = 0j
+    if sys.float_info.min <= abs(p) < math.inf:
+        e = math.frexp(abs(p))[1]
+        return p * 2.0 ** -e, e
+    t = float(v) * principal_log(x)
+    e = math.floor(t.real / math.log(2.0)) + 1
+    return cmath.exp(t - e * math.log(2.0)), e
+
+
 def _reference_recip_gamma_rows(values, d, ring, dual):
-    neg = [v for v in values if _reference_negative_integer(v)]
-    zs = set(values).difference(neg)
-    if neg:
-        zs.add(Fraction(0))
-    zs = sorted(zs)
-    batch, = ring.recip_gamma([1 + np.array(zs, dtype=object)], [d])
-    rows = dict(zip(zs, batch.coords))
-    if neg:
-        at_zero = d.algebra.element(rows[Fraction(0)])
-        products, acc = [], d.algebra.one()
-        for i in range(-int(neg[0])):
-            if i >= dual:
-                acc = acc * (d - i)
-            products.append(acc)
-        for v in neg:
-            rows[v] = (products[-int(v) - 1] * at_zero).coords
-    return np.array([rows[v] for v in values])
+    """1/Gamma(1 + v + d) per Fraction v of values, one ring call each.
+
+    The kernel runs at 1 + the anchor of v (its class v mod 1 when v < 1,
+    else v), laddered anchor - v steps down by the ring's picks, scaled
+    past the float range.  dual leaves out the leading factor d of a
+    negative integer v: the ladder runs from w - 1 on the series at w,
+    one step less.  Returns the rows and their exponents, each with d's
+    sample axis (if any) leading, rows then along the next axis.
+    """
+    rows, exps = [], []
+    for v in values:
+        anchor = v % 1 if v < 1 else v
+        lowered = int(dual and _reference_negative_integer(v))
+        (row, e), = ring.recip_gamma(
+            [np.array([float(1 + anchor)])], [d],
+            [(np.array([0]), np.array([int(anchor - v) - lowered]),
+              np.array([lowered]))], scaled=True)
+        rows.append(row.coords[..., 0, :])
+        exps.append(e[..., 0])
+    return np.stack(rows, axis=-2), np.stack(exps, axis=-1)
 
 
 def reference_term_values(x, ls, ring, dual=False):
-    """series.term_values on a list of Fraction tuples."""
+    """series.term_values on a list of Fraction tuples.
+
+    Per coordinate, each factor x_j^{l_j} (_reference_power) and each
+    1/Gamma row (_reference_recip_gamma_rows) is scaled by a power of
+    two to a largest modulus in [1/2, 1), and a term's exponents are
+    applied once, at the end.
+    """
     ls = list(ls)
+    lead = np.shape(ring.eps)
     acc = ring.algebra.scalar(np.ones(len(ls)))
     if not ls:
-        return acc
+        return ring.algebra.scalar(np.ones(lead + (0,)))
+    scale = np.zeros(lead + (len(ls),), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, xj in enumerate(x):
+            d = ring.divisor(j) * (1.0 / TWO_PI_I)
+            column = [l[j] for l in ls]
+            values = sorted(set(column))
+            index = {v: i for i, v in enumerate(values)}
+            take = np.array([index[v] for v in column], dtype=int)
+            powers, e = map(np.array, zip(*(_reference_power(xj, v)
+                                            for v in values)))
+            rows, exps = _reference_recip_gamma_rows(values, d, ring, dual)
+            k = np.frexp(np.abs(rows).max(axis=-1))[1]
+            rows = np.ldexp(rows.view(float), -k[..., None]).view(complex)
+            power = ring.branched_power(xj, d)
+            acc = acc * ring.algebra.element(
+                power.coords.reshape(lead + (1, -1))) * powers[take]
+            acc = acc * d.algebra.element(rows[..., take, :])
+            scale = scale + e[take] + (exps + k)[..., take]
+            if dual:
+                stripped = np.array([_reference_negative_integer(v)
+                                     for v in column])
+                acc.coords[..., stripped, :] *= 1.0 / TWO_PI_I
+        coords = np.ascontiguousarray(acc.coords)
+        return ring.algebra.element(np.ldexp(
+            coords.view(float), scale[..., None]).view(complex))
+
+
+def reference_term_values_product(x, ls, ring, dual=False):
+    """series.term_values as it formed a negative integer l_j = -m
+    before the ladder: the functional-equation product prod_{i<m}
+    (d - i), from i = 1 for dual, times the kernel's 1/Gamma(1 + d), on
+    AlgebraElements, every other 1/Gamma from the kernel at 1 + l_j;
+    unscaled, so only for terms in the float range, and one eps."""
+    acc = ring.algebra.scalar(np.ones(len(ls)))
     for j, xj in enumerate(x):
         d = ring.divisor(j) * (1.0 / TWO_PI_I)
-        column = [l[j] for l in ls]
-        values = sorted(set(column))
-        index = {v: i for i, v in enumerate(values)}
-        take = np.array([index[v] for v in column], dtype=int)
-        powers = np.array([scalar_power(xj, v) for v in values])
-        rows = _reference_recip_gamma_rows(values, d, ring, dual)
-        acc = acc * ring.branched_power(xj, d) * powers[take]
-        acc = acc * d.algebra.element(rows[take])
-        if dual:
-            stripped = np.array([_reference_negative_integer(v)
-                                 for v in column])
-            acc.coords[stripped] *= 1.0 / TWO_PI_I
+        rows = []
+        for l in ls:
+            v = l[j]
+            if _reference_negative_integer(v):
+                factor = d.algebra.one()
+                for i in range(int(dual), -int(v)):
+                    factor = factor * (d - i)
+                value = factor * ring.recip_gamma([1.0], [d])[0]
+                if dual:
+                    value = value * (1.0 / TWO_PI_I)
+            else:
+                value = ring.recip_gamma([float(1 + v)], [d])[0]
+            rows.append(value.coords)
+        acc = acc * ring.branched_power(xj, d) \
+            * np.array([scalar_power(xj, l[j]) for l in ls])
+        acc = acc * d.algebra.element(np.array(rows))
     return acc
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gkzflop import cli, kernels, rational, rings, series, wall
+from gkzflop import cli, deform, kernels, rational, rings, series, wall
 from gkzflop import report as reporting
 from gkzflop.fixtures import load_fixture, write_fixture
 from gkzflop.toric import compute_box, find_circuit
@@ -1001,7 +1002,9 @@ def test_no_product_by_an_exact_one(monkeypatch):
     # of a multiplication matrix, and an algebra of dimension 1 holds
     # numbers.  No SectorAlgebra.multiply call of any command on a1 or
     # conifold has an operand that is one in every row (a product by
-    # one may turn a -0.0 into 0.0, and inf into NaN)
+    # one may turn a -0.0 into 0.0, and inf into NaN).  The commands make
+    # over 500 calls (1/Gamma of a series term's negative integer
+    # exponent no longer multiplies its factors on the algebra)
     real = rings.SectorAlgebra.multiply
     calls, by_one = [0], []
 
@@ -1018,7 +1021,7 @@ def test_no_product_by_an_exact_one(monkeypatch):
         for command in cli.COMMANDS:
             argv = [command, "--fixture", fixture]
             cli.run(command, cli.build_parser().parse_args(argv))
-    assert calls[0] > 1000 and by_one == []
+    assert calls[0] > 500 and by_one == []
 
 
 @pytest.mark.parametrize("command", ["verify", "fm", "ac"])
@@ -1134,6 +1137,60 @@ def test_battery_is_one_series_batch_per_sector(monkeypatch, fixture):
                                for t in tris.values())
     if fixture == "conifold":
         assert len(kernel_calls) <= 130
+
+
+@pytest.mark.parametrize("fixture", ["a1", "conifold"])
+def test_oracle_stack_is_one_ring_and_one_series_batch(monkeypatch, fixture):
+    # an oracle job at two eps builds one DeformationRing, the stacked
+    # ring of its one plus sector, and sums the right orbit of its one
+    # generator for both samples in one term_values batch (a ring per
+    # sample and a batch per sample before: 3 and 2)
+    real_ring, real_values = deform.DeformationRing.__init__, \
+        wall.term_values
+    counts = {"rings": 0, "batches": 0}
+
+    def counted_ring(*args, **kwargs):
+        counts["rings"] += 1
+        real_ring(*args, **kwargs)
+
+    def counted_values(*args, **kwargs):
+        counts["batches"] += 1
+        return real_values(*args, **kwargs)
+
+    monkeypatch.setattr(deform.DeformationRing, "__init__", counted_ring)
+    monkeypatch.setattr(wall, "term_values", counted_values)
+    monkeypatch.setattr(series, "term_values", counted_values)
+    argv = ["oracle", "--fixture", fixture, "--eps", "1e-2", "--eps", "1e-3"]
+    status, rep = cli.run(argv[0], cli.build_parser().parse_args(argv))
+    assert status == 0 and len(rep["body"]["checks"]) == 2
+    assert counts == {"rings": 1, "batches": 1}
+
+
+def test_deep_trunc_ends_in_a_report(tmp_path, capfd):
+    # terms past the float range (x_j^{l_j} and 1/Gamma both carry a
+    # power of two) stay finite: each job is a passing report, with no
+    # traceback and no numpy warning; they ended in an OverflowError
+    # traceback (dual-eval at 800 and 600), in warnings before a
+    # NonFiniteValue (local P2 at 300) and in warnings before "shell
+    # norms grow with ratio nan" (gamma-eval at 1000).  gamma-eval's
+    # deep terms are negligible: --trunc 1000 reads what --trunc 400 does
+    p2 = tmp_path / "p2.txt"
+    p2.write_text(LOCAL_P2)
+    jobs = [["dual-eval", "--fixture", "a1", "--trunc", "800"],
+            ["dual-eval", "--fixture", str(p2), "--trunc", "600"],
+            ["dual-eval", "--fixture", str(p2), "--trunc", "300"],
+            ["gamma-eval", "--fixture", "a1", "--trunc", "1000"],
+            ["gamma-eval", "--fixture", "a1", "--trunc", "400"]]
+    reports = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in jobs:
+            status, rep = run_cli(argv, tmp_path)
+            assert status == 0 and rep["body"]["pass"], argv
+            reports.append([ev["components"]
+                            for ev in rep["body"]["evaluations"]])
+    assert capfd.readouterr().err == ""
+    assert reports[3] == reports[4]
 
 
 @pytest.mark.parametrize("command", ["fm", "ac"])

@@ -143,3 +143,31 @@ def test_ladder_keeps_the_exact_zero_and_its_axis():
     assert got[0, 0, 1, 0] == 0 and got[0, 0, 2, 0] == 0
     assert got[0, 1, 2, 0] == 0
     assert abs(got[0, 0, 1, 1] - 1.0) < 1e-15   # d/du 1/Gamma(u) at 0
+
+
+def test_scaled_ladder_carries_a_power_of_two_past_the_float_range():
+    # down to m = 400 from anchors near 1: a request that stays in the
+    # float range (m = 3, 150) has exponent 0 and the unscaled bits; one
+    # past it (m = 250, 400) has a nonzero exponent e, and its coefficients
+    # times 2**e are mpmath's within 1e-13 of the largest.  From w - 1
+    # on the series at w, the leading factor (w - 1 + u) is left out
+    w = np.array([1.0 + 0.01j, 1.5 - 0.2j])
+    c = kernels.recip_gamma_series(w, 2)
+    slots, depths = np.repeat([0, 1], 4), np.tile([3, 150, 250, 400], 2)
+    plain = kernels.recip_gamma_ladder(c, w, slots, depths)
+    got, exps = kernels.recip_gamma_ladder(c, w, slots, depths, scaled=True)
+    lowered, low_exps = kernels.recip_gamma_ladder(c, w - 1, slots, depths,
+                                                   scaled=True)
+    assert got.shape == plain.shape and exps.shape == slots.shape
+    for row, row_low, e, e_low, i, m, unscaled in zip(
+            got, lowered, exps, low_exps, slots, depths, plain):
+        assert (e != 0) == (m > 200) == (not np.isfinite(unscaled).all())
+        if not e:
+            assert np.array_equal(row, unscaled)
+        for coeffs, k, f in ((row, e, mpmath.rgamma),
+                             (row_low, e_low, lambda z, m=m: mpmath.rgamma(
+                                 z - 1) / (z + m - 1))):
+            want = mpmath.taylor(f, mpmath.mpc(w[i]) - int(m), 2)
+            scale = max(abs(v) for v in want)
+            assert max(abs(mpmath.mpc(v) * mpmath.mpf(2) ** int(k) - u)
+                       for v, u in zip(coeffs, want)) <= 1e-13 * scale

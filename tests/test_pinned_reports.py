@@ -16,8 +16,9 @@ pinned with the exit status and error name each must end in: a line
 left of a ratio pole, integrands that overflow, a divisor shift a eps
 that overflows, a half-height too short for the tails, a half-height
 whose node count is no finite float, one line placed by hand that
-passes, and verify at its default depth 2, whose battery's lines share
-their factors.
+passes, verify at its default depth 2, whose battery's lines share
+their factors, and gamma-eval and dual-eval at --trunc 400, whose
+deepest terms carry a power-of-two exponent past the float range.
 
 Every field that is not a float must match exactly, and every float
 within 1e-14 max(|v|, 1).  A change that moves a value on purpose
@@ -60,6 +61,8 @@ FLAG_JOBS = {
     "oracle a1 --contour-re 0.5": (0, None),
     "verify a1 --depth 2": (0, None),
     "verify conifold --depth 2": (0, None),
+    "gamma-eval a1 --trunc 400": (0, None),
+    "dual-eval a1 --trunc 400": (0, None),
 }
 RTOL = 1e-14
 

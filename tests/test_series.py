@@ -13,6 +13,7 @@ from gkzflop import (
     BranchCut,
     DivergenceSuspected,
     InfeasibleArgs,
+    NonFiniteValue,
     NonInteriorPoint,
     TruncationPolicy,
     evaluate_gamma,
@@ -27,8 +28,9 @@ from gkzflop.rings import Chamber
 from gkzflop.series import enumerate_terms, nan_max
 from gkzflop.toric import canonical_lift, compute_box, find_circuit
 from gkzflop.wall import Line, WallContext, c_battery, select_endpoints
-from support import LOCAL_P2, SMALL_CIRCUITS, circuit_fixture, \
-    reference_enumerate_terms, reference_solutions, reference_term_values, \
+from support import LOCAL_P2, OFFSET_REFUSED, SMALL_CIRCUITS, \
+    circuit_fixture, reference_enumerate_terms, reference_solutions, \
+    reference_term_values, reference_term_values_product, \
     reference_terms_of_c, terms_of
 
 mpmath.mp.dps = 30
@@ -214,8 +216,9 @@ def test_divergence_guard(a1):
         evaluate_gamma(a1.chamber(a1.t_plus), [(0, 0)], x, policy)
 
 
-def test_nan_shell_norm_trips_divergence_guard(a1, monkeypatch):
-    # a convergent point whose terms of degree > 4 read NaN
+def test_nan_shell_norm_is_a_non_finite_value(a1, monkeypatch):
+    # a convergent point whose terms of degree > 4 read NaN: the terms'
+    # finiteness is checked before the tail fit, which never reads a NaN
     real = series.term_values
 
     def poisoned(x, nums, den, ring, dual=False):
@@ -227,7 +230,8 @@ def test_nan_shell_norm_trips_divergence_guard(a1, monkeypatch):
     monkeypatch.setattr(series, "term_values", poisoned)
     x = (0.2, 0.8, 0.3)
     policy = TruncationPolicy(degree_bound=12, tail_check=True)
-    with pytest.raises(DivergenceSuspected):
+    with pytest.raises(NonFiniteValue,
+                       match=r"term at c = \(0, 0\) is not finite"):
         evaluate_gamma(a1.chamber(a1.t_plus), [(0, 0)], x, policy)
 
 
@@ -396,8 +400,10 @@ def test_nan_recip_gamma_reaches_the_pde_report(a1, monkeypatch):
     # a NaN 1/Gamma value must surface as a NaN worst case, never as 0.0
     real = DeformationRing.recip_gamma
 
-    def nan(self, ws, ds):
-        return [v * math.nan for v in real(self, ws, ds)]
+    def nan(self, ws, ds, picks=None, scaled=False):
+        out = real(self, ws, ds, picks, scaled)
+        return [(v[0] * math.nan, v[1]) if scaled else v * math.nan
+                for v in out]
     monkeypatch.setattr(DeformationRing, "recip_gamma", nan)
     x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(a1.data.n))
     policy = TruncationPolicy(tail_check=False)
@@ -516,28 +522,51 @@ def test_negative_integer_rows_are_the_functional_equation_product(pack):
     assert checked
 
 
-def test_orbit_terms_past_the_factorial_overflow_are_finite():
-    # on (1,1,1,1,1,1,-6) the orbit term l' + m h of l' = 0 has
-    # l_7 = -6m, and its 1/Gamma product prod_{i<6m} (d - i) overflows
-    # a float from m = 29 on.  The rows up to m = 28 are the unscaled
-    # ones bit for bit; m = 29 and 30 are finite and go on with the
-    # orbit's geometric decay
+def orbit_case():
+    """(1,1,1,1,1,1,-6) at eps = 1e-2: its wall, its essential plus
+    sector's ring, the endpoint x_plus and the Line of l' = 0."""
     data, tris = circuit_fixture((1, 1, 1, 1, 1, 1, -6))
     plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
     circuit = find_circuit(data, plus.t, minus.t)
     wc = WallContext(circuit, plus, minus)
     key = next(g.key() for g in plus.box if g.key() in wc.essential_plus)
-    ring = wc.rings(plus, 1e-2)[key]
     x = select_endpoints(circuit, None, 1e-5).x_plus
-    line = Line((0,) * data.n, circuit)
+    return wc, key, x, Line((0,) * data.n, circuit)
+
+
+def row_dev(got, want):
+    """Largest |got - want| per row over the row's largest |want| (0 for
+    rows that agree, zero rows included)."""
+    num = np.abs(got - want).max(axis=-1)
+    with np.errstate(divide="ignore"):
+        return np.divide(num, np.abs(want).max(axis=-1),
+                         out=np.zeros_like(num), where=num != 0).max()
+
+
+def test_orbit_terms_past_the_factorial_overflow_are_finite():
+    # on (1,1,1,1,1,1,-6) the orbit term l' + m h of l' = 0 has
+    # l_7 = -6m, and its 1/Gamma factor prod_{i<6m} (d - i) /
+    # Gamma(1 + d) overflows a float from m = 29 on.  Every row is the
+    # ladder's (reference_term_values) bit for bit; up to m = 27 it is
+    # the product written out within 1e-13 of its largest coordinate
+    # (at m = 28 the written-out partial product before that factor,
+    # about 1e-317, is subnormal, and only 2.4e-7 of it is right), and
+    # m = 29 and 30 are finite and go on with the orbit's geometric
+    # decay
+    wc, key, x, line = orbit_case()
+    ring = wc.rings(wc.plus, 1e-2)[key]
     rows = series.term_values(x, line.orbit(1, 30), line.den, ring).coords
     assert np.isfinite(rows).all()
-    for m, row in enumerate(rows[:28], 1):
-        want = written_out(x, tuple(m * hv for hv in circuit.h), ring)
-        assert np.array_equal(row, want), m
+    h = line.circuit.h
+    ref = reference_term_values(
+        x, [tuple(Fraction(m * hv) for hv in h) for m in range(1, 31)], ring)
+    assert np.array_equal(rows, ref.coords)
+    want = np.array([written_out(x, tuple(m * hv for hv in h), ring)
+                     for m in range(1, 28)])
+    assert row_dev(rows[:27], want) < 1e-13
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(written_out(x, tuple(29 * hv for hv in
-                                                     circuit.h), ring)).all()
+        assert not np.isfinite(written_out(x, tuple(29 * hv for hv in h),
+                                           ring)).all()
     norms = np.abs(rows).max(axis=1)
     ratios = norms[1:] / norms[:-1]
     assert np.abs(ratios[27:] / ratios[26:-1] - 1).max() < 0.01
@@ -563,28 +592,80 @@ def element_rows(values, d, at_zero, dual):
             for v in values if v < 0}
 
 
+def laddered_rows(values, d, ring, dual):
+    """1/Gamma(1 + v + d) per integer v of values, as term_values asks
+    the ring: anchors and steps by series.ladder_anchors, the dual strip
+    of a negative v laddered from anchor 0's w - 1; rows and exponents."""
+    anchors, depths = map(np.array, series.ladder_anchors(values, 1))
+    values = np.array(values)
+    stripped = dual & (values < 0)
+    tops = np.append(anchors, 0)
+    lowered = np.append(np.zeros(len(values), dtype=int), 1)
+    slots = np.where(stripped, len(values), np.arange(len(values)))
+    (rows, exps), = ring.recip_gamma([1.0 + tops], [d], [
+        (slots, depths - stripped, lowered)], scaled=True)
+    return rows.coords, exps
+
+
 @pytest.mark.parametrize("dual", [False, True])
 def test_gamma_products_match_element_products(pack, dual):
-    # the functional-equation products on raw coordinates equal the
-    # AlgebraElement loop bit for bit, exponents included, past the
-    # factorial overflow (m of about 170) as well
+    # the laddered rows against the functional-equation product on
+    # AlgebraElements, values times their power of two within 1e-13 of
+    # the row's largest coordinate, past the factorial overflow (m of
+    # about 170) as well: no exponent up to m = 169, and one at m = 200
+    # unless the row is zero (d = 0 there), on both sides
     values = [-200, -171, -170, -169, -3, -1, 0, 2]
     _, sectors = batch_setup(pack, eps=1e-2)
-    scaled = 0
     for ring, _ in sectors:
-        n = ring.algebra.data.n
-        ds = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
-        got = series._recip_gamma_rows([values] * n, 1, ds, ring, dual)
-        for d, (rows, exps) in zip(ds, got):
-            at_zero = d.algebra.element(rows[values.index(0)])
+        for j in range(ring.algebra.data.n):
+            d = ring.divisor(j) * (1.0 / TWO_PI_I)
+            rows, exps = laddered_rows(values, d, ring, dual)
+            at_zero = ring.recip_gamma([1.0], [d])[0]
             want = element_rows(values, d, at_zero, dual)
             for v, row, e in zip(values, rows, exps):
-                if v < 0:
-                    assert row.tobytes() == want[v][0].tobytes(), v
-                    assert e == want[v][1], v
-                    scaled += e != 0
-            assert exps[values.index(-169)] == 0
-    assert scaled
+                if v >= 0:
+                    assert e == 0
+                    continue
+                ref, e_ref = want[v]
+                if v >= -169:
+                    assert e == e_ref == 0, v
+                if v == -200 and ref.any():
+                    assert e and e_ref
+                got = np.ldexp(row.view(float), e - e_ref).view(complex)
+                assert row_dev(got, ref) < 1e-13, v
+
+
+def test_laddered_rows_match_mpmath(pack):
+    # 1/Gamma(1 + v + d) = sum_k c_k n^k, c_k the Taylor coefficients of
+    # 1/Gamma(1 + v + s + u) at u = 0, d = s + n with n nilpotent: the
+    # laddered rows within 1e-13 of each row's largest coordinate, primal
+    # and dual (for v = -m < 0, prod_{0<i<m} (d - i) / Gamma(1 + d): the
+    # primal factor without its leading d), at eps 0, 1e-3, 1e-2 and
+    # -3e-3
+    values = [-60, -21, -3, -1, 0, 2]
+    for eps in (0.0, 1e-3, 1e-2, -3e-3):
+        _, sectors = batch_setup(pack, eps=eps)
+        for ring, _ in sectors:
+            alg = ring.algebra
+            kmax = alg.zero_degree - 1
+            for j in range(alg.data.n):
+                d = ring.divisor(j) * (1.0 / TWO_PI_I)
+                s = mpmath.mpc(d.scalar_part)
+                powers = [alg.one()]
+                for _ in range(kmax):
+                    powers.append(powers[-1] * d.nilpotent_part())
+                for dual in (False, True):
+                    rows, exps = laddered_rows(values, d, ring, dual)
+                    assert not exps.any()
+                    for v, row in zip(values, rows):
+                        f = (lambda u, v=v: mpmath.rgamma(1 + s + u)
+                             * mpmath.fprod(s + u - i for i in range(1, -v))
+                             ) if dual and v < 0 else (
+                            lambda u, v=v: mpmath.rgamma(1 + v + s + u))
+                        coeffs = mpmath.taylor(f, 0, kmax)
+                        want = sum((complex(c) * p.coords for c, p in
+                                    zip(coeffs, powers)), np.zeros(alg.dim))
+                        assert row_dev(row, want) < 1e-13, (eps, j, v, dual)
 
 
 def test_dual_rows_carry_the_stripped_factor(pack):
@@ -622,7 +703,11 @@ def test_integer_tables_match_the_fraction_terms(name):
     # the integer terms, classification, order and term_values rows of
     # every sector of both chambers and every c of the depth-2 battery,
     # with and without the circuit, against the Fraction code they
-    # replaced (tests/support.py), rows bit for bit, primal and dual
+    # replaced (tests/support.py), rows bit for bit, primal and dual;
+    # and the rows against the functional-equation product that the
+    # ladder replaced, within 1e-13 of each row's largest coordinate (at
+    # most 5.1e-14 here: the ladder's factors w - k keep the small shift
+    # eps a_j / 2 pi i only to 1.1e-16 of 1 + it)
     data, tris = equivalence_case(name)
     circuit = find_circuit(data, tris["plus"], tris["minus"])
     policy = TruncationPolicy(tail_check=False)
@@ -650,10 +735,115 @@ def test_integer_tables_match_the_fraction_terms(name):
             for dual in (False, True):
                 rows = series.term_values(x, [term.num for term in terms],
                                           den, ring, dual=dual).coords
-                ref = reference_term_values(x, [term.l for term in terms],
-                                            ring, dual=dual).coords
+                ls = [term.l for term in terms]
+                ref = reference_term_values(x, ls, ring, dual=dual).coords
                 assert np.isfinite(ref).all()
                 assert np.array_equal(rows, ref), (g.key(), dual)
+                if ls:
+                    product = reference_term_values_product(x, ls, ring,
+                                                            dual=dual)
+                    assert row_dev(rows, product.coords) < 1e-13
+
+
+def test_term_values_stack_is_its_samples_alone():
+    # a ring of eps samples gives each sample's rows on its own row of a
+    # leading axis, the bits of that sample alone (a stack of one):
+    # primal and dual, on every sector of both chambers of the 44
+    # buildable census crossings at their depth-2 batteries, and on the
+    # orbit of (1,1,1,1,1,1,-6) up to m = 30, past the float range
+    samples = (3e-3, -5e-3, 1e-2)
+    cases = [h for h in SMALL_CIRCUITS if h not in OFFSET_REFUSED]
+    for h in cases:
+        data, tris = circuit_fixture(h)
+        x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(data.n))
+        battery = c_battery(data, 2)
+        for t in tris.values():
+            chamber = Chamber(data, t)
+            for g in chamber.box:
+                alg = chamber.algebras[g.key()]
+                terms = [term for part in enumerate_terms(
+                    data, t, battery, g, TruncationPolicy()) for term in part]
+                nums = [term.num for term in terms]
+                den = terms[0].den if terms else 1
+                for dual in (False, True):
+                    stack = series.term_values(
+                        x, nums, den, DeformationRing(alg, eps=samples), dual)
+                    assert stack.coords.shape == (len(samples), len(nums),
+                                                  alg.dim)
+                    for one, eps in zip(stack.coords, samples):
+                        alone = series.term_values(
+                            x, nums, den, DeformationRing(alg, eps=(eps,)),
+                            dual)
+                        assert one.tobytes() == alone.coords[0].tobytes()
+    assert len(cases) == 44
+    wc, key, x, line = orbit_case()
+    stack = series.term_values(x, line.orbit(1, 30), line.den,
+                               wc.rings(wc.plus, samples)[key]).coords
+    for one, eps in zip(stack, samples):
+        alone = series.term_values(x, line.orbit(1, 30), line.den,
+                                   wc.rings(wc.plus, (eps,))[key]).coords
+        assert np.isfinite(one).all()
+        assert one.tobytes() == alone[0].tobytes()
+
+
+def test_deep_dual_sums_match_mpmath(a1):
+    # dual-eval's a1 battery at --trunc 400, where 1/Gamma of the deepest
+    # terms (m up to 200) leaves the float range and carries a power of
+    # two: every component of a sector of dimension 2 (basis 1, D, D^2 =
+    # 0) against the same terms summed in mpmath at 50 digits, within
+    # 1e-14 of max(|value|, 1).  With d_j = alpha_j D, a term is F(0) +
+    # F'(0) D for F(u) = prod_j x^{l_j + alpha_j u} g_j(u), g_j = 1/Gamma
+    # (1 + l_j + alpha_j u), or, stripped, prod_{0<i<m} (alpha_j u - i)
+    # / Gamma(1 + alpha_j u) / 2 pi i.  (The functional-equation product
+    # this replaced was 2.2e-14 off here, the ladder is 7.9e-15 off)
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    data = a1.data
+    x = complex(0.08 + 0.01j)
+    policy = TruncationPolicy(degree_bound=400, tail_check=False)
+    battery = cli._interior_battery(data, 2)
+    checked = 0
+    for t in (a1.t_plus, a1.t_minus):
+        chamber = a1.chamber(t)
+        module = CompactKModule(chamber)
+        got = evaluate_gamma_dual(chamber, battery, [x] * data.n, policy,
+                                  module)
+        for c, val in zip(battery, got):
+            for g in chamber.box:
+                alg = chamber.algebras[g.key()]
+                if alg.dim != 2:
+                    continue
+                u0 = alg.basis_index[()]
+                ring = DeformationRing(alg, eps=0.0)
+                alphas = [mp.mpc(complex((ring.divisor(j) * (1.0 / TWO_PI_I))
+                                         .coords[1 - u0]))
+                          for j in range(data.n)]
+                [terms] = enumerate_terms(data, t, [c], g, policy)
+                sums = {}
+                for term in terms:
+                    f0, dlog = mp.mpc(1), mp.mpc(0)
+                    for a, l in zip(alphas, term.l):
+                        lj = mp.mpf(l.numerator) / l.denominator
+                        f0 *= mp.power(x, lj)
+                        dlog += a * mp.log(x)
+                        if l.denominator == 1 and l < 0:
+                            f0 *= mp.fprod(-i for i in range(1, -int(l))) \
+                                / (2j * mp.pi)
+                            dlog += a * (mp.euler - mp.harmonic(-int(l) - 1))
+                        else:
+                            f0 *= mp.rgamma(1 + lj)
+                            dlog -= a * mp.digamma(1 + lj)
+                    acc = sums.setdefault(tuple(sorted(term.support)),
+                                          [mp.mpc(0), mp.mpc(0)])
+                    acc[0] += f0
+                    acc[1] += f0 * dlog
+                for support, (s0, s1) in sums.items():
+                    coords = val.components[g.key(), support].coords
+                    for k, want in ((u0, s0), (1 - u0, s1)):
+                        assert abs(coords[k] - want) \
+                            <= 1e-14 * max(abs(want), 1), (c, support, k)
+                        checked += abs(want) > 1e60
+    assert checked
 
 
 @pytest.mark.parametrize("name", ["a1", "conifold"])

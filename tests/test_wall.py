@@ -29,9 +29,9 @@ from gkzflop import (
 from gkzflop import cli, deform, kernels, wall
 from gkzflop.deform import TWO_PI_I
 from gkzflop.series import exponent_table, sum_rows, term_values
-from support import LOCAL_P2, SMALL_CIRCUITS, TRAPEZOID, circuit_fixture, \
-    reference_circles, reference_first_right, reference_integrand, \
-    reference_left_residue_sum, reference_line_battery, \
+from support import LOCAL_P2, OFFSET_REFUSED, SMALL_CIRCUITS, TRAPEZOID, \
+    circuit_fixture, reference_circles, reference_first_right, \
+    reference_integrand, reference_left_residue_sum, reference_line_battery, \
     reference_line_integrand, reference_line_oracle, reference_place_line, \
     reference_pole_model, own_circles, residue, terms_of
 
@@ -213,12 +213,6 @@ def unit_character(h):
     return tuple(g * bi for bi in b)     # g = +-1
 
 
-# the fixed offsets 0, ..., n-1 cannot separate these crossings' poles
-OFFSET_REFUSED = [(3, -1, -2), (3, 2, -2, -3), (3, 2, -1, -2, -2),
-                  (3, 1, -1, -1, -2), (2, 2, -1, -1, -2),
-                  (3, 3, -1, -1, -2, -2)]
-
-
 def test_laurent_transform_does_not_depend_on_its_monomial_basis():
     # T maps the minus-side localization values onto the plus-side ones,
     # so any basis of Laurent monomials with full-rank values gives the
@@ -288,10 +282,10 @@ def test_sample_stack_is_its_samples_alone():
 
 
 def test_oracle_stack_is_its_samples_alone():
-    # oracle_report evaluates its eps samples as one stack: its checks
-    # are those of each sample alone, in sample order, check by check
-    # and to the last bit, on the fixtures, the trapezoid and ten census
-    # crossings (passing or not)
+    # oracle_report evaluates its eps samples as one stack, right orbit
+    # sums included: its checks are those of each sample alone, in
+    # sample order, check by check and to the last bit, on the fixtures,
+    # the trapezoid and ten census crossings (passing or not)
     from gkzflop.fixtures import load_fixture
     fixtures = [load_fixture("a1"), load_fixture("conifold"),
                 parse_fixture(TRAPEZOID)]
@@ -1478,7 +1472,7 @@ def test_chained_recip_gamma_matches_mpmath():
             for h in (1, -1, 2, -2, 3):
                 z = 1 + (complex(r) + s * h)
                 [chain] = ring.recip_gamma([z[None]], [d], [(
-                    np.zeros(10, dtype=int), np.arange(1, 11))])
+                    np.zeros(10, dtype=int), np.arange(1, 11), 0)])
                 for m in range(1, 11):
                     for i, zi in enumerate(z):
                         w = mpmath.mpc(zi - m) + mpmath.mpc(d.scalar_part)
