@@ -821,23 +821,45 @@ class TransformMatrix:
         return nan_max(self.principal_ratio, self.nested_error) < EPS0_TOL
 
 
+def separating_offsets(h):
+    """The deformation offsets a of the crossing with circuit h.
+
+    For each j in order, a_j is the smallest integer a >= j not used
+    yet such that, where h_j < 0, a is nonzero and a / h_j differs from
+    a_i / h_i for every earlier i with h_i < 0: the negative side's
+    poles then part at eps != 0, and circle_radius's denominators are
+    nonzero.  Where 0, ..., n-1 meet these conditions, they are the
+    offsets.
+    """
+    offsets, ratios = [], set()
+    for j, hj in enumerate(h):
+        a = j
+        while a in offsets or (hj < 0 and (a == 0
+                                           or Fraction(a, hj) in ratios)):
+            a += 1
+        offsets.append(a)
+        if hj < 0:
+            ratios.add(Fraction(a, hj))
+    return tuple(map(Fraction, offsets))
+
+
 class WallContext:
     """Everything about one wall crossing that does not depend on eps.
 
     A command builds one context per crossing and drops it when it
     returns.  The context holds the two chambers `plus` and `minus`
     (rings.Chamber: the box and the sector algebras of each
-    triangulation), the deformation offsets checked against the circuit,
-    the essential sectors of the plus side, the row and column index of
-    the transform, and for each essential plus sector the angular data
-    (theta, coords2) of its poles (k, r) by both residue routes.  The
-    monomial basis is found on first use, so a command that assembles
-    no transform never searches for it.  The DeformationRings of a side
-    at one eps or one stack of samples are built once, by `rings`, and
-    shared by every function that takes it.  The minus side's
-    localization matrix at one eps or stack is built once, by
-    `localization`, for both routes; the rest of what depends on eps is
-    built by those functions.
+    triangulation), the deformation offsets that separate the circuit's
+    poles (separating_offsets), the essential sectors of the plus side,
+    the row and column index of the transform, and for each essential
+    plus sector the angular data (theta, coords2) of its poles (k, r) by
+    both residue routes.  The monomial basis is found on first use, so
+    a command that assembles no transform never searches for it.  The
+    DeformationRings of a side at one eps or one stack of samples are
+    built once, by `rings`, and shared by every function that takes it.
+    The minus side's localization matrix at one eps or stack is built
+    once, by `localization`, for both routes; the rest of what depends
+    on eps is built by those functions.
     """
 
     def __init__(self, circuit, plus, minus):
@@ -845,21 +867,7 @@ class WallContext:
         self.circuit = circuit
         self.plus = plus
         self.minus = minus
-        # the offsets 0, ..., n-1 that every DeformationRing takes
-        self.offsets = tuple(Fraction(j) for j in range(data.n))
-        for k in circuit.I_minus:
-            if self.offsets[k] == 0:
-                raise InfeasibleArgs(
-                    f"the fixed deformation offsets 0, ..., {data.n - 1} "
-                    f"cannot separate the poles of this crossing: index "
-                    f"{k + 1} on the negative side has offset 0")
-            for j in circuit.I_minus:
-                if j != k and self.offsets[j] * circuit.h[k] \
-                        == self.offsets[k] * circuit.h[j]:
-                    raise InfeasibleArgs(
-                        "the fixed deformation offsets cannot separate the "
-                        "poles of this crossing: on the negative side they "
-                        "are proportional to the circuit")
+        self.offsets = separating_offsets(circuit.h)
         self.poles = {}
         for g in essential_sectors(data, plus.t, circuit, plus.box):
             lift = canonical_lift(data, g, (0,) * data.rank)
@@ -1109,8 +1117,7 @@ def circle_radius(wall):
     sector, pole (k, r) and route's angles (theta, coords2): den_k at
     eps = 2 pi i h_k (theta + m) / a_k and den_j at eps = 2 pi i (m -
     coords2_j) / (a_j - a_k h_j / h_k), m any integer, a the offsets.
-    WallContext refuses offsets that make a_k or a_j - a_k h_j / h_k
-    zero.
+    separating_offsets keeps a_k and a_j - a_k h_j / h_k nonzero.
     """
     h, a = wall.circuit.h, wall.offsets
     near = math.inf

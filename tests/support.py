@@ -64,10 +64,6 @@ triangulation minus
 SMALL_CIRCUITS = [h for n in range(3, 7) for h in
                   combinations_with_replacement((3, 2, 1, -1, -2, -3), n)
                   if sum(h) == 0 and math.gcd(*h) == 1]
-# the fixed offsets 0, ..., n-1 cannot separate these crossings' poles
-OFFSET_REFUSED = [(3, -1, -2), (3, 2, -2, -3), (3, 2, -1, -2, -2),
-                  (3, 1, -1, -1, -2), (2, 2, -1, -1, -2),
-                  (3, 3, -1, -1, -2, -2)]
 
 
 def brute_force_box_classes(data, t, c, coord_bound=3):
@@ -133,6 +129,20 @@ def circuit_fixture(h):
                      deg=tuple(int(x) for x in deg))
     return data, {"plus": Triangulation("plus", side(1)),
                   "minus": Triangulation("minus", side(-1))}
+
+
+def relabel(data, tris, order):
+    """(ToricData, {label: Triangulation}) with the points in order.
+
+    Point i of the result is point order[i] of data, and every cone
+    names the same points by their new indices.
+    """
+    new = {old: i for i, old in enumerate(order)}
+    points = tuple(data.points[old] for old in order)
+    return (ToricData(rank=data.rank, points=points, deg=data.deg),
+            {label: Triangulation(t.label, tuple(
+                frozenset(new[j] for j in sigma) for sigma in t.maximal))
+             for label, t in tris.items()})
 
 
 def reference_canonical_lift(data, sector, c):

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from gkzflop import report as reporting
 from gkzflop.fixtures import load_fixture, write_fixture
 from gkzflop.toric import compute_box, find_circuit
 from support import LOCAL_P2, SMALL_CIRCUITS, TRAPEZOID, circuit_fixture, \
-    subparser_reference
+    relabel, subparser_reference
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -471,16 +472,73 @@ def test_bad_trunc_rejected(tmp_path):
     assert status == 2
 
 
-@pytest.mark.parametrize("command", ["fm", "ac", "verify", "oracle"])
-def test_swapped_crossing_names_the_fixed_offsets(tmp_path, command):
-    # with the sides swapped, index 1 of a1 is on the negative side and
-    # the fixed offsets 0, 1, 2 give it offset 0
-    status, rep = run_cli([command, "--fixture", "a1", "--plus", "minus",
-                           "--minus", "plus"], tmp_path)
-    assert status == 2
-    assert rep["body"]["error"] == "InfeasibleArgs"
-    assert "fixed deformation offsets" in rep["body"]["message"]
-    assert "cannot separate the poles" in rep["body"]["message"]
+SWAPPED = ["--plus", "minus", "--minus", "plus"]
+
+
+def verdicts(rep):
+    """The pass/fail of each block of a verify or oracle report (oracle:
+    the sorted left and right verdicts of its checks), or its error."""
+    body = rep["body"]
+    if "error" in body:
+        return body["error"]
+    if rep["kind"] == "oracle":
+        return sorted((c["left_pass"], c["right_pass"])
+                      for c in body["checks"])
+    return {k: v["pass"] for k, v in body.items()
+            if isinstance(v, dict) and "pass" in v}
+
+
+@pytest.mark.parametrize("command", ["fm", "ac", "oracle"])
+def test_swapped_crossing_runs(tmp_path, command):
+    # with the sides swapped, index 1 of each fixture is on the negative
+    # side, and the deformation offsets move off 0 there
+    for fixture in ("a1", "conifold"):
+        status, rep = run_cli([command, "--fixture", fixture, *SWAPPED],
+                              tmp_path)
+        assert status == 0, (fixture, rep["body"])
+
+
+def test_swapped_verify(tmp_path):
+    # swapped conifold passes.  Swapped a1 has R = prod |h_j|^h_j = 4 >
+    # 1, so the default --y-abs 0.1 puts its endpoints on the wrong side
+    # of the discriminant (ROADMAP item 2): end_to_end alone fails, by
+    # 1.2e-5 at depth 0 and 1.15e-3 at depth 2, and at --y-abs 0.01 it
+    # passes with a line signal
+    status, rep = run_cli(["verify", "--fixture", "conifold", *SWAPPED],
+                          tmp_path)
+    assert status == 0, rep["body"]
+    for depth, dev in (("0", 1.18e-5), ("2", 1.15e-3)):
+        status, rep = run_cli(["verify", "--fixture", "a1", "--depth", depth,
+                               *SWAPPED], tmp_path)
+        assert status == 1
+        assert verdicts(rep) == {"end_to_end": False, "invariance": True,
+                                 "laurent": True, "matrix": True}
+        assert rep["body"]["end_to_end"]["max_dev"] \
+            == pytest.approx(dev, rel=0.02)
+    status, rep = run_cli(["verify", "--fixture", "a1", "--depth", "0",
+                           "--y-abs", "0.01", *SWAPPED], tmp_path)
+    assert status == 0, rep["body"]
+    (row,) = rep["body"]["end_to_end"]["battery"]
+    assert 0 < row["dev"] < 2e-12
+    assert row["line_signal"] == pytest.approx(1.71, rel=0.01)
+
+
+@pytest.mark.parametrize("fixture", ["a1", "conifold"])
+@pytest.mark.parametrize("command", [["verify", "--depth", "0"], ["oracle"]],
+                         ids=["verify", "oracle"])
+def test_point_order_keeps_the_verdicts(tmp_path, fixture, command):
+    # every order of the fixture's points gives the exit status and the
+    # verdict of each block of the listed order
+    data, tris = load_fixture(fixture)
+    want = run_cli([*command, "--fixture", fixture], tmp_path)
+    path = tmp_path / "relabeled.txt"
+    orders = list(itertools.permutations(range(data.n)))
+    for order in orders:
+        path.write_text(write_fixture(*relabel(data, tris, order)))
+        got = run_cli([*command, "--fixture", str(path)], tmp_path)
+        assert got[0] == want[0], (order, got[1]["body"])
+        assert verdicts(got[1]) == verdicts(want[1]), order
+    assert len(orders) == {"a1": 6, "conifold": 24}[fixture]
 
 
 @pytest.mark.parametrize("command", ["oracle", "verify"])

@@ -28,7 +28,7 @@ from gkzflop.rings import Chamber
 from gkzflop.series import enumerate_terms, nan_max
 from gkzflop.toric import canonical_lift, compute_box, find_circuit
 from gkzflop.wall import Line, WallContext, c_battery, select_endpoints
-from support import LOCAL_P2, OFFSET_REFUSED, SMALL_CIRCUITS, \
+from support import LOCAL_P2, SMALL_CIRCUITS, \
     circuit_fixture, reference_enumerate_terms, reference_solutions, \
     reference_term_values, reference_term_values_product, \
     reference_terms_of_c, terms_of
@@ -748,11 +748,11 @@ def test_integer_tables_match_the_fraction_terms(name):
 def test_term_values_stack_is_its_samples_alone():
     # a ring of eps samples gives each sample's rows on its own row of a
     # leading axis, the bits of that sample alone (a stack of one):
-    # primal and dual, on every sector of both chambers of the 44
-    # buildable census crossings at their depth-2 batteries, and on the
+    # primal and dual, on every sector of both chambers of the 50
+    # census crossings at their depth-2 batteries, and on the
     # orbit of (1,1,1,1,1,1,-6) up to m = 30, past the float range
     samples = (3e-3, -5e-3, 1e-2)
-    cases = [h for h in SMALL_CIRCUITS if h not in OFFSET_REFUSED]
+    cases = SMALL_CIRCUITS
     for h in cases:
         data, tris = circuit_fixture(h)
         x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(data.n))
@@ -775,7 +775,7 @@ def test_term_values_stack_is_its_samples_alone():
                             x, nums, den, DeformationRing(alg, eps=(eps,)),
                             dual)
                         assert one.tobytes() == alone.coords[0].tobytes()
-    assert len(cases) == 44
+    assert len(cases) == 50
     wc, key, x, line = orbit_case()
     stack = series.term_values(x, line.orbit(1, 30), line.den,
                                wc.rings(wc.plus, samples)[key]).coords

@@ -1,7 +1,9 @@
 """Crossing machinery: endpoints, residue coefficients, transforms, contours."""
 
 import dataclasses
+import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -29,11 +31,11 @@ from gkzflop import (
 from gkzflop import cli, deform, kernels, wall
 from gkzflop.deform import TWO_PI_I
 from gkzflop.series import exponent_table, sum_rows, term_values
-from support import LOCAL_P2, OFFSET_REFUSED, SMALL_CIRCUITS, TRAPEZOID, \
+from support import LOCAL_P2, SMALL_CIRCUITS, TRAPEZOID, \
     circuit_fixture, reference_circles, reference_first_right, \
     reference_integrand, reference_left_residue_sum, reference_line_battery, \
     reference_line_integrand, reference_line_oracle, reference_place_line, \
-    reference_pole_model, own_circles, residue, terms_of
+    reference_pole_model, own_circles, relabel, residue, terms_of
 
 
 def trivial_sector(wc):
@@ -218,7 +220,7 @@ def test_laurent_transform_does_not_depend_on_its_monomial_basis():
     # so any basis of Laurent monomials with full-rank values gives the
     # same T: the greedy wall.monomials and the window characters
     # b_w = w b_1, w = 0, ..., eta - 1, with h . b_1 = 1, agree to 1.0e-12
-    # on every buildable census crossing.  Both also match the window
+    # on every census crossing.  Both also match the window
     # route T_W = L_+(W) L_-(W)^-1 over those characters at eps = 0,
     # which uses no pole model, within 1e-10
     built = 0
@@ -226,10 +228,6 @@ def test_laurent_transform_does_not_depend_on_its_monomial_basis():
         data, tris = circuit_fixture(h)
         plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
         circuit = find_circuit(data, plus.t, minus.t)
-        if h in OFFSET_REFUSED:
-            with pytest.raises(InfeasibleArgs, match="deformation offsets"):
-                wall.WallContext(circuit, plus, minus)
-            continue
         wc = wall.WallContext(circuit, plus, minus)
         greedy = eps0(wc)
         assert greedy.undeformed_pass, h
@@ -246,7 +244,55 @@ def test_laurent_transform_does_not_depend_on_its_monomial_basis():
         t_w = lp.T @ np.linalg.inv(lm.T)
         assert np.abs(t_w - greedy.entries).max() <= 1e-10 * scale, h
         built += 1
-    assert built == len(SMALL_CIRCUITS) - len(OFFSET_REFUSED) == 44
+    assert built == len(SMALL_CIRCUITS) == 50
+
+
+def test_separating_offsets_part_the_negative_poles():
+    # on every distinct order of every census circuit, both signs: the
+    # offsets are distinct non-negative integers, nonzero where h_j < 0,
+    # with the a_j / h_j distinct over I_-; and they are 0, ..., n - 1
+    # exactly where 0, ..., n - 1 meets those conditions
+    def separates(h, a):
+        minus = [j for j, hj in enumerate(h) if hj < 0]
+        return len(set(a)) == len(a) and min(a) >= 0 \
+            and all(a[j] for j in minus) \
+            and len({Fraction(a[j], h[j]) for j in minus}) == len(minus)
+
+    cases = 0
+    for h0 in SMALL_CIRCUITS:
+        for sign in (1, -1):
+            for h in set(itertools.permutations(sign * v for v in h0)):
+                a = wall.separating_offsets(h)
+                assert all(v.denominator == 1 for v in a), h
+                assert separates(h, a), h
+                identity = tuple(range(len(h)))
+                assert (a == identity) == separates(h, identity), h
+                cases += 1
+    assert cases == 2 * 4138
+    for h, a in (((3, -1, -2), (0, 1, 3)), ((3, 2, -2, -3), (0, 1, 2, 4)),
+                 ((3, 3, -1, -1, -2, -2), (0, 1, 2, 3, 5, 7))):
+        assert wall.separating_offsets(h) == a
+
+
+def test_every_census_relabeling_builds():
+    # every census crossing, in both orientations, in its listed point
+    # order and in five random ones, builds a WallContext whose eps^0
+    # circle has a finite positive radius
+    rng = random.Random(17)
+    built = 0
+    for h in SMALL_CIRCUITS:
+        data, tris = circuit_fixture(h)
+        orders = [tuple(range(len(h)))] + [
+            tuple(rng.sample(range(len(h)), len(h))) for _ in range(5)]
+        for order in orders:
+            d, t = relabel(data, tris, order)
+            sides = Chamber(d, t["plus"]), Chamber(d, t["minus"])
+            for plus, minus in (sides, sides[::-1]):
+                wc = wall.WallContext(find_circuit(d, plus.t, minus.t),
+                                      plus, minus)
+                assert 0 < wall.circle_radius(wc) < math.inf, (h, order)
+                built += 1
+    assert built == 2 * 6 * len(SMALL_CIRCUITS) == 600
 
 
 def test_transforms_at_generic_eps(pack):
@@ -261,12 +307,11 @@ def test_transforms_at_generic_eps(pack):
 def test_sample_stack_is_its_samples_alone():
     # a stack of samples carries each sample on its own row of a leading
     # axis: each route's stack equals the stacks of one to the last bit,
-    # on the fixtures, the trapezoid and every buildable census crossing
+    # on the fixtures, the trapezoid and every census crossing
     from gkzflop.fixtures import load_fixture
     fixtures = [load_fixture("a1"), load_fixture("conifold"),
                 parse_fixture(TRAPEZOID)]
-    fixtures += [circuit_fixture(h) for h in SMALL_CIRCUITS
-                 if h not in OFFSET_REFUSED]
+    fixtures += [circuit_fixture(h) for h in SMALL_CIRCUITS]
     samples = (1e-2, 5e-3, 2e-3)
     for data, tris in fixtures:
         plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
@@ -278,7 +323,7 @@ def test_sample_stack_is_its_samples_alone():
             for m, (one,) in zip(stack, alone):
                 assert m.entries.shape == (len(wc.rows), len(wc.cols))
                 assert m.entries.tobytes() == one.entries.tobytes()
-    assert len(fixtures) == 3 + 44
+    assert len(fixtures) == 3 + 50
 
 
 def test_oracle_stack_is_its_samples_alone():
@@ -289,8 +334,7 @@ def test_oracle_stack_is_its_samples_alone():
     from gkzflop.fixtures import load_fixture
     fixtures = [load_fixture("a1"), load_fixture("conifold"),
                 parse_fixture(TRAPEZOID)]
-    fixtures += [circuit_fixture(h) for h in SMALL_CIRCUITS
-                 if h not in OFFSET_REFUSED][:10]
+    fixtures += [circuit_fixture(h) for h in SMALL_CIRCUITS][:10]
     samples = (3e-3, -5e-3, 1e-2)
     for data, tris in fixtures:
         plus, minus = Chamber(data, tris["plus"]), Chamber(data, tris["minus"])
@@ -798,7 +842,7 @@ def generator_lines(wc):
 
 def test_laddered_circles_match_the_direct_kernel():
     # every residue circle of oracle's generators, at the far endpoint
-    # and the samples (1e-2, -3e-3) as one stack, on the 44 buildable
+    # and the samples (1e-2, -3e-3) as one stack, on the 50
     # SMALL_CIRCUITS, the trapezoid and local P^2, on every 8th node (a
     # node's value does not depend on the nodes sent with it): the
     # integrand with the ladder of residue_at, its factors 1/Gamma with
@@ -815,7 +859,7 @@ def test_laddered_circles_match_the_direct_kernel():
     # a copy of it at half the radius: classes of one centre mod 1 and
     # two radii, each laddered from its own anchor circle
     cases = [trapezoid_wall(), case_wall({}, "p2")] + [
-        case_wall({}, h) for h in SMALL_CIRCUITS if h not in OFFSET_REFUSED]
+        case_wall({}, h) for h in SMALL_CIRCUITS]
     unit = np.exp(TWO_PI_I * np.arange(0, 64, 8) / 64)
     worst, near, halves, circles, deep = 0.0, 0.0, 0.0, 0, 0
     for wc in cases:
@@ -853,7 +897,7 @@ def test_laddered_circles_match_the_direct_kernel():
             want = f(nodes).coords
             halves = max(halves, float((np.abs(vals[0] - want).max(
                 axis=(2, 3)) / np.abs(want).max(axis=(2, 3))).max()))
-    assert len(cases) == 46 and circles > 10000 and deep >= 100
+    assert len(cases) == 52 and circles > 10000 and deep >= 100
     assert near < 1e-13 and worst < 2e-14 and halves < 1e-13
 
 
@@ -1422,10 +1466,10 @@ def test_class_formed_lines_match_the_per_lprime_kernel(eps):
     # depend on the nodes sent with it), against the form before the
     # classes (one kernel argument per l'_j, the pole factor at l'_j and
     # the power e^{(l'_j + h_j s) log x_j - l'_j log x_j}), on every
-    # buildable circuit of SMALL_CIRCUITS and on the trapezoid: within
+    # circuit of SMALL_CIRCUITS and on the trapezoid: within
     # 1e-13 of each line's largest |value|
     cases = [trapezoid_wall()] + [
-        case_wall({}, h) for h in SMALL_CIRCUITS if h not in OFFSET_REFUSED]
+        case_wall({}, h) for h in SMALL_CIRCUITS]
     worst, nonzero, chained = 0.0, 0, 0
     for wc in cases:
         x = select_endpoints(wc.circuit, None, 0.1).x_minus
