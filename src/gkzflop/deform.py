@@ -170,21 +170,22 @@ class DeformationRing:
         no functional equation.
         """
         dim = self.algebra.dim
-        ws = [np.add.outer(x.scalar_part, np.asarray(v, dtype=complex))
-              for v, x in zip(ws, ds)]
+        centres = [np.add.outer(x.scalar_part, np.asarray(w, dtype=complex))
+                   for w, x in zip(ws, ds)]
         mmax = self.algebra.zero_degree - 1
         c = kernels.recip_gamma_series(
-            np.concatenate([v.reshape(-1) for v in ws]), mmax)
+            np.concatenate([v.reshape(-1) for v in centres]), mmax)
         out, start = [], 0
-        for v, x, pick in zip(ws, ds, picks or [None] * len(ws)):
+        for w, v, x, pick in zip(ws, centres, ds, picks or [None] * len(ws)):
             row = c[start:start + v.size].reshape(v.shape + (mmax + 1,))
             start += v.size
             lead = x.coords.shape[:-1]
             if pick is not None:
                 slots, depths, lowered = pick
                 row = kernels.recip_gamma_ladder(
-                    row, v - lowered, slots, depths, axis=len(lead),
-                    scaled=scaled)
+                    row, w - lowered, slots, depths, axis=len(lead),
+                    scaled=scaled, shift=np.asarray(x.scalar_part).reshape(
+                        lead + (1,) * (np.ndim(w) + 1)))
                 if scaled:
                     row, exps = row
             n = self.algebra.element(x.nilpotent_part().coords.reshape(

@@ -200,18 +200,20 @@ def recip_gamma_series(z, kmax):
     return _blockwise(_recip_gamma_series_flat, z, int(kmax))
 
 
-def recip_gamma_ladder(c, w, slots, depths, axis=0, scaled=False):
+def recip_gamma_ladder(c, w, slots, depths, axis=0, scaled=False, shift=0):
     """Coefficients of prod_{k=1}^{depth} (w[slot] - k + u) f(u), read off c.
 
-    w holds anchors along its axis axis and c, per anchor, the Taylor
-    coefficients of f; with c = recip_gamma_series(w, kmax) a request is
-    1/Gamma(w[slot] - depth + u).  slots and depths are int arrays of one
+    w + shift holds anchors along c's axis axis (w broadcast to
+    c.shape[:-1], shift to c) and c, per anchor, the Taylor coefficients
+    of f; with c = recip_gamma_series(w + shift, kmax) a request is
+    1/Gamma(w[slot] + shift - depth + u), on factors (w - k) + shift that
+    keep a small shift's digits.  slots and depths are int arrays of one
     shape P, a request each: the anchor w[slot] laddered depth >= 0
-    steps down.  The requests take the anchors' place: the result has
-    shape w.shape[:axis] + P + w.shape[axis + 1:] + (kmax + 1,).  Every
-    anchor steps down to the deepest request, each step two array
-    operations on the whole of c, and the requests are read off the
-    levels asked for; a value depends on its anchor and its depth alone.
+    steps down, in its place: the result has shape c.shape[:axis] + P +
+    c.shape[axis + 1:].  Every anchor steps down to the deepest request,
+    each step two array operations on the whole of c, and the requests
+    are read off the levels asked for; a value depends on its anchor and
+    its depth alone.
     scaled also returns a power-of-two exponent e per request: where a
     step would leave a row of c non-finite, that row is first scaled to
     a largest modulus in [1/2, 1), exactly, and the value is the
@@ -231,9 +233,9 @@ def recip_gamma_ladder(c, w, slots, depths, axis=0, scaled=False):
     # a deep step may overflow to inf, and inf to NaN: the values say so,
     # and the callers' finiteness gates raise NonFiniteValue
     with np.errstate(over="ignore", invalid="ignore"):
-        # every factor w - m at once, then c_m = (w - m) c_{m-1} + u c_{m-1}
-        factors = w - np.arange(1, levels[-1] + 1).reshape(
-            (-1,) + (1,) * w.ndim)
+        # every factor at once, then c_m = (w - m + shift + u) c_{m-1}
+        factors = (w - np.arange(1, levels[-1] + 1).reshape(
+            (-1,) + (1,) * c.ndim)) + shift
         for m, factor in enumerate(factors, 1):
             step = factor * c
             step[..., 1:] += c[..., :-1]

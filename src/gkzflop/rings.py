@@ -153,11 +153,9 @@ class SectorAlgebra:
         self._divisor_exact = {j: self.divisor_product_exact((j,))
                                for j in range(self.data.n)}
         table = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
-        self._mult_exact = {}
         for a, ma in enumerate(self.basis):
             for b, mb in enumerate(self.basis):
                 vec = self._normal_form({_mono_mul(ma, mb): Fraction(1)})
-                self._mult_exact[(a, b)] = vec
                 table[a, b, :] = [float(x) for x in vec]
         self.mult_table = table
         self._divisor_num = {

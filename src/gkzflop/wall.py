@@ -64,21 +64,21 @@ from .series import enumerate_terms, exponent_table, ladder_anchors, \
     sector_batches, term_values, sum_rows, scalar_power, nan_max
 
 
-# A line pass is one trapezoid rule at half-step offsets; its even nodes
-# form the coarse level.  The coarse step h2 solves e^(-2 pi a / h2) =
+# A line pass is one trapezoid rule at half-step offsets; its even nodes form
+# the coarse level.  The coarse step h2 solves e^(-2 pi a / h2) =
 # e^(-LINE_EXPONENT), about 2e-16, for the distance a from the line to its
-# nearest pole, and the fine step is h2 / 2.  A line that would need more
-# than MAX_LINE_NODES nodes (a half-height in the hundreds) is refused.
-# Tails stay under TAIL_TOL.  A line keeps CLEARANCE from the poles, a node
-# GUARD from every model point.  Left residues reach MAX_DEPTH below the
-# line and stop after three in a row under STOP of their sum, per eps;
-# their circles, of _CIRCLE_NODES nodes each, are evaluated in rounds of
-# _ROUND, then _ROUND_MAX, _ROUND_MAX, ... circles, one integrand call
-# each for every eps of the ring.  A factor 1/Gamma with h_j < 0 sends
+# nearest pole, and the fine step is h2 / 2.  A line that would need more than
+# MAX_LINE_NODES nodes (a half-height in the hundreds) is refused.  Tails stay
+# under TAIL_TOL.  A line keeps CLEARANCE from the poles, a node GUARD from
+# every point of Line.points, the one pole model.  Left residues reach
+# MAX_DEPTH below the line and stop after three in a row under STOP of their
+# sum, per eps; their circles, of _CIRCLE_NODES nodes each, are evaluated in
+# rounds of _ROUND, then _ROUND_MAX, _ROUND_MAX, ... circles, one integrand
+# call each for every eps of the ring.  A factor 1/Gamma with h_j < 0 sends
 # every node of a round to the kernel, 8 circles 512 nodes (one
-# kernels._BLOCK) per eps; one with h_j > 0 sends the 64 nodes of each
-# circle class once and ladders down to the rest (Line.circles).
-# Orbit terms are restored from -M_BACK; the right pole sum ends at M_MAX.
+# kernels._BLOCK) per eps; one with h_j > 0 sends the 64 nodes of each circle
+# class once and ladders down to the rest (Line.circles).  Orbit terms are
+# restored from -M_BACK; the right pole sum ends at M_MAX.
 LINE_EXPONENT, MAX_LINE_NODES, TAIL_TOL = 36, 2 ** 16, 1e-9
 CLEARANCE, GUARD = 0.15, 1e-7
 MAX_DEPTH, STOP = 40, 1e-13
@@ -202,27 +202,29 @@ class Circles:
 class Line:
     """The integration line of one orbit generator l', and its pole model.
 
-    It depends on l' and the circuit alone, not on eps or the endpoint:
-    a command builds one Line per generator and passes it down.
-    families are the pairs (l'_k, -h_k), k in I_minus, whose points
-    (l'_k - w) / (-h_k), w an integer, are poles for w >= 0; top is the
-    largest (w = 0).  Every point of the model is an integer over unit,
-    the lcm of the families' denominators, and the model is listed in
-    those numerators (points).  s0 None asks for the smallest
+    It depends on l' and the circuit alone, not on eps or the endpoint: a
+    command builds one Line per generator and passes it down.  families are
+    the pairs (l'_k, -h_k), k in I_minus, whose points (l'_k - w) / (-h_k),
+    w an integer, are poles for w >= 0; top is the largest (w = 0).  Every
+    point of the model is an integer over unit, the lcm of the families'
+    denominators, listed in those numerators (points) for the placement, the
+    circles and the node guard (near_pole).  s0 None asks for the smallest
     half-integer >= 1/2 right of top.  A line closer than CLEARANCE to a
-    pole (removable points do not count) moves by +0.25, else by -0.25,
-    else raises PoleOnContour; distance is the placed line's distance to
-    its nearest pole.  An integer point always lies within 1/2 of the
-    line, so the poles 1.25 either side of the requested line hold the
-    nearest of every candidate.  first_right and circles are read on
-    first use.  The orbit l' + m h is read as integer numerators over
-    den, the common denominator of l', the form series.term_values takes.
+    pole (removable points do not count) moves by +0.25, else by -0.25, else
+    raises PoleOnContour; distance is the placed line's distance to its
+    nearest pole.  An integer point always lies within 1/2 of the line, so
+    the poles 1.25 either side of the requested line hold the nearest of
+    every candidate.  first_right and circles are read on first use.  The
+    orbit l' + m h is read as integer numerators over den, the common
+    denominator of l', the form series.term_values takes.
     """
 
     def __init__(self, lprime, circuit, s0=None):
         self.lprime = tuple(lprime)
         self.circuit = circuit
         (self.num,), self.den = exponent_table([self.lprime])
+        # near_pole's points, as floats: none before the circles list some
+        self._at = np.full(1, math.inf)
         self.families = tuple((Fraction(lprime[k]), -circuit.h[k])
                               for k in sorted(circuit.I_minus))
         self.unit = math.lcm(*(lk.denominator * hk
@@ -266,10 +268,25 @@ class Line:
                 kinds[loc] = "ratio" if w >= 0 else kinds.get(loc, "removable")
         return sorted(kinds.items())
 
-    def pole_model(self, lo, hi):
-        """points(lo, hi) with each location read as a Fraction."""
-        return [(Fraction(p, self.unit), kind)
-                for p, kind in self.points(lo, hi)]
+    def near_pole(self, s):
+        """Per node of the flat array s, True within GUARD of a point of
+        points, removable ones too.  The points are real, so only a node
+        with |Im s| < GUARD can be; it is compared with its two
+        neighbours, read as p / unit, both in [floor(Re s), floor(Re s) +
+        1]: off the circles' points where they span that, else off points
+        listed anew."""
+        row = np.zeros(s.shape, dtype=bool)
+        near = np.flatnonzero(np.abs(s.imag) < GUARD)
+        if near.size:
+            z = s[near]
+            lo, hi = math.floor(z.real.min()), math.floor(z.real.max()) + 1
+            at = self._at
+            if not (at[0] <= lo and hi <= at[-1]):
+                at = np.array([p for p, _ in self.points(lo, hi)]) / self.unit
+            i = np.clip(np.searchsorted(at, z.real), 1, len(at) - 1)
+            row[near] = (np.abs(z - at[i - 1]) < GUARD) \
+                | (np.abs(z - at[i]) < GUARD)
+        return row
 
     @property
     def first_right(self):
@@ -295,6 +312,7 @@ class Line:
         """
         points = self.points(self.s0 - MAX_DEPTH - 1, self.s0 + 1)
         u = self.unit
+        self._at = np.array([p for p, _ in points]) / u
         # lo <= p / u < hi, compared exactly in integers
         lo, lo_den = (self.s0 - MAX_DEPTH).as_integer_ratio()
         hi, hi_den = self.s0.as_integer_ratio()
@@ -324,27 +342,6 @@ class Line:
 
 
 # -- the integrand ------------------------------------------------------
-
-
-def _near_pole(lines, s):
-    """Per line, a row over the flat nodes s: True within GUARD of a point
-    of the line's pole model, removable points included.
-
-    It runs in floats.  The model's points lie on the real line, so per
-    node it measures the nearest integer to Re s and, for each of the
-    line's families, the nearest (l'_k - w) / (-h_k) over every integer
-    w, rounded as the model's Fraction rounds: l'_k = a / b gives (a - w
-    b) / (b (-h_k)), one rounding.
-    """
-    hit = np.abs(s - np.rint(s.real)) < GUARD
-    for i, (_, hk) in enumerate(lines[0].families):
-        lk, a, b, bh = np.array([[float(lk), lk.numerator, lk.denominator,
-                                  lk.denominator * hk]
-                                 for lk, _ in (line.families[i]
-                                               for line in lines)]).T[..., None]
-        w = np.rint(lk - hk * s.real)
-        hit = hit | (np.abs(s - (a - w * b) / bh) < GUARD)
-    return np.broadcast_to(hit, (len(lines), s.size))
 
 
 def _pole_error(nodes, row):
@@ -403,7 +400,7 @@ def make_integrand(xs, lines, ring):
     one fixed order, SectorAlgebra.multiply treats rows apart, and the
     kernel and the ladder work elementwise.  The closure does not guard
     its nodes: its callers, mb_contour_oracle and residue_at, keep every
-    node they send GUARD away from the pole model (_near_pole).  .decay
+    node they send GUARD away from Line.points (Line.near_pole).  .decay
     holds the tail rates of each (eps, x), eps-major, and .arg_y one
     value per x of xs; both depend on x and the circuit alone.
     """
@@ -606,10 +603,10 @@ def mb_contour_oracle(f, lines, height):
     entry's checks run in this order: a 1/Gamma argument left of Re z =
     GAMMA_RE_MIN (NonFiniteValue) and a grid past MAX_LINE_NODES
     (InfeasibleArgs) refuse a line before anything is evaluated, and so
-    does a node within GUARD of its pole model (PoleProximity); the
-    integrand call skips the refused lines.  Then come the finiteness of
-    the line nodes, then of the probes, the decay rates of x and the
-    tail bounds.
+    does a node within GUARD of its Line.points (PoleProximity,
+    Line.near_pole); the integrand call skips the refused lines.  Then
+    come the finiteness of the line nodes, then of the probes, the decay
+    rates of x and the tail bounds.
     """
     s0, distance = lines[0].s0, lines[0].distance
     # internal: the lines of a stack share one node grid
@@ -632,8 +629,9 @@ def mb_contour_oracle(f, lines, height):
     step = 2.0 * height / n
     nodes = np.concatenate([s0 + 1j * (-height + (np.arange(n) + 0.5) * step),
                             [complex(s0, height), complex(s0, -height)]])
+    rows = [line.near_pole(nodes) for line in lines]
     refused = [err or (_pole_error(nodes, row) if row.any() else None)
-               for err, row in zip(refused, _near_pole(lines, nodes))]
+               for err, row in zip(refused, rows)]
     keep = [i for i, err in enumerate(refused) if err is None]
     vals = f(nodes, keep) if keep else None
     blocks = iter(() if vals is None else vals.coords)
@@ -654,26 +652,26 @@ def mb_contour_oracle(f, lines, height):
 def residue_at(f, line, circles, at=None):
     """Residues of f by small positively oriented circles, in one call.
 
-    f is an integrand built on the stack [line] alone, on a ring of one
-    or more eps samples, and at selects the one endpoint to evaluate
-    (default: f has one).  circles is a Circles, rows of line.circles or
-    circles of their own.  A node within GUARD of the line's pole model
-    raises PoleProximity for the first such node before anything is
-    evaluated.  Every circle's _CIRCLE_NODES nodes go to one integrand
-    call, so to one kernel call: the nodes themselves for the factors
-    1/Gamma with h_j <= 0, and for those with h_j > 0 the nodes of each
-    class's anchor circle, once per class, laddered down by the circle's
-    shift.  So a circle's value depends on its eps and the circle alone,
-    whatever the other circles of the call.  The result is a batch with
-    one row per (eps, circle), eps-major.  Each circle sums its own nodes
-    as one circle at one eps alone would, in one reduction over the
-    (eps, circles, nodes, dim) array.  A non-finite node makes its
-    circle's residue non-finite; the caller checks the rows it uses.
+    f is an integrand built on the stack [line] alone, on a ring of one or
+    more eps samples, and at selects the one endpoint to evaluate (default:
+    f has one).  circles is a Circles, rows of line.circles or circles of
+    their own.  A node within GUARD of the line's Line.points
+    (Line.near_pole) raises PoleProximity for the first such node before
+    anything is evaluated.  Every circle's _CIRCLE_NODES nodes go to one
+    integrand call, so to one kernel call: the nodes themselves for the
+    factors 1/Gamma with h_j <= 0, and for those with h_j > 0 the nodes of
+    each class's anchor circle, once per class, laddered down by the
+    circle's shift.  So a circle's value depends on its eps and the circle
+    alone, whatever the other circles of the call.  The result is a batch
+    with one row per (eps, circle), eps-major.  Each circle sums its own
+    nodes as one circle at one eps alone would, in one reduction over the
+    (eps, circles, nodes, dim) array.  A non-finite node makes its circle's
+    residue non-finite; the caller checks the rows it uses.
     """
     unit = np.exp(TWO_PI_I * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES)
     z = unit * circles.radii[:, None]
     nodes = np.asarray(circles.centers, dtype=complex)[:, None] + z
-    [row] = _near_pole([line], nodes.reshape(-1))
+    row = line.near_pole(nodes.reshape(-1))
     if row.any():
         raise _pole_error(nodes.reshape(-1), row)
     # the classes of the call: (anchor, radius) pairs, first seen first

@@ -319,6 +319,23 @@ def test_overflowing_integrand_fails_without_warnings(fixture):
     assert json.loads(proc.stdout)["body"]["error"] == "NonFiniteValue"
 
 
+def test_line_node_near_a_removable_point_is_a_report():
+    # a1's generator line Re s = 1/2 passes through the removable point
+    # s = 1/2, and at --contour-t 1e-9 its two nodes sit 5e-10 from it:
+    # the line's node guard refuses it before any evaluation, a
+    # PoleProximity report (exit 1) with nothing on stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkzflop", "oracle", "--fixture", "a1",
+         "--contour-t", "1e-9"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    body = json.loads(proc.stdout)["body"]
+    assert (body["error"], body["message"]) == (
+        "PoleProximity", "s = (0.5-5e-10j) too close to a pole")
+
+
 # oracle stacks whose samples fail alone in different places, and what
 # they raise: the first failing sample's first error in check order.  At
 # 1e3 the line integrand overflows, and its residue circles too, but the

@@ -145,6 +145,26 @@ def test_ladder_keeps_the_exact_zero_and_its_axis():
     assert abs(got[0, 0, 1, 1] - 1.0) < 1e-15   # d/du 1/Gamma(u) at 0
 
 
+def test_ladder_factors_keep_a_small_shift():
+    # anchors w + shift with a small complex shift, as the deformation
+    # puts them: each factor is (w - k) + shift, so the step from the
+    # anchor 1 onto 0 multiplies by the shift itself, bit for bit
+    # ((1 + shift) - 1 keeps only about 1e-16 / |shift| of it), and the
+    # deeper steps match mpmath at the exact translate
+    w = np.array([1.0 + 0j, 0.5 + 0j])
+    shift = np.array([4.7e-4 - 1.3e-4j, -2.2e-4 + 3.9e-4j])   # a row each
+    c = kernels.recip_gamma_series(np.add.outer(shift, w), 2)
+    got = kernels.recip_gamma_ladder(c, w, [0, 0, 1], [1, 3, 2], axis=1,
+                                     shift=shift[:, None, None])
+    assert got.shape == (2, 3, 3)
+    assert np.array_equal(got[:, 0, 0], shift * c[:, 0, 0])
+    for i, s in enumerate(shift):
+        for row, (a, m) in zip(got[i], ((0, 1), (0, 3), (1, 2))):
+            want = [complex(v) for v in mpmath.taylor(
+                mpmath.rgamma, mpmath.mpc(w[a]) + mpmath.mpc(s) - m, 2)]
+            assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_scaled_ladder_carries_a_power_of_two_past_the_float_range():
     # down to m = 400 from anchors near 1: a request that stays in the
     # float range (m = 3, 150) has exponent 0 and the unscaled bits; one

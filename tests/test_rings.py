@@ -141,10 +141,19 @@ def test_linear_relations_hold_exactly_on_small_circuits(small_chambers):
     assert len({h for h, _ in live}) == 26
 
 
+def exact_products(alg):
+    """Exact basis coordinates of each product e_a e_b, keyed (a, b): the
+    constants that alg.mult_table holds rounded."""
+    return {(a, b): alg._normal_form({tuple(sorted(ma + mb)): Fraction(1)})
+            for a, ma in enumerate(alg.basis)
+            for b, mb in enumerate(alg.basis)}
+
+
 def test_sector_algebras_match_the_reference_build(small_chambers):
     # the build over all the generators, with the annihilator forms of
     # sigma, gives the same basis, zero degree, generator classes and
-    # products; only the classes of sigma itself were missing there
+    # products; only the classes of sigma itself were missing there.
+    # The numeric table is the exact products, each rounded once
     for h, data, chamber in small_chambers:
         for alg in chamber.algebras.values():
             ref = reference_sector_algebra(data, chamber.t, alg.sector)
@@ -152,7 +161,11 @@ def test_sector_algebras_match_the_reference_build(small_chambers):
             assert ref["zero_degree"] == alg.zero_degree, (h, alg.sector)
             assert ref["divisor"] == {j: alg._divisor_exact[j]
                                       for j in alg.generators}, (h, alg.sector)
-            assert ref["mult"] == alg._mult_exact, (h, alg.sector)
+            mult = exact_products(alg)
+            assert ref["mult"] == mult, (h, alg.sector)
+            assert np.array_equal(alg.mult_table, [
+                [[float(x) for x in mult[a, b]] for b in range(alg.dim)]
+                for a in range(alg.dim)]), (h, alg.sector)
 
 
 def test_stanley_reisner_products(algebra_map):
@@ -212,11 +225,12 @@ def structure_constants(data, tris):
     out = {}
     for side in ("plus", "minus"):
         for key, alg in Chamber(data, tris[side]).algebras.items():
+            mult = exact_products(alg)
             out[f"{side} {sector_label(key)}"] = {
                 "basis": [list(m) for m in alg.basis],
                 "divisor": [[str(x) for x in alg._divisor_exact[j]]
                             for j in range(data.n)],
-                "mult": [[str(x) for x in alg._mult_exact[(a, b)]]
+                "mult": [[str(x) for x in mult[a, b]]
                          for a in range(alg.dim) for b in range(alg.dim)],
             }
     return out

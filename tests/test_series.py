@@ -1,6 +1,7 @@
 """Term enumeration and twisted-sector series values near the large-volume point."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -695,6 +696,10 @@ def equivalence_case(name):
     return circuit_fixture(name)
 
 
+# a real eps, and one of modulus 3e-3 at angle pi/4
+SKEWED = (3e-3, 3e-3 * cmath.exp(0.25j * math.pi))
+
+
 @pytest.mark.parametrize("name", ["a1", "conifold", "local_p2",
                                   *SMALL_CIRCUITS],
                          ids=lambda n: n if isinstance(n, str)
@@ -705,9 +710,14 @@ def test_integer_tables_match_the_fraction_terms(name):
     # with and without the circuit, against the Fraction code they
     # replaced (tests/support.py), rows bit for bit, primal and dual;
     # and the rows against the functional-equation product that the
-    # ladder replaced, within 1e-13 of each row's largest coordinate (at
-    # most 5.1e-14 here: the ladder's factors w - k keep the small shift
-    # eps a_j / 2 pi i only to 1.1e-16 of 1 + it)
+    # ladder replaced, within 1e-13 of each row's largest coordinate, at
+    # a real eps and at a complex one, as on an eps^0 circle.  At most
+    # 5.1e-14 here (on (3,1,-2,-2), l = (0,-1,-1,0), at the real eps):
+    # the nilpotent parts of two factors cancel to 1/2600 of their size
+    # there, in both forms.  The ladder's factors keep the small shift
+    # s = a_j eps / 2 pi i as (w - k) + s; formed as (w + s) - k they
+    # kept the real part of a complex s only to about 1.1e-16 of 1 + s
+    # (9.7e-12 here at the complex eps)
     data, tris = equivalence_case(name)
     circuit = find_circuit(data, tris["plus"], tris["minus"])
     policy = TruncationPolicy(tail_check=False)
@@ -716,7 +726,6 @@ def test_integer_tables_match_the_fraction_terms(name):
     for t in tris.values():
         chamber = Chamber(data, t)
         for g in chamber.box:
-            ring = DeformationRing(chamber.algebras[g.key()], eps=3e-3)
             for circ in (None, circuit):
                 got = enumerate_terms(data, t, battery, g, policy, circ)
                 want = [reference_enumerate_terms(data, t, c, g, policy, circ)
@@ -732,7 +741,8 @@ def test_integer_tables_match_the_fraction_terms(name):
             dens = {term.den for term in terms}
             assert len(dens) <= 1
             den = dens.pop() if dens else 1
-            for dual in (False, True):
+            for eps, dual in itertools.product(SKEWED, (False, True)):
+                ring = DeformationRing(chamber.algebras[g.key()], eps=eps)
                 rows = series.term_values(x, [term.num for term in terms],
                                           den, ring, dual=dual).coords
                 ls = [term.l for term in terms]

@@ -392,12 +392,14 @@ def test_batched_integrand_matches_node_by_node(pack, form):
 def test_residue_circles_guard_every_node(a1):
     # the integrand evaluates any node; residue_at refuses a round of
     # circles with a node near the line's pole model before evaluating
-    # any of it, and names that node
+    # any of it, and names that node.  The line's circles are listed, with
+    # their points up to s0 + 1 < 2: at s = 2 the guard lists points anew
     wc = wall_context(a1)
     g0 = trivial_sector(wc)
     ring = plus_ring(wc, g0, 0.0)
     lp = canonical_lift(a1.data, g0, a1.data.points[1]).values
     line = wall.Line(lp, a1.circuit)
+    assert len(line.circles) and line.s0 + 1 < 2.0
     calls = []
     f = recording(line_integrand(a1.path().x_plus, line, ring), calls)
     centers, radii = np.array([-0.25, 0.0, -2.25]), np.full(3, 0.1)
@@ -426,14 +428,15 @@ def test_guard_hits_every_model_point_across_a_wide_batch(packs):
         if case[1][2] == Fraction(-3, 2)]
     line = wall.Line(lp, circuit)
     lo, hi = -11.0, 0.4
-    model = line.pole_model(lo, hi)
+    model = reference_pole_model(lp, circuit, lo, hi)
+    assert exact_points(line, lo, hi) == model
     kinds = dict(model)
     assert kinds[Fraction(-5, 6)] == "ratio"
     assert {"integer", "ratio", "removable"} <= set(kinds.values())
     base = np.linspace(lo, hi, 40) + 0.3j
 
     def hits(node):
-        [row] = wall._near_pole([line], np.concatenate([base, [node]]))
+        row = line.near_pole(np.concatenate([base, [node]]))
         assert not row[:-1].any()
         return bool(row[-1])
     # -1/3 is no model point: 1/3 off the integers, 1/6 off the family
@@ -448,13 +451,59 @@ def test_guard_hits_every_model_point_across_a_wide_batch(packs):
             assert hits(p + off), (p, off)
 
 
+def test_guard_hits_every_model_point_on_the_census(monkeypatch):
+    # every generator line of the depth-1 battery of each census circuit,
+    # over the window of its circles' centres: a node at 0, +-GUARD/2,
+    # +-0.99 GUARD or 0.5i GUARD from a point of the reference model hits
+    # the guard, and one at +-1.01 GUARD or +-2 GUARD misses; so do the
+    # line's own nodes, which hit only where the line crosses a point.
+    # Once the circles are listed, the guard reads their points and
+    # lists none afresh
+    guard = wall.GUARD
+    offsets = np.array([0.0, guard / 2, -guard / 2, 0.99 * guard,
+                        -0.99 * guard, 0.5j * guard,
+                        1.01 * guard, -1.01 * guard, 2 * guard, -2 * guard])
+    hit = np.arange(len(offsets)) < 6
+    t = np.linspace(-14.0, 14.0, 4001)
+    lines = 0
+    for h in SMALL_CIRCUITS:
+        data, tris = circuit_fixture(h)
+        t_plus = tris["plus"]
+        circuit = find_circuit(data, t_plus, tris["minus"])
+        generators = {term.l for c in wall.c_battery(data, 1)
+                      for g in compute_box(data, t_plus)
+                      for term in terms_of(data, t_plus, c, g,
+                                           TruncationPolicy(), circuit)
+                      if term.generator}
+        for lp in sorted(generators):
+            line = wall.Line(lp, circuit)
+            line.circles
+            monkeypatch.setattr(line, "points", None)
+            lo, hi = line.s0 - wall.MAX_DEPTH, line.s0
+            model = reference_pole_model(lp, circuit, lo, hi)
+            nodes = np.array([float(p) for p, _ in model])[:, None] + offsets
+            got = line.near_pole(nodes.reshape(-1)).reshape(nodes.shape)
+            assert (got == hit).all(), (h, lp)
+            on_line = Fraction(line.s0) in dict(reference_pole_model(
+                lp, circuit, line.s0, line.s0))
+            assert (line.near_pole(line.s0 + 1j * t)
+                    == (on_line & (np.abs(t) < guard))).all(), (h, lp)
+            lines += 1
+    assert lines > len(SMALL_CIRCUITS)
+
+
+def exact_points(line, lo, hi):
+    """line.points(lo, hi) with each location read as a Fraction."""
+    return [(Fraction(p, line.unit), kind) for p, kind in line.points(lo, hi)]
+
+
 def test_pole_model_kinds_on_a1(a1):
     # l' = (0, -1, 0), h = (1, -2, 1): ratio-factor points (-1 - w) / 2
     line = wall.Line((0, -1, 0), a1.circuit)
-    got = line.pole_model(-1, 1)
+    got = exact_points(line, -1, 1)
     assert got == [(-1, "ratio"), (Fraction(-1, 2), "ratio"), (0, "integer"),
                    (Fraction(1, 2), "removable"), (1, "integer")]
-    assert line.pole_model(0.1, 0.4) == []
+    assert exact_points(line, 0.1, 0.4) == []
 
 
 def test_moving_the_line_one_step_picks_up_one_residue(a1):
@@ -547,7 +596,7 @@ def test_line_matches_the_per_call_pole_model(packs, name):
                 tuple(v + m * hv for v, hv in zip(lp, circuit.h))
                 for m in (-1, 0, 1)]
             lo, hi = line.s0 - 1.25, line.s0 + 1.25
-            assert line.pole_model(lo, hi) \
+            assert exact_points(line, lo, hi) \
                 == reference_pole_model(lp, circuit, lo, hi)
             key = (line.families, line.s0)
             if key in compared or (s0 is not None and census):
@@ -646,7 +695,7 @@ def recording(f, calls):
 def test_line_nodes_miss_the_removable_point(a1):
     x, lp, ring = a1_line(a1)
     line = wall.Line(lp, a1.circuit)
-    assert (Fraction(1, 2), "removable") in line.pole_model(0, 1)
+    assert (Fraction(1, 2), "removable") in exact_points(line, 0, 1)
     calls = []
     f = recording(line_integrand(x, line, ring), calls)
     (_, diag), = wall.mb_contour_oracle(f, [line], 14.0)    # no guard hit
