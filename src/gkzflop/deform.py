@@ -153,6 +153,9 @@ class DeformationRing:
         the caller (series forms (N + a) / N from integer numerators).
         A d of a batch shape B (a stack's sample axis) pairs each of its
         rows with every w: the value has shape B + w.shape, B leading.
+        Where d's scalar part has the same bits at every sample, the sign
+        of zero included (a_j = 0), the centres go to the kernel once and
+        their rows are broadcast over the samples.
         picks, if given, holds per w None or (slots, depths, lowered),
         int arrays, slots and depths of one shape P: that w holds anchors
         along its first axis, and its value is 1/Gamma(w[slot] - depth +
@@ -170,7 +173,8 @@ class DeformationRing:
         no functional equation.
         """
         dim = self.algebra.dim
-        centres = [np.add.outer(x.scalar_part, np.asarray(w, dtype=complex))
+        centres = [np.add.outer(_one_value(x.scalar_part),
+                                np.asarray(w, dtype=complex))
                    for w, x in zip(ws, ds)]
         mmax = self.algebra.zero_degree - 1
         c = kernels.recip_gamma_series(
@@ -180,6 +184,8 @@ class DeformationRing:
             row = c[start:start + v.size].reshape(v.shape + (mmax + 1,))
             start += v.size
             lead = x.coords.shape[:-1]
+            if v.ndim < len(lead) + np.ndim(w):     # sent once: shared rows
+                row = np.broadcast_to(row, lead + row.shape)
             if pick is not None:
                 slots, depths, lowered = pick
                 row = kernels.recip_gamma_ladder(
@@ -195,3 +201,12 @@ class DeformationRing:
                 acc = acc * n + row[..., m]
             out.append((acc, exps) if scaled else acc)
         return out
+
+
+def _one_value(v):
+    """The one value of v where its every element has the same bits (the
+    sign of zero included), else v."""
+    if not np.ndim(v):
+        return v
+    raw = v.tobytes()
+    return v.reshape(-1)[0] if raw == raw[:v.itemsize] * v.size else v

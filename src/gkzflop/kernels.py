@@ -24,7 +24,10 @@ reads the series at order 0.
   psi^(k) by the exp recursion.
 
 Every step works elementwise or adds rows in a fixed order, so a value
-does not depend on the batch it is evaluated in.
+does not depend on the batch it is evaluated in.  Long batches go to the
+core in blocks of _BLOCK = 2048 arguments: a block pays a fixed cost of
+some fifty numpy calls, about what 200 arguments cost at kmax 1, and
+oracle on a1 and conifold at two eps sends 13 blocks (34 of 512).
 
 Ladder.  recip_gamma_ladder reaches 1/Gamma(w - m + u) from the series
 at an anchor w by m steps of the functional equation 1/Gamma(v - 1 + u)
@@ -36,7 +39,10 @@ that would pay the longest multiply-back loop here.  A step where w - m
 is exactly zero keeps the exact zero at the pole of Gamma.  From w - 1
 on the series at w, a request leaves out the factor w - 1 + u (the dual
 series' divided coefficient); a series term's coefficients past m of
-about 170 are scaled by an exact power of two per row.
+about 170 are scaled by an exact power of two per row.  A scaled ladder
+steps unscaled and tests finiteness once, on its deepest level: a value
+that is not finite stays so, so a finite deepest level means that no
+step needed scaling, and only a failed test steps again, level by level.
 """
 
 import functools
@@ -57,7 +63,7 @@ _BERNOULLI = [
 ]   # B_2, ..., B_26
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-_BLOCK = 512   # elements per core call on long arrays; see _blockwise
+_BLOCK = 2048  # elements per core call on long arrays; see _blockwise
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,7 +180,7 @@ def _blockwise(kernel, z, *args):
     """kernel over z flattened, in blocks of _BLOCK elements.
 
     Blocks cap the core's temporaries (a row per shift step or series)
-    at about 60 kB each.  Values do not depend on the block.
+    at about 240 kB each.  Values do not depend on the block.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
@@ -218,7 +224,9 @@ def recip_gamma_ladder(c, w, slots, depths, axis=0, scaled=False, shift=0):
     step would leave a row of c non-finite, that row is first scaled to
     a largest modulus in [1/2, 1), exactly, and the value is the
     coefficients times 2**e.  A row that stays in the float range keeps
-    e = 0 and its unscaled bits.
+    e = 0 and its unscaled bits.  The steps run unscaled first, and
+    finiteness is tested once, on the deepest level; only where that
+    test fails do they run again, each level tested and scaled.
     """
     slots = np.asarray(slots, dtype=int)
     depths = np.asarray(depths, dtype=int)
@@ -228,35 +236,51 @@ def recip_gamma_ladder(c, w, slots, depths, axis=0, scaled=False, shift=0):
         out = np.take(c, slots, axis=axis)
         return (out, np.zeros(out.shape[:-1], dtype=int)) if scaled else out
     w = np.asarray(w, dtype=complex)[..., None]
-    e = np.zeros(c.shape[:-1], dtype=int)
-    kept, exps = [c] * (0 in wanted), [e] * (0 in wanted)
     # a deep step may overflow to inf, and inf to NaN: the values say so,
     # and the callers' finiteness gates raise NonFiniteValue
     with np.errstate(over="ignore", invalid="ignore"):
         # every factor at once, then c_m = (w - m + shift + u) c_{m-1}
         factors = (w - np.arange(1, levels[-1] + 1).reshape(
             (-1,) + (1,) * c.ndim)) + shift
-        for m, factor in enumerate(factors, 1):
-            step = factor * c
-            step[..., 1:] += c[..., :-1]
-            if scaled and not np.isfinite(step).all():
-                k = np.where(np.isfinite(step).all(axis=-1), 0,
-                             np.frexp(np.abs(c).max(axis=-1))[1])
-                c, e = ldexp(c, -k), e + k
-                step = factor * c
-                step[..., 1:] += c[..., :-1]
-            c = step
-            if m in wanted:
-                kept.append(c)
-                exps.append(e)
+        kept, exps = _ladder_levels(c, factors, wanted, False)
+        # a value that is not finite stays so down the ladder: with a
+        # finite deepest level no step needed scaling
+        if scaled and not np.isfinite(kept[-1]).all():
+            kept, exps = _ladder_levels(c, factors, wanted, True)
     # the levels before the anchors' axis: a (level, slot) pair per request
     pick = (slice(None),) * axis + (np.searchsorted(levels, depths), slots)
     out = np.stack(kept, axis=axis)[pick]
     if not scaled:
         return out
     # exponents only grow: with none at the deepest level there are none
-    return out, (np.stack(exps, axis=axis)[pick] if e.any()
+    return out, (np.stack(exps, axis=axis)[pick] if exps[-1].any()
                  else np.zeros(out.shape[:-1], dtype=int))
+
+
+def _ladder_levels(c, factors, wanted, scaled):
+    """The levels m in wanted of c_m = (factors[m - 1] + u) c_{m-1}.
+
+    Returns the levels, ascending, and their power-of-two exponents: with
+    scaled, a row of c that a step would leave non-finite is first scaled
+    to a largest modulus in [1/2, 1), exactly; without, every exponent
+    is 0.
+    """
+    e = np.zeros(c.shape[:-1], dtype=int)
+    kept, exps = [c] * (0 in wanted), [e] * (0 in wanted)
+    for m, factor in enumerate(factors, 1):
+        step = factor * c
+        step[..., 1:] += c[..., :-1]
+        if scaled and not np.isfinite(step).all():
+            k = np.where(np.isfinite(step).all(axis=-1), 0,
+                         np.frexp(np.abs(c).max(axis=-1))[1])
+            c, e = ldexp(c, -k), e + k
+            step = factor * c
+            step[..., 1:] += c[..., :-1]
+        c = step
+        if m in wanted:
+            kept.append(c)
+            exps.append(e)
+    return kept, exps
 
 
 def ldexp(coords, e):

@@ -75,10 +75,12 @@ from .series import enumerate_terms, exponent_table, ladder_anchors, \
 # sum, per eps; their circles, of _CIRCLE_NODES nodes each, are evaluated in
 # rounds of _ROUND, then _ROUND_MAX, _ROUND_MAX, ... circles, one integrand
 # call each for every eps of the ring.  A factor 1/Gamma with h_j < 0 sends
-# every node of a round to the kernel, 8 circles 512 nodes (one
-# kernels._BLOCK) per eps; one with h_j > 0 sends the 64 nodes of each circle
-# class once and ladders down to the rest (Line.circles).  Orbit terms are
-# restored from -M_BACK; the right pole sum ends at M_MAX.
+# every node of a round to the kernel, 8 circles 512 nodes per eps (a quarter
+# of kernels._BLOCK); one with h_j > 0 sends the 64 nodes of each circle
+# class once and ladders down to the rest (Line.circles); one whose offset
+# a_j is 0 sends them once for the whole stack of eps
+# (DeformationRing.recip_gamma).  Orbit terms are restored from -M_BACK; the
+# right pole sum ends at M_MAX.
 LINE_EXPONENT, MAX_LINE_NODES, TAIL_TOL = 36, 2 ** 16, 1e-9
 CLEARANCE, GUARD = 0.15, 1e-7
 MAX_DEPTH, STOP = 40, 1e-13
@@ -851,10 +853,11 @@ class WallContext:
     poles (separating_offsets), the essential sectors of the plus side,
     the row and column index of the transform, and for each essential
     plus sector the angular data (theta, coords2) of its poles (k, r) by
-    both residue routes.  The monomial basis is found on first use, so
-    a command that assembles no transform never searches for it.  The
-    DeformationRings of a side at one eps or one stack of samples are
-    built once, by `rings`, and shared by every function that takes it.
+    both residue routes.  The angular data and the monomial basis are
+    found on first use, so a command that assembles no transform (oracle)
+    never builds them.  The DeformationRings of a side at one eps or one
+    stack of samples are built once, by `rings`, and shared by every
+    function that takes it.
     The minus side's localization matrix at one eps or stack is built
     once, by `localization`, for both routes; the rest of what depends
     on eps is built by those functions.
@@ -866,20 +869,28 @@ class WallContext:
         self.plus = plus
         self.minus = minus
         self.offsets = separating_offsets(circuit.h)
-        self.poles = {}
-        for g in essential_sectors(data, plus.t, circuit, plus.box):
-            lift = canonical_lift(data, g, (0,) * data.rank)
-            self.poles[g.key()] = [
-                (k, r, {"transport": adjacent_data_transport(
-                            data, circuit, minus.t, g, k, r, lift),
-                        "pole": adjacent_data_pole(circuit, g, k, r)})
-                for k in sorted(circuit.I_minus) for r in range(-circuit.h[k])]
-        self.essential_plus = frozenset(self.poles)
+        self._essential = essential_sectors(data, plus.t, circuit, plus.box)
+        self.essential_plus = frozenset(g.key() for g in self._essential)
         self.rows = tuple((g.key(), i) for g in plus.box
                           for i in range(plus.algebras[g.key()].dim))
         self.cols = tuple((g.key(), i) for g in minus.box
                           for i in range(minus.algebras[g.key()].dim))
         self._rings, self._localization = {}, {}
+
+    @functools.cached_property
+    def poles(self):
+        """Per essential plus sector, its poles (k, r) with their angular
+        data by both routes: {"transport": ..., "pole": ...}."""
+        data, circuit = self.plus.data, self.circuit
+        poles = {}
+        for g in self._essential:
+            lift = canonical_lift(data, g, (0,) * data.rank)
+            poles[g.key()] = [
+                (k, r, {"transport": adjacent_data_transport(
+                            data, circuit, self.minus.t, g, k, r, lift),
+                        "pole": adjacent_data_pole(circuit, g, k, r)})
+                for k in sorted(circuit.I_minus) for r in range(-circuit.h[k])]
+        return poles
 
     @functools.cached_property
     def monomials(self):

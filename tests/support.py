@@ -823,6 +823,42 @@ def _reference_power(x, v):
     return cmath.exp(t - e * math.log(2.0)), e
 
 
+def reference_scaled_ladder(c, w, slots, depths, axis=0, shift=0):
+    """kernels.recip_gamma_ladder(..., scaled=True) by its per-level loop.
+
+    Each step is tested for finiteness as it is taken, and a row that it
+    would leave non-finite is scaled first, exactly, to a largest modulus
+    in [1/2, 1).  Returns the requests and their exponents.
+    """
+    slots = np.asarray(slots, dtype=int)
+    depths = np.asarray(depths, dtype=int)
+    wanted = set(depths.reshape(-1).tolist())
+    levels = sorted(wanted)
+    w = np.asarray(w, dtype=complex)[..., None]
+    e = np.zeros(c.shape[:-1], dtype=int)
+    kept, exps = [c] * (0 in wanted), [e] * (0 in wanted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = (w - np.arange(1, levels[-1] + 1).reshape(
+            (-1,) + (1,) * c.ndim)) + shift
+        for m, factor in enumerate(factors, 1):
+            step = factor * c
+            step[..., 1:] += c[..., :-1]
+            if not np.isfinite(step).all():
+                k = np.where(np.isfinite(step).all(axis=-1), 0,
+                             np.frexp(np.abs(c).max(axis=-1))[1])
+                c = np.ldexp(np.ascontiguousarray(c).view(float),
+                             -k[..., None]).view(complex)
+                e = e + k
+                step = factor * c
+                step[..., 1:] += c[..., :-1]
+            c = step
+            if m in wanted:
+                kept.append(c)
+                exps.append(e)
+    pick = (slice(None),) * axis + (np.searchsorted(levels, depths), slots)
+    return np.stack(kept, axis=axis)[pick], np.stack(exps, axis=axis)[pick]
+
+
 def _reference_recip_gamma_rows(values, d, ring, dual):
     """1/Gamma(1 + v + d) per Fraction v of values, one ring call each.
 

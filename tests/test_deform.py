@@ -13,6 +13,7 @@ from gkzflop import (
     NonFiniteValue,
     SectorAlgebra,
     compute_box,
+    kernels,
 )
 from gkzflop.deform import TWO_PI_I, circle, circle_read, principal_log
 from gkzflop.rings import algebra_exp, algebra_inverse
@@ -62,6 +63,35 @@ def test_modes_agree_at_small_eps(alg):
     for row, eps in zip(got.coords, samples):
         want = probe(DeformationRing(alg, eps=eps))
         assert np.abs(row - want.coords).max() <= 1e-14 * want.norm()
+
+
+def test_stack_sends_a_shared_centre_once(alg, monkeypatch):
+    # a shift whose scalar part has the same bits at every sample (D_0 +
+    # a_0 eps, a_0 = 0) goes to the kernel once for the stack and its
+    # rows are shared; one that differs at a sample, if only in the sign
+    # of zero, goes once per sample.  Each row, laddered or not, has the
+    # bits that its sample gives alone
+    sent = []
+    real = kernels.recip_gamma_series
+
+    def counted(z, kmax):
+        sent.append(np.size(z))
+        return real(z, kmax)
+    stack = DeformationRing(alg, eps=(3e-3, -3e-3))
+    shared = stack.divisor(0) * (1.0 / TWO_PI_I)
+    signed = alg.element(shared.coords.copy())
+    signed.coords[1, alg.basis_index[()]] = complex(-0.0, 0.0)
+    apart = stack.divisor(1) * (1.0 / TWO_PI_I)
+    w = np.array([1.5, 0.25 + 1j, 1.0])
+    picks = [(np.array([0, 1, 2, 2]), np.array([0, 2, 1, 3]), 0)] * 3
+    monkeypatch.setattr(kernels, "recip_gamma_series", counted)
+    got = stack.recip_gamma([w] * 3, [shared, signed, apart], picks)
+    assert sent == [3 + 6 + 6]
+    for value, d in zip(got, (shared, signed, apart)):
+        for i in range(2):
+            alone, = stack.recip_gamma([w], [alg.element(d.coords[i])],
+                                       picks[:1])
+            assert value.coords[i].tobytes() == alone.coords.tobytes()
 
 
 def test_eps_zero_and_principal():

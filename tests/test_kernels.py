@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 
 from gkzflop import kernels
+from support import reference_scaled_ladder
 
 mpmath.mp.dps = 30
 
@@ -78,9 +79,10 @@ def test_result_shapes():
     assert kernels.recip_gamma_series(grid, 6).shape == (5, 8, 7)
 
 
-def test_batches_match_one_point_calls():
+def test_batches_match_one_point_calls(monkeypatch):
     # a value must not depend on the batch, or the block of a long batch,
-    # that its point falls in
+    # that its point falls in: a batch of more than two blocks gives the
+    # bits it gives in blocks of 512
     pts = np.array(reference_points(seed=13, count=600, avoid_poles=False))
     for kernel in (kernels.recip_gamma,
                    lambda z: kernels.recip_gamma_series(z, 4)):
@@ -88,6 +90,11 @@ def test_batches_match_one_point_calls():
         single = np.array([kernel(z) for z in pts])
         scale = np.maximum(1.0, np.abs(single))
         assert np.max(np.abs(batch - single) / scale) <= 1e-15
+    long = np.array(reference_points(seed=17, count=2 * kernels._BLOCK + 300,
+                                     avoid_poles=False))
+    batch = kernels.recip_gamma_series(long, 4)
+    monkeypatch.setattr(kernels, "_BLOCK", 512)
+    assert np.array_equal(batch, kernels.recip_gamma_series(long, 4))
 
 
 def test_non_finite_centres_give_non_finite_rows_quietly():
@@ -191,3 +198,40 @@ def test_scaled_ladder_carries_a_power_of_two_past_the_float_range():
             scale = max(abs(v) for v in want)
             assert max(abs(mpmath.mpc(v) * mpmath.mpf(2) ** int(k) - u)
                        for v, u in zip(coeffs, want)) <= 1e-13 * scale
+
+
+def test_scaled_ladder_checks_once(monkeypatch):
+    # the scaled ladder steps unscaled and tests the deepest level alone;
+    # only where that is not finite does it step again, scaling level by
+    # level.  Either way its bits and exponents are those of the loop
+    # that tests every level (support.reference_scaled_ladder).  Anchors
+    # near 1 stay in the float range down 150 steps, with exponent 0 and
+    # one finiteness test; 200 steps, as gamma-eval --trunc 400 takes,
+    # leave it
+    w = np.array([1.0 + 0.01j, 1.5 - 0.2j, 0.75 + 0.3j])
+    shift = np.array([2e-3j, -3e-3j])[:, None, None]
+    c = kernels.recip_gamma_series(w + shift[..., 0], 2)
+    tests = {"count": 0}
+    real = np.isfinite
+
+    def counted(x, *args, **kwargs):
+        tests["count"] += 1
+        return real(x, *args, **kwargs)
+    for deepest, checks in ((150, 1), (200, None)):
+        slots = np.repeat([0, 1, 2], 4)
+        depths = np.tile([0, 3, deepest // 2, deepest], 3)
+        want, want_exps = reference_scaled_ladder(c, w, slots, depths,
+                                                  axis=1, shift=shift)
+        tests["count"] = 0
+        monkeypatch.setattr(np, "isfinite", counted)
+        got, exps = kernels.recip_gamma_ladder(c, w, slots, depths, axis=1,
+                                               scaled=True, shift=shift)
+        monkeypatch.setattr(np, "isfinite", real)
+        assert got.shape == want.shape and exps.shape == want_exps.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(exps, want_exps)
+        if checks:
+            assert tests["count"] == checks and not exps.any()
+        else:
+            assert exps[:, depths == deepest].all()
+            assert np.isfinite(got).all()
