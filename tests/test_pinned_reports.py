@@ -8,10 +8,11 @@ the report without its timings of
 and tests/data/command_reports.json holds the same, keyed
 "COMMAND NAME", for the other jobs of JOBS: fm and ac at the same eps,
 gamma-eval, dual-eval, inspect, box and essential at their defaults,
-and verify at depth 0.  fm, ac and dual-eval are also pinned on the
-circuit fixture of CIRCUIT (sectors of dimension 3), written to a
-temporary file; its report's config names it CIRCUIT_NAME, not the
-file's path.  The jobs of FLAG_JOBS, keyed by their command line, are
+and verify at depth 0.  The jobs of CIRCUIT_JOBS are also pinned on the
+circuit fixture of CIRCUIT (sectors of dimension 3, whose labels and
+lifts carry the denominator 3), written to a temporary file; its
+report's config names it CIRCUIT_NAME, not the file's path.  There
+oracle runs at --y-abs 0.02, where its tails close.  The jobs of FLAG_JOBS, keyed by their command line, are
 pinned with the exit status and error name each must end in: a line
 left of a ratio pole, integrands that overflow, a divisor shift a eps
 that overflows, a half-height too short for the tails, a half-height
@@ -48,7 +49,9 @@ JOBS = {"oracle": EPS, "fm": EPS, "ac": EPS, "gamma-eval": [],
 COMMANDS = tuple(c for c in JOBS if c != "oracle")
 CIRCUIT = (1, 1, 1, -3)
 CIRCUIT_NAME = "circuit(1,1,1,-3)"
-CIRCUIT_COMMANDS = ("fm", "ac", "dual-eval")
+CIRCUIT_JOBS = {**{c: JOBS[c] for c in ("fm", "ac", "dual-eval", "inspect",
+                                         "box", "essential", "verify")},
+                "oracle": EPS + ["--y-abs", "0.02"]}
 FLAG_JOBS = {
     "oracle a1 --contour-re -2.5": (2, "PoleRightOfLine"),
     "oracle conifold --eps 1e3": (1, "NonFiniteValue"),
@@ -70,7 +73,8 @@ RTOL = 1e-14
 def pinned_run(command, fixture, flags=None):
     """Exit status and stripped report of one pinned job.
 
-    flags default to the command's flags in JOBS.
+    flags default to the command's flags in JOBS, or in CIRCUIT_JOBS on
+    the circuit fixture.
     """
     with tempfile.TemporaryDirectory() as tmp:
         path = fixture
@@ -78,7 +82,9 @@ def pinned_run(command, fixture, flags=None):
             path = Path(tmp) / "circuit.txt"
             path.write_text(write_fixture(*circuit_fixture(CIRCUIT)))
         out = Path(tmp) / "report.json"
-        flags = JOBS[command] if flags is None else flags
+        if flags is None:
+            flags = (CIRCUIT_JOBS if fixture == CIRCUIT_NAME
+                     else JOBS)[command]
         status = cli.main([command, "--fixture", str(path), *flags,
                            "--out", str(out)])
         report = strip_timings(json.loads(out.read_text()))
@@ -121,7 +127,7 @@ def test_report_matches_its_pin(command, fixture):
     assert mismatches(pinned_run(command, fixture), pinned) == []
 
 
-@pytest.mark.parametrize("command", CIRCUIT_COMMANDS)
+@pytest.mark.parametrize("command", sorted(CIRCUIT_JOBS))
 def test_circuit_report_matches_its_pin(command):
     pinned = json.loads(COMMAND_PINS.read_text())[f"{command} {CIRCUIT_NAME}"]
     assert pinned["status"] == 0 and pinned["report"]["body"]["pass"]
@@ -157,7 +163,7 @@ if __name__ == "__main__":
         {f: pinned_run("oracle", f) for f in FIXTURES},
         sort_keys=True, indent=1) + "\n")
     jobs = [(c, f) for c in COMMANDS for f in FIXTURES] \
-        + [(c, CIRCUIT_NAME) for c in CIRCUIT_COMMANDS]
+        + [(c, CIRCUIT_NAME) for c in CIRCUIT_JOBS]
     pins = {f"{c} {f}": pinned_run(c, f) for c, f in jobs}
     for job in FLAG_JOBS:
         command, fixture, *flags = job.split()
