@@ -5,8 +5,10 @@ command is its first positional argument, and the flags may come before
 or after it.  COMMANDS is the one table of commands, name -> (help line,
 function of the parsed flags that returns the report body); the
 parser's choices, its help epilog and run all read it.  A report's
-config is the parsed flags, less the command and --out.  --trunc and
---contour-t take their defaults from TruncationPolicy and ContourSpec.
+config is the parsed flags, less the command and --out, with --depth's
+default filled in.  --trunc and --contour-t take their defaults from
+TruncationPolicy and ContourSpec.  oracle checks c = 0 alone and
+refuses an explicit --depth.
 
 Exit codes: 0 all checks pass, 1 verification failure or runtime error
 in a module, 2 input error (bad flags, malformed fixture, infeasible
@@ -35,6 +37,8 @@ from .wall import (ContourSpec, WallContext, ac_transform, c_battery,
 
 # verify's --trunc default, above TruncationPolicy's
 _VERIFY_TRUNC = 25
+# --depth's default, the c-battery depth of the commands that take one
+_DEPTH = 2
 
 # Tokens that read as a negative number, so as a flag's value and not as
 # a flag.  argparse's own rule (Python 3.11) takes only -5 and -0.5
@@ -64,8 +68,9 @@ def _add_common(sp):
                     help="endpoint separation amplitude A")
     sp.add_argument("--y-abs", dest="y_abs", type=float, default=0.1,
                     help="|y| at the convergent-side endpoint")
-    sp.add_argument("--depth", type=int, default=2,
-                    help="c-battery depth")
+    sp.add_argument("--depth", type=int, default=None,
+                    help=f"c-battery depth (default {_DEPTH}; oracle checks "
+                         "c = 0 alone and takes none)")
     sp.add_argument("--out", default=None,
                     help="write the report here instead of stdout")
     sp.add_argument("--format", choices=("json", "text"), default="json")
@@ -86,15 +91,18 @@ def build_parser():
     return parser
 
 
-def _validate(args):
+def _validate(command, args):
     if args.trunc is not None and args.trunc < 1:
         raise InputError("--trunc must be >= 1")
     if not 0 < args.contour_t < math.inf:
         raise InputError("--contour-t must be positive and finite")
     if args.contour_re is not None and not math.isfinite(args.contour_re):
         raise InputError("--contour-re must be finite")
-    if args.depth < 0:
-        raise InputError("--depth must be >= 0")
+    if args.depth is not None:
+        if args.depth < 0:
+            raise InputError("--depth must be >= 0")
+        if command == "oracle":
+            raise InputError("oracle checks c = 0 alone and takes no --depth")
     if not 0 < args.y_abs < math.inf:
         raise InputError("--y-abs must be positive and finite")
     if args.amp is not None and not 0 < args.amp < math.inf:
@@ -133,6 +141,10 @@ def _crossing(args):
 def _policy(args, default=TruncationPolicy.degree_bound):
     bound = args.trunc if args.trunc is not None else default
     return TruncationPolicy(degree_bound=bound)
+
+
+def _depth(args):
+    return _DEPTH if args.depth is None else args.depth
 
 
 def _contour_spec(args):
@@ -199,7 +211,7 @@ def cmd_gamma_eval(args):
     circuit = find_circuit(data, t_plus, t_minus)
     path = select_endpoints(circuit, args.amp, args.y_abs)
     policy = _policy(args)
-    battery = c_battery(data, args.depth)
+    battery = c_battery(data, _depth(args))
     body = {"x_plus": path.x_plus, "x_minus": path.x_minus,
             "evaluations": []}
     for side, t, x in (("plus", t_plus, path.x_plus),
@@ -230,7 +242,7 @@ def _interior_battery(data, depth):
 def cmd_dual_eval(args):
     data, t_plus, t_minus = _load(args)
     policy = _policy(args)
-    battery = _interior_battery(data, args.depth)
+    battery = _interior_battery(data, _depth(args))
     x = [0.08 + 0.01j] * data.n
     body = {"x": x, "evaluations": []}
     for t in (t_plus, t_minus):
@@ -293,7 +305,7 @@ def cmd_verify(args):
     return verify_fm_equals_ac(
         circuit, plus, minus,
         eps_samples=tuple(args.eps or (1e-2, 5e-3, 2e-3)),
-        depth=args.depth, y_abs=args.y_abs, amplitude=args.amp,
+        depth=_depth(args), y_abs=args.y_abs, amplitude=args.amp,
         policy=_policy(args, default=_VERIFY_TRUNC), spec=_contour_spec(args))
 
 
@@ -311,8 +323,8 @@ COMMANDS = {
            lambda args: _transform_body(args, "fm", fm_transform)),
     "ac": ("residue-route transform matrix",
            lambda args: _transform_body(args, "ac", ac_transform)),
-    "oracle": ("contour quadrature vs pole sums, at c = 0 only "
-               "(ignores --depth)", cmd_oracle),
+    "oracle": ("contour quadrature vs pole sums, at c = 0 only",
+               cmd_oracle),
     "verify": ("full crossing battery: matrices and end-to-end values",
                cmd_verify),
 }
@@ -322,7 +334,7 @@ def run(command, args):
     """Run one command; returns (exit_status, report dict)."""
     t0 = time.perf_counter()
     try:
-        _validate(args)
+        _validate(command, args)
         body = COMMANDS[command][1](args)
         status = 0 if body.get("pass", True) else 1
     except GkzflopError as exc:
@@ -332,6 +344,7 @@ def run(command, args):
     timings = {"total_s": time.perf_counter() - t0}
     config = {k: v for k, v in vars(args).items()
               if k not in ("command", "out")}
+    config["depth"] = _depth(args)
     rep = reporting.assemble(command, config, body, timings)
     return status, rep
 

@@ -40,18 +40,19 @@ def principal_log(x):
     return cmath.log(x)
 
 
-def unit_phase(q):
-    """e^{2 pi i q} for rational q, exact at quarter-integer q."""
-    q = Fraction(q) % 1
-    if q == 0:
+def unit_phase(num, den=1):
+    """e^{2 pi i q} for q = num / den, integers with den > 0, exact at
+    quarter-integer q."""
+    r = num % den
+    if r == 0:
         return 1.0 + 0.0j
-    if q == Fraction(1, 2):
+    if 2 * r == den:
         return -1.0 + 0.0j
-    if q == Fraction(1, 4):
+    if 4 * r == den:
         return 1j
-    if q == Fraction(3, 4):
+    if 4 * r == 3 * den:
         return -1j
-    return cmath.exp(TWO_PI_I * float(q))
+    return cmath.exp(TWO_PI_I * (r / den))
 
 
 def circle(rho, k):
@@ -92,7 +93,11 @@ class DeformationRing:
     value's rows are the samples, each the bits of that sample alone.  A
     sample whose shift a_j eps is not a finite complex number raises
     NonFiniteValue here.  Each deformed class D_j + a_j eps is formed
-    once, read-only, and shared by every caller.
+    once, read-only, and shared by every caller, and so is each divisor
+    exponential (exp_divisor, exp_delta) that the residue coefficients,
+    the kernel route and the integrand's pole factors read: once per
+    ring, that is per sector, command and eps.  The offsets are kept as
+    Fractions, the one exact read of them.
     """
 
     def __init__(self, algebra, offsets=None, eps=0.0):
@@ -120,7 +125,7 @@ class DeformationRing:
                         raise NonFiniteValue(
                             f"divisor shift {a} * eps is not finite at "
                             f"eps = {e!r}")
-        self._divisors = {}
+        self._divisors, self._exps = {}, {}
 
     # -- constructors ---------------------------------------------------
 
@@ -131,6 +136,25 @@ class DeformationRing:
             d.coords.flags.writeable = False
             self._divisors[j] = d
         return self._divisors[j]
+
+    def exp_divisor(self, j, s=None):
+        """e^{s D~_j}: algebra_exp(divisor(j) * s), or of divisor(j)
+        itself for s None, formed once per (j, s), read-only."""
+        return self._exp((j, s), lambda: self.divisor(j) if s is None
+                         else self.divisor(j) * s)
+
+    def exp_delta(self, j, k, r):
+        """e^{-(D~_j - r D~_k)}: the delta_jk exponential of
+        wall.coefficient_C, formed once per (j, k, r), read-only."""
+        return self._exp((j, k, r), lambda: (
+            self.divisor(j) - self.divisor(k) * r) * (-1.0))
+
+    def _exp(self, key, exponent):
+        if key not in self._exps:
+            value = algebra_exp(exponent())
+            value.coords.flags.writeable = False
+            self._exps[key] = value
+        return self._exps[key]
 
     # -- operations -----------------------------------------------------
 

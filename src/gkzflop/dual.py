@@ -115,7 +115,7 @@ class CompactKModule:
         eye = np.eye(alg.dim, dtype=complex)
         out = {}
         for i in range(self.data.n):
-            r = algebra_exp(alg.divisor(i)) * unit_phase(sector.coords[i])
+            r = algebra_exp(alg.divisor(i)) * unit_phase(sector.nums[i], sector.den)
             elt = alg.one() - algebra_inverse(r)
             # the unit's row is elt itself
             out[i] = [elt.coords if b == alg.basis_index[()]

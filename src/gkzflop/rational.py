@@ -7,15 +7,20 @@ sector algebra reduces its linear relations once and then one small
 block per degree, over the monomials in its free generators.
 The lattice routines stay dense; their matrices have rank <= 4 and a
 handful of columns.  solve_integer and reduce_mod_lattice take a Hermite
-normal form computed beforehand: a fixture's points have one lattice,
-computed once (toric.ToricData.lattice) and read by validate_toric_data,
-canonical_lift and enumerate_terms.  The cone geometry in toric runs on
-the same routines: cone indices are products of hnf pivots, facet
-normals are integer_kernel vectors, and compute_box and the cone
-membership test read each maximal cone's _hnf_full.
+normal form computed beforehand, and a whole table of right-hand sides
+at once, in int64 columns: a fixture's points have one lattice, computed
+once (toric.ToricData.lattice) and read by validate_toric_data,
+toric.lift_table (the lifts of every c of a battery in one pass, and
+canonical_lift, the case of one c) and enumerate_terms.  The cone
+geometry in toric runs on the same routines: each maximal cone's
+_hnf_full is its ray frame, formed once per command (toric.RayFrame),
+whose pivots give the cone's index and whose inverse gives its facet
+normals, the Box and the cone membership test.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def rref(rows):
@@ -144,30 +149,33 @@ def _hnf_full(m):
 
 
 def solve_integer(h, transform, rhs):
-    """One integer solution x of x * rows == rhs (row-vector convention).
+    """Integer solutions x of x * rows == b (row-vector convention), for
+    every row b of the int table rhs at once, or for one vector b.
 
     (h, transform) is _hnf_full(rows): the HNF rows and the full square
-    unimodular transform.  Returns None when no integer solution exists.
+    unimodular transform.  The forward substitution over the HNF rows
+    runs on int64 columns of the whole table.  Returns the solutions, an
+    int64 table with a row per b (a list for one vector), or None when
+    some b has no integer solution.
     """
-    # express rhs in terms of the HNF rows by forward substitution
-    target = list(map(int, rhs))
-    coeffs = [0] * len(h)
-    ncols = len(target)
+    table = np.array(rhs, dtype=np.int64)
+    target = table.reshape(-1, table.shape[-1])
+    # express each b in terms of the HNF rows by forward substitution
+    coeffs = np.zeros((len(target), len(h)), dtype=np.int64)
     for i, row in enumerate(h):
-        lead = next((c for c in range(ncols) if row[c] != 0), None)
+        lead = next((c for c, v in enumerate(row) if v), None)
         if lead is None:
             continue
-        if target[lead] % row[lead] != 0:
+        q, rest = np.divmod(target[:, lead], row[lead])
+        if rest.any():
             return None
-        q = target[lead] // row[lead]
-        coeffs[i] = q
-        target = [a - q * b for a, b in zip(target, row)]
-    if any(target):
+        coeffs[:, i] = q
+        target = target - q[:, None] * np.array(row, dtype=np.int64)
+    if target.any():
         return None
-    x = [0] * len(transform)
-    for q, trow in zip(coeffs, transform[: len(h)]):
-        x = [a + q * b for a, b in zip(x, trow)]
-    return x
+    x = coeffs @ np.array(transform[:len(h)], dtype=np.int64).reshape(
+        len(h), len(transform))
+    return x if table.ndim == 2 else x[0].tolist()
 
 
 def reduce_mod_lattice(vec, h):
@@ -175,15 +183,15 @@ def reduce_mod_lattice(vec, h):
 
     h is the lattice's basis in HNF (hnf(basis)[0]); pivot coordinates of
     the result are reduced into [0, pivot).  Deterministic, so usable as
-    a tie-break.
+    a tie-break.  vec is one vector (a list comes back) or an int table,
+    whose rows are reduced at once (an int64 table comes back).
     """
-    v = list(map(int, vec))
-    ncols = len(v)
+    table = np.array(vec, dtype=np.int64)
+    v = table.reshape(-1, table.shape[-1])
     for row in h:
-        lead = next((c for c in range(ncols) if row[c] != 0), None)
+        lead = next((c for c, x in enumerate(row) if x), None)
         if lead is None:
             continue
-        q = v[lead] // row[lead]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return v
+        v = v - (v[:, lead] // row[lead])[:, None] \
+            * np.array(row, dtype=np.int64)
+    return v if table.ndim == 2 else v[0].tolist()

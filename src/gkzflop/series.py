@@ -16,11 +16,12 @@ truncation-boundary terms carry a numeric bound.
 
 The exponents of one sector share a denominator N: their fractional
 parts are the sector's coordinates, whatever c is.  So a term is carried
-as the integer numerators of N l, from the lattice walk (_solutions, one
-array pass for a whole battery of c) through the classification
-(enumerate_terms) to the Gamma kernel (term_values); only the exact
-layer (canonical_lift, the sector algebras) and the reads that report or
-pair terms (LatticeTerm.l) use Fractions.  Terms are evaluated in
+as the integer numerators of N l, from the lifts of a whole battery of c
+(toric.lift_table, one int64 pass) and the lattice walk (_solutions, one
+array pass for the battery) through the classification
+(enumerate_terms) to the Gamma kernel (term_values); only the sector
+algebras' exact build and the reads that report or pair terms
+(LatticeTerm.l) use Fractions.  Terms are evaluated in
 batches (term_values): a table of numerators over one N becomes one
 element batch, at one eps or a stack of them, and sums over the batch
 add its rows in term order.  Every 1/Gamma takes the line integrand's
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import BranchCut, DivergenceSuspected, InfeasibleArgs, \
     NonFiniteValue, NonInteriorPoint
 from .toric import essential_cones, interior_cones, is_interior_point, \
-    canonical_lift
+    lift_table
 from .deform import DeformationRing, TWO_PI_I, principal_log
 from . import kernels
 
@@ -109,12 +110,12 @@ def _negative_integers(num, den):
     return frozenset(i for i, v in enumerate(num) if v < 0 and not v % den)
 
 
-def scalar_power(x, e):
-    """x**e on the principal branch, exact for integer e."""
-    e = Fraction(e)
-    if e.denominator == 1:
-        return complex(x) ** int(e)
-    return cmath.exp(float(e) * principal_log(x))
+def scalar_power(x, num, den=1):
+    """x**(num / den) on the principal branch, exact for an integer
+    exponent."""
+    if num % den == 0:
+        return complex(x) ** (num // den)
+    return cmath.exp(num / den * principal_log(x))
 
 
 def _pivot(row):
@@ -187,20 +188,17 @@ def enumerate_terms(data, t, battery, gamma, policy, circuit=None):
     the support's divisor product is a relation of every sector algebra.
     With a circuit, a term is essential when an owning cone is, and a
     generator when l - h is not essential.  The whole battery is one
-    lattice walk (_solutions), classified on supports and cones as bit
-    masks and sorted once by (c, degree, numerators).
+    pass of integer lifts (toric.lift_table: numerators over gamma's
+    denominator, the same for every c) and one lattice walk
+    (_solutions), classified on supports and cones as bit masks and
+    sorted once by (c, degree, numerators).  The sectors, frames and
+    lattice it reads are formed once per command, in integers.
     """
-    lifts = [canonical_lift(data, gamma, c).values for c in battery]
-    if not lifts:
+    if not battery:
         return []
-    dens = {math.lcm(*(v.denominator for v in lift)) for lift in lifts}
-    # internal: the fractional parts of every lift are gamma's
-    assert len(dens) == 1
-    den = dens.pop()
-    owner, nums = _solutions(
-        [[v.numerator * (den // v.denominator) for v in lift]
-         for lift in lifts], den, data.lattice.kernel_basis,
-        policy.degree_bound)
+    den = gamma.den
+    owner, nums = _solutions(lift_table(data, gamma, battery), den,
+                             data.lattice.kernel_basis, policy.degree_bound)
     sup = _support_bits(nums, den)
     ess = set(map(frozenset, essential_cones(data, t, circuit))) \
         if circuit is not None else set()
@@ -216,7 +214,7 @@ def enumerate_terms(data, t, battery, gamma, policy, circuit=None):
                        + (np.abs(nums).sum(axis=1), owner))
     order = order[keep[order]]
     supports = {}
-    out = [[] for _ in lifts]
+    out = [[] for _ in battery]
     for i, num, bits, is_ess, gen in zip(
             owner[order].tolist(), nums[order].tolist(),
             sup[order].tolist(), essential[order].tolist(),

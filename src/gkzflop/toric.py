@@ -3,20 +3,27 @@
 The ambient data is a rank-d lattice N, points v_1..v_n of degree one under
 a fixed grading functional, and the cone C spanned by all the points.  A
 triangulation is given by its maximal cones (index sets into the points).
-Everything in this module is exact: integer and Fraction arithmetic only.
+Everything in this module is exact, and the lattice work is in machine
+integers; Fractions remain only where a value is read as a rational:
+the sector coordinates (TwistedSector.coords, which the sector algebras'
+exact build and the report strings read) and the values of a Lift.
 
-The points have one integer lattice, ToricData.lattice: their Hermite
-normal form with its unimodular transform, the integer kernel and the
-kernel's HNF basis, computed on first use and kept with the data.
-validate_toric_data reads its index, find_circuit and canonical_lift its
-kernel, and series.enumerate_terms walks the kernel basis.  The cone
-questions use the same integer routines of rational: a cone's index is
-the product of the HNF pivots of its rays, a facet normal is the one
-integer kernel vector of the facet's rays, and a point's coordinates in
-a cone's ray basis come in integers, times the index, from the HNF of
-the rays (_scaled_ray_coordinates): compute_box reads the sector of one
-point per class of Z^d modulo each maximal cone's ray lattice, and the
-cone membership test their signs.
+The lattice data of a command is formed once, on first use, and hangs
+off the command's own objects.  The points have one integer lattice,
+ToricData.lattice: their Hermite normal form with its unimodular
+transform, the integer kernel and the kernel's HNF basis.
+validate_toric_data reads its index, find_circuit and the lifts its
+kernel, and series.enumerate_terms walks the kernel basis.  Each
+maximal cone has one RayFrame, kept by ToricData.frame: the HNF of its
+rays, whose pivots multiply to the cone's index, from which a point's
+coordinates in the ray basis come in integers, times the index
+(RayFrame.scaled), and whose inverse, read the same way, gives the
+cone's facet normals.  compute_box reads the sector of one point per
+class of Z^d modulo each maximal cone's ray lattice, and the cone
+membership test the signs of the scaled coordinates.  A sector keeps
+its key, hashed once, and its coordinates as integer numerators over
+one denominator (TwistedSector.key, .den, .nums); lift_table solves for
+the lifts of a whole battery of c in one int64 pass over the lattice.
 
 Index convention: points are 0-based internally; fixture files and reports
 use 1-based indices.
@@ -27,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+
+import numpy as np
 
 from .errors import (
     Infeasible,
@@ -75,6 +84,20 @@ class ToricData:
     def lattice(self):
         """The points' PointLattice, built on first use."""
         return PointLattice(self.points)
+
+    @cached_property
+    def _frames(self):
+        return {}
+
+    def frame(self, sigma):
+        """The RayFrame of the cone sigma, or None when its rays are not
+        a basis of Q^d; formed on first use and kept, like lattice."""
+        sigma = frozenset(sigma)
+        if sigma not in self._frames:
+            h, u = rational._hnf_full(_simplex_matrix(self, sigma))
+            self._frames[sigma] = RayFrame(h, u) \
+                if len(sigma) == self.rank == len(h) else None
+        return self._frames[sigma]
 
     def degree(self, v):
         return sum(a * b for a, b in zip(self.deg, v))
@@ -136,20 +159,54 @@ class Circuit:
         return frozenset(j for j, hj in enumerate(self.h) if hj < 0)
 
 
+class SectorKey(tuple):
+    """A sector's coordinates as a tuple whose hash is computed once.
+
+    It equals, and hashes like, the plain tuple of the coordinates; a
+    dict lookup with it hashes no Fraction.
+    """
+
+    def __new__(cls, coords):
+        key = super().__new__(cls, coords)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self):
+        return self._hash
+
+
 @dataclass(frozen=True)
 class TwistedSector:
-    """Box element: gamma = sum gamma_j v_j with gamma_j in [0,1)."""
+    """Box element: gamma = sum gamma_j v_j with gamma_j in [0,1).
+
+    Its support, key and integer form (den, nums) are formed once.
+    """
 
     coords: tuple   # length n of Fraction in [0,1)
     point: tuple    # integer coordinates of the lattice point
 
-    @property
+    @cached_property
     def support(self):
         return frozenset(j for j, g in enumerate(self.coords) if g)
 
+    @cached_property
+    def _key(self):
+        return SectorKey(self.coords)
+
     def key(self):
-        """Deterministic sort/identity key."""
-        return tuple(self.coords)
+        """Deterministic sort/identity key: one SectorKey per sector."""
+        return self._key
+
+    @cached_property
+    def den(self):
+        """The common denominator of the coordinates."""
+        return math.lcm(*(g.denominator for g in self.coords))
+
+    @cached_property
+    def nums(self):
+        """The coordinates as integer numerators over den."""
+        return tuple(g.numerator * (self.den // g.denominator)
+                     for g in self.coords)
 
 
 @dataclass(frozen=True)
@@ -188,41 +245,60 @@ def _pivot_product(h):
     return math.prod(next(x for x in row if x) for row in h)
 
 
-def _ray_frame(data, sigma):
-    """(h, u, m) of a full-dimensional simplicial cone, or None.
+class RayFrame:
+    """The integer frame of a full-dimensional simplicial cone.
 
     h = u * rays is the HNF of the cone's rays (sorted), upper
     triangular with pivots on the diagonal, and m the product of the
-    pivots, the cone's index.
+    pivots, the cone's index.  ToricData.frame forms one per cone.
     """
-    h, u = rational._hnf_full(_simplex_matrix(data, sigma))
-    if len(sigma) != data.rank or len(h) != data.rank:
-        return None
-    return h, u, _pivot_product(h)
 
+    __slots__ = ("h", "u", "m", "_normals")
 
-def _scaled_ray_coordinates(frame, x):
-    """m times the coordinates of the integer vector x in the ray basis.
+    def __init__(self, h, u):
+        self.h, self.u, self.m = h, u, _pivot_product(h)
+        self._normals = None
 
-    With x = z h, z u are the coordinates; m h^-1 is integral, so m z
-    comes by forward substitution in integers, each division exact.
-    """
-    h, u, m = frame
-    mz = []
-    for i, xi in enumerate(x):
-        mz.append((m * xi - sum(a * row[i] for a, row in zip(mz, h)))
-                  // h[i][i])
-    return [sum(a * b for a, b in zip(mz, col)) for col in zip(*u)]
+    def scaled(self, x):
+        """m times the coordinates of the integer vector x in the ray
+        basis, one per ray in sorted order.
+
+        With x = z h, z u are the coordinates; m h^-1 is integral, so m z
+        comes by forward substitution in integers, each division exact.
+        """
+        h, m = self.h, self.m
+        mz = []
+        for i, xi in enumerate(x):
+            mz.append((m * xi - sum(a * row[i] for a, row in zip(mz, h)))
+                      // h[i][i])
+        return [sum(a * b for a, b in zip(mz, col)) for col in zip(*self.u)]
+
+    def normal(self, i):
+        """Primitive normal of the facet that omits the i-th ray (sorted
+        order), positive on that ray.
+
+        Column i of m R^-1, R the ray rows, is zero on every other ray
+        and m on ray i; its rows are the scaled coordinates of the unit
+        vectors.  Divided by the gcd of its entries it is the facet's one
+        primitive normal with that sign.  All d are formed on first use.
+        """
+        if self._normals is None:
+            d = len(self.h)
+            rows = [self.scaled([int(a == b) for b in range(d)])
+                    for a in range(d)]
+            self._normals = [tuple(x // g for x in col)
+                             for col in zip(*rows) for g in [math.gcd(*col)]]
+        return list(self._normals[i])
 
 
 def cone_index(data, sigma):
     """Lattice index (|det|) of a full-dimensional simplicial cone.
 
-    The product of the HNF pivots of the ray rows; 0 when the rays are
-    linearly dependent.
+    The product of the HNF pivots of the ray rows (RayFrame.m); 0 when
+    the rays are not a basis of Q^d.
     """
-    h = rational.hnf(_simplex_matrix(data, sigma))[0]
-    return _pivot_product(h) if len(h) == len(sigma) else 0
+    frame = data.frame(sigma)
+    return frame.m if frame is not None else 0
 
 
 def boundary_facets(data, t):
@@ -251,19 +327,15 @@ def _apply(mu, v):
 def _facet_normal(data, facet, sigma):
     """Primitive normal of span(facet), oriented positive on sigma's extra ray.
 
-    The one integer kernel vector of the facet's rays as columns: a row
-    of a unimodular transform, so primitive.  None when the facet's
-    rays do not span a hyperplane.
+    Read off sigma's RayFrame (RayFrame.normal).  None when the facet is
+    empty or sigma's rays are not a basis.
     """
-    if not facet:
+    frame = data.frame(sigma)
+    if not facet or frame is None:
         return None
-    kernel = rational.integer_kernel(
-        [[data.points[j][i] for j in facet] for i in range(data.rank)])
-    if len(kernel) != 1:
-        return None
-    mu = kernel[0]
+    rays = sorted(sigma)
     extra = next(iter(set(sigma) - set(facet)))
-    return [-x for x in mu] if _apply(mu, data.points[extra]) < 0 else mu
+    return frame.normal(rays.index(extra))
 
 
 def check_triangulation(data, t):
@@ -396,13 +468,13 @@ def compute_box(data, t):
     """
     found = {}
     for sigma in t.maximal:
-        frame = _ray_frame(data, sigma)
+        frame = data.frame(sigma)
         if frame is None:
             continue
-        h, _, m = frame
+        m = frame.m
         rays = sorted(sigma)
-        for x in product(*(range(row[i]) for i, row in enumerate(h))):
-            ks = [k % m for k in _scaled_ray_coordinates(frame, x)]
+        for x in product(*(range(row[i]) for i, row in enumerate(frame.h))):
+            ks = [k % m for k in frame.scaled(x)]
             coords = [Fraction(0)] * data.n
             for j, k in zip(rays, ks):
                 coords[j] = Fraction(k, m)
@@ -439,20 +511,35 @@ def essential_sectors(data, t, circuit, box):
             if any(sector.support <= s for s in essential)]
 
 
-def canonical_lift(data, sector, c):
-    """Deterministic rational lift l with {l_j} = gamma_j, sum l_j v_j = -c.
+def lift_table(data, sector, battery):
+    """The canonical lifts of every c of the battery, in integers.
 
-    The integer part is the HNF-reduced representative modulo the integer
-    kernel lattice of the points, so equal inputs give equal outputs.
+    A lift l has {l_j} = gamma_j and sum l_j v_j = -c; its integer part
+    is the HNF-reduced representative modulo the integer kernel lattice
+    of the points, so equal inputs give equal outputs.  One int64 pass
+    over the lattice (rational.solve_integer, reduce_mod_lattice) serves
+    the whole battery.  Returns the table of numerators sector.den * l,
+    a row per c; Infeasible when some c has no lift.
     """
-    target = [-int(ci) - gp for ci, gp in zip(c, sector.point)]
+    target = -np.array(battery, dtype=np.int64).reshape(len(battery),
+                                                        data.rank) \
+        - np.array(sector.point, dtype=np.int64)
     lattice = data.lattice
     z = rational.solve_integer(lattice.hnf, lattice.transform, target)
     if z is None:
         raise Infeasible("no integer lift with the prescribed fractional parts")
     z = rational.reduce_mod_lattice(z, lattice.kernel_basis)
-    values = tuple(Fraction(zi) + gi for zi, gi in zip(z, sector.coords))
-    return Lift(sector=sector, c=tuple(int(ci) for ci in c), values=values)
+    return z * sector.den + np.array(sector.nums, dtype=np.int64)
+
+
+def canonical_lift(data, sector, c):
+    """Deterministic rational lift l with {l_j} = gamma_j, sum l_j v_j = -c.
+
+    lift_table's row for a battery of one c, read as Fractions.
+    """
+    [row] = lift_table(data, sector, [c]).tolist()
+    return Lift(sector=sector, c=tuple(int(ci) for ci in c),
+                values=tuple(Fraction(v, sector.den) for v in row))
 
 
 def adjacent_sector(data, circuit, t_minus, sector, k, r, lift=None):
@@ -516,6 +603,6 @@ def is_interior_point(data, t, c, facets):
 
 
 def _in_cone(data, t, c):
-    frames = (_ray_frame(data, sigma) for sigma in t.maximal)
-    return any(all(k >= 0 for k in _scaled_ray_coordinates(frame, c))
+    frames = (data.frame(sigma) for sigma in t.maximal)
+    return any(all(k >= 0 for k in frame.scaled(c))
                for frame in frames if frame is not None)

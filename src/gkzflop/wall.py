@@ -206,12 +206,16 @@ class Line:
 
     It depends on l' and the circuit alone, not on eps or the endpoint: a
     command builds one Line per generator and passes it down.  families are
-    the pairs (l'_k, -h_k), k in I_minus, whose points (l'_k - w) / (-h_k),
-    w an integer, are poles for w >= 0; top is the largest (w = 0).  Every
-    point of the model is an integer over unit, the lcm of the families'
-    denominators, listed in those numerators (points) for the placement, the
-    circles and the node guard (near_pole).  s0 None asks for the smallest
-    half-integer >= 1/2 right of top.  A line closer than CLEARANCE to a
+    the triples (a, b, -h_k), k in I_minus, l'_k = a / b in lowest terms,
+    whose points (l'_k - w) / (-h_k), w an integer, are poles for w >= 0;
+    top is the largest (w = 0).  Every point of the model is an integer over
+    unit, the lcm of the families' denominators, listed in those numerators
+    (points) for the placement, the circles and the node guard (near_pole).
+    The model is built in these integers: l' comes as integer numerators
+    over den (a term's num and den), or as rationals, read into that form
+    once; only the reads that pair or print l' (lprime, top) form
+    Fractions.  s0 None asks for the smallest half-integer >= 1/2
+    right of top.  A line closer than CLEARANCE to a
     pole (removable points do not count) moves by +0.25, else by -0.25, else
     raises PoleOnContour; distance is the placed line's distance to its
     nearest pole.  An integer point always lies within 1/2 of the line, so
@@ -221,21 +225,23 @@ class Line:
     denominator of l', the form series.term_values takes.
     """
 
-    def __init__(self, lprime, circuit, s0=None):
-        self.lprime = tuple(lprime)
+    def __init__(self, lprime, circuit, s0=None, den=None):
+        if den is None:
+            (lprime,), den = exponent_table([lprime])
+        self.num, self.den = tuple(lprime), den
         self.circuit = circuit
-        (self.num,), self.den = exponent_table([self.lprime])
         # near_pole's points, as floats: none before the circles list some
         self._at = np.full(1, math.inf)
-        self.families = tuple((Fraction(lprime[k]), -circuit.h[k])
-                              for k in sorted(circuit.I_minus))
-        self.unit = math.lcm(*(lk.denominator * hk
-                               for lk, hk in self.families))
-        self.top = max(lk / hk for lk, hk in self.families)
+        self.families = tuple(
+            (self.num[k] // g, den // g, -circuit.h[k])
+            for k, g in ((k, math.gcd(self.num[k], den))
+                         for k in sorted(circuit.I_minus)))
+        u = self.unit = math.lcm(*(b * hk for _, b, hk in self.families))
+        # top, over unit
+        self._top = max(a * (u // (b * hk)) for a, b, hk in self.families)
         if s0 is None:
-            s0 = math.floor(max(self.top, 0) + Fraction(1, 2)) + 0.5
+            s0 = (2 * max(self._top, 0) + u) // (2 * u) + 0.5
         s0 = float(s0)
-        u = self.unit
         near = [p for p, kind in self.points(s0 - 1.25, s0 + 1.25)
                 if kind != "removable"]
         for cand in (s0, s0 + 0.25, s0 - 0.25):
@@ -248,6 +254,16 @@ class Line:
                 return
         raise PoleOnContour(f"no clear line near Re s = {s0}")
 
+    @property
+    def lprime(self):
+        """l' as Fractions."""
+        return tuple(Fraction(v, self.den) for v in self.num)
+
+    @property
+    def top(self):
+        """The largest ratio pole, as a Fraction."""
+        return Fraction(self._top, self.unit)
+
     def points(self, lo, hi):
         """Exact real points in [lo, hi] where the line integrand is singular.
 
@@ -257,15 +273,14 @@ class Line:
         where a zero of 1/Gamma(l'_k + s h_k) cancels the pole (no
         residue, but at eps = 0 the formula cannot be evaluated there).
         """
-        lo, hi = Fraction(lo), Fraction(hi)
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
         u = self.unit
-        kinds = {m * u: "integer"
-                 for m in range(math.ceil(lo), math.floor(hi) + 1)}
-        for lk, hk in self.families:
-            a, b = lk.numerator, lk.denominator
+        kinds = {m * u: "integer" for m in range(-(-ln // ld), hn // hd + 1)}
+        for a, b, hk in self.families:
             step = u // (b * hk)
-            for w in range(math.ceil(lk - hk * hi),
-                           math.floor(lk - hk * lo) + 1):
+            # w from ceil(l'_k - h_k hi) to floor(l'_k - h_k lo)
+            for w in range(-((hk * hn * b - a * hd) // (b * hd)),
+                           (a * ld - hk * ln * b) // (b * ld) + 1):
                 loc = (a - w * b) * step
                 kinds[loc] = "ratio" if w >= 0 else kinds.get(loc, "removable")
         return sorted(kinds.items())
@@ -294,7 +309,8 @@ class Line:
     def first_right(self):
         """First orbit index right of the line, where the orbit splits;
         PoleRightOfLine unless every ratio pole lies left of the line."""
-        if self.top >= self.s0:
+        num, den = self.s0.as_integer_ratio()
+        if self._top * den >= num * self.unit:
             raise PoleRightOfLine(
                 f"the line Re s = {self.s0} has ratio-factor poles on its "
                 f"right, the largest at s = {self.top}")
@@ -427,7 +443,7 @@ def make_integrand(xs, lines, ring):
     d = [dj * (1.0 / TWO_PI_I) for dj in divisors]
     # e^{-D_j} for the j in I_minus alone: at a large negative eps it may
     # overflow for other j
-    exp_neg = {j: algebra_exp(divisors[j] * (-1.0)) for j in iminus}
+    exp_neg = {j: stacked(ring.exp_divisor(j, -1.0)) for j in iminus}
     one = alg.one()
     logs = [[principal_log(v) for v in x] for x in xs]
     consts = []
@@ -436,8 +452,8 @@ def make_integrand(xs, lines, ring):
             ring.branched_power(v, dj) for v, dj in zip(x, d)))
         for line in lines:
             consts.append((branched * functools.reduce(operator.mul, (
-                scalar_power(v, lj) for v, lj in zip(x, line.lprime))))
-                .coords)
+                scalar_power(v, lj, line.den)
+                for v, lj in zip(x, line.num)))).coords)
     # sample, x, line
     consts = np.moveaxis(np.array(consts).reshape(
         len(xs), len(lines), samples, dim), 2, 0)
@@ -458,7 +474,7 @@ def make_integrand(xs, lines, ring):
             r_vals, r_pos = _slots([v % den for v in col])
             classes[j] = (np.array(r_vals) / den + 0j, r_pos)
             nums[j] = np.array([
-                (one - exp_neg[j] * unit_phase(Fraction(-r, den))).coords
+                (one - exp_neg[j] * unit_phase(-r, den)).coords
                 for r in r_vals])
 
     def f(s, keep=None, at=None, ladder=None):
@@ -616,8 +632,8 @@ def mb_contour_oracle(f, lines, height):
                for line in lines), "lines on different node grids"
     refused = []
     for line in lines:
-        low = min(1 + lk + hk * s0
-                  for lk, hk in zip(line.lprime, line.circuit.h) if hk)
+        low = min((line.den + v) / line.den + hk * s0
+                  for v, hk in zip(line.num, line.circuit.h) if hk)
         refused.append(NonFiniteValue(
             f"1/Gamma overflows on the line Re s = {s0}: an argument has "
             f"Re z = {float(low):.6g} < {GAMMA_RE_MIN}")
@@ -752,19 +768,32 @@ def left_residue_sum(f, line, at=None):
 
 
 def adjacent_data_transport(data, circuit, t_minus, gamma, k, r, lift):
-    """theta and the reached sector, via the stored lift moved along h."""
-    q = (lift.values[k] - r) / (-circuit.h[k])
-    theta = q % 1
+    """theta and the reached sector, via the stored lift moved along h.
+
+    theta = (l_k - r) / (-h_k) mod 1, l_k = a / b, as a numerator mod
+    b (-h_k)."""
+    lk = lift.values[k]
     sector, _ = adjacent_sector(data, circuit, t_minus, gamma, k, r, lift)
-    return theta, tuple(sector.coords)
+    return _unit_class(lk.numerator - r * lk.denominator,
+                       lk.denominator * -circuit.h[k]), tuple(sector.coords)
 
 
 def adjacent_data_pole(circuit, gamma, k, m):
-    """theta and the reached coordinates, read off the residue location."""
-    base = (gamma.coords[k] + m) / Fraction(-circuit.h[k])
-    theta = base % 1
-    coords = tuple((g + h * base) % 1 for g, h in zip(gamma.coords, circuit.h))
-    return theta, coords
+    """theta and the reached coordinates, read off the residue location.
+
+    In integers over D = gamma.den * (-h_k): the location (gamma_k + m) /
+    (-h_k) is base / D, and each coordinate gamma_j + h_j base / D is
+    taken mod 1 as a numerator mod D."""
+    hk, den = -circuit.h[k], gamma.den * -circuit.h[k]
+    base = gamma.nums[k] + m * gamma.den
+    return _unit_class(base, den), tuple(
+        _unit_class(g * hk + h * base, den)
+        for g, h in zip(gamma.nums, circuit.h))
+
+
+def _unit_class(num, den):
+    """num / den mod 1, as a Fraction in [0, 1)."""
+    return Fraction(num % den, den)
 
 
 def coefficient_C(circuit, gamma, k, angles, ring):
@@ -773,24 +802,26 @@ def coefficient_C(circuit, gamma, k, angles, ring):
     angles is the pair (theta, coords2) of that pole, from
     adjacent_data_transport (lifts) or adjacent_data_pole (the residue
     location); the two routes must produce identical elements and are
-    kept as separate code paths on purpose.
+    kept as separate code paths on purpose.  The divisor exponentials
+    come from the ring, formed once per ring (DeformationRing.exp_divisor,
+    .exp_delta), and the phases from integer numerators.
     """
     h = circuit.h
     hk = h[k]
     assert k in circuit.I_minus   # internal: poles are built over I_minus
     theta, coords2 = angles
     one = ring.algebra.one()
-    dk = ring.divisor(k)
-    num = one - algebra_exp(dk * (-1.0)) * unit_phase(-gamma.coords[k])
-    den = (one - algebra_exp(dk * (1.0 / hk)) * unit_phase(-theta)) * hk
-    acc = num * algebra_inverse(den)
+    nums, den = gamma.nums, gamma.den
+    num = one - ring.exp_divisor(k, -1.0) * unit_phase(-nums[k], den)
+    den_k = (one - ring.exp_divisor(k, 1.0 / hk)
+             * unit_phase(-theta.numerator, theta.denominator)) * hk
+    acc = num * algebra_inverse(den_k)
     for j in sorted(circuit.I_minus):
         if j == k:
             continue
-        dj = ring.divisor(j)
-        delta = dj - dk * (h[j] / hk)
-        numj = one - algebra_exp(dj * (-1.0)) * unit_phase(-gamma.coords[j])
-        denj = one - algebra_exp(delta * (-1.0)) * unit_phase(-coords2[j])
+        numj = one - ring.exp_divisor(j, -1.0) * unit_phase(-nums[j], den)
+        denj = one - ring.exp_delta(j, k, h[j] / hk) \
+            * unit_phase(-coords2[j].numerator, coords2[j].denominator)
         acc = acc * numj * algebra_inverse(denj)
     return acc
 
@@ -932,31 +963,29 @@ def _eps_key(eps):
     return eps.shape, eps.tobytes()
 
 
-def _localization_values(ring, coords, mons):
-    """Values of the Laurent monomials R^b at r_j = e^{D~_j + 2 pi i g_j}.
+def _localization_values(ring, mons):
+    """Values of the Laurent monomials R^b at r_j = e^{D~_j + 2 pi i g_j},
+    g the coordinates of the ring's sector.
 
     One batch row per exponent b of mons (after a stack's sample axis):
     one batched algebra_exp of the sums sum_j b_j D~_j, times the exact
-    phase e^{2 pi i b.g} of each b.
+    phase e^{2 pi i b.g} of each b, from the sector's integer numerators.
     """
     alg = ring.algebra
     b = np.array(mons, dtype=float).reshape(len(mons), alg.data.n)
     combo = np.zeros((len(mons), alg.dim), dtype=complex)
     for j in range(alg.data.n):
         combo = combo + b[:, j, None] * ring.divisor(j).coords[..., None, :]
-    # b.g exactly, over the common denominator of the sector coordinates
-    den = math.lcm(*(g.denominator for g in coords))
-    nums = [int(g * den) for g in coords]
-    phases = np.array([unit_phase(Fraction(sum(bj * nj for bj, nj
-                                               in zip(bb, nums)), den))
+    sector = alg.sector
+    phases = np.array([unit_phase(sum(bj * nj for bj, nj
+                                      in zip(bb, sector.nums)), sector.den)
                        for bb in mons], dtype=complex)
     return algebra_exp(alg.element(combo)) * phases
 
 
 def localization_matrix(chamber, rings, mons):
     """Localization values of the monomials R^b, a row per b (per sample)."""
-    return np.concatenate([_localization_values(rings[g.key()], g.coords,
-                                                mons).coords
+    return np.concatenate([_localization_values(rings[g.key()], mons).coords
                            for g in chamber.box], axis=-1)
 
 
@@ -1021,11 +1050,10 @@ def _transform(wall, eps, route):
         if g.key() in wall.poles:
             ring = rings_plus[g.key()]
             residues[g.key()] = [
-                (k, r, angles[route][1],
+                (k, r, exponent_table([angles[route][1]]),
                  coefficient_C(circuit, g, k, angles[route], ring))
                 for k, r, angles in wall.poles[g.key()]]
-    local = {g.key(): _localization_values(rings_plus[g.key()], g.coords,
-                                           mons).coords
+    local = {g.key(): _localization_values(rings_plus[g.key()], mons).coords
              for g in plus.box if g.key() not in residues}
     raw_cols = []
     for i, b in enumerate(mons):
@@ -1037,10 +1065,10 @@ def _transform(wall, eps, route):
                 values[key] = ring.algebra.element(local[key][..., i, :])
                 continue
             acc = None
-            for k, r, coords2, c_kr in residues[key]:
+            for k, r, ((coords2,), den2), c_kr in residues[key]:
                 if route == "transport":
-                    phase = unit_phase(sum(Fraction(bj) * c2 for bj, c2
-                                           in zip(b, coords2)))
+                    phase = unit_phase(sum(bj * c2 for bj, c2
+                                           in zip(b, coords2)), den2)
                     combo = None
                     for j, bj in enumerate(b):
                         if bj == 0:
@@ -1052,14 +1080,14 @@ def _transform(wall, eps, route):
                     val = phase if combo is None \
                         else algebra_exp(combo) * phase
                 else:
-                    pk = algebra_exp(ring.divisor(k) * (1.0 / (-h[k]))) \
-                        * unit_phase(Fraction(g.coords[k] + r, -h[k]))
+                    pk = ring.exp_divisor(k, 1.0 / (-h[k])) \
+                        * unit_phase(g.nums[k] + r * g.den, g.den * -h[k])
                     val = None      # the empty product, at b = 0
                     for j, bj in enumerate(b):
                         if bj == 0:
                             continue
-                        rj = algebra_exp(ring.divisor(j)) \
-                            * unit_phase(g.coords[j])
+                        rj = ring.exp_divisor(j) \
+                            * unit_phase(g.nums[j], g.den)
                         factor = rj * ring.power(pk, h[j]) if h[j] else rj
                         power = ring.power(factor, bj)
                         val = power if val is None else val * power
@@ -1113,9 +1141,10 @@ def sampled_transforms(wall, samples, routes):
 
 
 def _gap(q):
-    """Distance from the rational q to the nearest other integer."""
-    q = Fraction(q) % 1
-    return min(q, 1 - q) if q else Fraction(1)
+    """Distance from the rational q in [0, 1) to the nearest other
+    integer, as (numerator, denominator)."""
+    p, d = q.numerator, q.denominator
+    return (min(p, d - p), d) if p else (1, 1)
 
 
 def circle_radius(wall):
@@ -1126,18 +1155,33 @@ def circle_radius(wall):
     sector, pole (k, r) and route's angles (theta, coords2): den_k at
     eps = 2 pi i h_k (theta + m) / a_k and den_j at eps = 2 pi i (m -
     coords2_j) / (a_j - a_k h_j / h_k), m any integer, a the offsets.
-    separating_offsets keeps a_k and a_j - a_k h_j / h_k nonzero.
+    separating_offsets keeps a_k and a_j - a_k h_j / h_k nonzero.  The
+    distances are compared exactly, as integer pairs (numerator,
+    denominator).
     """
     h, a = wall.circuit.h, wall.offsets
-    near = math.inf
+    near = None
     for poles in wall.poles.values():
         for k, _, angles in poles:
+            ak = a[k]
             for theta, coords2 in angles.values():
-                near = min(near, abs(h[k]) * _gap(theta) / abs(a[k]))
+                g, d = _gap(theta)
+                cands = [(abs(h[k]) * g * ak.denominator,
+                          d * abs(ak.numerator))]
                 for j in wall.circuit.I_minus - {k}:
-                    near = min(near, _gap(coords2[j])
-                               / abs(a[j] - a[k] * Fraction(h[j], h[k])))
-    return min(CIRCLE_RHO, 2 * math.pi * float(near) / 3)
+                    # |a_j - a_k h_j / h_k| = |x| / (den a_j den a_k |h_k|)
+                    aj = a[j]
+                    x = aj.numerator * ak.denominator * h[k] \
+                        - ak.numerator * aj.denominator * h[j]
+                    g, d = _gap(coords2[j])
+                    cands.append((g * aj.denominator * ak.denominator
+                                  * abs(h[k]), d * abs(x)))
+                for p, q in cands:
+                    if near is None or p * near[1] < near[0] * q:
+                        near = p, q
+    if near is None:
+        return CIRCLE_RHO
+    return min(CIRCLE_RHO, 2 * math.pi * (near[0] / near[1]) / 3)
 
 
 def undeformed_transforms(wall, samples, routes):
@@ -1213,8 +1257,8 @@ def blind_classes(chamber, rings, mons, J):
         ring = rings[g.key()]
         factor = functools.reduce(operator.mul, (
             1.0 - ring.algebra.element(rj)
-            for rj in _localization_values(ring, g.coords, units).coords))
-        local = _localization_values(ring, g.coords, mons)
+            for rj in _localization_values(ring, units).coords))
+        local = _localization_values(ring, mons)
         # an algebra of dimension 1 holds numbers: R^b is its value alone
         out.append((factor * local.coords[:, 0] if local.algebra.dim == 1
                     else local * factor).coords)
@@ -1289,8 +1333,9 @@ def continued_vector(wall, rings, battery, x, policy, spec):
     first failing step in battery order decides the error, as if each c
     ran alone: an error while the lines are built ends the list of
     lines, and is raised unless a line before it fails.  (Enumerating
-    raises only where canonical_lift finds no lift, which a validated
-    fixture always has.)  Per plus sector, the orbit terms and leftovers
+    raises only where toric.lift_table finds no lift, which a validated
+    fixture always has.)  A generator's Line is built from its term's
+    integer numerators.  Per plus sector, the orbit terms and leftovers
     of every c are one term_values batch, and each c adds its own rows in
     term order.  Returns, per c, the stacked vector and the worst
     est_error, total nodes and largest |value| (line_signal) of its
@@ -1308,7 +1353,7 @@ def continued_vector(wall, rings, battery, x, policy, spec):
                 parts = plans[-1][g.key()] = []
                 for term in terms[g.key()][i]:
                     if term.generator:
-                        line = Line(term.l, circuit, spec.s0)
+                        line = Line(term.num, circuit, spec.s0, term.den)
                         lines.append((g.key(), line))
                         parts.append(line)
                     elif not term.essential:

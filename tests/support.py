@@ -162,6 +162,56 @@ def reference_canonical_lift(data, sector, c):
     return tuple(Fraction(zi) + gi for zi, gi in zip(z, sector.coords))
 
 
+# toric's lifts and facet normals as they were before each cone kept its
+# ray frame and a battery's lifts were one integer table: the lift of one
+# c by row loops over the points' HNF, in Python ints and Fractions, and a
+# facet normal as the one integer kernel vector of the facet's rays.
+# test_toric checks lift_table, canonical_lift and RayFrame.normal
+# against these.
+
+
+def reference_row_lift(data, sector, c):
+    """The canonical lift l of one c, as Fractions; None when none exists.
+
+    The forward substitution over the HNF rows of the points and the
+    reduction modulo the kernel's HNF basis run one row at a time.
+    """
+    lattice = data.lattice
+    target = [-int(ci) - gp for ci, gp in zip(c, sector.point)]
+    coeffs = [0] * len(lattice.hnf)
+    for i, row in enumerate(lattice.hnf):
+        lead = next(j for j, v in enumerate(row) if v)
+        if target[lead] % row[lead]:
+            return None
+        coeffs[i] = q = target[lead] // row[lead]
+        target = [a - q * b for a, b in zip(target, row)]
+    if any(target):
+        return None
+    z = [0] * data.n
+    for q, trow in zip(coeffs, lattice.transform):
+        z = [a + q * b for a, b in zip(z, trow)]
+    for row in lattice.kernel_basis:
+        lead = next(j for j, v in enumerate(row) if v)
+        q = z[lead] // row[lead]
+        z = [a - q * b for a, b in zip(z, row)]
+    return tuple(Fraction(zi) + gi for zi, gi in zip(z, sector.coords))
+
+
+def reference_kernel_normal(data, facet, sigma):
+    """Primitive normal of span(facet), oriented positive on sigma's extra
+    ray: the one integer kernel vector of the facet's rays as columns.
+    None when the facet's rays do not span a hyperplane."""
+    if not facet:
+        return None
+    kernel = rational.integer_kernel(
+        [[data.points[j][i] for j in facet] for i in range(data.rank)])
+    if len(kernel) != 1:
+        return None
+    mu = kernel[0]
+    extra = next(iter(set(sigma) - set(facet)))
+    return [-x for x in mu] if _apply(mu, data.points[extra]) < 0 else mu
+
+
 # toric's cone geometry as it was before the HNF toolkit answered it: a
 # Fraction determinant for the cone index, a rational nullspace scaled to
 # a primitive normal, and a scan of all m^rank tuples k/m per cone for the
@@ -429,8 +479,7 @@ def reference_line_integrand(x, line, ring, per_class=True):
     classes = [v % 1 for v in exact]
     anchors = [r if v < 1 else v for v, r in zip(exact, classes)]
     iminus = sorted(line.circuit.I_minus)
-    families = [(float(lk), hk, lk.numerator, lk.denominator)
-                for lk, hk in line.families]
+    families = [(a / b, hk, a, b) for a, b, hk in line.families]
     d = [ring.divisor(j) * (1.0 / TWO_PI_I) for j in range(n)]
     one = ring.algebra.one()
     exp_neg = {j: algebra_exp(ring.divisor(j) * (-1.0)) for j in iminus}

@@ -32,6 +32,25 @@ def run_cli(argv, tmp_path, name="out.json"):
     return status, json.loads(out.read_text())
 
 
+def depth_flags(command, depth):
+    """--depth depth, for the commands that take it (oracle takes none)."""
+    return [] if command == "oracle" else ["--depth", depth]
+
+
+@pytest.mark.parametrize("depth", ["0", "2", "5", "-1"])
+def test_oracle_refuses_an_explicit_depth(tmp_path, depth):
+    # oracle checks c = 0 alone: an explicit --depth, even the default,
+    # is an input error; without one its config reads the default, 2
+    status, rep = run_cli(["oracle", "--fixture", "a1", "--depth", depth],
+                          tmp_path)
+    assert status == 2 and rep["body"]["error"] == "InputError"
+    assert "--depth" in rep["body"]["message"]
+    assert rep["config"]["depth"] == int(depth)
+    status, rep = run_cli(["oracle", "--fixture", "a1"], tmp_path)
+    assert status == 0 and rep["config"]["depth"] == 2
+    assert "ignores --depth" not in cli.build_parser().format_help()
+
+
 def test_inspect(tmp_path):
     status, rep = run_cli(["inspect", "--fixture", "a1"], tmp_path)
     assert status == 0
@@ -199,8 +218,8 @@ def test_contour_t_out_of_range_rejected(tmp_path, height, error):
     ("--amp", "nan"), ("--amp", "inf"), ("--y-abs", "nan"),
     ("--y-abs", "inf")])
 def test_nonfinite_endpoint_flags_rejected(tmp_path, command, flag, value):
-    status, rep = run_cli([command, "--fixture", "conifold", "--depth", "0",
-                           flag, value], tmp_path)
+    status, rep = run_cli([command, "--fixture", "conifold",
+                           *depth_flags(command, "0"), flag, value], tmp_path)
     assert status == 2
     assert rep["body"]["error"] == "InputError"
     assert flag in rep["body"]["message"]
@@ -214,8 +233,8 @@ def test_nonfinite_endpoint_flags_rejected(tmp_path, command, flag, value):
     ("--amp", "200")])
 def test_endpoints_outside_the_float_range_rejected(tmp_path, command, flag,
                                                     value):
-    status, rep = run_cli([command, "--fixture", "conifold", "--depth", "0",
-                           flag, value], tmp_path)
+    status, rep = run_cli([command, "--fixture", "conifold",
+                           *depth_flags(command, "0"), flag, value], tmp_path)
     assert status == 2
     assert rep["body"]["error"] == "InfeasibleArgs"
 
@@ -563,7 +582,8 @@ def test_moved_line_splits_the_orbit_where_it_integrates(tmp_path, command):
     # Re s = 1.5 is clear, one step right of the default line: the term
     # at m = 1 must be restored, not left to the line integral
     for fixture in ("a1", "conifold"):
-        status, rep = run_cli([command, "--fixture", fixture, "--depth", "0",
+        status, rep = run_cli([command, "--fixture", fixture,
+                               *depth_flags(command, "0"),
                                "--contour-re", "1.5"], tmp_path)
         assert status == 0, (fixture, rep["body"])
 
@@ -571,7 +591,8 @@ def test_moved_line_splits_the_orbit_where_it_integrates(tmp_path, command):
 @pytest.mark.parametrize("command", ["oracle", "verify"])
 def test_line_left_of_a_ratio_pole_is_input_error(tmp_path, command):
     for fixture in ("a1", "conifold"):
-        status, rep = run_cli([command, "--fixture", fixture, "--depth", "0",
+        status, rep = run_cli([command, "--fixture", fixture,
+                               *depth_flags(command, "0"),
                                "--contour-re", "-0.5"], tmp_path)
         assert status == 2, (fixture, rep["body"])
         assert rep["body"]["error"] == "PoleRightOfLine"

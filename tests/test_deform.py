@@ -139,3 +139,30 @@ def test_principal_log_branch():
         principal_log(-2.0)
     with pytest.raises(BranchCut):
         principal_log(0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 3e-3, (1e-2, -2e-3, 5e-3j)],
+                         ids=["zero", "one", "stack"])
+def test_divisor_exponentials_are_formed_once_per_ring(alg, eps):
+    # each exponential is formed on first read, read-only, with the bits
+    # of algebra_exp on the ring's own divisor, and shared by later reads;
+    # another ring forms its own
+    ring = DeformationRing(alg, eps=eps)
+    n = alg.data.n
+    for j in range(n):
+        for s in (-1.0, 0.5, -1.0 / 3, None):
+            got = ring.exp_divisor(j, s)
+            assert got is ring.exp_divisor(j, s)
+            assert not got.coords.flags.writeable
+            exponent = ring.divisor(j) if s is None else ring.divisor(j) * s
+            assert got.coords.tobytes() == algebra_exp(exponent).coords \
+                .tobytes()
+        for k in range(n):
+            for r in (0.5, -2.0):
+                got = ring.exp_delta(j, k, r)
+                assert got is ring.exp_delta(j, k, r)
+                want = algebra_exp((ring.divisor(j) - ring.divisor(k) * r)
+                                   * (-1.0))
+                assert got.coords.tobytes() == want.coords.tobytes()
+    other = DeformationRing(alg, eps=eps)
+    assert other.exp_divisor(0, -1.0) is not ring.exp_divisor(0, -1.0)

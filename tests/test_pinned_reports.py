@@ -18,8 +18,9 @@ left of a ratio pole, integrands that overflow, a divisor shift a eps
 that overflows, a half-height too short for the tails, a half-height
 whose node count is no finite float, one line placed by hand that
 passes, verify at its default depth 2, whose battery's lines share
-their factors, and gamma-eval and dual-eval at --trunc 400, whose
-deepest terms carry a power-of-two exponent past the float range.
+their factors, gamma-eval and dual-eval at --trunc 400, whose
+deepest terms carry a power-of-two exponent past the float range, and
+oracle with an explicit --depth, which it refuses.
 
 Every field that is not a float must match exactly, and every float
 within 1e-14 max(|v|, 1).  A change that moves a value on purpose
@@ -66,6 +67,7 @@ FLAG_JOBS = {
     "verify conifold --depth 2": (0, None),
     "gamma-eval a1 --trunc 400": (0, None),
     "dual-eval a1 --trunc 400": (0, None),
+    "oracle a1 --depth 5": (2, "InputError"),
 }
 RTOL = 1e-14
 

@@ -410,7 +410,7 @@ def r_values(alg):
     """r_j = e^{D_j + 2 pi i gamma_j}, j = 1..n, in the algebra's sector."""
     n = alg.data.n
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    r = _localization_values(DeformationRing(alg), alg.sector.coords, units)
+    r = _localization_values(DeformationRing(alg), units)
     return [alg.element(row) for row in r.coords]
 
 
@@ -429,13 +429,19 @@ def test_localization_points(algebra_map):
 
 
 def test_unit_phase_exact_values():
-    assert unit_phase(Fraction(0)) == 1.0 + 0.0j
-    assert unit_phase(Fraction(1, 2)) == -1.0 + 0.0j
-    assert unit_phase(Fraction(1, 4)) == 1j
-    assert unit_phase(Fraction(3, 4)) == -1j
-    assert unit_phase(Fraction(5, 2)) == -1.0 + 0.0j
-    got = unit_phase(Fraction(1, 3))
+    # q = num / den, exact at every quarter-integer q, also over a
+    # denominator that is not in lowest terms
+    assert unit_phase(0) == 1.0 + 0.0j
+    assert unit_phase(1, 2) == -1.0 + 0.0j
+    assert unit_phase(1, 4) == 1j
+    assert unit_phase(3, 4) == -1j
+    assert unit_phase(5, 2) == -1.0 + 0.0j
+    assert unit_phase(-6, 8) == 1j
+    assert unit_phase(9, 12) == -1j
+    assert unit_phase(-3, 3) == 1.0 + 0.0j
+    got = unit_phase(1, 3)
     assert abs(got - cmath.exp(2j * math.pi / 3)) < 1e-15
+    assert unit_phase(-2, 6) == cmath.exp(2j * math.pi * float(Fraction(2, 3)))
 
 
 def batch_product_algebras(packs):

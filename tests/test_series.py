@@ -859,32 +859,35 @@ def test_deep_dual_sums_match_mpmath(a1):
 @pytest.mark.parametrize("name", ["a1", "conifold"])
 def test_series_batches_build_fractions_per_lift_not_per_term(packs, name,
                                                              monkeypatch):
-    # a canonical lift is n Fractions, each the sum of two, and each
-    # sector's ring has n offsets: at most 3n per lift, whatever the
-    # number of terms.  The Fraction terms of the parent code took 54 (a1)
-    # and 69 (conifold) per lift here
+    # the lifts of a battery are one integer table (toric.lift_table)
+    # and make no Fraction; each sector's ring has n offsets, so at most
+    # n per batch, and under 3n per lift, whatever the number of terms.
+    # The Fraction terms of an earlier form took 54 (a1) and 69
+    # (conifold) per lift here, and its Fraction lifts 3n
     data = packs[name].data
     x = tuple((0.07 + 0.01j) * (1 + 0.1 * j) for j in range(data.n))
     battery = c_battery(data, 2)
     chambers = [packs[name].chamber(t) for t in packs[name].tris.values()]
-    counts = {"fractions": 0, "lifts": 0, "terms": 0}
-    real_new, real_lift = Fraction.__new__, series.canonical_lift
+    counts = {"fractions": 0, "lifts": 0, "terms": 0, "batches": 0}
+    real_new, real_lift = Fraction.__new__, series.lift_table
 
     def counted_new(cls, *args, **kwargs):
         counts["fractions"] += 1
         return real_new(cls, *args, **kwargs)
 
-    def counted_lift(*args):
-        counts["lifts"] += 1
-        return real_lift(*args)
+    def counted_lift(data, gamma, battery):
+        counts["lifts"] += len(battery)
+        return real_lift(data, gamma, battery)
 
-    monkeypatch.setattr(series, "canonical_lift", counted_lift)
+    monkeypatch.setattr(series, "lift_table", counted_lift)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
     for chamber in chambers:
         for dual in (False, True):
             for _, terms, _, _ in series.sector_batches(
                     chamber, battery, x, TruncationPolicy(), dual):
                 counts["terms"] += sum(map(len, terms))
+                counts["batches"] += 1
     monkeypatch.undo()
     assert counts["terms"] > 5 * counts["lifts"]
+    assert counts["fractions"] <= data.n * counts["batches"], counts
     assert counts["fractions"] <= 3 * data.n * counts["lifts"], counts

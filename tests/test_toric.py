@@ -1,5 +1,7 @@
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from gkzflop import rational, toric
@@ -14,7 +16,8 @@ from gkzflop.toric import (ToricData, Triangulation, adjacent_sector,
 from gkzflop.wall import c_battery
 from support import LOCAL_P2, SMALL_CIRCUITS, circuit_fixture, \
     reference_canonical_lift, reference_compute_box, reference_cone_index, \
-    reference_facet_normal, run_box_bijection
+    reference_facet_normal, reference_kernel_normal, reference_row_lift, \
+    run_box_bijection
 
 F = Fraction
 
@@ -240,3 +243,103 @@ def test_box_of_a_large_index_cone():
         == [(F(k, 6),) * 6 + (0,) for k in range(6)]
     assert [g.point for g in minus] == [data.combine(g.coords)
                                         for g in minus]
+
+
+def circuit_sides():
+    """(h, data, t) for both triangulations of every SMALL_CIRCUITS flop."""
+    assert len(SMALL_CIRCUITS) == 50
+    for h in SMALL_CIRCUITS:
+        data, tris = circuit_fixture(h)
+        for t in tris.values():
+            yield h, data, t
+
+
+def test_battery_lifts_match_the_row_lifts():
+    # one int64 table per (sector, battery) gives, row by row, den times
+    # the lift the row loops give for that c alone, and canonical_lift is
+    # its one-c case
+    for h, data, t in circuit_sides():
+        battery = c_battery(data, 2)
+        for g in compute_box(data, t):
+            table = toric.lift_table(data, g, battery)
+            assert table.dtype == np.int64 and table.shape == (len(battery),
+                                                              data.n)
+            for c, row in zip(battery, table.tolist()):
+                want = reference_row_lift(data, g, c)
+                assert [F(v, g.den) for v in row] == list(want), (h, c)
+                assert canonical_lift(data, g, c).values == want
+
+
+def test_frame_normals_match_the_kernel_normals():
+    # the columns of m R^-1, over their gcd, are the facets' primitive
+    # kernel normals with the same sign, facet by facet in boundary_facets'
+    # order
+    for h, data, t in circuit_sides():
+        for sigma in t.maximal:
+            for facet in combinations(sorted(sigma), data.rank - 1):
+                want = reference_kernel_normal(data, facet, sigma)
+                assert want is not None
+                assert toric._facet_normal(data, facet, sigma) == want, \
+                    (h, sigma, facet)
+
+
+def test_a_target_with_no_integer_lift_raises():
+    # every point's first coordinate doubled: a target with an odd first
+    # coordinate has no integer lift, in a battery or alone, and one with
+    # only even targets lifts as the row loops lift it
+    for h in SMALL_CIRCUITS:
+        data, _ = circuit_fixture(h)
+        even = ToricData(rank=data.rank, deg=data.deg, points=tuple(
+            (2 * v[0],) + tuple(v[1:]) for v in data.points))
+        g = toric.TwistedSector(coords=(F(0),) * data.n,
+                                point=(0,) * data.rank)
+        odd = (1,) + (0,) * (data.rank - 1)
+        two = (2,) + (0,) * (data.rank - 1)
+        assert reference_row_lift(even, g, odd) is None
+        with pytest.raises(Infeasible):
+            toric.lift_table(even, g, [(0,) * data.rank, odd])
+        with pytest.raises(Infeasible):
+            canonical_lift(even, g, odd)
+        table = toric.lift_table(even, g, [(0,) * data.rank, two])
+        assert [tuple(map(F, row)) for row in table.tolist()] \
+            == [reference_row_lift(even, g, c)
+                for c in ((0,) * data.rank, two)]
+
+
+def test_sector_keys_are_formed_once():
+    # one key per sector: equal to, and hashing like, the tuple of its
+    # coordinates; the integer form reads the same rationals
+    for h, data, t in circuit_sides():
+        for g in compute_box(data, t):
+            key = g.key()
+            assert key is g.key()
+            assert key == tuple(g.coords) and tuple(g.coords) == key
+            assert hash(key) == hash(tuple(g.coords))
+            assert {tuple(g.coords): 1}[key] == 1
+            assert tuple(F(v, g.den) for v in g.nums) == g.coords
+
+
+def test_ray_frames_are_kept_per_cone():
+    # a command's ToricData forms each cone's frame once: the Box, the
+    # facets, the index and the membership test all read that frame
+    data, tris = circuit_fixture((1, 1, 1, -3))
+    t = tris["minus"]
+    [sigma] = t.maximal
+    frame = data.frame(sigma)
+    assert frame is data.frame(set(sigma)) and frame.m == 3
+    calls = []
+    real = rational._hnf_full
+
+    def counted(m):
+        calls.append(1)
+        return real(m)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rational, "_hnf_full", counted)
+        compute_box(data, t)
+        toric.boundary_facets(data, t)
+        cone_index(data, sigma)
+        check_triangulation(data, t)
+        is_interior_point(data, t, (0, 0, 3), [])
+    assert calls == []
+    assert ToricData(data.rank, data.points, data.deg).frame(sigma) \
+        is not frame

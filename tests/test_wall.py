@@ -145,6 +145,35 @@ def test_residue_coefficients_a1(a1):
             assert principal < 1e-12 and nested < 1e-12
 
 
+def test_residue_coefficients_read_each_exponential_once(monkeypatch):
+    # on (1^3, -1^3) a ring's coefficient_C calls, every pole of every
+    # essential sector by both routes, form e^{-D_k} once per k (its
+    # e^{D_k / h_k} is the same, h_k = -1) and e^{-delta_jk} once per
+    # (j, k): 3 + 6 exponentials per ring, where forming each one per
+    # call made 36 per sector; a second pass forms none, to the same bits
+    data, tris = circuit_fixture((1, 1, 1, -1, -1, -1))
+    wc = wall.WallContext(find_circuit(data, tris["plus"], tris["minus"]),
+                          Chamber(data, tris["plus"]),
+                          Chamber(data, tris["minus"]))
+    calls = []
+    real = deform.algebra_exp
+
+    def counted(element):
+        calls.append(1)
+        return real(element)
+    monkeypatch.setattr(deform, "algebra_exp", counted)
+    rings = wc.rings(wc.plus, CIRCLE)
+    for key, poles in wc.poles.items():
+        del calls[:]
+        passes = [[wall.coefficient_C(wc.circuit, g, k, angles[route],
+                                      rings[key]).coords.tobytes()
+                   for k, _, angles in poles
+                   for route in ("transport", "pole")]
+                  for g in wc.plus.box if g.key() == key for _ in range(2)]
+        assert len(poles) == 3 and len(calls) == 9
+        assert passes[0] == passes[1]
+
+
 def test_residue_coefficients_conifold_pair(conifold):
     # the two simple-pole coefficients each blow up like 1/eps but the
     # poles cancel exactly in their sum, leaving -1
@@ -607,6 +636,39 @@ def test_line_matches_the_per_call_pole_model(packs, name):
                             circles.anchors.tolist(),
                             circles.shifts.tolist())) \
                 == reference_circles(lp, circuit, line.s0)
+
+
+def test_line_of_a_terms_numerators_is_the_line_of_its_rationals(packs):
+    # continued_vector builds a generator's Line from the term's integer
+    # numerators over its den, with no Fraction: the same Line, in every
+    # field, as the one read from l' as Fractions, on every plus-side
+    # generator of a depth-1 battery of a1, conifold and the census
+    names = ["a1", "conifold", *SMALL_CIRCUITS]
+    for name in names:
+        if name in packs:
+            data, tris = packs[name].data, packs[name].tris
+        else:
+            data, tris = circuit_fixture(name)
+        t = tris["plus"]
+        circuit = find_circuit(data, t, tris["minus"])
+        for c in wall.c_battery(data, 1):
+            for g in compute_box(data, t):
+                for term in terms_of(data, t, c, g, TruncationPolicy(),
+                                     circuit):
+                    if not term.generator:
+                        continue
+                    for s0 in (None, 2.5):
+                        got = wall.Line(term.num, circuit, s0, term.den)
+                        want = wall.Line(term.l, circuit, s0)
+                        assert got.lprime == want.lprime == term.l
+                        assert (got.num, got.den, got.families, got.unit,
+                                got.top, got.s0, got.distance) \
+                            == (want.num, want.den, want.families,
+                                want.unit, want.top, want.s0,
+                                want.distance), (name, term.l)
+                        assert got.top == max(
+                            term.l[k] / -circuit.h[k]
+                            for k in circuit.I_minus)
 
 
 def gamma_family_hit(lp, circuit, m):
@@ -1661,11 +1723,11 @@ def test_an_error_while_lines_are_built_waits_for_earlier_lines(
     built = []
 
     class Line(wall.Line):
-        def __init__(self, lprime, circuit, s0=None):
+        def __init__(self, lprime, circuit, s0=None, den=None):
             built.append(lprime)
             if len(built) == 3:
                 raise PoleOnContour("no clear line")
-            super().__init__(lprime, circuit, s0)
+            super().__init__(lprime, circuit, s0, den)
     monkeypatch.setattr(wall, "Line", Line)
     with pytest.raises(error):
         wall.continued_vector(wc, wc.rings(wc.plus, 0.0),
